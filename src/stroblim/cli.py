@@ -46,6 +46,15 @@ def _fail(key: str, reason: str):
     raise ScenarioError(f"scenario key '{key}': {reason}")
 
 
+def _parse_int(key: str, node) -> int:
+    """An integer, also given as an integral float; booleans are rejected."""
+    if isinstance(node, float) and node.is_integer():
+        return int(node)
+    if isinstance(node, bool) or not isinstance(node, int):
+        _fail(key, "expected an integer")
+    return node
+
+
 def _parse_complex_matrix(key: str, node) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
@@ -157,8 +166,8 @@ def scenario_from_dict(doc) -> Scenario:
         groups.append([_parse_ket(f"projectors[{i}][{j}]", k)
                        for j, k in enumerate(group)])
     selected = doc.get("selected_index")
-    if selected is not None and not isinstance(selected, int):
-        _fail("selected_index", "expected an integer")
+    if selected is not None:
+        selected = _parse_int("selected_index", selected)
     try:
         meas = measurement_from_kets(groups, selected)
     except ValueError as err:
@@ -174,8 +183,15 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         _fail("outputs", "expected a list of output names")
     tolerances = doc.get("tolerances")
-    if tolerances is not None and not isinstance(tolerances, dict):
-        _fail("tolerances", "expected an object")
+    if tolerances is not None:
+        if not isinstance(tolerances, dict):
+            _fail("tolerances", "expected an object")
+        tol = tolerances.get("max_deviation")
+        if "max_deviation" in tolerances and (
+                isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not math.isfinite(tol) or tol <= 0):
+            _fail("tolerances.max_deviation", "expected a finite positive number")
+    grid_points = _parse_int("grid_points", doc["grid_points"])
     methods = doc.get("methods")
     if methods is not None and (not isinstance(methods, list)
                                 or not all(isinstance(m, str) for m in methods)):
@@ -188,7 +204,7 @@ def scenario_from_dict(doc) -> Scenario:
             initial=init,
             tau=tau,
             t_max=float(doc["t_max"]),
-            grid_points=int(doc["grid_points"]),
+            grid_points=grid_points,
             mode=str(doc["mode"]),
             outputs=tuple(outputs),
             tolerances=tolerances,

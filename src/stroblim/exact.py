@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, as_matrix, dag, expm, is_projector, kron,
-                     max_abs, partial_trace)
+                     max_abs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -114,12 +114,10 @@ def nonselective_channel(rho, spec: MeasurementSpec) -> np.ndarray:
     return out
 
 
-def _record(times, states, sys_states, norms, t, rho_u, dims):
+def _record(times, states, norms, t, rho_u):
     norm = float(np.trace(rho_u).real)
-    rho = rho_u / norm
     times.append(t)
-    states.append(rho)
-    sys_states.append(partial_trace(rho, dims, "sys"))
+    states.append(rho_u / norm)
     norms.append(norm)
 
 
@@ -155,10 +153,9 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
 
     times: list[float] = []
     states: list[np.ndarray] = []
-    sys_states: list[np.ndarray] = []
     norms: list[float] = []
     rho_u = init.joint()
-    _record(times, states, sys_states, norms, 0.0, rho_u, dims)
+    _record(times, states, norms, 0.0, rho_u)
     for k in range(plan.n_steps):
         rho_u = u @ rho_u @ u_dag
         c = c_ops[seq[k]]
@@ -168,11 +165,11 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             raise VanishingProbabilityError(
                 f"outcome sequence has vanishing probability at step {k + 1} "
                 f"(p_Phi = {norm:.3e} < {prob_floor:.1e})")
-        _record(times, states, sys_states, norms, (k + 1) * plan.tau, rho_u, dims)
+        _record(times, states, norms, (k + 1) * plan.tau, rho_u)
     if plan.residual > 0:
         rho_u = unitary_step(rho_u, ham.assemble(), plan.residual)
-        _record(times, states, sys_states, norms, plan.total_time, rho_u, dims)
-    return Trajectory(np.array(times), states, sys_states, np.array(norms), dims)
+        _record(times, states, norms, plan.total_time, rho_u)
+    return Trajectory(np.array(times), states, np.array(norms), dims)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState) -> Trajectory:
@@ -198,15 +195,14 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState) -> Trajectory:
 
     times: list[float] = []
     states: list[np.ndarray] = []
-    sys_states: list[np.ndarray] = []
     norms: list[float] = []
     rho = nonselective_channel(init.joint(), meas)
-    _record(times, states, sys_states, norms, 0.0, rho, dims)
+    _record(times, states, norms, 0.0, rho)
     for k in range(plan.n_steps):
         rho = u @ rho @ u_dag
         rho = nonselective_channel(rho, meas)
-        _record(times, states, sys_states, norms, (k + 1) * plan.tau, rho, dims)
+        _record(times, states, norms, (k + 1) * plan.tau, rho)
     if plan.residual > 0:
         rho = unitary_step(rho, ham.assemble(), plan.residual)
-        _record(times, states, sys_states, norms, plan.total_time, rho, dims)
-    return Trajectory(np.array(times), states, sys_states, np.array(norms), dims)
+        _record(times, states, norms, plan.total_time, rho)
+    return Trajectory(np.array(times), states, np.array(norms), dims)

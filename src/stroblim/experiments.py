@@ -10,20 +10,18 @@ deterministic: fixed grids, fixed-step integration, no randomness.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exact import EvolutionPlan, run_nonselective, run_selective, steps_in
-from .linalg import trace_distance
+from .linalg import TensorDims, trace_distance
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets,
                     swap_hamiltonian)
 from .nonselective_limit import (build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
-from .selective_limit import effective_rank1, effective_rankr, propagate_kraus
+from .selective_limit import effective_rankr, propagate_kraus
 from .trajectory import Trajectory, bloch_to_density, bloch_vector
 
 OUTPUT_KEYS = ("p_up", "bloch", "purity", "trace", "p_err", "matrix")
@@ -154,11 +152,7 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
     if method == "limit":
         if sc.selective:
             sel = meas.selected_index
-            basis = meas.bases[sel]
-            if meas.ranks[sel] == 1:
-                eff = effective_rank1(ham, basis[:, 0], sc.tau)
-            else:
-                eff = effective_rankr(ham, meas.projectors[sel], sc.tau, basis)
+            eff = effective_rankr(ham, meas.projectors[sel], sc.tau, meas.bases[sel])
             return propagate_kraus(eff, init, sc.times)
         eff = build_generator(ham, meas, sc.tau)
         return semigroup_propagate(eff, init, sc.times)
@@ -168,8 +162,8 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
         times = sc.times
         states = [swap_nonselective_closed_form(ham.gamma, sc.omega,
                                                 init.rho_sys, t) for t in times]
-        return Trajectory(times.copy(), states, list(states),
-                          np.ones(len(times)), None)
+        return Trajectory(times.copy(), states, np.ones(len(times)),
+                          TensorDims(ham.dim_sys, 1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -415,15 +409,6 @@ def run_swap_nonselective(alpha_sqs=(0.01, 0.3, 0.6, 1.0), gamma: float = 5.0,
                             snapshots=snaps)
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("STROBLIM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"STROBLIM_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     """Re-run a comparison scenario over a tau list at fixed Omega = gamma^2 tau
     (gamma recomputed per tau) and tabulate the max deviation per tau."""
@@ -442,12 +427,7 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
         )
         return compare_case(scaled, label=f"tau={tau:g}")
 
-    workers = _sweep_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(one, taus))
-    else:
-        cases = [one(t) for t in taus]
+    cases = [one(t) for t in taus]
     table = tuple((tau, c.max_deviation) for tau, c in zip(taus, cases))
     max_dev = max(c.max_deviation for c in cases)
     return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), tuple(cases),

@@ -4,7 +4,8 @@ Operators are plain complex numpy arrays and stay small (dim <= ~16 in every
 bundled scenario), so the routines here favor robustness and determinism over
 speed: dense storage, a scaling-and-squaring Pade exponential with an
 eigendecomposition fast path for (anti-)Hermitian generators, and a fixed-step
-classical RK4 integrator.  All functions are pure; nothing mutates its inputs.
+classical RK4 integrator with one sampler shared by every ODE in the package.
+All functions are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -153,17 +154,23 @@ def expm(a) -> np.ndarray:
 
 
 def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
-    """Trace out one tensor factor of a system (x) probe operator."""
+    """Trace out one tensor factor of a system (x) probe operator.
+
+    A traced factor of dimension 1 leaves the operator unchanged, so the input
+    itself is returned.
+    """
     m = as_matrix(rho)
     if m.shape[0] != dims.total:
         raise ValueError(f"operator dim {m.shape[0]} does not match "
                          f"{dims.dim_sys}x{dims.dim_pr} split")
+    if keep not in ("sys", "pr"):
+        raise ValueError(f"keep must be 'sys' or 'pr', got {keep!r}")
+    if (dims.dim_pr if keep == "sys" else dims.dim_sys) == 1:
+        return m
     r = m.reshape(dims.dim_sys, dims.dim_pr, dims.dim_sys, dims.dim_pr)
     if keep == "sys":
         return np.einsum("ipjp->ij", r)
-    if keep == "pr":
-        return np.einsum("ipiq->pq", r)
-    raise ValueError(f"keep must be 'sys' or 'pr', got {keep!r}")
+    return np.einsum("ipiq->pq", r)
 
 
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -187,13 +194,33 @@ def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
+               n_steps: int) -> list[np.ndarray]:
+    """Fixed-step RK4 solution of an autonomous ODE, sampled at `times`.
+
+    times must be non-decreasing; y0 is the value at times[0].  About n_steps
+    steps cover the whole span: each gap between consecutive samples is cut
+    into max(1, round(gap / (span / n_steps))) equal steps.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    target = float(times[-1] - times[0]) / n_steps
+    out = [y0]
+    y = y0
+    for a, b in zip(times[:-1], times[1:]):
+        gap = float(b - a)
+        if gap > 0:
+            m = max(1, round(gap / target))
+            dt = gap / m
+            for _ in range(m):
+                y = ode_step_rk4(rhs, y, dt)
+        out.append(y)
+    return out
+
+
 def trace_distance(a, b) -> float:
     """(1/2)||a - b||_1 for Hermitian a, b."""
     d = as_matrix(a) - as_matrix(b)
     w = np.linalg.eigvalsh((d + dag(d)) / 2)
     return 0.5 * float(np.sum(np.abs(w)))
-
-
-def purity(rho) -> float:
-    m = as_matrix(rho)
-    return float(np.trace(m @ m).real)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm, kron,
-                     max_abs, ode_step_rk4, partial_trace)
+                     max_abs, rk4_sample)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -115,7 +115,8 @@ class NonselectiveEffective:
     projectors, h_ops the transition operators keyed by (i, j).  block_bases
     holds one isometry per projector range; block_trans and block_heff are
     the transition operators and effective non-Hermitian block Hamiltonians
-    compressed to those bases.
+    gamma h_ii - (i Omega / 2) ((h^2)_ii - (h_ii)^2), compressed to those
+    bases.
     """
 
     h: np.ndarray
@@ -209,13 +210,6 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec, tau: float,
         dims=dims)
 
 
-def is_channel_fixed_point(eff: NonselectiveEffective, rho,
-                           tol: float = DEFAULT_TOL) -> bool:
-    rho = as_matrix(rho)
-    projected = sum(c @ rho @ c for c in eff.c_ops)
-    return max_abs(projected - rho) <= tol
-
-
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
     """rho(T) = exp(L_eff T) applied to the vectorized initial state.
@@ -227,20 +221,14 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
         raise ValueError("initial state does not match the generator dimensions")
-    if not is_channel_fixed_point(eff, rho0):
+    if max_abs(sum(c @ rho0 @ c for c in eff.c_ops) - rho0) > DEFAULT_TOL:
         raise ValueError("initial state must be a fixed point of the measurement "
                          "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
     v0 = vec(rho0)
-    states: list[np.ndarray] = []
-    sys_states: list[np.ndarray] = []
-    norms: list[float] = []
-    for t in times:
-        rho = unvec(expm(eff.liouvillian * t) @ v0)
-        states.append(rho)
-        sys_states.append(partial_trace(rho, eff.dims, "sys"))
-        norms.append(float(np.trace(rho).real))
-    return Trajectory(times.copy(), states, sys_states, np.array(norms), eff.dims)
+    states = [unvec(expm(eff.liouvillian * t) @ v0) for t in times]
+    norms = np.array([float(np.trace(rho).real) for rho in states])
+    return Trajectory(times.copy(), states, norms, eff.dims)
 
 
 @dataclass
@@ -287,14 +275,6 @@ def block_rhs(eff: NonselectiveEffective, state: BlockState) -> BlockState:
     return BlockState(tuple(out))
 
 
-def effective_nonhermitian(eff: NonselectiveEffective, i: int) -> np.ndarray:
-    """Effective non-Hermitian Hamiltonian of block i, compressed to its basis:
-    gamma h_ii - (i Omega / 2) ((h^2)_ii - (h_ii)^2)."""
-    if not 0 <= i < eff.n_blocks:
-        raise ValueError(f"block index {i} out of range")
-    return eff.block_heff[i].copy()
-
-
 def _pack(state: BlockState) -> np.ndarray:
     return np.concatenate([b.reshape(-1) for b in state.blocks])
 
@@ -312,26 +292,12 @@ def _unpack(flat: np.ndarray, template: BlockState) -> BlockState:
 def integrate_blocks(eff: NonselectiveEffective, state0: BlockState, times,
                      n_steps: int = DEFAULT_ODE_STEPS) -> list[BlockState]:
     """Fixed-step RK4 integration of the coupled block equations."""
-    times = np.asarray(times, dtype=float)
-    span = float(times[-1] - times[0])
-    target = span / n_steps if span > 0 else 0.0
 
     def rhs(flat):
         return _pack(block_rhs(eff, _unpack(flat, state0)))
 
-    out = [state0]
-    y = _pack(state0)
-    for a, b in zip(times[:-1], times[1:]):
-        gap = float(b - a)
-        if gap < 0:
-            raise ValueError("times must be non-decreasing")
-        if gap > 0:
-            m = max(1, round(gap / target)) if target > 0 else 1
-            dt = gap / m
-            for _ in range(m):
-                y = ode_step_rk4(rhs, y, dt)
-        out.append(_unpack(y, state0))
-    return out
+    return [_unpack(y, state0)
+            for y in rk4_sample(rhs, _pack(state0), times, n_steps)]
 
 
 def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:
@@ -359,20 +325,8 @@ def pauli_rhs(w: np.ndarray, p: np.ndarray) -> np.ndarray:
 def integrate_pauli(w: np.ndarray, p0, times,
                     n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
     """Fixed-step RK4 integration of the classical rate equation."""
-    times = np.asarray(times, dtype=float)
-    span = float(times[-1] - times[0])
-    target = span / n_steps if span > 0 else 0.0
-    out = [np.asarray(p0, dtype=float)]
-    y = out[0]
-    for a, b in zip(times[:-1], times[1:]):
-        gap = float(b - a)
-        if gap > 0:
-            m = max(1, round(gap / target)) if target > 0 else 1
-            dt = gap / m
-            for _ in range(m):
-                y = ode_step_rk4(lambda p: pauli_rhs(w, p), y, dt)
-        out.append(y)
-    return out
+    p0 = np.asarray(p0, dtype=float)
+    return rk4_sample(lambda p: pauli_rhs(w, p), p0, times, n_steps)
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

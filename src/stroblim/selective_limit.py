@@ -4,9 +4,9 @@ When the probe is projectively measured every tau with coincident outcomes
 and tau -> 0 at fixed Omega = gamma^2 tau, the surviving branch evolves under
 a non-Hermitian generator H1 - i H2: H1 is the probe-averaged Hamiltonian and
 H2 >= 0 encodes the trace decay caused by transitions out of the measured
-subspace.  For a rank-1 projector the dynamics closes on the system alone;
-for rank r the pair lives on system (x) range(P) and the system state follows
-by partial trace.
+subspace.  The pair lives on system (x) range(P) and the system state
+follows by partial trace; for a rank-1 projector range(P) is one-dimensional
+and the dynamics closes on the system alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm,
-                     is_projector, kron, max_abs, ode_step_rk4, partial_trace)
+                     is_projector, kron, max_abs, rk4_sample)
 from .model import HamiltonianSpec, InitialState
 from .trajectory import Trajectory
 
@@ -29,22 +29,19 @@ DEFAULT_ODE_STEPS = 2000
 class SelectiveEffective:
     """Effective generator H1 - i H2 of the post-selected branch.
 
-    space is "sys" (rank-1 measurement: operators act on the system alone,
-    `phi` is the measured probe vector) or "joint" (rank-r: operators act on
-    system (x) range(P) compressed through the isometry `probe_basis`, with
-    `dims` the compressed split).  `covariance` keeps the probe covariance
-    matrix M_jk in the rank-1 case.
+    Operators act on system (x) range(P), compressed through the isometry
+    `probe_basis` whose columns are an orthonormal basis of range(P); `dims`
+    is the compressed split (dim_sys, rank of P).  For a rank-1 projector
+    |phi><phi| the probe factor is one-dimensional (`probe_basis` is phi as a
+    column), so the operators act on the system alone.
     """
 
     h1: np.ndarray
     h2: np.ndarray
     gamma: float
     tau: float
-    space: str
-    covariance: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    probe_basis: np.ndarray | None = None
-    dims: TensorDims | None = None
+    probe_basis: np.ndarray
+    dims: TensorDims
 
     @property
     def omega(self) -> float:
@@ -70,37 +67,13 @@ def _validate_h1_h2(h1: np.ndarray, h2: np.ndarray) -> None:
 
 
 def effective_rank1(ham: HamiltonianSpec, phi, tau: float) -> SelectiveEffective:
-    """System-only effective generator for a rank-1 probe projector |phi><phi|.
+    """effective_rankr for the rank-1 projector |phi><phi| (phi normalized).
 
-    H1 = gamma * sum_j A_j <B_j> and H2 = (Omega/2) * sum_jk A_j A_k M_jk with
-    M_jk the covariance <B_j B_k> - <B_j><B_k> in |phi>.
+    H1 = gamma * sum_j A_j <B_j> and H2 = (Omega/2) * sum_jk A_j A_k M_jk, with
+    M_jk the covariance <B_j B_k> - <B_j><B_k> in |phi>, act on the system.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if phi.size != ham.dim_pr:
-        raise ValueError("probe vector dimension does not match the Hamiltonian")
-    if abs(np.linalg.norm(phi) - 1.0) > DEFAULT_TOL:
-        raise ValueError("probe vector must be normalized within 1e-10")
-    omega = ham.gamma ** 2 * tau
-    n = len(ham.terms)
-    b_phi = [b @ phi for _, b in ham.terms]
-    b_avg = np.array([np.vdot(phi, bp) for bp in b_phi])
-    cov = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        bj_dag_phi = dag(ham.terms[j][1]) @ phi
-        for k in range(n):
-            # <B_j B_k> - <B_j><B_k>
-            cov[j, k] = np.vdot(bj_dag_phi, b_phi[k]) - b_avg[j] * b_avg[k]
-    h1 = sum(b_avg[j] * ham.terms[j][0] for j in range(n)) * ham.gamma
-    h2 = np.zeros((ham.dim_sys, ham.dim_sys), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            h2 += cov[j, k] * (ham.terms[j][0] @ ham.terms[k][0])
-    h2 *= omega / 2.0
-    _validate_h1_h2(h1, h2)
-    return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau, space="sys",
-                              covariance=cov, phi=phi)
+    phi = np.asarray(phi, dtype=complex).reshape(-1, 1)
+    return effective_rankr(ham, phi @ dag(phi), tau, basis=phi)
 
 
 def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
@@ -145,43 +118,31 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
             h2 += kron(ham.terms[j][0] @ ham.terms[k][0], gg_jk - g[j] @ g[k])
     h2 *= omega / 2.0
     _validate_h1_h2(h1, h2)
-    return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau, space="joint",
+    return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau,
                               probe_basis=v, dims=TensorDims(ham.dim_sys, r))
-
-
-def _initial_in_space(eff: SelectiveEffective, init: InitialState) -> np.ndarray:
-    if eff.space == "sys":
-        phi = eff.phi
-        if init.rho_pr.shape[0] != phi.size:
-            raise ValueError("initial probe dimension does not match the generator")
-        if max_abs(init.rho_pr - np.outer(phi, phi.conj())) > 1e-8:
-            raise ValueError("rank-1 limit requires the probe prepared in the "
-                             "measured vector")
-        return init.rho_sys.copy()
-    v = eff.probe_basis
-    if init.rho_pr.shape[0] != v.shape[0]:
-        raise ValueError("initial probe dimension does not match the generator")
-    rp = dag(v) @ init.rho_pr @ v
-    if abs(np.trace(rp).real - 1.0) > 1e-8:
-        raise ValueError("initial probe state must be supported in range(P)")
-    return kron(init.rho_sys, rp)
 
 
 def propagate_kraus(eff: SelectiveEffective, init: InitialState, times,
                     prob_floor: float = PROB_FLOOR) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
-    The reported norms are the branch probabilities tr[K rho K+], which are
-    non-increasing in T.  If the probability falls below prob_floor the
-    trajectory is truncated with a warning (the conditional state is undefined
-    on a zero-probability branch).
+    The initial probe state must be supported in range(P).  The reported norms
+    are the branch probabilities tr[K rho K+], which are non-increasing in T.
+    If the probability falls below prob_floor the trajectory is truncated with
+    a warning (the conditional state is undefined on a zero-probability
+    branch).
     """
     times = np.asarray(times, dtype=float)
-    rho0 = _initial_in_space(eff, init)
+    v = eff.probe_basis
+    if init.rho_pr.shape[0] != v.shape[0]:
+        raise ValueError("initial probe dimension does not match the generator")
+    rp = dag(v) @ init.rho_pr @ v
+    if abs(np.trace(rp).real - 1.0) > 1e-8:
+        raise ValueError("initial probe state must be supported in range(P)")
+    rho0 = kron(init.rho_sys, rp)
     h_eff = eff.h_eff
     out_t: list[float] = []
     states: list[np.ndarray] = []
-    sys_states: list[np.ndarray] = []
     norms: list[float] = []
     for t in times:
         k = expm(-1j * t * h_eff)
@@ -191,15 +152,10 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState, times,
             warnings.warn(f"branch probability vanished at T = {t:g}; trajectory "
                           "truncated", stacklevel=2)
             break
-        rho = rho_u / norm
         out_t.append(float(t))
-        states.append(rho)
+        states.append(rho_u / norm)
         norms.append(norm)
-        if eff.space == "sys":
-            sys_states.append(rho)
-        else:
-            sys_states.append(partial_trace(rho, eff.dims, "sys"))
-    return Trajectory(np.array(out_t), states, sys_states, np.array(norms), eff.dims)
+    return Trajectory(np.array(out_t), states, np.array(norms), eff.dims)
 
 
 def nonlinear_density_rhs(eff: SelectiveEffective, rho) -> np.ndarray:
@@ -225,6 +181,11 @@ def nonlinear_state_rhs(eff: SelectiveEffective, psi) -> np.ndarray:
         raise ValueError("state dimension does not match the generator")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("state vector must be normalized")
+    return _state_rhs(eff, psi)
+
+
+def _state_rhs(eff: SelectiveEffective, psi: np.ndarray) -> np.ndarray:
+    # Unchecked: RK4 stage vectors are off-norm by O(dt).
     h2_psi = eff.h2 @ psi
     return -1j * (eff.h1 @ psi) - h2_psi + np.vdot(psi, h2_psi).real * psi
 
@@ -238,42 +199,16 @@ def purity_derivative(eff: SelectiveEffective, rho) -> float:
     return 4.0 * float((np.trace(rho2) * np.trace(h2 @ rho) - np.trace(h2 @ rho2)).real)
 
 
-def _integrate(rhs, y0, times, n_steps):
-    times = np.asarray(times, dtype=float)
-    span = float(times[-1] - times[0])
-    target = span / n_steps if span > 0 else 0.0
-    out = [y0]
-    y = y0
-    for a, b in zip(times[:-1], times[1:]):
-        gap = float(b - a)
-        if gap < 0:
-            raise ValueError("times must be non-decreasing")
-        if gap == 0:
-            out.append(y)
-            continue
-        m = max(1, round(gap / target)) if target > 0 else 1
-        dt = gap / m
-        for _ in range(m):
-            y = ode_step_rk4(rhs, y, dt)
-        out.append(y)
-    return out
-
-
 def integrate_density(eff: SelectiveEffective, rho0, times,
                       n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
     """Fixed-step RK4 integration of the nonlinear density equation, sampled
     at `times` (n_steps RK4 steps across the whole span)."""
     rho0 = as_matrix(rho0).astype(complex)
-    return _integrate(lambda r: nonlinear_density_rhs(eff, r), rho0, times, n_steps)
+    return rk4_sample(lambda r: nonlinear_density_rhs(eff, r), rho0, times, n_steps)
 
 
 def integrate_state(eff: SelectiveEffective, psi0, times,
                     n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
     """Fixed-step RK4 integration of the state-vector equation."""
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-
-    def rhs(psi):
-        h2_psi = eff.h2 @ psi
-        return -1j * (eff.h1 @ psi) - h2_psi + np.vdot(psi, h2_psi).real * psi
-
-    return _integrate(rhs, psi0, times, n_steps)
+    return rk4_sample(lambda psi: _state_rhs(eff, psi), psi0, times, n_steps)

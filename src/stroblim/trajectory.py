@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import TensorDims, as_matrix
+from .linalg import TensorDims, as_matrix, partial_trace
 from .model import pauli
 
 _PAULI_XYZ = (pauli(1), pauli(2), pauli(3))
@@ -16,18 +17,24 @@ _PAULI_XYZ = (pauli(1), pauli(2), pauli(3))
 class Trajectory:
     """Sampled evolution: normalized states plus per-sample bookkeeping.
 
-    `states` live on the propagation space (system-probe, a restricted joint
-    space, or the system alone, depending on the producer); `sys_states` are
-    always the normalized reduced system states.  `norms` is the trace of the
-    unnormalized state before renormalization, i.e. the cumulative success
-    probability of a conditional run (identically 1 for trace-preserving runs).
+    `states` live on the propagation space of the producer, split as `dims`:
+    system (x) probe for the exact runners and the semigroup, system (x)
+    range(P) for the selective limit, and the system alone (a probe factor of
+    dimension 1) for closed forms.  `sys_states`, the normalized reduced
+    system states, are derived from them once, on first use, by tracing out
+    the probe factor.  `norms` is the trace of the unnormalized state before
+    renormalization, i.e. the cumulative success probability of a conditional
+    run (identically 1 for trace-preserving runs).
     """
 
     times: np.ndarray
     states: list[np.ndarray]
-    sys_states: list[np.ndarray]
     norms: np.ndarray
-    dims: TensorDims | None = None
+    dims: TensorDims
+
+    @cached_property
+    def sys_states(self) -> list[np.ndarray]:
+        return [partial_trace(s, self.dims, "sys") for s in self.states]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -56,7 +63,6 @@ class Trajectory:
         return Trajectory(
             times=self.times[idx],
             states=[self.states[i] for i in idx],
-            sys_states=[self.sys_states[i] for i in idx],
             norms=self.norms[idx],
             dims=self.dims,
         )

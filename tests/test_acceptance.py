@@ -144,7 +144,8 @@ def test_nonlinear_dynamics_consistency():
             rho0 = np.outer(psi0, psi0.conj())
             dens = integrate_density(eff, rho0, times, n_steps=2000)
             stat = integrate_state(eff, psi0, times, n_steps=2000)
-            init = InitialState(rho0, np.outer(eff.phi, eff.phi.conj()))
+            phi = eff.probe_basis[:, 0]
+            init = InitialState(rho0, np.outer(phi, phi.conj()))
             kraus = propagate_kraus(eff, init, times)
             for k in range(len(times)):
                 rho_s = np.outer(stat[k], stat[k].conj())
@@ -154,8 +155,8 @@ def test_nonlinear_dynamics_consistency():
                 assert abs(np.trace(dens[k] @ dens[k]).real - 1.0) <= 1e-6
         # finite-difference purity derivative on the flagship case
         eff, psi0 = cases[0]
-        init = InitialState(np.outer(psi0, psi0.conj()),
-                            np.outer(eff.phi, eff.phi.conj()))
+        phi = eff.probe_basis[:, 0]
+        init = InitialState(np.outer(psi0, psi0.conj()), np.outer(phi, phi.conj()))
         h = 1e-3
         for t in (0.5, 2.0, 5.0):
             traj = propagate_kraus(eff, init, [t - h, t, t + h])

@@ -126,12 +126,22 @@ class TestCommands:
         fb = (b / "swap_selective_exact.csv").read_bytes()
         assert fa == fb
 
-    def test_malformed_scenario_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("key, value, reported", [
+        ("omega", 3.0, "omega"),
+        ("selected_index", True, "selected_index"),
+        ("grid_points", 250.7, "grid_points"),
+        ("tolerances", {"max_deviation": float("nan")}, "tolerances.max_deviation"),
+        ("tolerances", {"max_deviation": float("inf")}, "tolerances.max_deviation"),
+        ("tolerances", {"max_deviation": 0.0}, "tolerances.max_deviation"),
+    ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
+            "nan_tolerance", "inf_tolerance", "zero_tolerance"])
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, key, value, reported):
         doc = bundled_doc("swap_selective")
-        doc["omega"] = 3.0
+        doc[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert f"scenario key '{reported}'" in capsys.readouterr().err
 
     def test_vanishing_probability_exits_3(self, tmp_path):
         doc = bundled_doc("swap_selective")

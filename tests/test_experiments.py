@@ -104,12 +104,6 @@ class TestSweep:
         assert report.strictly_decreasing
         assert report.convergence_ratios[0] > 1.0
 
-    def test_thread_env_override(self, monkeypatch):
-        monkeypatch.setenv("STROBLIM_THREADS", "2")
-        sc = swap_selective_scenario(0.2, t_max=1.0)
-        report = convergence_sweep(sc, [0.04, 0.02])
-        assert report.strictly_decreasing
-
 
 class TestSnapshots:
     def test_bloch_ball_contraction(self):

@@ -142,6 +142,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(6), TensorDims(2, 2), "sys")
 
+    def test_unit_traced_factor_returns_input(self, rng):
+        x = random_complex(rng, (3, 3))
+        assert max_abs(partial_trace(x, TensorDims(3, 1), "sys") - x) == 0
+        assert max_abs(partial_trace(x, TensorDims(1, 3), "pr") - x) == 0
+        with pytest.raises(ValueError):
+            partial_trace(x, TensorDims(3, 1), "probe")
+
 
 class TestHermitianEig:
     def test_pauli_z(self):

@@ -4,8 +4,8 @@ import pytest
 from helpers import (family_spec, random_density, random_hamiltonian_spec,
                      random_hermitian, random_projector_family)
 from stroblim import (HamiltonianSpec, InitialState, basis_ket, block_rhs,
-                      build_generator, choi_matrix, effective_nonhermitian,
-                      kron, measurement_from_kets, pauli, pauli_rates,
+                      build_generator, choi_matrix, kron,
+                      measurement_from_kets, pauli, pauli_rates,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import dag, max_abs
@@ -15,6 +15,8 @@ from stroblim.nonselective_limit import (BlockState, blocks_from_global,
                                          liouville_commutator,
                                          pauli_rhs, sandwich_generator_superop,
                                          unvec, vec)
+from stroblim.selective_limit import (effective_rank1, integrate_density,
+                                      integrate_state)
 
 TAU = 0.04
 GAMMA = 5.0
@@ -176,7 +178,7 @@ class TestBlocks:
         state = blocks_from_global(eff, rho)
         d = block_rhs(eff, state)
         for i, db in enumerate(d.blocks):
-            heff = effective_nonhermitian(eff, i)
+            heff = eff.block_heff[i]
             assert max_abs(heff - dag(heff)) < 1e-12  # commuting case: Hermitian
             b = state.blocks[i]
             assert max_abs(db + 1j * (heff @ b - b @ heff)) < 1e-12
@@ -209,11 +211,11 @@ class TestBlocks:
         # h^2 = I so the dispersion in block i is 1 - (h_ii)^2 restricted
         eff = swap_gen()
         omega = eff.omega
-        h1_eff = effective_nonhermitian(eff, 0)
+        h1_eff = eff.block_heff[0]
         want = GAMMA * np.diag([1.0, 0.0]) - 0.5j * omega * np.diag([0.0, 1.0])
         assert max_abs(h1_eff - want) < 1e-12
-        with pytest.raises(ValueError):
-            effective_nonhermitian(eff, 5)
+        with pytest.raises(IndexError):
+            eff.block_heff[5]
 
     def test_block_integration_matches_semigroup(self, rng):
         eff, _, _ = random_generator(rng, 2, 2, gamma=1.0, tau=0.25)
@@ -225,6 +227,25 @@ class TestBlocks:
         for t, st in zip(times, blocks):
             direct = unvec(expm(eff.liouvillian * t) @ vec(rho))
             assert max_abs(global_from_blocks(eff, st) - direct) < 1e-7
+
+
+def swap_selective_eff():
+    return effective_rank1(swap_hamiltonian(GAMMA), basis_ket("u"), TAU)
+
+
+@pytest.mark.parametrize("integrate", [
+    pytest.param(lambda t: integrate_density(swap_selective_eff(), np.eye(2) / 2, t),
+                 id="density"),
+    pytest.param(lambda t: integrate_state(swap_selective_eff(), basis_ket("d"), t),
+                 id="state"),
+    pytest.param(lambda t: integrate_blocks(
+        swap_gen(), blocks_from_global(swap_gen(), np.eye(4) / 4), t), id="blocks"),
+    pytest.param(lambda t: integrate_pauli(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], t), id="pauli"),
+])
+def test_integrators_reject_decreasing_times(integrate):
+    with pytest.raises(ValueError, match="non-decreasing"):
+        integrate([0.0, 1.0, 0.5])
 
 
 class TestChoi:

@@ -172,6 +172,20 @@ class TestPropagateKraus:
         with pytest.raises(ValueError):
             propagate_kraus(eff, init, [0.0])
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rejects_probe_outside_range(self, rank):
+        # the probe ket (|in> + |out>)/sqrt2 overlaps range(P) without lying in it
+        if rank == 1:
+            eff = swap_eff()
+            inside, outside = basis_ket("u"), basis_ket("d")
+        else:
+            inside, outside = basis_ket("ud"), basis_ket("uu")
+            p = projector_from_kets([inside, basis_ket("du")])
+            eff = effective_rankr(heisenberg3_hamiltonian(GAMMA, "local_xyz"), p, TAU)
+        init = InitialState.from_kets([1.0, 0.0], inside + outside)
+        with pytest.raises(ValueError, match=r"range\(P\)"):
+            propagate_kraus(eff, init, [0.0])
+
 
 class TestNonlinearRhs:
     def test_stationary_eigenprojector(self, rng):
@@ -261,7 +275,8 @@ class TestConsistency:
             rho0 = np.outer(psi0, psi0.conj())
             dens = integrate_density(eff, rho0, times, n_steps=2000)
             stat = integrate_state(eff, psi0, times, n_steps=2000)
-            init = InitialState(rho0, np.outer(eff.phi, eff.phi.conj()))
+            phi = eff.probe_basis[:, 0]
+            init = InitialState(rho0, np.outer(phi, phi.conj()))
             kraus = propagate_kraus(eff, init, times)
             for k in range(len(times)):
                 rho_s = np.outer(stat[k], stat[k].conj())
