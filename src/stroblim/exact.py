@@ -121,14 +121,23 @@ def _record(times, states, norms, t, rho_u):
     norms.append(norm)
 
 
+def _check_every(every: int) -> None:
+    if every < 1:
+        raise ValueError(f"every must be a positive integer, got {every}")
+
+
 def run_selective(plan: EvolutionPlan, init: InitialState,
-                  prob_floor: float = PROB_FLOOR) -> Trajectory:
-    """Propagate the post-selected branch, sampling at every measurement instant.
+                  prob_floor: float = PROB_FLOOR, every: int = 1) -> Trajectory:
+    """Propagate the post-selected branch, sampling at t = 0, at every
+    `every`-th measurement instant (t = n*every*tau) and at total_time when a
+    fractional period remains.
 
     The state is carried unnormalized; `norms` is the cumulative probability
     p_Phi of the observed outcome string.  Raises VanishingProbabilityError as
-    soon as p_Phi drops below prob_floor.
+    soon as p_Phi drops below prob_floor, which is checked after every
+    measurement, sampled or not.
     """
+    _check_every(every)
     ham = plan.hamiltonian
     meas = plan.measurement
     dims = ham.dims
@@ -165,15 +174,18 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             raise VanishingProbabilityError(
                 f"outcome sequence has vanishing probability at step {k + 1} "
                 f"(p_Phi = {norm:.3e} < {prob_floor:.1e})")
-        _record(times, states, norms, (k + 1) * plan.tau, rho_u)
+        if (k + 1) % every == 0:
+            _record(times, states, norms, (k + 1) * plan.tau, rho_u)
     if plan.residual > 0:
         rho_u = unitary_step(rho_u, ham.assemble(), plan.residual)
         _record(times, states, norms, plan.total_time, rho_u)
     return Trajectory(np.array(times), states, np.array(norms), dims)
 
 
-def run_nonselective(plan: EvolutionPlan, init: InitialState) -> Trajectory:
-    """Propagate under repeated channel applications, sampling at t = n*tau.
+def run_nonselective(plan: EvolutionPlan, init: InitialState,
+                     every: int = 1) -> Trajectory:
+    """Propagate under repeated channel applications, sampling at t = 0, at
+    t = n*every*tau and at total_time when a fractional period remains.
 
     The channel is applied once at t = 0, which realizes the convention of
     starting the clock at the first measurement when the initial state is not
@@ -182,6 +194,7 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState) -> Trajectory:
     fractional-period sample (present only when total_time is not a multiple
     of tau) is pre-measurement.
     """
+    _check_every(every)
     ham = plan.hamiltonian
     meas = plan.measurement
     if meas.selected_index is not None:
@@ -201,7 +214,8 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState) -> Trajectory:
     for k in range(plan.n_steps):
         rho = u @ rho @ u_dag
         rho = nonselective_channel(rho, meas)
-        _record(times, states, norms, (k + 1) * plan.tau, rho)
+        if (k + 1) % every == 0:
+            _record(times, states, norms, (k + 1) * plan.tau, rho)
     if plan.residual > 0:
         rho = unitary_step(rho, ham.assemble(), plan.residual)
         _record(times, states, norms, plan.total_time, rho)

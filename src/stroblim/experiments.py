@@ -145,10 +145,13 @@ def closed_form_applicable(sc: Scenario) -> bool:
 def run_method(sc: Scenario, method: str) -> Trajectory:
     ham, meas, init = sc.hamiltonian, sc.measurement, sc.initial
     if method == "exact":
-        plan = EvolutionPlan(ham, meas, sc.tau, sc.t_max)
-        traj = run_selective(plan, init) if sc.selective else run_nonselective(plan, init)
-        stride = round(sc.grid_stride)
-        return traj.subsample(range(0, steps_in(sc.t_max, sc.tau) + 1, stride))
+        every = round(sc.grid_stride)
+        # End on the last grid point's measurement, so no fractional period
+        # adds a sample beyond the grid.
+        plan = EvolutionPlan(ham, meas, sc.tau, every * sc.grid_points * sc.tau)
+        if sc.selective:
+            return run_selective(plan, init, every=every)
+        return run_nonselective(plan, init, every=every)
     if method == "limit":
         if sc.selective:
             sel = meas.selected_index

@@ -1,18 +1,21 @@
 """Dense complex linear-algebra kernel shared by all dynamics modules.
 
-Operators are plain complex numpy arrays and stay small (dim <= ~16 in every
-bundled scenario), so the routines here favor robustness and determinism over
-speed: dense storage, a scaling-and-squaring Pade exponential with an
-eigendecomposition fast path for (anti-)Hermitian generators, and a fixed-step
-classical RK4 integrator with one sampler shared by every ODE in the package.
-All functions are pure; nothing mutates its inputs.
+Operators are plain complex numpy arrays: a few dimensions for the bundled
+scenarios, up to d^2 x d^2 superoperators (1024 x 1024 at d = 32) for the
+non-selective generator.  Storage is dense and every routine is
+deterministic: a scaling-and-squaring Pade exponential with an
+eigendecomposition fast path for (anti-)Hermitian generators, one sampler
+that steps exp(a t) along a time grid with one exponential per distinct step
+size, and a fixed-step classical RK4 integrator with one sampler shared by
+every ODE in the package.  All functions are pure; nothing mutates its
+inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -192,6 +195,44 @@ def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
     k3 = rhs(state + 0.5 * dt * k2)
     k4 = rhs(state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def expm_sample(a, y0, times,
+                apply: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator:
+    """Yield y(t) = exp(a t) acting on y0 (the value at t = 0) for each t in times.
+
+    The state is stepped from sample to sample, y <- apply(exp(a h), y), and
+    exp(a h) is computed again only when a gap differs from the current step
+    h by more than 1e-12 * max(1, t).  Gaps are measured from the time the
+    state actually represents, so rounding in the grid cannot accumulate.  A
+    gap within that tolerance of zero (repeated times, t = 0) applies nothing.
+    Times must be finite, non-negative and non-decreasing; otherwise the
+    first request for a value raises ValueError.
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    if np.any(times < 0):
+        raise ValueError("sample times must be non-negative")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    y = y0
+    step = None
+    h = 0.0
+    base = 0.0          # time of the state when the current step was built
+    n = 0               # steps of size h applied since then
+    for t in times:
+        tol = 1e-12 * max(1.0, float(t))
+        now = base + n * h
+        gap = float(t) - now
+        if gap > tol:
+            if abs(gap - h) > tol:      # h = 0 before the first step
+                step = None     # release the old step before building the next
+                step = expm(a * gap)
+                h, base, n = gap, now, 0
+            y = apply(step, y)
+            n += 1
+        yield y
 
 
 def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm, kron,
-                     max_abs, rk4_sample)
+from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm_sample,
+                     kron, max_abs, rk4_sample)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -214,9 +214,11 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
     """rho(T) = exp(L_eff T) applied to the vectorized initial state.
 
-    The initial joint state must already be a fixed point of the measurement
-    channel (block-diagonal); trace and block structure are then preserved
-    exactly by the semigroup.
+    The state is stepped from sample to sample with one exponential of the
+    Liouvillian per distinct gap (`expm_sample`); times must be finite,
+    non-negative and non-decreasing.  The initial joint state must already be
+    a fixed point of the measurement channel (block-diagonal); trace and block
+    structure are then preserved exactly by the semigroup.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
@@ -225,8 +227,8 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
         raise ValueError("initial state must be a fixed point of the measurement "
                          "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
-    v0 = vec(rho0)
-    states = [unvec(expm(eff.liouvillian * t) @ v0) for t in times]
+    states = [unvec(v) for v in expm_sample(eff.liouvillian, vec(rho0), times,
+                                            lambda e, v: e @ v)]
     norms = np.array([float(np.trace(rho).real) for rho in states])
     return Trajectory(times.copy(), states, norms, eff.dims)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm,
+from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm_sample,
                      is_projector, kron, max_abs, rk4_sample)
 from .model import HamiltonianSpec, InitialState
 from .trajectory import Trajectory
@@ -126,11 +126,13 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState, times,
                     prob_floor: float = PROB_FLOOR) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
-    The initial probe state must be supported in range(P).  The reported norms
-    are the branch probabilities tr[K rho K+], which are non-increasing in T.
-    If the probability falls below prob_floor the trajectory is truncated with
-    a warning (the conditional state is undefined on a zero-probability
-    branch).
+    The state is stepped from sample to sample with one Kraus exponential per
+    distinct gap (`expm_sample`); times must be finite, non-negative and
+    non-decreasing.  The initial probe state must be supported in range(P).
+    The reported norms are the branch probabilities tr[K rho K+], which are
+    non-increasing in T.  If the probability falls below prob_floor the
+    trajectory is truncated with a warning (the conditional state is undefined
+    on a zero-probability branch).
     """
     times = np.asarray(times, dtype=float)
     v = eff.probe_basis
@@ -140,13 +142,11 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState, times,
     if abs(np.trace(rp).real - 1.0) > 1e-8:
         raise ValueError("initial probe state must be supported in range(P)")
     rho0 = kron(init.rho_sys, rp)
-    h_eff = eff.h_eff
     out_t: list[float] = []
     states: list[np.ndarray] = []
     norms: list[float] = []
-    for t in times:
-        k = expm(-1j * t * h_eff)
-        rho_u = k @ rho0 @ dag(k)
+    samples = expm_sample(-1j * eff.h_eff, rho0, times, lambda k, r: k @ r @ dag(k))
+    for t, rho_u in zip(times, samples):
         norm = float(np.trace(rho_u).real)
         if norm < prob_floor:
             warnings.warn(f"branch probability vanished at T = {t:g}; trajectory "

@@ -58,15 +58,6 @@ class Trajectory:
         return np.array([[np.trace(s @ sig).real for sig in _PAULI_XYZ]
                          for s in self.sys_states])
 
-    def subsample(self, indices) -> "Trajectory":
-        idx = list(indices)
-        return Trajectory(
-            times=self.times[idx],
-            states=[self.states[i] for i in idx],
-            norms=self.norms[idx],
-            dims=self.dims,
-        )
-
 
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector of one 2x2 state."""

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,48 @@ class TestRunSelective:
             rho_pr = partial_trace(pre_meas, TensorDims(2, 2), "pr")
             infidelities.append(1.0 - rho_pr[0, 0].real)
         assert infidelities[0] > infidelities[1] > infidelities[2] > 0
+
+
+@pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
+                                       (run_nonselective, zbasis_meas)],
+                         ids=["selective", "nonselective"])
+@pytest.mark.parametrize("every", [2, 3, 7, 20, 25])
+def test_every_records_the_kept_states_bit_for_bit(run, meas, every):
+    ham = swap_hamiltonian(5.0)
+    init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
+    plan = EvolutionPlan(ham, meas(), 0.04, 0.83)   # 20 periods and 0.03 left over
+    full = run(plan, init)
+    part = run(plan, init, every=every)
+    assert len(full) == plan.n_steps + 2
+    idx = list(range(0, plan.n_steps + 1, every)) + [plan.n_steps + 1]
+    assert np.array_equal(part.times, full.times[idx])
+    assert np.array_equal(part.norms, full.norms[idx])
+    assert len(part.states) == len(idx)
+    for got, i in zip(part.states, idx):
+        assert np.array_equal(got, full.states[i])
+
+
+def test_every_checks_the_probability_at_unsampled_steps():
+    ham = swap_hamiltonian(5.0)
+    init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
+    plan = EvolutionPlan(ham, up_meas(), 0.04, 40.0)
+    with pytest.raises(VanishingProbabilityError) as full:
+        run_selective(plan, init)
+    step = int(re.search(r"at step (\d+) ", str(full.value)).group(1))
+    for every in (step - 1, step + 1):
+        with pytest.raises(VanishingProbabilityError, match=f"at step {step} "):
+            run_selective(plan, init, every=every)
+
+
+@pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
+                                       (run_nonselective, zbasis_meas)],
+                         ids=["selective", "nonselective"])
+@pytest.mark.parametrize("every", [0, -2])
+def test_every_must_be_positive(run, meas, every):
+    init = InitialState.from_kets([1.0, 0.0], basis_ket("u"))
+    plan = EvolutionPlan(swap_hamiltonian(5.0), meas(), 0.04, 0.4)
+    with pytest.raises(ValueError, match="every"):
+        run(plan, init, every=every)
 
 
 class TestNonselectiveChannel:

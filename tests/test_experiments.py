@@ -57,6 +57,20 @@ class TestRunners:
         assert np.allclose(exact.times, limit.times)
         assert len(exact) == sc.grid_points + 1
 
+    @pytest.mark.parametrize("t_max, grid_points", [
+        pytest.param(2.0, 10, id="stride5"),
+        # within the grid check's 1e-9 slack, but off the tau lattice
+        pytest.param(2.0 - 1e-9, 50, id="below-lattice"),
+        pytest.param(2.0 + 3e-10, 10, id="above-lattice"),
+    ])
+    def test_exact_samples_exactly_the_grid(self, t_max, grid_points):
+        from dataclasses import replace
+        sc = replace(swap_selective_scenario(0.2, t_max=2.0), t_max=t_max,
+                     grid_points=grid_points)
+        exact = run_method(sc, "exact")
+        assert len(exact) == grid_points + 1
+        assert np.allclose(exact.times, sc.times)
+
     def test_compare_report(self):
         sc = swap_selective_scenario(0.2, t_max=2.0)
         report = compare_scenario(sc)

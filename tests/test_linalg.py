@@ -6,7 +6,7 @@ from helpers import random_complex, random_hermitian
 from stroblim import (TensorDims, expm, hermitian_eig, is_density,
                       is_hermitian, is_projector, is_psd, is_unitary, kron,
                       ode_step_rk4, partial_trace, pauli)
-from stroblim.linalg import max_abs, op_norm, trace_distance
+from stroblim.linalg import expm_sample, max_abs, op_norm, trace_distance
 
 
 def kron_oracle(a, b):
@@ -208,6 +208,49 @@ class TestRK4:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             ode_step_rk4(lambda y: y, np.zeros(1), 0.0)
+
+
+def counting_expm(monkeypatch):
+    """Patch stroblim.linalg.expm with a wrapper; return its list of arguments."""
+    import stroblim.linalg
+    calls = []
+    real = stroblim.linalg.expm
+
+    def wrapper(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(stroblim.linalg, "expm", wrapper)
+    return calls
+
+
+class TestExpmSample:
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.arange(16001) * 0.000625, id="arange"),
+        pytest.param(np.linspace(0.0, 10.0, 251), id="linspace"),
+    ])
+    def test_uniform_grid_needs_one_exponential(self, monkeypatch, rng, times):
+        # arange grids jitter by one ulp of t; the step must still be reused
+        calls = counting_expm(monkeypatch)
+        a = -1j * random_hermitian(rng, 3, norm=1.0) - 0.1 * np.eye(3)
+        out = list(expm_sample(a, np.eye(3, dtype=complex), times, np.matmul))
+        assert len(calls) == 1
+        assert len(out) == len(times)
+        assert max_abs(out[-1] - expm(a * times[-1])) <= 1e-10
+
+    def test_zero_gaps_apply_nothing(self, monkeypatch, rng):
+        calls = counting_expm(monkeypatch)
+        a, y0 = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+        out = list(expm_sample(a, y0, [0.0, 0.0, 0.0], np.matmul))
+        assert calls == []
+        assert all(y is y0 for y in out)
+
+    def test_new_exponential_only_when_the_gap_changes(self, monkeypatch, rng):
+        calls = counting_expm(monkeypatch)
+        a = random_complex(rng, (2, 2))
+        times = [0.25, 0.5, 0.75, 1.75, 2.75, 3.0]
+        list(expm_sample(a, np.eye(2, dtype=complex), times, np.matmul))
+        assert len(calls) == 3     # gaps 0.25 (x3), 1.0 (x2), 0.25 again
 
 
 class TestPredicates:

@@ -6,7 +6,7 @@ from helpers import (family_spec, random_density, random_hamiltonian_spec,
 from stroblim import (HamiltonianSpec, InitialState, basis_ket, block_rhs,
                       build_generator, choi_matrix, kron,
                       measurement_from_kets, pauli, pauli_rates,
-                      semigroup_propagate, swap_hamiltonian,
+                      propagate_kraus, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import dag, max_abs
 from stroblim.nonselective_limit import (BlockState, blocks_from_global,
@@ -233,6 +233,18 @@ def swap_selective_eff():
     return effective_rank1(swap_hamiltonian(GAMMA), basis_ket("u"), TAU)
 
 
+def swap_init():
+    return InitialState.from_kets([np.sqrt(0.3), np.sqrt(0.7)], basis_ket("u"))
+
+
+PROPAGATORS = [
+    pytest.param(lambda t: propagate_kraus(swap_selective_eff(), swap_init(), t),
+                 id="kraus"),
+    pytest.param(lambda t: semigroup_propagate(swap_gen(), swap_init(), t),
+                 id="semigroup"),
+]
+
+
 @pytest.mark.parametrize("integrate", [
     pytest.param(lambda t: integrate_density(swap_selective_eff(), np.eye(2) / 2, t),
                  id="density"),
@@ -242,10 +254,38 @@ def swap_selective_eff():
         swap_gen(), blocks_from_global(swap_gen(), np.eye(4) / 4), t), id="blocks"),
     pytest.param(lambda t: integrate_pauli(
         np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], t), id="pauli"),
+    *PROPAGATORS,
 ])
 def test_integrators_reject_decreasing_times(integrate):
     with pytest.raises(ValueError, match="non-decreasing"):
         integrate([0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("propagate", PROPAGATORS)
+@pytest.mark.parametrize("times, message", [
+    pytest.param([-3.0], "non-negative", id="negative"),
+    pytest.param([0.0, -1.0, 2.0], "non-negative", id="negative-inside"),
+    pytest.param([0.0, np.nan], "sample times must be finite", id="nan"),
+    pytest.param([0.0, np.inf], "sample times must be finite", id="inf"),
+])
+def test_propagators_reject_bad_times(propagate, times, message):
+    with pytest.raises(ValueError, match=message):
+        propagate(times)
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param(np.arange(251) * 0.04, id="uniform"),
+    pytest.param([0.3, 0.3, 0.5, 1.25, 1.25, 1.25, 2.0, 7.1], id="nonuniform"),
+])
+def test_semigroup_matches_per_time_exponentials(times):
+    from stroblim.linalg import expm
+    eff = swap_gen()
+    init = swap_init()
+    traj = semigroup_propagate(eff, init, times)
+    assert len(traj) == len(times)
+    for t, got in zip(times, traj.states):
+        want = unvec(expm(eff.liouvillian * t) @ vec(init.joint()))
+        assert max_abs(got - want) <= 1e-12
 
 
 class TestChoi:

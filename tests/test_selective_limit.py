@@ -7,7 +7,7 @@ from stroblim import (HamiltonianSpec, InitialState, basis_ket, effective_rank1,
                       nonlinear_density_rhs, nonlinear_state_rhs, pauli,
                       projector_from_kets, propagate_kraus, purity_derivative,
                       swap_hamiltonian, trace_distance)
-from stroblim.linalg import dag, is_psd, max_abs
+from stroblim.linalg import dag, expm, is_psd, max_abs
 from stroblim.selective_limit import integrate_density, integrate_state
 
 TAU = 0.04
@@ -158,6 +158,21 @@ class TestPropagateKraus:
         init = InitialState.from_kets(random_ket(rng, 2), basis_ket("u"))
         traj = propagate_kraus(eff, init, np.linspace(0, 8, 33))
         assert np.all(np.diff(traj.norms) <= 1e-12)
+
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.arange(251) * 0.04, id="uniform"),
+        pytest.param([0.3, 0.3, 0.5, 1.25, 1.25, 1.25, 2.0, 7.1], id="nonuniform"),
+    ])
+    def test_matches_per_time_exponentials(self, times):
+        eff = swap_eff()
+        init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
+        traj = propagate_kraus(eff, init, times)
+        assert len(traj) == len(times)
+        for t, got, norm in zip(times, traj.states, traj.norms):
+            k = expm(-1j * t * eff.h_eff)
+            rho = k @ init.rho_sys @ dag(k)
+            assert abs(norm - np.trace(rho).real) <= 1e-12
+            assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
 
     def test_truncates_on_vanishing_branch(self):
         eff = swap_eff()
