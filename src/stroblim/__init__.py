@@ -18,7 +18,7 @@ from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets, pauli,
                     projector_from_kets, swap_hamiltonian)
 from .nonselective_limit import (BlockState, NonselectiveEffective, block_rhs,
-                                 build_generator, choi_matrix, pauli_rates,
+                                 build_generator, pauli_rates,
                                  semigroup_propagate,
                                  swap_nonselective_closed_form)
 from .selective_limit import (SelectiveEffective, effective_rank1,
@@ -34,7 +34,7 @@ __all__ = [
     "MeasurementSpec", "NonselectiveEffective", "SelectiveEffective",
     "TensorDims", "Trajectory", "VanishingProbabilityError",
     "apply_instrument", "basis_ket", "bloch_to_density", "bloch_vector",
-    "block_rhs", "build_generator", "choi_matrix", "effective_rank1",
+    "block_rhs", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "hermitian_eig",
     "is_density", "is_hermitian", "is_projector", "is_psd", "is_unitary",
     "kron", "measurement_from_kets", "nonlinear_density_rhs",

@@ -55,6 +55,14 @@ def _parse_int(key: str, node) -> int:
     return node
 
 
+def _parse_float(key: str, node) -> float:
+    """A finite number; booleans, strings, NaN and infinities are rejected."""
+    if (isinstance(node, bool) or not isinstance(node, (int, float))
+            or not abs(node) <= sys.float_info.max):   # NaN compares false
+        _fail(key, "expected a finite number")
+    return float(node)
+
+
 def _parse_complex_matrix(key: str, node) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
@@ -126,7 +134,7 @@ def _parse_hamiltonian(node, gamma: float) -> HamiltonianSpec:
 
 def _resolve_rates(doc) -> tuple[float, float]:
     """(gamma, tau) from any consistent two of gamma / tau / omega."""
-    have = {k: float(doc[k]) for k in ("gamma", "tau", "omega") if k in doc}
+    have = {k: _parse_float(k, doc[k]) for k in ("gamma", "tau", "omega") if k in doc}
     if "tau" in have and have["tau"] <= 0:
         _fail("tau", "must be positive")
     if "omega" in have and have["omega"] < 0:
@@ -186,11 +194,10 @@ def scenario_from_dict(doc) -> Scenario:
     if tolerances is not None:
         if not isinstance(tolerances, dict):
             _fail("tolerances", "expected an object")
-        tol = tolerances.get("max_deviation")
-        if "max_deviation" in tolerances and (
-                isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not math.isfinite(tol) or tol <= 0):
+        if "max_deviation" in tolerances and _parse_float(
+                "tolerances.max_deviation", tolerances["max_deviation"]) <= 0:
             _fail("tolerances.max_deviation", "expected a finite positive number")
+    t_max = _parse_float("t_max", doc["t_max"])
     grid_points = _parse_int("grid_points", doc["grid_points"])
     methods = doc.get("methods")
     if methods is not None and (not isinstance(methods, list)
@@ -203,7 +210,7 @@ def scenario_from_dict(doc) -> Scenario:
             measurement=meas,
             initial=init,
             tau=tau,
-            t_max=float(doc["t_max"]),
+            t_max=t_max,
             grid_points=grid_points,
             mode=str(doc["mode"]),
             outputs=tuple(outputs),

@@ -1,14 +1,14 @@
 """Dense complex linear-algebra kernel shared by all dynamics modules.
 
 Operators are plain complex numpy arrays: a few dimensions for the bundled
-scenarios, up to d^2 x d^2 superoperators (1024 x 1024 at d = 32) for the
-non-selective generator.  Storage is dense and every routine is
-deterministic: a scaling-and-squaring Pade exponential with an
-eigendecomposition fast path for (anti-)Hermitian generators, one sampler
-that steps exp(a t) along a time grid with one exponential per distinct step
-size, and a fixed-step classical RK4 integrator with one sampler shared by
-every ODE in the package.  All functions are pure; nothing mutates its
-inputs.
+scenarios, up to the N x N non-selective generator on packed blocks
+(N = sum_i n_i^2 <= d^2; 256 x 256 for four rank-2 probe blocks at d = 32).
+Storage is dense and every routine is deterministic: a scaling-and-squaring
+Pade exponential with an eigendecomposition fast path for (anti-)Hermitian
+generators, one sampler that steps exp(a t) along a time grid with one
+exponential per distinct step size, and a fixed-step classical RK4
+integrator with one sampler shared by every ODE in the package.  All
+functions are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -197,6 +197,16 @@ def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _sample_times(times) -> np.ndarray:
+    """times as a float array; ValueError unless finite and non-decreasing."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    return times
+
+
 def expm_sample(a, y0, times,
                 apply: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator:
     """Yield y(t) = exp(a t) acting on y0 (the value at t = 0) for each t in times.
@@ -210,12 +220,9 @@ def expm_sample(a, y0, times,
     first request for a value raises ValueError.
     """
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be finite")
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
+    times = _sample_times(times)
     y = y0
     step = None
     h = 0.0
@@ -239,13 +246,12 @@ def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
                n_steps: int) -> list[np.ndarray]:
     """Fixed-step RK4 solution of an autonomous ODE, sampled at `times`.
 
-    times must be non-decreasing; y0 is the value at times[0].  About n_steps
-    steps cover the whole span: each gap between consecutive samples is cut
-    into max(1, round(gap / (span / n_steps))) equal steps.
+    times must be finite and non-decreasing (ValueError otherwise); y0 is the
+    value at times[0].  About n_steps steps cover the whole span: each gap
+    between consecutive samples is cut into
+    max(1, round(gap / (span / n_steps))) equal steps.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
+    times = _sample_times(times)
     target = float(times[-1] - times[0]) / n_steps
     out = [y0]
     y = y0

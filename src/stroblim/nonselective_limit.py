@@ -2,20 +2,21 @@
 
 Frequent channel applications at interval tau (tau -> 0, Omega = gamma^2 tau
 fixed) turn the interrupted evolution into a GKSL semigroup on the monitored
-space.  The generator can be assembled two ways: by sandwiching the bare
-Liouvillian between measurement-channel superoperators, or directly in
-Lindblad form with the inter-block transition operators h_ij = C_i h C_j as
-jump operators.  Both are built here and cross-checked at construction; the
-stored generator is the Lindblad form, which is completely positive on the
-full space and coincides with the sandwich form on the physical
-(block-diagonal) domain.
+space, with the inter-block transition operators h_ij = C_i h C_j as jump
+operators.  Channel-invariant (block-diagonal) states stay block-diagonal, so
+the semigroup is carried by the blocks alone: each block b_i, compressed to
+an orthonormal basis V_i of range(C_i), obeys
 
-Superoperators use column-stacking vectorization: vec(A X B) = (B^T (x) A) vec(X).
+    d b_i = -i (Heff_i b_i - b_i Heff_i+) + Omega sum_{j != i} T_ij b_j T_ji,
+
+with T_ij = V_i+ h V_j.  `build_generator` writes these equations as one
+N x N matrix on the row-major packed blocks, N = sum_i n_i^2 <= d^2, and that
+matrix is the only generator in the package: the semigroup propagator, the
+block right-hand side and the block integrator all use it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,106 +29,25 @@ from .trajectory import Trajectory
 DEFAULT_ODE_STEPS = 2000
 
 
-def vec(m) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return as_matrix(m).reshape(-1, order="F")
-
-
-def unvec(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError("vector length is not a perfect square")
-    return v.reshape(d, d, order="F")
-
-
-def sandwich_superop(a, b) -> np.ndarray:
-    """Superoperator matrix of rho -> a rho b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return np.kron(b.T, a)
-
-
-def channel_superop(c_ops) -> np.ndarray:
-    """Superoperator of the measurement channel rho -> sum_i C_i rho C_i."""
-    c_ops = [as_matrix(c) for c in c_ops]
-    return sum(sandwich_superop(c, c) for c in c_ops)
-
-
-def liouville_commutator(h) -> np.ndarray:
-    """Superoperator of rho -> -i [h, rho]."""
-    h = as_matrix(h)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
-
-
-def lindblad_superop(h_ops: dict, gamma: float, omega: float, dim: int) -> np.ndarray:
-    """Lindblad-form generator: Hamiltonian part gamma * sum_i h_ii, jump
-    operators sqrt(Omega) * h_ji for i != j."""
-    eye = np.eye(dim, dtype=complex)
-    m = len({i for i, _ in h_ops})
-    gen = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(m):
-        gen += gamma * liouville_commutator(h_ops[(i, i)])
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            jump = h_ops[(j, i)]
-            jj = dag(jump) @ jump
-            gen -= 0.5 * omega * (sandwich_superop(jj, eye) + sandwich_superop(eye, jj)
-                                  - 2.0 * sandwich_superop(jump, dag(jump)))
-    return gen
-
-
-def sandwich_generator_superop(h, c_ops, gamma: float, omega: float) -> np.ndarray:
-    """Channel-sandwich construction of the semigroup generator:
-    gamma (Lam L Lam) + (Omega/2) (Lam L L Lam - Lam L Lam L Lam),
-    with Lam the channel superoperator and L the bare commutator -i[h, .]."""
-    lam = channel_superop(c_ops)
-    lcomm = liouville_commutator(h)
-    lam_l_lam = lam @ lcomm @ lam
-    return (gamma * lam_l_lam
-            + 0.5 * omega * (lam @ lcomm @ lcomm @ lam - lam_l_lam @ lcomm @ lam))
-
-
-def choi_matrix(superop) -> np.ndarray:
-    """Choi matrix of a superoperator: sum_kl E_kl (x) S[E_kl]."""
-    s = as_matrix(superop)
-    d = math.isqrt(s.shape[0])
-    if d * d != s.shape[0]:
-        raise ValueError("superoperator dimension is not a perfect square")
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            e_kl = np.zeros((d, d), dtype=complex)
-            e_kl[k, l] = 1.0
-            out = unvec(s @ vec(e_kl))
-            choi[k * d:(k + 1) * d, l * d:(l + 1) * d] = out
-    return choi
-
-
 @dataclass(frozen=True)
 class NonselectiveEffective:
-    """Assembled semigroup generator with its block decomposition.
+    """Semigroup generator on the blocks of a channel-invariant state.
 
-    h is the dimensionless Hamiltonian (H = gamma h), c_ops the full-space
-    projectors, h_ops the transition operators keyed by (i, j).  block_bases
-    holds one isometry per projector range; block_trans and block_heff are
-    the transition operators and effective non-Hermitian block Hamiltonians
-    gamma h_ii - (i Omega / 2) ((h^2)_ii - (h_ii)^2), compressed to those
-    bases.
+    block_bases holds one isometry V_i per projector range (system factor
+    included); block_trans[i][j] is the compressed transition operator
+    T_ij = V_i+ h V_j of the dimensionless Hamiltonian h (H = gamma h), and
+    block_heff[i] the effective non-Hermitian block Hamiltonian
+    gamma T_ii - (i Omega / 2) (V_i+ h^2 V_i - T_ii^2).  generator is the
+    N x N matrix of the coupled block equations acting on the row-major
+    packed blocks (see `block_rhs`).
     """
 
-    h: np.ndarray
-    c_ops: tuple[np.ndarray, ...]
-    h_ops: dict
     gamma: float
     tau: float
-    liouvillian: np.ndarray
     block_bases: tuple[np.ndarray, ...]
     block_trans: tuple[tuple[np.ndarray, ...], ...]
     block_heff: tuple[np.ndarray, ...]
+    generator: np.ndarray
     dims: TensorDims
 
     @property
@@ -136,23 +56,19 @@ class NonselectiveEffective:
 
     @property
     def n_blocks(self) -> int:
-        return len(self.c_ops)
-
-    def transition(self, i: int, j: int) -> np.ndarray:
-        """Full-space transition operator h_ij = C_i h C_j."""
-        return self.h_ops[(i, j)]
+        return len(self.block_bases)
 
 
-def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec, tau: float,
-                    check_tol: float = DEFAULT_TOL) -> NonselectiveEffective:
-    """Assemble the non-selective semigroup generator and verify it.
+def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
+                    tau: float) -> NonselectiveEffective:
+    """Assemble the non-selective semigroup generator on the packed blocks.
 
-    Construction-time checks (all raising RuntimeError on failure): the
-    sandwich and Lindblad routes agree on the channel-invariant domain, the
-    channel-projected Hamiltonian part reduces to the block commutators, the
-    transition operators satisfy h_ij+ = h_ji, the generator kills the
-    maximally mixed state and preserves trace, and the inter-block dispersion
-    identity sum_{j!=i} h_ij h_ji = (h^2)_ii - (h_ii)^2 holds.
+    The diagonal blocks of the generator are -i (Heff_i (x) I - I (x) conj(Heff_i)),
+    the off-diagonal ones Omega (T_ij (x) T_ji^T).  Construction-time checks
+    (RuntimeError on failure): the transition blocks satisfy T_ij+ = T_ji,
+    the dispersion identity sum_{j!=i} T_ij T_ji = V_i+ h^2 V_i - T_ii^2 holds
+    (the family is complete), and the generator preserves trace and fixes the
+    maximally mixed state.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -167,55 +83,48 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec, tau: float,
     gamma = ham.gamma
     omega = gamma ** 2 * tau
     dims = ham.dims
-    d = dims.total
     eye_sys = np.eye(dims.dim_sys, dtype=complex)
-    c_ops = tuple(kron(eye_sys, p) for p in spec.projectors)
     bases = tuple(kron(eye_sys, v) for v in spec.bases)
-    m = len(c_ops)
+    m = len(bases)
 
-    h_ops = {(i, j): c_ops[i] @ h @ c_ops[j] for i in range(m) for j in range(m)}
+    trans = tuple(tuple(dag(bases[i]) @ h @ bases[j] for j in range(m))
+                  for i in range(m))
+    h2 = h @ h
+    heff = []
     for i in range(m):
         for j in range(m):
-            if max_abs(dag(h_ops[(i, j)]) - h_ops[(j, i)]) > 1e-12:
+            if max_abs(dag(trans[i][j]) - trans[j][i]) > 1e-12:
                 raise RuntimeError("transition operators lost Hermitian pairing")
-        disp = sum(h_ops[(i, j)] @ h_ops[(j, i)] for j in range(m) if j != i)
-        hii = h_ops[(i, i)]
-        if max_abs(disp - (c_ops[i] @ h @ h @ c_ops[i] - hii @ hii)) > 1e-12:
+        tii = trans[i][i]
+        h2_blk = dag(bases[i]) @ h2 @ bases[i] - tii @ tii
+        disp = sum(trans[i][j] @ trans[j][i] for j in range(m) if j != i)
+        if max_abs(disp - h2_blk) > 1e-12:
             raise RuntimeError("block dispersion identity failed")
+        heff.append(gamma * tii - 0.5j * omega * h2_blk)
 
-    gen = lindblad_superop(h_ops, gamma, omega, d)
-    lam_hat = channel_superop(c_ops)
-    sandwich = sandwich_generator_superop(h, c_ops, gamma, omega)
-    if max_abs(sandwich - lam_hat @ gen @ lam_hat) > check_tol:
-        raise RuntimeError("sandwich and Lindblad generator routes disagree")
-    ham_part = sum(liouville_commutator(h_ops[(i, i)]) for i in range(m))
-    lcomm = liouville_commutator(h)
-    if max_abs(lam_hat @ lcomm @ lam_hat - lam_hat @ ham_part @ lam_hat) > check_tol:
-        raise RuntimeError("channel-projected Hamiltonian identity failed")
-    if max_abs(gen @ vec(np.eye(d) / d)) > check_tol:
+    def block(i, j):
+        if i != j:
+            return omega * np.kron(trans[i][j], trans[j][i].T)
+        eye = np.eye(len(heff[i]), dtype=complex)
+        return -1j * (np.kron(heff[i], eye) - np.kron(eye, heff[i].conj()))
+
+    gen = np.block([[block(i, j) for j in range(m)] for i in range(m)])
+    ident = np.concatenate([np.eye(len(x), dtype=complex).reshape(-1) for x in heff])
+    if max_abs(gen @ ident) / dims.total > DEFAULT_TOL:
         raise RuntimeError("generator does not fix the maximally mixed state")
-    if max_abs(vec(np.eye(d)).conj() @ gen) > check_tol:
+    if max_abs(ident @ gen) > DEFAULT_TOL:
         raise RuntimeError("generator is not trace-preserving")
-
-    block_trans = tuple(
-        tuple(dag(bases[i]) @ h @ bases[j] for j in range(m)) for i in range(m))
-    block_heff = []
-    for i in range(m):
-        hii = block_trans[i][i]
-        h2_blk = dag(bases[i]) @ (h @ h) @ bases[i] - hii @ hii
-        block_heff.append(gamma * hii - 0.5j * omega * h2_blk)
     return NonselectiveEffective(
-        h=h, c_ops=c_ops, h_ops=h_ops, gamma=gamma, tau=tau, liouvillian=gen,
-        block_bases=bases, block_trans=block_trans, block_heff=tuple(block_heff),
-        dims=dims)
+        gamma=gamma, tau=tau, block_bases=bases, block_trans=trans,
+        block_heff=tuple(heff), generator=gen, dims=dims)
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
-    """rho(T) = exp(L_eff T) applied to the vectorized initial state.
+    """rho(T) = exp(L_eff T) rho(0), evolved on the packed blocks.
 
-    The state is stepped from sample to sample with one exponential of the
-    Liouvillian per distinct gap (`expm_sample`); times must be finite,
+    The blocks are stepped from sample to sample with one exponential of the
+    generator per distinct gap (`expm_sample`); times must be finite,
     non-negative and non-decreasing.  The initial joint state must already be
     a fixed point of the measurement channel (block-diagonal); trace and block
     structure are then preserved exactly by the semigroup.
@@ -223,12 +132,14 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
         raise ValueError("initial state does not match the generator dimensions")
-    if max_abs(sum(c @ rho0 @ c for c in eff.c_ops) - rho0) > DEFAULT_TOL:
+    state0 = blocks_from_global(eff, rho0)
+    if max_abs(global_from_blocks(eff, state0) - rho0) > DEFAULT_TOL:
         raise ValueError("initial state must be a fixed point of the measurement "
                          "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
-    states = [unvec(v) for v in expm_sample(eff.liouvillian, vec(rho0), times,
-                                            lambda e, v: e @ v)]
+    states = [global_from_blocks(eff, _unpack(eff, y))
+              for y in expm_sample(eff.generator, _pack(state0), times,
+                                   lambda e, v: e @ v)]
     norms = np.array([float(np.trace(rho).real) for rho in states])
     return Trajectory(times.copy(), states, norms, eff.dims)
 
@@ -250,56 +161,32 @@ def blocks_from_global(eff: NonselectiveEffective, rho) -> BlockState:
 
 
 def global_from_blocks(eff: NonselectiveEffective, state: BlockState) -> np.ndarray:
-    d = eff.dims.total
-    out = np.zeros((d, d), dtype=complex)
-    for v, b in zip(eff.block_bases, state.blocks):
-        out += v @ b @ dag(v)
-    return out
+    return sum(v @ b @ dag(v) for v, b in zip(eff.block_bases, state.blocks))
+
+
+def _pack(state: BlockState) -> np.ndarray:
+    """Concatenate the row-major flattened blocks."""
+    return np.concatenate([b.reshape(-1) for b in state.blocks])
+
+
+def _unpack(eff: NonselectiveEffective, flat: np.ndarray) -> BlockState:
+    sizes = [v.shape[1] for v in eff.block_bases]
+    parts = np.split(flat, np.cumsum([n * n for n in sizes])[:-1])
+    return BlockState(tuple(f.reshape(n, n) for f, n in zip(parts, sizes)))
 
 
 def block_rhs(eff: NonselectiveEffective, state: BlockState) -> BlockState:
     """Coupled block equations: each block evolves under its effective
     non-Hermitian Hamiltonian while feeding the others through the transition
     operators.  Total trace is conserved."""
-    m = eff.n_blocks
-    omega = eff.omega
-    out = []
-    for i in range(m):
-        heff = eff.block_heff[i]
-        b = state.blocks[i]
-        db = -1j * (heff @ b - b @ dag(heff))
-        for j in range(m):
-            if j == i:
-                continue
-            db += omega * (eff.block_trans[i][j] @ state.blocks[j]
-                           @ eff.block_trans[j][i])
-        out.append(db)
-    return BlockState(tuple(out))
-
-
-def _pack(state: BlockState) -> np.ndarray:
-    return np.concatenate([b.reshape(-1) for b in state.blocks])
-
-
-def _unpack(flat: np.ndarray, template: BlockState) -> BlockState:
-    blocks = []
-    pos = 0
-    for b in template.blocks:
-        n = b.size
-        blocks.append(flat[pos:pos + n].reshape(b.shape))
-        pos += n
-    return BlockState(tuple(blocks))
+    return _unpack(eff, eff.generator @ _pack(state))
 
 
 def integrate_blocks(eff: NonselectiveEffective, state0: BlockState, times,
                      n_steps: int = DEFAULT_ODE_STEPS) -> list[BlockState]:
     """Fixed-step RK4 integration of the coupled block equations."""
-
-    def rhs(flat):
-        return _pack(block_rhs(eff, _unpack(flat, state0)))
-
-    return [_unpack(y, state0)
-            for y in rk4_sample(rhs, _pack(state0), times, n_steps)]
+    return [_unpack(eff, y) for y in rk4_sample(lambda y: eff.generator @ y,
+                                                _pack(state0), times, n_steps)]
 
 
 def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:

@@ -1,8 +1,15 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and the full-space reference shared across the
+test modules."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from stroblim import HamiltonianSpec, MeasurementSpec
+from stroblim import HamiltonianSpec, MeasurementSpec, kron
+from stroblim.linalg import dag, expm
+from stroblim.nonselective_limit import (_pack, _unpack, block_rhs,
+                                         blocks_from_global, global_from_blocks)
 
 
 def random_complex(rng, shape):
@@ -65,3 +72,117 @@ def family_spec(groups, selected_index=None):
         projs.append(v @ v.conj().T)
         bases.append(v)
     return MeasurementSpec(tuple(projs), selected_index, tuple(bases))
+
+
+# ---------------------------------------------------------------------------
+# Full-space reference for the non-selective generator.  Superoperators are
+# d^2 x d^2 matrices in column-stacking vectorization,
+# vec(A X B) = (B^T (x) A) vec(X); they serve as the oracle at small d.
+
+
+def vec(m):
+    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v):
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    d = math.isqrt(v.size)
+    assert d * d == v.size
+    return v.reshape(d, d, order="F")
+
+
+def sandwich_superop(a, b):
+    """Superoperator of rho -> a rho b."""
+    return np.kron(np.asarray(b).T, np.asarray(a))
+
+
+def channel_superop(c_ops):
+    """Superoperator of the measurement channel rho -> sum_i C_i rho C_i."""
+    return sum(sandwich_superop(c, c) for c in c_ops)
+
+
+def liouville_commutator(h):
+    """Superoperator of rho -> -i [h, rho]."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
+
+
+def choi_matrix(superop):
+    """Choi matrix of a superoperator: sum_kl E_kl (x) S[E_kl]."""
+    d = math.isqrt(superop.shape[0])
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            e_kl = np.zeros((d, d), dtype=complex)
+            e_kl[k, l] = 1.0
+            choi[k * d:(k + 1) * d, l * d:(l + 1) * d] = unvec(superop @ vec(e_kl))
+    return choi
+
+
+@dataclass(frozen=True)
+class FullSpaceReference:
+    """The semigroup generator built on the full space from the model.
+
+    h is the dimensionless Hamiltonian, c_ops the full-space projectors
+    C_i = I (x) P_i; `lindblad` is the Lindblad form with Hamiltonian part
+    gamma sum_i h_ii and jump operators sqrt(Omega) h_ji (i != j), and
+    `sandwich()` the channel-sandwich construction
+    gamma (Lam L Lam) + (Omega/2) (Lam L L Lam - Lam L Lam L Lam).
+    """
+
+    h: np.ndarray
+    c_ops: tuple
+    gamma: float
+    omega: float
+    lindblad: np.ndarray
+
+    def transition(self, i, j):
+        return self.c_ops[i] @ self.h @ self.c_ops[j]
+
+    def channel(self, rho):
+        return sum(c @ rho @ c for c in self.c_ops)
+
+    def apply(self, rho):
+        return unvec(self.lindblad @ vec(rho))
+
+    def evolve(self, rho, t):
+        return unvec(expm(self.lindblad * t) @ vec(rho))
+
+    def sandwich(self):
+        lam = channel_superop(self.c_ops)
+        lcomm = liouville_commutator(self.h)
+        lam_l_lam = lam @ lcomm @ lam
+        return (self.gamma * lam_l_lam
+                + 0.5 * self.omega * (lam @ lcomm @ lcomm @ lam
+                                      - lam_l_lam @ lcomm @ lam))
+
+
+def full_space_reference(ham, spec, tau):
+    h = ham.dimensionless()
+    eye_sys = np.eye(ham.dim_sys, dtype=complex)
+    c_ops = tuple(kron(eye_sys, p) for p in spec.projectors)
+    gamma = ham.gamma
+    omega = gamma ** 2 * tau
+    d = h.shape[0]
+    eye = np.eye(d, dtype=complex)
+    gen = gamma * sum(liouville_commutator(c @ h @ c) for c in c_ops)
+    for i, ci in enumerate(c_ops):
+        for j, cj in enumerate(c_ops):
+            if i != j:
+                jump = cj @ h @ ci
+                jj = dag(jump) @ jump
+                gen = gen - 0.5 * omega * (sandwich_superop(jj, eye)
+                                           + sandwich_superop(eye, jj)
+                                           - 2.0 * sandwich_superop(jump, dag(jump)))
+    return FullSpaceReference(h, c_ops, gamma, omega, gen)
+
+
+def block_apply(eff, rho):
+    """The generator of `eff` acting on a block-diagonal full-space state."""
+    return global_from_blocks(eff, block_rhs(eff, blocks_from_global(eff, rho)))
+
+
+def block_evolve(eff, rho, t):
+    """exp(generator t) acting on a block-diagonal full-space state."""
+    packed = _pack(blocks_from_global(eff, rho))
+    return global_from_blocks(eff, _unpack(eff, expm(eff.generator * t) @ packed))

@@ -8,18 +8,19 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from helpers import (family_spec, random_hamiltonian_spec, random_hermitian,
-                     random_ket, random_projector_family, random_unitary)
+from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
+                     family_spec, full_space_reference, liouville_commutator,
+                     random_hamiltonian_spec, random_hermitian, random_ket,
+                     random_projector_family, random_unitary, unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, basis_ket, build_generator,
-                      choi_matrix, effective_rank1, effective_rankr, kron,
+                      effective_rank1, effective_rankr, kron,
                       measurement_from_kets, nonselective_channel, pauli_rates,
                       propagate_kraus, purity_derivative, run_selective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import dag, expm, max_abs
 from stroblim.nonselective_limit import (blocks_from_global, integrate_blocks,
-                                         integrate_pauli, sandwich_generator_superop,
-                                         channel_superop, unvec, vec)
+                                         integrate_pauli)
 from stroblim.selective_limit import integrate_density, integrate_state
 from stroblim.experiments import (convergence_sweep, run_heisenberg_global_field,
                                   run_heisenberg_local_fields,
@@ -166,7 +167,8 @@ def test_nonlinear_dynamics_consistency():
 
 
 def test_nonselective_generator_properties():
-    """Both constructions agree; fixed point, CP, block closure, dispersion."""
+    """The block generator matches the full-space Lindblad and sandwich
+    references; fixed point, CP, block closure, dispersion."""
     with criterion("semigroup generator identities (100 random families)"):
         rng = np.random.default_rng(13)
         combos = [(1, 4), (2, 2), (1, 6), (2, 3), (1, 8), (2, 4)]
@@ -175,30 +177,37 @@ def test_nonselective_generator_properties():
             ham = random_hamiltonian_spec(rng, ds, dp, n_terms=2, gamma=2.0)
             spec = family_spec(random_projector_family(rng, dp))
             eff = build_generator(ham, spec, 0.25)
+            ref = full_space_reference(ham, spec, 0.25)
             d = eff.dims.total
-            lam = channel_superop(eff.c_ops)
-            sandwich = sandwich_generator_superop(eff.h, eff.c_ops, eff.gamma,
-                                                  eff.omega)
-            assert max_abs(sandwich - lam @ eff.liouvillian @ lam) <= 1e-10
+            lam = channel_superop(ref.c_ops)
+            sandwich = ref.sandwich()
+            assert max_abs(sandwich - lam @ ref.lindblad @ lam) <= 1e-10
+            ham_part = sum(liouville_commutator(ref.transition(i, i))
+                           for i in range(eff.n_blocks))
+            assert max_abs(lam @ liouville_commutator(ref.h) @ lam
+                           - lam @ ham_part @ lam) <= 1e-10
             from helpers import random_density
-            raw = random_density(rng, d)
-            rho = sum(c @ raw @ c for c in eff.c_ops)
+            rho = ref.channel(random_density(rng, d))
             rho = rho / np.trace(rho).real
-            assert max_abs(unvec(sandwich @ vec(rho))
-                           - unvec(eff.liouvillian @ vec(rho))) <= 1e-10
-            assert max_abs(eff.liouvillian @ vec(np.eye(d) / d)) <= 1e-10
-            out = unvec(eff.liouvillian @ vec(rho))
-            assert max_abs(out - sum(c @ out @ c for c in eff.c_ops)) <= 1e-12
+            via_lindblad = ref.apply(rho)
+            assert max_abs(unvec(sandwich @ vec(rho)) - via_lindblad) <= 1e-10
+            assert max_abs(block_apply(eff, rho) - via_lindblad) <= 1e-12
+            assert max_abs(block_evolve(eff, rho, 1.0)
+                           - ref.evolve(rho, 1.0)) <= 1e-10
+            assert max_abs(block_apply(eff, np.eye(d) / d)) <= 1e-10
+            assert max_abs(ref.apply(np.eye(d) / d)) <= 1e-10
+            assert max_abs(via_lindblad - ref.channel(via_lindblad)) <= 1e-12
             m = eff.n_blocks
             for i in range(m):
-                lhs = sum(eff.transition(i, j) @ eff.transition(j, i)
-                          for j in range(m) if j != i)
-                hii = eff.transition(i, i)
-                rhs = eff.c_ops[i] @ eff.h @ eff.h @ eff.c_ops[i] - hii @ hii
+                vi = eff.block_bases[i]
+                lhs = vi @ sum(eff.block_trans[i][j] @ eff.block_trans[j][i]
+                               for j in range(m) if j != i) @ dag(vi)
+                hii = ref.transition(i, i)
+                rhs = ref.c_ops[i] @ ref.h @ ref.h @ ref.c_ops[i] - hii @ hii
                 assert max_abs(lhs - rhs) <= 1e-12
             if case % 10 == 0:
                 for t in (0.1, 1.0, 10.0):
-                    choi = choi_matrix(expm(eff.liouvillian * t))
+                    choi = choi_matrix(expm(ref.lindblad * t))
                     w = np.linalg.eigvalsh((choi + dag(choi)) / 2)
                     assert w.min() >= -1e-8
 
@@ -246,12 +255,13 @@ def test_pauli_reduction():
                                          random_hermitian(rng, dim, norm=1.0)),))
             groups = random_projector_family(rng, dim, n_blocks=dim)
             eff = build_generator(ham, family_spec(groups), 0.25)
+            h = full_space_reference(ham, family_spec(groups), 0.25).h
             w = pauli_rates(eff)
             assert np.all(w >= 0)
             for i in range(dim):
                 ket = eff.block_bases[i][:, 0]
-                h_exp = np.vdot(ket, eff.h @ ket).real
-                h2_exp = np.vdot(ket, eff.h @ eff.h @ ket).real
+                h_exp = np.vdot(ket, h @ ket).real
+                h2_exp = np.vdot(ket, h @ h @ ket).real
                 assert abs(w[:, i].sum() - eff.omega * (h2_exp - h_exp ** 2)) <= 1e-12
             p0 = rng.random(dim)
             p0 /= p0.sum()

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,8 +137,15 @@ class TestCommands:
         ("tolerances", {"max_deviation": float("nan")}, "tolerances.max_deviation"),
         ("tolerances", {"max_deviation": float("inf")}, "tolerances.max_deviation"),
         ("tolerances", {"max_deviation": 0.0}, "tolerances.max_deviation"),
+        ("t_max", float("inf"), "t_max"),
+        ("t_max", float("nan"), "t_max"),
+        ("gamma", float("nan"), "gamma"),
+        ("tau", float("nan"), "tau"),
+        ("gamma", "five", "gamma"),
+        ("gamma", True, "gamma"),
     ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
-            "nan_tolerance", "inf_tolerance", "zero_tolerance"])
+            "nan_tolerance", "inf_tolerance", "zero_tolerance", "inf_t_max",
+            "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, key, value, reported):
         doc = bundled_doc("swap_selective")
         doc[key] = value
@@ -234,6 +245,22 @@ class TestCommands:
         path = tmp_path / "empty.csv"
         path.write_text("t,p_up,method\n")
         assert main(["plot", str(path), str(tmp_path / "out.svg")]) == 2
+
+
+def test_compare_runs_without_scipy(tmp_path):
+    # scipy is a test extra only; blocking its import must not break the CLI
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from stroblim import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "compare", str(bundled("swap_nonselective")),
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
 
 
 class TestRenderChart:

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import (family_spec, random_density, random_hamiltonian_spec,
-                     random_hermitian, random_projector_family)
+from helpers import (block_apply, channel_superop, choi_matrix, family_spec,
+                     full_space_reference, liouville_commutator,
+                     random_density, random_hamiltonian_spec, random_hermitian,
+                     random_projector_family, random_unitary, unvec, vec)
 from stroblim import (HamiltonianSpec, InitialState, basis_ket, block_rhs,
-                      build_generator, choi_matrix, kron,
-                      measurement_from_kets, pauli, pauli_rates,
-                      propagate_kraus, semigroup_propagate, swap_hamiltonian,
-                      swap_nonselective_closed_form, trace_distance)
+                      build_generator, kron, measurement_from_kets, pauli,
+                      pauli_rates, propagate_kraus, semigroup_propagate,
+                      swap_hamiltonian, swap_nonselective_closed_form,
+                      trace_distance)
 from stroblim.linalg import dag, max_abs
-from stroblim.nonselective_limit import (BlockState, blocks_from_global,
-                                         channel_superop, global_from_blocks,
-                                         integrate_blocks, integrate_pauli,
-                                         liouville_commutator,
-                                         pauli_rhs, sandwich_generator_superop,
-                                         unvec, vec)
+from stroblim.nonselective_limit import (BlockState, _pack, blocks_from_global,
+                                         global_from_blocks, integrate_blocks,
+                                         integrate_pauli, pauli_rhs)
 from stroblim.selective_limit import (effective_rank1, integrate_density,
                                       integrate_state)
 
@@ -30,16 +29,20 @@ def swap_gen():
     return build_generator(swap_hamiltonian(GAMMA), zbasis_meas(), TAU)
 
 
+def swap_ref():
+    return full_space_reference(swap_hamiltonian(GAMMA), zbasis_meas(), TAU)
+
+
 def random_generator(rng, dim_sys, dim_pr, gamma=2.0, tau=0.25):
+    """A random generator and its full-space reference."""
     ham = random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=gamma)
     groups = random_projector_family(rng, dim_pr)
     spec = family_spec(groups)
-    return build_generator(ham, spec, tau), ham, spec
+    return build_generator(ham, spec, tau), full_space_reference(ham, spec, tau)
 
 
-def random_block_diagonal(rng, eff):
-    rho = random_density(rng, eff.dims.total)
-    projected = sum(c @ rho @ c for c in eff.c_ops)
+def random_block_diagonal(rng, ref):
+    projected = ref.channel(random_density(rng, ref.h.shape[0]))
     return projected / np.trace(projected).real
 
 
@@ -49,65 +52,92 @@ class TestBuildGenerator:
         a = random_hermitian(rng, 2, norm=1.0)
         ham = HamiltonianSpec(1.5, ((a, pauli(3)),))
         eff = build_generator(ham, zbasis_meas(), 0.1)
+        ref = full_space_reference(ham, zbasis_meas(), 0.1)
         for i in range(2):
             for j in range(2):
                 if i != j:
-                    assert max_abs(eff.transition(i, j)) < 1e-12
-        h_diag = eff.transition(0, 0) + eff.transition(1, 1)
+                    assert max_abs(eff.block_trans[i][j]) < 1e-12
+        h_diag = ref.transition(0, 0) + ref.transition(1, 1)
         want = 1.5 * liouville_commutator(h_diag)
-        assert max_abs(eff.liouvillian - want) < 1e-12
+        assert max_abs(ref.lindblad - want) < 1e-12
+        rho = random_block_diagonal(rng, ref)
+        assert max_abs(block_apply(eff, rho) - unvec(want @ vec(rho))) < 1e-12
 
     def test_swap_transition_operators(self):
         # direct-calculation structure: h11 = |uu><uu|, h12 = |du><ud|,
         # h22 = |dd><dd| in the system (x) probe product basis
         eff = swap_gen()
+        v = eff.block_bases
+
+        def transition(i, j):
+            return v[i] @ eff.block_trans[i][j] @ dag(v[j])
+
         e = np.eye(4, dtype=complex)
         uu = np.outer(e[0], e[0])
         dd = np.outer(e[3], e[3])
         du_ud = np.outer(e[2], e[1])
-        assert max_abs(eff.transition(0, 0) - uu) < 1e-12
-        assert max_abs(eff.transition(1, 1) - dd) < 1e-12
-        assert max_abs(eff.transition(0, 1) - du_ud) < 1e-12
-        assert max_abs(eff.transition(1, 0) - dag(du_ud)) < 1e-12
+        assert max_abs(transition(0, 0) - uu) < 1e-12
+        assert max_abs(transition(1, 1) - dd) < 1e-12
+        assert max_abs(transition(0, 1) - du_ud) < 1e-12
+        assert max_abs(transition(1, 0) - dag(du_ud)) < 1e-12
 
     def test_dispersion_identity_random(self, rng):
         for _ in range(5):
-            eff, ham, _ = random_generator(rng, 2, 3)
-            h = eff.h
+            eff, ref = random_generator(rng, 2, 3)
+            h = ref.h
             m = eff.n_blocks
             for i in range(m):
-                lhs = sum(eff.transition(i, j) @ eff.transition(j, i)
-                          for j in range(m) if j != i)
-                ci = eff.c_ops[i]
-                hii = eff.transition(i, i)
+                vi = eff.block_bases[i]
+                lhs = vi @ sum(eff.block_trans[i][j] @ eff.block_trans[j][i]
+                               for j in range(m) if j != i) @ dag(vi)
+                ci = ref.c_ops[i]
+                hii = ref.transition(i, i)
                 rhs = ci @ h @ h @ ci - hii @ hii
                 assert max_abs(lhs - rhs) < 1e-12
 
     def test_routes_agree(self, rng):
         for _ in range(5):
-            eff, ham, spec = random_generator(rng, 2, 2)
-            lam = channel_superop(eff.c_ops)
-            sandwich = sandwich_generator_superop(eff.h, eff.c_ops, eff.gamma,
-                                                  eff.omega)
-            assert max_abs(sandwich - lam @ eff.liouvillian @ lam) < 1e-10
-            rho = random_block_diagonal(rng, eff)
-            via_lindblad = unvec(eff.liouvillian @ vec(rho))
+            eff, ref = random_generator(rng, 2, 2)
+            lam = channel_superop(ref.c_ops)
+            sandwich = ref.sandwich()
+            assert max_abs(sandwich - lam @ ref.lindblad @ lam) < 1e-10
+            rho = random_block_diagonal(rng, ref)
+            via_lindblad = ref.apply(rho)
             via_sandwich = unvec(sandwich @ vec(rho))
             assert max_abs(via_lindblad - via_sandwich) < 1e-10
+            assert max_abs(block_apply(eff, rho) - via_lindblad) < 1e-10
 
     def test_fixes_maximally_mixed_and_trace(self, rng):
-        eff, _, _ = random_generator(rng, 2, 3)
+        eff, ref = random_generator(rng, 2, 3)
         d = eff.dims.total
-        assert max_abs(eff.liouvillian @ vec(np.eye(d) / d)) < 1e-10
+        assert max_abs(block_apply(eff, np.eye(d) / d)) < 1e-10
+        assert max_abs(ref.apply(np.eye(d) / d)) < 1e-10
         x = random_hermitian(rng, d)
-        assert abs(np.trace(unvec(eff.liouvillian @ vec(x)))) < 1e-10
+        assert abs(block_rhs(eff, blocks_from_global(eff, x)).trace()) < 1e-10
+        assert abs(np.trace(ref.apply(x))) < 1e-10
 
     def test_block_closure(self, rng):
-        eff, _, _ = random_generator(rng, 2, 3)
-        rho = random_block_diagonal(rng, eff)
-        out = unvec(eff.liouvillian @ vec(rho))
-        projected = sum(c @ out @ c for c in eff.c_ops)
-        assert max_abs(out - projected) < 1e-12
+        eff, ref = random_generator(rng, 2, 3)
+        rho = random_block_diagonal(rng, ref)
+        out = ref.apply(rho)
+        assert max_abs(out - ref.channel(out)) < 1e-12
+        assert max_abs(out - block_apply(eff, rho)) < 1e-12
+
+    def test_generator_acts_on_packed_blocks(self, rng):
+        # N = sum_i n_i^2: system dimension 2 times probe ranks (1, 2, 1)
+        # gives blocks of sizes 2, 4, 2 and N = 4 + 16 + 4
+        ham = random_hamiltonian_spec(rng, 2, 4, n_terms=2, gamma=2.0)
+        u = random_unitary(rng, 4)
+        groups = [[u[:, 0]], [u[:, 1], u[:, 2]], [u[:, 3]]]
+        eff = build_generator(ham, family_spec(groups), 0.25)
+        assert eff.generator.shape == (24, 24)
+        ref = full_space_reference(ham, family_spec(groups), 0.25)
+        rho = random_block_diagonal(rng, ref)
+        state = blocks_from_global(eff, rho)
+        packed = eff.generator @ _pack(state)
+        assert max_abs(packed - _pack(block_rhs(eff, state))) == 0
+        assert max_abs(global_from_blocks(eff, block_rhs(eff, state))
+                       - ref.apply(rho)) < 1e-12
 
     def test_rejects_selective_spec(self):
         sel = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]],
@@ -132,13 +162,12 @@ class TestSemigroupPropagate:
             assert max_abs(s - np.eye(4) / 4) < 1e-12
 
     def test_semigroup_law(self, rng):
-        eff, _, _ = random_generator(rng, 1, 4)
-        rho = random_block_diagonal(rng, eff)
+        eff, ref = random_generator(rng, 1, 4)
+        packed = _pack(blocks_from_global(eff, random_block_diagonal(rng, ref)))
         from stroblim.linalg import expm
         t, s = 0.7, 1.9
-        one = unvec(expm(eff.liouvillian * (t + s)) @ vec(rho))
-        two = unvec(expm(eff.liouvillian * t)
-                    @ (expm(eff.liouvillian * s) @ vec(rho)))
+        one = expm(eff.generator * (t + s)) @ packed
+        two = expm(eff.generator * t) @ (expm(eff.generator * s) @ packed)
         assert max_abs(one - two) < 1e-10
 
     def test_trace_and_blocks_preserved(self, rng):
@@ -147,9 +176,9 @@ class TestSemigroupPropagate:
                             np.diag([1.0, 0.0]).astype(complex))
         traj = semigroup_propagate(eff, init, np.linspace(0, 10, 21))
         assert max_abs(traj.norms - 1.0) < 1e-10
+        ref = swap_ref()
         for s in traj.states:
-            projected = sum(c @ s @ c for c in eff.c_ops)
-            assert max_abs(s - projected) < 1e-10
+            assert max_abs(s - ref.channel(s)) < 1e-10
 
     def test_rejects_non_fixed_point(self):
         eff = swap_gen()
@@ -162,11 +191,11 @@ class TestSemigroupPropagate:
 class TestBlocks:
     def test_block_rhs_matches_liouvillian(self, rng):
         for _ in range(4):
-            eff, _, _ = random_generator(rng, 2, 3)
-            rho = random_block_diagonal(rng, eff)
+            eff, ref = random_generator(rng, 2, 3)
+            rho = random_block_diagonal(rng, ref)
             state = blocks_from_global(eff, rho)
             drho_blocks = global_from_blocks(eff, block_rhs(eff, state))
-            drho_direct = unvec(eff.liouvillian @ vec(rho))
+            drho_direct = ref.apply(rho)
             assert max_abs(drho_blocks - drho_direct) < 1e-12
             assert abs(block_rhs(eff, state).trace()) < 1e-12
 
@@ -218,14 +247,13 @@ class TestBlocks:
             eff.block_heff[5]
 
     def test_block_integration_matches_semigroup(self, rng):
-        eff, _, _ = random_generator(rng, 2, 2, gamma=1.0, tau=0.25)
-        rho = random_block_diagonal(rng, eff)
+        eff, ref = random_generator(rng, 2, 2, gamma=1.0, tau=0.25)
+        rho = random_block_diagonal(rng, ref)
         times = np.linspace(0.0, 4.0, 9)
         blocks = integrate_blocks(eff, blocks_from_global(eff, rho), times,
                                   n_steps=4000)
-        from stroblim.linalg import expm
         for t, st in zip(times, blocks):
-            direct = unvec(expm(eff.liouvillian * t) @ vec(rho))
+            direct = ref.evolve(rho, t)
             assert max_abs(global_from_blocks(eff, st) - direct) < 1e-7
 
 
@@ -245,7 +273,7 @@ PROPAGATORS = [
 ]
 
 
-@pytest.mark.parametrize("integrate", [
+INTEGRATORS = [
     pytest.param(lambda t: integrate_density(swap_selective_eff(), np.eye(2) / 2, t),
                  id="density"),
     pytest.param(lambda t: integrate_state(swap_selective_eff(), basis_ket("d"), t),
@@ -254,11 +282,23 @@ PROPAGATORS = [
         swap_gen(), blocks_from_global(swap_gen(), np.eye(4) / 4), t), id="blocks"),
     pytest.param(lambda t: integrate_pauli(
         np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], t), id="pauli"),
-    *PROPAGATORS,
-])
+]
+
+
+@pytest.mark.parametrize("integrate", [*INTEGRATORS, *PROPAGATORS])
 def test_integrators_reject_decreasing_times(integrate):
     with pytest.raises(ValueError, match="non-decreasing"):
         integrate([0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("integrate", INTEGRATORS)
+@pytest.mark.parametrize("times", [
+    pytest.param([0.0, np.nan], id="nan"),
+    pytest.param([0.0, np.inf], id="inf"),
+])
+def test_integrators_reject_non_finite_times(integrate, times):
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        integrate(times)
 
 
 @pytest.mark.parametrize("propagate", PROPAGATORS)
@@ -278,14 +318,31 @@ def test_propagators_reject_bad_times(propagate, times, message):
     pytest.param([0.3, 0.3, 0.5, 1.25, 1.25, 1.25, 2.0, 7.1], id="nonuniform"),
 ])
 def test_semigroup_matches_per_time_exponentials(times):
-    from stroblim.linalg import expm
-    eff = swap_gen()
+    ref = swap_ref()
     init = swap_init()
-    traj = semigroup_propagate(eff, init, times)
+    traj = semigroup_propagate(swap_gen(), init, times)
     assert len(traj) == len(times)
     for t, got in zip(times, traj.states):
-        want = unvec(expm(eff.liouvillian * t) @ vec(init.joint()))
+        want = ref.evolve(init.joint(), t)
         assert max_abs(got - want) <= 1e-12
+
+
+def test_generator_at_d64_stays_off_the_full_space():
+    # 4 x 16 with eight rank-2 probe blocks: N = 8 * 8^2 = 512, while a single
+    # d^2 x d^2 complex superoperator would take 64^4 * 16 bytes = 256 MiB
+    import tracemalloc
+    rng = np.random.default_rng(64)
+    ham = random_hamiltonian_spec(rng, 4, 16, n_terms=2, gamma=2.0)
+    u = random_unitary(rng, 16)
+    spec = family_spec([[u[:, 2 * k], u[:, 2 * k + 1]] for k in range(8)])
+    tracemalloc.start()
+    try:
+        eff = build_generator(ham, spec, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eff.generator.shape == (512, 512)
+    assert peak < 64 * 2 ** 20
 
 
 class TestChoi:
@@ -297,10 +354,10 @@ class TestChoi:
         assert abs(np.trace(choi) - d) < 1e-12
 
     def test_semigroup_choi_psd(self, rng):
-        eff, _, _ = random_generator(rng, 2, 2)
+        _, ref = random_generator(rng, 2, 2)
         from stroblim.linalg import expm
         for t in (0.1, 1.0, 10.0):
-            choi = choi_matrix(expm(eff.liouvillian * t))
+            choi = choi_matrix(expm(ref.lindblad * t))
             w = np.linalg.eigvalsh((choi + dag(choi)) / 2)
             assert w.min() > -1e-8
 
@@ -325,11 +382,12 @@ class TestPauliReduction:
         ham = random_hamiltonian_spec(rng, 1, 4, n_terms=2, gamma=2.0)
         groups = random_projector_family(rng, 4, n_blocks=4)
         eff = build_generator(ham, family_spec(groups), 0.25)
+        h = full_space_reference(ham, family_spec(groups), 0.25).h
         w = pauli_rates(eff)
         for i in range(eff.n_blocks):
             ket = eff.block_bases[i][:, 0]
-            h_exp = np.vdot(ket, eff.h @ ket).real
-            h2_exp = np.vdot(ket, eff.h @ eff.h @ ket).real
+            h_exp = np.vdot(ket, h @ ket).real
+            h2_exp = np.vdot(ket, h @ h @ ket).real
             want = eff.omega * (h2_exp - h_exp ** 2)
             assert abs(w[:, i].sum() - want) < 1e-12
 
