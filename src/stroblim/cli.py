@@ -63,6 +63,23 @@ def _parse_float(key: str, node) -> float:
     return float(node)
 
 
+def _positive_flag(text: str) -> float:
+    """argparse type of --tau and --tolerance: a finite positive number, the
+    rule the scenario keys tau and tolerances.max_deviation follow."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= sys.float_info.max:     # NaN compares false
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _positive_flags(text: str) -> list[float]:
+    return [_positive_flag(v) for v in text.split(",") if v]
+
+
 def _parse_complex_matrix(key: str, node) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
@@ -473,12 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run and compare methods, verdict PASS/FAIL")
     p_cmp.add_argument("scenario")
     p_cmp.add_argument("--out-dir", default=".")
-    p_cmp.add_argument("--tolerance", type=float, default=None)
+    p_cmp.add_argument("--tolerance", type=_positive_flag, default=None)
 
     p_sweep = sub.add_parser("sweep", help="tau-convergence sweep at fixed omega")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--out-dir", default=".")
     p_sweep.add_argument("--tau", action="append", default=[],
+                         type=_positive_flags,
                          help="tau value or comma-separated list; repeatable")
 
     p_plot = sub.add_parser("plot", help="render a trajectory CSV as an SVG chart")
@@ -495,9 +513,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.scenario, args.out_dir, args.tolerance)
         if args.command == "sweep":
-            taus = []
-            for chunk in args.tau:
-                taus.extend(float(v) for v in chunk.split(",") if v)
+            taus = [tau for chunk in args.tau for tau in chunk]
             return cmd_sweep(args.scenario, taus, args.out_dir)
         if args.command == "plot":
             return cmd_plot(args.csv, args.out_svg)

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, as_matrix, dag, expm, is_projector, kron,
-                     max_abs)
+from .linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
+                     is_projector, kron, max_abs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
-
-PROB_FLOOR = 1e-14
 
 
 class VanishingProbabilityError(RuntimeError):
@@ -121,26 +119,47 @@ def _record(times, states, norms, t, rho_u):
     norms.append(norm)
 
 
-def _check_every(every: int) -> None:
+def _interrupted(plan: EvolutionPlan, rho, measure, every: int) -> Trajectory:
+    """The interrupted-evolution loop shared by both runners.
+
+    Records rho at t = 0, then per period applies the unitary step and
+    `measure(k, rho)` for period k, recording every `every`-th
+    post-measurement state; a fractional period left at total_time is one
+    more unitary step, recorded pre-measurement.
+    """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
+    h = plan.hamiltonian.assemble()
+    u = expm(-1j * plan.tau * h)
+    u_dag = dag(u)
+
+    times: list[float] = []
+    states: list[np.ndarray] = []
+    norms: list[float] = []
+    _record(times, states, norms, 0.0, rho)
+    for k in range(plan.n_steps):
+        rho = measure(k, u @ rho @ u_dag)
+        if (k + 1) % every == 0:
+            _record(times, states, norms, (k + 1) * plan.tau, rho)
+    if plan.residual > 0:
+        rho = unitary_step(rho, h, plan.residual)
+        _record(times, states, norms, plan.total_time, rho)
+    return Trajectory(np.array(times), states, np.array(norms), plan.hamiltonian.dims)
 
 
 def run_selective(plan: EvolutionPlan, init: InitialState,
-                  prob_floor: float = PROB_FLOOR, every: int = 1) -> Trajectory:
+                  every: int = 1) -> Trajectory:
     """Propagate the post-selected branch, sampling at t = 0, at every
     `every`-th measurement instant (t = n*every*tau) and at total_time when a
     fractional period remains.
 
     The state is carried unnormalized; `norms` is the cumulative probability
     p_Phi of the observed outcome string.  Raises VanishingProbabilityError as
-    soon as p_Phi drops below prob_floor, which is checked after every
+    soon as p_Phi drops below PROB_FLOOR, which is checked after every
     measurement, sampled or not.
     """
-    _check_every(every)
-    ham = plan.hamiltonian
     meas = plan.measurement
-    dims = ham.dims
+    dims = plan.hamiltonian.dims
     if init.dims != dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
     if plan.outcome_sequence is not None:
@@ -154,32 +173,20 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     else:
         raise ValueError("selective run needs a selected outcome or an "
                          "explicit outcome sequence")
-
     eye_sys = np.eye(dims.dim_sys, dtype=complex)
     c_ops = [kron(eye_sys, p) for p in meas.projectors]
-    u = expm(-1j * plan.tau * ham.assemble())
-    u_dag = dag(u)
 
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    norms: list[float] = []
-    rho_u = init.joint()
-    _record(times, states, norms, 0.0, rho_u)
-    for k in range(plan.n_steps):
-        rho_u = u @ rho_u @ u_dag
+    def measure(k, rho_u):
         c = c_ops[seq[k]]
         rho_u = c @ rho_u @ c
         norm = float(np.trace(rho_u).real)
-        if norm < prob_floor:
+        if norm < PROB_FLOOR:
             raise VanishingProbabilityError(
                 f"outcome sequence has vanishing probability at step {k + 1} "
-                f"(p_Phi = {norm:.3e} < {prob_floor:.1e})")
-        if (k + 1) % every == 0:
-            _record(times, states, norms, (k + 1) * plan.tau, rho_u)
-    if plan.residual > 0:
-        rho_u = unitary_step(rho_u, ham.assemble(), plan.residual)
-        _record(times, states, norms, plan.total_time, rho_u)
-    return Trajectory(np.array(times), states, np.array(norms), dims)
+                f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
+        return rho_u
+
+    return _interrupted(plan, init.joint(), measure, every)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
@@ -194,29 +201,11 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     fractional-period sample (present only when total_time is not a multiple
     of tau) is pre-measurement.
     """
-    _check_every(every)
-    ham = plan.hamiltonian
     meas = plan.measurement
     if meas.selected_index is not None:
         raise ValueError("non-selective run requires the complete projector family "
                          "(no selected outcome)")
-    dims = ham.dims
-    if init.dims != dims:
+    if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    u = expm(-1j * plan.tau * ham.assemble())
-    u_dag = dag(u)
-
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    norms: list[float] = []
-    rho = nonselective_channel(init.joint(), meas)
-    _record(times, states, norms, 0.0, rho)
-    for k in range(plan.n_steps):
-        rho = u @ rho @ u_dag
-        rho = nonselective_channel(rho, meas)
-        if (k + 1) % every == 0:
-            _record(times, states, norms, (k + 1) * plan.tau, rho)
-    if plan.residual > 0:
-        rho = unitary_step(rho, ham.assemble(), plan.residual)
-        _record(times, states, norms, plan.total_time, rho)
-    return Trajectory(np.array(times), states, np.array(norms), dims)
+    return _interrupted(plan, nonselective_channel(init.joint(), meas),
+                        lambda k, rho: nonselective_channel(rho, meas), every)

@@ -20,6 +20,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+# Probability below which a post-selected branch counts as vanished.
+PROB_FLOOR = 1e-14
+DEFAULT_ODE_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,13 @@ def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
     """Fixed-step RK4 solution of an autonomous ODE, sampled at `times`.
 
     times must be finite and non-decreasing (ValueError otherwise); y0 is the
-    value at times[0].  About n_steps steps cover the whole span: each gap
-    between consecutive samples is cut into
-    max(1, round(gap / (span / n_steps))) equal steps.
+    value at times[0], and an empty grid gives no samples.  About n_steps
+    steps cover the whole span: each gap between consecutive samples is cut
+    into max(1, round(gap / (span / n_steps))) equal steps.
     """
     times = _sample_times(times)
+    if times.size == 0:
+        return []
     target = float(times[-1] - times[0]) / n_steps
     out = [y0]
     y = y0

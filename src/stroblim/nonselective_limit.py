@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm_sample,
-                     kron, max_abs, rk4_sample)
+from .linalg import (DEFAULT_ODE_STEPS, DEFAULT_TOL, TensorDims, as_matrix,
+                     dag, expm_sample, max_abs, rk4_sample)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
-
-DEFAULT_ODE_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,8 @@ class NonselectiveEffective:
     included); block_trans[i][j] is the compressed transition operator
     T_ij = V_i+ h V_j of the dimensionless Hamiltonian h (H = gamma h), and
     block_heff[i] the effective non-Hermitian block Hamiltonian
-    gamma T_ii - (i Omega / 2) (V_i+ h^2 V_i - T_ii^2).  generator is the
+    gamma T_ii - (i Omega / 2) (V_i+ h^2 V_i - T_ii^2), the selective branch
+    generator H1 - i H2 of outcome i.  generator is the
     N x N matrix of the coupled block equations acting on the row-major
     packed blocks (see `block_rhs`).
     """
@@ -63,10 +62,13 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
                     tau: float) -> NonselectiveEffective:
     """Assemble the non-selective semigroup generator on the packed blocks.
 
-    The diagonal blocks of the generator are -i (Heff_i (x) I - I (x) conj(Heff_i)),
-    the off-diagonal ones Omega (T_ij (x) T_ji^T).  Construction-time checks
+    T_ij and D_i = V_i+ h^2 V_i - T_ii^2 come from `HamiltonianSpec.blocks`,
+    and Heff_i = gamma T_ii - (i Omega / 2) D_i is the selective branch
+    generator H1 - i H2 of outcome i (see `effective_rankr`).  The diagonal
+    blocks of the generator are -i (Heff_i (x) I - I (x) conj(Heff_i)), the
+    off-diagonal ones Omega (T_ij (x) T_ji^T).  Construction-time checks
     (RuntimeError on failure): the transition blocks satisfy T_ij+ = T_ji,
-    the dispersion identity sum_{j!=i} T_ij T_ji = V_i+ h^2 V_i - T_ii^2 holds
+    the dispersion identity sum_{j!=i} T_ij T_ji = D_i holds
     (the family is complete), and the generator preserves trace and fixes the
     maximally mixed state.
     """
@@ -82,25 +84,16 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
         raise ValueError("dimensionless Hamiltonian must be Hermitian")
     gamma = ham.gamma
     omega = gamma ** 2 * tau
-    dims = ham.dims
-    eye_sys = np.eye(dims.dim_sys, dtype=complex)
-    bases = tuple(kron(eye_sys, v) for v in spec.bases)
+    bases, trans, disp = ham.blocks(spec.bases)
     m = len(bases)
-
-    trans = tuple(tuple(dag(bases[i]) @ h @ bases[j] for j in range(m))
-                  for i in range(m))
-    h2 = h @ h
-    heff = []
     for i in range(m):
         for j in range(m):
             if max_abs(dag(trans[i][j]) - trans[j][i]) > 1e-12:
                 raise RuntimeError("transition operators lost Hermitian pairing")
-        tii = trans[i][i]
-        h2_blk = dag(bases[i]) @ h2 @ bases[i] - tii @ tii
-        disp = sum(trans[i][j] @ trans[j][i] for j in range(m) if j != i)
-        if max_abs(disp - h2_blk) > 1e-12:
+        leak = sum(trans[i][j] @ trans[j][i] for j in range(m) if j != i)
+        if max_abs(leak - disp[i]) > 1e-12:
             raise RuntimeError("block dispersion identity failed")
-        heff.append(gamma * tii - 0.5j * omega * h2_blk)
+    heff = [gamma * trans[i][i] - 0.5j * omega * disp[i] for i in range(m)]
 
     def block(i, j):
         if i != j:
@@ -110,13 +103,13 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
 
     gen = np.block([[block(i, j) for j in range(m)] for i in range(m)])
     ident = np.concatenate([np.eye(len(x), dtype=complex).reshape(-1) for x in heff])
-    if max_abs(gen @ ident) / dims.total > DEFAULT_TOL:
+    if max_abs(gen @ ident) / ham.dims.total > DEFAULT_TOL:
         raise RuntimeError("generator does not fix the maximally mixed state")
     if max_abs(ident @ gen) > DEFAULT_TOL:
         raise RuntimeError("generator is not trace-preserving")
     return NonselectiveEffective(
         gamma=gamma, tau=tau, block_bases=bases, block_trans=trans,
-        block_heff=tuple(heff), generator=gen, dims=dims)
+        block_heff=tuple(heff), generator=gen, dims=ham.dims)
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, expm_sample,
-                     is_projector, kron, max_abs, rk4_sample)
-from .model import HamiltonianSpec, InitialState
+from .linalg import (DEFAULT_ODE_STEPS, DEFAULT_TOL, PROB_FLOOR, TensorDims,
+                     as_matrix, dag, expm_sample, kron, max_abs, rk4_sample)
+from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
-
-PROB_FLOOR = 1e-14
-DEFAULT_ODE_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,9 @@ def _validate_h1_h2(h1: np.ndarray, h2: np.ndarray) -> None:
 def effective_rank1(ham: HamiltonianSpec, phi, tau: float) -> SelectiveEffective:
     """effective_rankr for the rank-1 projector |phi><phi| (phi normalized).
 
-    H1 = gamma * sum_j A_j <B_j> and H2 = (Omega/2) * sum_jk A_j A_k M_jk, with
-    M_jk the covariance <B_j B_k> - <B_j><B_k> in |phi>, act on the system.
+    The probe factor is one-dimensional, so H1 and H2 act on the system
+    alone: H1 = gamma * sum_j A_j <B_j>, and H2 is Omega/2 times the variance
+    of h in |phi> as an operator on the system.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1, 1)
     return effective_rankr(ham, phi @ dag(phi), tau, basis=phi)
@@ -80,57 +78,36 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
                     basis: np.ndarray | None = None) -> SelectiveEffective:
     """Effective generator on system (x) range(P) for a rank-r probe projector.
 
-    Uses the in-range matrices G_j = P B_j P and G_jk = P B_j B_k P,
-    compressed through an orthonormal basis of range(P): H1 = gamma * sum_j
-    A_j (x) G_j, H2 = (Omega/2) * sum_jk A_j A_k (x) (G_jk - G_j G_k).
+    With V = I_sys (x) v for an orthonormal basis v of range(P) (`basis`, or
+    eigenvectors of P) and h the dimensionless Hamiltonian,
+    H1 = gamma V+ h V and H2 = (Omega/2) (V+ h^2 V - (V+ h V)^2), built by
+    `HamiltonianSpec.blocks`.  H1 - i H2 is the diagonal block Heff of the
+    non-selective generator for the same projector in a complete family.
+    P and basis are validated as a one-projector MeasurementSpec.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    p = as_matrix(proj)
-    if p.shape[0] != ham.dim_pr:
+    spec = MeasurementSpec((proj,), 0, None if basis is None else (basis,))
+    if spec.dim_pr != ham.dim_pr:
         raise ValueError("projector dimension does not match the Hamiltonian")
-    if not is_projector(p, DEFAULT_TOL):
-        raise ValueError("measurement operator must be a projector within 1e-10")
-    r = round(float(np.trace(p).real))
-    if r < 1:
-        raise ValueError("projector rank must be at least 1")
-    if basis is None:
-        w, vfull = np.linalg.eigh(p)
-        v = np.ascontiguousarray(vfull[:, w > 0.5])
-    else:
-        v = np.asarray(basis, dtype=complex)
-        if v.shape != (ham.dim_pr, r) or max_abs(dag(v) @ v - np.eye(r)) > DEFAULT_TOL \
-                or max_abs(v @ dag(v) - p) > DEFAULT_TOL:
-            raise ValueError("basis must be an orthonormal spanning set of range(P)")
-    omega = ham.gamma ** 2 * tau
-    n = len(ham.terms)
-    g = [dag(v) @ b @ v for _, b in ham.terms]
-    h1 = np.zeros((ham.dim_sys * r,) * 2, dtype=complex)
-    for j in range(n):
-        h1 += kron(ham.terms[j][0], g[j])
-    h1 *= ham.gamma
-    h2 = np.zeros_like(h1)
-    for j in range(n):
-        bj_dag_v = dag(ham.terms[j][1]) @ v
-        for k in range(n):
-            # compressed G_jk = V+ B_j B_k V
-            gg_jk = dag(bj_dag_v) @ (ham.terms[k][1] @ v)
-            h2 += kron(ham.terms[j][0] @ ham.terms[k][0], gg_jk - g[j] @ g[k])
-    h2 *= omega / 2.0
+    _, trans, disp = ham.blocks(spec.bases)
+    h1 = ham.gamma * trans[0][0]
+    h2 = (ham.gamma ** 2 * tau / 2.0) * disp[0]
     _validate_h1_h2(h1, h2)
     return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau,
-                              probe_basis=v, dims=TensorDims(ham.dim_sys, r))
+                              probe_basis=spec.bases[0],
+                              dims=TensorDims(ham.dim_sys, spec.ranks[0]))
 
 
-def propagate_kraus(eff: SelectiveEffective, init: InitialState, times,
-                    prob_floor: float = PROB_FLOOR) -> Trajectory:
+def propagate_kraus(eff: SelectiveEffective, init: InitialState,
+                    times) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
     The state is stepped from sample to sample with one Kraus exponential per
     distinct gap (`expm_sample`); times must be finite, non-negative and
     non-decreasing.  The initial probe state must be supported in range(P).
     The reported norms are the branch probabilities tr[K rho K+], which are
-    non-increasing in T.  If the probability falls below prob_floor the
+    non-increasing in T.  If the probability falls below PROB_FLOOR the
     trajectory is truncated with a warning (the conditional state is undefined
     on a zero-probability branch).
     """
@@ -148,7 +125,7 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState, times,
     samples = expm_sample(-1j * eff.h_eff, rho0, times, lambda k, r: k @ r @ dag(k))
     for t, rho_u in zip(times, samples):
         norm = float(np.trace(rho_u).real)
-        if norm < prob_floor:
+        if norm < PROB_FLOOR:
             warnings.warn(f"branch probability vanished at T = {t:g}; trajectory "
                           "truncated", stacklevel=2)
             break

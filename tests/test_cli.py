@@ -200,6 +200,23 @@ class TestCommands:
         assert rc == 1
         assert "strictly decreasing: no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--tau", "0.04,0"),
+        ("sweep", "--tau", "0.04,nan"),
+        ("sweep", "--tau", "0.04,1e400"),
+        ("compare", "--tolerance", "nan"),
+        ("compare", "--tolerance", "0"),
+    ], ids=["zero_tau", "nan_tau", "inf_tau", "nan_tolerance", "zero_tolerance"])
+    def test_non_positive_or_non_finite_flag_exits_2(self, tmp_path, capsys,
+                                                     command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(bundled("swap_selective")), "--out-dir",
+                  str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite positive number" in err
+        assert not list(tmp_path.iterdir())
+
     def test_limit_only_mode_allows_free_grid(self, tmp_path):
         doc = bundled_doc("swap_selective")
         doc["mode"] = "limit-only"

@@ -301,6 +301,11 @@ def test_integrators_reject_non_finite_times(integrate, times):
         integrate(times)
 
 
+@pytest.mark.parametrize("integrate", INTEGRATORS)
+def test_integrators_return_nothing_on_an_empty_grid(integrate):
+    assert integrate([]) == []
+
+
 @pytest.mark.parametrize("propagate", PROPAGATORS)
 @pytest.mark.parametrize("times, message", [
     pytest.param([-3.0], "non-negative", id="negative"),

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hamiltonian_spec, random_ket
-from stroblim import (HamiltonianSpec, InitialState, basis_ket, effective_rank1,
-                      effective_rankr, heisenberg3_hamiltonian, kron,
+from helpers import (family_spec, random_density, random_hamiltonian_spec,
+                     random_ket, random_projector_family)
+from stroblim import (HamiltonianSpec, InitialState, basis_ket, build_generator,
+                      effective_rank1, effective_rankr, heisenberg3_hamiltonian,
+                      kron,
                       nonlinear_density_rhs, nonlinear_state_rhs, pauli,
                       projector_from_kets, propagate_kraus, purity_derivative,
                       swap_hamiltonian, trace_distance)
-from stroblim.linalg import dag, expm, is_psd, max_abs
+from stroblim.linalg import PROB_FLOOR, dag, expm, is_psd, max_abs
 from stroblim.selective_limit import integrate_density, integrate_state
 
 TAU = 0.04
@@ -126,6 +128,19 @@ class TestEffectiveRankr:
         with pytest.raises(ValueError):
             effective_rankr(ham, 0.7 * np.eye(3), 0.1)
 
+    def test_is_the_nonselective_diagonal_block(self, rng):
+        # H1 - i H2 for outcome i is Heff_i of the GKSL generator of the family
+        for _ in range(30):
+            ds = int(rng.integers(1, 4))
+            dp = int(rng.integers(2, 5))
+            ham = random_hamiltonian_spec(rng, ds, dp, n_terms=3, gamma=2.0)
+            spec = family_spec(random_projector_family(rng, dp))
+            tau = float(rng.uniform(0.01, 0.5))
+            gen = build_generator(ham, spec, tau)
+            for p, v, heff in zip(spec.projectors, spec.bases, gen.block_heff):
+                eff = effective_rankr(ham, p, tau, basis=v)
+                assert max_abs(eff.h_eff - heff) < 1e-12
+
 
 class TestPropagateKraus:
     def test_time_zero_identity(self, rng):
@@ -180,6 +195,17 @@ class TestPropagateKraus:
         with pytest.warns(UserWarning):
             traj = propagate_kraus(eff, init, [0.0, 1.0, 50.0])
         assert len(traj) == 2
+
+    def test_truncates_at_the_probability_floor(self):
+        # branch probability exp(-Omega T) with Omega = 1: exp(-32) = 1.3e-14
+        # is kept, exp(-33) = 4.7e-15 is below the floor
+        eff = swap_eff()
+        init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
+        with pytest.warns(UserWarning, match="vanished at T = 33;"):
+            traj = propagate_kraus(eff, init, np.linspace(0.0, 60.0, 61))
+        assert len(traj) == 33
+        assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
+        assert traj.norms[-1] >= PROB_FLOOR
 
     def test_requires_matching_probe(self):
         eff = swap_eff()
