@@ -8,9 +8,8 @@ post-selected (selective) branch and a GKSL semigroup for non-selective
 monitoring.
 """
 
-from .exact import (EvolutionPlan, VanishingProbabilityError, apply_instrument,
-                    nonselective_channel, run_nonselective, run_selective,
-                    unitary_step)
+from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
+                    run_selective, unitary_step)
 from .linalg import (TensorDims, expm, hermitian_eig, is_density, is_hermitian,
                      is_projector, is_psd, is_unitary, kron, ode_step_rk4,
                      partial_trace, trace_distance)
@@ -32,15 +31,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockState", "EvolutionPlan", "HamiltonianSpec", "InitialState",
     "MeasurementSpec", "NonselectiveEffective", "SelectiveEffective",
-    "TensorDims", "Trajectory", "VanishingProbabilityError",
-    "apply_instrument", "basis_ket", "bloch_to_density", "bloch_vector",
-    "block_rhs", "build_generator", "effective_rank1",
-    "effective_rankr", "expm", "heisenberg3_hamiltonian", "hermitian_eig",
-    "is_density", "is_hermitian", "is_projector", "is_psd", "is_unitary",
-    "kron", "measurement_from_kets", "nonlinear_density_rhs",
-    "nonlinear_state_rhs", "nonselective_channel", "ode_step_rk4",
-    "partial_trace", "pauli", "pauli_rates", "projector_from_kets",
-    "propagate_kraus", "purity_derivative", "run_nonselective",
-    "run_selective", "semigroup_propagate", "swap_hamiltonian",
+    "TensorDims", "Trajectory", "VanishingProbabilityError", "basis_ket",
+    "bloch_to_density", "bloch_vector", "block_rhs", "build_generator",
+    "effective_rank1", "effective_rankr", "expm", "heisenberg3_hamiltonian",
+    "hermitian_eig", "is_density", "is_hermitian", "is_projector", "is_psd",
+    "is_unitary", "kron", "measurement_from_kets", "nonlinear_density_rhs",
+    "nonlinear_state_rhs", "ode_step_rk4", "partial_trace", "pauli",
+    "pauli_rates", "projector_from_kets", "propagate_kraus",
+    "purity_derivative", "run_nonselective", "run_selective",
+    "semigroup_propagate", "swap_hamiltonian",
     "swap_nonselective_closed_form", "trace_distance", "unitary_step",
 ]

@@ -76,6 +76,18 @@ def _positive_flag(text: str) -> float:
     return value
 
 
+def _positive_int_flag(text: str) -> int:
+    """argparse type of --grid-points: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _positive_flags(text: str) -> list[float]:
     return [_positive_flag(v) for v in text.split(",") if v]
 
@@ -215,6 +227,11 @@ def scenario_from_dict(doc) -> Scenario:
                 "tolerances.max_deviation", tolerances["max_deviation"]) <= 0:
             _fail("tolerances.max_deviation", "expected a finite positive number")
     t_max = _parse_float("t_max", doc["t_max"])
+    # Beyond 2**53 periods neither the period count nor the tau lattice is
+    # exact in a float.
+    if t_max / tau >= 2 ** 53:
+        _fail("t_max", f"t_max/tau = {t_max / tau:.3g} periods, expected "
+                       "fewer than 2**53")
     grid_points = _parse_int("grid_points", doc["grid_points"])
     methods = doc.get("methods")
     if methods is not None and (not isinstance(methods, list)
@@ -376,7 +393,10 @@ def render_chart(series, x_label: str, y_label: str) -> str:
 def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) -> int:
     sc = load_scenario(scenario_path)
     if grid_points is not None:
-        sc = replace(sc, grid_points=grid_points)
+        try:
+            sc = replace(sc, grid_points=grid_points)
+        except ValueError as err:
+            raise ValueError(f"argument --grid-points: {err}") from None
     os.makedirs(out_dir, exist_ok=True)
     for method in sc.methods:
         traj = run_method(sc, method)
@@ -485,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario, write one CSV per method")
     p_run.add_argument("scenario")
     p_run.add_argument("--out-dir", default=".")
-    p_run.add_argument("--grid-points", type=int, default=None)
+    p_run.add_argument("--grid-points", type=_positive_int_flag, default=None)
 
     p_cmp = sub.add_parser("compare", help="run and compare methods, verdict PASS/FAIL")
     p_cmp.add_argument("scenario")

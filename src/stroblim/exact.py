@@ -8,6 +8,18 @@ period is unitary first, then measurement, so the k-th measurement happens
 at t = k*tau and samples taken at t = n*tau are post-measurement states;
 that ordering is what makes the closed-form checks exact at integer
 multiples of tau.
+
+After a measurement the state lives on the measured probe ranges, so the
+runners carry it compressed there.  With V_i = I_sys (x) v_i the isometry
+onto the range of C_i = I_sys (x) P_i and U = exp(-i tau H), one period maps
+a block r on range(C_j) to W_ij r W_ij+ on range(C_i), where
+W_ij = V_i+ U V_j is the exact counterpart of the limits' T_ij.  A
+coincident-outcome selective run takes the state at period n from binary
+powers of W_ss, so its cost grows with the number of kept samples, not of
+periods; an explicit outcome sequence steps its block period by period, and
+the non-selective channel steps all blocks at once, b_i <- sum_j W_ij b_j
+W_ij+.  Only kept states are lifted back to the full space, and a trailing
+fractional period is one full-space unitary step.
 """
 
 from __future__ import annotations
@@ -17,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
-                     is_projector, kron, max_abs)
+from .linalg import DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm, max_abs
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -82,68 +93,116 @@ def unitary_step(rho, h, t: float) -> np.ndarray:
     return u @ rho @ dag(u)
 
 
-def apply_instrument(rho, c, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Single-Kraus projective instrument rho -> C rho C (trace-decreasing)."""
-    rho = as_matrix(rho)
-    c = as_matrix(c)
-    if not is_projector(c, tol):
-        raise ValueError("instrument Kraus operator must be a projector")
-    return c @ rho @ c
+def _period_maps(plan: EvolutionPlan):
+    """h and one period on the probe ranges of plan.measurement, stacked.
 
-
-def nonselective_channel(rho, spec: MeasurementSpec) -> np.ndarray:
-    """Measurement channel sum_i C_i rho C_i for a complete probe family.
-
-    rho may live on the probe alone or on any system (x) probe space whose
-    probe factor matches the projector dimension.
+    Returns (h, V, A, W): the assembled Hamiltonian, the isometries V[i],
+    the first-period maps A[i] = V[i]+ U from the full space and the block
+    maps W[i, j] = A[i] V[j], with U = exp(-i tau h) built once.  Ranges
+    narrower than the widest are padded with zero columns, which every map
+    keeps zero, so that one batched product steps all blocks.
     """
-    rho = as_matrix(rho)
-    projs = spec.projectors
-    if max_abs(sum(projs) - np.eye(spec.dim_pr)) > DEFAULT_TOL:
-        raise ValueError("non-selective channel requires a complete projector family")
-    if rho.shape[0] % spec.dim_pr != 0:
-        raise ValueError("state dimension is not a multiple of the probe dimension")
-    dim_sys = rho.shape[0] // spec.dim_pr
-    eye_sys = np.eye(dim_sys, dtype=complex)
-    out = np.zeros_like(rho)
-    for p in projs:
-        c = kron(eye_sys, p)
-        out += c @ rho @ c
-    return out
+    h = plan.hamiltonian.assemble()
+    u = expm(-1j * plan.tau * h)
+    iso = plan.hamiltonian.isometries(plan.measurement.bases)
+    bases = np.zeros((len(iso), h.shape[0], max(v.shape[1] for v in iso)),
+                     dtype=complex)
+    for b, v in zip(bases, iso):
+        b[:, :v.shape[1]] = v
+    first = dag(bases) @ u
+    return h, bases, first, first[:, None] @ bases[None]
 
 
-def _record(times, states, norms, t, rho_u):
-    norm = float(np.trace(rho_u).real)
+def _trace(m) -> float:
+    return float(np.trace(m).real)
+
+
+def _check_probability(step: int, r) -> None:
+    norm = _trace(r)
+    if norm < PROB_FLOOR:
+        raise VanishingProbabilityError(
+            f"outcome sequence has vanishing probability at step {step} "
+            f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
+
+
+def _stepped(r, step, lift):
+    """`state_at` of a per-period loop: r <- step(k, r) for periods k = 0, 1, ...,
+    and lift(n, r), the full-space state after period n and its trace;
+    called with non-decreasing n."""
+    done = 0
+
+    def state_at(n: int) -> tuple[np.ndarray, float]:
+        nonlocal r, done
+        for k in range(done, n):
+            r = step(k, r)
+        done = n
+        return lift(n, r)
+
+    return state_at
+
+
+def _binary_powers(r0, w, n_max: int):
+    """n -> W^n r0 W^n+ for 0 <= n <= n_max, from Q_b = W^(2^b).
+
+    Conjugates r0 by Q_b for each set bit b of n, high to low.  Every partial
+    product is pushed on a stack as (b, m, r_m), m being n with its bits
+    below b cleared; a later n resumes from the deepest entry whose m it
+    shares above b.  The result therefore depends on n alone (bit for bit),
+    and consecutive n cost one conjugation each, a stride-k grid O(log k).
+    """
+    top = n_max.bit_length()
+    q = [w]
+    while len(q) < top:
+        q.append(q[-1] @ q[-1])
+    q = [(m, dag(m)) for m in q]
+    stack = [(top, 0, r0)]
+
+    def power(n: int) -> np.ndarray:
+        low, m, r = stack[-1]
+        while m >> low != n >> low:
+            stack.pop()
+            low, m, r = stack[-1]
+        rest = n & ((1 << low) - 1)         # the bits of n still to apply
+        while rest:
+            b = rest.bit_length() - 1
+            rest ^= 1 << b
+            qb, qb_dag = q[b]
+            r = qb @ r @ qb_dag
+            stack.append((b, n ^ rest, r))
+        return r
+
+    return power
+
+
+def _record(times, states, norms, t, rho_u, norm):
     times.append(t)
     states.append(rho_u / norm)
     norms.append(norm)
 
 
-def _interrupted(plan: EvolutionPlan, rho, measure, every: int) -> Trajectory:
-    """The interrupted-evolution loop shared by both runners.
-
-    Records rho at t = 0, then per period applies the unitary step and
-    `measure(k, rho)` for period k, recording every `every`-th
-    post-measurement state; a fractional period left at total_time is one
-    more unitary step, recorded pre-measurement.
+def _interrupted(plan: EvolutionPlan, h, rho0, state_at, every: int) -> Trajectory:
+    """Sample one run: rho0 at t = 0, then the post-measurement state after
+    every `every`-th period n, which state_at(n) returns with its trace.
+    state_at(n_steps) is also taken when it is not sampled, so the whole run
+    is checked; a fractional period left at total_time is one more unitary
+    step from it, recorded pre-measurement.  state_at is called with
+    increasing n.
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
-    h = plan.hamiltonian.assemble()
-    u = expm(-1j * plan.tau * h)
-    u_dag = dag(u)
-
     times: list[float] = []
     states: list[np.ndarray] = []
     norms: list[float] = []
-    _record(times, states, norms, 0.0, rho)
-    for k in range(plan.n_steps):
-        rho = measure(k, u @ rho @ u_dag)
-        if (k + 1) % every == 0:
-            _record(times, states, norms, (k + 1) * plan.tau, rho)
+    _record(times, states, norms, 0.0, rho0, _trace(rho0))
+    rho = rho0
+    for n in range(every, plan.n_steps + 1, every):
+        rho, norm = state_at(n)
+        _record(times, states, norms, n * plan.tau, rho, norm)
+    if plan.n_steps % every:
+        rho, _ = state_at(plan.n_steps)
     if plan.residual > 0:
         rho = unitary_step(rho, h, plan.residual)
-        _record(times, states, norms, plan.total_time, rho)
+        _record(times, states, norms, plan.total_time, rho, _trace(rho))
     return Trajectory(np.array(times), states, np.array(norms), plan.hamiltonian.dims)
 
 
@@ -153,40 +212,75 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     `every`-th measurement instant (t = n*every*tau) and at total_time when a
     fractional period remains.
 
-    The state is carried unnormalized; `norms` is the cumulative probability
-    p_Phi of the observed outcome string.  Raises VanishingProbabilityError as
-    soon as p_Phi drops below PROB_FLOOR, which is checked after every
-    measurement, sampled or not.
+    The state is carried unnormalized on the selected range; `norms` is the
+    cumulative probability p_Phi of the observed outcome string.  With the
+    coincident-outcome shortcut (no outcome_sequence) the state after period
+    n is W^n r0 W^n+ with W = W_ss and r0 = V_s+ rho0 V_s, from binary powers
+    of W, so it depends on n alone and every stride keeps the same bits.  An
+    explicit outcome sequence starts its first period from the full initial
+    state and then steps r <- W_ij r W_ij+ for consecutive outcomes j, i.
+
+    Raises VanishingProbabilityError at the first period n <= n_steps whose
+    p_Phi is below PROB_FLOOR, sampled or not.  A stepped sequence checks
+    every period.  The shortcut checks its samples and period n_steps: since
+    ||W|| <= 1, p_Phi never increases, so when a sample fails, the first
+    failing period is found by bisecting the periods since the last passing
+    one, in O(log every) powers.
     """
     meas = plan.measurement
-    dims = plan.hamiltonian.dims
-    if init.dims != dims:
+    if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    if plan.outcome_sequence is not None:
-        seq = plan.outcome_sequence
-    elif meas.selected_index is not None:
-        seq = (meas.selected_index,) * plan.n_steps
+    seq = plan.outcome_sequence
+    if seq is None:
+        if meas.selected_index is None:
+            raise ValueError("selective run needs a selected outcome or an "
+                             "explicit outcome sequence")
         p_sel = meas.selected_projector()
         if max_abs(p_sel @ init.rho_pr @ p_sel - init.rho_pr) > DEFAULT_TOL:
             raise ValueError("initial probe state must be supported in the "
                              "selected projector's range")
+    h, bases, first, w = _period_maps(plan)
+    rho0 = init.joint()
+
+    if seq is not None:
+        maps = [first[seq[0]]] if seq else []
+        maps += [w[i, j] for j, i in zip(seq, seq[1:])]
+        maps = [(m, dag(m)) for m in maps]
+
+        def step(k, r):
+            m, m_dag = maps[k]
+            r = m @ r @ m_dag
+            _check_probability(k + 1, r)
+            return r
+
+        def lift(n, r):
+            v = bases[seq[n - 1]]
+            return v @ r @ dag(v), _trace(r)
+
+        state_at = _stepped(rho0, step, lift)
     else:
-        raise ValueError("selective run needs a selected outcome or an "
-                         "explicit outcome sequence")
-    eye_sys = np.eye(dims.dim_sys, dtype=complex)
-    c_ops = [kron(eye_sys, p) for p in meas.projectors]
+        s = meas.selected_index
+        v, v_dag = bases[s], dag(bases[s])
+        power = _binary_powers(v_dag @ rho0 @ v, w[s, s], plan.n_steps)
+        passed = 0
 
-    def measure(k, rho_u):
-        c = c_ops[seq[k]]
-        rho_u = c @ rho_u @ c
-        norm = float(np.trace(rho_u).real)
-        if norm < PROB_FLOOR:
-            raise VanishingProbabilityError(
-                f"outcome sequence has vanishing probability at step {k + 1} "
-                f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
-        return rho_u
+        def state_at(n):
+            nonlocal passed
+            r = power(n)
+            norm = _trace(r)
+            if norm < PROB_FLOOR:
+                lo, hi = passed, n          # period lo passes, period hi fails
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if _trace(power(mid)) < PROB_FLOOR:
+                        hi = mid
+                    else:
+                        lo = mid
+                _check_probability(hi, power(hi))
+            passed = n
+            return v @ r @ v_dag, norm
 
-    return _interrupted(plan, init.joint(), measure, every)
+    return _interrupted(plan, h, rho0, state_at, every)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
@@ -196,10 +290,12 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
 
     The channel is applied once at t = 0, which realizes the convention of
     starting the clock at the first measurement when the initial state is not
-    already a channel fixed point.  Samples at integer multiples of tau are
-    therefore block-diagonal in the measurement eigenbasis; a trailing
-    fractional-period sample (present only when total_time is not a multiple
-    of tau) is pre-measurement.
+    already a channel fixed point.  That channel output is the set of blocks
+    b_i = V_i+ rho0 V_i; each period maps them to b_i <- sum_j W_ij b_j W_ij+,
+    and a kept state is sum_i V_i b_i V_i+.  Samples at integer multiples of
+    tau are therefore block-diagonal in the measurement eigenbasis; a
+    trailing fractional-period sample (present only when total_time is not a
+    multiple of tau) is pre-measurement.
     """
     meas = plan.measurement
     if meas.selected_index is not None:
@@ -207,5 +303,16 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
                          "(no selected outcome)")
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    return _interrupted(plan, nonselective_channel(init.joint(), meas),
-                        lambda k, rho: nonselective_channel(rho, meas), every)
+    h, bases, _, w = _period_maps(plan)
+    w_dag = dag(w)
+
+    def step(k, blocks):
+        return (w @ blocks[None] @ w_dag).sum(axis=1)
+
+    def lift(n, blocks):
+        rho = (bases @ blocks @ dag(bases)).sum(axis=0)
+        return rho, _trace(rho)
+
+    blocks = dag(bases) @ init.joint() @ bases
+    channel, _ = lift(0, blocks)
+    return _interrupted(plan, h, channel, _stepped(blocks, step, lift), every)

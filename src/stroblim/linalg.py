@@ -50,8 +50,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def max_abs(a) -> float:

@@ -119,19 +119,24 @@ class HamiltonianSpec:
     def assemble(self) -> np.ndarray:
         return self.gamma * self.dimensionless()
 
+    def isometries(self, probe_bases) -> tuple[np.ndarray, ...]:
+        """V_i = I_sys (x) v_i for each probe isometry v_i (column-orthonormal,
+        e.g. the `bases` of a MeasurementSpec): the joint-space isometry onto
+        the range of I_sys (x) P_i."""
+        eye_sys = np.eye(self.dim_sys, dtype=complex)
+        return tuple(kron(eye_sys, v) for v in probe_bases)
+
     def blocks(self, probe_bases) -> tuple[tuple, tuple, tuple]:
         """Compressions of h = dimensionless() to probe ranges (V, T, D).
 
-        For each probe isometry v_i (column-orthonormal, e.g. the `bases` of a
-        MeasurementSpec): V_i = I_sys (x) v_i, T_ij = V_i+ h V_j and the
-        dispersion D_i = V_i+ h^2 V_i - T_ii^2.  Both stroboscopic limits are
-        built from these: the selective branch has H1 = gamma T_ii and
-        H2 = (Omega/2) D_i, the non-selective blocks Heff_i = H1 - i H2 and
-        the transitions T_ij.
+        For each probe isometry v_i: V_i = I_sys (x) v_i (see `isometries`),
+        T_ij = V_i+ h V_j and the dispersion D_i = V_i+ h^2 V_i - T_ii^2.
+        Both stroboscopic limits are built from these: the selective branch
+        has H1 = gamma T_ii and H2 = (Omega/2) D_i, the non-selective blocks
+        Heff_i = H1 - i H2 and the transitions T_ij.
         """
         h = self.dimensionless()
-        eye_sys = np.eye(self.dim_sys, dtype=complex)
-        bases = tuple(kron(eye_sys, v) for v in probe_bases)
+        bases = self.isometries(probe_bases)
         trans = tuple(tuple(dag(vi) @ h @ vj for vj in bases) for vi in bases)
         h2 = h @ h
         disp = tuple(dag(v) @ h2 @ v - t[i] @ t[i]

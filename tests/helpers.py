@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stroblim import HamiltonianSpec, MeasurementSpec, kron
-from stroblim.linalg import dag, expm
+from stroblim import (HamiltonianSpec, MeasurementSpec, Trajectory,
+                      VanishingProbabilityError, kron, unitary_step)
+from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
+                             is_projector, max_abs)
 from stroblim.nonselective_limit import (_pack, _unpack, block_rhs,
                                          blocks_from_global, global_from_blocks)
 
@@ -186,3 +188,88 @@ def block_evolve(eff, rho, t):
     """exp(generator t) acting on a block-diagonal full-space state."""
     packed = _pack(blocks_from_global(eff, rho))
     return global_from_blocks(eff, _unpack(eff, expm(eff.generator * t) @ packed))
+
+
+# ---------------------------------------------------------------------------
+# Full-space reference for the exact runners: the literal interrupted
+# evolution, one d x d unitary step and one measurement per period.
+
+
+def apply_instrument(rho, c, tol=DEFAULT_TOL):
+    """Single-Kraus projective instrument rho -> C rho C (trace-decreasing)."""
+    rho = as_matrix(rho)
+    c = as_matrix(c)
+    if not is_projector(c, tol):
+        raise ValueError("instrument Kraus operator must be a projector")
+    return c @ rho @ c
+
+
+def nonselective_channel(rho, spec):
+    """Measurement channel sum_i C_i rho C_i for a complete probe family.
+
+    rho may live on the probe alone or on any system (x) probe space whose
+    probe factor matches the projector dimension.
+    """
+    rho = as_matrix(rho)
+    projs = spec.projectors
+    if max_abs(sum(projs) - np.eye(spec.dim_pr)) > DEFAULT_TOL:
+        raise ValueError("non-selective channel requires a complete projector family")
+    if rho.shape[0] % spec.dim_pr != 0:
+        raise ValueError("state dimension is not a multiple of the probe dimension")
+    eye_sys = np.eye(rho.shape[0] // spec.dim_pr, dtype=complex)
+    out = np.zeros_like(rho)
+    for p in projs:
+        c = kron(eye_sys, p)
+        out += c @ rho @ c
+    return out
+
+
+def _reference_loop(plan, rho, measure, every):
+    """Record rho at t = 0, then per period U rho U+ and measure(k, rho),
+    keeping every `every`-th state; a residual period is one unitary step."""
+    h = plan.hamiltonian.assemble()
+    u = expm(-1j * plan.tau * h)
+    times, states, norms = [], [], []
+
+    def record(t, r):
+        norm = float(np.trace(r).real)
+        times.append(t)
+        states.append(r / norm)
+        norms.append(norm)
+
+    record(0.0, rho)
+    for k in range(plan.n_steps):
+        rho = measure(k, u @ rho @ dag(u))
+        if (k + 1) % every == 0:
+            record((k + 1) * plan.tau, rho)
+    if plan.residual > 0:
+        record(plan.total_time, unitary_step(rho, h, plan.residual))
+    return Trajectory(np.array(times), states, np.array(norms), plan.hamiltonian.dims)
+
+
+def reference_selective(plan, init, every=1):
+    """Post-selected branch by the full-space loop: C_s after every period,
+    the probability floor checked at every period."""
+    meas = plan.measurement
+    seq = plan.outcome_sequence or (meas.selected_index,) * plan.n_steps
+    eye_sys = np.eye(plan.hamiltonian.dim_sys, dtype=complex)
+    c_ops = [kron(eye_sys, p) for p in meas.projectors]
+
+    def measure(k, rho):
+        rho = apply_instrument(rho, c_ops[seq[k]])
+        norm = float(np.trace(rho).real)
+        if norm < PROB_FLOOR:
+            raise VanishingProbabilityError(
+                f"outcome sequence has vanishing probability at step {k + 1} "
+                f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
+        return rho
+
+    return _reference_loop(plan, init.joint(), measure, every)
+
+
+def reference_nonselective(plan, init, every=1):
+    """Non-selective run by the full-space loop, the channel applied at t = 0
+    and after every period."""
+    meas = plan.measurement
+    return _reference_loop(plan, nonselective_channel(init.joint(), meas),
+                           lambda k, rho: nonselective_channel(rho, meas), every)

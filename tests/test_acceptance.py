@@ -10,12 +10,12 @@ import numpy as np
 
 from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
                      family_spec, full_space_reference, liouville_commutator,
-                     random_hamiltonian_spec, random_hermitian, random_ket,
-                     random_projector_family, random_unitary, unvec, vec)
+                     nonselective_channel, random_hamiltonian_spec,
+                     random_hermitian, random_ket, random_projector_family,
+                     random_unitary, unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, basis_ket, build_generator,
                       effective_rank1, effective_rankr, kron,
-                      measurement_from_kets, nonselective_channel, pauli_rates,
-                      propagate_kraus, purity_derivative, run_selective,
+                      measurement_from_kets, pauli_rates, propagate_kraus, purity_derivative, run_selective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import dag, expm, max_abs

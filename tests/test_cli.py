@@ -73,6 +73,15 @@ class TestScenarioParsing:
         sc = scenario_from_dict(doc)
         assert sc.measurement.ranks == (1,)
 
+    def test_t_max_is_bounded_by_exact_period_counts(self):
+        doc = bundled_doc("swap_selective")
+        doc["grid_points"] = 2 ** 10
+        doc["t_max"] = doc["tau"] * 2 ** 52
+        assert scenario_from_dict(doc).t_max == doc["t_max"]
+        doc["t_max"] = doc["tau"] * 2 ** 53
+        with pytest.raises(ScenarioError, match="scenario key 't_max'"):
+            scenario_from_dict(doc)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"name": "x",\n  "mode": }\n')
@@ -143,9 +152,11 @@ class TestCommands:
         ("tau", float("nan"), "tau"),
         ("gamma", "five", "gamma"),
         ("gamma", True, "gamma"),
+        ("t_max", 1e308, "t_max"),
     ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
             "nan_tolerance", "inf_tolerance", "zero_tolerance", "inf_t_max",
-            "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma"])
+            "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma",
+            "overflowing_t_max"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, key, value, reported):
         doc = bundled_doc("swap_selective")
         doc[key] = value
@@ -200,21 +211,26 @@ class TestCommands:
         assert rc == 1
         assert "strictly decreasing: no" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("sweep", "--tau", "0.04,0"),
-        ("sweep", "--tau", "0.04,nan"),
-        ("sweep", "--tau", "0.04,1e400"),
-        ("compare", "--tolerance", "nan"),
-        ("compare", "--tolerance", "0"),
-    ], ids=["zero_tau", "nan_tau", "inf_tau", "nan_tolerance", "zero_tolerance"])
+    @pytest.mark.parametrize("command, flag, value, reported", [
+        ("sweep", "--tau", "0.04,0", "expected a finite positive number"),
+        ("sweep", "--tau", "0.04,nan", "expected a finite positive number"),
+        ("sweep", "--tau", "0.04,1e400", "expected a finite positive number"),
+        ("compare", "--tolerance", "nan", "expected a finite positive number"),
+        ("compare", "--tolerance", "0", "expected a finite positive number"),
+        ("run", "--grid-points", "0", "expected a positive integer, got '0'"),
+        ("run", "--grid-points", "7", "grid times must fall on integer multiples"),
+    ], ids=["zero_tau", "nan_tau", "inf_tau", "nan_tolerance", "zero_tolerance",
+            "zero_grid_points", "off_lattice_grid_points"])
     def test_non_positive_or_non_finite_flag_exits_2(self, tmp_path, capsys,
-                                                     command, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(bundled("swap_selective")), "--out-dir",
-                  str(tmp_path), flag, value])
-        assert exc.value.code == 2
+                                                     command, flag, value, reported):
+        try:
+            rc = main([command, str(bundled("swap_selective")), "--out-dir",
+                       str(tmp_path), flag, value])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: expected a finite positive number" in err
+        assert f"argument {flag}: {reported}" in err
         assert not list(tmp_path.iterdir())
 
     def test_limit_only_mode_allows_free_grid(self, tmp_path):

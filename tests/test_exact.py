@@ -1,15 +1,21 @@
 import itertools
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from helpers import random_density, random_ket
+from helpers import (apply_instrument, family_spec, nonselective_channel,
+                     random_density, random_hamiltonian_spec, random_ket,
+                     random_projector_family, reference_nonselective,
+                     reference_selective)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
-                      apply_instrument, basis_ket, kron, measurement_from_kets,
-                      nonselective_channel, pauli, run_nonselective,
-                      run_selective, swap_hamiltonian, unitary_step)
-from stroblim.linalg import TensorDims, max_abs, partial_trace
+                      basis_ket, kron, measurement_from_kets, pauli,
+                      run_nonselective, run_selective, swap_hamiltonian,
+                      unitary_step)
+from stroblim.cli import load_scenario
+from stroblim.exact import _binary_powers
+from stroblim.linalg import TensorDims, dag, max_abs, partial_trace
 
 
 def up_meas(selected=0):
@@ -283,3 +289,126 @@ class TestRunNonselective:
                 for j in range(2):
                     assert abs(s[2 * i, 2 * j + 1]) < 1e-12
                     assert abs(s[2 * i + 1, 2 * j]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The compressed runners against the full-space reference loop.
+
+STRIDES = [1, 3, 7]
+
+
+def assert_same_run(got, want, tol=1e-12):
+    assert np.array_equal(got.times, want.times)
+    assert max_abs((got.norms - want.norms) / want.norms) < tol
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert max_abs(a - b) < tol
+
+
+def random_case(rng, dim_sys, dim_pr):
+    ham = random_hamiltonian_spec(rng, dim_sys, dim_pr)
+    return ham, random_projector_family(rng, dim_pr)
+
+
+@pytest.mark.parametrize("every", STRIDES)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 4), (2, 5)])
+def test_coincident_outcomes_match_the_reference_loop(rng, dims, every):
+    for _ in range(4):
+        ham, groups = random_case(rng, *dims)
+        sel = int(rng.integers(len(groups)))
+        spec = family_spec(groups, selected_index=sel)
+        v = spec.bases[sel]
+        rho_pr = v @ random_density(rng, v.shape[1]) @ dag(v)
+        init = InitialState(random_density(rng, dims[0]), rho_pr)
+        plan = EvolutionPlan(ham, spec, 0.05, 23 * 0.05 + 0.02)
+        assert_same_run(run_selective(plan, init, every=every),
+                        reference_selective(plan, init, every=every))
+
+
+@pytest.mark.parametrize("every", STRIDES)
+def test_outcome_sequences_match_the_reference_loop(rng, every):
+    followed = 0
+    for _ in range(6):
+        ham, groups = random_case(rng, 2, 4)
+        spec = family_spec(groups)
+        init = InitialState(random_density(rng, 2), random_density(rng, 4))
+        seq = tuple(int(i) for i in rng.integers(len(groups), size=15))
+        plan = EvolutionPlan(ham, spec, 0.5, 15 * 0.5 + 0.2, outcome_sequence=seq)
+        try:
+            want = reference_selective(plan, init, every=every)
+        except VanishingProbabilityError as err:
+            step = re.search(r"at step \d+ ", str(err)).group(0)
+            with pytest.raises(VanishingProbabilityError, match=step):
+                run_selective(plan, init, every=every)
+            continue
+        assert_same_run(run_selective(plan, init, every=every), want)
+        followed += 1
+    assert followed >= 3
+
+
+@pytest.mark.parametrize("every", STRIDES)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 4), (2, 5)])
+def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
+    for _ in range(4):
+        ham, groups = random_case(rng, *dims)
+        spec = family_spec(groups)
+        init = InitialState(random_density(rng, dims[0]),
+                            random_density(rng, dims[1]))
+        plan = EvolutionPlan(ham, spec, 0.05, 23 * 0.05 + 0.02)
+        assert_same_run(run_nonselective(plan, init, every=every),
+                        reference_nonselective(plan, init, every=every))
+
+
+@pytest.mark.parametrize("every", STRIDES)
+@pytest.mark.parametrize("name", ["swap_selective", "heisenberg_local_fields",
+                                  "heisenberg_global_field", "swap_nonselective"])
+def test_bundled_scenarios_match_the_reference_loop(name, every):
+    sc = load_scenario(str(resources.files("stroblim") / "scenarios" / f"{name}.json"))
+    plan = EvolutionPlan(sc.hamiltonian, sc.measurement, sc.tau, 40.5 * sc.tau)
+    if sc.selective:
+        got = run_selective(plan, sc.initial, every=every)
+        want = reference_selective(plan, sc.initial, every=every)
+    else:
+        got = run_nonselective(plan, sc.initial, every=every)
+        want = reference_nonselective(plan, sc.initial, every=every)
+    assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("tau", [0.04, 2e-4])
+def test_million_periods_match_the_closed_form(tau):
+    # (C U C)^n on |psi>|u> keeps |u u> and scales |d u> by cos(gamma tau)^n
+    gamma, a2, n_steps, every = 5.0, 0.2, 10 ** 6, 10 ** 5
+    init = InitialState.from_kets([np.sqrt(a2), np.sqrt(1 - a2)], basis_ket("u"))
+    plan = EvolutionPlan(swap_hamiltonian(gamma), up_meas(), tau, n_steps * tau)
+    traj = run_selective(plan, init, every=every)
+    n_vals = np.arange(0, n_steps + 1, every)
+    # cos^(2n) as exp(2n log1p(-2 sin^2(x/2))), free of the n-fold rounding
+    # of cos itself
+    decay = np.exp(2 * n_vals * np.log1p(-2 * np.sin(gamma * tau / 2) ** 2)) * (1 - a2)
+    assert np.array_equal(traj.times, n_vals * tau)
+    # U = exp(-i tau H) is rounded once, and its n-th power carries about
+    # n eps of relative error, stepped or squared: 2e-10 at n = 1e6
+    assert max_abs(traj.p_up() - a2 / (a2 + decay)) < 1e-9
+    assert max_abs(traj.norms / (a2 + decay) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("every", [1, 5, 32, 34, 500, 2000])
+def test_vanishing_step_matches_the_reference_loop(every):
+    ham = swap_hamiltonian(5.0)
+    init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
+    plan = EvolutionPlan(ham, up_meas(), 0.04, 40.0)
+    with pytest.raises(VanishingProbabilityError) as want:
+        reference_selective(plan, init)
+    step = re.search(r"at step \d+ ", str(want.value)).group(0)
+    with pytest.raises(VanishingProbabilityError, match=step):
+        run_selective(plan, init, every=every)
+
+
+def test_binary_powers_depend_on_the_period_alone(rng):
+    w = random_density(rng, 4) * 1.5      # a contraction, ||w|| < 1.5 tr w = 1.5
+    r0 = random_density(rng, 4)
+    power = _binary_powers(r0, w, 200)
+    for n in [0, 1, 2, 3, 200, 7, 64, 63, 65, 128, 5, 199, 0]:
+        q = np.linalg.matrix_power(w, n)
+        assert max_abs(power(n) - q @ r0 @ dag(q)) < 1e-12
+        assert np.array_equal(power(n), _binary_powers(r0, w, 200)(n))
