@@ -10,9 +10,8 @@ monitoring.
 
 from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
                     run_selective, unitary_step)
-from .linalg import (TensorDims, expm, hermitian_eig, is_density, is_hermitian,
-                     is_projector, is_psd, is_unitary, kron, ode_step_rk4,
-                     partial_trace, trace_distance)
+from .linalg import (TensorDims, expm, is_density, is_hermitian, is_projector,
+                     is_psd, kron, ode_step_rk4, partial_trace, trace_distance)
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets, pauli,
                     projector_from_kets, swap_hamiltonian)
@@ -24,7 +23,7 @@ from .selective_limit import (SelectiveEffective, effective_rank1,
                               effective_rankr, nonlinear_density_rhs,
                               nonlinear_state_rhs, propagate_kraus,
                               purity_derivative)
-from .trajectory import Trajectory, bloch_to_density, bloch_vector
+from .trajectory import Trajectory, bloch_vector
 
 __version__ = "0.1.0"
 
@@ -32,13 +31,12 @@ __all__ = [
     "BlockState", "EvolutionPlan", "HamiltonianSpec", "InitialState",
     "MeasurementSpec", "NonselectiveEffective", "SelectiveEffective",
     "TensorDims", "Trajectory", "VanishingProbabilityError", "basis_ket",
-    "bloch_to_density", "bloch_vector", "block_rhs", "build_generator",
-    "effective_rank1", "effective_rankr", "expm", "heisenberg3_hamiltonian",
-    "hermitian_eig", "is_density", "is_hermitian", "is_projector", "is_psd",
-    "is_unitary", "kron", "measurement_from_kets", "nonlinear_density_rhs",
-    "nonlinear_state_rhs", "ode_step_rk4", "partial_trace", "pauli",
-    "pauli_rates", "projector_from_kets", "propagate_kraus",
-    "purity_derivative", "run_nonselective", "run_selective",
-    "semigroup_propagate", "swap_hamiltonian",
+    "bloch_vector", "block_rhs", "build_generator", "effective_rank1",
+    "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
+    "is_hermitian", "is_projector", "is_psd", "kron", "measurement_from_kets",
+    "nonlinear_density_rhs", "nonlinear_state_rhs", "ode_step_rk4",
+    "partial_trace", "pauli", "pauli_rates", "projector_from_kets",
+    "propagate_kraus", "purity_derivative", "run_nonselective",
+    "run_selective", "semigroup_propagate", "swap_hamiltonian",
     "swap_nonselective_closed_form", "trace_distance", "unitary_step",
 ]

@@ -21,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .experiments import (ComparisonReport, Scenario, compare_scenario,
-                          convergence_sweep, run_method)
+from .experiments import (ComparisonReport, Scenario, check_periods,
+                          compare_scenario, convergence_sweep, run_method)
 from .model import (HamiltonianSpec, InitialState, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets,
                     swap_hamiltonian)
@@ -148,6 +148,8 @@ def _parse_hamiltonian(node, gamma: float) -> HamiltonianSpec:
                 _fail("hamiltonian.field", str(err))
         _fail("hamiltonian.builder", f"unknown builder {builder!r}")
     if "terms" in node:
+        if not isinstance(node["terms"], list):
+            _fail("hamiltonian.terms", "expected a list of {'a': ..., 'b': ...}")
         terms = []
         for k, term in enumerate(node["terms"]):
             if not isinstance(term, dict) or "a" not in term or "b" not in term:
@@ -180,7 +182,10 @@ def _resolve_rates(doc) -> tuple[float, float]:
         return float(math.sqrt(have["omega"] / have["tau"])), have["tau"]
     if have["gamma"] == 0:
         _fail("gamma", "cannot derive tau from omega when gamma is zero")
-    return have["gamma"], have["omega"] / have["gamma"] ** 2
+    tau = have["omega"] / have["gamma"] ** 2
+    if tau <= 0:
+        _fail("omega", "must be positive when tau is derived from it")
+    return have["gamma"], tau
 
 
 def scenario_from_dict(doc) -> Scenario:
@@ -190,6 +195,11 @@ def scenario_from_dict(doc) -> Scenario:
                 "initial_pr", "t_max", "grid_points"):
         if key not in doc:
             _fail(key, "missing required key")
+    name = doc["name"]
+    # The name is the stem of every output file.
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or set(name) & set("/\\\0")):
+        _fail("name", "expected a non-empty file name without path separators")
     gamma, tau = _resolve_rates(doc)
     ham = _parse_hamiltonian(doc["hamiltonian"], gamma)
 
@@ -210,9 +220,10 @@ def scenario_from_dict(doc) -> Scenario:
     except ValueError as err:
         _fail("projectors", str(err))
 
+    rho_sys = _parse_state("initial_sys", doc["initial_sys"])
+    rho_pr = _parse_state("initial_pr", doc["initial_pr"])
     try:
-        init = InitialState(_parse_state("initial_sys", doc["initial_sys"]),
-                            _parse_state("initial_pr", doc["initial_pr"]))
+        init = InitialState(rho_sys, rho_pr)
     except ValueError as err:
         _fail("initial_sys/initial_pr", str(err))
 
@@ -220,18 +231,19 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         _fail("outputs", "expected a list of output names")
     tolerances = doc.get("tolerances")
-    if tolerances is not None:
-        if not isinstance(tolerances, dict):
-            _fail("tolerances", "expected an object")
-        if "max_deviation" in tolerances and _parse_float(
-                "tolerances.max_deviation", tolerances["max_deviation"]) <= 0:
-            _fail("tolerances.max_deviation", "expected a finite positive number")
+    if tolerances is None:
+        tolerances = {}
+    elif not isinstance(tolerances, dict):
+        _fail("tolerances", "expected an object")
+    tolerance = _parse_float("tolerances.max_deviation",
+                             tolerances.get("max_deviation", Scenario.tolerance))
+    if tolerance <= 0:
+        _fail("tolerances.max_deviation", "expected a finite positive number")
     t_max = _parse_float("t_max", doc["t_max"])
-    # Beyond 2**53 periods neither the period count nor the tau lattice is
-    # exact in a float.
-    if t_max / tau >= 2 ** 53:
-        _fail("t_max", f"t_max/tau = {t_max / tau:.3g} periods, expected "
-                       "fewer than 2**53")
+    try:
+        check_periods(t_max, tau)
+    except ValueError as err:
+        _fail("t_max", str(err))
     grid_points = _parse_int("grid_points", doc["grid_points"])
     methods = doc.get("methods")
     if methods is not None and (not isinstance(methods, list)
@@ -239,7 +251,7 @@ def scenario_from_dict(doc) -> Scenario:
         _fail("methods", "expected a list of method names")
     try:
         return Scenario(
-            name=str(doc["name"]),
+            name=name,
             hamiltonian=ham,
             measurement=meas,
             initial=init,
@@ -248,7 +260,7 @@ def scenario_from_dict(doc) -> Scenario:
             grid_points=grid_points,
             mode=str(doc["mode"]),
             outputs=tuple(outputs),
-            tolerances=tolerances,
+            tolerance=tolerance,
             methods_spec=tuple(methods) if methods is not None else None,
         )
     except ValueError as err:

@@ -1,11 +1,13 @@
-"""Scenario runner: exact-vs-analytical comparisons and tau-convergence sweeps.
+"""Scenario engine: exact-vs-limit comparisons and tau-convergence sweeps.
 
-Four bundled setups cover the physics of interest: a selectively measured
-exchange-coupled qubit pair (closed-form excited-state probability), two
-three-qubit Heisenberg chains under rank-2 probe measurements (limit cycle
-and Bloch-ball spiral of the system qubit), and a non-selectively measured
-exchange-coupled pair (semigroup plus closed form).  Everything is
-deterministic: fixed grids, fixed-step integration, no randomness.
+A `Scenario` fixes one run: Hamiltonian, measurement, initial state, tau and
+the sample grid.  `run_method` produces its trajectory by the exact
+interrupted evolution, by the frequent-measurement limit (the selective
+`H1 - i H2` branch or the non-selective semigroup) or by the non-selective
+closed form; `compare_scenario` reports the deviation of the limits from the
+exact run, and `convergence_sweep` repeats that over tau at fixed
+Omega = gamma^2 tau.  Everything is deterministic: fixed grids, fixed-step
+integration, no randomness.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ import numpy as np
 
 from .exact import EvolutionPlan, run_nonselective, run_selective, steps_in
 from .linalg import TensorDims, trace_distance
-from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
-                    heisenberg3_hamiltonian, measurement_from_kets,
-                    swap_hamiltonian)
+from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .nonselective_limit import (build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
 from .selective_limit import effective_rankr, propagate_kraus
-from .trajectory import Trajectory, bloch_to_density, bloch_vector
+from .trajectory import Trajectory
 
 OUTPUT_KEYS = ("p_up", "bloch", "purity", "trace", "p_err", "matrix")
 MODES = ("selective", "nonselective", "limit-only", "compare")
@@ -34,7 +34,8 @@ class Scenario:
 
     Omega is implied by gamma (in the Hamiltonian) and tau.  When an exact
     method participates, the requested grid must hit integer multiples of tau,
-    where exact and limit dynamics are directly comparable.
+    where exact and limit dynamics are directly comparable.  `tolerance` is
+    the largest max deviation a comparison passes with.
     """
 
     name: str
@@ -46,7 +47,7 @@ class Scenario:
     grid_points: int
     mode: str = "compare"
     outputs: tuple[str, ...] = ("p_up",)
-    tolerances: dict | None = None
+    tolerance: float = 0.02
     methods_spec: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -61,6 +62,7 @@ class Scenario:
                                  "match its preconditions")
         if self.tau <= 0 or self.t_max <= 0:
             raise ValueError("tau and t_max must be positive")
+        check_periods(self.t_max, self.tau)
         if self.grid_points < 1:
             raise ValueError("grid_points must be at least 1")
         unknown = set(self.outputs) - set(OUTPUT_KEYS)
@@ -109,11 +111,13 @@ class Scenario:
             methods.append("closed_form")
         return tuple(methods)
 
-    @property
-    def tolerance(self) -> float:
-        if self.tolerances and "max_deviation" in self.tolerances:
-            return float(self.tolerances["max_deviation"])
-        return 0.02
+
+def check_periods(t_max: float, tau: float) -> None:
+    """ValueError unless t_max spans fewer than 2**53 periods tau: beyond that
+    neither the period count nor the tau lattice is exact in a float."""
+    if t_max / tau >= 2 ** 53:
+        raise ValueError(f"t_max/tau = {t_max / tau:.3g} periods, expected "
+                         "fewer than 2**53")
 
 
 def closed_form_applicable(sc: Scenario) -> bool:
@@ -193,7 +197,6 @@ class ComparisonReport:
     cases: tuple[CaseComparison, ...]
     max_deviation: float
     convergence: tuple[tuple[float, float], ...] | None = None
-    snapshots: dict | None = None
 
     @property
     def convergence_ratios(self) -> tuple[float, ...] | None:
@@ -256,162 +259,6 @@ def compare_scenario(sc: Scenario) -> ComparisonReport:
     return ComparisonReport(sc.name, _metric_for(sc), (case,), case.max_deviation)
 
 
-# ---------------------------------------------------------------------------
-# Bundled setups.
-
-
-def swap_selective_scenario(alpha_sq: float = 0.2, gamma: float = 5.0,
-                            tau: float = 0.04, t_max: float = 10.0,
-                            mode: str = "compare") -> Scenario:
-    """Qubit pair with exchange coupling; probe spin projection measured
-    selectively every tau; system prepared in sqrt(a)|u> + sqrt(1-a)|d>."""
-    psi = np.array([np.sqrt(alpha_sq), np.sqrt(1.0 - alpha_sq)], dtype=complex)
-    return Scenario(
-        name="swap_selective",
-        hamiltonian=swap_hamiltonian(gamma),
-        measurement=measurement_from_kets([[basis_ket("u")]], selected_index=0),
-        initial=InitialState.from_kets(psi, basis_ket("u")),
-        tau=tau,
-        t_max=t_max,
-        grid_points=steps_in(t_max, tau),
-        mode=mode,
-        outputs=("p_up", "purity", "trace", "p_err"),
-        tolerances={"max_deviation": 0.02},
-    )
-
-
-def heisenberg_local_fields_scenario(gamma: float = 5.0, tau: float = 0.04,
-                                     t_max: float = 10.0,
-                                     mode: str = "compare") -> Scenario:
-    """Three Heisenberg-coupled qubits with local x/y/z fields; the two probe
-    qubits are projected onto their zero-total-spin-projection subspace."""
-    return Scenario(
-        name="heisenberg_local_fields",
-        hamiltonian=heisenberg3_hamiltonian(gamma, "local_xyz"),
-        measurement=measurement_from_kets(
-            [[basis_ket("ud"), basis_ket("du")]], selected_index=0),
-        initial=InitialState.from_kets(basis_ket("u") + basis_ket("d"),
-                                       basis_ket("ud")),
-        tau=tau,
-        t_max=t_max,
-        grid_points=steps_in(t_max, tau),
-        mode=mode,
-        outputs=("bloch", "purity", "trace", "p_err"),
-        tolerances={"max_deviation": 0.1},
-    )
-
-
-def heisenberg_global_field_scenario(gamma: float = 2.0 * np.sqrt(2.0),
-                                     tau: float = 0.02, t_max: float = 10.0,
-                                     mode: str = "compare") -> Scenario:
-    """Same chain in a global z field; probe projected onto the span of the
-    aligned states |uu>, |dd>."""
-    return Scenario(
-        name="heisenberg_global_field",
-        hamiltonian=heisenberg3_hamiltonian(gamma, "global_z"),
-        measurement=measurement_from_kets(
-            [[basis_ket("uu"), basis_ket("dd")]], selected_index=0),
-        initial=InitialState.from_kets(basis_ket("u") + basis_ket("d"),
-                                       basis_ket("uu") + basis_ket("dd")),
-        tau=tau,
-        t_max=t_max,
-        grid_points=steps_in(t_max, tau),
-        mode=mode,
-        outputs=("bloch", "purity", "trace", "p_err"),
-        tolerances={"max_deviation": 0.1},
-    )
-
-
-def swap_nonselective_scenario(alpha_sq: float = 0.3, gamma: float = 5.0,
-                               tau: float = 0.04, t_max: float = 10.0,
-                               mode: str = "compare") -> Scenario:
-    """Exchange-coupled qubit pair with the probe measured non-selectively in
-    its own basis every tau."""
-    psi = np.array([np.sqrt(alpha_sq), np.sqrt(1.0 - alpha_sq)], dtype=complex)
-    return Scenario(
-        name="swap_nonselective",
-        hamiltonian=swap_hamiltonian(gamma),
-        measurement=measurement_from_kets([[basis_ket("u")], [basis_ket("d")]]),
-        initial=InitialState.from_kets(psi, basis_ket("u")),
-        tau=tau,
-        t_max=t_max,
-        grid_points=steps_in(t_max, tau),
-        mode=mode,
-        outputs=("p_up", "purity", "trace"),
-        tolerances={"max_deviation": 0.03},
-    )
-
-
-def run_swap_selective(alpha_sqs=(0.01, 0.2, 0.6, 1.0), gamma: float = 5.0,
-                       tau: float = 0.04, t_max: float = 10.0) -> ComparisonReport:
-    """Excited-state probability, exact vs frequent-measurement limit, for a
-    family of initial superpositions (the fully excited case stays at 1)."""
-    cases = []
-    for a in alpha_sqs:
-        sc = swap_selective_scenario(a, gamma, tau, t_max)
-        cases.append(compare_case(sc, label=f"alpha_sq={a:g}"))
-    max_dev = max(c.max_deviation for c in cases)
-    return ComparisonReport("swap_selective", "p_up", tuple(cases), max_dev)
-
-
-def run_heisenberg_local_fields(gamma: float = 5.0, tau: float = 0.04,
-                                t_max: float = 10.0) -> ComparisonReport:
-    """System-qubit Bloch trajectory, exact vs rank-2 limit (limit cycle)."""
-    sc = heisenberg_local_fields_scenario(gamma, tau, t_max)
-    case = compare_case(sc)
-    return ComparisonReport(sc.name, "bloch", (case,), case.max_deviation)
-
-
-def run_heisenberg_global_field(gamma: float = 2.0 * np.sqrt(2.0),
-                                tau: float = 0.02,
-                                t_max: float = 10.0) -> ComparisonReport:
-    """System-qubit Bloch trajectory, exact vs rank-2 limit (purity loss)."""
-    sc = heisenberg_global_field_scenario(gamma, tau, t_max)
-    case = compare_case(sc)
-    return ComparisonReport(sc.name, "bloch", (case,), case.max_deviation)
-
-
-def bloch_ball_images(omega: float, snapshot_times, gamma: float = 1.0,
-                      n_polar: int = 7, n_azimuth: int = 16) -> dict:
-    """Images of a Bloch-sphere point grid under the non-selective closed form
-    at each snapshot time; keys are times, values (N, 3) Bloch vectors."""
-    points = []
-    for k in range(1, n_polar + 1):
-        theta = np.pi * k / (n_polar + 1)
-        for m in range(n_azimuth):
-            phi = 2.0 * np.pi * m / n_azimuth
-            points.append((np.sin(theta) * np.cos(phi),
-                           np.sin(theta) * np.sin(phi),
-                           np.cos(theta)))
-    points.append((0.0, 0.0, 1.0))
-    points.append((0.0, 0.0, -1.0))
-    grid = np.array(points)
-    out = {}
-    for t in snapshot_times:
-        images = [bloch_vector(swap_nonselective_closed_form(
-            gamma, omega, bloch_to_density(r), t)) for r in grid]
-        out[float(t)] = np.array(images)
-    return out
-
-
-def run_swap_nonselective(alpha_sqs=(0.01, 0.3, 0.6, 1.0), gamma: float = 5.0,
-                          tau: float = 0.04, t_max: float = 10.0,
-                          snapshot_omega: float = 0.1,
-                          snapshot_span: float = 40.0,
-                          snapshot_dt: float = 5.0) -> ComparisonReport:
-    """Excited-state probability under non-selective monitoring, exact vs
-    semigroup vs closed form, plus Bloch-ball contraction snapshots."""
-    cases = []
-    for a in alpha_sqs:
-        sc = swap_nonselective_scenario(a, gamma, tau, t_max)
-        cases.append(compare_case(sc, label=f"alpha_sq={a:g}"))
-    max_dev = max(c.max_deviation for c in cases)
-    snap_times = np.arange(0.0, snapshot_span + 0.5 * snapshot_dt, snapshot_dt)
-    snaps = bloch_ball_images(snapshot_omega, snap_times)
-    return ComparisonReport("swap_nonselective", "p_up", tuple(cases), max_dev,
-                            snapshots=snaps)
-
-
 def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     """Re-run a comparison scenario over a tau list at fixed Omega = gamma^2 tau
     (gamma recomputed per tau) and tabulate the max deviation per tau."""
@@ -419,18 +266,20 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     if len(taus) < 2:
         raise ValueError("convergence sweep needs at least two tau values")
     omega = sc.omega
-
-    def one(tau: float) -> CaseComparison:
-        gamma = float(np.sqrt(omega / tau))
-        scaled = replace(
-            sc,
-            hamiltonian=HamiltonianSpec(gamma, sc.hamiltonian.terms),
-            tau=tau,
-            grid_points=steps_in(sc.t_max, tau),
-        )
-        return compare_case(scaled, label=f"tau={tau:g}")
-
-    cases = [one(t) for t in taus]
+    scaled = []
+    # Every scaled scenario is validated before any case runs.
+    for tau in taus:
+        try:
+            scaled.append(replace(
+                sc,
+                hamiltonian=HamiltonianSpec(float(np.sqrt(omega / tau)),
+                                            sc.hamiltonian.terms),
+                tau=tau,
+                grid_points=steps_in(sc.t_max, tau),
+            ))
+        except ValueError as err:
+            raise ValueError(f"tau={tau:g}: {err}") from None
+    cases = [compare_case(s, label=f"tau={s.tau:g}") for s in scaled]
     table = tuple((tau, c.max_deviation) for tau, c in zip(taus, cases))
     max_dev = max(c.max_deviation for c in cases)
     return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), tuple(cases),

@@ -84,11 +84,6 @@ def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
     return is_hermitian(m, tol) and max_abs(m @ m - m) <= tol
 
 
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    return max_abs(dag(m) @ m - np.eye(m.shape[0])) <= tol
-
-
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     """Hermitian, positive semidefinite, unit trace."""
     m = as_matrix(a)
@@ -177,15 +172,6 @@ def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
     if keep == "sys":
         return np.einsum("ipjp->ij", r)
     return np.einsum("ipiq->pq", r)
-
-
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition a = V diag(w) V+ with w ascending.  Input must be Hermitian."""
-    m = as_matrix(a)
-    if not is_hermitian(m, tol):
-        raise ValueError("hermitian_eig: input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,

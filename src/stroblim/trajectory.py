@@ -53,10 +53,7 @@ class Trajectory:
 
     def bloch(self) -> np.ndarray:
         """Bloch vectors (n, 3) of a two-dimensional system marginal."""
-        if self.sys_states[0].shape[0] != 2:
-            raise ValueError("Bloch vectors need a two-dimensional system state")
-        return np.array([[np.trace(s @ sig).real for sig in _PAULI_XYZ]
-                         for s in self.sys_states])
+        return np.array([bloch_vector(s) for s in self.sys_states])
 
 
 def bloch_vector(rho) -> np.ndarray:
@@ -66,11 +63,3 @@ def bloch_vector(rho) -> np.ndarray:
         raise ValueError("Bloch vector needs a 2x2 state")
     return np.array([np.trace(m @ sig).real for sig in _PAULI_XYZ])
 
-
-def bloch_to_density(r) -> np.ndarray:
-    """Inverse of bloch_vector: rho = (I + sum_k r_k sigma_k) / 2."""
-    r = np.asarray(r, dtype=float).reshape(3)
-    rho = np.eye(2, dtype=complex)
-    for rk, sig in zip(r, _PAULI_XYZ):
-        rho = rho + rk * sig
-    return rho / 2.0

@@ -1,15 +1,20 @@
-"""Seeded random generators and the full-space reference shared across the
-test modules."""
+"""Seeded random generators, the full-space references, the bundled-scenario
+loader and the acceptance drivers shared across the test modules."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
-from stroblim import (HamiltonianSpec, MeasurementSpec, Trajectory,
-                      VanishingProbabilityError, kron, unitary_step)
+from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
+                      Trajectory, VanishingProbabilityError, bloch_vector, kron,
+                      pauli, swap_nonselective_closed_form, unitary_step)
+from stroblim.cli import load_scenario
+from stroblim.exact import steps_in
+from stroblim.experiments import ComparisonReport, compare_case
 from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
-                             is_projector, max_abs)
+                             is_hermitian, is_projector, max_abs)
 from stroblim.nonselective_limit import (_pack, _unpack, block_rhs,
                                          blocks_from_global, global_from_blocks)
 
@@ -42,6 +47,19 @@ def random_density(rng, dim):
 def random_ket(rng, dim):
     v = random_complex(rng, dim)
     return v / np.linalg.norm(v)
+
+
+def hermitian_eig(a, tol=DEFAULT_TOL):
+    """Eigendecomposition a = V diag(w) V+ with w ascending; a must be Hermitian."""
+    m = as_matrix(a)
+    if not is_hermitian(m, tol):
+        raise ValueError("hermitian_eig: input is not Hermitian within tolerance")
+    return np.linalg.eigh(m)
+
+
+def is_unitary(a, tol=DEFAULT_TOL):
+    m = as_matrix(a)
+    return max_abs(dag(m) @ m - np.eye(m.shape[0])) <= tol
 
 
 def random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=2.0):
@@ -273,3 +291,59 @@ def reference_nonselective(plan, init, every=1):
     meas = plan.measurement
     return _reference_loop(plan, nonselective_channel(init.joint(), meas),
                            lambda k, rho: nonselective_channel(rho, meas), every)
+
+
+# ---------------------------------------------------------------------------
+# Bundled scenarios, read from their JSON files, and the acceptance drivers.
+
+
+def bundled_path(name):
+    return str(resources.files("stroblim") / "scenarios" / f"{name}.json")
+
+
+def load_bundled(name, alpha_sq=None, t_max=None, **changes):
+    """A bundled scenario read through the CLI's loader.
+
+    alpha_sq replaces the system state by sqrt(a)|u> + sqrt(1 - a)|d>; t_max
+    shortens the run, keeping one grid point per tau unless grid_points is
+    given; other keywords go to dataclasses.replace.
+    """
+    sc = load_scenario(bundled_path(name))
+    if alpha_sq is not None:
+        psi = np.array([np.sqrt(alpha_sq), np.sqrt(1.0 - alpha_sq)], dtype=complex)
+        changes["initial"] = InitialState(np.outer(psi, psi.conj()),
+                                          sc.initial.rho_pr)
+    if t_max is not None:
+        changes = {"t_max": t_max, "grid_points": steps_in(t_max, sc.tau),
+                   **changes}
+    return replace(sc, **changes)
+
+
+def run_alpha_family(name, alpha_sqs):
+    """Exact vs limit (and closed form, where it applies) for one bundled
+    qubit-pair setup over a family of initial superpositions."""
+    cases = tuple(compare_case(load_bundled(name, alpha_sq=a),
+                               label=f"alpha_sq={a:g}") for a in alpha_sqs)
+    return ComparisonReport(name, "p_up", cases,
+                            max(c.max_deviation for c in cases))
+
+
+def bloch_to_density(r):
+    """Inverse of bloch_vector: rho = (I + sum_k r_k sigma_k) / 2."""
+    return (np.eye(2) + sum(rk * pauli(k + 1) for k, rk in enumerate(r))) / 2.0
+
+
+def bloch_ball_images(omega, snapshot_times, gamma=1.0, n_polar=7, n_azimuth=16):
+    """Images of a Bloch-sphere point grid under the non-selective closed form
+    at each snapshot time; keys are times, values (N, 3) Bloch vectors."""
+    points = []
+    for k in range(1, n_polar + 1):
+        theta = np.pi * k / (n_polar + 1)
+        for m in range(n_azimuth):
+            phi = 2.0 * np.pi * m / n_azimuth
+            points.append((np.sin(theta) * np.cos(phi),
+                           np.sin(theta) * np.sin(phi), np.cos(theta)))
+    points += [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    return {float(t): np.array([bloch_vector(swap_nonselective_closed_form(
+                gamma, omega, bloch_to_density(r), t)) for r in points])
+            for t in snapshot_times}

@@ -8,11 +8,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
-                     family_spec, full_space_reference, liouville_commutator,
-                     nonselective_channel, random_hamiltonian_spec,
-                     random_hermitian, random_ket, random_projector_family,
-                     random_unitary, unvec, vec)
+from helpers import (block_apply, block_evolve, bloch_ball_images,
+                     bundled_path, channel_superop, choi_matrix, family_spec,
+                     full_space_reference, hermitian_eig, is_unitary,
+                     liouville_commutator, load_bundled, nonselective_channel,
+                     random_hamiltonian_spec, random_hermitian, random_ket,
+                     random_projector_family, random_unitary, run_alpha_family,
+                     unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, basis_ket, build_generator,
                       effective_rank1, effective_rankr, kron,
                       measurement_from_kets, pauli_rates, propagate_kraus, purity_derivative, run_selective,
@@ -22,11 +24,7 @@ from stroblim.linalg import dag, expm, max_abs
 from stroblim.nonselective_limit import (blocks_from_global, integrate_blocks,
                                          integrate_pauli)
 from stroblim.selective_limit import integrate_density, integrate_state
-from stroblim.experiments import (convergence_sweep, run_heisenberg_global_field,
-                                  run_heisenberg_local_fields,
-                                  run_swap_nonselective, run_swap_selective,
-                                  swap_nonselective_scenario,
-                                  swap_selective_scenario)
+from stroblim.experiments import compare_scenario, convergence_sweep
 
 
 @contextmanager
@@ -58,14 +56,14 @@ def test_selective_limit_agreement_and_convergence():
     """Exact vs limit within 0.02 at tau=0.04, shrinking with ratio >= 1.4."""
     with criterion("selective limit agreement 0.02 + tau convergence"):
         for a2 in (0.01, 0.2, 0.6):
-            report = convergence_sweep(swap_selective_scenario(a2),
+            report = convergence_sweep(load_bundled("swap_selective", a2),
                                        [0.04, 0.01, 0.0025])
             devs = [d for _, d in report.convergence]
             assert devs[0] <= 0.02
             assert report.strictly_decreasing
             assert all(r >= 1.4 for r in report.convergence_ratios)
         # fully excited initial state: probability pinned at 1 for both methods
-        full = run_swap_selective()
+        full = run_alpha_family("swap_selective", (0.01, 0.2, 0.6, 1.0))
         case = {c.label: c for c in full.cases}["alpha_sq=1"]
         for method in ("exact", "limit"):
             assert max_abs(case.trajectories[method].p_up() - 1.0) <= 1e-10
@@ -231,17 +229,19 @@ def test_nonselective_closed_form_triple_agreement():
             assert trace_distance(reduced, cf) <= 1e-8
             assert trace_distance(semi.sys_states[k], reduced) <= 1e-8
         for a2 in (0.01, 0.3, 0.6):
-            report = convergence_sweep(swap_nonselective_scenario(a2),
+            report = convergence_sweep(load_bundled("swap_nonselective", a2),
                                        [0.04, 0.01, 0.0025])
             devs = [d for _, d in report.convergence]
             assert devs[0] <= 0.03
             assert report.strictly_decreasing
-        full = run_swap_nonselective()
+        full = run_alpha_family("swap_nonselective", (0.01, 0.3, 0.6, 1.0))
         case = {c.label: c for c in full.cases}["alpha_sq=1"]
         for method in ("exact", "limit", "closed_form"):
             assert max_abs(case.trajectories[method].p_up() - 1.0) <= 1e-10
-        assert full.snapshots and len(full.snapshots) == 9
-        late = full.snapshots[40.0]
+        # Bloch-ball contraction at Omega = 0.1, snapshots every 5 up to 40
+        snapshots = bloch_ball_images(0.1, np.arange(0.0, 42.5, 5.0))
+        assert len(snapshots) == 9
+        late = snapshots[40.0]
         assert np.all(np.linalg.norm(late, axis=1) <= 1.0 + 1e-12)
 
 
@@ -283,9 +283,9 @@ def test_pauli_reduction():
 def test_rank2_scenarios_qualitative():
     """Three-qubit runs: limit tracks exact, purity drops, cycle closes."""
     with criterion("rank-2 scenarios: 0.1 deviation, purity loss, limit cycle"):
-        rep_local = run_heisenberg_local_fields()
+        rep_local = compare_scenario(load_bundled("heisenberg_local_fields"))
         assert rep_local.max_deviation <= 0.1
-        rep_global = run_heisenberg_global_field()
+        rep_global = compare_scenario(load_bundled("heisenberg_global_field"))
         assert rep_global.max_deviation <= 0.1
         for rep in (rep_local, rep_global):
             for method in ("exact", "limit"):
@@ -317,8 +317,7 @@ def test_structural_suites(tmp_path):
 
         # kernel algebra: mixed product, exponential inverse, unitarity,
         # partial-trace cyclicity, eigendecomposition residual
-        from stroblim import TensorDims, hermitian_eig, partial_trace
-        from stroblim.linalg import is_unitary
+        from stroblim import TensorDims, partial_trace
         a, c = (random_complex(rng, (2, 2)) for _ in range(2))
         b, e = (random_complex(rng, (3, 3)) for _ in range(2))
         assert max_abs(kron(a, b) @ kron(c, e) - kron(a @ c, b @ e)) <= 1e-12
@@ -358,9 +357,8 @@ def test_structural_suites(tmp_path):
 
         # CLI exit-code contract on a temporary scenario pair
         import json
-        from importlib import resources
-        doc = json.loads((resources.files("stroblim") / "scenarios"
-                          / "swap_selective.json").read_text())
+        with open(bundled_path("swap_selective"), encoding="utf-8") as fh:
+            doc = json.load(fh)
         good = tmp_path / "good.json"
         good.write_text(json.dumps(doc))
         assert main(["compare", str(good), "--out-dir", str(tmp_path)]) == 0

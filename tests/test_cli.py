@@ -2,24 +2,20 @@ import json
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import bundled_path, load_bundled
 from stroblim.cli import (ScenarioError, load_scenario, main, read_csv,
                           render_chart, scenario_from_dict,
                           trajectory_columns, write_trajectory_csv)
-from stroblim.experiments import run_method, swap_selective_scenario
-
-
-def bundled(name):
-    return resources.files("stroblim") / "scenarios" / f"{name}.json"
+from stroblim.experiments import run_method
 
 
 def bundled_doc(name):
-    return json.loads(bundled(name).read_text())
+    return json.loads(Path(bundled_path(name)).read_text())
 
 
 class TestScenarioParsing:
@@ -28,13 +24,6 @@ class TestScenarioParsing:
                      "heisenberg_global_field", "swap_nonselective"):
             sc = scenario_from_dict(bundled_doc(name))
             assert sc.name == name
-
-    def test_bundled_matches_programmatic_defaults(self):
-        sc = scenario_from_dict(bundled_doc("swap_selective"))
-        ref = swap_selective_scenario(0.2)
-        assert abs(sc.tau - ref.tau) < 1e-15
-        assert np.allclose(sc.hamiltonian.assemble(), ref.hamiltonian.assemble())
-        assert np.allclose(sc.initial.rho_sys, ref.initial.rho_sys, atol=1e-12)
 
     def test_omega_inconsistency_rejected(self):
         doc = bundled_doc("swap_selective")
@@ -46,6 +35,13 @@ class TestScenarioParsing:
         doc = bundled_doc("swap_selective")
         del doc["tau"]
         with pytest.raises(ScenarioError):
+            scenario_from_dict(doc)
+
+    def test_zero_omega_cannot_give_tau(self):
+        doc = bundled_doc("swap_selective")
+        del doc["tau"]
+        doc["omega"] = 0.0
+        with pytest.raises(ScenarioError, match="scenario key 'omega'"):
             scenario_from_dict(doc)
 
     def test_omega_tau_pair_resolves_gamma(self):
@@ -91,7 +87,7 @@ class TestScenarioParsing:
 
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
-        sc = swap_selective_scenario(0.2, t_max=2.0)
+        sc = load_bundled("swap_selective", t_max=2.0)
         traj = run_method(sc, "exact")
         path = tmp_path / "traj.csv"
         write_trajectory_csv(str(path), traj, sc.outputs, "exact")
@@ -105,9 +101,7 @@ class TestCsv:
                 assert row[name] == value  # 17 significant digits round-trip
 
     def test_matrix_columns(self, tmp_path):
-        from dataclasses import replace
-        sc = replace(swap_selective_scenario(0.2, t_max=1.0),
-                     outputs=("matrix",))
+        sc = load_bundled("swap_selective", t_max=1.0, outputs=("matrix",))
         traj = run_method(sc, "limit")
         names, rows = trajectory_columns(traj, sc.outputs)
         assert "re_0_0" in names and "im_1_0" in names
@@ -116,14 +110,14 @@ class TestCsv:
 
 class TestCommands:
     def test_run_writes_files(self, tmp_path):
-        rc = main(["run", str(bundled("swap_selective")), "--out-dir",
+        rc = main(["run", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--grid-points", "50"])
         assert rc == 0
         assert (tmp_path / "swap_selective_exact.csv").exists()
         assert (tmp_path / "swap_selective_limit.csv").exists()
 
     def test_run_nonselective_writes_three_methods(self, tmp_path):
-        rc = main(["run", str(bundled("swap_nonselective")), "--out-dir",
+        rc = main(["run", bundled_path("swap_nonselective"), "--out-dir",
                    str(tmp_path), "--grid-points", "25"])
         assert rc == 0
         for m in ("exact", "limit", "closed_form"):
@@ -133,7 +127,7 @@ class TestCommands:
         a = tmp_path / "a"
         b = tmp_path / "b"
         for out in (a, b):
-            main(["run", str(bundled("swap_selective")), "--out-dir", str(out),
+            main(["run", bundled_path("swap_selective"), "--out-dir", str(out),
                   "--grid-points", "50"])
         fa = (a / "swap_selective_exact.csv").read_bytes()
         fb = (b / "swap_selective_exact.csv").read_bytes()
@@ -153,17 +147,31 @@ class TestCommands:
         ("gamma", "five", "gamma"),
         ("gamma", True, "gamma"),
         ("t_max", 1e308, "t_max"),
+        ("name", "../escaped", "name"),
+        ("name", "a\\b", "name"),
+        ("name", "..", "name"),
+        ("name", "", "name"),
+        ("name", ["a"], "name"),
+        ("hamiltonian", {"terms": 5}, "hamiltonian.terms"),
+        ("initial_sys", {"matrix": [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+         "initial_sys.matrix"),
     ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
             "nan_tolerance", "inf_tolerance", "zero_tolerance", "inf_t_max",
             "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma",
-            "overflowing_t_max"])
+            "overflowing_t_max", "parent_dir_name", "backslash_name",
+            "dot_dot_name", "empty_name", "list_name", "non_list_terms",
+            "ragged_state_matrix"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, key, value, reported):
         doc = bundled_doc("swap_selective")
         doc[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
-        assert f"scenario key '{reported}'" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario key '{reported}'" in err
+        assert err.count("scenario key") == 1     # the key is named once
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_vanishing_probability_exits_3(self, tmp_path):
         doc = bundled_doc("swap_selective")
@@ -175,11 +183,11 @@ class TestCommands:
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
 
     def test_compare_pass_and_fail(self, tmp_path, capsys):
-        rc = main(["compare", str(bundled("swap_selective")), "--out-dir",
+        rc = main(["compare", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path)])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
-        rc = main(["compare", str(bundled("swap_selective")), "--out-dir",
+        rc = main(["compare", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tolerance", "1e-6"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
@@ -193,20 +201,28 @@ class TestCommands:
         assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 2
 
     def test_sweep(self, tmp_path, capsys):
-        rc = main(["sweep", str(bundled("swap_selective")), "--out-dir",
+        rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.04,0.02"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "strictly decreasing: yes" in out
         assert (tmp_path / "swap_selective_sweep.csv").exists()
 
+    def test_sweep_refuses_a_tiny_tau_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", bundled_path("swap_selective"), "--out-dir", str(out),
+                   "--tau", "1e-300,0.04"])
+        assert rc == 2
+        assert "tau=1e-300: t_max/tau = 1e+301 periods" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_single_tau_exits_2(self, tmp_path):
-        rc = main(["sweep", str(bundled("swap_selective")), "--out-dir",
+        rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.04"])
         assert rc == 2
 
     def test_sweep_increasing_tau_fails_verdict(self, tmp_path, capsys):
-        rc = main(["sweep", str(bundled("swap_selective")), "--out-dir",
+        rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.01,0.04"])
         assert rc == 1
         assert "strictly decreasing: no" in capsys.readouterr().out
@@ -224,7 +240,7 @@ class TestCommands:
     def test_non_positive_or_non_finite_flag_exits_2(self, tmp_path, capsys,
                                                      command, flag, value, reported):
         try:
-            rc = main([command, str(bundled("swap_selective")), "--out-dir",
+            rc = main([command, bundled_path("swap_selective"), "--out-dir",
                        str(tmp_path), flag, value])
         except SystemExit as exc:
             rc = exc.code
@@ -244,7 +260,7 @@ class TestCommands:
         assert not (tmp_path / "swap_selective_exact.csv").exists()
 
     def test_plot_p_up(self, tmp_path):
-        main(["run", str(bundled("swap_selective")), "--out-dir", str(tmp_path),
+        main(["run", bundled_path("swap_selective"), "--out-dir", str(tmp_path),
               "--grid-points", "50"])
         csv = tmp_path / "swap_selective_exact.csv"
         svg = tmp_path / "chart.svg"
@@ -254,14 +270,14 @@ class TestCommands:
         assert "polyline" in text
 
     def test_plot_bloch(self, tmp_path):
-        main(["run", str(bundled("heisenberg_local_fields")), "--out-dir",
+        main(["run", bundled_path("heisenberg_local_fields"), "--out-dir",
               str(tmp_path), "--grid-points", "50"])
         csv = tmp_path / "heisenberg_local_fields_limit.csv"
         svg = tmp_path / "bloch.svg"
         assert main(["plot", str(csv), str(svg)]) == 0
 
     def test_plot_deterministic(self, tmp_path):
-        main(["run", str(bundled("swap_selective")), "--out-dir", str(tmp_path),
+        main(["run", bundled_path("swap_selective"), "--out-dir", str(tmp_path),
               "--grid-points", "50"])
         csv = tmp_path / "swap_selective_limit.csv"
         s1, s2 = tmp_path / "one.svg", tmp_path / "two.svg"
@@ -289,7 +305,7 @@ def test_compare_runs_without_scipy(tmp_path):
             "sys.exit(cli.main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", code, "compare", str(bundled("swap_nonselective")),
+        [sys.executable, "-c", code, "compare", bundled_path("swap_nonselective"),
          "--out-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,19 +1,18 @@
 import itertools
 import re
-from importlib import resources
 
 import numpy as np
 import pytest
 
-from helpers import (apply_instrument, family_spec, nonselective_channel,
-                     random_density, random_hamiltonian_spec, random_ket,
+from helpers import (apply_instrument, family_spec, load_bundled,
+                     nonselective_channel, random_density,
+                     random_hamiltonian_spec, random_ket,
                      random_projector_family, reference_nonselective,
                      reference_selective)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       basis_ket, kron, measurement_from_kets, pauli,
                       run_nonselective, run_selective, swap_hamiltonian,
                       unitary_step)
-from stroblim.cli import load_scenario
 from stroblim.exact import _binary_powers
 from stroblim.linalg import TensorDims, dag, max_abs, partial_trace
 
@@ -363,7 +362,7 @@ def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
 @pytest.mark.parametrize("name", ["swap_selective", "heisenberg_local_fields",
                                   "heisenberg_global_field", "swap_nonselective"])
 def test_bundled_scenarios_match_the_reference_loop(name, every):
-    sc = load_scenario(str(resources.files("stroblim") / "scenarios" / f"{name}.json"))
+    sc = load_bundled(name)
     plan = EvolutionPlan(sc.hamiltonian, sc.measurement, sc.tau, 40.5 * sc.tau)
     if sc.selective:
         got = run_selective(plan, sc.initial, every=every)

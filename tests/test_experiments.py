@@ -1,40 +1,36 @@
 import numpy as np
 import pytest
 
-from stroblim.experiments import (bloch_ball_images,
-                                  closed_form_applicable,
-                                  compare_scenario, convergence_sweep,
-                                  heisenberg_global_field_scenario,
-                                  heisenberg_local_fields_scenario, run_method,
-                                  swap_nonselective_scenario,
-                                  swap_selective_scenario)
+from helpers import bloch_ball_images, load_bundled
+from stroblim.experiments import (closed_form_applicable, compare_scenario,
+                                  convergence_sweep, run_method)
 
 
 class TestScenario:
     def test_omega_consistency(self):
-        sc = swap_selective_scenario(0.2, gamma=5.0, tau=0.04)
+        sc = load_bundled("swap_selective")
         assert abs(sc.omega - 1.0) < 1e-12
 
     def test_methods_by_mode(self):
-        assert swap_selective_scenario(mode="selective").methods == ("exact",)
-        assert swap_selective_scenario(mode="limit-only").methods == ("limit",)
-        assert swap_selective_scenario(mode="compare").methods == ("exact", "limit")
-        assert swap_nonselective_scenario(mode="compare").methods == (
+        assert load_bundled("swap_selective", mode="selective").methods == ("exact",)
+        assert load_bundled("swap_selective", mode="limit-only").methods == ("limit",)
+        assert load_bundled("swap_selective").methods == ("exact", "limit")
+        assert load_bundled("swap_nonselective").methods == (
             "exact", "limit", "closed_form")
 
     def test_closed_form_gate(self):
-        assert closed_form_applicable(swap_nonselective_scenario())
-        assert not closed_form_applicable(swap_selective_scenario())
+        assert closed_form_applicable(load_bundled("swap_nonselective"))
+        assert not closed_form_applicable(load_bundled("swap_selective"))
 
     def test_grid_must_align_with_tau(self):
         from dataclasses import replace
-        sc = swap_selective_scenario()
+        sc = load_bundled("swap_selective")
         with pytest.raises(ValueError):
             replace(sc, grid_points=37)
 
     def test_bad_mode_and_outputs(self):
         from dataclasses import replace
-        sc = swap_selective_scenario()
+        sc = load_bundled("swap_selective")
         with pytest.raises(ValueError):
             replace(sc, mode="stochastic")
         with pytest.raises(ValueError):
@@ -42,7 +38,7 @@ class TestScenario:
 
     def test_methods_spec_validated(self):
         from dataclasses import replace
-        sc = swap_selective_scenario()
+        sc = load_bundled("swap_selective")
         with pytest.raises(ValueError):
             replace(sc, methods_spec=("exact", "magic"))
         with pytest.raises(ValueError):
@@ -51,7 +47,7 @@ class TestScenario:
 
 class TestRunners:
     def test_exact_and_limit_share_grid(self):
-        sc = swap_selective_scenario(0.2, t_max=2.0)
+        sc = load_bundled("swap_selective", t_max=2.0)
         exact = run_method(sc, "exact")
         limit = run_method(sc, "limit")
         assert np.allclose(exact.times, limit.times)
@@ -64,15 +60,13 @@ class TestRunners:
         pytest.param(2.0 + 3e-10, 10, id="above-lattice"),
     ])
     def test_exact_samples_exactly_the_grid(self, t_max, grid_points):
-        from dataclasses import replace
-        sc = replace(swap_selective_scenario(0.2, t_max=2.0), t_max=t_max,
-                     grid_points=grid_points)
+        sc = load_bundled("swap_selective", t_max=t_max, grid_points=grid_points)
         exact = run_method(sc, "exact")
         assert len(exact) == grid_points + 1
         assert np.allclose(exact.times, sc.times)
 
     def test_compare_report(self):
-        sc = swap_selective_scenario(0.2, t_max=2.0)
+        sc = load_bundled("swap_selective", t_max=2.0)
         report = compare_scenario(sc)
         case = report.cases[0]
         assert np.all(case.deviation >= 0)
@@ -82,14 +76,13 @@ class TestRunners:
         assert np.all(np.diff(case.p_err) >= -1e-12)
 
     def test_duplicate_method_zero_deviation(self):
-        from dataclasses import replace
-        sc = replace(swap_selective_scenario(0.2, t_max=2.0),
-                     methods_spec=("exact", "exact"))
+        sc = load_bundled("swap_selective", t_max=2.0,
+                          methods_spec=("exact", "exact"))
         report = compare_scenario(sc)
         assert report.max_deviation == 0.0
 
     def test_deterministic_rerun(self):
-        sc = heisenberg_local_fields_scenario(t_max=2.0)
+        sc = load_bundled("heisenberg_local_fields", t_max=2.0)
         a = run_method(sc, "limit")
         b = run_method(sc, "limit")
         assert np.array_equal(a.times, b.times)
@@ -97,8 +90,8 @@ class TestRunners:
             assert np.array_equal(x, y)
 
     def test_rank2_scenarios_stay_in_bloch_ball(self):
-        for sc in (heisenberg_local_fields_scenario(t_max=2.0),
-                   heisenberg_global_field_scenario(t_max=2.0)):
+        for sc in (load_bundled("heisenberg_local_fields", t_max=2.0),
+                   load_bundled("heisenberg_global_field", t_max=2.0)):
             for method in ("exact", "limit"):
                 traj = run_method(sc, method)
                 norms = np.linalg.norm(traj.bloch(), axis=1)
@@ -108,15 +101,25 @@ class TestRunners:
 class TestSweep:
     def test_requires_two_taus(self):
         with pytest.raises(ValueError):
-            convergence_sweep(swap_selective_scenario(0.2, t_max=2.0), [0.04])
+            convergence_sweep(load_bundled("swap_selective", t_max=2.0), [0.04])
 
     def test_sweep_table_monotone(self):
-        sc = swap_selective_scenario(0.2, t_max=2.0)
+        sc = load_bundled("swap_selective", t_max=2.0)
         report = convergence_sweep(sc, [0.04, 0.02])
         assert report.convergence is not None
         assert len(report.convergence) == 2
         assert report.strictly_decreasing
         assert report.convergence_ratios[0] > 1.0
+
+    def test_bad_tau_refused_before_any_case_runs(self, monkeypatch):
+        import stroblim.experiments as experiments
+
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran before every tau was checked")
+
+        monkeypatch.setattr(experiments, "compare_case", no_case)
+        with pytest.raises(ValueError, match=r"tau=1e-300: t_max/tau = 1e\+301"):
+            convergence_sweep(load_bundled("swap_selective"), [0.04, 1e-300])
 
 
 class TestSnapshots:

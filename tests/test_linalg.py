@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_complex, random_hermitian
-from stroblim import (TensorDims, expm, hermitian_eig, is_density,
-                      is_hermitian, is_projector, is_psd, is_unitary, kron,
-                      ode_step_rk4, partial_trace, pauli)
+from helpers import hermitian_eig, is_unitary, random_complex, random_hermitian
+from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
+                      is_psd, kron, ode_step_rk4, partial_trace, pauli)
 from stroblim.linalg import expm_sample, max_abs, op_norm, trace_distance
 
 

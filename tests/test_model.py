@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_ket
+from helpers import hermitian_eig, random_ket
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       basis_ket, heisenberg3_hamiltonian, kron,
                       measurement_from_kets, pauli, projector_from_kets,
                       swap_hamiltonian)
-from stroblim.linalg import hermitian_eig, is_projector, max_abs
+from stroblim.linalg import is_projector, max_abs
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
