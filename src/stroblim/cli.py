@@ -164,7 +164,8 @@ def _parse_hamiltonian(node, gamma: float) -> HamiltonianSpec:
 
 
 def _resolve_rates(doc) -> tuple[float, float]:
-    """(gamma, tau) from any consistent two of gamma / tau / omega."""
+    """(gamma, tau) from any consistent two of gamma / tau / omega; the
+    derived gamma, tau and omega = gamma^2 tau must be finite, tau positive."""
     have = {k: _parse_float(k, doc[k]) for k in ("gamma", "tau", "omega") if k in doc}
     if "tau" in have and have["tau"] <= 0:
         _fail("tau", "must be positive")
@@ -172,20 +173,23 @@ def _resolve_rates(doc) -> tuple[float, float]:
         _fail("omega", "must be non-negative")
     if len(have) < 2:
         _fail("gamma/tau/omega", "exactly two of the three are required")
+    gamma, tau = have.get("gamma"), have.get("tau")
     if len(have) == 3:
-        if abs(have["gamma"] ** 2 * have["tau"] - have["omega"]) > 1e-12:
+        if abs(gamma * gamma * tau - have["omega"]) > 1e-12:
             _fail("omega", "inconsistent with gamma^2 * tau")
-        return have["gamma"], have["tau"]
-    if "gamma" in have and "tau" in have:
-        return have["gamma"], have["tau"]
-    if "omega" in have and "tau" in have:
-        return float(math.sqrt(have["omega"] / have["tau"])), have["tau"]
-    if have["gamma"] == 0:
-        _fail("gamma", "cannot derive tau from omega when gamma is zero")
-    tau = have["omega"] / have["gamma"] ** 2
-    if tau <= 0:
-        _fail("omega", "must be positive when tau is derived from it")
-    return have["gamma"], tau
+    elif gamma is None:
+        gamma = math.sqrt(have["omega"] / tau)
+    elif tau is None:
+        if gamma == 0:
+            _fail("gamma", "cannot derive tau from omega when gamma is zero")
+        if have["omega"] == 0:
+            _fail("omega", "must be positive when tau is derived from it")
+        tau = have["omega"] / (gamma * gamma) if gamma * gamma else math.inf
+    for key, value in (("gamma", gamma), ("tau", tau), ("omega", gamma * gamma * tau)):
+        if not (math.isfinite(value) and (key != "tau" or value > 0)):
+            _fail(key, f"comes out as {value:g} from the given rates, expected a "
+                       f"finite {'positive ' if key == 'tau' else ''}number")
+    return gamma, tau
 
 
 def scenario_from_dict(doc) -> Scenario:
@@ -309,11 +313,11 @@ def trajectory_columns(traj: Trajectory, outputs) -> tuple[list[str], list[list[
     if "p_err" in outputs:
         add("p_err", traj.p_err)
     if "matrix" in outputs:
-        d = traj.sys_states[0].shape[0]
-        for i in range(d):
-            for j in range(d):
-                add(f"re_{i}_{j}", [s[i, j].real for s in traj.sys_states])
-                add(f"im_{i}_{j}", [s[i, j].imag for s in traj.sys_states])
+        s = traj.sys_states
+        for i in range(s.shape[-1]):
+            for j in range(s.shape[-1]):
+                add(f"re_{i}_{j}", s[:, i, j].real)
+                add(f"im_{i}_{j}", s[:, i, j].imag)
     rows = [[series[c][k] for c in range(len(series))] for k in range(len(traj))]
     return names, rows
 

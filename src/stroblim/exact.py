@@ -18,8 +18,9 @@ coincident-outcome selective run takes the state at period n from binary
 powers of W_ss, so its cost grows with the number of kept samples, not of
 periods; an explicit outcome sequence steps its block period by period, and
 the non-selective channel steps all blocks at once, b_i <- sum_j W_ij b_j
-W_ij+.  Only kept states are lifted back to the full space, and a trailing
-fractional period is one full-space unitary step.
+W_ij+.  Only kept states are lifted back to the full space, all at once from
+one stack of compressed states, and a trailing fractional period is one
+full-space unitary step.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ def _period_maps(plan: EvolutionPlan):
     return h, bases, first, first[:, None] @ bases[None]
 
 
-def _trace(m) -> float:
-    return float(np.trace(m).real)
+def _trace(m):
+    """Real trace of a matrix, or of each matrix in a stack."""
+    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 def _check_probability(step: int, r) -> None:
@@ -125,18 +127,17 @@ def _check_probability(step: int, r) -> None:
             f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
 
 
-def _stepped(r, step, lift):
+def _stepped(r, step):
     """`state_at` of a per-period loop: r <- step(k, r) for periods k = 0, 1, ...,
-    and lift(n, r), the full-space state after period n and its trace;
-    called with non-decreasing n."""
+    returning r after period n; called with non-decreasing n."""
     done = 0
 
-    def state_at(n: int) -> tuple[np.ndarray, float]:
+    def state_at(n: int) -> np.ndarray:
         nonlocal r, done
         for k in range(done, n):
             r = step(k, r)
         done = n
-        return lift(n, r)
+        return r
 
     return state_at
 
@@ -174,36 +175,37 @@ def _binary_powers(r0, w, n_max: int):
     return power
 
 
-def _record(times, states, norms, t, rho_u, norm):
-    times.append(t)
-    states.append(rho_u / norm)
-    norms.append(norm)
-
-
-def _interrupted(plan: EvolutionPlan, h, rho0, state_at, every: int) -> Trajectory:
+def _interrupted(plan: EvolutionPlan, h, rho0, shape, state_at, lift,
+                 every: int) -> Trajectory:
     """Sample one run: rho0 at t = 0, then the post-measurement state after
-    every `every`-th period n, which state_at(n) returns with its trace.
-    state_at(n_steps) is also taken when it is not sampled, so the whole run
-    is checked; a fractional period left at total_time is one more unitary
-    step from it, recorded pre-measurement.  state_at is called with
-    increasing n.
+    every `every`-th period n.  state_at(n), called with increasing n, gives
+    the compressed state of shape `shape` after period n; state_at(n_steps)
+    is also taken when it is not sampled, so the whole run is checked.  The
+    compressed states are collected in one stack, and lift(ns, stack) returns
+    the full-space states at periods ns with their traces, all at once.  A
+    fractional period left at total_time is one more unitary step from
+    period n_steps, recorded pre-measurement.
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    norms: list[float] = []
-    _record(times, states, norms, 0.0, rho0, _trace(rho0))
-    rho = rho0
-    for n in range(every, plan.n_steps + 1, every):
-        rho, norm = state_at(n)
-        _record(times, states, norms, n * plan.tau, rho, norm)
+    ns = list(range(every, plan.n_steps + 1, every))
+    kept = len(ns)
     if plan.n_steps % every:
-        rho, _ = state_at(plan.n_steps)
+        ns.append(plan.n_steps)
+    blocks = np.empty((len(ns),) + shape, dtype=complex)
+    for k, n in enumerate(ns):
+        blocks[k] = state_at(n)
+    lifted, lifted_norms = lift(ns, blocks)
+    times = [0.0] + [n * plan.tau for n in ns[:kept]]
+    states, norms = [rho0[None], lifted[:kept]], [[_trace(rho0)], lifted_norms[:kept]]
     if plan.residual > 0:
-        rho = unitary_step(rho, h, plan.residual)
-        _record(times, states, norms, plan.total_time, rho, _trace(rho))
-    return Trajectory(np.array(times), states, np.array(norms), plan.hamiltonian.dims)
+        rho = unitary_step(lifted[-1] if ns else rho0, h, plan.residual)
+        times.append(plan.total_time)
+        states.append(rho[None])
+        norms.append([_trace(rho)])
+    states, norms = np.concatenate(states), np.concatenate(norms)
+    states /= norms[:, None, None]
+    return Trajectory(np.array(times), states, norms, plan.hamiltonian.dims)
 
 
 def run_selective(plan: EvolutionPlan, init: InitialState,
@@ -241,6 +243,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                              "selected projector's range")
     h, bases, first, w = _period_maps(plan)
     rho0 = init.joint()
+    shape = (bases.shape[2],) * 2
 
     if seq is not None:
         maps = [first[seq[0]]] if seq else []
@@ -253,34 +256,31 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             _check_probability(k + 1, r)
             return r
 
-        def lift(n, r):
-            v = bases[seq[n - 1]]
-            return v @ r @ dag(v), _trace(r)
+        def lift(ns, blocks):
+            v = bases[[seq[n - 1] for n in ns]]
+            return v @ blocks @ dag(v), _trace(blocks)
 
-        state_at = _stepped(rho0, step, lift)
-    else:
-        s = meas.selected_index
-        v, v_dag = bases[s], dag(bases[s])
-        power = _binary_powers(v_dag @ rho0 @ v, w[s, s], plan.n_steps)
-        passed = 0
+        return _interrupted(plan, h, rho0, shape, _stepped(rho0, step), lift, every)
+    s = meas.selected_index
+    v, v_dag = bases[s], dag(bases[s])
+    power = _binary_powers(v_dag @ rho0 @ v, w[s, s], plan.n_steps)
 
-        def state_at(n):
-            nonlocal passed
-            r = power(n)
-            norm = _trace(r)
-            if norm < PROB_FLOOR:
-                lo, hi = passed, n          # period lo passes, period hi fails
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if _trace(power(mid)) < PROB_FLOOR:
-                        hi = mid
-                    else:
-                        lo = mid
-                _check_probability(hi, power(hi))
-            passed = n
-            return v @ r @ v_dag, norm
+    def lift(ns, blocks):
+        norms = _trace(blocks)
+        failed = np.flatnonzero(norms < PROB_FLOOR)
+        if failed.size:
+            k = failed[0]
+            lo, hi = (ns[k - 1] if k else 0), ns[k]    # period lo passes, hi fails
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _trace(power(mid)) < PROB_FLOOR:
+                    hi = mid
+                else:
+                    lo = mid
+            _check_probability(hi, power(hi))
+        return v @ blocks @ v_dag, norms
 
-    return _interrupted(plan, h, rho0, state_at, every)
+    return _interrupted(plan, h, rho0, shape, power, lift, every)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
@@ -309,10 +309,11 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     def step(k, blocks):
         return (w @ blocks[None] @ w_dag).sum(axis=1)
 
-    def lift(n, blocks):
-        rho = (bases @ blocks @ dag(bases)).sum(axis=0)
+    def lift(ns, stack):
+        rho = (bases @ stack @ dag(bases)).sum(axis=-3)
         return rho, _trace(rho)
 
     blocks = dag(bases) @ init.joint() @ bases
-    channel, _ = lift(0, blocks)
-    return _interrupted(plan, h, channel, _stepped(blocks, step, lift), every)
+    channel = lift((), blocks[None])[0][0]
+    return _interrupted(plan, h, channel, blocks.shape, _stepped(blocks, step),
+                        lift, every)

@@ -84,7 +84,7 @@ class Scenario:
 
     @property
     def omega(self) -> float:
-        return self.hamiltonian.gamma ** 2 * self.tau
+        return self.hamiltonian.gamma * self.hamiltonian.gamma * self.tau
 
     @property
     def selective(self) -> bool:
@@ -167,8 +167,9 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
         if not closed_form_applicable(sc):
             raise ValueError("closed form does not apply to this scenario")
         times = sc.times
-        states = [swap_nonselective_closed_form(ham.gamma, sc.omega,
-                                                init.rho_sys, t) for t in times]
+        states = np.array([swap_nonselective_closed_form(ham.gamma, sc.omega,
+                                                         init.rho_sys, t)
+                           for t in times])
         return Trajectory(times.copy(), states, np.ones(len(times)),
                           TensorDims(ham.dim_sys, 1))
     raise ValueError(f"unknown method {method!r}")
@@ -226,8 +227,7 @@ def _series_deviation(metric: str, ref: Trajectory, other: Trajectory) -> np.nda
         return np.abs(ref.p_up() - other.p_up())
     if metric == "bloch":
         return np.linalg.norm(ref.bloch() - other.bloch(), axis=1)
-    return np.array([trace_distance(a, b)
-                     for a, b in zip(ref.sys_states, other.sys_states)])
+    return trace_distance(ref.sys_states, other.sys_states)
 
 
 def compare_case(sc: Scenario, label: str | None = None) -> CaseComparison:

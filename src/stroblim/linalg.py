@@ -41,10 +41,11 @@ class TensorDims:
         return self.dim_sys * self.dim_pr
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex matrix."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce input to a square complex matrix, or with stack=True to a
+    matrix or (..., n, n) stack of them."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -155,23 +156,24 @@ def expm(a) -> np.ndarray:
 
 
 def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
-    """Trace out one tensor factor of a system (x) probe operator.
+    """Trace out one tensor factor of a system (x) probe operator, or of each
+    operator in a (..., n, n) stack.
 
     A traced factor of dimension 1 leaves the operator unchanged, so the input
     itself is returned.
     """
-    m = as_matrix(rho)
-    if m.shape[0] != dims.total:
-        raise ValueError(f"operator dim {m.shape[0]} does not match "
+    m = as_matrix(rho, stack=True)
+    if m.shape[-1] != dims.total:
+        raise ValueError(f"operator dim {m.shape[-1]} does not match "
                          f"{dims.dim_sys}x{dims.dim_pr} split")
     if keep not in ("sys", "pr"):
         raise ValueError(f"keep must be 'sys' or 'pr', got {keep!r}")
     if (dims.dim_pr if keep == "sys" else dims.dim_sys) == 1:
         return m
-    r = m.reshape(dims.dim_sys, dims.dim_pr, dims.dim_sys, dims.dim_pr)
+    r = m.reshape(m.shape[:-2] + (dims.dim_sys, dims.dim_pr, dims.dim_sys, dims.dim_pr))
     if keep == "sys":
-        return np.einsum("ipjp->ij", r)
-    return np.einsum("ipiq->pq", r)
+        return np.einsum("...ipjp->...ij", r)
+    return np.einsum("...ipiq->...pq", r)
 
 
 def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
@@ -257,8 +259,10 @@ def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
     return out
 
 
-def trace_distance(a, b) -> float:
-    """(1/2)||a - b||_1 for Hermitian a, b."""
-    d = as_matrix(a) - as_matrix(b)
+def trace_distance(a, b):
+    """(1/2)||a - b||_1 for Hermitian a, b: a float for two matrices, an
+    array for (..., n, n) stacks (broadcast against each other)."""
+    d = as_matrix(a, stack=True) - as_matrix(b, stack=True)
     w = np.linalg.eigvalsh((d + dag(d)) / 2)
-    return 0.5 * float(np.sum(np.abs(w)))
+    out = 0.5 * np.sum(np.abs(w), axis=-1)
+    return float(out) if out.ndim == 0 else out

@@ -51,7 +51,7 @@ class NonselectiveEffective:
 
     @property
     def omega(self) -> float:
-        return self.gamma ** 2 * self.tau
+        return self.gamma * self.gamma * self.tau
 
     @property
     def n_blocks(self) -> int:
@@ -83,7 +83,7 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     if max_abs(h - dag(h)) > DEFAULT_TOL:
         raise ValueError("dimensionless Hamiltonian must be Hermitian")
     gamma = ham.gamma
-    omega = gamma ** 2 * tau
+    omega = gamma * gamma * tau
     bases, trans, disp = ham.blocks(spec.bases)
     m = len(bases)
     for i in range(m):
@@ -130,10 +130,10 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
         raise ValueError("initial state must be a fixed point of the measurement "
                          "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
-    states = [global_from_blocks(eff, _unpack(eff, y))
-              for y in expm_sample(eff.generator, _pack(state0), times,
-                                   lambda e, v: e @ v)]
-    norms = np.array([float(np.trace(rho).real) for rho in states])
+    states = np.array([global_from_blocks(eff, _unpack(eff, y))
+                       for y in expm_sample(eff.generator, _pack(state0), times,
+                                            lambda e, v: e @ v)])
+    norms = np.trace(states, axis1=-2, axis2=-1).real
     return Trajectory(times.copy(), states, norms, eff.dims)
 
 

@@ -42,7 +42,7 @@ class SelectiveEffective:
 
     @property
     def omega(self) -> float:
-        return self.gamma ** 2 * self.tau
+        return self.gamma * self.gamma * self.tau
 
     @property
     def h_eff(self) -> np.ndarray:
@@ -92,7 +92,7 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
         raise ValueError("projector dimension does not match the Hamiltonian")
     _, trans, disp = ham.blocks(spec.bases)
     h1 = ham.gamma * trans[0][0]
-    h2 = (ham.gamma ** 2 * tau / 2.0) * disp[0]
+    h2 = (ham.gamma * ham.gamma * tau / 2.0) * disp[0]
     _validate_h1_h2(h1, h2)
     return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau,
                               probe_basis=spec.bases[0],
@@ -104,12 +104,12 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
     The state is stepped from sample to sample with one Kraus exponential per
-    distinct gap (`expm_sample`); times must be finite, non-negative and
-    non-decreasing.  The initial probe state must be supported in range(P).
-    The reported norms are the branch probabilities tr[K rho K+], which are
-    non-increasing in T.  If the probability falls below PROB_FLOOR the
-    trajectory is truncated with a warning (the conditional state is undefined
-    on a zero-probability branch).
+    distinct gap (`expm_sample`) into one (T, n, n) stack; times must be
+    finite, non-negative and non-decreasing.  The initial probe state must be
+    supported in range(P).  The reported norms are the branch probabilities
+    tr[K rho K+], which are non-increasing in T.  If the probability falls
+    below PROB_FLOOR the trajectory is truncated with a warning (the
+    conditional state is undefined on a zero-probability branch).
     """
     times = np.asarray(times, dtype=float)
     v = eff.probe_basis
@@ -119,20 +119,19 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     if abs(np.trace(rp).real - 1.0) > 1e-8:
         raise ValueError("initial probe state must be supported in range(P)")
     rho0 = kron(init.rho_sys, rp)
-    out_t: list[float] = []
-    states: list[np.ndarray] = []
-    norms: list[float] = []
+    states = np.empty((len(times),) + rho0.shape, dtype=complex)
     samples = expm_sample(-1j * eff.h_eff, rho0, times, lambda k, r: k @ r @ dag(k))
-    for t, rho_u in zip(times, samples):
-        norm = float(np.trace(rho_u).real)
-        if norm < PROB_FLOOR:
-            warnings.warn(f"branch probability vanished at T = {t:g}; trajectory "
-                          "truncated", stacklevel=2)
-            break
-        out_t.append(float(t))
-        states.append(rho_u / norm)
-        norms.append(norm)
-    return Trajectory(np.array(out_t), states, np.array(norms), eff.dims)
+    for i, rho_u in enumerate(samples):
+        states[i] = rho_u
+    norms = np.trace(states, axis1=1, axis2=2).real
+    vanished = np.flatnonzero(norms < PROB_FLOOR)
+    if vanished.size:
+        cut = vanished[0]
+        warnings.warn(f"branch probability vanished at T = {times[cut]:g}; trajectory "
+                      "truncated", stacklevel=2)
+        times, states, norms = times[:cut], states[:cut], norms[:cut]
+    states /= norms[:, None, None]
+    return Trajectory(times.copy(), states, norms, eff.dims)
 
 
 def nonlinear_density_rhs(eff: SelectiveEffective, rho) -> np.ndarray:

@@ -17,24 +17,25 @@ _PAULI_XYZ = (pauli(1), pauli(2), pauli(3))
 class Trajectory:
     """Sampled evolution: normalized states plus per-sample bookkeeping.
 
-    `states` live on the propagation space of the producer, split as `dims`:
-    system (x) probe for the exact runners and the semigroup, system (x)
-    range(P) for the selective limit, and the system alone (a probe factor of
-    dimension 1) for closed forms.  `sys_states`, the normalized reduced
-    system states, are derived from them once, on first use, by tracing out
-    the probe factor.  `norms` is the trace of the unnormalized state before
-    renormalization, i.e. the cumulative success probability of a conditional
-    run (identically 1 for trace-preserving runs).
+    `states` is one complex (T, n, n) stack, a state per sample time, on the
+    propagation space of the producer, split as `dims`: system (x) probe for
+    the exact runners and the semigroup, system (x) range(P) for the
+    selective limit, and the system alone (a probe factor of dimension 1) for
+    closed forms.  `sys_states`, the normalized reduced system states, are
+    derived from them once, on first use, by one batched partial trace.
+    `norms` is the trace of the unnormalized state before renormalization,
+    i.e. the cumulative success probability of a conditional run
+    (identically 1 for trace-preserving runs).
     """
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     norms: np.ndarray
     dims: TensorDims
 
     @cached_property
-    def sys_states(self) -> list[np.ndarray]:
-        return [partial_trace(s, self.dims, "sys") for s in self.states]
+    def sys_states(self) -> np.ndarray:
+        return partial_trace(self.states, self.dims, "sys")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -46,20 +47,22 @@ class Trajectory:
 
     def p_up(self) -> np.ndarray:
         """Population of the first system basis state."""
-        return np.array([s[0, 0].real for s in self.sys_states])
+        return self.sys_states[:, 0, 0].real.copy()
 
     def purities(self) -> np.ndarray:
-        return np.array([np.trace(s @ s).real for s in self.sys_states])
+        s = self.sys_states
+        return np.trace(s @ s, axis1=1, axis2=2).real
 
     def bloch(self) -> np.ndarray:
-        """Bloch vectors (n, 3) of a two-dimensional system marginal."""
-        return np.array([bloch_vector(s) for s in self.sys_states])
+        """Bloch vectors (T, 3) of a two-dimensional system marginal."""
+        return bloch_vector(self.sys_states)
 
 
 def bloch_vector(rho) -> np.ndarray:
-    """Bloch vector of one 2x2 state."""
-    m = as_matrix(rho)
-    if m.shape[0] != 2:
+    """Bloch vector of one 2x2 state, or vectors (..., 3) of a stack."""
+    m = as_matrix(rho, stack=True)
+    if m.shape[-1] != 2:
         raise ValueError("Bloch vector needs a 2x2 state")
-    return np.array([np.trace(m @ sig).real for sig in _PAULI_XYZ])
+    return np.stack([np.trace(m @ sig, axis1=-2, axis2=-1).real for sig in _PAULI_XYZ],
+                    axis=-1)
 

@@ -262,7 +262,8 @@ def _reference_loop(plan, rho, measure, every):
             record((k + 1) * plan.tau, rho)
     if plan.residual > 0:
         record(plan.total_time, unitary_step(rho, h, plan.residual))
-    return Trajectory(np.array(times), states, np.array(norms), plan.hamiltonian.dims)
+    return Trajectory(np.array(times), np.array(states), np.array(norms),
+                      plan.hamiltonian.dims)
 
 
 def reference_selective(plan, init, every=1):

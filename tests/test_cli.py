@@ -133,37 +133,45 @@ class TestCommands:
         fb = (b / "swap_selective_exact.csv").read_bytes()
         assert fa == fb
 
-    @pytest.mark.parametrize("key, value, reported", [
-        ("omega", 3.0, "omega"),
-        ("selected_index", True, "selected_index"),
-        ("grid_points", 250.7, "grid_points"),
-        ("tolerances", {"max_deviation": float("nan")}, "tolerances.max_deviation"),
-        ("tolerances", {"max_deviation": float("inf")}, "tolerances.max_deviation"),
-        ("tolerances", {"max_deviation": 0.0}, "tolerances.max_deviation"),
-        ("t_max", float("inf"), "t_max"),
-        ("t_max", float("nan"), "t_max"),
-        ("gamma", float("nan"), "gamma"),
-        ("tau", float("nan"), "tau"),
-        ("gamma", "five", "gamma"),
-        ("gamma", True, "gamma"),
-        ("t_max", 1e308, "t_max"),
-        ("name", "../escaped", "name"),
-        ("name", "a\\b", "name"),
-        ("name", "..", "name"),
-        ("name", "", "name"),
-        ("name", ["a"], "name"),
-        ("hamiltonian", {"terms": 5}, "hamiltonian.terms"),
-        ("initial_sys", {"matrix": [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    @pytest.mark.parametrize("changes, reported", [
+        ({"omega": 3.0}, "omega"),
+        ({"selected_index": True}, "selected_index"),
+        ({"grid_points": 250.7}, "grid_points"),
+        ({"tolerances": {"max_deviation": float("nan")}}, "tolerances.max_deviation"),
+        ({"tolerances": {"max_deviation": float("inf")}}, "tolerances.max_deviation"),
+        ({"tolerances": {"max_deviation": 0.0}}, "tolerances.max_deviation"),
+        ({"t_max": float("inf")}, "t_max"),
+        ({"t_max": float("nan")}, "t_max"),
+        ({"gamma": float("nan")}, "gamma"),
+        ({"tau": float("nan")}, "tau"),
+        ({"gamma": "five"}, "gamma"),
+        ({"gamma": True}, "gamma"),
+        ({"t_max": 1e308}, "t_max"),
+        ({"name": "../escaped"}, "name"),
+        ({"name": "a\\b"}, "name"),
+        ({"name": ".."}, "name"),
+        ({"name": ""}, "name"),
+        ({"name": ["a"]}, "name"),
+        ({"hamiltonian": {"terms": 5}}, "hamiltonian.terms"),
+        ({"initial_sys": {"matrix": [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
          "initial_sys.matrix"),
+        # The derived rates must be finite, a derived tau positive; the
+        # squares must not overflow first.  A None value drops the key.
+        ({"gamma": 1e200}, "omega"),
+        ({"gamma": 1e160, "omega": 1.0, "tau": None}, "tau"),
+        ({"gamma": 1e-200, "omega": 1.0, "tau": None}, "tau"),
+        ({"omega": 1e300, "tau": 1e-10, "gamma": None}, "gamma"),
     ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
             "nan_tolerance", "inf_tolerance", "zero_tolerance", "inf_t_max",
             "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma",
             "overflowing_t_max", "parent_dir_name", "backslash_name",
             "dot_dot_name", "empty_name", "list_name", "non_list_terms",
-            "ragged_state_matrix"])
-    def test_malformed_scenario_exits_2(self, tmp_path, capsys, key, value, reported):
+            "ragged_state_matrix", "huge_gamma_with_tau",
+            "huge_gamma_with_omega", "tiny_gamma_with_omega", "huge_omega_over_tau"])
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, changes, reported):
         doc = bundled_doc("swap_selective")
-        doc[key] = value
+        doc.update(changes)
+        doc = {k: v for k, v in doc.items() if v is not None}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"

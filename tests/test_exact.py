@@ -227,6 +227,31 @@ def test_every_must_be_positive(run, meas, every):
         run(plan, init, every=every)
 
 
+@pytest.mark.parametrize("every", [1, 2, 4])
+def test_outcome_sequence_states_are_one_stack(every):
+    plan = EvolutionPlan(swap_hamiltonian(1.0), zbasis_meas(), 0.3, 3 * 0.3 + 0.1,
+                         outcome_sequence=(0, 1, 0))
+    init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
+    traj = run_selective(plan, init, every=every)
+    t = 2 + 3 // every      # t = 0, the kept periods and the fractional period
+    assert isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (t, 4, 4)
+    assert traj.times.shape == traj.norms.shape == (t,)
+
+
+@pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
+                                       (run_nonselective, zbasis_meas)])
+def test_a_run_shorter_than_one_period_is_a_stack(run, meas):
+    # no period is stepped, so the stack of compressed states is empty
+    plan = EvolutionPlan(swap_hamiltonian(1.0), meas(), 0.3, 0.1)
+    init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
+    traj = run(plan, init)
+    assert traj.states.shape == (2, 4, 4)
+    assert np.array_equal(traj.times, [0.0, 0.1])
+    want = unitary_step(traj.states[0], plan.hamiltonian.assemble(), 0.1)
+    assert max_abs(traj.states[1] - want) < 1e-12
+
+
 class TestNonselectiveChannel:
     def test_block_diagonal_fixed(self, rng):
         rho = kron(random_density(rng, 2), np.diag([0.3, 0.7]).astype(complex))

@@ -98,6 +98,24 @@ class TestRunners:
                 assert np.all(norms <= 1.0 + 1e-8)
 
 
+@pytest.mark.parametrize("name, method", [
+    ("swap_selective", "exact"), ("swap_selective", "limit"),
+    ("heisenberg_global_field", "exact"), ("heisenberg_global_field", "limit"),
+    ("swap_nonselective", "exact"), ("swap_nonselective", "limit"),
+    ("swap_nonselective", "closed_form"),
+])
+def test_states_are_one_stack(name, method):
+    # every run_method path: exact selective and non-selective, Kraus,
+    # semigroup and closed form
+    sc = load_bundled(name, t_max=1.0, grid_points=5)
+    traj = run_method(sc, method)
+    n, t = traj.dims.total, len(sc.times)
+    assert isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (t, n, n)
+    assert traj.times.shape == traj.norms.shape == (t,)
+    assert traj.sys_states.shape == (t, traj.dims.dim_sys, traj.dims.dim_sys)
+
+
 class TestSweep:
     def test_requires_two_taus(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,45 @@ class TestPartialTrace:
             partial_trace(x, TensorDims(3, 1), "probe")
 
 
+class TestStacks:
+    """partial_trace and trace_distance take (..., n, n) stacks and give the
+    per-matrix loop bit for bit; 2-D input keeps its return type."""
+
+    @pytest.mark.parametrize("dims", [TensorDims(2, 3), TensorDims(3, 2),
+                                      TensorDims(3, 1), TensorDims(1, 3)])
+    @pytest.mark.parametrize("keep", ["sys", "pr"])
+    def test_partial_trace_stack_equals_loop(self, rng, dims, keep):
+        x = random_complex(rng, (4, 5, dims.total, dims.total))
+        got = partial_trace(x, dims, keep)
+        want = np.array([[partial_trace(m, dims, keep) for m in row] for row in x])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        single = partial_trace(x[0, 0], dims, keep)
+        assert isinstance(single, np.ndarray) and single.ndim == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_trace_distance_stack_equals_loop(self, rng, n):
+        def hermitian_stack(shape):
+            m = random_complex(rng, shape + (n, n))
+            return (m + np.conj(m).swapaxes(-1, -2)) / 2
+        a, b = hermitian_stack((3, 7)), hermitian_stack((3, 7))
+        got = trace_distance(a, b)
+        want = np.array([[trace_distance(x, y) for x, y in zip(ra, rb)]
+                         for ra, rb in zip(a, b)])
+        assert got.shape == (3, 7)
+        assert got.tobytes() == want.tobytes()
+        assert type(trace_distance(a[0, 0], b[0, 0])) is float
+        # one matrix against a stack broadcasts
+        assert trace_distance(a[0], b[0, 0]).tobytes() == np.array(
+            [trace_distance(x, b[0, 0]) for x in a[0]]).tobytes()
+
+    def test_stacks_must_be_square(self):
+        with pytest.raises(ValueError):
+            partial_trace(np.zeros((3, 4, 2)), TensorDims(2, 2), "sys")
+        with pytest.raises(ValueError):
+            trace_distance(np.zeros(4), np.zeros(4))
+
+
 class TestHermitianEig:
     def test_pauli_z(self):
         w, _ = hermitian_eig(pauli(3))

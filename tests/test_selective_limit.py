@@ -207,6 +207,16 @@ class TestPropagateKraus:
         assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
         assert traj.norms[-1] >= PROB_FLOOR
 
+    def test_truncated_stack_matches_times(self):
+        eff = swap_eff()
+        init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
+        with pytest.warns(UserWarning):
+            traj = propagate_kraus(eff, init, np.linspace(0.0, 60.0, 61))
+        assert isinstance(traj.states, np.ndarray)
+        assert traj.states.shape == (33, 2, 2)
+        assert traj.times.shape == traj.norms.shape == (33,)
+        assert np.array_equal(traj.times, np.linspace(0.0, 60.0, 61)[:33])
+
     def test_requires_matching_probe(self):
         eff = swap_eff()
         init = InitialState.from_kets([1.0, 0.0], basis_ket("d"))
