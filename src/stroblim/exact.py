@@ -14,12 +14,13 @@ runners carry it compressed there.  With V_i = I_sys (x) v_i the isometry
 onto the range of C_i = I_sys (x) P_i and U = exp(-i tau H), one period maps
 a block r on range(C_j) to W_ij r W_ij+ on range(C_i), where
 W_ij = V_i+ U V_j is the exact counterpart of the limits' T_ij.  A
-coincident-outcome selective run takes the state at period n from binary
-powers of W_ss, so its cost grows with the number of kept samples, not of
-periods; an explicit outcome sequence steps its block period by period, and
-the non-selective channel steps all blocks at once, b_i <- sum_j W_ij b_j
-W_ij+.  Only kept states are lifted back to the full space, all at once from
-one stack of compressed states, and a trailing fractional period is one
+coincident-outcome selective run takes the states at all kept periods n from
+binary powers of W_ss in one batch that forms each shared prefix of the bits
+of n once, so its cost grows with the number of kept samples, not of periods;
+an explicit outcome sequence steps its block period by period, and the
+non-selective channel steps all blocks at once, b_i <- sum_j W_ij b_j W_ij+.
+Only kept states are lifted back to the full space, all at once from one
+stack of compressed states, and a trailing fractional period is one
 full-space unitary step.
 """
 
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm, max_abs
+from .linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, conj_powers, dag, expm,
+                     max_abs, step_powers)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -127,64 +129,15 @@ def _check_probability(step: int, r) -> None:
             f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
 
 
-def _stepped(r, step):
-    """`state_at` of a per-period loop: r <- step(k, r) for periods k = 0, 1, ...,
-    returning r after period n; called with non-decreasing n."""
-    done = 0
-
-    def state_at(n: int) -> np.ndarray:
-        nonlocal r, done
-        for k in range(done, n):
-            r = step(k, r)
-        done = n
-        return r
-
-    return state_at
-
-
-def _binary_powers(r0, w, n_max: int):
-    """n -> W^n r0 W^n+ for 0 <= n <= n_max, from Q_b = W^(2^b).
-
-    Conjugates r0 by Q_b for each set bit b of n, high to low.  Every partial
-    product is pushed on a stack as (b, m, r_m), m being n with its bits
-    below b cleared; a later n resumes from the deepest entry whose m it
-    shares above b.  The result therefore depends on n alone (bit for bit),
-    and consecutive n cost one conjugation each, a stride-k grid O(log k).
-    """
-    top = n_max.bit_length()
-    q = [w]
-    while len(q) < top:
-        q.append(q[-1] @ q[-1])
-    q = [(m, dag(m)) for m in q]
-    stack = [(top, 0, r0)]
-
-    def power(n: int) -> np.ndarray:
-        low, m, r = stack[-1]
-        while m >> low != n >> low:
-            stack.pop()
-            low, m, r = stack[-1]
-        rest = n & ((1 << low) - 1)         # the bits of n still to apply
-        while rest:
-            b = rest.bit_length() - 1
-            rest ^= 1 << b
-            qb, qb_dag = q[b]
-            r = qb @ r @ qb_dag
-            stack.append((b, n ^ rest, r))
-        return r
-
-    return power
-
-
-def _interrupted(plan: EvolutionPlan, h, rho0, shape, state_at, lift,
+def _interrupted(plan: EvolutionPlan, h, rho0, compressed, lift,
                  every: int) -> Trajectory:
     """Sample one run: rho0 at t = 0, then the post-measurement state after
-    every `every`-th period n.  state_at(n), called with increasing n, gives
-    the compressed state of shape `shape` after period n; state_at(n_steps)
-    is also taken when it is not sampled, so the whole run is checked.  The
-    compressed states are collected in one stack, and lift(ns, stack) returns
-    the full-space states at periods ns with their traces, all at once.  A
-    fractional period left at total_time is one more unitary step from
-    period n_steps, recorded pre-measurement.
+    every `every`-th period n.  compressed(ns) gives the stack of compressed
+    states after the periods ns, in one call; period n_steps is also taken
+    when it is not sampled, so the whole run is checked.  lift(ns, stack)
+    returns the full-space states at periods ns with their traces, all at
+    once.  A fractional period left at total_time is one more unitary step
+    from period n_steps, recorded pre-measurement.
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
@@ -192,10 +145,7 @@ def _interrupted(plan: EvolutionPlan, h, rho0, shape, state_at, lift,
     kept = len(ns)
     if plan.n_steps % every:
         ns.append(plan.n_steps)
-    blocks = np.empty((len(ns),) + shape, dtype=complex)
-    for k, n in enumerate(ns):
-        blocks[k] = state_at(n)
-    lifted, lifted_norms = lift(ns, blocks)
+    lifted, lifted_norms = lift(ns, compressed(ns))
     times = [0.0] + [n * plan.tau for n in ns[:kept]]
     states, norms = [rho0[None], lifted[:kept]], [[_trace(rho0)], lifted_norms[:kept]]
     if plan.residual > 0:
@@ -218,9 +168,10 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     cumulative probability p_Phi of the observed outcome string.  With the
     coincident-outcome shortcut (no outcome_sequence) the state after period
     n is W^n r0 W^n+ with W = W_ss and r0 = V_s+ rho0 V_s, from binary powers
-    of W, so it depends on n alone and every stride keeps the same bits.  An
-    explicit outcome sequence starts its first period from the full initial
-    state and then steps r <- W_ij r W_ij+ for consecutive outcomes j, i.
+    of W formed for all samples at once (`conj_powers`), so it depends on n
+    alone and every stride keeps the same bits.  An explicit outcome sequence
+    starts its first period from the full initial state and then steps
+    r <- W_ij r W_ij+ for consecutive outcomes j, i.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
     p_Phi is below PROB_FLOOR, sampled or not.  A stepped sequence checks
@@ -243,7 +194,6 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                              "selected projector's range")
     h, bases, first, w = _period_maps(plan)
     rho0 = init.joint()
-    shape = (bases.shape[2],) * 2
 
     if seq is not None:
         maps = [first[seq[0]]] if seq else []
@@ -260,10 +210,12 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             v = bases[[seq[n - 1] for n in ns]]
             return v @ blocks @ dag(v), _trace(blocks)
 
-        return _interrupted(plan, h, rho0, shape, _stepped(rho0, step), lift, every)
+        shape = (bases.shape[2],) * 2
+        return _interrupted(plan, h, rho0,
+                            lambda ns: step_powers(step, rho0, ns, shape), lift, every)
     s = meas.selected_index
     v, v_dag = bases[s], dag(bases[s])
-    power = _binary_powers(v_dag @ rho0 @ v, w[s, s], plan.n_steps)
+    w_ss, r0 = w[s, s], v_dag @ rho0 @ v
 
     def lift(ns, blocks):
         norms = _trace(blocks)
@@ -273,14 +225,15 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             lo, hi = (ns[k - 1] if k else 0), ns[k]    # period lo passes, hi fails
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if _trace(power(mid)) < PROB_FLOOR:
+                if _trace(conj_powers(w_ss, r0, [mid])[0]) < PROB_FLOOR:
                     hi = mid
                 else:
                     lo = mid
-            _check_probability(hi, power(hi))
+            _check_probability(hi, conj_powers(w_ss, r0, [hi])[0])
         return v @ blocks @ v_dag, norms
 
-    return _interrupted(plan, h, rho0, shape, power, lift, every)
+    return _interrupted(plan, h, rho0, lambda ns: conj_powers(w_ss, r0, ns),
+                        lift, every)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
@@ -315,5 +268,6 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
 
     blocks = dag(bases) @ init.joint() @ bases
     channel = lift((), blocks[None])[0][0]
-    return _interrupted(plan, h, channel, blocks.shape, _stepped(blocks, step),
+    return _interrupted(plan, h, channel,
+                        lambda ns: step_powers(step, blocks, ns, blocks.shape),
                         lift, every)

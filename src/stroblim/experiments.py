@@ -270,6 +270,7 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     # Every scaled scenario is validated before any case runs.
     for tau in taus:
         try:
+            check_periods(sc.t_max, tau)        # before steps_in can overflow
             scaled.append(replace(
                 sc,
                 hamiltonian=HamiltonianSpec(float(np.sqrt(omega / tau)),

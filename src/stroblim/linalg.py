@@ -6,16 +6,17 @@ scenarios, up to the N x N non-selective generator on packed blocks
 Storage is dense and every routine is deterministic: a scaling-and-squaring
 Pade exponential with an eigendecomposition fast path for (anti-)Hermitian
 generators, one sampler that steps exp(a t) along a time grid with one
-exponential per distinct step size, and a fixed-step classical RK4
-integrator with one sampler shared by every ODE in the package.  All
-functions are pure; nothing mutates its inputs.
+exponential per distinct step size, binary powers m^n r0 m^n+ for a whole
+stack of n at once, and a fixed-step classical RK4 integrator with one
+sampler shared by every ODE in the package.  All functions are pure; nothing
+mutates its inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -198,39 +199,86 @@ def _sample_times(times) -> np.ndarray:
     return times
 
 
-def expm_sample(a, y0, times,
-                apply: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator:
-    """Yield y(t) = exp(a t) acting on y0 (the value at t = 0) for each t in times.
+def conj_powers(m, r0, ns) -> np.ndarray:
+    """(len(ns), k, k) stack of m^n r0 m^n+ for the non-decreasing integers ns.
 
-    The state is stepped from sample to sample, y <- apply(exp(a h), y), and
-    exp(a h) is computed again only when a gap differs from the current step
-    h by more than 1e-12 * max(1, t).  Gaps are measured from the time the
-    state actually represents, so rounding in the grid cannot accumulate.  A
-    gap within that tolerance of zero (repeated times, t = 0) applies nothing.
-    Times must be finite, non-negative and non-decreasing; otherwise the
-    first request for a value raises ValueError.
+    With Q_b = m^(2^b) by squaring, the bits of n are applied high to low,
+    r <- Q_b r Q_b+ for each set bit b.  All samples advance together: at bit
+    b every distinct prefix n >> b is formed once from its parent n >> (b+1),
+    and the odd prefixes are conjugated by Q_b in one batched product.  Each
+    state therefore depends on (m, r0, n) alone, bit for bit, and the stack
+    costs O(log max(ns)) batched products.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    s = as_matrix(r0)[None]
+    if np.any(ns < 0) or np.any(ns[1:] < ns[:-1]):
+        raise ValueError("powers must be non-negative and non-decreasing")
+    if ns.size == 0:
+        return s[:0]
+    q = [as_matrix(m)]
+    while len(q) < int(ns[-1]).bit_length():
+        q.append(q[-1] @ q[-1])
+    for b in reversed(range(len(q))):
+        p = ns >> b
+        p = p[np.r_[True, p[1:] != p[:-1]]]     # distinct; np.unique loads numpy.ma
+        s = s[np.r_[0, np.cumsum(p[1:] >> 1 != p[:-1] >> 1)]]      # parents' states
+        odd = (p & 1).astype(bool)
+        s[odd] = q[b] @ s[odd] @ dag(q[b])
+    return s[np.cumsum(np.r_[True, ns[1:] != ns[:-1]]) - 1]
+
+
+def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,
+                shape: tuple) -> np.ndarray:
+    """(len(ns),) + shape stack of y after n steps y <- step(k, y),
+    k = 0, 1, ..., for the non-decreasing integers ns."""
+    out = np.empty((len(ns), *shape), dtype=complex)
+    y, done = y0, 0
+    for i, n in enumerate(ns):
+        for k in range(done, n):
+            y = step(k, y)
+        out[i], done = y, n
+    return out
+
+
+def expm_sample(a, y0, times, apply: Callable) -> np.ndarray:
+    """Stack of y(t) = exp(a t) acting on y0 (the value at t = 0) for each t
+    in times.
+
+    The samples are cut into runs of equal gaps h.  From the state y that
+    starts a run, apply(exp(a h), y, counts) returns the stack of values
+    after counts[i] steps of size h for the run's samples, and the last one
+    starts the next run.  exp(a h) is computed again only when a gap differs
+    from the current step h by more than 1e-12 * max(1, t).  Gaps are
+    measured from the time the state actually represents, so rounding in the
+    grid cannot accumulate.  A gap within that tolerance of zero (repeated
+    times, t = 0) adds no step; samples before the first step are y0.
+    Times must be finite, non-negative and non-decreasing (ValueError).
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
-    times = _sample_times(times)
-    y = y0
-    step = None
-    h = 0.0
-    base = 0.0          # time of the state when the current step was built
-    n = 0               # steps of size h applied since then
-    for t in times:
-        tol = 1e-12 * max(1.0, float(t))
+    counts = np.zeros(len(times), dtype=np.int64)
+    starts, sizes = [0], [0.0]      # first sample and step size h of each run
+    h = base = 0.0                  # base: time of the state when the run started
+    n = 0
+    for i, t in enumerate(_sample_times(times).tolist()):
+        tol = 1e-12 * t if t > 1.0 else 1e-12
         now = base + n * h
-        gap = float(t) - now
+        gap = t - now
         if gap > tol:
             if abs(gap - h) > tol:      # h = 0 before the first step
-                step = None     # release the old step before building the next
-                step = expm(a * gap)
                 h, base, n = gap, now, 0
-            y = apply(step, y)
+                starts.append(i)
+                sizes.append(h)
             n += 1
-        yield y
+        counts[i] = n
+    starts.append(len(times))
+    y = np.asarray(y0)
+    out = [np.broadcast_to(y, (starts[1],) + y.shape)]
+    for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
+        out.append(apply(expm(a * h), y, counts[i:j]))
+        y = out[-1][-1]
+    return np.concatenate(out)
 
 
 def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_ODE_STEPS, DEFAULT_TOL, TensorDims, as_matrix,
-                     dag, expm_sample, max_abs, rk4_sample)
+                     dag, expm_sample, max_abs, rk4_sample, step_powers)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -116,8 +116,9 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
     """rho(T) = exp(L_eff T) rho(0), evolved on the packed blocks.
 
-    The blocks are stepped from sample to sample with one exponential of the
-    generator per distinct gap (`expm_sample`); times must be finite,
+    The packed blocks are stepped from sample to sample with one exponential
+    of the generator per distinct gap (`expm_sample`), one product per step:
+    powers of the N x N generator would cost N^3 each.  Times must be finite,
     non-negative and non-decreasing.  The initial joint state must already be
     a fixed point of the measurement channel (block-diagonal); trace and block
     structure are then preserved exactly by the semigroup.
@@ -130,9 +131,13 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
         raise ValueError("initial state must be a fixed point of the measurement "
                          "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
+
+    def apply(e, v, counts):        # step the packed vector once per count
+        return step_powers(lambda k, y: e @ y, v, counts, v.shape)
+
+    packed = expm_sample(eff.generator, _pack(state0), times, apply)
     states = np.array([global_from_blocks(eff, _unpack(eff, y))
-                       for y in expm_sample(eff.generator, _pack(state0), times,
-                                            lambda e, v: e @ v)])
+                       for y in packed]).reshape((-1,) + rho0.shape)
     norms = np.trace(states, axis1=-2, axis2=-1).real
     return Trajectory(times.copy(), states, norms, eff.dims)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_ODE_STEPS, DEFAULT_TOL, PROB_FLOOR, TensorDims,
-                     as_matrix, dag, expm_sample, kron, max_abs, rk4_sample)
+                     as_matrix, conj_powers, dag, expm_sample, kron, max_abs,
+                     rk4_sample)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -103,8 +104,9 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
                     times) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
-    The state is stepped from sample to sample with one Kraus exponential per
-    distinct gap (`expm_sample`) into one (T, n, n) stack; times must be
+    One Kraus exponential is built per distinct gap (`expm_sample`), and each
+    run of equal gaps takes its states as binary powers of that step from the
+    run's start (`conj_powers`), into one (T, n, n) stack; times must be
     finite, non-negative and non-decreasing.  The initial probe state must be
     supported in range(P).  The reported norms are the branch probabilities
     tr[K rho K+], which are non-increasing in T.  If the probability falls
@@ -119,10 +121,7 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     if abs(np.trace(rp).real - 1.0) > 1e-8:
         raise ValueError("initial probe state must be supported in range(P)")
     rho0 = kron(init.rho_sys, rp)
-    states = np.empty((len(times),) + rho0.shape, dtype=complex)
-    samples = expm_sample(-1j * eff.h_eff, rho0, times, lambda k, r: k @ r @ dag(k))
-    for i, rho_u in enumerate(samples):
-        states[i] = rho_u
+    states = expm_sample(-1j * eff.h_eff, rho0, times, conj_powers)
     norms = np.trace(states, axis1=1, axis2=2).real
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:

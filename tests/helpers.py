@@ -10,6 +10,7 @@ import numpy as np
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       Trajectory, VanishingProbabilityError, bloch_vector, kron,
                       pauli, swap_nonselective_closed_form, unitary_step)
+import stroblim.linalg
 from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
 from stroblim.experiments import ComparisonReport, compare_case
@@ -60,6 +61,25 @@ def hermitian_eig(a, tol=DEFAULT_TOL):
 def is_unitary(a, tol=DEFAULT_TOL):
     m = as_matrix(a)
     return max_abs(dag(m) @ m - np.eye(m.shape[0])) <= tol
+
+
+# A sample grid with a first time above 0, repeated times and runs of equal
+# gaps: 0.3, then 0.2 (x4), 1.5 (x3) and 0.25 (x2), so four exponentials.
+IRREGULAR_GRID = [0.3, 0.3, 0.5, 0.7, 0.9, 0.9, 1.1, 2.6, 4.1, 5.6, 5.6, 5.85, 6.1]
+IRREGULAR_GAPS = 4
+
+
+def counting_expm(monkeypatch):
+    """Patch stroblim.linalg.expm with a wrapper; return its list of arguments."""
+    calls = []
+    real = stroblim.linalg.expm
+
+    def wrapper(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(stroblim.linalg, "expm", wrapper)
+    return calls
 
 
 def random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=2.0):
@@ -264,6 +284,15 @@ def _reference_loop(plan, rho, measure, every):
         record(plan.total_time, unitary_step(rho, h, plan.residual))
     return Trajectory(np.array(times), np.array(states), np.array(norms),
                       plan.hamiltonian.dims)
+
+
+def assert_same_run(got, want, tol=1e-12):
+    """Same times; norms and states within tol (norms relative)."""
+    assert np.array_equal(got.times, want.times)
+    assert max_abs((got.norms - want.norms) / want.norms) < tol
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert max_abs(a - b) < tol
 
 
 def reference_selective(plan, init, every=1):

@@ -224,6 +224,16 @@ class TestCommands:
         assert "tau=1e-300: t_max/tau = 1e+301 periods" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_refuses_a_subnormal_tau_before_running(self, tmp_path, capsys):
+        # t_max/tau overflows to inf, which steps_in cannot turn into a count
+        out = tmp_path / "out"
+        rc = main(["sweep", bundled_path("swap_selective"), "--out-dir", str(out),
+                   "--tau", "0.04,1e-320"])
+        assert rc == 2
+        assert "t_max/tau = inf periods, expected fewer than 2**53" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_single_tau_exits_2(self, tmp_path):
         rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.04"])

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (apply_instrument, family_spec, load_bundled,
+from helpers import (apply_instrument, assert_same_run, family_spec, load_bundled,
                      nonselective_channel, random_density,
                      random_hamiltonian_spec, random_ket,
                      random_projector_family, reference_nonselective,
@@ -13,8 +13,7 @@ from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       basis_ket, kron, measurement_from_kets, pauli,
                       run_nonselective, run_selective, swap_hamiltonian,
                       unitary_step)
-from stroblim.exact import _binary_powers
-from stroblim.linalg import TensorDims, dag, max_abs, partial_trace
+from stroblim.linalg import TensorDims, conj_powers, dag, max_abs, partial_trace
 
 
 def up_meas(selected=0):
@@ -321,14 +320,6 @@ class TestRunNonselective:
 STRIDES = [1, 3, 7]
 
 
-def assert_same_run(got, want, tol=1e-12):
-    assert np.array_equal(got.times, want.times)
-    assert max_abs((got.norms - want.norms) / want.norms) < tol
-    assert len(got.states) == len(want.states)
-    for a, b in zip(got.states, want.states):
-        assert max_abs(a - b) < tol
-
-
 def random_case(rng, dim_sys, dim_pr):
     ham = random_hamiltonian_spec(rng, dim_sys, dim_pr)
     return ham, random_projector_family(rng, dim_pr)
@@ -431,8 +422,10 @@ def test_vanishing_step_matches_the_reference_loop(every):
 def test_binary_powers_depend_on_the_period_alone(rng):
     w = random_density(rng, 4) * 1.5      # a contraction, ||w|| < 1.5 tr w = 1.5
     r0 = random_density(rng, 4)
-    power = _binary_powers(r0, w, 200)
-    for n in [0, 1, 2, 3, 200, 7, 64, 63, 65, 128, 5, 199, 0]:
+    ns = [0, 1, 2, 3, 200, 7, 64, 63, 65, 128, 5, 199, 0]
+    batch = dict(zip(sorted(ns), conj_powers(w, r0, sorted(ns))))
+    for n in ns:
         q = np.linalg.matrix_power(w, n)
-        assert max_abs(power(n) - q @ r0 @ dag(q)) < 1e-12
-        assert np.array_equal(power(n), _binary_powers(r0, w, 200)(n))
+        power = conj_powers(w, r0, [n])[0]
+        assert max_abs(power - q @ r0 @ dag(q)) < 1e-12
+        assert np.array_equal(power, batch[n])

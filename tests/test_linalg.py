@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import hermitian_eig, is_unitary, random_complex, random_hermitian
+from helpers import (bundled_path, counting_expm, hermitian_eig, is_unitary,
+                     random_complex, random_hermitian)
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
                       is_psd, kron, ode_step_rk4, partial_trace, pauli)
-from stroblim.linalg import expm_sample, max_abs, op_norm, trace_distance
+from stroblim.linalg import (conj_powers, dag, expm_sample, max_abs, op_norm,
+                             step_powers, trace_distance)
 
 
 def kron_oracle(a, b):
@@ -248,18 +255,9 @@ class TestRK4:
             ode_step_rk4(lambda y: y, np.zeros(1), 0.0)
 
 
-def counting_expm(monkeypatch):
-    """Patch stroblim.linalg.expm with a wrapper; return its list of arguments."""
-    import stroblim.linalg
-    calls = []
-    real = stroblim.linalg.expm
-
-    def wrapper(a):
-        calls.append(a)
-        return real(a)
-
-    monkeypatch.setattr(stroblim.linalg, "expm", wrapper)
-    return calls
+def stepped(e, y, counts):
+    """expm_sample's apply as one product e @ y per step."""
+    return step_powers(lambda k, x: e @ x, y, counts, y.shape)
 
 
 class TestExpmSample:
@@ -271,7 +269,7 @@ class TestExpmSample:
         # arange grids jitter by one ulp of t; the step must still be reused
         calls = counting_expm(monkeypatch)
         a = -1j * random_hermitian(rng, 3, norm=1.0) - 0.1 * np.eye(3)
-        out = list(expm_sample(a, np.eye(3, dtype=complex), times, np.matmul))
+        out = list(expm_sample(a, np.eye(3, dtype=complex), times, stepped))
         assert len(calls) == 1
         assert len(out) == len(times)
         assert max_abs(out[-1] - expm(a * times[-1])) <= 1e-10
@@ -279,16 +277,94 @@ class TestExpmSample:
     def test_zero_gaps_apply_nothing(self, monkeypatch, rng):
         calls = counting_expm(monkeypatch)
         a, y0 = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
-        out = list(expm_sample(a, y0, [0.0, 0.0, 0.0], np.matmul))
+
+        def apply(*args):
+            raise AssertionError("apply called without a step")
+
+        out = expm_sample(a, y0, [0.0, 0.0, 0.0], apply)
         assert calls == []
-        assert all(y is y0 for y in out)
+        assert out.shape == (3, 3, 3)
+        assert all(np.array_equal(y, y0) for y in out)
 
     def test_new_exponential_only_when_the_gap_changes(self, monkeypatch, rng):
         calls = counting_expm(monkeypatch)
         a = random_complex(rng, (2, 2))
         times = [0.25, 0.5, 0.75, 1.75, 2.75, 3.0]
-        list(expm_sample(a, np.eye(2, dtype=complex), times, np.matmul))
+        list(expm_sample(a, np.eye(2, dtype=complex), times, stepped))
         assert len(calls) == 3     # gaps 0.25 (x3), 1.0 (x2), 0.25 again
+
+    def test_apply_runs_once_per_run_of_equal_gaps(self, rng):
+        a = random_complex(rng, (2, 2))
+        y0 = random_complex(rng, (2, 2))
+        runs = []
+
+        def apply(e, y, counts):
+            out = stepped(e, y, counts)
+            runs.append((y, list(counts), out[-1]))
+            return out
+
+        out = expm_sample(a, y0, [0.0, 0.25, 0.5, 0.5, 0.75, 1.75, 2.75, 3.0, 3.0],
+                          apply)
+        assert [c for _, c, _ in runs] == [[1, 2, 2, 3], [1, 2], [1, 1]]
+        assert runs[0][0] is y0
+        # each run starts from the last value of the run before it
+        assert all(np.array_equal(y, end)
+                   for (y, _, _), (_, _, end) in zip(runs[1:], runs))
+        assert out.shape == (9, 2, 2)
+
+
+class TestConjPowers:
+    @staticmethod
+    def contraction(rng, k):
+        p = random_complex(rng, (k, k))
+        return expm(-1j * random_hermitian(rng, k, norm=1.0) - 0.01 * p @ dag(p))
+
+    def test_matches_matrix_power(self, rng):
+        m, r0 = self.contraction(rng, 3), random_complex(rng, (3, 3))
+        ns = [0, 1, 2, 2, 3, 17, 64, 65, 1000]
+        out = conj_powers(m, r0, ns)
+        assert out.shape == (len(ns), 3, 3)
+        for n, r in zip(ns, out):
+            q = np.linalg.matrix_power(m, n)
+            assert max_abs(r - q @ r0 @ dag(q)) < 1e-12
+
+    def test_each_state_depends_on_n_alone(self, rng):
+        m, r0 = self.contraction(rng, 2), random_complex(rng, (2, 2))
+        grids = [[0, 0, 5, 5, 6, 1023, 1024], list(range(40)),
+                 list(range(7, 2000, 7)), [1024, 1024, 3000]]
+        alone = {}
+        for ns in grids:
+            for n, r in zip(ns, conj_powers(m, r0, ns)):
+                single = alone.setdefault(n, conj_powers(m, r0, [n])[0])
+                assert np.array_equal(r, single)
+        assert np.array_equal(alone[0], r0)
+
+    def test_empty_ns_gives_an_empty_stack(self, rng):
+        out = conj_powers(np.eye(3), random_complex(rng, (3, 3)), [])
+        assert out.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("ns", [[3, 2], [-1, 2]])
+    def test_rejects_unsorted_or_negative_powers(self, ns):
+        with pytest.raises(ValueError, match="non-negative and non-decreasing"):
+            conj_powers(np.eye(2), np.eye(2), ns)
+
+
+def test_cli_runs_without_numpy_ma(tmp_path):
+    # numpy.ma (pulled in by np.unique, among others) costs a fresh process
+    # about 14 ms and 1.4 MB on import; the CLI's kernels must not need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from stroblim import cli\n"
+            "out, path = sys.argv[1], sys.argv[2]\n"
+            "assert cli.main(['sweep', path, '--out-dir', out, "
+            "'--tau', '0.04,0.01']) == 0\n"
+            "assert cli.main(['compare', path, '--out-dir', out]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), bundled_path("swap_selective")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPredicates:

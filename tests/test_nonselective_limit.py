@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (block_apply, channel_superop, choi_matrix, family_spec,
+from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply,
+                     channel_superop, choi_matrix, counting_expm, family_spec,
                      full_space_reference, liouville_commutator,
                      random_density, random_hamiltonian_spec, random_hermitian,
                      random_projector_family, random_unitary, unvec, vec)
@@ -180,6 +181,11 @@ class TestSemigroupPropagate:
         for s in traj.states:
             assert max_abs(s - ref.channel(s)) < 1e-10
 
+    def test_empty_grid_gives_an_empty_trajectory(self):
+        traj = semigroup_propagate(swap_gen(), swap_init(), [])
+        assert traj.states.shape == (0, 4, 4)
+        assert traj.norms.shape == (0,)
+
     def test_rejects_non_fixed_point(self):
         eff = swap_gen()
         plus = (basis_ket("u") + basis_ket("d")) / np.sqrt(2)
@@ -330,6 +336,16 @@ def test_semigroup_matches_per_time_exponentials(times):
     for t, got in zip(times, traj.states):
         want = ref.evolve(init.joint(), t)
         assert max_abs(got - want) <= 1e-12
+
+
+def test_semigroup_on_an_irregular_grid(monkeypatch):
+    eff, ref, init = swap_gen(), swap_ref(), swap_init()
+    calls = counting_expm(monkeypatch)
+    traj = semigroup_propagate(eff, init, IRREGULAR_GRID)
+    assert len(calls) == IRREGULAR_GAPS
+    assert len(traj) == len(IRREGULAR_GRID)
+    for t, got in zip(IRREGULAR_GRID, traj.states):
+        assert max_abs(got - ref.evolve(init.joint(), t)) <= 1e-12
 
 
 def test_generator_at_d64_stays_off_the_full_space():

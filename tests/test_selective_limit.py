@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import (family_spec, random_density, random_hamiltonian_spec,
-                     random_ket, random_projector_family)
+from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, counting_expm, family_spec,
+                     random_density, random_hamiltonian_spec, random_ket,
+                     random_projector_family)
 from stroblim import (HamiltonianSpec, InitialState, basis_ket, build_generator,
                       effective_rank1, effective_rankr, heisenberg3_hamiltonian,
                       kron,
@@ -188,6 +189,32 @@ class TestPropagateKraus:
             rho = k @ init.rho_sys @ dag(k)
             assert abs(norm - np.trace(rho).real) <= 1e-12
             assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
+
+    def test_irregular_grid_matches_per_time_exponentials(self, monkeypatch):
+        calls = counting_expm(monkeypatch)
+        eff = swap_eff()
+        init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
+        traj = propagate_kraus(eff, init, IRREGULAR_GRID)
+        assert len(calls) == IRREGULAR_GAPS
+        assert len(traj) == len(IRREGULAR_GRID)
+        for t, got, norm in zip(IRREGULAR_GRID, traj.states, traj.norms):
+            k = expm(-1j * t * eff.h_eff)
+            rho = k @ init.rho_sys @ dag(k)
+            assert abs(norm - np.trace(rho).real) <= 1e-12
+            assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
+
+    def test_irregular_grid_truncates_at_the_probability_floor(self):
+        # exp(-32) = 1.3e-14 is kept and exp(-33) = 4.7e-15 is not, as on the
+        # uniform grid; here T = 32 is repeated and T = 33 ends a run of gaps
+        times = [0.5, 0.5, 4.0, 7.5, 11.0, 20.0, 29.0, 32.0, 32.0, 33.0, 34.0, 35.0,
+                 60.0]
+        eff = swap_eff()
+        init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
+        with pytest.warns(UserWarning, match="vanished at T = 33;"):
+            traj = propagate_kraus(eff, init, times)
+        assert len(traj) == 9
+        assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
+        assert traj.norms[-1] >= PROB_FLOOR
 
     def test_truncates_on_vanishing_branch(self):
         eff = swap_eff()
