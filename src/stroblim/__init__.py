@@ -15,7 +15,7 @@ from .linalg import (TensorDims, expm, is_density, is_hermitian, is_projector,
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets, pauli,
                     projector_from_kets, swap_hamiltonian)
-from .nonselective_limit import (BlockState, NonselectiveEffective, block_rhs,
+from .nonselective_limit import (NonselectiveEffective, block_rhs,
                                  build_generator, pauli_rates,
                                  semigroup_propagate,
                                  swap_nonselective_closed_form)
@@ -28,9 +28,9 @@ from .trajectory import Trajectory, bloch_vector
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockState", "EvolutionPlan", "HamiltonianSpec", "InitialState",
-    "MeasurementSpec", "NonselectiveEffective", "SelectiveEffective",
-    "TensorDims", "Trajectory", "VanishingProbabilityError", "basis_ket",
+    "EvolutionPlan", "HamiltonianSpec", "InitialState", "MeasurementSpec",
+    "NonselectiveEffective", "SelectiveEffective", "TensorDims",
+    "Trajectory", "VanishingProbabilityError", "basis_ket",
     "bloch_vector", "block_rhs", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
     "is_hermitian", "is_projector", "is_psd", "kron", "measurement_from_kets",

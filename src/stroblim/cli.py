@@ -560,7 +560,7 @@ def main(argv=None) -> int:
     except (VanishingProbabilityError, RuntimeError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -99,19 +99,15 @@ def unitary_step(rho, h, t: float) -> np.ndarray:
 def _period_maps(plan: EvolutionPlan):
     """h and one period on the probe ranges of plan.measurement, stacked.
 
-    Returns (h, V, A, W): the assembled Hamiltonian, the isometries V[i],
-    the first-period maps A[i] = V[i]+ U from the full space and the block
-    maps W[i, j] = A[i] V[j], with U = exp(-i tau h) built once.  Ranges
-    narrower than the widest are padded with zero columns, which every map
-    keeps zero, so that one batched product steps all blocks.
+    Returns (h, V, A, W): the assembled Hamiltonian, the padded isometry
+    stack V of `HamiltonianSpec.isometries`, the first-period maps
+    A[i] = V[i]+ U from the full space and the block maps W[i, j] = A[i] V[j],
+    with U = exp(-i tau h) built once.  Every map keeps the zero padding
+    zero, so that one batched product steps all blocks.
     """
     h = plan.hamiltonian.assemble()
     u = expm(-1j * plan.tau * h)
-    iso = plan.hamiltonian.isometries(plan.measurement.bases)
-    bases = np.zeros((len(iso), h.shape[0], max(v.shape[1] for v in iso)),
-                     dtype=complex)
-    for b, v in zip(bases, iso):
-        b[:, :v.shape[1]] = v
+    bases = plan.hamiltonian.isometries(plan.measurement.bases)
     first = dag(bases) @ u
     return h, bases, first, first[:, None] @ bases[None]
 

@@ -119,28 +119,41 @@ class HamiltonianSpec:
     def assemble(self) -> np.ndarray:
         return self.gamma * self.dimensionless()
 
-    def isometries(self, probe_bases) -> tuple[np.ndarray, ...]:
-        """V_i = I_sys (x) v_i for each probe isometry v_i (column-orthonormal,
-        e.g. the `bases` of a MeasurementSpec): the joint-space isometry onto
-        the range of I_sys (x) P_i."""
-        eye_sys = np.eye(self.dim_sys, dtype=complex)
-        return tuple(kron(eye_sys, v) for v in probe_bases)
+    def isometries(self, probe_bases) -> np.ndarray:
+        """The (k, d, m) stack of V_i = I_sys (x) v_i, one per probe isometry
+        v_i (column-orthonormal, e.g. the `bases` of a MeasurementSpec): the
+        joint-space isometry onto the range of I_sys (x) P_i, padded to the
+        widest range m with trailing zero columns.
 
-    def blocks(self, probe_bases) -> tuple[tuple, tuple, tuple]:
+        This is the one layout of block-diagonal states: their blocks are the
+        (k, m, m) stack V+ rho V, each rank-sized block top left and zeros
+        around it, and lift back as sum_i V_i b_i V_i+.
+        """
+        eye_sys = np.eye(self.dim_sys, dtype=complex)
+        iso = [kron(eye_sys, v) for v in probe_bases]
+        stack = np.zeros((len(iso), self.dim_sys * self.dim_pr,
+                          max(v.shape[1] for v in iso)), dtype=complex)
+        for s, v in zip(stack, iso):
+            s[:, :v.shape[1]] = v
+        return stack
+
+    def blocks(self, probe_bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Compressions of h = dimensionless() to probe ranges (V, T, D).
 
-        For each probe isometry v_i: V_i = I_sys (x) v_i (see `isometries`),
-        T_ij = V_i+ h V_j and the dispersion D_i = V_i+ h^2 V_i - T_ii^2.
-        Both stroboscopic limits are built from these: the selective branch
-        has H1 = gamma T_ii and H2 = (Omega/2) D_i, the non-selective blocks
+        V is the (k, d, m) stack of `isometries`, T the (k, k, m, m) stack of
+        T_ij = V_i+ h V_j and D the (k, m, m) stack of dispersions
+        D_i = V_i+ h^2 V_i - T_ii^2; padding stays zero in all three.  Both
+        stroboscopic limits are built from these: the selective branch has
+        H1 = gamma T_ii and H2 = (Omega/2) D_i, the non-selective blocks
         Heff_i = H1 - i H2 and the transitions T_ij.
         """
         h = self.dimensionless()
         bases = self.isometries(probe_bases)
-        trans = tuple(tuple(dag(vi) @ h @ vj for vj in bases) for vi in bases)
-        h2 = h @ h
-        disp = tuple(dag(v) @ h2 @ v - t[i] @ t[i]
-                     for i, (v, t) in enumerate(zip(bases, trans)))
+        bases_dag = dag(bases)
+        trans = (bases_dag @ h)[:, None] @ bases[None]
+        i = np.arange(len(bases))
+        diag = trans[i, i]
+        disp = bases_dag @ (h @ h) @ bases - diag @ diag
         return bases, trans, disp
 
 

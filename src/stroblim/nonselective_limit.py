@@ -9,10 +9,13 @@ an orthonormal basis V_i of range(C_i), obeys
 
     d b_i = -i (Heff_i b_i - b_i Heff_i+) + Omega sum_{j != i} T_ij b_j T_ji,
 
-with T_ij = V_i+ h V_j.  `build_generator` writes these equations as one
-N x N matrix on the row-major packed blocks, N = sum_i n_i^2 <= d^2, and that
-matrix is the only generator in the package: the semigroup propagator, the
-block right-hand side and the block integrator all use it.
+with T_ij = V_i+ h V_j.  The blocks are carried as the zero-padded (k, m, m)
+stack V+ rho V of `HamiltonianSpec.isometries`, and a boolean mask packs
+them block by block, row-major within each block.  `build_generator` writes
+the block equations as one N x N matrix on the packed blocks,
+N = sum_i n_i^2 <= d^2, and that matrix is the only generator in the
+package: the semigroup propagator, the block right-hand side and the block
+integrator all use it.
 """
 
 from __future__ import annotations
@@ -31,31 +34,29 @@ from .trajectory import Trajectory
 class NonselectiveEffective:
     """Semigroup generator on the blocks of a channel-invariant state.
 
-    block_bases holds one isometry V_i per projector range (system factor
-    included); block_trans[i][j] is the compressed transition operator
-    T_ij = V_i+ h V_j of the dimensionless Hamiltonian h (H = gamma h), and
-    block_heff[i] the effective non-Hermitian block Hamiltonian
+    bases is the padded (k, d, m) isometry stack V of
+    `HamiltonianSpec.isometries`, so the blocks of a state rho are the
+    (k, m, m) stack V+ rho V; mask is True inside the rank-sized blocks, and
+    stack[..., mask] is the packed vector that generator, the N x N matrix of
+    the coupled block equations, acts on (see `block_rhs`).  trans[i, j] is
+    T_ij = V_i+ h V_j for the dimensionless Hamiltonian h (H = gamma h), and
+    heff[i] the effective non-Hermitian block Hamiltonian
     gamma T_ii - (i Omega / 2) (V_i+ h^2 V_i - T_ii^2), the selective branch
-    generator H1 - i H2 of outcome i.  generator is the
-    N x N matrix of the coupled block equations acting on the row-major
-    packed blocks (see `block_rhs`).
+    generator H1 - i H2 of outcome i.
     """
 
     gamma: float
     tau: float
-    block_bases: tuple[np.ndarray, ...]
-    block_trans: tuple[tuple[np.ndarray, ...], ...]
-    block_heff: tuple[np.ndarray, ...]
+    bases: np.ndarray
+    trans: np.ndarray
+    heff: np.ndarray
+    mask: np.ndarray
     generator: np.ndarray
     dims: TensorDims
 
     @property
     def omega(self) -> float:
         return self.gamma * self.gamma * self.tau
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_bases)
 
 
 def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
@@ -66,7 +67,8 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     and Heff_i = gamma T_ii - (i Omega / 2) D_i is the selective branch
     generator H1 - i H2 of outcome i (see `effective_rankr`).  The diagonal
     blocks of the generator are -i (Heff_i (x) I - I (x) conj(Heff_i)), the
-    off-diagonal ones Omega (T_ij (x) T_ji^T).  Construction-time checks
+    off-diagonal ones Omega (T_ij (x) T_ji^T), each built from the rank-sized
+    slices.  Construction-time checks
     (RuntimeError on failure): the transition blocks satisfy T_ij+ = T_ji,
     the dispersion identity sum_{j!=i} T_ij T_ji = D_i holds
     (the family is complete), and the generator preserves trace and fixes the
@@ -85,31 +87,35 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     gamma = ham.gamma
     omega = gamma * gamma * tau
     bases, trans, disp = ham.blocks(spec.bases)
-    m = len(bases)
-    for i in range(m):
-        for j in range(m):
-            if max_abs(dag(trans[i][j]) - trans[j][i]) > 1e-12:
-                raise RuntimeError("transition operators lost Hermitian pairing")
-        leak = sum(trans[i][j] @ trans[j][i] for j in range(m) if j != i)
-        if max_abs(leak - disp[i]) > 1e-12:
-            raise RuntimeError("block dispersion identity failed")
-    heff = [gamma * trans[i][i] - 0.5j * omega * disp[i] for i in range(m)]
+    if max_abs(dag(trans) - trans.swapaxes(0, 1)) > 1e-12:
+        raise RuntimeError("transition operators lost Hermitian pairing")
+    idx = np.arange(len(bases))
+    leak = trans @ trans.swapaxes(0, 1)         # T_ij T_ji
+    leak[idx, idx] = 0
+    if max_abs(leak.sum(axis=1) - disp) > 1e-12:
+        raise RuntimeError("block dispersion identity failed")
+    heff = gamma * trans[idx, idx] - 0.5j * omega * disp
+    live = np.any(bases, axis=1)                # the unpadded columns of V_i
+    mask = live[:, :, None] & live[:, None, :]
+    n = live.sum(axis=1)
 
     def block(i, j):
         if i != j:
-            return omega * np.kron(trans[i][j], trans[j][i].T)
-        eye = np.eye(len(heff[i]), dtype=complex)
-        return -1j * (np.kron(heff[i], eye) - np.kron(eye, heff[i].conj()))
+            return omega * np.kron(trans[i, j, :n[i], :n[j]],
+                                   trans[j, i, :n[j], :n[i]].T)
+        eye = np.eye(n[i], dtype=complex)
+        hi = heff[i, :n[i], :n[i]]
+        return -1j * (np.kron(hi, eye) - np.kron(eye, hi.conj()))
 
-    gen = np.block([[block(i, j) for j in range(m)] for i in range(m)])
-    ident = np.concatenate([np.eye(len(x), dtype=complex).reshape(-1) for x in heff])
+    gen = np.block([[block(i, j) for j in idx] for i in idx])
+    ident = np.broadcast_to(np.eye(bases.shape[2], dtype=complex), mask.shape)[mask]
     if max_abs(gen @ ident) / ham.dims.total > DEFAULT_TOL:
         raise RuntimeError("generator does not fix the maximally mixed state")
     if max_abs(ident @ gen) > DEFAULT_TOL:
         raise RuntimeError("generator is not trace-preserving")
     return NonselectiveEffective(
-        gamma=gamma, tau=tau, block_bases=bases, block_trans=trans,
-        block_heff=tuple(heff), generator=gen, dims=ham.dims)
+        gamma=gamma, tau=tau, bases=bases, trans=trans, heff=heff, mask=mask,
+        generator=gen, dims=ham.dims)
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
@@ -118,73 +124,48 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
 
     The packed blocks are stepped from sample to sample with one exponential
     of the generator per distinct gap (`expm_sample`), one product per step:
-    powers of the N x N generator would cost N^3 each.  Times must be finite,
-    non-negative and non-decreasing.  The initial joint state must already be
-    a fixed point of the measurement channel (block-diagonal); trace and block
-    structure are then preserved exactly by the semigroup.
+    powers of the N x N generator would cost N^3 each.  All samples are then
+    unpacked into one block stack and lifted back at once.  Times must be
+    finite, non-negative and non-decreasing.  The initial joint state must
+    already be a fixed point of the measurement channel (block-diagonal);
+    trace and block structure are then preserved exactly by the semigroup.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
         raise ValueError("initial state does not match the generator dimensions")
-    state0 = blocks_from_global(eff, rho0)
-    if max_abs(global_from_blocks(eff, state0) - rho0) > DEFAULT_TOL:
+    v, v_dag = eff.bases, dag(eff.bases)
+    blocks0 = v_dag @ rho0 @ v
+    if max_abs((v @ blocks0 @ v_dag).sum(axis=-3) - rho0) > DEFAULT_TOL:
         raise ValueError("initial state must be a fixed point of the measurement "
                          "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
 
-    def apply(e, v, counts):        # step the packed vector once per count
-        return step_powers(lambda k, y: e @ y, v, counts, v.shape)
+    def apply(e, y, counts):        # step the packed vector once per count
+        return step_powers(lambda k, x: e @ x, y, counts, y.shape)
 
-    packed = expm_sample(eff.generator, _pack(state0), times, apply)
-    states = np.array([global_from_blocks(eff, _unpack(eff, y))
-                       for y in packed]).reshape((-1,) + rho0.shape)
+    packed = expm_sample(eff.generator, blocks0[eff.mask], times, apply)
+    blocks = np.zeros((len(packed),) + blocks0.shape, dtype=complex)
+    blocks[:, eff.mask] = packed
+    states = (v @ blocks @ v_dag).sum(axis=-3)
     norms = np.trace(states, axis1=-2, axis2=-1).real
     return Trajectory(times.copy(), states, norms, eff.dims)
 
 
-@dataclass
-class BlockState:
-    """Per-outcome blocks of a channel-invariant state, compressed to the
-    block bases of a NonselectiveEffective."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks))
+def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:
+    """Coupled block equations on a (k, m, m) block stack: each block evolves
+    under its effective non-Hermitian Hamiltonian while feeding the others
+    through the transition operators.  Total trace is conserved."""
+    out = np.zeros(eff.mask.shape, dtype=complex)
+    out[eff.mask] = eff.generator @ np.asarray(blocks)[eff.mask]
+    return out
 
 
-def blocks_from_global(eff: NonselectiveEffective, rho) -> BlockState:
-    rho = as_matrix(rho)
-    return BlockState(tuple(dag(v) @ rho @ v for v in eff.block_bases))
-
-
-def global_from_blocks(eff: NonselectiveEffective, state: BlockState) -> np.ndarray:
-    return sum(v @ b @ dag(v) for v, b in zip(eff.block_bases, state.blocks))
-
-
-def _pack(state: BlockState) -> np.ndarray:
-    """Concatenate the row-major flattened blocks."""
-    return np.concatenate([b.reshape(-1) for b in state.blocks])
-
-
-def _unpack(eff: NonselectiveEffective, flat: np.ndarray) -> BlockState:
-    sizes = [v.shape[1] for v in eff.block_bases]
-    parts = np.split(flat, np.cumsum([n * n for n in sizes])[:-1])
-    return BlockState(tuple(f.reshape(n, n) for f, n in zip(parts, sizes)))
-
-
-def block_rhs(eff: NonselectiveEffective, state: BlockState) -> BlockState:
-    """Coupled block equations: each block evolves under its effective
-    non-Hermitian Hamiltonian while feeding the others through the transition
-    operators.  Total trace is conserved."""
-    return _unpack(eff, eff.generator @ _pack(state))
-
-
-def integrate_blocks(eff: NonselectiveEffective, state0: BlockState, times,
-                     n_steps: int = DEFAULT_ODE_STEPS) -> list[BlockState]:
-    """Fixed-step RK4 integration of the coupled block equations."""
-    return [_unpack(eff, y) for y in rk4_sample(lambda y: eff.generator @ y,
-                                                _pack(state0), times, n_steps)]
+def integrate_blocks(eff: NonselectiveEffective, blocks0, times,
+                     n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
+    """Fixed-step RK4 integration of the coupled block equations, one
+    (k, m, m) block stack per sample."""
+    return rk4_sample(lambda b: block_rhs(eff, b), np.asarray(blocks0), times,
+                      n_steps)
 
 
 def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:
@@ -192,14 +173,10 @@ def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:
 
     W[i, j] is the rate j -> i, Omega * |<i|h|j>|^2, with zero diagonal.
     """
-    if any(v.shape[1] != 1 for v in eff.block_bases):
+    if eff.bases.shape[2] != 1:
         raise ValueError("Pauli reduction requires rank-1 family")
-    m = eff.n_blocks
-    w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                w[i, j] = eff.omega * abs(eff.block_trans[i][j][0, 0]) ** 2
+    w = eff.omega * np.abs(eff.trans[:, :, 0, 0]) ** 2
+    np.fill_diagonal(w, 0.0)
     return w
 
 

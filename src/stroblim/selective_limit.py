@@ -92,7 +92,7 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("projector dimension does not match the Hamiltonian")
     _, trans, disp = ham.blocks(spec.bases)
-    h1 = ham.gamma * trans[0][0]
+    h1 = ham.gamma * trans[0, 0]
     h2 = (ham.gamma * ham.gamma * tau / 2.0) * disp[0]
     _validate_h1_h2(h1, h2)
     return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau,

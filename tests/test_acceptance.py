@@ -21,8 +21,7 @@ from stroblim import (EvolutionPlan, InitialState, basis_ket, build_generator,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import dag, expm, max_abs
-from stroblim.nonselective_limit import (blocks_from_global, integrate_blocks,
-                                         integrate_pauli)
+from stroblim.nonselective_limit import integrate_blocks, integrate_pauli
 from stroblim.selective_limit import integrate_density, integrate_state
 from stroblim.experiments import compare_scenario, convergence_sweep
 
@@ -181,7 +180,7 @@ def test_nonselective_generator_properties():
             sandwich = ref.sandwich()
             assert max_abs(sandwich - lam @ ref.lindblad @ lam) <= 1e-10
             ham_part = sum(liouville_commutator(ref.transition(i, i))
-                           for i in range(eff.n_blocks))
+                           for i in range(len(eff.bases)))
             assert max_abs(lam @ liouville_commutator(ref.h) @ lam
                            - lam @ ham_part @ lam) <= 1e-10
             from helpers import random_density
@@ -195,10 +194,10 @@ def test_nonselective_generator_properties():
             assert max_abs(block_apply(eff, np.eye(d) / d)) <= 1e-10
             assert max_abs(ref.apply(np.eye(d) / d)) <= 1e-10
             assert max_abs(via_lindblad - ref.channel(via_lindblad)) <= 1e-12
-            m = eff.n_blocks
+            m = len(eff.bases)
             for i in range(m):
-                vi = eff.block_bases[i]
-                lhs = vi @ sum(eff.block_trans[i][j] @ eff.block_trans[j][i]
+                vi = eff.bases[i]
+                lhs = vi @ sum(eff.trans[i, j] @ eff.trans[j, i]
                                for j in range(m) if j != i) @ dag(vi)
                 hii = ref.transition(i, i)
                 rhs = ref.c_ops[i] @ ref.h @ ref.h @ ref.c_ops[i] - hii @ hii
@@ -220,12 +219,13 @@ def test_nonselective_closed_form_triple_agreement():
         init = InitialState(rho_sys, np.diag([1.0, 0.0]).astype(complex))
         times = np.linspace(0.0, 40.0, 17)
         semi = semigroup_propagate(eff, init, times)
-        blocks = integrate_blocks(eff, blocks_from_global(eff, init.joint()),
-                                  times, n_steps=8000)
+        v = eff.bases
+        blocks = integrate_blocks(eff, dag(v) @ init.joint() @ v, times,
+                                  n_steps=8000)
         for k, t in enumerate(times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) <= 1e-8
-            reduced = blocks[k].blocks[0] + blocks[k].blocks[1]
+            reduced = blocks[k].sum(axis=0)
             assert trace_distance(reduced, cf) <= 1e-8
             assert trace_distance(semi.sys_states[k], reduced) <= 1e-8
         for a2 in (0.01, 0.3, 0.6):
@@ -259,13 +259,13 @@ def test_pauli_reduction():
             w = pauli_rates(eff)
             assert np.all(w >= 0)
             for i in range(dim):
-                ket = eff.block_bases[i][:, 0]
+                ket = eff.bases[i, :, 0]
                 h_exp = np.vdot(ket, h @ ket).real
                 h2_exp = np.vdot(ket, h @ h @ ket).real
                 assert abs(w[:, i].sum() - eff.omega * (h2_exp - h_exp ** 2)) <= 1e-12
             p0 = rng.random(dim)
             p0 /= p0.sum()
-            bases = [eff.block_bases[i][:, 0] for i in range(dim)]
+            bases = eff.bases[:, :, 0]
             rho0 = sum(p * np.outer(b, b.conj()) for p, b in zip(p0, bases))
             init = InitialState(np.eye(1, dtype=complex), rho0)
             times = np.linspace(0.0, 5.0, 11)

@@ -313,6 +313,21 @@ class TestCommands:
         path.write_text("t,p_up,method\n")
         assert main(["plot", str(path), str(tmp_path / "out.svg")]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "plot"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        # an --out-dir that is a file, an SVG path under a missing directory
+        csv = tmp_path / "swap_selective_limit.csv"
+        main(["run", bundled_path("swap_selective"), "--out-dir", str(tmp_path),
+              "--grid-points", "50"])
+        capsys.readouterr()
+        if command == "run":
+            argv = ["run", bundled_path("swap_selective"), "--out-dir", str(csv)]
+        else:
+            argv = ["plot", str(csv), str(tmp_path / "missing" / "out.svg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_compare_runs_without_scipy(tmp_path):
     # scipy is a test extra only; blocking its import must not break the CLI

@@ -12,9 +12,8 @@ from stroblim import (HamiltonianSpec, InitialState, basis_ket, block_rhs,
                       swap_hamiltonian, swap_nonselective_closed_form,
                       trace_distance)
 from stroblim.linalg import dag, max_abs
-from stroblim.nonselective_limit import (BlockState, _pack, blocks_from_global,
-                                         global_from_blocks, integrate_blocks,
-                                         integrate_pauli, pauli_rhs)
+from stroblim.nonselective_limit import (integrate_blocks, integrate_pauli,
+                                         pauli_rhs)
 from stroblim.selective_limit import (effective_rank1, integrate_density,
                                       integrate_state)
 
@@ -57,7 +56,7 @@ class TestBuildGenerator:
         for i in range(2):
             for j in range(2):
                 if i != j:
-                    assert max_abs(eff.block_trans[i][j]) < 1e-12
+                    assert max_abs(eff.trans[i, j]) < 1e-12
         h_diag = ref.transition(0, 0) + ref.transition(1, 1)
         want = 1.5 * liouville_commutator(h_diag)
         assert max_abs(ref.lindblad - want) < 1e-12
@@ -68,10 +67,10 @@ class TestBuildGenerator:
         # direct-calculation structure: h11 = |uu><uu|, h12 = |du><ud|,
         # h22 = |dd><dd| in the system (x) probe product basis
         eff = swap_gen()
-        v = eff.block_bases
+        v = eff.bases
 
         def transition(i, j):
-            return v[i] @ eff.block_trans[i][j] @ dag(v[j])
+            return v[i] @ eff.trans[i, j] @ dag(v[j])
 
         e = np.eye(4, dtype=complex)
         uu = np.outer(e[0], e[0])
@@ -86,10 +85,10 @@ class TestBuildGenerator:
         for _ in range(5):
             eff, ref = random_generator(rng, 2, 3)
             h = ref.h
-            m = eff.n_blocks
+            m = len(eff.bases)
             for i in range(m):
-                vi = eff.block_bases[i]
-                lhs = vi @ sum(eff.block_trans[i][j] @ eff.block_trans[j][i]
+                vi = eff.bases[i]
+                lhs = vi @ sum(eff.trans[i, j] @ eff.trans[j, i]
                                for j in range(m) if j != i) @ dag(vi)
                 ci = ref.c_ops[i]
                 hii = ref.transition(i, i)
@@ -114,7 +113,8 @@ class TestBuildGenerator:
         assert max_abs(block_apply(eff, np.eye(d) / d)) < 1e-10
         assert max_abs(ref.apply(np.eye(d) / d)) < 1e-10
         x = random_hermitian(rng, d)
-        assert abs(block_rhs(eff, blocks_from_global(eff, x)).trace()) < 1e-10
+        v = eff.bases
+        assert abs(np.trace(block_rhs(eff, dag(v) @ x @ v).sum(axis=0))) < 1e-10
         assert abs(np.trace(ref.apply(x))) < 1e-10
 
     def test_block_closure(self, rng):
@@ -126,19 +126,27 @@ class TestBuildGenerator:
 
     def test_generator_acts_on_packed_blocks(self, rng):
         # N = sum_i n_i^2: system dimension 2 times probe ranks (1, 2, 1)
-        # gives blocks of sizes 2, 4, 2 and N = 4 + 16 + 4
-        ham = random_hamiltonian_spec(rng, 2, 4, n_terms=2, gamma=2.0)
-        u = random_unitary(rng, 4)
-        groups = [[u[:, 0]], [u[:, 1], u[:, 2]], [u[:, 3]]]
-        eff = build_generator(ham, family_spec(groups), 0.25)
-        assert eff.generator.shape == (24, 24)
-        ref = full_space_reference(ham, family_spec(groups), 0.25)
-        rho = random_block_diagonal(rng, ref)
-        state = blocks_from_global(eff, rho)
-        packed = eff.generator @ _pack(state)
-        assert max_abs(packed - _pack(block_rhs(eff, state))) == 0
-        assert max_abs(global_from_blocks(eff, block_rhs(eff, state))
-                       - ref.apply(rho)) < 1e-12
+        # gives blocks of sizes 2, 4, 2 and N = 4 + 16 + 4; ranks (3, 1)
+        # give sizes 6, 2 and N = 36 + 4.  The mask packs the padded stack
+        # block by block, row-major inside each rank-sized block.
+        for ranks, n_packed in (((1, 2, 1), 24), ((3, 1), 40)):
+            ham = random_hamiltonian_spec(rng, 2, 4, n_terms=2, gamma=2.0)
+            cols = iter(random_unitary(rng, 4).T)
+            groups = [[next(cols) for _ in range(r)] for r in ranks]
+            eff = build_generator(ham, family_spec(groups), 0.25)
+            assert eff.generator.shape == (n_packed, n_packed)
+            ref = full_space_reference(ham, family_spec(groups), 0.25)
+            rho = random_block_diagonal(rng, ref)
+            v = eff.bases
+            blocks = dag(v) @ rho @ v
+            assert not blocks[~eff.mask].any()
+            packed = blocks[eff.mask]
+            assert np.array_equal(packed, np.concatenate(
+                [b[:2 * r, :2 * r].reshape(-1) for b, r in zip(blocks, ranks)]))
+            rhs = block_rhs(eff, blocks)
+            assert max_abs(eff.generator @ packed - rhs[eff.mask]) == 0
+            assert not rhs[~eff.mask].any()
+            assert max_abs((v @ rhs @ dag(v)).sum(axis=0) - ref.apply(rho)) < 1e-12
 
     def test_rejects_selective_spec(self):
         sel = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]],
@@ -164,7 +172,8 @@ class TestSemigroupPropagate:
 
     def test_semigroup_law(self, rng):
         eff, ref = random_generator(rng, 1, 4)
-        packed = _pack(blocks_from_global(eff, random_block_diagonal(rng, ref)))
+        v = eff.bases
+        packed = (dag(v) @ random_block_diagonal(rng, ref) @ v)[eff.mask]
         from stroblim.linalg import expm
         t, s = 0.7, 1.9
         one = expm(eff.generator * (t + s)) @ packed
@@ -199,30 +208,29 @@ class TestBlocks:
         for _ in range(4):
             eff, ref = random_generator(rng, 2, 3)
             rho = random_block_diagonal(rng, ref)
-            state = blocks_from_global(eff, rho)
-            drho_blocks = global_from_blocks(eff, block_rhs(eff, state))
+            v = eff.bases
+            d = block_rhs(eff, dag(v) @ rho @ v)
+            drho_blocks = (v @ d @ dag(v)).sum(axis=0)
             drho_direct = ref.apply(rho)
             assert max_abs(drho_blocks - drho_direct) < 1e-12
-            assert abs(block_rhs(eff, state).trace()) < 1e-12
+            assert abs(np.trace(d.sum(axis=0))) < 1e-12
 
     def test_uncoupled_blocks_evolve_unitarily(self, rng):
         a = random_hermitian(rng, 2, norm=1.0)
         ham = HamiltonianSpec(1.5, ((a, pauli(3)),))
         eff = build_generator(ham, zbasis_meas(), 0.1)
         rho = kron(random_density(rng, 2), np.diag([0.4, 0.6]).astype(complex))
-        state = blocks_from_global(eff, rho)
-        d = block_rhs(eff, state)
-        for i, db in enumerate(d.blocks):
-            heff = eff.block_heff[i]
+        blocks = dag(eff.bases) @ rho @ eff.bases
+        d = block_rhs(eff, blocks)
+        for db, heff, b in zip(d, eff.heff, blocks):
             assert max_abs(heff - dag(heff)) < 1e-12  # commuting case: Hermitian
-            b = state.blocks[i]
             assert max_abs(db + 1j * (heff @ b - b @ heff)) < 1e-12
 
     def test_maximally_mixed_blocks_stationary(self):
         eff = swap_gen()
-        state = blocks_from_global(eff, np.eye(4, dtype=complex) / 4)
-        d = block_rhs(eff, state)
-        for db in d.blocks:
+        v = eff.bases
+        d = block_rhs(eff, dag(v) @ (np.eye(4, dtype=complex) / 4) @ v)
+        for db in d:
             assert max_abs(db) < 1e-12
 
     def test_swap_block_equations_structure(self, rng):
@@ -233,9 +241,7 @@ class TestBlocks:
         omega = eff.omega
         r1 = random_density(rng, 2)
         r2 = random_density(rng, 2) * 0.5
-        state = BlockState((r1.copy(), r2.copy()))
-        d = block_rhs(eff, state)
-        d1, d2 = d.blocks
+        d1, d2 = block_rhs(eff, np.array([r1, r2]))
         assert abs(d1[0, 0]) < 1e-12
         assert abs(d1[1, 1] - (-omega * (r1[1, 1] - r2[0, 0]))) < 1e-12
         assert abs(d1[0, 1] - (-1j * GAMMA - omega / 2) * r1[0, 1]) < 1e-12
@@ -246,21 +252,21 @@ class TestBlocks:
         # h^2 = I so the dispersion in block i is 1 - (h_ii)^2 restricted
         eff = swap_gen()
         omega = eff.omega
-        h1_eff = eff.block_heff[0]
+        h1_eff = eff.heff[0]
         want = GAMMA * np.diag([1.0, 0.0]) - 0.5j * omega * np.diag([0.0, 1.0])
         assert max_abs(h1_eff - want) < 1e-12
         with pytest.raises(IndexError):
-            eff.block_heff[5]
+            eff.heff[5]
 
     def test_block_integration_matches_semigroup(self, rng):
         eff, ref = random_generator(rng, 2, 2, gamma=1.0, tau=0.25)
         rho = random_block_diagonal(rng, ref)
         times = np.linspace(0.0, 4.0, 9)
-        blocks = integrate_blocks(eff, blocks_from_global(eff, rho), times,
-                                  n_steps=4000)
+        v = eff.bases
+        blocks = integrate_blocks(eff, dag(v) @ rho @ v, times, n_steps=4000)
         for t, st in zip(times, blocks):
             direct = ref.evolve(rho, t)
-            assert max_abs(global_from_blocks(eff, st) - direct) < 1e-7
+            assert max_abs((v @ st @ dag(v)).sum(axis=0) - direct) < 1e-7
 
 
 def swap_selective_eff():
@@ -285,7 +291,7 @@ INTEGRATORS = [
     pytest.param(lambda t: integrate_state(swap_selective_eff(), basis_ket("d"), t),
                  id="state"),
     pytest.param(lambda t: integrate_blocks(
-        swap_gen(), blocks_from_global(swap_gen(), np.eye(4) / 4), t), id="blocks"),
+        swap_gen(), np.array([np.eye(2), np.eye(2)]) / 4, t), id="blocks"),
     pytest.param(lambda t: integrate_pauli(
         np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], t), id="pauli"),
 ]
@@ -405,8 +411,8 @@ class TestPauliReduction:
         eff = build_generator(ham, family_spec(groups), 0.25)
         h = full_space_reference(ham, family_spec(groups), 0.25).h
         w = pauli_rates(eff)
-        for i in range(eff.n_blocks):
-            ket = eff.block_bases[i][:, 0]
+        for i, basis in enumerate(eff.bases):
+            ket = basis[:, 0]
             h_exp = np.vdot(ket, h @ ket).real
             h2_exp = np.vdot(ket, h @ h @ ket).real
             want = eff.omega * (h2_exp - h_exp ** 2)
@@ -504,11 +510,12 @@ class TestClosedForm:
         init = InitialState(rho_sys, np.diag([1.0, 0.0]).astype(complex))
         times = np.linspace(0.0, 40.0, 17)
         semi = semigroup_propagate(eff, init, times)
-        blocks = integrate_blocks(eff, blocks_from_global(eff, init.joint()),
-                                  times, n_steps=8000)
+        v = eff.bases
+        blocks = integrate_blocks(eff, dag(v) @ init.joint() @ v, times,
+                                  n_steps=8000)
         for k, t in enumerate(times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) < 1e-8
             # compressed blocks are the per-outcome system matrices directly
-            reduced = blocks[k].blocks[0] + blocks[k].blocks[1]
+            reduced = blocks[k].sum(axis=0)
             assert trace_distance(reduced, cf) < 1e-8

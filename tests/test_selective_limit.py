@@ -138,9 +138,11 @@ class TestEffectiveRankr:
             spec = family_spec(random_projector_family(rng, dp))
             tau = float(rng.uniform(0.01, 0.5))
             gen = build_generator(ham, spec, tau)
-            for p, v, heff in zip(spec.projectors, spec.bases, gen.block_heff):
+            for p, v, heff in zip(spec.projectors, spec.bases, gen.heff):
                 eff = effective_rankr(ham, p, tau, basis=v)
-                assert max_abs(eff.h_eff - heff) < 1e-12
+                n = eff.dim
+                assert max_abs(eff.h_eff - heff[:n, :n]) < 1e-12
+                assert not heff[n:].any() and not heff[:, n:].any()
 
 
 class TestPropagateKraus:
