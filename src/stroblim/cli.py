@@ -21,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .experiments import (ComparisonReport, Scenario, check_periods,
-                          compare_scenario, convergence_sweep, run_method)
+from .experiments import (Scenario, check_periods, compare_scenario,
+                          convergence_sweep, run_method)
 from .model import (HamiltonianSpec, InitialState, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets,
                     swap_hamiltonian)
@@ -322,12 +322,18 @@ def trajectory_columns(traj: Trajectory, outputs) -> tuple[list[str], list[list[
     return names, rows
 
 
+def _write_csv(path: str, names, rows) -> None:
+    """The one CSV writer: a header of names, then one line per row, numbers
+    to 17 significant digits and strings as they are."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+
+
 def write_trajectory_csv(path: str, traj: Trajectory, outputs, method: str) -> None:
     names, rows = trajectory_columns(traj, outputs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names + ["method"]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + f",{method}\n")
+    _write_csv(path, names + ["method"], (row + [method] for row in rows))
 
 
 def read_csv(path: str) -> tuple[list[str], list[dict]]:
@@ -422,14 +428,6 @@ def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) ->
     return EXIT_OK
 
 
-def _write_compare_csv(path: str, report: ComparisonReport) -> None:
-    case = report.cases[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,deviation,deviation_trace\n")
-        for t, d, dt_ in zip(case.times, case.deviation, case.deviation_trace):
-            fh.write(f"{_fmt(t)},{_fmt(d)},{_fmt(dt_)}\n")
-
-
 def cmd_compare(scenario_path: str, out_dir: str,
                 tolerance: float | None = None) -> int:
     sc = load_scenario(scenario_path)
@@ -441,7 +439,9 @@ def cmd_compare(scenario_path: str, out_dir: str,
     tol = tolerance if tolerance is not None else sc.tolerance
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_compare.csv")
-    _write_compare_csv(path, report)
+    case = report.cases[0]
+    _write_csv(path, ["t", "deviation", "deviation_trace"],
+               zip(case.times, case.deviation, case.deviation_trace))
     verdict = "PASS" if report.max_deviation <= tol else "FAIL"
     print(f"{sc.name}: methods {'/'.join(sc.methods)}, metric {report.metric}")
     print(f"max deviation {report.max_deviation:.6g} vs tolerance {tol:g}: {verdict}")
@@ -461,12 +461,10 @@ def cmd_sweep(scenario_path: str, taus, out_dir: str) -> int:
     report = convergence_sweep(sc, taus)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_sweep.csv")
-    ratios = report.convergence_ratios or ()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau,max_deviation,ratio_to_previous\n")
-        for k, (tau, dev) in enumerate(report.convergence):
-            ratio = "" if k == 0 else _fmt(ratios[k - 1])
-            fh.write(f"{_fmt(tau)},{_fmt(dev)},{ratio}\n")
+    ratios = ("",) + report.convergence_ratios
+    _write_csv(path, ["tau", "max_deviation", "ratio_to_previous"],
+               ((tau, dev, ratio) for (tau, dev), ratio
+                in zip(report.convergence, ratios)))
     decreasing = report.strictly_decreasing
     print(f"{sc.name}: sweep over tau = {', '.join(f'{t:g}' for t, _ in report.convergence)}")
     for tau, dev in report.convergence:

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, conj_powers, dag, expm,
-                     max_abs, step_powers)
+from .linalg import PROB_FLOOR, as_matrix, conj_powers, dag, expm, step_powers
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -184,10 +183,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
         if meas.selected_index is None:
             raise ValueError("selective run needs a selected outcome or an "
                              "explicit outcome sequence")
-        p_sel = meas.selected_projector()
-        if max_abs(p_sel @ init.rho_pr @ p_sel - init.rho_pr) > DEFAULT_TOL:
-            raise ValueError("initial probe state must be supported in the "
-                             "selected projector's range")
+        init.probe_block(meas.bases[meas.selected_index])
     h, bases, first, w = _period_maps(plan)
     rho0 = init.joint()
 

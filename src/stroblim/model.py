@@ -228,11 +228,6 @@ class MeasurementSpec:
     def selective(self) -> bool:
         return self.selected_index is not None
 
-    def selected_projector(self) -> np.ndarray:
-        if self.selected_index is None:
-            raise ValueError("measurement has no selected outcome")
-        return self.projectors[self.selected_index]
-
 
 def measurement_from_kets(ket_groups, selected_index: int | None = None) -> MeasurementSpec:
     """Build a MeasurementSpec from per-outcome ket lists, preserving ket order."""
@@ -280,6 +275,18 @@ class InitialState:
 
     def joint(self) -> np.ndarray:
         return kron(self.rho_sys, self.rho_pr)
+
+    def probe_block(self, v) -> np.ndarray:
+        """v+ rho_pr v, the probe state on range(P) for the isometry v onto it.
+
+        The one support rule of the selective runners, exact and limit:
+        ValueError unless P rho_pr P = rho_pr within 1e-10, with P = v v+.
+        """
+        rp = dag(v) @ self.rho_pr @ v
+        if max_abs(v @ rp @ dag(v) - self.rho_pr) > DEFAULT_TOL:
+            raise ValueError("initial probe state must be supported in range(P) "
+                             "of the selected projector")
+        return rp
 
 
 def swap_hamiltonian(gamma: float) -> HamiltonianSpec:

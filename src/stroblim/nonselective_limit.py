@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_ODE_STEPS, DEFAULT_TOL, TensorDims, as_matrix,
-                     dag, expm_sample, max_abs, rk4_sample, step_powers)
+from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, dag,
+                     expm_sample, rk4_sample, step_powers)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -68,11 +68,10 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     generator H1 - i H2 of outcome i (see `effective_rankr`).  The diagonal
     blocks of the generator are -i (Heff_i (x) I - I (x) conj(Heff_i)), the
     off-diagonal ones Omega (T_ij (x) T_ji^T), each built from the rank-sized
-    slices.  Construction-time checks
-    (RuntimeError on failure): the transition blocks satisfy T_ij+ = T_ji,
-    the dispersion identity sum_{j!=i} T_ij T_ji = D_i holds
-    (the family is complete), and the generator preserves trace and fixes the
-    maximally mixed state.
+    slices.  Only the arguments' fit is checked here (ValueError): the
+    generator has GKSL form for any Hermitian h and complete orthogonal
+    family, which `HamiltonianSpec` and `MeasurementSpec` have validated, so
+    it preserves trace and fixes the maximally mixed state by construction.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -81,19 +80,10 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
                          "family (no selected outcome)")
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("measurement and Hamiltonian probe dimensions differ")
-    h = ham.dimensionless()
-    if max_abs(h - dag(h)) > DEFAULT_TOL:
-        raise ValueError("dimensionless Hamiltonian must be Hermitian")
     gamma = ham.gamma
     omega = gamma * gamma * tau
     bases, trans, disp = ham.blocks(spec.bases)
-    if max_abs(dag(trans) - trans.swapaxes(0, 1)) > 1e-12:
-        raise RuntimeError("transition operators lost Hermitian pairing")
     idx = np.arange(len(bases))
-    leak = trans @ trans.swapaxes(0, 1)         # T_ij T_ji
-    leak[idx, idx] = 0
-    if max_abs(leak.sum(axis=1) - disp) > 1e-12:
-        raise RuntimeError("block dispersion identity failed")
     heff = gamma * trans[idx, idx] - 0.5j * omega * disp
     live = np.any(bases, axis=1)                # the unpadded columns of V_i
     mask = live[:, :, None] & live[:, None, :]
@@ -108,11 +98,6 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
         return -1j * (np.kron(hi, eye) - np.kron(eye, hi.conj()))
 
     gen = np.block([[block(i, j) for j in idx] for i in idx])
-    ident = np.broadcast_to(np.eye(bases.shape[2], dtype=complex), mask.shape)[mask]
-    if max_abs(gen @ ident) / ham.dims.total > DEFAULT_TOL:
-        raise RuntimeError("generator does not fix the maximally mixed state")
-    if max_abs(ident @ gen) > DEFAULT_TOL:
-        raise RuntimeError("generator is not trace-preserving")
     return NonselectiveEffective(
         gamma=gamma, tau=tau, bases=bases, trans=trans, heff=heff, mask=mask,
         generator=gen, dims=ham.dims)
@@ -126,18 +111,17 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     of the generator per distinct gap (`expm_sample`), one product per step:
     powers of the N x N generator would cost N^3 each.  All samples are then
     unpacked into one block stack and lifted back at once.  Times must be
-    finite, non-negative and non-decreasing.  The initial joint state must
-    already be a fixed point of the measurement channel (block-diagonal);
-    trace and block structure are then preserved exactly by the semigroup.
+    finite, non-negative and non-decreasing.  As in `run_nonselective`, the
+    measurement channel is applied at t = 0: the evolution starts from the
+    blocks V+ rho0 V of the joint initial state, so the t = 0 sample is
+    rho0 itself when rho0 is block-diagonal and its channel image otherwise.
+    Trace and block structure are preserved exactly by the semigroup.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
         raise ValueError("initial state does not match the generator dimensions")
     v, v_dag = eff.bases, dag(eff.bases)
     blocks0 = v_dag @ rho0 @ v
-    if max_abs((v @ blocks0 @ v_dag).sum(axis=-3) - rho0) > DEFAULT_TOL:
-        raise ValueError("initial state must be a fixed point of the measurement "
-                         "channel (block-diagonal)")
     times = np.asarray(times, dtype=float)
 
     def apply(e, y, counts):        # step the packed vector once per count

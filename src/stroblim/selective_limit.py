@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_ODE_STEPS, DEFAULT_TOL, PROB_FLOOR, TensorDims,
-                     as_matrix, conj_powers, dag, expm_sample, kron, max_abs,
-                     rk4_sample)
+from .linalg import (DEFAULT_ODE_STEPS, PROB_FLOOR, TensorDims, as_matrix,
+                     conj_powers, dag, expm_sample, kron, rk4_sample)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -54,16 +53,6 @@ class SelectiveEffective:
         return self.h1.shape[0]
 
 
-def _validate_h1_h2(h1: np.ndarray, h2: np.ndarray) -> None:
-    if max_abs(h1 - dag(h1)) > DEFAULT_TOL:
-        raise ValueError("H1 must come out Hermitian; check the Hamiltonian terms")
-    if max_abs(h2 - dag(h2)) > DEFAULT_TOL:
-        raise ValueError("H2 must come out Hermitian; check the Hamiltonian terms")
-    w = np.linalg.eigvalsh((h2 + dag(h2)) / 2)
-    if w.size and float(w.min()) < -DEFAULT_TOL:
-        raise ValueError(f"H2 must be positive semidefinite, min eigenvalue {w.min():.3e}")
-
-
 def effective_rank1(ham: HamiltonianSpec, phi, tau: float) -> SelectiveEffective:
     """effective_rankr for the rank-1 projector |phi><phi| (phi normalized).
 
@@ -84,7 +73,10 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     H1 = gamma V+ h V and H2 = (Omega/2) (V+ h^2 V - (V+ h V)^2), built by
     `HamiltonianSpec.blocks`.  H1 - i H2 is the diagonal block Heff of the
     non-selective generator for the same projector in a complete family.
-    P and basis are validated as a one-projector MeasurementSpec.
+    P and basis are validated as a one-projector MeasurementSpec; tau and the
+    probe dimension are checked here.  H1 is Hermitian and H2 =
+    (Omega/2) V+ h (1 - P) h V >= 0 by construction once `HamiltonianSpec`
+    has accepted a Hermitian h, so neither is re-checked.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -94,7 +86,6 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     _, trans, disp = ham.blocks(spec.bases)
     h1 = ham.gamma * trans[0, 0]
     h2 = (ham.gamma * ham.gamma * tau / 2.0) * disp[0]
-    _validate_h1_h2(h1, h2)
     return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau,
                               probe_basis=spec.bases[0],
                               dims=TensorDims(ham.dim_sys, spec.ranks[0]))
@@ -108,19 +99,17 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     run of equal gaps takes its states as binary powers of that step from the
     run's start (`conj_powers`), into one (T, n, n) stack; times must be
     finite, non-negative and non-decreasing.  The initial probe state must be
-    supported in range(P).  The reported norms are the branch probabilities
-    tr[K rho K+], which are non-increasing in T.  If the probability falls
-    below PROB_FLOOR the trajectory is truncated with a warning (the
-    conditional state is undefined on a zero-probability branch).
+    supported in range(P), by the rule of `InitialState.probe_block` that
+    `exact.run_selective` applies too.  The reported norms are the branch
+    probabilities tr[K rho K+], which are non-increasing in T.  If the
+    probability falls below PROB_FLOOR the trajectory is truncated with a
+    warning (the conditional state is undefined on a zero-probability branch).
     """
     times = np.asarray(times, dtype=float)
     v = eff.probe_basis
     if init.rho_pr.shape[0] != v.shape[0]:
         raise ValueError("initial probe dimension does not match the generator")
-    rp = dag(v) @ init.rho_pr @ v
-    if abs(np.trace(rp).real - 1.0) > 1e-8:
-        raise ValueError("initial probe state must be supported in range(P)")
-    rho0 = kron(init.rho_sys, rp)
+    rho0 = kron(init.rho_sys, init.probe_block(v))
     states = expm_sample(-1j * eff.h_eff, rho0, times, conj_powers)
     norms = np.trace(states, axis1=1, axis2=2).real
     vanished = np.flatnonzero(norms < PROB_FLOOR)

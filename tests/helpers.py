@@ -2,6 +2,7 @@
 loader and the acceptance drivers shared across the test modules."""
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -81,14 +82,17 @@ def counting_expm(monkeypatch):
     return calls
 
 
-def random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=2.0):
-    """Random interaction with Hermitian unit-norm factors."""
+def random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=2.0, norm=1.0):
+    """Random interaction with Hermitian factors of operator norm `norm`
+    (HamiltonianSpec's warning about norms above 1 is silenced)."""
     terms = []
     for _ in range(n_terms):
-        a = random_hermitian(rng, dim_sys, norm=1.0)
-        b = random_hermitian(rng, dim_pr, norm=1.0)
+        a = random_hermitian(rng, dim_sys, norm=norm)
+        b = random_hermitian(rng, dim_pr, norm=norm)
         terms.append((a, b))
-    return HamiltonianSpec(gamma, tuple(terms))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Hamiltonian term", UserWarning)
+        return HamiltonianSpec(gamma, tuple(terms))
 
 
 def random_projector_family(rng, dim, n_blocks=None):

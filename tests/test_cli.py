@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import bundled_path, load_bundled
+from helpers import bundled_path, load_bundled, random_hermitian
 from stroblim.cli import (ScenarioError, load_scenario, main, read_csv,
                           render_chart, scenario_from_dict,
                           trajectory_columns, write_trajectory_csv)
@@ -16,6 +16,11 @@ from stroblim.experiments import run_method
 
 def bundled_doc(name):
     return json.loads(Path(bundled_path(name)).read_text())
+
+
+def complex_pairs(m):
+    """A complex matrix in the scenario schema: rows of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in m]
 
 
 class TestScenarioParsing:
@@ -122,6 +127,40 @@ class TestCommands:
         assert rc == 0
         for m in ("exact", "limit", "closed_form"):
             assert (tmp_path / f"swap_nonselective_{m}.csv").exists()
+
+    def test_compare_with_large_factor_norms(self, tmp_path, capsys):
+        # a valid 2x4 model, probe measured in two rank-2 blocks, with factor
+        # norms of 250 and gamma / 250^2: h, T_ij and D_i are large while
+        # H = gamma h is not; HamiltonianSpec only warns about such norms
+        rng = np.random.default_rng(2016)
+        terms = [{"a": complex_pairs(random_hermitian(rng, 2, norm=250.0)),
+                  "b": complex_pairs(random_hermitian(rng, 4, norm=250.0))}
+                 for _ in range(2)]
+        doc = {"name": "large_norms", "mode": "compare",
+               "hamiltonian": {"terms": terms}, "gamma": 5.0 / 250 ** 2,
+               "tau": 0.04, "projectors": [["uu", "ud"], ["du", "dd"]],
+               "initial_sys": {"ket": "u"}, "initial_pr": {"ket": "uu"},
+               "t_max": 2.0, "grid_points": 5, "outputs": ["purity", "trace"],
+               "tolerances": {"max_deviation": 0.05}}
+        path = tmp_path / "large_norms.json"
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="operator norm exceeds 1"):
+            rc = main(["compare", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_run_from_a_state_off_the_measured_blocks(self, tmp_path):
+        # both sides apply the channel at t = 0, so both CSVs start alike
+        doc = bundled_doc("swap_nonselective")
+        doc["initial_pr"] = {"ket": [[0.6, 0.0], [0.8, 0.0]]}
+        path = tmp_path / "tilted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+        exact, limit = (read_csv(str(tmp_path / f"swap_nonselective_{m}.csv"))[1]
+                        for m in ("exact", "limit"))
+        assert len(exact) == len(limit) == 251
+        for key in ("p_up", "purity", "trace_unnormalized"):
+            assert abs(exact[0][key] - limit[0][key]) <= 1e-14
 
     def test_run_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a"

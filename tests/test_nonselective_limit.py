@@ -6,12 +6,12 @@ from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply,
                      full_space_reference, liouville_commutator,
                      random_density, random_hamiltonian_spec, random_hermitian,
                      random_projector_family, random_unitary, unvec, vec)
-from stroblim import (HamiltonianSpec, InitialState, basis_ket, block_rhs,
-                      build_generator, kron, measurement_from_kets, pauli,
-                      pauli_rates, propagate_kraus, semigroup_propagate,
-                      swap_hamiltonian, swap_nonselective_closed_form,
-                      trace_distance)
-from stroblim.linalg import dag, max_abs
+from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
+                      block_rhs, build_generator, kron, measurement_from_kets,
+                      pauli, pauli_rates, propagate_kraus, run_nonselective,
+                      semigroup_propagate, swap_hamiltonian,
+                      swap_nonselective_closed_form, trace_distance)
+from stroblim.linalg import dag, max_abs, op_norm
 from stroblim.nonselective_limit import (integrate_blocks, integrate_pauli,
                                          pauli_rhs)
 from stroblim.selective_limit import (effective_rank1, integrate_density,
@@ -33,9 +33,11 @@ def swap_ref():
     return full_space_reference(swap_hamiltonian(GAMMA), zbasis_meas(), TAU)
 
 
-def random_generator(rng, dim_sys, dim_pr, gamma=2.0, tau=0.25):
-    """A random generator and its full-space reference."""
-    ham = random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=gamma)
+def random_generator(rng, dim_sys, dim_pr, gamma=2.0, tau=0.25, norm=1.0):
+    """A random generator and its full-space reference; factors of operator
+    norm `norm` come with gamma / norm^2, so H = gamma h keeps its scale."""
+    ham = random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2,
+                                  gamma=gamma / norm ** 2, norm=norm)
     groups = random_projector_family(rng, dim_pr)
     spec = family_spec(groups)
     return build_generator(ham, spec, tau), full_space_reference(ham, spec, tau)
@@ -82,9 +84,13 @@ class TestBuildGenerator:
         assert max_abs(transition(1, 0) - dag(du_ud)) < 1e-12
 
     def test_dispersion_identity_random(self, rng):
-        for _ in range(5):
-            eff, ref = random_generator(rng, 2, 3)
+        # pairing T_ij+ = T_ji and completeness sum_{j!=i} T_ij T_ji = D_i,
+        # checked against the full space with tolerances scaled by ||h||^2
+        for norm in np.repeat([1.0, 1e2, 1e4], 5):
+            eff, ref = random_generator(rng, 2, 3, norm=norm)
             h = ref.h
+            tol = 1e-12 * op_norm(h) ** 2
+            assert max_abs(dag(eff.trans) - eff.trans.swapaxes(0, 1)) <= tol
             m = len(eff.bases)
             for i in range(m):
                 vi = eff.bases[i]
@@ -93,7 +99,7 @@ class TestBuildGenerator:
                 ci = ref.c_ops[i]
                 hii = ref.transition(i, i)
                 rhs = ci @ h @ h @ ci - hii @ hii
-                assert max_abs(lhs - rhs) < 1e-12
+                assert max_abs(lhs - rhs) < tol
 
     def test_routes_agree(self, rng):
         for _ in range(5):
@@ -195,12 +201,15 @@ class TestSemigroupPropagate:
         assert traj.states.shape == (0, 4, 4)
         assert traj.norms.shape == (0,)
 
-    def test_rejects_non_fixed_point(self):
-        eff = swap_gen()
+    def test_non_fixed_point_starts_from_the_channel_image(self):
+        # the channel is applied at t = 0, as in run_nonselective
+        ham, meas = swap_hamiltonian(GAMMA), zbasis_meas()
         plus = (basis_ket("u") + basis_ket("d")) / np.sqrt(2)
         init = InitialState.from_kets(basis_ket("u"), plus)
-        with pytest.raises(ValueError):
-            semigroup_propagate(eff, init, [0.0])
+        traj = semigroup_propagate(build_generator(ham, meas, TAU), init, [0.0])
+        exact = run_nonselective(EvolutionPlan(ham, meas, TAU, TAU), init)
+        assert max_abs(traj.states[0] - exact.states[0]) <= 1e-14
+        assert max_abs(traj.states[0] - swap_ref().channel(init.joint())) <= 1e-14
 
 
 class TestBlocks:
@@ -475,7 +484,6 @@ class TestClosedForm:
     def test_mixed_state_matches_exact_oracle(self):
         # maximally mixed system with the probe pinned up relaxes toward
         # populations (3/4, 1/4); cross-checked against the stepwise run
-        from stroblim import EvolutionPlan, run_nonselective
         ham = swap_hamiltonian(5.0)
         init = InitialState(np.eye(2) / 2, np.diag([1.0, 0.0]).astype(complex))
         traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.04, 10.0), init)

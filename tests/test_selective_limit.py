@@ -4,12 +4,12 @@ import pytest
 from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, counting_expm, family_spec,
                      random_density, random_hamiltonian_spec, random_ket,
                      random_projector_family)
-from stroblim import (HamiltonianSpec, InitialState, basis_ket, build_generator,
-                      effective_rank1, effective_rankr, heisenberg3_hamiltonian,
-                      kron,
+from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
+                      build_generator, effective_rank1, effective_rankr,
+                      heisenberg3_hamiltonian, kron, measurement_from_kets,
                       nonlinear_density_rhs, nonlinear_state_rhs, pauli,
                       projector_from_kets, propagate_kraus, purity_derivative,
-                      swap_hamiltonian, trace_distance)
+                      run_selective, swap_hamiltonian, trace_distance)
 from stroblim.linalg import PROB_FLOOR, dag, expm, is_psd, max_abs
 from stroblim.selective_limit import integrate_density, integrate_state
 
@@ -265,6 +265,17 @@ class TestPropagateKraus:
         init = InitialState.from_kets([1.0, 0.0], inside + outside)
         with pytest.raises(ValueError, match=r"range\(P\)"):
             propagate_kraus(eff, init, [0.0])
+
+    def test_limit_and_oracle_share_the_support_rule(self):
+        # a weight of 1e-9 outside range(P) misses a unit probe-block trace by
+        # less than 1e-8, but leaves P rho P - rho above 1e-10: both reject it
+        init = InitialState(np.diag([1.0, 0.0]), np.diag([1.0 - 1e-9, 1e-9]))
+        meas = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]], 0)
+        plan = EvolutionPlan(swap_hamiltonian(GAMMA), meas, TAU, 1.0)
+        with pytest.raises(ValueError, match=r"supported in range\(P\)"):
+            propagate_kraus(swap_eff(), init, [0.0])
+        with pytest.raises(ValueError, match=r"supported in range\(P\)"):
+            run_selective(plan, init)
 
 
 class TestNonlinearRhs:
