@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROB_FLOOR, as_matrix, conj_powers, dag, expm, step_powers
+from .linalg import (PROB_FLOOR, as_matrix, conj_powers, conj_stack, dag, expm,
+                     step_powers)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -136,21 +137,21 @@ def _interrupted(plan: EvolutionPlan, h, rho0, compressed, lift,
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
-    ns = list(range(every, plan.n_steps + 1, every))
+    ns = np.arange(every, plan.n_steps + 1, every)
     kept = len(ns)
     if plan.n_steps % every:
-        ns.append(plan.n_steps)
+        ns = np.append(ns, plan.n_steps)
     lifted, lifted_norms = lift(ns, compressed(ns))
-    times = [0.0] + [n * plan.tau for n in ns[:kept]]
+    times = [[0.0], ns[:kept] * plan.tau]
     states, norms = [rho0[None], lifted[:kept]], [[_trace(rho0)], lifted_norms[:kept]]
     if plan.residual > 0:
-        rho = unitary_step(lifted[-1] if ns else rho0, h, plan.residual)
-        times.append(plan.total_time)
+        rho = unitary_step(lifted[-1] if len(ns) else rho0, h, plan.residual)
+        times.append([plan.total_time])
         states.append(rho[None])
         norms.append([_trace(rho)])
     states, norms = np.concatenate(states), np.concatenate(norms)
     states /= norms[:, None, None]
-    return Trajectory(np.array(times), states, norms, plan.hamiltonian.dims)
+    return Trajectory(np.concatenate(times), states, norms, plan.hamiltonian.dims)
 
 
 def run_selective(plan: EvolutionPlan, init: InitialState,
@@ -199,7 +200,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             return r
 
         def lift(ns, blocks):
-            v = bases[[seq[n - 1] for n in ns]]
+            v = bases[np.array(seq, dtype=np.int64)[ns - 1]]
             return v @ blocks @ dag(v), _trace(blocks)
 
         shape = (bases.shape[2],) * 2
@@ -214,7 +215,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
         failed = np.flatnonzero(norms < PROB_FLOOR)
         if failed.size:
             k = failed[0]
-            lo, hi = (ns[k - 1] if k else 0), ns[k]    # period lo passes, hi fails
+            lo, hi = (int(ns[k - 1]) if k else 0), int(ns[k])   # lo passes, hi fails
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if _trace(conj_powers(w_ss, r0, [mid])[0]) < PROB_FLOOR:
@@ -222,7 +223,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                 else:
                     lo = mid
             _check_probability(hi, conj_powers(w_ss, r0, [hi])[0])
-        return v @ blocks @ v_dag, norms
+        return conj_stack(v, blocks, v_dag), norms
 
     return _interrupted(plan, h, rho0, lambda ns: conj_powers(w_ss, r0, ns),
                         lift, every)

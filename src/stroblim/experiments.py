@@ -5,9 +5,9 @@ the sample grid.  `run_method` produces its trajectory by the exact
 interrupted evolution, by the frequent-measurement limit (the selective
 `H1 - i H2` branch or the non-selective semigroup) or by the non-selective
 closed form; `compare_scenario` reports the deviation of the limits from the
-exact run, and `convergence_sweep` repeats that over tau at fixed
-Omega = gamma^2 tau.  Everything is deterministic: fixed grids, fixed-step
-integration, no randomness.
+exact run, and `convergence_sweep` tabulates its max over tau at fixed
+Omega = gamma^2 tau, one tau at a time.  Everything is deterministic: fixed
+grids, fixed-step integration, no randomness.
 """
 
 from __future__ import annotations
@@ -167,10 +167,8 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
         if not closed_form_applicable(sc):
             raise ValueError("closed form does not apply to this scenario")
         times = sc.times
-        states = np.array([swap_nonselective_closed_form(ham.gamma, sc.omega,
-                                                         init.rho_sys, t)
-                           for t in times])
-        return Trajectory(times.copy(), states, np.ones(len(times)),
+        states = swap_nonselective_closed_form(ham.gamma, sc.omega, init.rho_sys, times)
+        return Trajectory(times, states, np.ones(len(times)),
                           TensorDims(ham.dim_sys, 1))
     raise ValueError(f"unknown method {method!r}")
 
@@ -230,23 +228,34 @@ def _series_deviation(metric: str, ref: Trajectory, other: Trajectory) -> np.nda
     return trace_distance(ref.sys_states, other.sys_states)
 
 
-def compare_case(sc: Scenario, label: str | None = None) -> CaseComparison:
+def _run_methods(sc: Scenario) -> tuple[str, dict]:
+    """Trajectories of every method of sc, by name, and the reference's name:
+    the exact run when it takes part, else the first method."""
     methods = sc.methods
     trajs = {m: run_method(sc, m) for m in methods}
     ref_name = "exact" if "exact" in trajs else methods[0]
-    ref = trajs[ref_name]
-    n = len(ref)
+    n = len(trajs[ref_name])
     for m, tr in trajs.items():
         if len(tr) != n:
             raise RuntimeError(f"method {m} returned a truncated trajectory")
-    metric = _metric_for(sc)
-    dev = np.zeros(n)
-    dev_tr = np.zeros(n)
+    return ref_name, trajs
+
+
+def _deviation(metric: str, ref_name: str, trajs: dict) -> np.ndarray:
+    """Per-sample max over the non-reference methods of their deviation."""
+    ref = trajs[ref_name]
+    dev = np.zeros(len(ref))
     for m, tr in trajs.items():
-        if m == ref_name:
-            continue
-        dev = np.maximum(dev, _series_deviation(metric, ref, tr))
-        dev_tr = np.maximum(dev_tr, _series_deviation("trace_distance", ref, tr))
+        if m != ref_name:
+            dev = np.maximum(dev, _series_deviation(metric, ref, tr))
+    return dev
+
+
+def compare_case(sc: Scenario, label: str | None = None) -> CaseComparison:
+    ref_name, trajs = _run_methods(sc)
+    ref = trajs[ref_name]
+    dev = _deviation(_metric_for(sc), ref_name, trajs)
+    dev_tr = _deviation("trace_distance", ref_name, trajs)
     p_err = ref.p_err if sc.selective else None
     return CaseComparison(label or sc.name, ref.times.copy(), dev, dev_tr,
                           p_err, trajs)
@@ -259,9 +268,21 @@ def compare_scenario(sc: Scenario) -> ComparisonReport:
     return ComparisonReport(sc.name, _metric_for(sc), (case,), case.max_deviation)
 
 
+def _max_deviation(sc: Scenario) -> float:
+    """compare_case(sc).max_deviation, computing only the metric's series."""
+    ref_name, trajs = _run_methods(sc)
+    dev = _deviation(_metric_for(sc), ref_name, trajs)
+    return float(dev.max()) if dev.size else 0.0
+
+
 def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     """Re-run a comparison scenario over a tau list at fixed Omega = gamma^2 tau
-    (gamma recomputed per tau) and tabulate the max deviation per tau."""
+    (gamma recomputed per tau) and tabulate the max deviation per tau.
+
+    Only the table is computed: per tau, the max of the metric's deviation
+    series, with that tau's trajectories released before the next tau runs.
+    The report carries no cases; `compare_case` gives one tau in full.
+    """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
         raise ValueError("convergence sweep needs at least two tau values")
@@ -280,8 +301,6 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
             ))
         except ValueError as err:
             raise ValueError(f"tau={tau:g}: {err}") from None
-    cases = [compare_case(s, label=f"tau={s.tau:g}") for s in scaled]
-    table = tuple((tau, c.max_deviation) for tau, c in zip(taus, cases))
-    max_dev = max(c.max_deviation for c in cases)
-    return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), tuple(cases),
-                            max_dev, convergence=table)
+    table = tuple((s.tau, _max_deviation(s)) for s in scaled)
+    return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), (),
+                            max(d for _, d in table), convergence=table)

@@ -10,6 +10,14 @@ exponential per distinct step size, binary powers m^n r0 m^n+ for a whole
 stack of n at once, and a fixed-step classical RK4 integrator with one
 sampler shared by every ODE in the package.  All functions are pure; nothing
 mutates its inputs.
+
+Work proportional to the number of samples runs as whole-stack numpy calls.
+`conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
+with the stack along the rows, where a broadcast `a @ s @ b` would make one
+small BLAS call per matrix; each slice comes out bit for bit as it does when
+it is conjugated alone.  `expm_sample` finds its runs of equal gaps with
+array passes over the grid: a few Python iterations per run, not one per
+sample.
 """
 
 from __future__ import annotations
@@ -199,15 +207,47 @@ def _sample_times(times) -> np.ndarray:
     return times
 
 
+# Rows x inner x columns of one GEMM call in conj_stack.  OpenBLAS 0.3
+# hands a complex GEMM to more threads from about 65536 on; the idle worker
+# then spins for a while and takes CPU from the Python code that follows.
+# On a 2-CPU machine with two BLAS threads, unchunked, the exact oracle of
+# a 101-sample run at d = 16 took 15 ms instead of 3 ms.  Chunks of this
+# size stay single-threaded.
+_GEMM_BUDGET = 32768
+
+
+def conj_stack(a, s, b) -> np.ndarray:
+    """(T, p, q) stack of a @ s[t] @ b for a (T, n, m) stack s, with a of
+    shape (p, n) and b of shape (m, q).
+
+    Two plain 2-D GEMMs per chunk of the stack, with the stack along the
+    rows: s as a (T n, m) matrix times b, then the transposed products
+    (s[t] b)^T as a (T q, n) matrix times a^T, where a broadcast a @ s @ b
+    makes one small BLAS call per matrix.  T enters only the row count of
+    each GEMM, so for p, q > 1 each slice comes out bit for bit as when it
+    is conjugated alone.  An empty stack gives an empty result.
+    """
+    s = np.asarray(s)
+    t, n, m = s.shape
+    p, q = a.shape[0], b.shape[1]
+    out = np.empty((t, p, q), dtype=np.result_type(a, s, b))
+    step = max(1, _GEMM_BUDGET // (n * q * max(m, p)))
+    for i in range(0, t, step):
+        c = min(step, t - i)
+        x = (s[i:i + c].reshape(c * n, m) @ b).reshape(c, n, q).swapaxes(1, 2)
+        out[i:i + c] = (x.reshape(c * q, n) @ a.T).reshape(c, q, p).swapaxes(1, 2)
+    return out
+
+
 def conj_powers(m, r0, ns) -> np.ndarray:
     """(len(ns), k, k) stack of m^n r0 m^n+ for the non-decreasing integers ns.
 
     With Q_b = m^(2^b) by squaring, the bits of n are applied high to low,
     r <- Q_b r Q_b+ for each set bit b.  All samples advance together: at bit
     b every distinct prefix n >> b is formed once from its parent n >> (b+1),
-    and the odd prefixes are conjugated by Q_b in one batched product.  Each
+    and the odd prefixes are conjugated by Q_b in one `conj_stack`.  Each
     state therefore depends on (m, r0, n) alone, bit for bit, and the stack
-    costs O(log max(ns)) batched products.
+    costs O(log max(ns)) pairs of GEMMs.
     """
     ns = np.asarray(ns, dtype=np.int64)
     s = as_matrix(r0)[None]
@@ -223,7 +263,7 @@ def conj_powers(m, r0, ns) -> np.ndarray:
         p = p[np.r_[True, p[1:] != p[:-1]]]     # distinct; np.unique loads numpy.ma
         s = s[np.r_[0, np.cumsum(p[1:] >> 1 != p[:-1] >> 1)]]      # parents' states
         odd = (p & 1).astype(bool)
-        s[odd] = q[b] @ s[odd] @ dag(q[b])
+        s[odd] = conj_stack(q[b], s[odd], dag(q[b]))
     return s[np.cumsum(np.r_[True, ns[1:] != ns[:-1]]) - 1]
 
 
@@ -238,6 +278,57 @@ def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,
             y = step(k, y)
         out[i], done = y, n
     return out
+
+
+def _gap_runs(times: np.ndarray):
+    """Per-sample step counts, first samples and step sizes of the runs of
+    `expm_sample`, for finite non-decreasing times.
+
+    The rule is sequential, since a gap is measured from the time base + n h
+    of the state so far, so it runs a window at a time: a step is guessed
+    wherever the grid advances by more than the tolerance, the guesses are
+    checked with the rule's own float arithmetic, and the verified prefix is
+    kept.  The first sample of a run and a sample that fails its guess are
+    decided alone.  The window doubles while the guesses hold, so the cost
+    is linear in the samples plus a constant per run.
+    """
+    tol = np.where(times > 1.0, 1e-12 * times, 1e-12)
+    counts = np.zeros(len(times), dtype=np.int64)
+    starts, sizes = [0], [0.0]      # first sample and step size h of each run
+    h = base = 0.0                  # base: time of the state when the run started
+    n = i = 0
+    fresh, width = True, 64         # fresh: no step of the current h checked yet
+    while i < len(times):
+        if not fresh:
+            stop = min(i + width, len(times))
+            t, tl = times[i:stop], tol[i:stop]
+            guess = n + np.cumsum(np.diff(t, prepend=base + n * h) > tl)
+            prev = np.concatenate(([n], guess[:-1]))
+            gap = t - (base + prev * h)
+            ok = np.where(gap <= tl, guess == prev,
+                          (np.abs(gap - h) <= tl) & (guess == prev + 1))
+            failed = np.flatnonzero(~ok)
+            k = int(failed[0]) if failed.size else len(t)
+            counts[i:i + k] = guess[:k]
+            n = int(guess[k - 1]) if k else n
+            i += k
+            if i == stop:
+                width *= 2
+                continue
+        t, tl = float(times[i]), float(tol[i])
+        now = base + n * h
+        gap = t - now
+        fresh = False
+        if gap > tl:
+            if abs(gap - h) > tl:       # h = 0 before the first step
+                h, base, n = gap, now, 0
+                starts.append(i)
+                sizes.append(h)
+                fresh, width = True, 64
+            n += 1
+        counts[i] = n
+        i += 1
+    return counts, starts, sizes
 
 
 def expm_sample(a, y0, times, apply: Callable) -> np.ndarray:
@@ -257,21 +348,7 @@ def expm_sample(a, y0, times, apply: Callable) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
-    counts = np.zeros(len(times), dtype=np.int64)
-    starts, sizes = [0], [0.0]      # first sample and step size h of each run
-    h = base = 0.0                  # base: time of the state when the run started
-    n = 0
-    for i, t in enumerate(_sample_times(times).tolist()):
-        tol = 1e-12 * t if t > 1.0 else 1e-12
-        now = base + n * h
-        gap = t - now
-        if gap > tol:
-            if abs(gap - h) > tol:      # h = 0 before the first step
-                h, base, n = gap, now, 0
-                starts.append(i)
-                sizes.append(h)
-            n += 1
-        counts[i] = n
+    counts, starts, sizes = _gap_runs(_sample_times(times))
     starts.append(len(times))
     y = np.asarray(y0)
     out = [np.broadcast_to(y, (starts[1],) + y.shape)]

@@ -86,7 +86,7 @@ class HamiltonianSpec:
             if op_norm(a) > 1.0 + 1e-9 or op_norm(b) > 1.0 + 1e-9:
                 warnings.warn(f"Hamiltonian term {k}: factor operator norm exceeds 1; "
                               "gamma is no longer the characteristic coupling strength",
-                              stacklevel=2)
+                              stacklevel=3)
             clean.append((a, b))
         ds = clean[0][0].shape[0]
         dp = clean[0][1].shape[0]

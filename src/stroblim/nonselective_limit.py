@@ -178,21 +178,23 @@ def integrate_pauli(w: np.ndarray, p0, times,
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,
-                                  t: float) -> np.ndarray:
+                                  t) -> np.ndarray:
     """System marginal of an exchange-coupled qubit pair whose probe qubit is
     monitored non-selectively, probe prepared in the measured basis state.
 
     Populations relax toward sharing the initial lower-level weight equally;
     coherences decay at Omega/2 while precessing at gamma.  Exact in the
-    frequent-measurement limit; trace is preserved identically.
+    frequent-measurement limit; trace is preserved identically.  A scalar t
+    gives one 2x2 state, an array of times a (..., 2, 2) stack of them.
     """
     rho0 = as_matrix(rho0)
     if rho0.shape != (2, 2):
         raise ValueError("closed form is for a 2x2 system state")
+    t = np.asarray(t, dtype=float)
     decay2 = np.exp(-2.0 * omega * t)
-    out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = rho0[0, 0] + 0.5 * (1.0 - decay2) * rho0[1, 1]
-    out[1, 1] = 0.5 * (1.0 + decay2) * rho0[1, 1]
-    out[0, 1] = np.exp((-1j * gamma - 0.5 * omega) * t) * rho0[0, 1]
-    out[1, 0] = np.exp((1j * gamma - 0.5 * omega) * t) * rho0[1, 0]
+    out = np.empty(t.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = rho0[0, 0] + 0.5 * (1.0 - decay2) * rho0[1, 1]
+    out[..., 1, 1] = 0.5 * (1.0 + decay2) * rho0[1, 1]
+    out[..., 0, 1] = np.exp((-1j * gamma - 0.5 * omega) * t) * rho0[0, 1]
+    out[..., 1, 0] = np.exp((1j * gamma - 0.5 * omega) * t) * rho0[1, 0]
     return out

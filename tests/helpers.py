@@ -82,6 +82,36 @@ def counting_expm(monkeypatch):
     return calls
 
 
+def reference_expm_sample(a, y0, times, apply):
+    """stroblim.linalg.expm_sample by its rule, one sample at a time: a step
+    is taken when the gap from the state's time base + n h exceeds
+    1e-12 * max(1, t), and a new run of step size h = gap starts when that
+    gap differs from h by more than the same tolerance."""
+    times = np.asarray(times, dtype=float)
+    counts = np.zeros(len(times), dtype=np.int64)
+    starts, sizes = [0], [0.0]
+    h = base = 0.0
+    n = 0
+    for i, t in enumerate(times.tolist()):
+        tol = 1e-12 * t if t > 1.0 else 1e-12
+        now = base + n * h
+        gap = t - now
+        if gap > tol:
+            if abs(gap - h) > tol:
+                h, base, n = gap, now, 0
+                starts.append(i)
+                sizes.append(h)
+            n += 1
+        counts[i] = n
+    starts.append(len(times))
+    y = np.asarray(y0)
+    out = [np.broadcast_to(y, (starts[1],) + y.shape)]
+    for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
+        out.append(apply(stroblim.linalg.expm(a * h), y, counts[i:j]))
+        y = out[-1][-1]
+    return np.concatenate(out)
+
+
 def random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=2.0, norm=1.0):
     """Random interaction with Hermitian factors of operator norm `norm`
     (HamiltonianSpec's warning about norms above 1 is silenced)."""

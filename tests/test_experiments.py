@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import bloch_ball_images, load_bundled
-from stroblim.experiments import (closed_form_applicable, compare_scenario,
-                                  convergence_sweep, run_method)
+from stroblim import HamiltonianSpec
+from stroblim.exact import steps_in
+from stroblim.experiments import (closed_form_applicable, compare_case,
+                                  compare_scenario, convergence_sweep, run_method)
 
 
 class TestScenario:
@@ -129,13 +133,32 @@ class TestSweep:
         assert report.strictly_decreasing
         assert report.convergence_ratios[0] > 1.0
 
+    @pytest.mark.parametrize("name, taus", [
+        ("swap_selective", [0.04, 0.02]),
+        ("swap_nonselective", [0.04, 0.02]),
+        ("heisenberg_local_fields", [0.04, 0.02]),
+    ])
+    def test_table_is_the_max_deviation_of_each_case(self, name, taus):
+        # the sweep computes only the metric's series; each entry must still
+        # be compare_case's max deviation for the same scaled scenario, bit
+        # for bit (p_up for the swaps, bloch for the Heisenberg chain)
+        sc = load_bundled(name, t_max=2.0)
+        report = convergence_sweep(sc, taus)
+        assert report.cases == ()
+        for tau, dev in report.convergence:
+            gamma = float(np.sqrt(sc.omega / tau))
+            scaled = replace(sc, hamiltonian=HamiltonianSpec(gamma, sc.hamiltonian.terms),
+                             tau=tau, grid_points=steps_in(sc.t_max, tau))
+            assert dev == compare_case(scaled).max_deviation
+        assert report.max_deviation == max(d for _, d in report.convergence)
+
     def test_bad_tau_refused_before_any_case_runs(self, monkeypatch):
         import stroblim.experiments as experiments
 
         def no_case(*args, **kwargs):
             raise AssertionError("a case ran before every tau was checked")
 
-        monkeypatch.setattr(experiments, "compare_case", no_case)
+        monkeypatch.setattr(experiments, "run_method", no_case)
         with pytest.raises(ValueError, match=r"tau=1e-300: t_max/tau = 1e\+301"):
             convergence_sweep(load_bundled("swap_selective"), [0.04, 1e-300])
 

@@ -11,8 +11,8 @@ from helpers import (bundled_path, counting_expm, hermitian_eig, is_unitary,
                      random_complex, random_hermitian)
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
                       is_psd, kron, ode_step_rk4, partial_trace, pauli)
-from stroblim.linalg import (conj_powers, dag, expm_sample, max_abs, op_norm,
-                             step_powers, trace_distance)
+from stroblim.linalg import (conj_powers, conj_stack, dag, expm_sample, max_abs,
+                             op_norm, step_powers, trace_distance)
 
 
 def kron_oracle(a, b):
@@ -311,6 +311,56 @@ class TestExpmSample:
         assert all(np.array_equal(y, end)
                    for (y, _, _), (_, _, end) in zip(runs[1:], runs))
         assert out.shape == (9, 2, 2)
+
+
+class TestConjStack:
+    @staticmethod
+    def relative_error(got, want):
+        return max_abs(got - want) / max_abs(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("t", [1, 2, 7, 1000])
+    def test_matches_the_broadcast_product(self, rng, n, t):
+        a, b = random_complex(rng, (n, n)), random_complex(rng, (n, n))
+        s = random_complex(rng, (t, n, n))
+        out = conj_stack(a, s, b)
+        assert out.shape == (t, n, n)
+        assert self.relative_error(out, a @ s @ b) <= 1e-14
+
+    @pytest.mark.parametrize("t", [1, 3, 500])
+    def test_rectangular_factors(self, rng, t):
+        # the exact lift V r V+ with a 4x2 isometry, and a general (3, 2) a
+        # against a (5, 4) b on (t, 2, 5) slices
+        v = np.linalg.qr(random_complex(rng, (4, 2)))[0]
+        s = random_complex(rng, (t, 2, 2))
+        out = conj_stack(v, s, dag(v))
+        assert out.shape == (t, 4, 4)
+        assert self.relative_error(out, v @ s @ dag(v)) <= 1e-14
+        a, b = random_complex(rng, (3, 2)), random_complex(rng, (5, 4))
+        s = random_complex(rng, (t, 2, 5))
+        assert self.relative_error(conj_stack(a, s, b), a @ s @ b) <= 1e-14
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((4, 2), (2, 4))])
+    def test_empty_stack(self, shapes):
+        (p, n), (m, q) = shapes
+        out = conj_stack(np.ones((p, n)), np.zeros((0, n, m), dtype=complex),
+                         np.ones((m, q)))
+        assert out.shape == (0, p, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_each_slice_is_the_same_alone_and_in_the_batch(self, rng, n):
+        # conj_powers relies on it: a state must not depend on its batch
+        a = random_complex(rng, (n, n))
+        for t in (2, 3, 64, 5000):
+            s = random_complex(rng, (t, n, n))
+            out = conj_stack(a, s, dag(a))
+            for k in {0, 1, t // 2, t - 1}:
+                assert np.array_equal(out[k], conj_stack(a, s[k:k + 1], dag(a))[0])
+        v = np.linalg.qr(random_complex(rng, (2 * n, n)))[0]
+        s = random_complex(rng, (300, n, n))
+        out = conj_stack(v, s, dag(v))
+        assert all(np.array_equal(out[k], conj_stack(v, s[k:k + 1], dag(v))[0])
+                   for k in (0, 1, 150, 299))
 
 
 class TestConjPowers:

@@ -119,6 +119,13 @@ class TestSpecs:
         with pytest.warns(UserWarning):
             HamiltonianSpec(1.0, ((2.0 * pauli(3), pauli(3)),))
 
+    def test_norm_warning_points_at_the_caller(self):
+        # the dataclass-generated __init__ sits between the check and the
+        # caller; a warning attributed to it reads "<string>:5"
+        with pytest.warns(UserWarning, match="Hamiltonian term 0") as record:
+            HamiltonianSpec(1.0, [(2 * np.eye(2), np.eye(2))])
+        assert [w.filename for w in record] == [__file__]
+
     def test_assembly_identity(self, rng):
         from helpers import random_hamiltonian_spec
         ham = random_hamiltonian_spec(rng, 2, 3, n_terms=3, gamma=1.7)

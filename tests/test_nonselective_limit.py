@@ -464,6 +464,18 @@ class TestClosedForm:
         rho0 = random_density(rng, 2)
         assert max_abs(swap_nonselective_closed_form(5.0, 1.0, rho0, 0.0) - rho0) == 0
 
+    def test_array_of_times_equals_per_time_calls(self, rng):
+        rho0 = random_density(rng, 2)
+        times = np.r_[0.0, np.sort(rng.uniform(0.0, 40.0, 300)), 40.0]
+        stack = swap_nonselective_closed_form(5.0, 0.7, rho0, times)
+        assert stack.shape == (len(times), 2, 2)
+        for t, state in zip(times, stack):
+            single = swap_nonselective_closed_form(5.0, 0.7, rho0, t)
+            assert single.shape == (2, 2)
+            assert max_abs(state - single) <= 1e-15
+        grid = times[:8].reshape(2, 4)
+        assert swap_nonselective_closed_form(5.0, 0.7, rho0, grid).shape == (2, 4, 2, 2)
+
     def test_ground_state_relaxation_value(self):
         # Omega = 0.1, T = 5: populations ( (1 - e^-1)/2, (1 + e^-1)/2 )
         rho0 = np.diag([0.0, 1.0]).astype(complex)

@@ -2,17 +2,19 @@
 the same examples."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import stroblim.linalg
 from helpers import (assert_same_run, family_spec, random_density,
                      random_hamiltonian_spec, random_projector_family,
-                     reference_selective)
+                     reference_expm_sample, reference_selective)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       build_generator, effective_rankr, run_selective,
                       semigroup_propagate)
-from stroblim.linalg import dag, max_abs, op_norm
+from stroblim.linalg import dag, expm_sample, max_abs, op_norm
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -105,3 +107,44 @@ def test_semigroup_keeps_trace_and_blocks(seed, dims, norm):
     v = eff.bases
     blocks = dag(v) @ traj.states[:, None] @ v
     assert max_abs((v @ blocks @ dag(v)).sum(axis=-3) - traj.states) <= 1e-12
+
+
+def random_grid(rng, start, h, size):
+    """Non-decreasing times from start: repeats, jitter on either side of the
+    tolerance 1e-12 * max(1, t), steps of h with and without such jitter,
+    changes of h and double steps."""
+    times = [start]
+    for kind in rng.integers(0, 6, size):
+        t = times[-1]
+        jitter = rng.uniform(-1.5, 1.5) * 1e-12 * max(1.0, t)
+        if kind == 4:
+            h *= rng.choice([0.5, 2.0, 3.0])
+        gap = (0.0, abs(jitter), h, h + jitter, h, 2.0 * h)[kind]
+        times.append(t + gap)
+    return np.array(times)
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  start=st.sampled_from([0.0, 3e-13, 0.5, 3.0, 1e4]),
+                  h=st.sampled_from([3e-12, 1e-3, 0.01, 0.3, 2.0]),
+                  size=st.integers(0, 200))
+def test_expm_sample_runs_equal_the_loop(seed, start, h, size):
+    # with expm patched to the identity and a = [[1]], apply receives the
+    # step size h itself; the recorded calls give the run splits, the step
+    # sizes and the per-sample counts of each run
+    times = random_grid(np.random.default_rng(seed), start, h, size)
+
+    def record(calls):
+        def apply(e, y, counts):
+            calls.append((e[0, 0], y[0, 0], counts.tolist()))
+            return y + counts[:, None, None] * e
+        return apply
+
+    got, want = [], []
+    a, y0 = np.ones((1, 1)), np.zeros((1, 1))
+    with mock.patch.object(stroblim.linalg, "expm", lambda m: m):
+        out = expm_sample(a, y0, times, record(got))
+        ref = reference_expm_sample(a, y0, times, record(want))
+    assert got == want
+    assert np.array_equal(out, ref)
