@@ -12,6 +12,7 @@ grids, fixed-step integration, no randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,10 +200,13 @@ class ComparisonReport:
 
     @property
     def convergence_ratios(self) -> tuple[float, ...] | None:
+        """Each deviation over the next; over a zero deviation, inf, or nan
+        when both are zero."""
         if not self.convergence or len(self.convergence) < 2:
             return None
         devs = [d for _, d in self.convergence]
-        return tuple(a / b for a, b in zip(devs[:-1], devs[1:]))
+        return tuple(a / b if b else (math.inf if a else math.nan)
+                     for a, b in zip(devs[:-1], devs[1:]))
 
     @property
     def strictly_decreasing(self) -> bool | None:

@@ -5,11 +5,15 @@ scenarios, up to the N x N non-selective generator on packed blocks
 (N = sum_i n_i^2 <= d^2; 256 x 256 for four rank-2 probe blocks at d = 32).
 Storage is dense and every routine is deterministic: a scaling-and-squaring
 Pade exponential with an eigendecomposition fast path for (anti-)Hermitian
-generators, one sampler that steps exp(a t) along a time grid with one
-exponential per distinct step size, binary powers m^n r0 m^n+ for a whole
-stack of n at once, and a fixed-step classical RK4 integrator with one
-sampler shared by every ODE in the package.  All functions are pure; nothing
-mutates its inputs.
+generators, the action exp(a t) y of the exponential on a vector by a
+truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 2011), one sampler that steps exp(a t) along a time grid with
+one exponential per distinct step size, a vector sampler that takes each
+run of equal steps by the action or by that exponential, whichever a cost
+rule finds cheaper, binary powers m^n r0 m^n+ for a whole stack of n at
+once, and a fixed-step classical RK4 integrator with one sampler shared by
+every ODE in the package.  All functions are pure; nothing mutates its
+inputs.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
@@ -119,15 +123,20 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
+def _pade_squarings(norm1: float) -> int:
+    """Squarings that bring a 1-norm under the degree-13 Pade bound;
+    ValueError when more than 60 would be needed (or the norm is not finite)."""
+    if not norm1 <= _PADE13_THETA * 2.0 ** 60:
+        raise ValueError("matrix exponential did not converge: ill-scaled input "
+                         f"(1-norm {norm1:.3e})")
+    if norm1 <= _PADE13_THETA:
+        return 0
+    return int(math.ceil(math.log2(norm1 / _PADE13_THETA)))
+
+
 def _expm_pade(m: np.ndarray) -> np.ndarray:
-    norm1 = float(np.linalg.norm(m, 1))
-    s = 0
-    if norm1 > _PADE13_THETA:
-        s = int(math.ceil(math.log2(norm1 / _PADE13_THETA)))
-        if s > 60:
-            raise ValueError("matrix exponential did not converge: ill-scaled input "
-                             f"(1-norm {norm1:.3e})")
-        m = m / (2.0 ** s)
+    s = _pade_squarings(float(np.linalg.norm(m, 1)))
+    m = m / (2.0 ** s) if s else m
     b = _PADE13_B
     eye = np.eye(m.shape[0], dtype=complex)
     m2 = m @ m
@@ -162,6 +171,57 @@ def expm(a) -> np.ndarray:
         w, v = np.linalg.eigh(1j * m)
         return (v * np.exp(-1j * w)) @ dag(v)
     return _expm_pade(m)
+
+
+# theta_m of the degree-m truncated Taylor series at unit roundoff 2^-53: the
+# largest 1-norm of a t for which m terms give exp(a t) y to that roundoff.
+# m <= 30 from Higham, "Functions of Matrices" (2008), Table A.3; the rest
+# from Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1.
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def taylor_degree(norm1: float) -> tuple[int, int]:
+    """Degree m and sub-step count s of `expm_action` for ||a t||_1 = norm1:
+    s = ceil(norm1 / theta_m), with m minimising the m s products.  The same
+    ValueError as the Pade exponential when its scaling could not tame
+    norm1."""
+    _pade_squarings(norm1)
+    if norm1 == 0:
+        return 0, 1
+    _, m, s = min((m * math.ceil(norm1 / theta), m, math.ceil(norm1 / theta))
+                  for m, theta in _TAYLOR_THETA.items())
+    return m, s
+
+
+def expm_action(a, y, t: float, degree: tuple[int, int]) -> np.ndarray:
+    """exp(a t) y without forming exp(a t) (Al-Mohy & Higham 2011).
+
+    With (m, s) = degree from `taylor_degree`, y is advanced s times by
+    t / s, each time by the Taylor series of degree m, one product a @ term
+    per term.  A sub-step stops early once two consecutive terms together
+    fall below 2^-53 times the partial sum (max-abs norms).  The cost is at
+    most m s products of a with a vector: no N x N temporary is made.
+    """
+    m, s = degree
+    dt = t / s
+    for _ in range(s):
+        term, before = y, max_abs(y)
+        for j in range(1, m + 1):
+            term = (dt / j) * (a @ term)
+            now = max_abs(term)
+            y = y + term
+            if before + now <= _UNIT_ROUNDOFF * max_abs(y):
+                break
+            before = now
+    return y
 
 
 def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
@@ -331,6 +391,23 @@ def _gap_runs(times: np.ndarray):
     return counts, starts, sizes
 
 
+def _sample_runs(y0, times, advance: Callable) -> np.ndarray:
+    """The run loop of `expm_sample`: advance(h, y, counts) returns the
+    stack of values after counts[i] steps of size h from the state y that
+    starts a run."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("sample times must be non-negative")
+    counts, starts, sizes = _gap_runs(_sample_times(times))
+    starts.append(len(times))
+    y = np.asarray(y0)
+    out = [np.broadcast_to(y, (starts[1],) + y.shape)]
+    for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
+        out.append(advance(h, y, counts[i:j]))
+        y = out[-1][-1]
+    return np.concatenate(out)
+
+
 def expm_sample(a, y0, times, apply: Callable) -> np.ndarray:
     """Stack of y(t) = exp(a t) acting on y0 (the value at t = 0) for each t
     in times.
@@ -345,17 +422,54 @@ def expm_sample(a, y0, times, apply: Callable) -> np.ndarray:
     times, t = 0) adds no step; samples before the first step are y0.
     Times must be finite, non-negative and non-decreasing (ValueError).
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("sample times must be non-negative")
-    counts, starts, sizes = _gap_runs(_sample_times(times))
-    starts.append(len(times))
-    y = np.asarray(y0)
-    out = [np.broadcast_to(y, (starts[1],) + y.shape)]
-    for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
-        out.append(apply(expm(a * h), y, counts[i:j]))
-        y = out[-1][-1]
-    return np.concatenate(out)
+    return _sample_runs(y0, times,
+                        lambda h, y, counts: apply(expm(a * h), y, counts))
+
+
+# Fixed cost of one product a @ y in `expm_action`, in complex multiply-adds:
+# about 15 us of numpy calls per term on a 2-vCPU Xeon VM, where one
+# multiply-add of a 256 x 256 product with a vector takes about 0.5 ns.
+_ACTION_CALL_COST = 2 ** 15
+
+
+def _action_is_cheaper(n: int, steps: int, norm1: float) -> bool:
+    """The cost rule of `expm_vec_sample` for a run of `steps` steps of
+    exp(a h) on a vector, a of side n and ||a h||_1 = norm1: the m s
+    products of `expm_action` per step against Pade's (10 + squarings)
+    products of n^3 and one product per step."""
+    m, s = taylor_degree(norm1)
+    product = n * n + _ACTION_CALL_COST
+    pade = (10 + _pade_squarings(norm1)) * n ** 3
+    return steps * m * s * product < pade + steps * product
+
+
+def _dense_run(a, h: float, y, counts) -> np.ndarray:
+    e = expm(a * h)
+    return step_powers(lambda k, x: e @ x, y, counts, y.shape)
+
+
+def _action_run(a, h: float, y, counts) -> np.ndarray:
+    degree = taylor_degree(h * float(np.linalg.norm(a, 1)))
+    return step_powers(lambda k, x: expm_action(a, x, h, degree), y, counts,
+                       y.shape)
+
+
+def expm_vec_sample(a, y0, times) -> np.ndarray:
+    """`expm_sample` for a vector y0, stepped from sample to sample.
+
+    Each run of equal gaps h takes whichever path one cost rule on the side
+    of a, the run's step count and ||a h||_1 finds cheaper: `expm_action`
+    once per step, which makes no N x N temporary, or exp(a h) once by Pade
+    and one product per step.  Raises the Pade exponential's ValueError
+    when ||a h||_1 cannot be scaled.
+    """
+    norm1 = float(np.linalg.norm(a, 1))
+
+    def advance(h, y, counts):
+        cheaper = _action_is_cheaper(len(a), int(counts[-1]), h * norm1)
+        return (_action_run if cheaper else _dense_run)(a, h, y, counts)
+
+    return _sample_runs(y0, times, advance)
 
 
 def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,

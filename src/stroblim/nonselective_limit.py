@@ -15,7 +15,9 @@ them block by block, row-major within each block.  `build_generator` writes
 the block equations as one N x N matrix on the packed blocks,
 N = sum_i n_i^2 <= d^2, and that matrix is the only generator in the
 package: the semigroup propagator, the block right-hand side and the block
-integrator all use it.
+integrator all use it.  The propagator needs only its action on the packed
+vector: a few samples of a large generator are taken by products with that
+vector, with no N x N exponential (`linalg.expm_vec_sample`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, dag,
-                     expm_sample, rk4_sample, step_powers)
+                     expm_vec_sample, rk4_sample)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -107,15 +109,17 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
     """rho(T) = exp(L_eff T) rho(0), evolved on the packed blocks.
 
-    The packed blocks are stepped from sample to sample with one exponential
-    of the generator per distinct gap (`expm_sample`), one product per step:
-    powers of the N x N generator would cost N^3 each.  All samples are then
-    unpacked into one block stack and lifted back at once.  Times must be
-    finite, non-negative and non-decreasing.  As in `run_nonselective`, the
-    measurement channel is applied at t = 0: the evolution starts from the
-    blocks V+ rho0 V of the joint initial state, so the t = 0 sample is
-    rho0 itself when rho0 is block-diagonal and its channel image otherwise.
-    Trace and block structure are preserved exactly by the semigroup.
+    The packed blocks are stepped from sample to sample by
+    `linalg.expm_vec_sample`: each run of equal gaps h by the action of
+    exp(L h) on the vector or by one dense exp(L h), whichever its cost
+    rule on N, the run's step count and ||L h||_1 finds cheaper.  All
+    samples are then unpacked into one block stack and lifted back at once.
+    Times must be finite, non-negative and non-decreasing.  As in
+    `run_nonselective`, the measurement channel is applied at t = 0: the
+    evolution starts from the blocks V+ rho0 V of the joint initial state,
+    so the t = 0 sample is rho0 itself when rho0 is block-diagonal and its
+    channel image otherwise.  Trace and block structure are preserved
+    exactly by the semigroup.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
@@ -123,11 +127,7 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     v, v_dag = eff.bases, dag(eff.bases)
     blocks0 = v_dag @ rho0 @ v
     times = np.asarray(times, dtype=float)
-
-    def apply(e, y, counts):        # step the packed vector once per count
-        return step_powers(lambda k, x: e @ x, y, counts, y.shape)
-
-    packed = expm_sample(eff.generator, blocks0[eff.mask], times, apply)
+    packed = expm_vec_sample(eff.generator, blocks0[eff.mask], times)
     blocks = np.zeros((len(packed),) + blocks0.shape, dtype=complex)
     blocks[:, eff.mask] = packed
     states = (v @ blocks @ v_dag).sum(axis=-3)

@@ -284,6 +284,23 @@ class TestCommands:
         assert rc == 1
         assert "strictly decreasing: no" in capsys.readouterr().out
 
+    def test_sweep_with_zero_deviations_writes_its_table(self, tmp_path, capsys):
+        # h = I (x) sigma_z commutes with the measurement and |0><0| is
+        # stationary, so every method gives the same trace-distance series: 0
+        doc = bundled_doc("swap_nonselective")
+        doc["hamiltonian"] = {"terms": [{"a": complex_pairs(np.eye(2)),
+                                         "b": complex_pairs(np.diag([1.0, -1.0]))}]}
+        doc["initial_sys"] = {"ket": [[1.0, 0.0], [0.0, 0.0]]}
+        doc["outputs"] = ["trace"]
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["sweep", str(path), "--out-dir", str(tmp_path), "--tau", "0.04,0.01"])
+        assert rc == 1
+        assert "strictly decreasing: no" in capsys.readouterr().out
+        lines = (tmp_path / "swap_nonselective_sweep.csv").read_text().splitlines()
+        assert lines == ["tau,max_deviation,ratio_to_previous", "0.040000000000000001,0,",
+                         "0.01,0,nan"]
+
     @pytest.mark.parametrize("command, flag, value, reported", [
         ("sweep", "--tau", "0.04,0", "expected a finite positive number"),
         ("sweep", "--tau", "0.04,nan", "expected a finite positive number"),

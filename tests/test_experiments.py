@@ -6,8 +6,9 @@ import pytest
 from helpers import bloch_ball_images, load_bundled
 from stroblim import HamiltonianSpec
 from stroblim.exact import steps_in
-from stroblim.experiments import (closed_form_applicable, compare_case,
-                                  compare_scenario, convergence_sweep, run_method)
+from stroblim.experiments import (ComparisonReport, closed_form_applicable,
+                                  compare_case, compare_scenario,
+                                  convergence_sweep, run_method)
 
 
 class TestScenario:
@@ -132,6 +133,14 @@ class TestSweep:
         assert len(report.convergence) == 2
         assert report.strictly_decreasing
         assert report.convergence_ratios[0] > 1.0
+
+    def test_ratios_over_a_zero_deviation(self):
+        table = ((0.04, 2e-3), (0.02, 1e-3), (0.01, 0.0), (0.005, 0.0))
+        report = ComparisonReport("x", "p_up", (), 2e-3, convergence=table)
+        ratios = report.convergence_ratios
+        assert ratios[:2] == (2.0, np.inf)
+        assert np.isnan(ratios[2])
+        assert not report.strictly_decreasing
 
     @pytest.mark.parametrize("name, taus", [
         ("swap_selective", [0.04, 0.02]),

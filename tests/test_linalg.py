@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from helpers import (bundled_path, counting_expm, hermitian_eig, is_unitary,
                      random_complex, random_hermitian)
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
                       is_psd, kron, ode_step_rk4, partial_trace, pauli)
-from stroblim.linalg import (conj_powers, conj_stack, dag, expm_sample, max_abs,
-                             op_norm, step_powers, trace_distance)
+from stroblim.linalg import (_action_is_cheaper, conj_powers, conj_stack, dag,
+                             expm_action, expm_sample, max_abs, op_norm,
+                             step_powers, taylor_degree, trace_distance)
 
 
 def kron_oracle(a, b):
@@ -311,6 +313,53 @@ class TestExpmSample:
         assert all(np.array_equal(y, end)
                    for (y, _, _), (_, _, end) in zip(runs[1:], runs))
         assert out.shape == (9, 2, 2)
+
+
+class TestExpmAction:
+    def test_degree_minimises_the_products(self):
+        assert taylor_degree(0.0) == (0, 1)
+        assert taylor_degree(1.0) == (18, 1)          # theta_18 = 1.09
+        assert taylor_degree(11.72) == (40, 2)        # 80 products; (55, 2) takes 110
+        m, s = taylor_degree(1e3)
+        assert s == math.ceil(1e3 / 9.9) and m == 55
+
+    @pytest.mark.parametrize("norm1", [5.4 * 2.0 ** 61, np.inf, np.nan])
+    def test_unscalable_norm_raises_the_pade_error(self, norm1):
+        with pytest.raises(ValueError, match="ill-scaled input"):
+            taylor_degree(norm1)
+        if np.isfinite(norm1):
+            with pytest.raises(ValueError, match="ill-scaled input"):
+                expm(np.array([[norm1, 0.0], [0.0, 0.0]]) * (1 + 1j))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 40.0])
+    def test_matches_the_dense_exponential(self, rng, t):
+        a = random_complex(rng, (12, 12)) / 3.0 - 0.5 * np.eye(12)
+        y = random_complex(rng, 12)
+        got = expm_action(a, y, t, taylor_degree(t * np.linalg.norm(a, 1)))
+        want = expm(a * t) @ y
+        assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+    def test_makes_no_square_temporary(self, rng):
+        a = random_complex(rng, (6, 6))
+        shapes = []
+
+        class Recording(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                shapes.append(out.shape)
+                return out
+
+        expm_action(a.view(Recording), random_complex(rng, 6), 2.0,
+                    taylor_degree(2.0 * np.linalg.norm(a, 1)))
+        assert shapes and set(shapes) == {(6,)}
+
+    @pytest.mark.parametrize("n, steps, norm1, action", [
+        pytest.param(256, 10, 11.7, True, id="d32-compare"),
+        pytest.param(8, 16000, 0.025, False, id="swap-sweep"),
+        pytest.param(256, 10, 1.17e10, False, id="d32-huge-gaps"),
+    ])
+    def test_cost_rule(self, n, steps, norm1, action):
+        assert _action_is_cheaper(n, steps, norm1) is action
 
 
 class TestConjStack:

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply,
+from functools import partial
+
+from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply, block_evolve,
                      channel_superop, choi_matrix, counting_expm, family_spec,
                      full_space_reference, liouville_commutator,
                      random_density, random_hamiltonian_spec, random_hermitian,
@@ -11,7 +15,8 @@ from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
                       pauli, pauli_rates, propagate_kraus, run_nonselective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
-from stroblim.linalg import dag, max_abs, op_norm
+from stroblim.linalg import (_action_run, _dense_run, _sample_runs, dag,
+                             max_abs, op_norm, taylor_degree)
 from stroblim.nonselective_limit import (integrate_blocks, integrate_pauli,
                                          pauli_rhs)
 from stroblim.selective_limit import (effective_rank1, integrate_density,
@@ -361,6 +366,74 @@ def test_semigroup_on_an_irregular_grid(monkeypatch):
     assert len(traj) == len(IRREGULAR_GRID)
     for t, got in zip(IRREGULAR_GRID, traj.states):
         assert max_abs(got - ref.evolve(init.joint(), t)) <= 1e-12
+
+
+def d32_model(rng):
+    """4 x 8 with four rank-2 probe blocks at gamma = 5, tau = 0.04, the shape
+    of the nonselective_d32 benchmark: N = 4 * 8^2 = 256."""
+    ham = random_hamiltonian_spec(rng, 4, 8, gamma=GAMMA)
+    u = random_unitary(rng, 8)
+    spec = family_spec([[u[:, 2 * k], u[:, 2 * k + 1]] for k in range(4)])
+    eff = build_generator(ham, spec, TAU)
+    init = InitialState(random_density(rng, 4), random_density(rng, 8))
+    return eff, init
+
+
+def packed_start(eff, init):
+    v = eff.bases
+    return (dag(v) @ init.joint() @ v)[eff.mask]
+
+
+class TestSemigroupPaths:
+    """semigroup_propagate takes each run of equal gaps by the action of the
+    generator or by one dense exponential, whichever its cost rule prefers."""
+
+    def test_paths_agree_on_an_irregular_grid(self, rng):
+        eff, init = d32_model(rng)
+        y0, gen = packed_start(eff, init), eff.generator
+        action = _sample_runs(y0, IRREGULAR_GRID, partial(_action_run, gen))
+        dense = _sample_runs(y0, IRREGULAR_GRID, partial(_dense_run, gen))
+        assert action.shape == dense.shape == (len(IRREGULAR_GRID), 256)
+        assert max_abs(action - dense) <= 1e-14
+
+    def test_benchmark_grid_takes_the_action(self, monkeypatch, rng):
+        eff, init = d32_model(rng)
+        calls = counting_expm(monkeypatch)
+        times = np.linspace(0.0, 10.0, 11)
+        traj = semigroup_propagate(eff, init, times)
+        assert calls == []
+        rho0 = traj.states[0]
+        for t, got in zip(times, traj.states):
+            assert max_abs(got - block_evolve(eff, rho0, t)) <= 1e-13
+
+    def test_substeps_match_the_dense_exponential(self, monkeypatch, rng):
+        # ||L h||_1 is about 20 theta_55, so the one step takes s > 1 sub-steps
+        eff, init = d32_model(rng)
+        h = 200.0 / np.linalg.norm(eff.generator, 1)
+        assert taylor_degree(h * np.linalg.norm(eff.generator, 1))[1] > 1
+        calls = counting_expm(monkeypatch)
+        traj = semigroup_propagate(eff, init, [0.0, h])
+        assert calls == []
+        assert max_abs(traj.states[1] - block_evolve(eff, traj.states[0], h)) <= 1e-13
+
+    def test_huge_gaps_take_a_bounded_number_of_products(self, monkeypatch, rng):
+        # gaps of 1e9 have ||L h||_1 ~ 1e10: stepping by the action would take
+        # about 1e11 products of the generator with a vector
+        eff, init = d32_model(rng)
+        products = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                assert len(products) <= 1000, "unbounded generator products"
+                return np.asarray(self) @ other
+
+        calls = counting_expm(monkeypatch)
+        counted = replace(eff, generator=eff.generator.view(Counting))
+        traj = semigroup_propagate(counted, init, np.arange(11) * 1e9)
+        assert len(products) == 0
+        assert len(calls) == 1
+        assert np.all(np.isfinite(traj.states))
 
 
 def test_generator_at_d64_stays_off_the_full_space():

@@ -2,6 +2,7 @@
 the same examples."""
 
 import re
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 import stroblim.linalg
 from helpers import (assert_same_run, family_spec, random_density,
                      random_hamiltonian_spec, random_projector_family,
-                     reference_expm_sample, reference_selective)
+                     random_unitary, reference_expm_sample, reference_selective)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       build_generator, effective_rankr, run_selective,
                       semigroup_propagate)
-from stroblim.linalg import dag, expm_sample, max_abs, op_norm
+from stroblim.linalg import (_action_run, _dense_run, _sample_runs, dag,
+                             expm_sample, max_abs, op_norm)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -148,3 +150,32 @@ def test_expm_sample_runs_equal_the_loop(seed, start, h, size):
         ref = reference_expm_sample(a, y0, times, record(want))
     assert got == want
     assert np.array_equal(out, ref)
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  dims=st.sampled_from([(1, 4), (2, 4), (3, 2), (2, 6)]),
+                  rank=st.sampled_from([None, 1, 2]),
+                  h=st.sampled_from([0.01, 0.3, 2.0]), size=st.integers(0, 30))
+def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
+    # rank None draws a family of unequal ranks, so the block stack is padded
+    rng = np.random.default_rng(seed)
+    ham = random_hamiltonian_spec(rng, *dims)
+    if rank is None:
+        groups = random_projector_family(rng, dims[1])
+    else:
+        u = random_unitary(rng, dims[1])
+        groups = [list(u[:, k:k + rank].T) for k in range(0, dims[1], rank)]
+    eff = build_generator(ham, family_spec(groups), 0.25)
+    v, gen = eff.bases, eff.generator
+    rho0 = random_density(rng, dims[0] * dims[1])
+    y0 = (dag(v) @ rho0 @ v)[eff.mask]
+    times = random_grid(rng, 0.0, h, size)
+    action = _sample_runs(y0, times, partial(_action_run, gen))
+    assert max_abs(action - _sample_runs(y0, times, partial(_dense_run, gen))) <= 1e-13
+    blocks = np.zeros((len(times),) + eff.mask.shape, dtype=complex)
+    blocks[:, eff.mask] = action
+    states = (v @ blocks @ dag(v)).sum(axis=-3)
+    assert max_abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) <= 1e-12
+    assert max_abs(states - dag(states)) <= 1e-13
+    assert np.linalg.eigvalsh(states).min() >= -1e-10
