@@ -431,10 +431,6 @@ def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) ->
 def cmd_compare(scenario_path: str, out_dir: str,
                 tolerance: float | None = None) -> int:
     sc = load_scenario(scenario_path)
-    if len(sc.methods) < 2:
-        print("compare requires a scenario with at least two methods "
-              "(mode 'compare')", file=sys.stderr)
-        return EXIT_USAGE
     report = compare_scenario(sc)
     tol = tolerance if tolerance is not None else sc.tolerance
     os.makedirs(out_dir, exist_ok=True)
@@ -450,14 +446,7 @@ def cmd_compare(scenario_path: str, out_dir: str,
 
 
 def cmd_sweep(scenario_path: str, taus, out_dir: str) -> int:
-    if len(taus) < 2:
-        print("sweep requires at least two tau values", file=sys.stderr)
-        return EXIT_USAGE
     sc = load_scenario(scenario_path)
-    if len(sc.methods) < 2:
-        print("sweep requires a comparison scenario (mode 'compare')",
-              file=sys.stderr)
-        return EXIT_USAGE
     report = convergence_sweep(sc, taus)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_sweep.csv")

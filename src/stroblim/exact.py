@@ -41,9 +41,16 @@ class VanishingProbabilityError(RuntimeError):
     """A conditional branch reached numerically zero probability."""
 
 
+def period_slack(periods: float) -> float:
+    """Rounding slack of a period count t / tau: 1e-9, or a few ulps of the
+    count once those are larger (from about 5.6e5 periods on)."""
+    return max(1e-9, 8 * np.finfo(float).eps * periods)
+
+
 def steps_in(total_time: float, tau: float) -> int:
     """Number of whole measurement periods in total_time, floor with fp slack."""
-    return int(math.floor(total_time / tau + 1e-9))
+    periods = total_time / tau
+    return int(math.floor(periods + period_slack(periods)))
 
 
 @dataclass(frozen=True)

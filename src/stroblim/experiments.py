@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .exact import EvolutionPlan, run_nonselective, run_selective, steps_in
+from .exact import (EvolutionPlan, period_slack, run_nonselective,
+                    run_selective, steps_in)
 from .linalg import TensorDims, trace_distance
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .nonselective_limit import (build_generator, semigroup_propagate,
@@ -79,7 +81,8 @@ class Scenario:
             raise ValueError("nonselective mode must not set selected_index")
         if "exact" in self.methods:
             stride = self.grid_stride
-            if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+            off = abs(stride - round(stride)) > period_slack(stride)
+            if off or round(stride) < 1:
                 raise ValueError("grid times must fall on integer multiples of tau "
                                  "when an exact method runs")
 
@@ -176,18 +179,27 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
 
 @dataclass
 class CaseComparison:
-    """Deviation series of every non-reference method against the reference."""
+    """Deviation series of every non-reference method against the reference,
+    trajectories[reference]."""
 
     label: str
-    times: np.ndarray
     deviation: np.ndarray
-    deviation_trace: np.ndarray
     p_err: np.ndarray | None
     trajectories: dict
+    reference: str
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.trajectories[self.reference].times
 
     @property
     def max_deviation(self) -> float:
         return float(self.deviation.max()) if self.deviation.size else 0.0
+
+    @cached_property
+    def deviation_trace(self) -> np.ndarray:
+        """The deviation series in trace distance, computed on first use."""
+        return _deviation("trace_distance", self.reference, self.trajectories)
 
 
 @dataclass
@@ -232,19 +244,6 @@ def _series_deviation(metric: str, ref: Trajectory, other: Trajectory) -> np.nda
     return trace_distance(ref.sys_states, other.sys_states)
 
 
-def _run_methods(sc: Scenario) -> tuple[str, dict]:
-    """Trajectories of every method of sc, by name, and the reference's name:
-    the exact run when it takes part, else the first method."""
-    methods = sc.methods
-    trajs = {m: run_method(sc, m) for m in methods}
-    ref_name = "exact" if "exact" in trajs else methods[0]
-    n = len(trajs[ref_name])
-    for m, tr in trajs.items():
-        if len(tr) != n:
-            raise RuntimeError(f"method {m} returned a truncated trajectory")
-    return ref_name, trajs
-
-
 def _deviation(metric: str, ref_name: str, trajs: dict) -> np.ndarray:
     """Per-sample max over the non-reference methods of their deviation."""
     ref = trajs[ref_name]
@@ -256,36 +255,37 @@ def _deviation(metric: str, ref_name: str, trajs: dict) -> np.ndarray:
 
 
 def compare_case(sc: Scenario, label: str | None = None) -> CaseComparison:
-    ref_name, trajs = _run_methods(sc)
+    """Run every method of sc and compare it with the reference: the exact
+    run when it takes part, else the first method.  ValueError for fewer
+    than two methods."""
+    methods = sc.methods
+    if len(methods) < 2:
+        raise ValueError("comparison needs a scenario with at least two methods "
+                         "(mode 'compare')")
+    trajs = {m: run_method(sc, m) for m in methods}
+    ref_name = "exact" if "exact" in trajs else methods[0]
     ref = trajs[ref_name]
+    for m, tr in trajs.items():
+        if len(tr) != len(ref):
+            raise RuntimeError(f"method {m} returned a truncated trajectory")
     dev = _deviation(_metric_for(sc), ref_name, trajs)
-    dev_tr = _deviation("trace_distance", ref_name, trajs)
     p_err = ref.p_err if sc.selective else None
-    return CaseComparison(label or sc.name, ref.times.copy(), dev, dev_tr,
-                          p_err, trajs)
+    return CaseComparison(label or sc.name, dev, p_err, trajs, ref_name)
 
 
 def compare_scenario(sc: Scenario) -> ComparisonReport:
-    if len(sc.methods) < 2:
-        raise ValueError("comparison needs a scenario with at least two methods")
     case = compare_case(sc)
     return ComparisonReport(sc.name, _metric_for(sc), (case,), case.max_deviation)
-
-
-def _max_deviation(sc: Scenario) -> float:
-    """compare_case(sc).max_deviation, computing only the metric's series."""
-    ref_name, trajs = _run_methods(sc)
-    dev = _deviation(_metric_for(sc), ref_name, trajs)
-    return float(dev.max()) if dev.size else 0.0
 
 
 def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     """Re-run a comparison scenario over a tau list at fixed Omega = gamma^2 tau
     (gamma recomputed per tau) and tabulate the max deviation per tau.
 
-    Only the table is computed: per tau, the max of the metric's deviation
-    series, with that tau's trajectories released before the next tau runs.
-    The report carries no cases; `compare_case` gives one tau in full.
+    Only the table is computed: per tau, `compare_case`'s max deviation, with
+    that tau's trajectories released before the next tau runs.  The report
+    carries no cases.  Every tau is checked before the first case runs, and
+    that case refuses a scenario with fewer than two methods (ValueError).
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
@@ -305,6 +305,6 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
             ))
         except ValueError as err:
             raise ValueError(f"tau={tau:g}: {err}") from None
-    table = tuple((s.tau, _max_deviation(s)) for s in scaled)
+    table = tuple((s.tau, compare_case(s).max_deviation) for s in scaled)
     return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), (),
                             max(d for _, d in table), convergence=table)

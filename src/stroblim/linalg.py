@@ -7,19 +7,20 @@ Storage is dense and every routine is deterministic: a scaling-and-squaring
 Pade exponential with an eigendecomposition fast path for (anti-)Hermitian
 generators, the action exp(a t) y of the exponential on a vector by a
 truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 2011), one sampler that steps exp(a t) along a time grid with
-one exponential per distinct step size, a vector sampler that takes each
-run of equal steps by the action or by that exponential, whichever a cost
-rule finds cheaper, binary powers m^n r0 m^n+ for a whole stack of n at
-once, and a fixed-step classical RK4 integrator with one sampler shared by
-every ODE in the package.  All functions are pure; nothing mutates its
-inputs.
+Comput. 33, 2011), binary powers m^n r0 m^n+ for a whole stack of n at
+once, one grid sampler `sample_runs` that both limit propagators use, and a
+fixed-step classical RK4 integrator with one sampler shared by every ODE in
+the package.  The grid sampler cuts the samples into runs of equal steps h
+and hands each run to an advance: `kraus_run` takes one exp(a h) per run
+and its binary powers, `expm_vec_run` steps a vector by the action or by
+that exponential, whichever a cost rule finds cheaper.  All functions are
+pure; nothing mutates its inputs.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
 with the stack along the rows, where a broadcast `a @ s @ b` would make one
 small BLAS call per matrix; each slice comes out bit for bit as it does when
-it is conjugated alone.  `expm_sample` finds its runs of equal gaps with
+it is conjugated alone.  `sample_runs` finds its runs of equal gaps with
 array passes over the grid: a few Python iterations per run, not one per
 sample.
 """
@@ -342,7 +343,7 @@ def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,
 
 def _gap_runs(times: np.ndarray):
     """Per-sample step counts, first samples and step sizes of the runs of
-    `expm_sample`, for finite non-decreasing times.
+    `sample_runs`, for finite non-decreasing times.
 
     The rule is sequential, since a gap is measured from the time base + n h
     of the state so far, so it runs a window at a time: a step is guessed
@@ -391,10 +392,20 @@ def _gap_runs(times: np.ndarray):
     return counts, starts, sizes
 
 
-def _sample_runs(y0, times, advance: Callable) -> np.ndarray:
-    """The run loop of `expm_sample`: advance(h, y, counts) returns the
-    stack of values after counts[i] steps of size h from the state y that
-    starts a run."""
+def sample_runs(y0, times, advance: Callable) -> np.ndarray:
+    """Stack of the values y(t) for each t in times, stepped from y0 (the
+    value at t = 0) along the grid in runs of equal gaps.
+
+    From the state y that starts a run of gaps h, advance(h, y, counts)
+    returns the stack of values after counts[i] steps of size h for the
+    run's samples, and the last one starts the next run.  A new run starts
+    only when a gap differs from the current step h by more than
+    1e-12 * max(1, t).  Gaps are measured from the time the state actually
+    represents, so rounding in the grid cannot accumulate.  A gap within
+    that tolerance of zero (repeated times, t = 0) adds no step; samples
+    before the first step are y0.  Times must be finite, non-negative and
+    non-decreasing (ValueError).
+    """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
@@ -408,24 +419,6 @@ def _sample_runs(y0, times, advance: Callable) -> np.ndarray:
     return np.concatenate(out)
 
 
-def expm_sample(a, y0, times, apply: Callable) -> np.ndarray:
-    """Stack of y(t) = exp(a t) acting on y0 (the value at t = 0) for each t
-    in times.
-
-    The samples are cut into runs of equal gaps h.  From the state y that
-    starts a run, apply(exp(a h), y, counts) returns the stack of values
-    after counts[i] steps of size h for the run's samples, and the last one
-    starts the next run.  exp(a h) is computed again only when a gap differs
-    from the current step h by more than 1e-12 * max(1, t).  Gaps are
-    measured from the time the state actually represents, so rounding in the
-    grid cannot accumulate.  A gap within that tolerance of zero (repeated
-    times, t = 0) adds no step; samples before the first step are y0.
-    Times must be finite, non-negative and non-decreasing (ValueError).
-    """
-    return _sample_runs(y0, times,
-                        lambda h, y, counts: apply(expm(a * h), y, counts))
-
-
 # Fixed cost of one product a @ y in `expm_action`, in complex multiply-adds:
 # about 15 us of numpy calls per term on a 2-vCPU Xeon VM, where one
 # multiply-add of a 256 x 256 product with a vector takes about 0.5 ns.
@@ -433,7 +426,7 @@ _ACTION_CALL_COST = 2 ** 15
 
 
 def _action_is_cheaper(n: int, steps: int, norm1: float) -> bool:
-    """The cost rule of `expm_vec_sample` for a run of `steps` steps of
+    """The cost rule of `expm_vec_run` for a run of `steps` steps of
     exp(a h) on a vector, a of side n and ||a h||_1 = norm1: the m s
     products of `expm_action` per step against Pade's (10 + squarings)
     products of n^3 and one product per step."""
@@ -454,22 +447,21 @@ def _action_run(a, h: float, y, counts) -> np.ndarray:
                        y.shape)
 
 
-def expm_vec_sample(a, y0, times) -> np.ndarray:
-    """`expm_sample` for a vector y0, stepped from sample to sample.
+def kraus_run(a, h: float, r, counts) -> np.ndarray:
+    """`sample_runs` advance for r -> exp(a h) r exp(a h)+: one exponential
+    per run, its binary powers by `conj_powers`."""
+    return conj_powers(expm(a * h), r, counts)
 
-    Each run of equal gaps h takes whichever path one cost rule on the side
-    of a, the run's step count and ||a h||_1 finds cheaper: `expm_action`
-    once per step, which makes no N x N temporary, or exp(a h) once by Pade
-    and one product per step.  Raises the Pade exponential's ValueError
-    when ||a h||_1 cannot be scaled.
-    """
-    norm1 = float(np.linalg.norm(a, 1))
 
-    def advance(h, y, counts):
-        cheaper = _action_is_cheaper(len(a), int(counts[-1]), h * norm1)
-        return (_action_run if cheaper else _dense_run)(a, h, y, counts)
-
-    return _sample_runs(y0, times, advance)
+def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
+    """`sample_runs` advance for a vector y -> exp(a h) y: whichever path one
+    cost rule on the side of a, the run's step count and ||a h||_1 finds
+    cheaper, `expm_action` once per step, which makes no N x N temporary, or
+    exp(a h) once by Pade and one product per step.  Raises the Pade
+    exponential's ValueError when ||a h||_1 cannot be scaled."""
+    norm1 = h * float(np.linalg.norm(a, 1))
+    cheaper = _action_is_cheaper(len(a), int(counts[-1]), norm1)
+    return (_action_run if cheaper else _dense_run)(a, h, y, counts)
 
 
 def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,

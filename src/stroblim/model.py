@@ -137,15 +137,18 @@ class HamiltonianSpec:
             s[:, :v.shape[1]] = v
         return stack
 
-    def blocks(self, probe_bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressions of h = dimensionless() to probe ranges (V, T, D).
+    def blocks(self, probe_bases, tau: float) -> tuple[np.ndarray, ...]:
+        """Compressions of h = dimensionless() to probe ranges, and the
+        effective generator of both stroboscopic limits: (V, T, H1, H2).
 
-        V is the (k, d, m) stack of `isometries`, T the (k, k, m, m) stack of
-        T_ij = V_i+ h V_j and D the (k, m, m) stack of dispersions
-        D_i = V_i+ h^2 V_i - T_ii^2; padding stays zero in all three.  Both
-        stroboscopic limits are built from these: the selective branch has
-        H1 = gamma T_ii and H2 = (Omega/2) D_i, the non-selective blocks
-        Heff_i = H1 - i H2 and the transitions T_ij.
+        V is the (k, d, m) stack of `isometries` and T the (k, k, m, m) stack
+        of T_ij = V_i+ h V_j.  H1 and H2 are the (k, m, m) stacks
+        H1_i = gamma T_ii and H2_i = (Omega/2) D_i, with Omega = gamma^2 tau
+        and the dispersions D_i = V_i+ h^2 V_i - T_ii^2, so that
+        Heff_i = H1_i - i H2_i.  Heff_i is the selective branch generator of
+        outcome i and the diagonal block of the non-selective generator,
+        which couples the blocks through the transitions T_ij.  Padding
+        stays zero in all four.
         """
         h = self.dimensionless()
         bases = self.isometries(probe_bases)
@@ -154,7 +157,8 @@ class HamiltonianSpec:
         i = np.arange(len(bases))
         diag = trans[i, i]
         disp = bases_dag @ (h @ h) @ bases - diag @ diag
-        return bases, trans, disp
+        return (bases, trans, self.gamma * diag,
+                (self.gamma * self.gamma * tau / 2.0) * disp)
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,18 @@ N = sum_i n_i^2 <= d^2, and that matrix is the only generator in the
 package: the semigroup propagator, the block right-hand side and the block
 integrator all use it.  The propagator needs only its action on the packed
 vector: a few samples of a large generator are taken by products with that
-vector, with no N x N exponential (`linalg.expm_vec_sample`).
+vector, with no N x N exponential (`linalg.expm_vec_run`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, dag,
-                     expm_vec_sample, rk4_sample)
+                     expm_vec_run, rk4_sample, sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -43,8 +44,8 @@ class NonselectiveEffective:
     the coupled block equations, acts on (see `block_rhs`).  trans[i, j] is
     T_ij = V_i+ h V_j for the dimensionless Hamiltonian h (H = gamma h), and
     heff[i] the effective non-Hermitian block Hamiltonian
-    gamma T_ii - (i Omega / 2) (V_i+ h^2 V_i - T_ii^2), the selective branch
-    generator H1 - i H2 of outcome i.
+    Heff_i = H1_i - i H2_i of `HamiltonianSpec.blocks`, the selective branch
+    generator of outcome i.
     """
 
     gamma: float
@@ -65,15 +66,16 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
                     tau: float) -> NonselectiveEffective:
     """Assemble the non-selective semigroup generator on the packed blocks.
 
-    T_ij and D_i = V_i+ h^2 V_i - T_ii^2 come from `HamiltonianSpec.blocks`,
-    and Heff_i = gamma T_ii - (i Omega / 2) D_i is the selective branch
-    generator H1 - i H2 of outcome i (see `effective_rankr`).  The diagonal
-    blocks of the generator are -i (Heff_i (x) I - I (x) conj(Heff_i)), the
-    off-diagonal ones Omega (T_ij (x) T_ji^T), each built from the rank-sized
-    slices.  Only the arguments' fit is checked here (ValueError): the
-    generator has GKSL form for any Hermitian h and complete orthogonal
-    family, which `HamiltonianSpec` and `MeasurementSpec` have validated, so
-    it preserves trace and fixes the maximally mixed state by construction.
+    T_ij, H1_i = gamma T_ii and H2_i = (Omega / 2) (V_i+ h^2 V_i - T_ii^2)
+    come from `HamiltonianSpec.blocks`, and Heff_i = H1_i - i H2_i is the
+    selective branch generator of outcome i (see `effective_rankr`).  The
+    diagonal blocks of the generator are
+    -i (Heff_i (x) I - I (x) conj(Heff_i)), the off-diagonal ones
+    Omega (T_ij (x) T_ji^T), each built from the rank-sized slices.  Only
+    the arguments' fit is checked here (ValueError): the generator has GKSL
+    form for any Hermitian h and complete orthogonal family, which
+    `HamiltonianSpec` and `MeasurementSpec` have validated, so it preserves
+    trace and fixes the maximally mixed state by construction.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -84,9 +86,9 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
         raise ValueError("measurement and Hamiltonian probe dimensions differ")
     gamma = ham.gamma
     omega = gamma * gamma * tau
-    bases, trans, disp = ham.blocks(spec.bases)
+    bases, trans, h1, h2 = ham.blocks(spec.bases, tau)
     idx = np.arange(len(bases))
-    heff = gamma * trans[idx, idx] - 0.5j * omega * disp
+    heff = h1 - 1j * h2
     live = np.any(bases, axis=1)                # the unpadded columns of V_i
     mask = live[:, :, None] & live[:, None, :]
     n = live.sum(axis=1)
@@ -109,17 +111,19 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
     """rho(T) = exp(L_eff T) rho(0), evolved on the packed blocks.
 
-    The packed blocks are stepped from sample to sample by
-    `linalg.expm_vec_sample`: each run of equal gaps h by the action of
-    exp(L h) on the vector or by one dense exp(L h), whichever its cost
-    rule on N, the run's step count and ||L h||_1 finds cheaper.  All
-    samples are then unpacked into one block stack and lifted back at once.
-    Times must be finite, non-negative and non-decreasing.  As in
+    The packed blocks are stepped along the grid by `linalg.sample_runs`:
+    each run of equal gaps h by the action of exp(L h) on the vector or by
+    one dense exp(L h), whichever the cost rule of `linalg.expm_vec_run` on
+    N, the run's step count and ||L h||_1 finds cheaper.  All samples are
+    then unpacked into one block stack and lifted back at once.  Times must
+    be finite, non-negative and non-decreasing.  As in
     `run_nonselective`, the measurement channel is applied at t = 0: the
     evolution starts from the blocks V+ rho0 V of the joint initial state,
     so the t = 0 sample is rho0 itself when rho0 is block-diagonal and its
-    channel image otherwise.  Trace and block structure are preserved
-    exactly by the semigroup.
+    channel image otherwise.  The semigroup preserves trace and block
+    structure; the states are divided by their traces, as in the other
+    propagators, and the norms report the rounding drift, such as that of
+    the squarings of one exponential over a huge gap.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
@@ -127,11 +131,13 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     v, v_dag = eff.bases, dag(eff.bases)
     blocks0 = v_dag @ rho0 @ v
     times = np.asarray(times, dtype=float)
-    packed = expm_vec_sample(eff.generator, blocks0[eff.mask], times)
+    packed = sample_runs(blocks0[eff.mask], times,
+                         partial(expm_vec_run, eff.generator))
     blocks = np.zeros((len(packed),) + blocks0.shape, dtype=complex)
     blocks[:, eff.mask] = packed
     states = (v @ blocks @ v_dag).sum(axis=-3)
     norms = np.trace(states, axis1=-2, axis2=-1).real
+    states /= norms[:, None, None]
     return Trajectory(times.copy(), states, norms, eff.dims)
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .linalg import (DEFAULT_ODE_STEPS, PROB_FLOOR, TensorDims, as_matrix,
-                     conj_powers, dag, expm_sample, kron, rk4_sample)
+                     dag, kraus_run, kron, rk4_sample, sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -83,10 +84,8 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     spec = MeasurementSpec((proj,), 0, None if basis is None else (basis,))
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("projector dimension does not match the Hamiltonian")
-    _, trans, disp = ham.blocks(spec.bases)
-    h1 = ham.gamma * trans[0, 0]
-    h2 = (ham.gamma * ham.gamma * tau / 2.0) * disp[0]
-    return SelectiveEffective(h1=h1, h2=h2, gamma=ham.gamma, tau=tau,
+    _, _, h1, h2 = ham.blocks(spec.bases, tau)
+    return SelectiveEffective(h1=h1[0], h2=h2[0], gamma=ham.gamma, tau=tau,
                               probe_basis=spec.bases[0],
                               dims=TensorDims(ham.dim_sys, spec.ranks[0]))
 
@@ -95,22 +94,23 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
                     times) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
-    One Kraus exponential is built per distinct gap (`expm_sample`), and each
-    run of equal gaps takes its states as binary powers of that step from the
-    run's start (`conj_powers`), into one (T, n, n) stack; times must be
-    finite, non-negative and non-decreasing.  The initial probe state must be
-    supported in range(P), by the rule of `InitialState.probe_block` that
-    `exact.run_selective` applies too.  The reported norms are the branch
-    probabilities tr[K rho K+], which are non-increasing in T.  If the
-    probability falls below PROB_FLOOR the trajectory is truncated with a
-    warning (the conditional state is undefined on a zero-probability branch).
+    The grid is cut into runs of equal gaps (`linalg.sample_runs`), and each
+    run builds one Kraus exponential and takes its states as binary powers of
+    that step from the run's start (`linalg.kraus_run`), into one (T, n, n)
+    stack; times must be finite, non-negative and non-decreasing.  The
+    initial probe state must be supported in range(P), by the rule of
+    `InitialState.probe_block` that `exact.run_selective` applies too.  The
+    reported norms are the branch probabilities tr[K rho K+], which are
+    non-increasing in T.  If the probability falls below PROB_FLOOR the
+    trajectory is truncated with a warning (the conditional state is
+    undefined on a zero-probability branch).
     """
     times = np.asarray(times, dtype=float)
     v = eff.probe_basis
     if init.rho_pr.shape[0] != v.shape[0]:
         raise ValueError("initial probe dimension does not match the generator")
     rho0 = kron(init.rho_sys, init.probe_block(v))
-    states = expm_sample(-1j * eff.h_eff, rho0, times, conj_powers)
+    states = sample_runs(rho0, times, partial(kraus_run, -1j * eff.h_eff))
     norms = np.trace(states, axis1=1, axis2=2).real
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:

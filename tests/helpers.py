@@ -82,8 +82,8 @@ def counting_expm(monkeypatch):
     return calls
 
 
-def reference_expm_sample(a, y0, times, apply):
-    """stroblim.linalg.expm_sample by its rule, one sample at a time: a step
+def reference_sample_runs(y0, times, advance):
+    """stroblim.linalg.sample_runs by its rule, one sample at a time: a step
     is taken when the gap from the state's time base + n h exceeds
     1e-12 * max(1, t), and a new run of step size h = gap starts when that
     gap differs from h by more than the same tolerance."""
@@ -107,7 +107,7 @@ def reference_expm_sample(a, y0, times, apply):
     y = np.asarray(y0)
     out = [np.broadcast_to(y, (starts[1],) + y.shape)]
     for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
-        out.append(apply(stroblim.linalg.expm(a * h), y, counts[i:j]))
+        out.append(advance(h, y, counts[i:j]))
         y = out[-1][-1]
     return np.concatenate(out)
 

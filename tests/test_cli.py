@@ -247,6 +247,30 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 2
 
+    def test_compare_takes_a_trillion_periods_per_sample(self, tmp_path):
+        # t_max / grid_points / tau is 999999999999.9999 in floats: a stride
+        # a few ulps off the integer 1e12
+        doc = bundled_doc("swap_selective")
+        del doc["gamma"]
+        doc.update(tau=1e-9, omega=1.0, t_max=1000.0, grid_points=1)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "swap_selective_compare.csv")
+        assert [row["t"] for row in rows] == [0.0, 1000.0000000000001]
+
+    @pytest.mark.parametrize("command", [["compare"], ["sweep", "--tau", "0.04,0.02"]])
+    def test_one_method_scenario_exits_2(self, tmp_path, capsys, command):
+        doc = bundled_doc("swap_selective")
+        doc["mode"] = "limit-only"
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main([command[0], str(path), "--out-dir", str(out), *command[1:]])
+        assert rc == 2
+        assert "at least two methods (mode 'compare')" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep(self, tmp_path, capsys):
         rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.04,0.02"])

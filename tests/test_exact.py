@@ -140,6 +140,13 @@ class TestRunSelective:
         traj = run_selective(EvolutionPlan(ham, up_meas(), 0.1, 0.25), init)
         assert np.allclose(traj.times, [0.0, 0.1, 0.2, 0.25])
 
+    def test_period_count_allows_a_few_ulps(self):
+        # 1000 / 1e-9 is 999999999999.9999 in floats, 1.2e-4 below 1e12
+        plan = EvolutionPlan(swap_hamiltonian(2.0), up_meas(), 1e-9, 1000.0)
+        assert plan.n_steps == 10 ** 12
+        assert plan.residual == 0.0
+        assert EvolutionPlan(swap_hamiltonian(2.0), up_meas(), 0.1, 0.25).n_steps == 2
+
     def test_vanishing_probability_raises(self):
         ham = swap_hamiltonian(5.0)
         init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))

@@ -126,6 +126,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             convergence_sweep(load_bundled("swap_selective", t_max=2.0), [0.04])
 
+    def test_requires_two_methods(self):
+        sc = load_bundled("swap_selective", t_max=2.0, mode="limit-only")
+        with pytest.raises(ValueError, match="at least two methods"):
+            convergence_sweep(sc, [0.04, 0.01])
+
+    def test_p_up_sweep_computes_no_trace_distance(self, monkeypatch):
+        import stroblim.experiments as experiments
+
+        def no_trace_distance(*args):
+            raise AssertionError("a p_up sweep computed a trace distance")
+
+        monkeypatch.setattr(experiments, "trace_distance", no_trace_distance)
+        convergence_sweep(load_bundled("swap_selective", t_max=2.0), [0.04, 0.02])
+
     def test_sweep_table_monotone(self):
         sc = load_bundled("swap_selective", t_max=2.0)
         report = convergence_sweep(sc, [0.04, 0.02])

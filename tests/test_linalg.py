@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from helpers import (bundled_path, counting_expm, hermitian_eig, is_unitary,
                      random_complex, random_hermitian)
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
                       is_psd, kron, ode_step_rk4, partial_trace, pauli)
-from stroblim.linalg import (_action_is_cheaper, conj_powers, conj_stack, dag,
-                             expm_action, expm_sample, max_abs, op_norm,
-                             step_powers, taylor_degree, trace_distance)
+from stroblim.linalg import (_action_is_cheaper, _dense_run, conj_powers,
+                             conj_stack, dag, expm_action, max_abs, op_norm,
+                             sample_runs, step_powers, taylor_degree,
+                             trace_distance)
 
 
 def kron_oracle(a, b):
@@ -257,12 +259,10 @@ class TestRK4:
             ode_step_rk4(lambda y: y, np.zeros(1), 0.0)
 
 
-def stepped(e, y, counts):
-    """expm_sample's apply as one product e @ y per step."""
-    return step_powers(lambda k, x: e @ x, y, counts, y.shape)
-
-
 class TestExpmSample:
+    """The grid sampler `sample_runs`, with the advance `_dense_run`: one
+    exponential per run, then one product per step."""
+
     @pytest.mark.parametrize("times", [
         pytest.param(np.arange(16001) * 0.000625, id="arange"),
         pytest.param(np.linspace(0.0, 10.0, 251), id="linspace"),
@@ -271,19 +271,20 @@ class TestExpmSample:
         # arange grids jitter by one ulp of t; the step must still be reused
         calls = counting_expm(monkeypatch)
         a = -1j * random_hermitian(rng, 3, norm=1.0) - 0.1 * np.eye(3)
-        out = list(expm_sample(a, np.eye(3, dtype=complex), times, stepped))
+        out = list(sample_runs(np.eye(3, dtype=complex), times,
+                               partial(_dense_run, a)))
         assert len(calls) == 1
         assert len(out) == len(times)
         assert max_abs(out[-1] - expm(a * times[-1])) <= 1e-10
 
     def test_zero_gaps_apply_nothing(self, monkeypatch, rng):
         calls = counting_expm(monkeypatch)
-        a, y0 = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+        y0 = random_complex(rng, (3, 3))
 
-        def apply(*args):
-            raise AssertionError("apply called without a step")
+        def advance(*args):
+            raise AssertionError("advance called without a step")
 
-        out = expm_sample(a, y0, [0.0, 0.0, 0.0], apply)
+        out = sample_runs(y0, [0.0, 0.0, 0.0], advance)
         assert calls == []
         assert out.shape == (3, 3, 3)
         assert all(np.array_equal(y, y0) for y in out)
@@ -292,7 +293,7 @@ class TestExpmSample:
         calls = counting_expm(monkeypatch)
         a = random_complex(rng, (2, 2))
         times = [0.25, 0.5, 0.75, 1.75, 2.75, 3.0]
-        list(expm_sample(a, np.eye(2, dtype=complex), times, stepped))
+        list(sample_runs(np.eye(2, dtype=complex), times, partial(_dense_run, a)))
         assert len(calls) == 3     # gaps 0.25 (x3), 1.0 (x2), 0.25 again
 
     def test_apply_runs_once_per_run_of_equal_gaps(self, rng):
@@ -300,13 +301,13 @@ class TestExpmSample:
         y0 = random_complex(rng, (2, 2))
         runs = []
 
-        def apply(e, y, counts):
-            out = stepped(e, y, counts)
+        def advance(h, y, counts):
+            out = _dense_run(a, h, y, counts)
             runs.append((y, list(counts), out[-1]))
             return out
 
-        out = expm_sample(a, y0, [0.0, 0.25, 0.5, 0.5, 0.75, 1.75, 2.75, 3.0, 3.0],
-                          apply)
+        out = sample_runs(y0, [0.0, 0.25, 0.5, 0.5, 0.75, 1.75, 2.75, 3.0, 3.0],
+                          advance)
         assert [c for _, c, _ in runs] == [[1, 2, 2, 3], [1, 2], [1, 1]]
         assert runs[0][0] is y0
         # each run starts from the last value of the run before it

@@ -15,8 +15,8 @@ from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
                       pauli, pauli_rates, propagate_kraus, run_nonselective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
-from stroblim.linalg import (_action_run, _dense_run, _sample_runs, dag,
-                             max_abs, op_norm, taylor_degree)
+from stroblim.linalg import (_action_run, _dense_run, dag, max_abs, op_norm,
+                             sample_runs, taylor_degree)
 from stroblim.nonselective_limit import (integrate_blocks, integrate_pauli,
                                          pauli_rhs)
 from stroblim.selective_limit import (effective_rank1, integrate_density,
@@ -391,8 +391,8 @@ class TestSemigroupPaths:
     def test_paths_agree_on_an_irregular_grid(self, rng):
         eff, init = d32_model(rng)
         y0, gen = packed_start(eff, init), eff.generator
-        action = _sample_runs(y0, IRREGULAR_GRID, partial(_action_run, gen))
-        dense = _sample_runs(y0, IRREGULAR_GRID, partial(_dense_run, gen))
+        action = sample_runs(y0, IRREGULAR_GRID, partial(_action_run, gen))
+        dense = sample_runs(y0, IRREGULAR_GRID, partial(_dense_run, gen))
         assert action.shape == dense.shape == (len(IRREGULAR_GRID), 256)
         assert max_abs(action - dense) <= 1e-14
 
@@ -434,6 +434,11 @@ class TestSemigroupPaths:
         assert len(products) == 0
         assert len(calls) == 1
         assert np.all(np.isfinite(traj.states))
+        # the 31 squarings drift the trace by about 5e-7; the states are
+        # normalized, and the norms report the drift
+        trace = np.trace(traj.states, axis1=1, axis2=2).real
+        assert max_abs(trace - 1.0) <= 1e-12
+        assert max_abs(traj.norms - 1.0) > 1e-12
 
 
 def test_generator_at_d64_stays_off_the_full_space():

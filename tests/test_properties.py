@@ -3,20 +3,18 @@ the same examples."""
 
 import re
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import stroblim.linalg
 from helpers import (assert_same_run, family_spec, random_density,
                      random_hamiltonian_spec, random_projector_family,
-                     random_unitary, reference_expm_sample, reference_selective)
+                     random_unitary, reference_sample_runs, reference_selective)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       build_generator, effective_rankr, run_selective,
                       semigroup_propagate)
-from stroblim.linalg import (_action_run, _dense_run, _sample_runs, dag,
-                             expm_sample, max_abs, op_norm)
+from stroblim.linalg import (_action_run, _dense_run, dag, max_abs, op_norm,
+                             sample_runs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -72,7 +70,7 @@ def random_family_model(seed, dims, norm):
 def test_generator_blocks_are_the_selective_generators(seed, dims, norm):
     # the rank-sized slice of Heff_i is H1 - i H2 of outcome i, with H2 >= 0;
     # the transitions pair, T_ij+ = T_ji, and the complete family gives the
-    # dispersion identity sum_{j != i} T_ij T_ji = D_i
+    # dispersion identity (Omega/2) sum_{j != i} T_ij T_ji = H2_i
     _, ham, spec = random_family_model(seed, dims, norm)
     eff = build_generator(ham, spec, 0.25)
     h_sq = op_norm(ham.dimensionless()) ** 2
@@ -81,7 +79,9 @@ def test_generator_blocks_are_the_selective_generators(seed, dims, norm):
     leak = trans @ trans.swapaxes(0, 1)
     idx = np.arange(len(trans))
     leak[idx, idx] = 0
-    assert max_abs(leak.sum(axis=1) - ham.blocks(spec.bases)[2]) <= 1e-12 * h_sq
+    half = eff.omega / 2
+    assert max_abs(half * leak.sum(axis=1) - ham.blocks(spec.bases, 0.25)[3]) \
+        <= 1e-12 * half * h_sq
     for p, v, heff in zip(spec.projectors, spec.bases, eff.heff):
         sel = effective_rankr(ham, p, 0.25, basis=v)
         n = sel.dim
@@ -121,7 +121,8 @@ def random_grid(rng, start, h, size):
         jitter = rng.uniform(-1.5, 1.5) * 1e-12 * max(1.0, t)
         if kind == 4:
             h *= rng.choice([0.5, 2.0, 3.0])
-        gap = (0.0, abs(jitter), h, h + jitter, h, 2.0 * h)[kind]
+        # jitter beyond a tiny h would step back in time
+        gap = (0.0, abs(jitter), h, max(0.0, h + jitter), h, 2.0 * h)[kind]
         times.append(t + gap)
     return np.array(times)
 
@@ -132,22 +133,21 @@ def random_grid(rng, start, h, size):
                   h=st.sampled_from([3e-12, 1e-3, 0.01, 0.3, 2.0]),
                   size=st.integers(0, 200))
 def test_expm_sample_runs_equal_the_loop(seed, start, h, size):
-    # with expm patched to the identity and a = [[1]], apply receives the
-    # step size h itself; the recorded calls give the run splits, the step
-    # sizes and the per-sample counts of each run
+    # sample_runs against its per-sample loop: the recorded advance calls
+    # give the run splits, the step sizes and the per-sample counts of each
+    # run
     times = random_grid(np.random.default_rng(seed), start, h, size)
 
     def record(calls):
-        def apply(e, y, counts):
-            calls.append((e[0, 0], y[0, 0], counts.tolist()))
-            return y + counts[:, None, None] * e
-        return apply
+        def advance(h, y, counts):
+            calls.append((h, y[0, 0], counts.tolist()))
+            return y + counts[:, None, None] * h
+        return advance
 
     got, want = [], []
-    a, y0 = np.ones((1, 1)), np.zeros((1, 1))
-    with mock.patch.object(stroblim.linalg, "expm", lambda m: m):
-        out = expm_sample(a, y0, times, record(got))
-        ref = reference_expm_sample(a, y0, times, record(want))
+    y0 = np.zeros((1, 1))
+    out = sample_runs(y0, times, record(got))
+    ref = reference_sample_runs(y0, times, record(want))
     assert got == want
     assert np.array_equal(out, ref)
 
@@ -171,8 +171,8 @@ def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
     rho0 = random_density(rng, dims[0] * dims[1])
     y0 = (dag(v) @ rho0 @ v)[eff.mask]
     times = random_grid(rng, 0.0, h, size)
-    action = _sample_runs(y0, times, partial(_action_run, gen))
-    assert max_abs(action - _sample_runs(y0, times, partial(_dense_run, gen))) <= 1e-13
+    action = sample_runs(y0, times, partial(_action_run, gen))
+    assert max_abs(action - sample_runs(y0, times, partial(_dense_run, gen))) <= 1e-13
     blocks = np.zeros((len(times),) + eff.mask.shape, dtype=complex)
     blocks[:, eff.mask] = action
     states = (v @ blocks @ dag(v)).sum(axis=-3)
