@@ -8,13 +8,14 @@ Pade exponential with an eigendecomposition fast path for (anti-)Hermitian
 generators, the action exp(a t) y of the exponential on a vector by a
 truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011), binary powers m^n r0 m^n+ for a whole stack of n at
-once, one grid sampler `sample_runs` that both limit propagators use, and a
-fixed-step classical RK4 integrator with one sampler shared by every ODE in
-the package.  The grid sampler cuts the samples into runs of equal steps h
-and hands each run to an advance: `kraus_run` takes one exp(a h) per run
-and its binary powers, `expm_vec_run` steps a vector by the action or by
-that exponential, whichever a cost rule finds cheaper.  All functions are
-pure; nothing mutates its inputs.
+once, and one grid sampler `sample_runs` through which both limit
+propagators and the fixed-step classical RK4 integrator of every ODE in the
+package take their samples.  The grid sampler cuts the samples into runs of
+equal steps h and hands each run to an advance: `kraus_run` takes one
+exp(a h) per run and its binary powers, `expm_vec_run` steps a vector by the
+action or by that exponential, whichever a cost rule finds cheaper, and
+`rk4_run` cuts each step into RK4 steps of about a fixed size.  All
+functions are pure; nothing mutates its inputs.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -258,16 +260,6 @@ def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _sample_times(times) -> np.ndarray:
-    """times as a float array; ValueError unless finite and non-decreasing."""
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be finite")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
-    return times
-
-
 # Rows x inner x columns of one GEMM call in conj_stack.  OpenBLAS 0.3
 # hands a complex GEMM to more threads from about 65536 on; the idle worker
 # then spins for a while and takes CPU from the Python code that follows.
@@ -330,9 +322,9 @@ def conj_powers(m, r0, ns) -> np.ndarray:
 
 def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,
                 shape: tuple) -> np.ndarray:
-    """(len(ns),) + shape stack of y after n steps y <- step(k, y),
-    k = 0, 1, ..., for the non-decreasing integers ns."""
-    out = np.empty((len(ns), *shape), dtype=complex)
+    """(len(ns),) + shape stack, in the dtype of y0, of y after n steps
+    y <- step(k, y), k = 0, 1, ..., for the non-decreasing integers ns."""
+    out = np.empty((len(ns), *shape), dtype=np.asarray(y0).dtype)
     y, done = y0, 0
     for i, n in enumerate(ns):
         for k in range(done, n):
@@ -409,7 +401,11 @@ def sample_runs(y0, times, advance: Callable) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
-    counts, starts, sizes = _gap_runs(_sample_times(times))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    counts, starts, sizes = _gap_runs(times)
     starts.append(len(times))
     y = np.asarray(y0)
     out = [np.broadcast_to(y, (starts[1],) + y.shape)]
@@ -464,30 +460,29 @@ def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
     return (_action_run if cheaper else _dense_run)(a, h, y, counts)
 
 
-def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
-               n_steps: int) -> list[np.ndarray]:
-    """Fixed-step RK4 solution of an autonomous ODE, sampled at `times`.
+def rk4_run(rhs: Callable[[np.ndarray], np.ndarray], target: float, h: float,
+            y, counts) -> np.ndarray:
+    """`sample_runs` advance for an autonomous ODE dy/dt = rhs(y): each step
+    of size h is max(1, round(h / target)) equal steps of `ode_step_rk4`."""
+    m = max(1, round(h / target))
 
-    times must be finite and non-decreasing (ValueError otherwise); y0 is the
-    value at times[0], and an empty grid gives no samples.  About n_steps
-    steps cover the whole span: each gap between consecutive samples is cut
-    into max(1, round(gap / (span / n_steps))) equal steps.
-    """
-    times = _sample_times(times)
-    if times.size == 0:
-        return []
-    target = float(times[-1] - times[0]) / n_steps
-    out = [y0]
-    y = y0
-    for a, b in zip(times[:-1], times[1:]):
-        gap = float(b - a)
-        if gap > 0:
-            m = max(1, round(gap / target))
-            dt = gap / m
-            for _ in range(m):
-                y = ode_step_rk4(rhs, y, dt)
-        out.append(y)
-    return out
+    def step(k, x):
+        for _ in range(m):
+            x = ode_step_rk4(rhs, x, h / m)
+        return x
+
+    return step_powers(step, y, counts, y.shape)
+
+
+def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
+               n_steps: int) -> np.ndarray:
+    """Fixed-step RK4 solution of an autonomous ODE, one value per sample
+    time, stepped from y0 (the value at t = 0) by `sample_runs`, whose rules
+    on times apply.  About n_steps steps cover [0, times[-1]]: each step h
+    of the grid is cut into max(1, round(h / (times[-1] / n_steps))) equal
+    RK4 steps (`rk4_run`)."""
+    target = float(np.max(times, initial=0.0)) / n_steps
+    return sample_runs(y0, times, partial(rk4_run, rhs, target))
 
 
 def trace_distance(a, b):

@@ -120,10 +120,11 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     `run_nonselective`, the measurement channel is applied at t = 0: the
     evolution starts from the blocks V+ rho0 V of the joint initial state,
     so the t = 0 sample is rho0 itself when rho0 is block-diagonal and its
-    channel image otherwise.  The semigroup preserves trace and block
-    structure; the states are divided by their traces, as in the other
-    propagators, and the norms report the rounding drift, such as that of
-    the squarings of one exponential over a huge gap.
+    channel image otherwise.  The semigroup preserves trace, Hermiticity and
+    block structure; the blocks are replaced by their Hermitian parts and the
+    states divided by their traces, as in the other propagators, and the
+    norms report the rounding drift, such as that of the squarings of one
+    exponential over a huge gap.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
@@ -135,6 +136,7 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                          partial(expm_vec_run, eff.generator))
     blocks = np.zeros((len(packed),) + blocks0.shape, dtype=complex)
     blocks[:, eff.mask] = packed
+    blocks = (blocks + dag(blocks)) / 2
     states = (v @ blocks @ v_dag).sum(axis=-3)
     norms = np.trace(states, axis1=-2, axis2=-1).real
     states /= norms[:, None, None]
@@ -151,11 +153,11 @@ def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:
 
 
 def integrate_blocks(eff: NonselectiveEffective, blocks0, times,
-                     n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
-    """Fixed-step RK4 integration of the coupled block equations, one
-    (k, m, m) block stack per sample."""
-    return rk4_sample(lambda b: block_rhs(eff, b), np.asarray(blocks0), times,
-                      n_steps)
+                     n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
+    """Fixed-step RK4 integration of the coupled block equations from blocks0
+    at T = 0, one (k, m, m) block stack per sample (`linalg.rk4_sample`)."""
+    blocks0 = np.asarray(blocks0, dtype=complex)
+    return rk4_sample(lambda b: block_rhs(eff, b), blocks0, times, n_steps)
 
 
 def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:
@@ -177,8 +179,9 @@ def pauli_rhs(w: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def integrate_pauli(w: np.ndarray, p0, times,
-                    n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
-    """Fixed-step RK4 integration of the classical rate equation."""
+                    n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
+    """Fixed-step RK4 integration of the classical rate equation from p0 at
+    T = 0, one real probability vector per sample."""
     p0 = np.asarray(p0, dtype=float)
     return rk4_sample(lambda p: pauli_rhs(w, p), p0, times, n_steps)
 

@@ -11,12 +11,12 @@ and the dynamics closes on the system alone.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .exact import VanishingProbabilityError
 from .linalg import (DEFAULT_ODE_STEPS, PROB_FLOOR, TensorDims, as_matrix,
                      dag, kraus_run, kron, rk4_sample, sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
@@ -101,9 +101,9 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     initial probe state must be supported in range(P), by the rule of
     `InitialState.probe_block` that `exact.run_selective` applies too.  The
     reported norms are the branch probabilities tr[K rho K+], which are
-    non-increasing in T.  If the probability falls below PROB_FLOOR the
-    trajectory is truncated with a warning (the conditional state is
-    undefined on a zero-probability branch).
+    non-increasing in T.  As in `exact.run_selective`, a sample whose
+    probability is below PROB_FLOOR raises VanishingProbabilityError: the
+    conditional state is undefined on a zero-probability branch.
     """
     times = np.asarray(times, dtype=float)
     v = eff.probe_basis
@@ -115,9 +115,9 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:
         cut = vanished[0]
-        warnings.warn(f"branch probability vanished at T = {times[cut]:g}; trajectory "
-                      "truncated", stacklevel=2)
-        times, states, norms = times[:cut], states[:cut], norms[:cut]
+        raise VanishingProbabilityError(
+            f"branch probability vanished at T = {times[cut]:g} "
+            f"(p = {norms[cut]:.3e} < {PROB_FLOOR:.1e})")
     states /= norms[:, None, None]
     return Trajectory(times.copy(), states, norms, eff.dims)
 
@@ -164,15 +164,16 @@ def purity_derivative(eff: SelectiveEffective, rho) -> float:
 
 
 def integrate_density(eff: SelectiveEffective, rho0, times,
-                      n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
-    """Fixed-step RK4 integration of the nonlinear density equation, sampled
-    at `times` (n_steps RK4 steps across the whole span)."""
+                      n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
+    """Fixed-step RK4 integration of the nonlinear density equation from rho0
+    at T = 0, one state per sample time (`linalg.rk4_sample`, n_steps RK4
+    steps up to the last time)."""
     rho0 = as_matrix(rho0).astype(complex)
     return rk4_sample(lambda r: nonlinear_density_rhs(eff, r), rho0, times, n_steps)
 
 
 def integrate_state(eff: SelectiveEffective, psi0, times,
-                    n_steps: int = DEFAULT_ODE_STEPS) -> list[np.ndarray]:
+                    n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
     """Fixed-step RK4 integration of the state-vector equation."""
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     return rk4_sample(lambda psi: _state_rhs(eff, psi), psi0, times, n_steps)

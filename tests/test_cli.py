@@ -229,6 +229,43 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
 
+    def test_vanishing_limit_only_run_exits_3(self, tmp_path, capsys):
+        # the branch probability exp(-T) falls below the floor of 1e-14 at
+        # T = 32.24, sample 807 of 2,501
+        doc = bundled_doc("swap_selective")
+        doc.update(mode="limit-only", t_max=100.0, grid_points=2500,
+                   initial_sys={"ket": "d"})
+        path = tmp_path / "dying.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 3
+        assert "branch probability vanished at T = 32.24 " in capsys.readouterr().err
+        assert not (out / "swap_selective_limit.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_bloch_output_of_a_qutrit_exits_2_before_any_run(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        rng = np.random.default_rng(3)
+        term = {"a": complex_pairs(random_hermitian(rng, 3, norm=1.0)),
+                "b": complex_pairs(random_hermitian(rng, 2, norm=1.0))}
+        doc = {"name": "qutrit", "mode": "compare", "hamiltonian": {"terms": [term]},
+               "gamma": 5.0, "tau": 0.04, "projectors": [["u"], ["d"]],
+               "initial_sys": {"ket": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+               "initial_pr": {"ket": "u"}, "t_max": 1.0, "grid_points": 5,
+               "outputs": ["p_up", "bloch"]}
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps(doc))
+
+        def refuse(*args):
+            raise AssertionError("a method ran")
+
+        monkeypatch.setattr("stroblim.cli.run_method", refuse)
+        monkeypatch.setattr("stroblim.experiments.run_method", refuse)
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out-dir", str(out)]) == 2
+        assert "output 'bloch' needs a qubit system" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_pass_and_fail(self, tmp_path, capsys):
         rc = main(["compare", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path)])

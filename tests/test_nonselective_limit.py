@@ -299,13 +299,15 @@ PROPAGATORS = [
 ]
 
 
+# A real block-diagonal start whose coherences gain imaginary parts.
+BLOCKS0 = np.array([[[0.3, 0.1], [0.1, 0.2]], [[0.25, -0.05], [-0.05, 0.25]]])
+
 INTEGRATORS = [
     pytest.param(lambda t: integrate_density(swap_selective_eff(), np.eye(2) / 2, t),
                  id="density"),
-    pytest.param(lambda t: integrate_state(swap_selective_eff(), basis_ket("d"), t),
+    pytest.param(lambda t: integrate_state(swap_selective_eff(), [0.6, 0.8], t),
                  id="state"),
-    pytest.param(lambda t: integrate_blocks(
-        swap_gen(), np.array([np.eye(2), np.eye(2)]) / 4, t), id="blocks"),
+    pytest.param(lambda t: integrate_blocks(swap_gen(), BLOCKS0, t), id="blocks"),
     pytest.param(lambda t: integrate_pauli(
         np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], t), id="pauli"),
 ]
@@ -329,10 +331,31 @@ def test_integrators_reject_non_finite_times(integrate, times):
 
 @pytest.mark.parametrize("integrate", INTEGRATORS)
 def test_integrators_return_nothing_on_an_empty_grid(integrate):
-    assert integrate([]) == []
+    assert len(integrate([])) == 0
 
 
-@pytest.mark.parametrize("propagate", PROPAGATORS)
+@pytest.mark.parametrize("integrate", INTEGRATORS)
+def test_integrators_start_at_time_zero(integrate):
+    # y0 is the value at t = 0, wherever the grid starts
+    np.testing.assert_array_equal(integrate([1.0, 2.0]), integrate([0.0, 1.0, 2.0])[1:])
+
+
+def test_block_integration_takes_a_real_start():
+    times = np.linspace(0.0, 2.0, 5)
+    real = integrate_blocks(swap_gen(), BLOCKS0, times, n_steps=100)
+    want = integrate_blocks(swap_gen(), BLOCKS0.astype(complex), times, n_steps=100)
+    assert max_abs(want.imag) > 0.01
+    np.testing.assert_array_equal(real, want)
+
+
+def test_rate_integration_stays_real():
+    p = integrate_pauli(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0],
+                        np.linspace(0.0, 2.0, 5))
+    assert p.dtype == np.float64
+    assert max_abs(p.sum(axis=1) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("propagate", [*INTEGRATORS, *PROPAGATORS])
 @pytest.mark.parametrize("times, message", [
     pytest.param([-3.0], "non-negative", id="negative"),
     pytest.param([0.0, -1.0, 2.0], "non-negative", id="negative-inside"),
@@ -434,10 +457,13 @@ class TestSemigroupPaths:
         assert len(products) == 0
         assert len(calls) == 1
         assert np.all(np.isfinite(traj.states))
-        # the 31 squarings drift the trace by about 5e-7; the states are
-        # normalized, and the norms report the drift
-        trace = np.trace(traj.states, axis1=1, axis2=2).real
+        # the 31 squarings drift the trace by about 5e-7 and leave the blocks
+        # off Hermitian by about 5e-9; the states are normalized and made
+        # Hermitian, and the norms report the drift
+        trace = np.trace(traj.states, axis1=1, axis2=2)
         assert max_abs(trace - 1.0) <= 1e-12
+        assert max_abs(trace.imag) <= 1e-14
+        assert max_abs(traj.states - dag(traj.states)) <= 1e-14
         assert max_abs(traj.norms - 1.0) > 1e-12
 
 

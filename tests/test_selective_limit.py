@@ -4,12 +4,13 @@ import pytest
 from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, counting_expm, family_spec,
                      random_density, random_hamiltonian_spec, random_ket,
                      random_projector_family)
-from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
-                      build_generator, effective_rank1, effective_rankr,
-                      heisenberg3_hamiltonian, kron, measurement_from_kets,
-                      nonlinear_density_rhs, nonlinear_state_rhs, pauli,
-                      projector_from_kets, propagate_kraus, purity_derivative,
-                      run_selective, swap_hamiltonian, trace_distance)
+from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
+                      VanishingProbabilityError, basis_ket, build_generator,
+                      effective_rank1, effective_rankr, heisenberg3_hamiltonian,
+                      kron, measurement_from_kets, nonlinear_density_rhs,
+                      nonlinear_state_rhs, pauli, projector_from_kets,
+                      propagate_kraus, purity_derivative, run_selective,
+                      swap_hamiltonian, trace_distance)
 from stroblim.linalg import PROB_FLOOR, dag, expm, is_psd, max_abs
 from stroblim.selective_limit import integrate_density, integrate_state
 
@@ -205,46 +206,46 @@ class TestPropagateKraus:
             assert abs(norm - np.trace(rho).real) <= 1e-12
             assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
 
-    def test_irregular_grid_truncates_at_the_probability_floor(self):
+    def test_irregular_grid_raises_at_the_probability_floor(self):
         # exp(-32) = 1.3e-14 is kept and exp(-33) = 4.7e-15 is not, as on the
         # uniform grid; here T = 32 is repeated and T = 33 ends a run of gaps
         times = [0.5, 0.5, 4.0, 7.5, 11.0, 20.0, 29.0, 32.0, 32.0, 33.0, 34.0, 35.0,
                  60.0]
         eff = swap_eff()
         init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
-        with pytest.warns(UserWarning, match="vanished at T = 33;"):
-            traj = propagate_kraus(eff, init, times)
+        with pytest.raises(VanishingProbabilityError, match="at T = 33 "):
+            propagate_kraus(eff, init, times)
+        traj = propagate_kraus(eff, init, times[:9])
         assert len(traj) == 9
         assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
         assert traj.norms[-1] >= PROB_FLOOR
 
-    def test_truncates_on_vanishing_branch(self):
+    def test_raises_on_vanishing_branch(self):
         eff = swap_eff()
         init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
-        with pytest.warns(UserWarning):
-            traj = propagate_kraus(eff, init, [0.0, 1.0, 50.0])
-        assert len(traj) == 2
+        with pytest.raises(VanishingProbabilityError, match="at T = 50 "):
+            propagate_kraus(eff, init, [0.0, 1.0, 50.0])
 
-    def test_truncates_at_the_probability_floor(self):
+    def test_raises_at_the_probability_floor(self):
         # branch probability exp(-Omega T) with Omega = 1: exp(-32) = 1.3e-14
         # is kept, exp(-33) = 4.7e-15 is below the floor
         eff = swap_eff()
         init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
-        with pytest.warns(UserWarning, match="vanished at T = 33;"):
-            traj = propagate_kraus(eff, init, np.linspace(0.0, 60.0, 61))
+        with pytest.raises(VanishingProbabilityError, match="at T = 33 "):
+            propagate_kraus(eff, init, np.linspace(0.0, 60.0, 61))
+        traj = propagate_kraus(eff, init, np.linspace(0.0, 32.0, 33))
         assert len(traj) == 33
         assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
         assert traj.norms[-1] >= PROB_FLOOR
 
-    def test_truncated_stack_matches_times(self):
+    def test_full_stack_matches_times(self):
         eff = swap_eff()
         init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
-        with pytest.warns(UserWarning):
-            traj = propagate_kraus(eff, init, np.linspace(0.0, 60.0, 61))
+        traj = propagate_kraus(eff, init, np.linspace(0.0, 32.0, 33))
         assert isinstance(traj.states, np.ndarray)
         assert traj.states.shape == (33, 2, 2)
         assert traj.times.shape == traj.norms.shape == (33,)
-        assert np.array_equal(traj.times, np.linspace(0.0, 60.0, 61)[:33])
+        assert np.array_equal(traj.times, np.linspace(0.0, 32.0, 33))
 
     def test_requires_matching_probe(self):
         eff = swap_eff()
