@@ -287,8 +287,8 @@ def load_scenario(path: str) -> Scenario:
 # CSV emission and parsing.
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# A number to 17 significant digits, which reads back as the same float.
+_NUM = "%.17g"
 
 
 def trajectory_columns(traj: Trajectory, outputs) -> tuple[list[str], list[list[float]]]:
@@ -318,22 +318,23 @@ def trajectory_columns(traj: Trajectory, outputs) -> tuple[list[str], list[list[
             for j in range(s.shape[-1]):
                 add(f"re_{i}_{j}", s[:, i, j].real)
                 add(f"im_{i}_{j}", s[:, i, j].imag)
-    rows = [[series[c][k] for c in range(len(series))] for k in range(len(traj))]
-    return names, rows
+    return names, np.column_stack(series).tolist()
 
 
-def _write_csv(path: str, names, rows) -> None:
-    """The one CSV writer: a header of names, then one line per row, numbers
-    to 17 significant digits and strings as they are."""
+def _write_csv(path: str, names, rows, cells=None) -> None:
+    """The one CSV writer: a header of names, then one line per row, made by
+    one % operation with the cell formats `cells` (by default, every cell a
+    number to 17 significant digits)."""
+    line = ",".join(cells or [_NUM] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, outputs, method: str) -> None:
     names, rows = trajectory_columns(traj, outputs)
-    _write_csv(path, names + ["method"], (row + [method] for row in rows))
+    _write_csv(path, names + ["method"], rows,
+               [_NUM] * len(names) + [method.replace("%", "%%")])
 
 
 def read_csv(path: str) -> tuple[list[str], list[dict]]:
@@ -437,7 +438,8 @@ def cmd_compare(scenario_path: str, out_dir: str,
     path = os.path.join(out_dir, f"{sc.name}_compare.csv")
     case = report.cases[0]
     _write_csv(path, ["t", "deviation", "deviation_trace"],
-               zip(case.times, case.deviation, case.deviation_trace))
+               np.column_stack((case.times, case.deviation,
+                                case.deviation_trace)).tolist())
     verdict = "PASS" if report.max_deviation <= tol else "FAIL"
     print(f"{sc.name}: methods {'/'.join(sc.methods)}, metric {report.metric}")
     print(f"max deviation {report.max_deviation:.6g} vs tolerance {tol:g}: {verdict}")
@@ -450,10 +452,10 @@ def cmd_sweep(scenario_path: str, taus, out_dir: str) -> int:
     report = convergence_sweep(sc, taus)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_sweep.csv")
-    ratios = ("",) + report.convergence_ratios
+    ratios = ("",) + tuple(_NUM % r for r in report.convergence_ratios)
     _write_csv(path, ["tau", "max_deviation", "ratio_to_previous"],
                ((tau, dev, ratio) for (tau, dev), ratio
-                in zip(report.convergence, ratios)))
+                in zip(report.convergence, ratios)), [_NUM, _NUM, "%s"])
     decreasing = report.strictly_decreasing
     print(f"{sc.name}: sweep over tau = {', '.join(f'{t:g}' for t, _ in report.convergence)}")
     for tau, dev in report.convergence:

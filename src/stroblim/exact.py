@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (PROB_FLOOR, as_matrix, conj_powers, conj_stack, dag, expm,
-                     step_powers)
+                     real_trace, step_powers)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -119,13 +119,8 @@ def _period_maps(plan: EvolutionPlan):
     return h, bases, first, first[:, None] @ bases[None]
 
 
-def _trace(m):
-    """Real trace of a matrix, or of each matrix in a stack."""
-    return np.trace(m, axis1=-2, axis2=-1).real
-
-
 def _check_probability(step: int, r) -> None:
-    norm = _trace(r)
+    norm = real_trace(r)
     if norm < PROB_FLOOR:
         raise VanishingProbabilityError(
             f"outcome sequence has vanishing probability at step {step} "
@@ -137,10 +132,11 @@ def _interrupted(plan: EvolutionPlan, h, rho0, compressed, lift,
     """Sample one run: rho0 at t = 0, then the post-measurement state after
     every `every`-th period n.  compressed(ns) gives the stack of compressed
     states after the periods ns, in one call; period n_steps is also taken
-    when it is not sampled, so the whole run is checked.  lift(ns, stack)
-    returns the full-space states at periods ns with their traces, all at
-    once.  A fractional period left at total_time is one more unitary step
-    from period n_steps, recorded pre-measurement.
+    when it is not sampled, so the whole run is checked.  lift(ns, stack,
+    out) writes the full-space states at periods ns into out, all at once,
+    and returns their traces; out is a view of the run's one state array, so
+    no lifted stack is copied.  A fractional period left at total_time is
+    one more unitary step from period n_steps, recorded pre-measurement.
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
@@ -148,15 +144,19 @@ def _interrupted(plan: EvolutionPlan, h, rho0, compressed, lift,
     kept = len(ns)
     if plan.n_steps % every:
         ns = np.append(ns, plan.n_steps)
-    lifted, lifted_norms = lift(ns, compressed(ns))
+    states = np.empty((len(ns) + 1 + (plan.residual > 0),) + rho0.shape, dtype=complex)
+    states[0] = rho0
+    lifted_norms = lift(ns, compressed(ns), states[1:len(ns) + 1])
     times = [[0.0], ns[:kept] * plan.tau]
-    states, norms = [rho0[None], lifted[:kept]], [[_trace(rho0)], lifted_norms[:kept]]
+    norms = [[real_trace(rho0)], lifted_norms[:kept]]
+    end = kept + 1
     if plan.residual > 0:
-        rho = unitary_step(lifted[-1] if len(ns) else rho0, h, plan.residual)
+        # from period n_steps, or from rho0 when no period has passed
+        states[end] = unitary_step(states[len(ns)], h, plan.residual)
         times.append([plan.total_time])
-        states.append(rho[None])
-        norms.append([_trace(rho)])
-    states, norms = np.concatenate(states), np.concatenate(norms)
+        norms.append([real_trace(states[end])])
+        end += 1
+    states, norms = states[:end], np.concatenate(norms)
     states /= norms[:, None, None]
     return Trajectory(np.concatenate(times), states, norms, plan.hamiltonian.dims)
 
@@ -206,9 +206,10 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             _check_probability(k + 1, r)
             return r
 
-        def lift(ns, blocks):
+        def lift(ns, blocks, out):
             v = bases[np.array(seq, dtype=np.int64)[ns - 1]]
-            return v @ blocks @ dag(v), _trace(blocks)
+            out[...] = v @ blocks @ dag(v)
+            return real_trace(blocks)
 
         shape = (bases.shape[2],) * 2
         return _interrupted(plan, h, rho0,
@@ -217,20 +218,21 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     v, v_dag = bases[s], dag(bases[s])
     w_ss, r0 = w[s, s], v_dag @ rho0 @ v
 
-    def lift(ns, blocks):
-        norms = _trace(blocks)
+    def lift(ns, blocks, out):
+        norms = real_trace(blocks)
         failed = np.flatnonzero(norms < PROB_FLOOR)
         if failed.size:
             k = failed[0]
             lo, hi = (int(ns[k - 1]) if k else 0), int(ns[k])   # lo passes, hi fails
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if _trace(conj_powers(w_ss, r0, [mid])[0]) < PROB_FLOOR:
+                if real_trace(conj_powers(w_ss, r0, [mid])[0]) < PROB_FLOOR:
                     hi = mid
                 else:
                     lo = mid
             _check_probability(hi, conj_powers(w_ss, r0, [hi])[0])
-        return conj_stack(v, blocks, v_dag), norms
+        conj_stack(v, blocks, v_dag, out=out)
+        return norms
 
     return _interrupted(plan, h, rho0, lambda ns: conj_powers(w_ss, r0, ns),
                         lift, every)
@@ -262,12 +264,12 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     def step(k, blocks):
         return (w @ blocks[None] @ w_dag).sum(axis=1)
 
-    def lift(ns, stack):
-        rho = (bases @ stack @ dag(bases)).sum(axis=-3)
-        return rho, _trace(rho)
+    def lift(ns, stack, out):
+        np.sum(bases @ stack @ dag(bases), axis=-3, out=out)
+        return real_trace(out)
 
     blocks = dag(bases) @ init.joint() @ bases
-    channel = lift((), blocks[None])[0][0]
+    channel = (bases @ blocks @ dag(bases)).sum(axis=-3)
     return _interrupted(plan, h, channel,
                         lambda ns: step_powers(step, blocks, ns, blocks.shape),
                         lift, every)

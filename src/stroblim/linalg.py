@@ -15,15 +15,29 @@ equal steps h and hands each run to an advance: `kraus_run` takes one
 exp(a h) per run and its binary powers, `expm_vec_run` steps a vector by the
 action or by that exponential, whichever a cost rule finds cheaper, and
 `rk4_run` cuts each step into RK4 steps of about a fixed size.  All
-functions are pure; nothing mutates its inputs.
+functions are pure; nothing mutates its inputs, and `conj_stack` writes
+only into an `out` array it is given.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
 with the stack along the rows, where a broadcast `a @ s @ b` would make one
 small BLAS call per matrix; each slice comes out bit for bit as it does when
-it is conjugated alone.  `sample_runs` finds its runs of equal gaps with
-array passes over the grid: a few Python iterations per run, not one per
-sample.
+it is conjugated alone.  `conj_powers` fills a dense range of powers, every
+n from 0 or 1 to n_max as an every-period run asks, as one table a level at
+a time: the states whose lowest set bit is b come from the states 2^b below
+them in one strided `conj_stack` written into the table (at n_max = 16000
+and k = 2, 1.1 ms against 3.9 ms for the prefix walk that other sets of n
+take).  `sample_runs` finds its runs of equal gaps with array passes over
+the grid: a few Python iterations per run, not one per sample.
+
+Traces and short-axis sums over a sample stack go through `einsum`
+(`real_trace`), not `np.trace` or `sum(axis=-1)`: on a 2-vCPU Xeon VM with
+OpenBLAS, numpy's reductions along a short last axis run 8 to 10 times
+slower after a complex GEMM until some other numpy loop has run.  `np.trace`
+of a (16001, 2, 2) stack took 3.3 ms right after one 2 x 2 product, against
+0.41 ms before it, and `einsum` 0.07 ms either way.  `einsum` adds the
+diagonal in sequence, as numpy's pairwise sum does below 8 floats (4 complex
+numbers), so traces of 2 x 2 and 3 x 3 blocks keep their bits.
 """
 
 from __future__ import annotations
@@ -69,6 +83,13 @@ def as_matrix(a, stack: bool = False) -> np.ndarray:
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.conj(np.asarray(a)).swapaxes(-1, -2)
+
+
+def real_trace(a):
+    """Real part of the trace of a matrix (a float), or of each matrix in a
+    (..., n, n) stack, by `einsum`: the one reduction over stacks (see the
+    module docstring)."""
+    return np.einsum("...ii->...", a).real
 
 
 def max_abs(a) -> float:
@@ -269,9 +290,10 @@ def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
 _GEMM_BUDGET = 32768
 
 
-def conj_stack(a, s, b) -> np.ndarray:
+def conj_stack(a, s, b, out=None) -> np.ndarray:
     """(T, p, q) stack of a @ s[t] @ b for a (T, n, m) stack s, with a of
-    shape (p, n) and b of shape (m, q).
+    shape (p, n) and b of shape (m, q), written into `out` when given (a
+    (T, p, q) array or view, disjoint from s) and returned.
 
     Two plain 2-D GEMMs per chunk of the stack, with the stack along the
     rows: s as a (T n, m) matrix times b, then the transposed products
@@ -283,7 +305,8 @@ def conj_stack(a, s, b) -> np.ndarray:
     s = np.asarray(s)
     t, n, m = s.shape
     p, q = a.shape[0], b.shape[1]
-    out = np.empty((t, p, q), dtype=np.result_type(a, s, b))
+    if out is None:
+        out = np.empty((t, p, q), dtype=np.result_type(a, s, b))
     step = max(1, _GEMM_BUDGET // (n * q * max(m, p)))
     for i in range(0, t, step):
         c = min(step, t - i)
@@ -296,11 +319,17 @@ def conj_powers(m, r0, ns) -> np.ndarray:
     """(len(ns), k, k) stack of m^n r0 m^n+ for the non-decreasing integers ns.
 
     With Q_b = m^(2^b) by squaring, the bits of n are applied high to low,
-    r <- Q_b r Q_b+ for each set bit b.  All samples advance together: at bit
-    b every distinct prefix n >> b is formed once from its parent n >> (b+1),
-    and the odd prefixes are conjugated by Q_b in one `conj_stack`.  Each
-    state therefore depends on (m, r0, n) alone, bit for bit, and the stack
-    costs O(log max(ns)) pairs of GEMMs.
+    r <- Q_b r Q_b+ for each set bit b, so the state at n is Q_b (state at
+    n - 2^b) Q_b+ for the lowest set bit b of n.  A dense range, whose
+    distinct ns are every integer from ns[0] <= 1 to n = ns[-1], fills one
+    (n + 1, k, k) table from table[0] = r0 a level at a time, top bit first:
+    at level b the states table[2^b :: 2^(b+1)] come from table[0 :: 2^(b+1)]
+    in one `conj_stack` written into the table.  Any other ns advance all
+    samples together: at bit b every distinct prefix n >> b is formed once
+    from its parent n >> (b+1), and the odd prefixes are conjugated by Q_b
+    in one `conj_stack`.  Both orders form the same products, so each state
+    depends on (m, r0, n) alone, bit for bit, and the stack costs
+    O(log max(ns)) pairs of GEMMs.
     """
     ns = np.asarray(ns, dtype=np.int64)
     s = as_matrix(r0)[None]
@@ -311,6 +340,14 @@ def conj_powers(m, r0, ns) -> np.ndarray:
     q = [as_matrix(m)]
     while len(q) < int(ns[-1]).bit_length():
         q.append(q[-1] @ q[-1])
+    steps = np.diff(ns)
+    if ns[0] <= 1 and np.all(steps <= 1):
+        table = np.empty((int(ns[-1]) + 1,) + s.shape[1:], dtype=s.dtype)
+        table[0] = s[0]
+        for b in reversed(range(len(q))):
+            dst = table[2 ** b::2 ** (b + 1)]
+            conj_stack(q[b], table[:-2 ** b:2 ** (b + 1)], dag(q[b]), out=dst)
+        return table[ns[0]:] if np.all(steps) else table[ns]
     for b in reversed(range(len(q))):
         p = ns >> b
         p = p[np.r_[True, p[1:] != p[:-1]]]     # distinct; np.unique loads numpy.ma
@@ -437,8 +474,11 @@ def _dense_run(a, h: float, y, counts) -> np.ndarray:
     return step_powers(lambda k, x: e @ x, y, counts, y.shape)
 
 
-def _action_run(a, h: float, y, counts) -> np.ndarray:
-    degree = taylor_degree(h * float(np.linalg.norm(a, 1)))
+def _action_run(a, h: float, y, counts, norm1: float | None = None) -> np.ndarray:
+    """`expm_action` once per step; norm1 is ||a h||_1 when the caller has it."""
+    if norm1 is None:
+        norm1 = h * float(np.linalg.norm(a, 1))
+    degree = taylor_degree(norm1)
     return step_powers(lambda k, x: expm_action(a, x, h, degree), y, counts,
                        y.shape)
 
@@ -456,8 +496,9 @@ def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
     exp(a h) once by Pade and one product per step.  Raises the Pade
     exponential's ValueError when ||a h||_1 cannot be scaled."""
     norm1 = h * float(np.linalg.norm(a, 1))
-    cheaper = _action_is_cheaper(len(a), int(counts[-1]), norm1)
-    return (_action_run if cheaper else _dense_run)(a, h, y, counts)
+    if _action_is_cheaper(len(a), int(counts[-1]), norm1):
+        return _action_run(a, h, y, counts, norm1)
+    return _dense_run(a, h, y, counts)
 
 
 def rk4_run(rhs: Callable[[np.ndarray], np.ndarray], target: float, h: float,
@@ -490,5 +531,5 @@ def trace_distance(a, b):
     array for (..., n, n) stacks (broadcast against each other)."""
     d = as_matrix(a, stack=True) - as_matrix(b, stack=True)
     w = np.linalg.eigvalsh((d + dag(d)) / 2)
-    out = 0.5 * np.sum(np.abs(w), axis=-1)
+    out = 0.5 * np.einsum("...i->...", np.abs(w))
     return float(out) if out.ndim == 0 else out

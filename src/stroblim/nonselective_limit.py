@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, dag,
-                     expm_vec_run, rk4_sample, sample_runs)
+                     expm_vec_run, real_trace, rk4_sample, sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -138,7 +138,7 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     blocks[:, eff.mask] = packed
     blocks = (blocks + dag(blocks)) / 2
     states = (v @ blocks @ v_dag).sum(axis=-3)
-    norms = np.trace(states, axis1=-2, axis2=-1).real
+    norms = real_trace(states)
     states /= norms[:, None, None]
     return Trajectory(times.copy(), states, norms, eff.dims)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .exact import VanishingProbabilityError
 from .linalg import (DEFAULT_ODE_STEPS, PROB_FLOOR, TensorDims, as_matrix,
-                     dag, kraus_run, kron, rk4_sample, sample_runs)
+                     dag, kraus_run, kron, real_trace, rk4_sample,
+                     sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -111,7 +112,7 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
         raise ValueError("initial probe dimension does not match the generator")
     rho0 = kron(init.rho_sys, init.probe_block(v))
     states = sample_runs(rho0, times, partial(kraus_run, -1j * eff.h_eff))
-    norms = np.trace(states, axis1=1, axis2=2).real
+    norms = real_trace(states)
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:
         cut = vanished[0]

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import TensorDims, as_matrix, partial_trace
+from .linalg import TensorDims, as_matrix, partial_trace, real_trace
 from .model import pauli
 
 _PAULI_XYZ = (pauli(1), pauli(2), pauli(3))
@@ -51,7 +51,7 @@ class Trajectory:
 
     def purities(self) -> np.ndarray:
         s = self.sys_states
-        return np.trace(s @ s, axis1=1, axis2=2).real
+        return real_trace(s @ s)
 
     def bloch(self) -> np.ndarray:
         """Bloch vectors (T, 3) of a two-dimensional system marginal."""
@@ -63,6 +63,5 @@ def bloch_vector(rho) -> np.ndarray:
     m = as_matrix(rho, stack=True)
     if m.shape[-1] != 2:
         raise ValueError("Bloch vector needs a 2x2 state")
-    return np.stack([np.trace(m @ sig, axis1=-2, axis2=-1).real for sig in _PAULI_XYZ],
-                    axis=-1)
+    return np.stack([real_trace(m @ sig) for sig in _PAULI_XYZ], axis=-1)
 

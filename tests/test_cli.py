@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from stroblim.cli import (ScenarioError, load_scenario, main, read_csv,
                           render_chart, scenario_from_dict,
                           trajectory_columns, write_trajectory_csv)
 from stroblim.experiments import run_method
+from stroblim.linalg import TensorDims
+from stroblim.trajectory import Trajectory
 
 
 def bundled_doc(name):
@@ -104,6 +107,18 @@ class TestCsv:
             assert row["method"] == "exact"
             for name, value in zip(names, want):
                 assert row[name] == value  # 17 significant digits round-trip
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        values = [-0.0, 5e-324, 1e300, 0.1, math.inf, math.nan]
+        norms = np.array(values[::-1])
+        traj = Trajectory(np.array(values), np.ones((6, 1, 1), dtype=complex),
+                          norms, TensorDims(1, 1))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(str(path), traj, ("trace", "p_err"), "limit")
+        want = "t,trace_unnormalized,p_err,method\n" + "".join(
+            f"{t:.17g},{p:.17g},{1.0 - p:.17g},limit\n"
+            for t, p in zip(values, norms.tolist()))
+        assert path.read_bytes() == want.encode()
 
     def test_matrix_columns(self, tmp_path):
         sc = load_bundled("swap_selective", t_max=1.0, outputs=("matrix",))

@@ -15,8 +15,8 @@ from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
                       is_psd, kron, ode_step_rk4, partial_trace, pauli)
 from stroblim.linalg import (_action_is_cheaper, _dense_run, conj_powers,
                              conj_stack, dag, expm_action, max_abs, op_norm,
-                             sample_runs, step_powers, taylor_degree,
-                             trace_distance)
+                             real_trace, sample_runs, step_powers,
+                             taylor_degree, trace_distance)
 
 
 def kron_oracle(a, b):
@@ -429,15 +429,21 @@ class TestConjPowers:
             assert max_abs(r - q @ r0 @ dag(q)) < 1e-12
 
     def test_each_state_depends_on_n_alone(self, rng):
-        m, r0 = self.contraction(rng, 2), random_complex(rng, (2, 2))
+        # dense grids (every n from 0 or 1 on, repeats allowed) take the
+        # level-by-level table, the others the prefix walk; a single n >= 2
+        # takes the walk
         grids = [[0, 0, 5, 5, 6, 1023, 1024], list(range(40)),
-                 list(range(7, 2000, 7)), [1024, 1024, 3000]]
-        alone = {}
-        for ns in grids:
-            for n, r in zip(ns, conj_powers(m, r0, ns)):
-                single = alone.setdefault(n, conj_powers(m, r0, [n])[0])
-                assert np.array_equal(r, single)
-        assert np.array_equal(alone[0], r0)
+                 list(range(7, 2000, 7)), [1024, 1024, 3000],
+                 list(range(1026)), list(range(1, 1026)),
+                 sorted(list(range(1, 300)) + [150]), [1]]
+        for k in (2, 1, 3):
+            m, r0 = self.contraction(rng, k), random_complex(rng, (k, k))
+            alone = {}
+            for ns in grids:
+                for n, r in zip(ns, conj_powers(m, r0, ns)):
+                    single = alone.setdefault(n, conj_powers(m, r0, [n])[0])
+                    assert np.array_equal(r, single)
+            assert np.array_equal(alone[0], r0)
 
     def test_empty_ns_gives_an_empty_stack(self, rng):
         out = conj_powers(np.eye(3), random_complex(rng, (3, 3)), [])
@@ -447,6 +453,34 @@ class TestConjPowers:
     def test_rejects_unsorted_or_negative_powers(self, ns):
         with pytest.raises(ValueError, match="non-negative and non-decreasing"):
             conj_powers(np.eye(2), np.eye(2), ns)
+
+
+class TestRealTrace:
+    # numpy's pairwise sum adds in sequence below 8 floats, which is 4
+    # complex numbers, as einsum does: the same bits on short diagonals
+    @pytest.mark.parametrize("n, dtype", [(1, complex), (2, complex),
+                                          (3, complex), (1, float), (4, float),
+                                          (7, float)])
+    def test_bit_equal_to_numpy_trace_on_short_diagonals(self, rng, n, dtype):
+        s = random_complex(rng, (50, n, n))
+        s = s if dtype is complex else s.real.copy()
+        want = np.trace(s, axis1=-2, axis2=-1).real
+        assert np.array_equal(real_trace(s), want)
+        assert np.array_equal(real_trace(s.reshape(5, 10, n, n)),
+                              want.reshape(5, 10))
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 9, 16, 33, 64])
+    def test_close_to_numpy_trace_on_long_diagonals(self, rng, n):
+        s = random_complex(rng, (50, n, n))
+        scale = np.abs(np.diagonal(s, axis1=-2, axis2=-1)).sum(axis=-1)
+        diff = np.abs(real_trace(s) - np.trace(s, axis1=-2, axis2=-1).real)
+        assert np.all(diff <= 1e-15 * n * scale)
+
+    def test_a_matrix_gives_a_scalar(self, rng):
+        m = random_complex(rng, (3, 3))
+        out = real_trace(m)
+        assert np.ndim(out) == 0 and isinstance(float(out), float)
+        assert out == np.trace(m).real
 
 
 def test_cli_runs_without_numpy_ma(tmp_path):
