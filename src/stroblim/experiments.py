@@ -279,7 +279,8 @@ def compare_scenario(sc: Scenario) -> ComparisonReport:
 
 def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     """Re-run a comparison scenario over a tau list at fixed Omega = gamma^2 tau
-    (gamma recomputed per tau) and tabulate the max deviation per tau.
+    (gamma recomputed per tau, on the Hamiltonian terms validated once) and
+    tabulate the max deviation per tau.
 
     Only the table is computed: per tau, `compare_case`'s max deviation, with
     that tau's trajectories released before the next tau runs.  The report
@@ -297,8 +298,7 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
             check_periods(sc.t_max, tau)        # before steps_in can overflow
             scaled.append(replace(
                 sc,
-                hamiltonian=HamiltonianSpec(float(np.sqrt(omega / tau)),
-                                            sc.hamiltonian.terms),
+                hamiltonian=sc.hamiltonian.with_gamma(float(np.sqrt(omega / tau))),
                 tau=tau,
                 grid_points=steps_in(sc.t_max, tau),
             ))

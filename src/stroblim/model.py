@@ -7,6 +7,7 @@ before qubit c; the computational basis is |up> = e0, |down> = e1.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -118,6 +119,13 @@ class HamiltonianSpec:
 
     def assemble(self) -> np.ndarray:
         return self.gamma * self.dimensionless()
+
+    def with_gamma(self, gamma: float) -> HamiltonianSpec:
+        """The same terms at coupling strength gamma, sharing the terms this
+        spec has validated: no check runs again and no warning repeats."""
+        out = copy.copy(self)
+        object.__setattr__(out, "gamma", gamma)
+        return out
 
     def isometries(self, probe_bases) -> np.ndarray:
         """The (k, d, m) stack of V_i = I_sys (x) v_i, one per probe isometry

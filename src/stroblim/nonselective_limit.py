@@ -11,13 +11,18 @@ an orthonormal basis V_i of range(C_i), obeys
 
 with T_ij = V_i+ h V_j.  The blocks are carried as the zero-padded (k, m, m)
 stack V+ rho V of `HamiltonianSpec.isometries`, and a boolean mask packs
-them block by block, row-major within each block.  `build_generator` writes
-the block equations as one N x N matrix on the packed blocks,
-N = sum_i n_i^2 <= d^2, and that matrix is the only generator in the
-package: the semigroup propagator, the block right-hand side and the block
-integrator all use it.  The propagator needs only its action on the packed
-vector: a few samples of a large generator are taken by products with that
-vector, with no N x N exponential (`linalg.expm_vec_run`).
+them block by block, row-major within each block, into a vector x of
+length N = sum_i n_i^2 <= d^2.  The blocks are Hermitian and the semigroup
+keeps them so, so it is a real-linear map on the real coordinates
+r = Re x + Im x (`NonselectiveEffective.pack`), an isometry with inverse
+x = ((r + r[S]) + i (r - r[S])) / 2 for the within-block transpose S
+(`unpack`, Hermitian bit for bit).  `build_generator` writes the block
+equations as one real N x N matrix on r, and that matrix is the only
+generator in the package: the semigroup propagator, the block right-hand
+side and the block integrator all use it.  The propagator needs only its
+action on the coordinates: a few samples of a large generator are taken by
+real products with that vector, with no N x N exponential
+(`linalg.expm_vec_run`).
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, dag,
-                     expm_vec_run, real_trace, rk4_sample, sample_runs)
+from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, conj_stack,
+                     dag, expm_vec_run, real_trace, rk4_sample, sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -40,8 +45,11 @@ class NonselectiveEffective:
     bases is the padded (k, d, m) isometry stack V of
     `HamiltonianSpec.isometries`, so the blocks of a state rho are the
     (k, m, m) stack V+ rho V; mask is True inside the rank-sized blocks, and
-    stack[..., mask] is the packed vector that generator, the N x N matrix of
-    the coupled block equations, acts on (see `block_rhs`).  trans[i, j] is
+    stack[..., mask] is the packed vector x.  transpose holds, for each
+    packed index, the packed index of the transposed entry of its block.
+    generator is the real N x N matrix of the coupled block equations on
+    the real coordinates Re x + Im x of Hermitian blocks (see `pack`,
+    `unpack` and `block_rhs`).  trans[i, j] is
     T_ij = V_i+ h V_j for the dimensionless Hamiltonian h (H = gamma h), and
     heff[i] the effective non-Hermitian block Hamiltonian
     Heff_i = H1_i - i H2_i of `HamiltonianSpec.blocks`, the selective branch
@@ -54,12 +62,33 @@ class NonselectiveEffective:
     trans: np.ndarray
     heff: np.ndarray
     mask: np.ndarray
+    transpose: np.ndarray
     generator: np.ndarray
     dims: TensorDims
 
     @property
     def omega(self) -> float:
         return self.gamma * self.gamma * self.tau
+
+    def pack(self, blocks) -> np.ndarray:
+        """Real coordinates Re x + Im x of the packed blocks
+        x = blocks[..., mask] of a Hermitian (..., k, m, m) block stack."""
+        x = np.asarray(blocks)[..., self.mask]
+        return x.real + x.imag
+
+    def unpack(self, r) -> np.ndarray:
+        """The Hermitian (..., k, m, m) block stack whose real coordinates
+        are r, zero outside the mask.  Entry and transpose come from the same
+        sum and difference, so each block equals its conjugate transpose bit
+        for bit."""
+        r = np.asarray(r)
+        r_t = r[..., self.transpose]
+        x = np.empty(r.shape, dtype=complex)
+        x.real = (r + r_t) / 2
+        x.imag = (r - r_t) / 2
+        out = np.zeros(r.shape[:-1] + self.mask.shape, dtype=complex)
+        out[..., self.mask] = x
+        return out
 
 
 def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
@@ -68,10 +97,18 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
 
     T_ij, H1_i = gamma T_ii and H2_i = (Omega / 2) (V_i+ h^2 V_i - T_ii^2)
     come from `HamiltonianSpec.blocks`, and Heff_i = H1_i - i H2_i is the
-    selective branch generator of outcome i (see `effective_rankr`).  The
-    diagonal blocks of the generator are
-    -i (Heff_i (x) I - I (x) conj(Heff_i)), the off-diagonal ones
-    Omega (T_ij (x) T_ji^T), each built from the rank-sized slices.  Only
+    selective branch generator of outcome i (see `effective_rankr`).  On the
+    packed blocks x, row (a, b) of block i and column (c, d) of block j of
+    the complex generator hold B[ab, cd] = Omega T_ij[a, c] T_ji[d, b] for
+    i != j (the kron Omega T_ij (x) T_ji^T) and
+    -i (Heff_i[a, c] delta_bd - delta_ac conj(Heff_i[b, d])) for i = j.  On
+    the real coordinates r = Re x + Im x the generator is
+    R[ab, cd] = Re B[ab, cd] + Im B[ab, dc], that is Re(B x) + Im(B x) with
+    x = ((1 + i) r + (1 - i) r[S]) / 2.  Each block is written into the real
+    N x N matrix in place: off the diagonal from one complex outer product
+    of the rank-sized slices, on it as the four real delta terms
+    Im Heff[a, c] delta_bd + delta_ac Im Heff[b, d] - delta_bc Re Heff[a, d]
+    + delta_ad Re Heff[b, c].  No complex N x N matrix is formed.  Only
     the arguments' fit is checked here (ValueError): the generator has GKSL
     form for any Hermitian h and complete orthogonal family, which
     `HamiltonianSpec` and `MeasurementSpec` have validated, so it preserves
@@ -87,77 +124,90 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     gamma = ham.gamma
     omega = gamma * gamma * tau
     bases, trans, h1, h2 = ham.blocks(spec.bases, tau)
-    idx = np.arange(len(bases))
     heff = h1 - 1j * h2
     live = np.any(bases, axis=1)                # the unpadded columns of V_i
     mask = live[:, :, None] & live[:, None, :]
     n = live.sum(axis=1)
-
-    def block(i, j):
-        if i != j:
-            return omega * np.kron(trans[i, j, :n[i], :n[j]],
-                                   trans[j, i, :n[j], :n[i]].T)
-        eye = np.eye(n[i], dtype=complex)
-        hi = heff[i, :n[i], :n[i]]
-        return -1j * (np.kron(hi, eye) - np.kron(eye, hi.conj()))
-
-    gen = np.block([[block(i, j) for j in idx] for i in idx])
+    position = np.zeros(mask.shape, dtype=np.intp)     # packed index of each entry
+    position[mask] = np.arange(np.count_nonzero(mask))
+    transpose = position.swapaxes(1, 2)[mask]
+    ends = np.cumsum(n * n)
+    rows = [slice(e - k * k, e) for e, k in zip(ends, n)]
+    gen = np.zeros((ends[-1], ends[-1]))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(rows):
+            g = gen[row, col].reshape(n[i], n[i], n[j], n[j])    # a view [a, b, c, d]
+            if i != j:
+                b = np.einsum("ac,db->abcd", omega * trans[i, j, :n[i], :n[j]],
+                              trans[j, i, :n[j], :n[i]])
+                np.add(b.real, b.imag.swapaxes(2, 3), out=g)
+            else:
+                h, k = heff[i, :n[i], :n[i]], np.arange(n[i])
+                g[:, k, :, k] = h.imag                  # delta_bd
+                g[k, :, k, :] += h.imag                 # delta_ac
+                g[:, k, k, :] -= h.real[:, None, :]     # delta_bc
+                g[k, :, :, k] += h.real                 # delta_ad
     return NonselectiveEffective(
         gamma=gamma, tau=tau, bases=bases, trans=trans, heff=heff, mask=mask,
-        generator=gen, dims=ham.dims)
+        transpose=transpose, generator=gen, dims=ham.dims)
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
                         times) -> Trajectory:
-    """rho(T) = exp(L_eff T) rho(0), evolved on the packed blocks.
+    """rho(T) = exp(L_eff T) rho(0), evolved on the real coordinates of the
+    packed blocks.
 
-    The packed blocks are stepped along the grid by `linalg.sample_runs`:
+    The coordinates are stepped along the grid by `linalg.sample_runs`:
     each run of equal gaps h by the action of exp(L h) on the vector or by
     one dense exp(L h), whichever the cost rule of `linalg.expm_vec_run` on
     N, the run's step count and ||L h||_1 finds cheaper.  All samples are
-    then unpacked into one block stack and lifted back at once.  Times must
-    be finite, non-negative and non-decreasing.  As in
+    then unpacked into one Hermitian block stack and lifted back, one
+    `linalg.conj_stack` over all samples per block.
+    Times must be finite, non-negative and non-decreasing.  As in
     `run_nonselective`, the measurement channel is applied at t = 0: the
     evolution starts from the blocks V+ rho0 V of the joint initial state,
     so the t = 0 sample is rho0 itself when rho0 is block-diagonal and its
-    channel image otherwise.  The semigroup preserves trace, Hermiticity and
-    block structure; the blocks are replaced by their Hermitian parts and the
-    states divided by their traces, as in the other propagators, and the
-    norms report the rounding drift, such as that of the squarings of one
-    exponential over a huge gap.
+    channel image otherwise.  Each block b is lifted as y + y+ with
+    y = V t V+, t the lower triangle of b with half its diagonal, so the
+    states are Hermitian bit for bit.  The semigroup preserves trace and
+    block structure; the states are divided by their traces, as in the
+    other propagators, and the norms report the rounding drift, such as
+    that of the squarings of one exponential over a huge gap.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
         raise ValueError("initial state does not match the generator dimensions")
     v, v_dag = eff.bases, dag(eff.bases)
-    blocks0 = v_dag @ rho0 @ v
     times = np.asarray(times, dtype=float)
-    packed = sample_runs(blocks0[eff.mask], times,
+    coords = sample_runs(eff.pack(v_dag @ rho0 @ v), times,
                          partial(expm_vec_run, eff.generator))
-    blocks = np.zeros((len(packed),) + blocks0.shape, dtype=complex)
-    blocks[:, eff.mask] = packed
-    blocks = (blocks + dag(blocks)) / 2
-    states = (v @ blocks @ v_dag).sum(axis=-3)
+    lower = np.tril(eff.unpack(coords))
+    diag = np.arange(lower.shape[-1])
+    lower[..., diag, diag] /= 2
+    half = sum(conj_stack(vi, lower[:, i], vi_dag)
+               for i, (vi, vi_dag) in enumerate(zip(v, v_dag)))
+    states = half + dag(half)
     norms = real_trace(states)
     states /= norms[:, None, None]
     return Trajectory(times.copy(), states, norms, eff.dims)
 
 
 def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:
-    """Coupled block equations on a (k, m, m) block stack: each block evolves
-    under its effective non-Hermitian Hamiltonian while feeding the others
-    through the transition operators.  Total trace is conserved."""
-    out = np.zeros(eff.mask.shape, dtype=complex)
-    out[eff.mask] = eff.generator @ np.asarray(blocks)[eff.mask]
-    return out
+    """Coupled block equations on a Hermitian (k, m, m) block stack, by the
+    generator on its real coordinates: each block evolves under its
+    effective non-Hermitian Hamiltonian while feeding the others through
+    the transition operators.  Total trace is conserved."""
+    return eff.unpack(eff.generator @ eff.pack(blocks))
 
 
 def integrate_blocks(eff: NonselectiveEffective, blocks0, times,
                      n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
-    """Fixed-step RK4 integration of the coupled block equations from blocks0
-    at T = 0, one (k, m, m) block stack per sample (`linalg.rk4_sample`)."""
-    blocks0 = np.asarray(blocks0, dtype=complex)
-    return rk4_sample(lambda b: block_rhs(eff, b), blocks0, times, n_steps)
+    """Fixed-step RK4 integration of the coupled block equations from the
+    Hermitian blocks0 at T = 0, on their real coordinates, one (k, m, m)
+    block stack per sample (`linalg.rk4_sample`)."""
+    coords = rk4_sample(lambda r: eff.generator @ r, eff.pack(blocks0), times,
+                        n_steps)
+    return eff.unpack(coords)
 
 
 def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:

@@ -258,11 +258,11 @@ def block_apply(eff, rho):
 
 
 def block_evolve(eff, rho, t):
-    """exp(generator t) acting on a block-diagonal full-space state."""
+    """exp(generator t) acting on a block-diagonal full-space state, through
+    the real coordinates of its blocks."""
     v = eff.bases
-    blocks = dag(v) @ rho @ v
-    blocks[eff.mask] = expm(eff.generator * t) @ blocks[eff.mask]
-    return (v @ blocks @ dag(v)).sum(axis=-3)
+    packed = expm(eff.generator * t) @ eff.pack(dag(v) @ rho @ v)
+    return (v @ eff.unpack(packed) @ dag(v)).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,8 @@ class TestCommands:
         for m in ("exact", "limit", "closed_form"):
             assert (tmp_path / f"swap_nonselective_{m}.csv").exists()
 
-    def test_compare_with_large_factor_norms(self, tmp_path, capsys):
+    @staticmethod
+    def large_norms_file(tmp_path):
         # a valid 2x4 model, probe measured in two rank-2 blocks, with factor
         # norms of 250 and gamma / 250^2: h, T_ij and D_i are large while
         # H = gamma h is not; HamiltonianSpec only warns about such norms
@@ -159,10 +161,30 @@ class TestCommands:
                "tolerances": {"max_deviation": 0.05}}
         path = tmp_path / "large_norms.json"
         path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_compare_with_large_factor_norms(self, tmp_path, capsys):
+        path = self.large_norms_file(tmp_path)
         with pytest.warns(UserWarning, match="operator norm exceeds 1"):
-            rc = main(["compare", str(path), "--out-dir", str(tmp_path)])
+            rc = main(["compare", path, "--out-dir", str(tmp_path)])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_sweep_warns_about_factor_norms_once(self, tmp_path):
+        # every tau runs on the terms validated at load, so the sweep warns
+        # once per term, as loading does, even with repeats shown
+        path = self.large_norms_file(tmp_path)
+
+        def messages(run):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                run()
+            return [str(w.message) for w in seen]
+
+        loaded = messages(lambda: load_scenario(path))
+        assert [m[:17] for m in loaded] == ["Hamiltonian term "] * 2
+        assert messages(lambda: main(["sweep", path, "--tau", "0.04,0.02,0.01",
+                                      "--out-dir", str(tmp_path)])) == loaded
 
     def test_run_from_a_state_off_the_measured_blocks(self, tmp_path):
         # both sides apply the channel at t = 0, so both CSVs start alike

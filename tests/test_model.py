@@ -126,6 +126,20 @@ class TestSpecs:
             HamiltonianSpec(1.0, [(2 * np.eye(2), np.eye(2))])
         assert [w.filename for w in record] == [__file__]
 
+    def test_with_gamma_shares_the_validated_terms(self, monkeypatch):
+        import stroblim.model as model
+        with pytest.warns(UserWarning, match="Hamiltonian term 0"):
+            ham = HamiltonianSpec(1.0, ((2.0 * pauli(3), pauli(3)),))
+
+        def no_check(*args):
+            raise AssertionError("terms validated again")
+
+        monkeypatch.setattr(model, "op_norm", no_check)
+        scaled = ham.with_gamma(2.5)
+        assert (scaled.gamma, ham.gamma) == (2.5, 1.0)
+        assert scaled.terms is ham.terms
+        assert np.array_equal(scaled.assemble(), 2.5 * ham.dimensionless())
+
     def test_assembly_identity(self, rng):
         from helpers import random_hamiltonian_spec
         ham = random_hamiltonian_spec(rng, 2, 3, n_terms=3, gamma=1.7)

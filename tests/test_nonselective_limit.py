@@ -7,16 +7,17 @@ from functools import partial
 
 from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply, block_evolve,
                      channel_superop, choi_matrix, counting_expm, family_spec,
-                     full_space_reference, liouville_commutator,
-                     random_density, random_hamiltonian_spec, random_hermitian,
-                     random_projector_family, random_unitary, unvec, vec)
+                     full_space_reference, liouville_commutator, load_bundled,
+                     random_complex, random_density, random_hamiltonian_spec,
+                     random_hermitian, random_projector_family, random_unitary,
+                     unvec, vec)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
                       block_rhs, build_generator, kron, measurement_from_kets,
                       pauli, pauli_rates, propagate_kraus, run_nonselective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
-from stroblim.linalg import (_action_run, _dense_run, dag, max_abs, op_norm,
-                             sample_runs, taylor_degree)
+from stroblim.linalg import (_action_is_cheaper, _action_run, _dense_run, dag,
+                             max_abs, op_norm, sample_runs, taylor_degree)
 from stroblim.nonselective_limit import (integrate_blocks, integrate_pauli,
                                          pauli_rhs)
 from stroblim.selective_limit import (effective_rank1, integrate_density,
@@ -146,6 +147,7 @@ class TestBuildGenerator:
             groups = [[next(cols) for _ in range(r)] for r in ranks]
             eff = build_generator(ham, family_spec(groups), 0.25)
             assert eff.generator.shape == (n_packed, n_packed)
+            assert eff.generator.dtype == np.float64
             ref = full_space_reference(ham, family_spec(groups), 0.25)
             rho = random_block_diagonal(rng, ref)
             v = eff.bases
@@ -155,9 +157,56 @@ class TestBuildGenerator:
             assert np.array_equal(packed, np.concatenate(
                 [b[:2 * r, :2 * r].reshape(-1) for b, r in zip(blocks, ranks)]))
             rhs = block_rhs(eff, blocks)
-            assert max_abs(eff.generator @ packed - rhs[eff.mask]) == 0
+            assert np.array_equal(eff.unpack(eff.generator @ eff.pack(blocks)), rhs)
             assert not rhs[~eff.mask].any()
             assert max_abs((v @ rhs @ dag(v)).sum(axis=0) - ref.apply(rho)) < 1e-12
+
+    def test_generator_is_the_reference_on_real_coordinates(self, rng):
+        # column p is the full-space Lindbladian applied to the state whose
+        # real block coordinates are the p-th unit vector, compressed and
+        # packed again
+        for _ in range(3):
+            eff, ref = random_generator(rng, 2, 3)
+            v, n = eff.bases, len(eff.generator)
+            assert eff.generator.dtype == np.float64
+            states = (v @ eff.unpack(np.eye(n)) @ dag(v)).sum(axis=-3)
+            images = np.array([ref.apply(s) for s in states])
+            want = eff.pack(dag(v) @ images[:, None] @ v).T
+            assert max_abs(eff.generator - want) <= 1e-12
+
+    def test_pack_unpack_round_trip(self, rng):
+        # a family of unequal ranks, so the block stack is padded
+        eff, _ = random_generator(rng, 2, 4)
+        x = random_complex(rng, (6,) + eff.mask.shape)
+        blocks = np.where(eff.mask, (x + dag(x)) / 2, 0)
+        coords = eff.pack(blocks)
+        assert coords.dtype == np.float64
+        assert coords.shape == (6, len(eff.generator))
+        back = eff.unpack(coords)
+        assert np.array_equal(back, dag(back))
+        assert not back[:, ~eff.mask].any()
+        scale = np.max(np.abs(blocks.real) + np.abs(blocks.imag))
+        assert max_abs(back - blocks) <= 2 * np.spacing(scale)
+        # an isometry: the coordinates keep the Frobenius norm of the blocks
+        frob = np.linalg.norm(blocks.reshape(6, -1), axis=1)
+        assert max_abs(np.linalg.norm(coords, axis=1) - frob) <= 1e-15
+
+    def test_bare_commutator_runs_through_the_dense_exponential(self, rng):
+        # [h, C_i] = 0: the real generator is antisymmetric, so expm takes
+        # its eigendecomposition branch; the run stays real and raises no
+        # ComplexWarning, which the test settings turn into an error
+        a = random_hermitian(rng, 2, norm=1.0)
+        eff = build_generator(HamiltonianSpec(1.5, ((a, pauli(3)),)),
+                              zbasis_meas(), 0.1)
+        gen = eff.generator
+        assert max_abs(gen) > 1.0
+        assert max_abs(gen + gen.T) <= 1e-12 * max_abs(gen)
+        y0 = eff.pack(dag(eff.bases) @ random_density(rng, 4) @ eff.bases)
+        times = np.linspace(0.0, 2.0, 5)
+        dense = sample_runs(y0, times, partial(_dense_run, gen))
+        assert dense.dtype == np.float64
+        action = sample_runs(y0, times, partial(_action_run, gen))
+        assert max_abs(dense - action) <= 1e-14
 
     def test_rejects_selective_spec(self):
         sel = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]],
@@ -184,7 +233,7 @@ class TestSemigroupPropagate:
     def test_semigroup_law(self, rng):
         eff, ref = random_generator(rng, 1, 4)
         v = eff.bases
-        packed = (dag(v) @ random_block_diagonal(rng, ref) @ v)[eff.mask]
+        packed = eff.pack(dag(v) @ random_block_diagonal(rng, ref) @ v)
         from stroblim.linalg import expm
         t, s = 0.7, 1.9
         one = expm(eff.generator * (t + s)) @ packed
@@ -404,7 +453,7 @@ def d32_model(rng):
 
 def packed_start(eff, init):
     v = eff.bases
-    return (dag(v) @ init.joint() @ v)[eff.mask]
+    return eff.pack(dag(v) @ init.joint() @ v)
 
 
 class TestSemigroupPaths:
@@ -423,6 +472,7 @@ class TestSemigroupPaths:
         eff, init = d32_model(rng)
         calls = counting_expm(monkeypatch)
         times = np.linspace(0.0, 10.0, 11)
+        assert _action_is_cheaper(256, 10, 1.0 * np.linalg.norm(eff.generator, 1))
         traj = semigroup_propagate(eff, init, times)
         assert calls == []
         rho0 = traj.states[0]
@@ -457,14 +507,39 @@ class TestSemigroupPaths:
         assert len(products) == 0
         assert len(calls) == 1
         assert np.all(np.isfinite(traj.states))
-        # the 31 squarings drift the trace by about 5e-7 and leave the blocks
-        # off Hermitian by about 5e-9; the states are normalized and made
-        # Hermitian, and the norms report the drift
+        # the 31 squarings drift the trace by about 5e-7; the states are
+        # Hermitian by construction and normalized, and the norms report
+        # the drift
         trace = np.trace(traj.states, axis1=1, axis2=2)
         assert max_abs(trace - 1.0) <= 1e-12
-        assert max_abs(trace.imag) <= 1e-14
-        assert max_abs(traj.states - dag(traj.states)) <= 1e-14
+        assert not trace.imag.any()
+        assert np.array_equal(traj.states, dag(traj.states))
         assert max_abs(traj.norms - 1.0) > 1e-12
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(IRREGULAR_GRID, id="irregular"),
+        pytest.param(np.linspace(0.0, 10.0, 11), id="benchmark"),
+    ])
+    def test_states_are_hermitian_bit_for_bit(self, rng, grid):
+        eff, init = d32_model(rng)
+        traj = semigroup_propagate(eff, init, grid)
+        assert np.array_equal(traj.states, dag(traj.states))
+
+
+@pytest.mark.parametrize("tau", [0.04, 0.01, 0.0025, 0.000625])
+def test_swap_file_takes_one_pade_exponential(monkeypatch, tau):
+    # the bundled N = 8 generator, at the file's tau and the sweep's: one
+    # dense exponential per run, then one product per step
+    sc = load_bundled("swap_nonselective")
+    ham = sc.hamiltonian.with_gamma(float(np.sqrt(sc.omega / tau)))
+    eff = build_generator(ham, sc.measurement, tau)
+    steps = round(sc.t_max / tau)
+    assert eff.generator.shape == (8, 8)
+    assert not _action_is_cheaper(8, steps, tau * np.linalg.norm(eff.generator, 1))
+    calls = counting_expm(monkeypatch)
+    traj = semigroup_propagate(eff, sc.initial, np.arange(steps + 1) * tau)
+    assert len(calls) == 1
+    assert np.array_equal(traj.states, dag(traj.states))
 
 
 def test_generator_at_d64_stays_off_the_full_space():
@@ -483,6 +558,10 @@ def test_generator_at_d64_stays_off_the_full_space():
         tracemalloc.stop()
     assert eff.generator.shape == (512, 512)
     assert peak < 64 * 2 ** 20
+    # the real generator (2 MiB) plus block-sized temporaries: a complex
+    # 512 x 512 matrix alone would take 4 MiB
+    assert eff.generator.dtype == np.float64
+    assert peak < 1.5 * eff.generator.nbytes
 
 
 class TestChoi:

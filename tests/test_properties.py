@@ -169,13 +169,11 @@ def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
     eff = build_generator(ham, family_spec(groups), 0.25)
     v, gen = eff.bases, eff.generator
     rho0 = random_density(rng, dims[0] * dims[1])
-    y0 = (dag(v) @ rho0 @ v)[eff.mask]
+    y0 = eff.pack(dag(v) @ rho0 @ v)
     times = random_grid(rng, 0.0, h, size)
     action = sample_runs(y0, times, partial(_action_run, gen))
     assert max_abs(action - sample_runs(y0, times, partial(_dense_run, gen))) <= 1e-13
-    blocks = np.zeros((len(times),) + eff.mask.shape, dtype=complex)
-    blocks[:, eff.mask] = action
-    states = (v @ blocks @ dag(v)).sum(axis=-3)
+    states = (v @ eff.unpack(action) @ dag(v)).sum(axis=-3)
     assert max_abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) <= 1e-12
     assert max_abs(states - dag(states)) <= 1e-13
     assert np.linalg.eigvalsh(states).min() >= -1e-10
