@@ -11,18 +11,15 @@ monitoring.
 from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
                     run_selective, unitary_step)
 from .linalg import (TensorDims, expm, is_density, is_hermitian, is_projector,
-                     is_psd, kron, ode_step_rk4, partial_trace, trace_distance)
+                     is_psd, kron, partial_trace, trace_distance)
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets, pauli,
                     projector_from_kets, swap_hamiltonian)
 from .nonselective_limit import (NonselectiveEffective, block_rhs,
-                                 build_generator, pauli_rates,
-                                 semigroup_propagate,
+                                 build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
 from .selective_limit import (SelectiveEffective, effective_rank1,
-                              effective_rankr, nonlinear_density_rhs,
-                              nonlinear_state_rhs, propagate_kraus,
-                              purity_derivative)
+                              effective_rankr, propagate_kraus)
 from .trajectory import Trajectory, bloch_vector
 
 __version__ = "0.1.0"
@@ -34,9 +31,8 @@ __all__ = [
     "bloch_vector", "block_rhs", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
     "is_hermitian", "is_projector", "is_psd", "kron", "measurement_from_kets",
-    "nonlinear_density_rhs", "nonlinear_state_rhs", "ode_step_rk4",
-    "partial_trace", "pauli", "pauli_rates", "projector_from_kets",
-    "propagate_kraus", "purity_derivative", "run_nonselective",
-    "run_selective", "semigroup_propagate", "swap_hamiltonian",
+    "partial_trace", "pauli", "projector_from_kets", "propagate_kraus",
+    "run_nonselective", "run_selective", "semigroup_propagate",
+    "swap_hamiltonian",
     "swap_nonselective_closed_form", "trace_distance", "unitary_step",
 ]

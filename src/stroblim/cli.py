@@ -6,7 +6,8 @@ errors, 3 runtime failures (vanishing outcome probability).
 
 Scenario files are JSON with complex numbers as [re, im] pairs and kets given
 either as amplitude lists or as 'u'/'d' label strings.  Exactly two of
-{gamma, tau, omega} must be given (or all three, consistent within 1e-12).
+{gamma, tau, omega} must be given (or all three, with gamma^2 tau within
+1e-12 * max(1, |omega|) of omega).
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def _resolve_rates(doc) -> tuple[float, float]:
         _fail("gamma/tau/omega", "exactly two of the three are required")
     gamma, tau = have.get("gamma"), have.get("tau")
     if len(have) == 3:
-        if abs(gamma * gamma * tau - have["omega"]) > 1e-12:
+        omega = have["omega"]
+        if abs(gamma * gamma * tau - omega) > 1e-12 * max(1.0, abs(omega)):
             _fail("omega", "inconsistent with gamma^2 * tau")
     elif gamma is None:
         gamma = math.sqrt(have["omega"] / tau)

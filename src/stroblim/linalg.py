@@ -11,14 +11,12 @@ generators, the action exp(a t) y of the exponential on a vector by a
 truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011), binary powers m^n r0 m^n+ for a whole stack of n at
 once, and one grid sampler `sample_runs` through which both limit
-propagators and the fixed-step classical RK4 integrator of every ODE in the
-package take their samples.  The grid sampler cuts the samples into runs of
-equal steps h and hands each run to an advance: `kraus_run` takes one
-exp(a h) per run and its binary powers, `expm_vec_run` steps a vector by the
-action or by that exponential, whichever a cost rule finds cheaper, and
-`rk4_run` cuts each step into RK4 steps of about a fixed size.  All
-functions are pure; nothing mutates its inputs, and `conj_stack` writes
-only into an `out` array it is given.
+propagators take their samples.  The grid sampler cuts the samples into
+runs of equal steps h and hands each run to an advance: `kraus_run` takes
+one exp(a h) per run and its binary powers, and `expm_vec_run` steps a
+vector by the action or by that exponential, whichever a cost rule finds
+cheaper.  All functions are pure; nothing mutates its inputs, and
+`conj_stack` writes only into an `out` array it is given.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -54,7 +51,6 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 # Probability below which a post-selected branch counts as vanished.
 PROB_FLOOR = 1e-14
-DEFAULT_ODE_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -286,18 +282,6 @@ def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
     return np.einsum("...ipiq->...pq", r)
 
 
-def ode_step_rk4(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
-                 dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of an autonomous ODE."""
-    if dt <= 0:
-        raise ValueError("RK4 step size must be positive")
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 # Rows x inner x columns of one GEMM call in conj_stack.  OpenBLAS 0.3
 # hands a complex GEMM to more threads from about 65536 on; the idle worker
 # then spins for a while and takes CPU from the Python code that follows.
@@ -521,31 +505,6 @@ def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
     if _action_is_cheaper(len(a), int(counts[-1]), norm1):
         return _action_run(a, h, y, counts, norm1)
     return _dense_run(a, h, y, counts)
-
-
-def rk4_run(rhs: Callable[[np.ndarray], np.ndarray], target: float, h: float,
-            y, counts) -> np.ndarray:
-    """`sample_runs` advance for an autonomous ODE dy/dt = rhs(y): each step
-    of size h is max(1, round(h / target)) equal steps of `ode_step_rk4`."""
-    m = max(1, round(h / target))
-
-    def step(k, x):
-        for _ in range(m):
-            x = ode_step_rk4(rhs, x, h / m)
-        return x
-
-    return step_powers(step, y, counts, y.shape)
-
-
-def rk4_sample(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray, times,
-               n_steps: int) -> np.ndarray:
-    """Fixed-step RK4 solution of an autonomous ODE, one value per sample
-    time, stepped from y0 (the value at t = 0) by `sample_runs`, whose rules
-    on times apply.  About n_steps steps cover [0, times[-1]]: each step h
-    of the grid is cut into max(1, round(h / (times[-1] / n_steps))) equal
-    RK4 steps (`rk4_run`)."""
-    target = float(np.max(times, initial=0.0)) / n_steps
-    return sample_runs(y0, times, partial(rk4_run, rhs, target))
 
 
 def trace_distance(a, b):

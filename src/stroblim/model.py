@@ -68,10 +68,10 @@ def projector_from_kets(kets) -> np.ndarray:
 class HamiltonianSpec:
     """Coupling strength gamma with tensor-factor term pairs (A_j, B_j).
 
-    The assembled interaction is gamma * sum_j A_j (x) B_j and must be
-    Hermitian.  Factor norms above 1 break the dimensionless normalization
-    that makes gamma the characteristic frequency; that is only warned about,
-    never rejected.
+    The factors must have finite entries, and the assembled interaction
+    gamma * sum_j A_j (x) B_j must be Hermitian.  Factor norms above 1 break
+    the dimensionless normalization that makes gamma the characteristic
+    frequency; that is only warned about, never rejected.
     """
 
     gamma: float
@@ -84,6 +84,8 @@ class HamiltonianSpec:
         for k, (a, b) in enumerate(self.terms):
             a = as_matrix(a)
             b = as_matrix(b)
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+                raise ValueError(f"Hamiltonian term {k}: factor entries must be finite")
             if op_norm(a) > 1.0 + 1e-9 or op_norm(b) > 1.0 + 1e-9:
                 warnings.warn(f"Hamiltonian term {k}: factor operator norm exceeds 1; "
                               "gamma is no longer the characteristic coupling strength",
@@ -95,7 +97,7 @@ class HamiltonianSpec:
             raise ValueError("all terms must share system and probe dimensions")
         object.__setattr__(self, "terms", tuple(clean))
         h = self.dimensionless()
-        if max_abs(h - dag(h)) > DEFAULT_TOL:
+        if not max_abs(h - dag(h)) <= DEFAULT_TOL:     # NaN fails too
             raise ValueError("assembled Hamiltonian is not Hermitian within 1e-10")
 
     @property

@@ -18,8 +18,8 @@ r = Re x + Im x (`NonselectiveEffective.pack`), an isometry with inverse
 x = ((r + r[S]) + i (r - r[S])) / 2 for the within-block transpose S
 (`unpack`, Hermitian bit for bit).  `build_generator` writes the block
 equations as one real N x N matrix on r, and that matrix is the only
-generator in the package: the semigroup propagator, the block right-hand
-side and the block integrator all use it.  The propagator needs only its
+generator in the package: the semigroup propagator and the block
+right-hand side both use it.  The propagator needs only its
 action on the coordinates: a few samples of a large generator are taken by
 real products with that vector, with no N x N exponential
 (`linalg.expm_vec_run`).
@@ -32,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import (DEFAULT_ODE_STEPS, TensorDims, as_matrix, conj_stack,
-                     dag, expm_vec_run, real_trace, rk4_sample, sample_runs)
+from .linalg import (TensorDims, as_matrix, conj_stack, dag, expm_vec_run,
+                     real_trace, sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -198,42 +198,6 @@ def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:
     effective non-Hermitian Hamiltonian while feeding the others through
     the transition operators.  Total trace is conserved."""
     return eff.unpack(eff.generator @ eff.pack(blocks))
-
-
-def integrate_blocks(eff: NonselectiveEffective, blocks0, times,
-                     n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
-    """Fixed-step RK4 integration of the coupled block equations from the
-    Hermitian blocks0 at T = 0, on their real coordinates, one (k, m, m)
-    block stack per sample (`linalg.rk4_sample`)."""
-    coords = rk4_sample(lambda r: eff.generator @ r, eff.pack(blocks0), times,
-                        n_steps)
-    return eff.unpack(coords)
-
-
-def pauli_rates(eff: NonselectiveEffective) -> np.ndarray:
-    """Classical transition-rate matrix for a rank-1 projector family.
-
-    W[i, j] is the rate j -> i, Omega * |<i|h|j>|^2, with zero diagonal.
-    """
-    if eff.bases.shape[2] != 1:
-        raise ValueError("Pauli reduction requires rank-1 family")
-    w = eff.omega * np.abs(eff.trans[:, :, 0, 0]) ** 2
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-def pauli_rhs(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gain/loss master equation dp_i = sum_{j!=i} (W[i,j] p_j - W[j,i] p_i)."""
-    p = np.asarray(p, dtype=float)
-    return w @ p - w.sum(axis=0) * p
-
-
-def integrate_pauli(w: np.ndarray, p0, times,
-                    n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
-    """Fixed-step RK4 integration of the classical rate equation from p0 at
-    T = 0, one real probability vector per sample."""
-    p0 = np.asarray(p0, dtype=float)
-    return rk4_sample(lambda p: pauli_rhs(w, p), p0, times, n_steps)
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

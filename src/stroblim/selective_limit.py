@@ -17,8 +17,7 @@ from functools import partial
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import (DEFAULT_ODE_STEPS, PROB_FLOOR, TensorDims, as_matrix,
-                     dag, kraus_run, kron, real_trace, rk4_sample,
+from .linalg import (PROB_FLOOR, TensorDims, dag, kraus_run, kron, real_trace,
                      sample_runs)
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
@@ -122,59 +121,3 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     states /= norms[:, None, None]
     return Trajectory(times.copy(), states, norms, eff.dims)
 
-
-def nonlinear_density_rhs(eff: SelectiveEffective, rho) -> np.ndarray:
-    """Norm-preserving density equation
-    d rho / dT = -i [H1, rho] - {H2, rho} + 2 tr(H2 rho) rho.
-
-    Traceless on unit-trace input, so RK4 integration keeps normalization.
-    """
-    rho = as_matrix(rho)
-    if rho.shape[0] != eff.dim:
-        raise ValueError("state dimension does not match the generator")
-    h1, h2 = eff.h1, eff.h2
-    return (-1j * (h1 @ rho - rho @ h1)
-            - (h2 @ rho + rho @ h2)
-            + 2.0 * np.trace(h2 @ rho).real * rho)
-
-
-def nonlinear_state_rhs(eff: SelectiveEffective, psi) -> np.ndarray:
-    """State-vector form of the branch dynamics for pure states:
-    d psi / dT = -i H1 psi - H2 psi + <psi|H2|psi> psi (norm-preserving)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != eff.dim:
-        raise ValueError("state dimension does not match the generator")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("state vector must be normalized")
-    return _state_rhs(eff, psi)
-
-
-def _state_rhs(eff: SelectiveEffective, psi: np.ndarray) -> np.ndarray:
-    # Unchecked: RK4 stage vectors are off-norm by O(dt).
-    h2_psi = eff.h2 @ psi
-    return -1j * (eff.h1 @ psi) - h2_psi + np.vdot(psi, h2_psi).real * psi
-
-
-def purity_derivative(eff: SelectiveEffective, rho) -> float:
-    """d tr[rho^2] / dT along the nonlinear density equation:
-    4 (tr[rho^2] tr[H2 rho] - tr[H2 rho^2])."""
-    rho = as_matrix(rho)
-    rho2 = rho @ rho
-    h2 = eff.h2
-    return 4.0 * float((np.trace(rho2) * np.trace(h2 @ rho) - np.trace(h2 @ rho2)).real)
-
-
-def integrate_density(eff: SelectiveEffective, rho0, times,
-                      n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
-    """Fixed-step RK4 integration of the nonlinear density equation from rho0
-    at T = 0, one state per sample time (`linalg.rk4_sample`, n_steps RK4
-    steps up to the last time)."""
-    rho0 = as_matrix(rho0).astype(complex)
-    return rk4_sample(lambda r: nonlinear_density_rhs(eff, r), rho0, times, n_steps)
-
-
-def integrate_state(eff: SelectiveEffective, psi0, times,
-                    n_steps: int = DEFAULT_ODE_STEPS) -> np.ndarray:
-    """Fixed-step RK4 integration of the state-vector equation."""
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    return rk4_sample(lambda psi: _state_rhs(eff, psi), psi0, times, n_steps)

@@ -5,6 +5,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -15,14 +16,14 @@ from helpers import (block_apply, block_evolve, bloch_ball_images,
                      random_hamiltonian_spec, random_hermitian, random_ket,
                      random_projector_family, random_unitary, run_alpha_family,
                      unvec, vec)
+from ode import (nonlinear_density_rhs, nonlinear_state_rhs, pauli_rates,
+                 pauli_rhs, purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, InitialState, basis_ket, build_generator,
                       effective_rank1, effective_rankr, kron,
-                      measurement_from_kets, pauli_rates, propagate_kraus, purity_derivative, run_selective,
+                      measurement_from_kets, propagate_kraus, run_selective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import dag, expm, max_abs
-from stroblim.nonselective_limit import integrate_blocks, integrate_pauli
-from stroblim.selective_limit import integrate_density, integrate_state
 from stroblim.experiments import compare_scenario, convergence_sweep
 
 
@@ -140,8 +141,8 @@ def test_nonlinear_dynamics_consistency():
             t_end = 10.0 / eff.omega
             times = np.linspace(0.0, t_end, 11)
             rho0 = np.outer(psi0, psi0.conj())
-            dens = integrate_density(eff, rho0, times, n_steps=2000)
-            stat = integrate_state(eff, psi0, times, n_steps=2000)
+            dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, times)
+            stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
             phi = eff.probe_basis[:, 0]
             init = InitialState(rho0, np.outer(phi, phi.conj()))
             kraus = propagate_kraus(eff, init, times)
@@ -220,8 +221,9 @@ def test_nonselective_closed_form_triple_agreement():
         times = np.linspace(0.0, 40.0, 17)
         semi = semigroup_propagate(eff, init, times)
         v = eff.bases
-        blocks = integrate_blocks(eff, dag(v) @ init.joint() @ v, times,
-                                  n_steps=8000)
+        # the block equations dr/dT = L r on the real coordinates
+        blocks = eff.unpack(rk4_sample(eff.generator.dot,
+                                       eff.pack(dag(v) @ init.joint() @ v), times, 8000))
         for k, t in enumerate(times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) <= 1e-8
@@ -270,7 +272,7 @@ def test_pauli_reduction():
             init = InitialState(np.eye(1, dtype=complex), rho0)
             times = np.linspace(0.0, 5.0, 11)
             traj = semigroup_propagate(eff, init, times)
-            rates = integrate_pauli(w, p0, times, n_steps=4000)
+            rates = rk4_sample(partial(pauli_rhs, w), p0, times, 4000)
             for k in range(len(times)):
                 populations = np.array([np.vdot(b, traj.states[k] @ b).real
                                         for b in bases])

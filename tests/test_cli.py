@@ -40,6 +40,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
 
+    def test_omega_consistency_is_relative(self):
+        # 3000^2 * 0.07 rounds to 630000.0000000001, 1.2e-10 off
+        doc = bundled_doc("swap_selective")
+        doc.update(gamma=3000.0, tau=0.07, omega=630000.0, t_max=7.0, grid_points=100)
+        assert scenario_from_dict(doc).hamiltonian.gamma == 3000.0
+
     def test_single_rate_rejected(self):
         doc = bundled_doc("swap_selective")
         del doc["tau"]
@@ -229,6 +235,10 @@ class TestCommands:
         ({"name": ""}, "name"),
         ({"name": ["a"]}, "name"),
         ({"hamiltonian": {"terms": 5}}, "hamiltonian.terms"),
+        # written as JSON's Infinity and NaN
+        *[({"hamiltonian": {"terms": [{"a": complex_pairs(np.eye(2)),
+                                       "b": complex_pairs(np.diag([1.0, x]))}]}},
+           "hamiltonian.terms") for x in (math.inf, math.nan)],
         ({"initial_sys": {"matrix": [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
          "initial_sys.matrix"),
         # The derived rates must be finite, a derived tau positive; the
@@ -242,6 +252,7 @@ class TestCommands:
             "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma",
             "overflowing_t_max", "parent_dir_name", "backslash_name",
             "dot_dot_name", "empty_name", "list_name", "non_list_terms",
+            "inf_term", "nan_term",
             "ragged_state_matrix", "huge_gamma_with_tau",
             "huge_gamma_with_omega", "tiny_gamma_with_omega", "huge_omega_over_tau"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, changes, reported):

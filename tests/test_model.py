@@ -115,6 +115,20 @@ class TestSpecs:
         with pytest.raises(ValueError):
             HamiltonianSpec(1.0, ((np.array([[0, 1], [0, 0]]), np.eye(2)),))
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_hamiltonian_rejects_non_finite_factors(self, entry):
+        a = pauli(1)
+        a[0, 1] = entry
+        with pytest.raises(ValueError, match="term 1: factor entries must be finite"):
+            HamiltonianSpec(1.0, ((pauli(3), pauli(3)), (np.eye(2), a)))
+
+    def test_hamiltonian_rejects_an_overflowing_assembly(self):
+        # finite factors whose products overflow to inf - inf = NaN
+        big = np.full((2, 2), 1e200)
+        with (np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning),
+              pytest.raises(ValueError, match="not Hermitian")):
+            HamiltonianSpec(1.0, ((big, big),))
+
     def test_hamiltonian_warns_on_large_factor(self):
         with pytest.warns(UserWarning):
             HamiltonianSpec(1.0, ((2.0 * pauli(3), pauli(3)),))

@@ -11,17 +11,15 @@ from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply, block_evolve,
                      random_complex, random_density, random_hamiltonian_spec,
                      random_hermitian, random_projector_family, random_unitary,
                      unvec, vec)
+from ode import (nonlinear_density_rhs, nonlinear_state_rhs, pauli_rates,
+                 pauli_rhs, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
-                      block_rhs, build_generator, kron, measurement_from_kets,
-                      pauli, pauli_rates, propagate_kraus, run_nonselective,
-                      semigroup_propagate, swap_hamiltonian,
+                      block_rhs, build_generator, effective_rank1, kron,
+                      measurement_from_kets, pauli, propagate_kraus,
+                      run_nonselective, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import (_action_is_cheaper, _action_run, _dense_run, dag,
                              max_abs, op_norm, sample_runs, taylor_degree)
-from stroblim.nonselective_limit import (integrate_blocks, integrate_pauli,
-                                         pauli_rhs)
-from stroblim.selective_limit import (effective_rank1, integrate_density,
-                                      integrate_state)
 
 TAU = 0.04
 GAMMA = 5.0
@@ -326,7 +324,8 @@ class TestBlocks:
         rho = random_block_diagonal(rng, ref)
         times = np.linspace(0.0, 4.0, 9)
         v = eff.bases
-        blocks = integrate_blocks(eff, dag(v) @ rho @ v, times, n_steps=4000)
+        blocks = eff.unpack(rk4_sample(eff.generator.dot, eff.pack(dag(v) @ rho @ v),
+                                       times, 4000))
         for t, st in zip(times, blocks):
             direct = ref.evolve(rho, t)
             assert max_abs((v @ st @ dag(v)).sum(axis=0) - direct) < 1e-7
@@ -351,15 +350,17 @@ PROPAGATORS = [
 # A real block-diagonal start whose coherences gain imaginary parts.
 BLOCKS0 = np.array([[[0.3, 0.1], [0.1, 0.2]], [[0.25, -0.05], [-0.05, 0.25]]])
 
-INTEGRATORS = [
-    pytest.param(lambda t: integrate_density(swap_selective_eff(), np.eye(2) / 2, t),
-                 id="density"),
-    pytest.param(lambda t: integrate_state(swap_selective_eff(), [0.6, 0.8], t),
-                 id="state"),
-    pytest.param(lambda t: integrate_blocks(swap_gen(), BLOCKS0, t), id="blocks"),
-    pytest.param(lambda t: integrate_pauli(
-        np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], t), id="pauli"),
-]
+FLIP_RATES = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# The RK4 references of tests/ode.py as functions of the sample times.
+INTEGRATORS = [pytest.param(partial(rk4_sample, rhs, y0), id=name) for name, rhs, y0 in [
+    ("density", partial(nonlinear_density_rhs, swap_selective_eff()),
+     np.eye(2, dtype=complex) / 2),
+    ("state", partial(nonlinear_state_rhs, swap_selective_eff()),
+     np.array([0.6, 0.8], dtype=complex)),
+    ("blocks", swap_gen().generator.dot, swap_gen().pack(BLOCKS0)),
+    ("pauli", partial(pauli_rhs, FLIP_RATES), np.array([1.0, 0.0])),
+]]
 
 
 @pytest.mark.parametrize("integrate", [*INTEGRATORS, *PROPAGATORS])
@@ -389,17 +390,17 @@ def test_integrators_start_at_time_zero(integrate):
     np.testing.assert_array_equal(integrate([1.0, 2.0]), integrate([0.0, 1.0, 2.0])[1:])
 
 
-def test_block_integration_takes_a_real_start():
-    times = np.linspace(0.0, 2.0, 5)
-    real = integrate_blocks(swap_gen(), BLOCKS0, times, n_steps=100)
-    want = integrate_blocks(swap_gen(), BLOCKS0.astype(complex), times, n_steps=100)
+def test_block_rhs_takes_a_real_start():
+    # a real block stack has the real coordinates of its complex copy
+    real = block_rhs(swap_gen(), BLOCKS0)
+    want = block_rhs(swap_gen(), BLOCKS0.astype(complex))
     assert max_abs(want.imag) > 0.01
     np.testing.assert_array_equal(real, want)
 
 
 def test_rate_integration_stays_real():
-    p = integrate_pauli(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0],
-                        np.linspace(0.0, 2.0, 5))
+    p = rk4_sample(partial(pauli_rhs, FLIP_RATES), np.array([1.0, 0.0]),
+                   np.linspace(0.0, 2.0, 5))
     assert p.dtype == np.float64
     assert max_abs(p.sum(axis=1) - 1.0) <= 1e-12
 
@@ -636,7 +637,7 @@ class TestPauliReduction:
         init = InitialState(np.eye(1, dtype=complex), np.diag(p0).astype(complex))
         times = np.linspace(0.0, 5.0, 11)
         traj = semigroup_propagate(eff, init, times)
-        pauli_p = integrate_pauli(pauli_rates(eff), p0, times, n_steps=4000)
+        pauli_p = rk4_sample(partial(pauli_rhs, pauli_rates(eff)), p0, times, 4000)
         for k in range(len(times)):
             diag = np.diag(traj.states[k]).real
             assert max_abs(diag - pauli_p[k]) < 1e-8
@@ -714,8 +715,8 @@ class TestClosedForm:
         times = np.linspace(0.0, 40.0, 17)
         semi = semigroup_propagate(eff, init, times)
         v = eff.bases
-        blocks = integrate_blocks(eff, dag(v) @ init.joint() @ v, times,
-                                  n_steps=8000)
+        blocks = eff.unpack(rk4_sample(eff.generator.dot,
+                                       eff.pack(dag(v) @ init.joint() @ v), times, 8000))
         for k, t in enumerate(times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) < 1e-8

@@ -1,18 +1,20 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, counting_expm, family_spec,
                      random_density, random_hamiltonian_spec, random_ket,
                      random_projector_family)
+from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
+                 purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
                       VanishingProbabilityError, basis_ket, build_generator,
                       effective_rank1, effective_rankr, heisenberg3_hamiltonian,
-                      kron, measurement_from_kets, nonlinear_density_rhs,
-                      nonlinear_state_rhs, pauli, projector_from_kets,
-                      propagate_kraus, purity_derivative, run_selective,
-                      swap_hamiltonian, trace_distance)
+                      kron, measurement_from_kets, pauli, projector_from_kets,
+                      propagate_kraus, run_selective, swap_hamiltonian,
+                      trace_distance)
 from stroblim.linalg import PROB_FLOOR, dag, expm, is_psd, max_abs
-from stroblim.selective_limit import integrate_density, integrate_state
 
 TAU = 0.04
 GAMMA = 5.0
@@ -365,8 +367,8 @@ class TestConsistency:
         for eff, psi0 in cases:
             times = np.linspace(0.0, 5.0, 11)
             rho0 = np.outer(psi0, psi0.conj())
-            dens = integrate_density(eff, rho0, times, n_steps=2000)
-            stat = integrate_state(eff, psi0, times, n_steps=2000)
+            dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, times)
+            stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
             phi = eff.probe_basis[:, 0]
             init = InitialState(rho0, np.outer(phi, phi.conj()))
             kraus = propagate_kraus(eff, init, times)
@@ -382,7 +384,7 @@ class TestConsistency:
         eff = swap_eff()
         psi0 = np.array([np.sqrt(a2), np.sqrt(1 - a2)], dtype=complex)
         times = np.linspace(0.0, 4.0, 9)
-        psis = integrate_state(eff, psi0, times, n_steps=2000)
+        psis = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
         want = a2 / (a2 + np.exp(-OMEGA * times) * (1 - a2))
         got = np.array([abs(p[0]) ** 2 / np.linalg.norm(p) ** 2 for p in psis])
         assert max_abs(got - want) < 1e-6
