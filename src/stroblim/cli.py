@@ -2,7 +2,7 @@
 
 Commands: run, compare, sweep, plot.  Exit codes are a stable contract for
 scripting: 0 success (and PASS verdicts), 1 FAIL verdicts, 2 usage or schema
-errors, 3 runtime failures (vanishing outcome probability).
+errors, 3 runtime failures (vanishing outcome probability, out of memory).
 
 Scenario files are JSON with complex numbers as [re, im] pairs and kets given
 either as amplitude lists or as 'u'/'d' label strings.  Exactly two of
@@ -548,7 +548,7 @@ def main(argv=None) -> int:
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (VanishingProbabilityError, RuntimeError) as err:
+    except (VanishingProbabilityError, RuntimeError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as err:

@@ -10,18 +10,18 @@ that ordering is what makes the closed-form checks exact at integer
 multiples of tau.
 
 After a measurement the state lives on the measured probe ranges, so the
-runners carry it compressed there.  With V_i = I_sys (x) v_i the isometry
-onto the range of C_i = I_sys (x) P_i and U = exp(-i tau H), one period maps
-a block r on range(C_j) to W_ij r W_ij+ on range(C_i), where
-W_ij = V_i+ U V_j is the exact counterpart of the limits' T_ij.  A
-coincident-outcome selective run takes the states at all kept periods n from
-binary powers of W_ss in one batch that forms each shared prefix of the bits
-of n once, so its cost grows with the number of kept samples, not of periods;
-an explicit outcome sequence steps its block period by period, and the
-non-selective channel steps all blocks at once, b_i <- sum_j W_ij b_j W_ij+.
-Only kept states are lifted back to the full space, all at once from one
-stack of compressed states, and a trailing fractional period is one
-full-space unitary step.
+runners carry it compressed there, as blocks of `model.BlockLayout`.  With
+V_i = I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and
+U = exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+
+on range(C_i), where W_ij = V_i+ U V_j is the exact counterpart of the
+limits' T_ij.  A coincident-outcome selective run takes the states at all
+kept periods n from binary powers of W_ss in one batch that forms each
+shared prefix of the bits of n once, so its cost grows with the number of
+kept samples, not of periods; an explicit outcome sequence steps its block
+period by period, and the non-selective channel steps all blocks at once,
+b_i <- sum_j W_ij b_j W_ij+.  Only kept states are lifted back to the full
+space, all at once from one stack of compressed states, and a trailing
+fractional period is one full-space unitary step.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .linalg import (PROB_FLOOR, as_matrix, conj_powers, conj_stack, dag, expm,
                      real_trace, step_powers)
-from .model import HamiltonianSpec, InitialState, MeasurementSpec
+from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
 
@@ -103,20 +103,14 @@ def unitary_step(rho, h, t: float) -> np.ndarray:
     return u @ rho @ dag(u)
 
 
-def _period_maps(plan: EvolutionPlan):
-    """h and one period on the probe ranges of plan.measurement, stacked.
-
-    Returns (h, V, A, W): the assembled Hamiltonian, the padded isometry
-    stack V of `HamiltonianSpec.isometries`, the first-period maps
-    A[i] = V[i]+ U from the full space and the block maps W[i, j] = A[i] V[j],
-    with U = exp(-i tau h) built once.  Every map keeps the zero padding
-    zero, so that one batched product steps all blocks.
+def _period_maps(plan: EvolutionPlan, layout: BlockLayout):
+    """(h, U, W): the assembled Hamiltonian, U = exp(-i tau h) and the block
+    maps W[i, j] = V_i+ U V_j of one period, `layout.pairs(U)`.  Every map
+    keeps the zero padding zero, so that one batched product steps all blocks.
     """
     h = plan.hamiltonian.assemble()
     u = expm(-1j * plan.tau * h)
-    bases = plan.hamiltonian.isometries(plan.measurement.bases)
-    first = dag(bases) @ u
-    return h, bases, first, first[:, None] @ bases[None]
+    return h, u, layout.pairs(u)
 
 
 def _check_probability(step: int, r) -> None:
@@ -192,11 +186,13 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             raise ValueError("selective run needs a selected outcome or an "
                              "explicit outcome sequence")
         init.probe_block(meas.bases[meas.selected_index])
-    h, bases, first, w = _period_maps(plan)
+    layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
+    bases = layout.bases
+    h, u, w = _period_maps(plan, layout)
     rho0 = init.joint()
 
     if seq is not None:
-        maps = [first[seq[0]]] if seq else []
+        maps = [dag(bases[seq[0]]) @ u] if seq else []
         maps += [w[i, j] for j, i in zip(seq, seq[1:])]
         maps = [(m, dag(m)) for m in maps]
 
@@ -258,18 +254,16 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
                          "(no selected outcome)")
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    h, bases, _, w = _period_maps(plan)
+    layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
+    h, _, w = _period_maps(plan, layout)
     w_dag = dag(w)
 
     def step(k, blocks):
         return (w @ blocks[None] @ w_dag).sum(axis=1)
 
-    def lift(ns, stack, out):
-        np.sum(bases @ stack @ dag(bases), axis=-3, out=out)
-        return real_trace(out)
-
-    blocks = dag(bases) @ init.joint() @ bases
-    channel = (bases @ blocks @ dag(bases)).sum(axis=-3)
+    blocks = layout.compress(init.joint())
+    channel = layout.lift(blocks[None])[0]
     return _interrupted(plan, h, channel,
                         lambda ns: step_powers(step, blocks, ns, blocks.shape),
-                        lift, every)
+                        lambda ns, stack, out: real_trace(layout.lift(stack, out=out)),
+                        every)

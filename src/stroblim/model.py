@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, is_density,
-                     is_projector, kron, max_abs, op_norm)
+from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, conj_stack, dag,
+                     is_density, is_projector, kron, max_abs, op_norm)
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -68,9 +68,9 @@ def projector_from_kets(kets) -> np.ndarray:
 class HamiltonianSpec:
     """Coupling strength gamma with tensor-factor term pairs (A_j, B_j).
 
-    The factors must have finite entries, and the assembled interaction
-    gamma * sum_j A_j (x) B_j must be Hermitian.  Factor norms above 1 break
-    the dimensionless normalization that makes gamma the characteristic
+    The factors must have finite entries, and their assembly sum_j A_j (x) B_j
+    must not overflow and must be Hermitian.  Factor norms above 1 break the
+    dimensionless normalization that makes gamma the characteristic
     frequency; that is only warned about, never rejected.
     """
 
@@ -96,8 +96,11 @@ class HamiltonianSpec:
         if any(a.shape[0] != ds or b.shape[0] != dp for a, b in clean):
             raise ValueError("all terms must share system and probe dimensions")
         object.__setattr__(self, "terms", tuple(clean))
-        h = self.dimensionless()
-        if not max_abs(h - dag(h)) <= DEFAULT_TOL:     # NaN fails too
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = self.dimensionless()
+        if not np.all(np.isfinite(h)):
+            raise ValueError("assembled Hamiltonian overflows to non-finite entries")
+        if max_abs(h - dag(h)) > DEFAULT_TOL:
             raise ValueError("assembled Hamiltonian is not Hermitian within 1e-10")
 
     @property
@@ -129,46 +132,91 @@ class HamiltonianSpec:
         object.__setattr__(out, "gamma", gamma)
         return out
 
-    def isometries(self, probe_bases) -> np.ndarray:
-        """The (k, d, m) stack of V_i = I_sys (x) v_i, one per probe isometry
-        v_i (column-orthonormal, e.g. the `bases` of a MeasurementSpec): the
-        joint-space isometry onto the range of I_sys (x) P_i, padded to the
-        widest range m with trailing zero columns.
+    def blocks(self, layout: BlockLayout, tau: float) -> tuple[np.ndarray, ...]:
+        """(T, H1, H2): h = dimensionless() compressed by layout, and the
+        effective generator of both stroboscopic limits.
 
-        This is the one layout of block-diagonal states: their blocks are the
-        (k, m, m) stack V+ rho V, each rank-sized block top left and zeros
-        around it, and lift back as sum_i V_i b_i V_i+.
-        """
-        eye_sys = np.eye(self.dim_sys, dtype=complex)
-        iso = [kron(eye_sys, v) for v in probe_bases]
-        stack = np.zeros((len(iso), self.dim_sys * self.dim_pr,
-                          max(v.shape[1] for v in iso)), dtype=complex)
-        for s, v in zip(stack, iso):
-            s[:, :v.shape[1]] = v
-        return stack
-
-    def blocks(self, probe_bases, tau: float) -> tuple[np.ndarray, ...]:
-        """Compressions of h = dimensionless() to probe ranges, and the
-        effective generator of both stroboscopic limits: (V, T, H1, H2).
-
-        V is the (k, d, m) stack of `isometries` and T the (k, k, m, m) stack
-        of T_ij = V_i+ h V_j.  H1 and H2 are the (k, m, m) stacks
-        H1_i = gamma T_ii and H2_i = (Omega/2) D_i, with Omega = gamma^2 tau
-        and the dispersions D_i = V_i+ h^2 V_i - T_ii^2, so that
-        Heff_i = H1_i - i H2_i.  Heff_i is the selective branch generator of
-        outcome i and the diagonal block of the non-selective generator,
-        which couples the blocks through the transitions T_ij.  Padding
-        stays zero in all four.
+        T = layout.pairs(h) is the (k, k, m, m) stack of T_ij = V_i+ h V_j.
+        H1_i = gamma T_ii and H2_i = (Omega/2) (V_i+ h^2 V_i - T_ii^2), with
+        Omega = gamma^2 tau, form (k, m, m) stacks, and Heff_i = H1_i - i H2_i
+        is the selective branch generator of outcome i and the diagonal block
+        of the non-selective generator, which couples the blocks through the
+        transitions T_ij.  Padding stays zero in all three.
         """
         h = self.dimensionless()
-        bases = self.isometries(probe_bases)
-        bases_dag = dag(bases)
-        trans = (bases_dag @ h)[:, None] @ bases[None]
-        i = np.arange(len(bases))
+        trans = layout.pairs(h)
+        i = np.arange(len(trans))
         diag = trans[i, i]
-        disp = bases_dag @ (h @ h) @ bases - diag @ diag
-        return (bases, trans, self.gamma * diag,
+        disp = layout.compress(h @ h) - diag @ diag
+        return (trans, self.gamma * diag,
                 (self.gamma * self.gamma * tau / 2.0) * disp)
+
+
+class BlockLayout:
+    """The one format of block-diagonal states on the measured ranges.
+
+    `bases` is the (k, d, m) stack of V_i = I_sys (x) v_i for orthonormal
+    probe bases v_i (e.g. a MeasurementSpec's), which map onto the ranges of
+    C_i = I_sys (x) P_i, padded to the widest range m with zero columns;
+    `sizes` holds the block sides dim_sys * r_i.  A state rho is carried as
+    its (k, m, m) blocks V+ rho V (`compress`), each top left inside `mask`.
+    Hermitian blocks pack block by block, row-major, into the real
+    coordinates Re x + Im x of their masked entries x (`pack`), an isometry
+    onto R^N, N = sum_i sizes_i^2; `transpose` maps each packed index to
+    that of the transposed entry of its block.
+    """
+
+    def __init__(self, dim_sys: int, probe_bases) -> None:
+        iso = [kron(np.eye(dim_sys), v) for v in probe_bases]
+        self.sizes = np.array([v.shape[1] for v in iso])
+        self.bases = np.zeros((len(iso), iso[0].shape[0], self.sizes.max()),
+                              dtype=complex)
+        for s, v in zip(self.bases, iso):
+            s[:, :v.shape[1]] = v
+        live = np.arange(self.bases.shape[2]) < self.sizes[:, None]
+        self.mask = live[:, :, None] & live[:, None, :]
+        position = np.zeros(self.mask.shape, dtype=np.intp)   # packed index of each entry
+        position[self.mask] = np.arange(np.count_nonzero(self.mask))
+        self.transpose = position.swapaxes(1, 2)[self.mask]
+
+    def compress(self, x) -> np.ndarray:
+        """The (..., k, m, m) blocks V_i+ x V_i of a (..., d, d) operator stack."""
+        return dag(self.bases) @ np.asarray(x)[..., None, :, :] @ self.bases
+
+    def pairs(self, x) -> np.ndarray:
+        """The (k, k, m, m) stack of V_i+ x V_j for one d x d operator x."""
+        return (dag(self.bases) @ x)[:, None] @ self.bases[None]
+
+    def pack(self, blocks) -> np.ndarray:
+        """Real coordinates Re x + Im x of the packed blocks
+        x = blocks[..., mask] of a Hermitian (..., k, m, m) block stack."""
+        x = np.asarray(blocks)[..., self.mask]
+        return x.real + x.imag
+
+    def unpack(self, r) -> np.ndarray:
+        """The Hermitian (..., k, m, m) block stack with real coordinates r,
+        zero outside the mask: x = ((r + r[S]) + i (r - r[S])) / 2 for
+        S = transpose, each block its own conjugate transpose bit for bit."""
+        r = np.asarray(r)
+        r_t = r[..., self.transpose]
+        x = np.empty(r.shape, dtype=complex)
+        x.real = (r + r_t) / 2
+        x.imag = (r - r_t) / 2
+        out = np.zeros(r.shape[:-1] + self.mask.shape, dtype=complex)
+        out[..., self.mask] = x
+        return out
+
+    def lift(self, blocks, out=None) -> np.ndarray:
+        """The (T, d, d) states sum_i V_i b_i V_i+ of a (T, k, m, m) Hermitian
+        block stack, into `out` when given: each block b as y + y+ by one
+        `linalg.conj_stack`, y = V t V+ for t the lower triangle of b with half
+        its diagonal, so the states are Hermitian bit for bit."""
+        lower = np.tril(blocks)
+        diag = np.arange(lower.shape[-1])
+        lower[..., diag, diag] /= 2
+        half = sum(conj_stack(v, lower[:, i], dag(v))
+                   for i, v in enumerate(self.bases))
+        return np.add(half, dag(half), out=out)
 
 
 @dataclass(frozen=True)

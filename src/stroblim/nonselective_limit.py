@@ -9,19 +9,16 @@ an orthonormal basis V_i of range(C_i), obeys
 
     d b_i = -i (Heff_i b_i - b_i Heff_i+) + Omega sum_{j != i} T_ij b_j T_ji,
 
-with T_ij = V_i+ h V_j.  The blocks are carried as the zero-padded (k, m, m)
-stack V+ rho V of `HamiltonianSpec.isometries`, and a boolean mask packs
-them block by block, row-major within each block, into a vector x of
-length N = sum_i n_i^2 <= d^2.  The blocks are Hermitian and the semigroup
-keeps them so, so it is a real-linear map on the real coordinates
-r = Re x + Im x (`NonselectiveEffective.pack`), an isometry with inverse
-x = ((r + r[S]) + i (r - r[S])) / 2 for the within-block transpose S
-(`unpack`, Hermitian bit for bit).  `build_generator` writes the block
-equations as one real N x N matrix on r, and that matrix is the only
-generator in the package: the semigroup propagator and the block
-right-hand side both use it.  The propagator needs only its
-action on the coordinates: a few samples of a large generator are taken by
-real products with that vector, with no N x N exponential
+with T_ij = V_i+ h V_j.  The blocks are carried in the padded block format
+of `model.BlockLayout`, the format of the exact oracle too, which compresses
+a state to its blocks, packs them into N = sum_i n_i^2 <= d^2 real
+coordinates and lifts them back.  The blocks are Hermitian and the semigroup
+keeps them so, so it is a real-linear map on those coordinates.
+`build_generator` writes the block equations as one real N x N matrix on
+them, and that matrix is the only generator in the package: the semigroup
+propagator and the block right-hand side both use it.  The propagator needs
+only its action on the coordinates: a few samples of a large generator are
+taken by real products with that vector, with no N x N exponential
 (`linalg.expm_vec_run`).
 """
 
@@ -32,9 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import (TensorDims, as_matrix, conj_stack, dag, expm_vec_run,
-                     real_trace, sample_runs)
-from .model import HamiltonianSpec, InitialState, MeasurementSpec
+from .linalg import TensorDims, as_matrix, expm_vec_run, real_trace, sample_runs
+from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
 
@@ -42,53 +38,26 @@ from .trajectory import Trajectory
 class NonselectiveEffective:
     """Semigroup generator on the blocks of a channel-invariant state.
 
-    bases is the padded (k, d, m) isometry stack V of
-    `HamiltonianSpec.isometries`, so the blocks of a state rho are the
-    (k, m, m) stack V+ rho V; mask is True inside the rank-sized blocks, and
-    stack[..., mask] is the packed vector x.  transpose holds, for each
-    packed index, the packed index of the transposed entry of its block.
+    layout is the `BlockLayout` of the measured ranges, which compresses a
+    state to its (k, m, m) blocks and packs them into real coordinates.
     generator is the real N x N matrix of the coupled block equations on
-    the real coordinates Re x + Im x of Hermitian blocks (see `pack`,
-    `unpack` and `block_rhs`).  trans[i, j] is
-    T_ij = V_i+ h V_j for the dimensionless Hamiltonian h (H = gamma h), and
-    heff[i] the effective non-Hermitian block Hamiltonian
-    Heff_i = H1_i - i H2_i of `HamiltonianSpec.blocks`, the selective branch
-    generator of outcome i.
+    those coordinates (see `block_rhs`).  trans[i, j] is T_ij = V_i+ h V_j
+    for the dimensionless Hamiltonian h (H = gamma h), and heff[i] the
+    effective non-Hermitian block Hamiltonian Heff_i = H1_i - i H2_i of
+    `HamiltonianSpec.blocks`, the selective branch generator of outcome i.
     """
 
     gamma: float
     tau: float
-    bases: np.ndarray
+    layout: BlockLayout
     trans: np.ndarray
     heff: np.ndarray
-    mask: np.ndarray
-    transpose: np.ndarray
     generator: np.ndarray
     dims: TensorDims
 
     @property
     def omega(self) -> float:
         return self.gamma * self.gamma * self.tau
-
-    def pack(self, blocks) -> np.ndarray:
-        """Real coordinates Re x + Im x of the packed blocks
-        x = blocks[..., mask] of a Hermitian (..., k, m, m) block stack."""
-        x = np.asarray(blocks)[..., self.mask]
-        return x.real + x.imag
-
-    def unpack(self, r) -> np.ndarray:
-        """The Hermitian (..., k, m, m) block stack whose real coordinates
-        are r, zero outside the mask.  Entry and transpose come from the same
-        sum and difference, so each block equals its conjugate transpose bit
-        for bit."""
-        r = np.asarray(r)
-        r_t = r[..., self.transpose]
-        x = np.empty(r.shape, dtype=complex)
-        x.real = (r + r_t) / 2
-        x.imag = (r - r_t) / 2
-        out = np.zeros(r.shape[:-1] + self.mask.shape, dtype=complex)
-        out[..., self.mask] = x
-        return out
 
 
 def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
@@ -123,14 +92,10 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
         raise ValueError("measurement and Hamiltonian probe dimensions differ")
     gamma = ham.gamma
     omega = gamma * gamma * tau
-    bases, trans, h1, h2 = ham.blocks(spec.bases, tau)
+    layout = BlockLayout(ham.dim_sys, spec.bases)
+    trans, h1, h2 = ham.blocks(layout, tau)
     heff = h1 - 1j * h2
-    live = np.any(bases, axis=1)                # the unpadded columns of V_i
-    mask = live[:, :, None] & live[:, None, :]
-    n = live.sum(axis=1)
-    position = np.zeros(mask.shape, dtype=np.intp)     # packed index of each entry
-    position[mask] = np.arange(np.count_nonzero(mask))
-    transpose = position.swapaxes(1, 2)[mask]
+    n = layout.sizes
     ends = np.cumsum(n * n)
     rows = [slice(e - k * k, e) for e, k in zip(ends, n)]
     gen = np.zeros((ends[-1], ends[-1]))
@@ -148,8 +113,8 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
                 g[:, k, k, :] -= h.real[:, None, :]     # delta_bc
                 g[k, :, :, k] += h.real                 # delta_ad
     return NonselectiveEffective(
-        gamma=gamma, tau=tau, bases=bases, trans=trans, heff=heff, mask=mask,
-        transpose=transpose, generator=gen, dims=ham.dims)
+        gamma=gamma, tau=tau, layout=layout, trans=trans, heff=heff,
+        generator=gen, dims=ham.dims)
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
@@ -161,32 +126,24 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     each run of equal gaps h by the action of exp(L h) on the vector or by
     one dense exp(L h), whichever the cost rule of `linalg.expm_vec_run` on
     N, the run's step count and ||L h||_1 finds cheaper.  All samples are
-    then unpacked into one Hermitian block stack and lifted back, one
-    `linalg.conj_stack` over all samples per block.
-    Times must be finite, non-negative and non-decreasing.  As in
-    `run_nonselective`, the measurement channel is applied at t = 0: the
-    evolution starts from the blocks V+ rho0 V of the joint initial state,
-    so the t = 0 sample is rho0 itself when rho0 is block-diagonal and its
-    channel image otherwise.  Each block b is lifted as y + y+ with
-    y = V t V+, t the lower triangle of b with half its diagonal, so the
-    states are Hermitian bit for bit.  The semigroup preserves trace and
-    block structure; the states are divided by their traces, as in the
-    other propagators, and the norms report the rounding drift, such as
+    then unpacked and lifted back at once (`BlockLayout.lift`), so the
+    states are Hermitian bit for bit.  Times must be finite, non-negative
+    and non-decreasing.  As in `run_nonselective`, the measurement channel
+    is applied at t = 0: the evolution starts from the blocks V+ rho0 V of
+    the joint initial state, so the t = 0 sample is rho0 itself when rho0 is
+    block-diagonal and its channel image otherwise.  The semigroup preserves
+    trace and block structure; the states are divided by their traces, as in
+    the other propagators, and the norms report the rounding drift, such as
     that of the squarings of one exponential over a huge gap.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
         raise ValueError("initial state does not match the generator dimensions")
-    v, v_dag = eff.bases, dag(eff.bases)
+    layout = eff.layout
     times = np.asarray(times, dtype=float)
-    coords = sample_runs(eff.pack(v_dag @ rho0 @ v), times,
+    coords = sample_runs(layout.pack(layout.compress(rho0)), times,
                          partial(expm_vec_run, eff.generator))
-    lower = np.tril(eff.unpack(coords))
-    diag = np.arange(lower.shape[-1])
-    lower[..., diag, diag] /= 2
-    half = sum(conj_stack(vi, lower[:, i], vi_dag)
-               for i, (vi, vi_dag) in enumerate(zip(v, v_dag)))
-    states = half + dag(half)
+    states = layout.lift(layout.unpack(coords))
     norms = real_trace(states)
     states /= norms[:, None, None]
     return Trajectory(times.copy(), states, norms, eff.dims)
@@ -197,7 +154,7 @@ def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:
     generator on its real coordinates: each block evolves under its
     effective non-Hermitian Hamiltonian while feeding the others through
     the transition operators.  Total trace is conserved."""
-    return eff.unpack(eff.generator @ eff.pack(blocks))
+    return eff.layout.unpack(eff.generator @ eff.layout.pack(blocks))
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

@@ -19,7 +19,7 @@ import numpy as np
 from .exact import VanishingProbabilityError
 from .linalg import (PROB_FLOOR, TensorDims, dag, kraus_run, kron, real_trace,
                      sample_runs)
-from .model import HamiltonianSpec, InitialState, MeasurementSpec
+from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
 
@@ -84,7 +84,7 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     spec = MeasurementSpec((proj,), 0, None if basis is None else (basis,))
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("projector dimension does not match the Hamiltonian")
-    _, _, h1, h2 = ham.blocks(spec.bases, tau)
+    _, h1, h2 = ham.blocks(BlockLayout(ham.dim_sys, spec.bases), tau)
     return SelectiveEffective(h1=h1[0], h2=h2[0], gamma=ham.gamma, tau=tau,
                               probe_basis=spec.bases[0],
                               dims=TensorDims(ham.dim_sys, spec.ranks[0]))

@@ -253,16 +253,16 @@ def full_space_reference(ham, spec, tau):
 def block_apply(eff, rho):
     """The generator of `eff` acting on a block-diagonal full-space state:
     compress to the block stack, apply `block_rhs`, lift back."""
-    v = eff.bases
+    v = eff.layout.bases
     return (v @ block_rhs(eff, dag(v) @ rho @ v) @ dag(v)).sum(axis=-3)
 
 
 def block_evolve(eff, rho, t):
     """exp(generator t) acting on a block-diagonal full-space state, through
     the real coordinates of its blocks."""
-    v = eff.bases
-    packed = expm(eff.generator * t) @ eff.pack(dag(v) @ rho @ v)
-    return (v @ eff.unpack(packed) @ dag(v)).sum(axis=-3)
+    v = eff.layout.bases
+    packed = expm(eff.generator * t) @ eff.layout.pack(dag(v) @ rho @ v)
+    return (v @ eff.layout.unpack(packed) @ dag(v)).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

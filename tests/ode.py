@@ -70,7 +70,7 @@ def purity_derivative(eff, rho):
 def pauli_rates(eff):
     """Transition-rate matrix of a rank-1 family's semigroup: W[i, j] is the
     rate j -> i, Omega |<i|h|j>|^2, with zero diagonal."""
-    if eff.bases.shape[2] != 1:
+    if eff.layout.bases.shape[2] != 1:
         raise ValueError("Pauli reduction requires rank-1 family")
     w = eff.omega * np.abs(eff.trans[:, :, 0, 0]) ** 2
     np.fill_diagonal(w, 0.0)

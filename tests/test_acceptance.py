@@ -181,7 +181,7 @@ def test_nonselective_generator_properties():
             sandwich = ref.sandwich()
             assert max_abs(sandwich - lam @ ref.lindblad @ lam) <= 1e-10
             ham_part = sum(liouville_commutator(ref.transition(i, i))
-                           for i in range(len(eff.bases)))
+                           for i in range(len(eff.layout.bases)))
             assert max_abs(lam @ liouville_commutator(ref.h) @ lam
                            - lam @ ham_part @ lam) <= 1e-10
             from helpers import random_density
@@ -195,9 +195,9 @@ def test_nonselective_generator_properties():
             assert max_abs(block_apply(eff, np.eye(d) / d)) <= 1e-10
             assert max_abs(ref.apply(np.eye(d) / d)) <= 1e-10
             assert max_abs(via_lindblad - ref.channel(via_lindblad)) <= 1e-12
-            m = len(eff.bases)
+            m = len(eff.layout.bases)
             for i in range(m):
-                vi = eff.bases[i]
+                vi = eff.layout.bases[i]
                 lhs = vi @ sum(eff.trans[i, j] @ eff.trans[j, i]
                                for j in range(m) if j != i) @ dag(vi)
                 hii = ref.transition(i, i)
@@ -220,10 +220,11 @@ def test_nonselective_closed_form_triple_agreement():
         init = InitialState(rho_sys, np.diag([1.0, 0.0]).astype(complex))
         times = np.linspace(0.0, 40.0, 17)
         semi = semigroup_propagate(eff, init, times)
-        v = eff.bases
+        layout = eff.layout
         # the block equations dr/dT = L r on the real coordinates
-        blocks = eff.unpack(rk4_sample(eff.generator.dot,
-                                       eff.pack(dag(v) @ init.joint() @ v), times, 8000))
+        blocks = layout.unpack(rk4_sample(eff.generator.dot,
+                                          layout.pack(layout.compress(init.joint())),
+                                          times, 8000))
         for k, t in enumerate(times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) <= 1e-8
@@ -261,13 +262,13 @@ def test_pauli_reduction():
             w = pauli_rates(eff)
             assert np.all(w >= 0)
             for i in range(dim):
-                ket = eff.bases[i, :, 0]
+                ket = eff.layout.bases[i, :, 0]
                 h_exp = np.vdot(ket, h @ ket).real
                 h2_exp = np.vdot(ket, h @ h @ ket).real
                 assert abs(w[:, i].sum() - eff.omega * (h2_exp - h_exp ** 2)) <= 1e-12
             p0 = rng.random(dim)
             p0 /= p0.sum()
-            bases = eff.bases[:, :, 0]
+            bases = eff.layout.bases[:, :, 0]
             rho0 = sum(p * np.outer(b, b.conj()) for p, b in zip(p0, bases))
             init = InitialState(np.eye(1, dtype=complex), rho0)
             times = np.linspace(0.0, 5.0, 11)

@@ -290,6 +290,36 @@ class TestCommands:
         assert "branch probability vanished at T = 32.24 " in capsys.readouterr().err
         assert not (out / "swap_selective_limit.csv").exists()
 
+    def test_allocation_failure_exits_3(self, tmp_path, capsys):
+        # 10**17 grid times need 711 PiB, more than any address space, so the
+        # allocation fails at once and allocates nothing
+        doc = bundled_doc("swap_selective")
+        doc.update(mode="limit-only", grid_points=10 ** 17)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert not (out / "swap_selective_limit.csv").exists()
+
+    def test_overflowing_hamiltonian_exits_2(self, tmp_path, capsys):
+        # finite factors a = b = diag(1e200, 1e200) overflow in the assembly;
+        # the keyed message names the overflow, and no numpy warning escapes
+        big = complex_pairs(np.diag([1e200, 1e200]))
+        doc = bundled_doc("swap_selective")
+        doc["hamiltonian"] = {"terms": [{"a": big, "b": big}]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["compare", str(path), "--out-dir", str(out)])
+        assert rc == 2
+        assert [w.category for w in seen] == [UserWarning]    # the factor norm
+        assert ("scenario key 'hamiltonian.terms': assembled Hamiltonian "
+                "overflows to non-finite entries") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_bloch_output_of_a_qutrit_exits_2_before_any_run(self, tmp_path, capsys,
                                                              monkeypatch, command):

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import hermitian_eig, random_ket
+from helpers import (family_spec, hermitian_eig, random_complex, random_density,
+                     random_ket, random_unitary)
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       basis_ket, heisenberg3_hamiltonian, kron,
                       measurement_from_kets, pauli, projector_from_kets,
                       swap_hamiltonian)
-from stroblim.linalg import is_projector, max_abs
+from stroblim.linalg import dag, is_projector, max_abs
+from stroblim.model import BlockLayout
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -123,11 +127,14 @@ class TestSpecs:
             HamiltonianSpec(1.0, ((pauli(3), pauli(3)), (np.eye(2), a)))
 
     def test_hamiltonian_rejects_an_overflowing_assembly(self):
-        # finite factors whose products overflow to inf - inf = NaN
+        # finite factors whose products overflow to inf: the fault is named,
+        # and no numpy RuntimeWarning escapes, only the factor-norm warning
         big = np.full((2, 2), 1e200)
-        with (np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning),
-              pytest.raises(ValueError, match="not Hermitian")):
-            HamiltonianSpec(1.0, ((big, big),))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflows to non-finite entries"):
+                HamiltonianSpec(1.0, ((big, big),))
+        assert [w.category for w in seen] == [UserWarning]
 
     def test_hamiltonian_warns_on_large_factor(self):
         with pytest.warns(UserWarning):
@@ -189,3 +196,80 @@ class TestSpecs:
         init = InitialState.from_kets([2.0, 0.0], [0.0, 1.0])
         assert abs(np.trace(init.rho_sys) - 1.0) < 1e-14
         assert max_abs(init.joint() - kron(init.rho_sys, init.rho_pr)) == 0
+
+
+def unequal_layout(rng, dim_sys=2, ranks=(1, 3)):
+    """A layout of probe ranks `ranks` on a random basis, with its family."""
+    cols = iter(random_unitary(rng, sum(ranks)).T)
+    spec = family_spec([[next(cols) for _ in range(r)] for r in ranks])
+    return BlockLayout(dim_sys, spec.bases), spec
+
+
+class TestBlockLayout:
+    def test_bases_are_padded_isometries(self, rng):
+        # V_i+ V_i is the identity on the block's top left corner and V_i V_i+
+        # the projector I_sys (x) P_i; the padding columns are zero
+        layout, spec = unequal_layout(rng)
+        assert layout.sizes.tolist() == [2, 6]
+        assert layout.bases.shape == (2, 8, 6)
+        for v, n, p in zip(layout.bases, layout.sizes, spec.projectors):
+            gram = np.zeros((6, 6))
+            gram[:n, :n] = np.eye(n)
+            assert max_abs(dag(v) @ v - gram) <= 1e-14
+            assert max_abs(v @ dag(v) - kron(np.eye(2), p)) <= 1e-14
+            assert not v[:, n:].any()
+        assert layout.mask.sum() == 4 + 36
+        assert np.array_equal(layout.transpose[layout.transpose], np.arange(40))
+
+    def test_pack_unpack_round_trip(self, rng):
+        # a family of unequal ranks, so the block stack is padded
+        layout, _ = unequal_layout(rng)
+        x = random_complex(rng, (6,) + layout.mask.shape)
+        blocks = np.where(layout.mask, (x + dag(x)) / 2, 0)
+        coords = layout.pack(blocks)
+        assert coords.dtype == np.float64
+        assert coords.shape == (6, np.sum(layout.sizes ** 2))
+        back = layout.unpack(coords)
+        assert np.array_equal(back, dag(back))
+        assert not back[:, ~layout.mask].any()
+        scale = np.max(np.abs(blocks.real) + np.abs(blocks.imag))
+        assert max_abs(back - blocks) <= 2 * np.spacing(scale)
+        # an isometry: the coordinates keep the Frobenius norm of the blocks
+        frob = np.linalg.norm(blocks.reshape(6, -1), axis=1)
+        assert max_abs(np.linalg.norm(coords, axis=1) - frob) <= 1e-15
+
+    def test_lift_inverts_compress_on_block_diagonal_states(self, rng):
+        layout, spec = unequal_layout(rng)
+        c_ops = [kron(np.eye(2), p) for p in spec.projectors]
+        states = np.array([sum(c @ random_density(rng, 8) @ c for c in c_ops) / 2
+                           for _ in range(3)])
+        blocks = layout.compress(states)
+        assert blocks.shape == (3, 2, 6, 6)
+        assert not blocks[:, ~layout.mask].any()
+        out = np.empty_like(states)
+        assert layout.lift(blocks, out=out) is out
+        assert max_abs(out - states) <= 1e-14
+        assert np.array_equal(out, dag(out))
+
+    def test_lift_reads_the_lower_triangle_only(self, rng):
+        # whatever a block with a real diagonal holds above that diagonal, the
+        # state is Hermitian bit for bit and the same as for the Hermitian
+        # block with the same lower triangle
+        layout, _ = unequal_layout(rng)
+        x = np.where(layout.mask, random_complex(rng, (4,) + layout.mask.shape), 0)
+        x[..., np.arange(6), np.arange(6)] = x.diagonal(axis1=-2, axis2=-1).real
+        hermitian = np.tril(x) + dag(np.tril(x, -1))
+        got = layout.lift(x)
+        assert np.array_equal(got, dag(got))
+        assert np.array_equal(got, layout.lift(hermitian))
+
+    def test_pairs_hold_the_compressions_on_the_diagonal(self, rng):
+        layout, _ = unequal_layout(rng)
+        x = random_complex(rng, (8, 8))
+        pairs = layout.pairs(x)
+        assert pairs.shape == (2, 2, 6, 6)
+        for i in range(2):
+            assert max_abs(pairs[i, i] - layout.compress(x)[i]) <= 1e-14
+            for j in range(2):
+                want = dag(layout.bases[i]) @ x @ layout.bases[j]
+                assert max_abs(pairs[i, j] - want) <= 1e-14

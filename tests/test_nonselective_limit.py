@@ -8,9 +8,8 @@ from functools import partial
 from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply, block_evolve,
                      channel_superop, choi_matrix, counting_expm, family_spec,
                      full_space_reference, liouville_commutator, load_bundled,
-                     random_complex, random_density, random_hamiltonian_spec,
-                     random_hermitian, random_projector_family, random_unitary,
-                     unvec, vec)
+                     random_density, random_hamiltonian_spec, random_hermitian,
+                     random_projector_family, random_unitary, unvec, vec)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs, pauli_rates,
                  pauli_rhs, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
@@ -73,7 +72,7 @@ class TestBuildGenerator:
         # direct-calculation structure: h11 = |uu><uu|, h12 = |du><ud|,
         # h22 = |dd><dd| in the system (x) probe product basis
         eff = swap_gen()
-        v = eff.bases
+        v = eff.layout.bases
 
         def transition(i, j):
             return v[i] @ eff.trans[i, j] @ dag(v[j])
@@ -95,9 +94,9 @@ class TestBuildGenerator:
             h = ref.h
             tol = 1e-12 * op_norm(h) ** 2
             assert max_abs(dag(eff.trans) - eff.trans.swapaxes(0, 1)) <= tol
-            m = len(eff.bases)
+            m = len(eff.layout.bases)
             for i in range(m):
-                vi = eff.bases[i]
+                vi = eff.layout.bases[i]
                 lhs = vi @ sum(eff.trans[i, j] @ eff.trans[j, i]
                                for j in range(m) if j != i) @ dag(vi)
                 ci = ref.c_ops[i]
@@ -123,7 +122,7 @@ class TestBuildGenerator:
         assert max_abs(block_apply(eff, np.eye(d) / d)) < 1e-10
         assert max_abs(ref.apply(np.eye(d) / d)) < 1e-10
         x = random_hermitian(rng, d)
-        v = eff.bases
+        v = eff.layout.bases
         assert abs(np.trace(block_rhs(eff, dag(v) @ x @ v).sum(axis=0))) < 1e-10
         assert abs(np.trace(ref.apply(x))) < 1e-10
 
@@ -148,15 +147,16 @@ class TestBuildGenerator:
             assert eff.generator.dtype == np.float64
             ref = full_space_reference(ham, family_spec(groups), 0.25)
             rho = random_block_diagonal(rng, ref)
-            v = eff.bases
+            layout = eff.layout
+            v = layout.bases
             blocks = dag(v) @ rho @ v
-            assert not blocks[~eff.mask].any()
-            packed = blocks[eff.mask]
+            assert not blocks[~layout.mask].any()
+            packed = blocks[layout.mask]
             assert np.array_equal(packed, np.concatenate(
                 [b[:2 * r, :2 * r].reshape(-1) for b, r in zip(blocks, ranks)]))
             rhs = block_rhs(eff, blocks)
-            assert np.array_equal(eff.unpack(eff.generator @ eff.pack(blocks)), rhs)
-            assert not rhs[~eff.mask].any()
+            assert np.array_equal(layout.unpack(eff.generator @ layout.pack(blocks)), rhs)
+            assert not rhs[~layout.mask].any()
             assert max_abs((v @ rhs @ dag(v)).sum(axis=0) - ref.apply(rho)) < 1e-12
 
     def test_generator_is_the_reference_on_real_coordinates(self, rng):
@@ -165,29 +165,12 @@ class TestBuildGenerator:
         # packed again
         for _ in range(3):
             eff, ref = random_generator(rng, 2, 3)
-            v, n = eff.bases, len(eff.generator)
+            v, n = eff.layout.bases, len(eff.generator)
             assert eff.generator.dtype == np.float64
-            states = (v @ eff.unpack(np.eye(n)) @ dag(v)).sum(axis=-3)
+            states = (v @ eff.layout.unpack(np.eye(n)) @ dag(v)).sum(axis=-3)
             images = np.array([ref.apply(s) for s in states])
-            want = eff.pack(dag(v) @ images[:, None] @ v).T
+            want = eff.layout.pack(dag(v) @ images[:, None] @ v).T
             assert max_abs(eff.generator - want) <= 1e-12
-
-    def test_pack_unpack_round_trip(self, rng):
-        # a family of unequal ranks, so the block stack is padded
-        eff, _ = random_generator(rng, 2, 4)
-        x = random_complex(rng, (6,) + eff.mask.shape)
-        blocks = np.where(eff.mask, (x + dag(x)) / 2, 0)
-        coords = eff.pack(blocks)
-        assert coords.dtype == np.float64
-        assert coords.shape == (6, len(eff.generator))
-        back = eff.unpack(coords)
-        assert np.array_equal(back, dag(back))
-        assert not back[:, ~eff.mask].any()
-        scale = np.max(np.abs(blocks.real) + np.abs(blocks.imag))
-        assert max_abs(back - blocks) <= 2 * np.spacing(scale)
-        # an isometry: the coordinates keep the Frobenius norm of the blocks
-        frob = np.linalg.norm(blocks.reshape(6, -1), axis=1)
-        assert max_abs(np.linalg.norm(coords, axis=1) - frob) <= 1e-15
 
     def test_bare_commutator_runs_through_the_dense_exponential(self, rng):
         # [h, C_i] = 0: the real generator is antisymmetric, so expm takes
@@ -199,7 +182,7 @@ class TestBuildGenerator:
         gen = eff.generator
         assert max_abs(gen) > 1.0
         assert max_abs(gen + gen.T) <= 1e-12 * max_abs(gen)
-        y0 = eff.pack(dag(eff.bases) @ random_density(rng, 4) @ eff.bases)
+        y0 = eff.layout.pack(eff.layout.compress(random_density(rng, 4)))
         times = np.linspace(0.0, 2.0, 5)
         dense = sample_runs(y0, times, partial(_dense_run, gen))
         assert dense.dtype == np.float64
@@ -230,8 +213,8 @@ class TestSemigroupPropagate:
 
     def test_semigroup_law(self, rng):
         eff, ref = random_generator(rng, 1, 4)
-        v = eff.bases
-        packed = eff.pack(dag(v) @ random_block_diagonal(rng, ref) @ v)
+        v = eff.layout.bases
+        packed = eff.layout.pack(dag(v) @ random_block_diagonal(rng, ref) @ v)
         from stroblim.linalg import expm
         t, s = 0.7, 1.9
         one = expm(eff.generator * (t + s)) @ packed
@@ -269,7 +252,7 @@ class TestBlocks:
         for _ in range(4):
             eff, ref = random_generator(rng, 2, 3)
             rho = random_block_diagonal(rng, ref)
-            v = eff.bases
+            v = eff.layout.bases
             d = block_rhs(eff, dag(v) @ rho @ v)
             drho_blocks = (v @ d @ dag(v)).sum(axis=0)
             drho_direct = ref.apply(rho)
@@ -281,7 +264,7 @@ class TestBlocks:
         ham = HamiltonianSpec(1.5, ((a, pauli(3)),))
         eff = build_generator(ham, zbasis_meas(), 0.1)
         rho = kron(random_density(rng, 2), np.diag([0.4, 0.6]).astype(complex))
-        blocks = dag(eff.bases) @ rho @ eff.bases
+        blocks = eff.layout.compress(rho)
         d = block_rhs(eff, blocks)
         for db, heff, b in zip(d, eff.heff, blocks):
             assert max_abs(heff - dag(heff)) < 1e-12  # commuting case: Hermitian
@@ -289,7 +272,7 @@ class TestBlocks:
 
     def test_maximally_mixed_blocks_stationary(self):
         eff = swap_gen()
-        v = eff.bases
+        v = eff.layout.bases
         d = block_rhs(eff, dag(v) @ (np.eye(4, dtype=complex) / 4) @ v)
         for db in d:
             assert max_abs(db) < 1e-12
@@ -323,12 +306,11 @@ class TestBlocks:
         eff, ref = random_generator(rng, 2, 2, gamma=1.0, tau=0.25)
         rho = random_block_diagonal(rng, ref)
         times = np.linspace(0.0, 4.0, 9)
-        v = eff.bases
-        blocks = eff.unpack(rk4_sample(eff.generator.dot, eff.pack(dag(v) @ rho @ v),
-                                       times, 4000))
-        for t, st in zip(times, blocks):
-            direct = ref.evolve(rho, t)
-            assert max_abs((v @ st @ dag(v)).sum(axis=0) - direct) < 1e-7
+        layout = eff.layout
+        blocks = layout.unpack(rk4_sample(eff.generator.dot,
+                                          layout.pack(layout.compress(rho)), times, 4000))
+        for t, state in zip(times, layout.lift(blocks)):
+            assert max_abs(state - ref.evolve(rho, t)) < 1e-7
 
 
 def swap_selective_eff():
@@ -358,7 +340,7 @@ INTEGRATORS = [pytest.param(partial(rk4_sample, rhs, y0), id=name) for name, rhs
      np.eye(2, dtype=complex) / 2),
     ("state", partial(nonlinear_state_rhs, swap_selective_eff()),
      np.array([0.6, 0.8], dtype=complex)),
-    ("blocks", swap_gen().generator.dot, swap_gen().pack(BLOCKS0)),
+    ("blocks", swap_gen().generator.dot, swap_gen().layout.pack(BLOCKS0)),
     ("pauli", partial(pauli_rhs, FLIP_RATES), np.array([1.0, 0.0])),
 ]]
 
@@ -453,8 +435,7 @@ def d32_model(rng):
 
 
 def packed_start(eff, init):
-    v = eff.bases
-    return eff.pack(dag(v) @ init.joint() @ v)
+    return eff.layout.pack(eff.layout.compress(init.joint()))
 
 
 class TestSemigroupPaths:
@@ -604,7 +585,7 @@ class TestPauliReduction:
         eff = build_generator(ham, family_spec(groups), 0.25)
         h = full_space_reference(ham, family_spec(groups), 0.25).h
         w = pauli_rates(eff)
-        for i, basis in enumerate(eff.bases):
+        for i, basis in enumerate(eff.layout.bases):
             ket = basis[:, 0]
             h_exp = np.vdot(ket, h @ ket).real
             h2_exp = np.vdot(ket, h @ h @ ket).real
@@ -714,9 +695,10 @@ class TestClosedForm:
         init = InitialState(rho_sys, np.diag([1.0, 0.0]).astype(complex))
         times = np.linspace(0.0, 40.0, 17)
         semi = semigroup_propagate(eff, init, times)
-        v = eff.bases
-        blocks = eff.unpack(rk4_sample(eff.generator.dot,
-                                       eff.pack(dag(v) @ init.joint() @ v), times, 8000))
+        layout = eff.layout
+        blocks = layout.unpack(rk4_sample(eff.generator.dot,
+                                          layout.pack(layout.compress(init.joint())),
+                                          times, 8000))
         for k, t in enumerate(times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) < 1e-8

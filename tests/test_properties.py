@@ -80,7 +80,7 @@ def test_generator_blocks_are_the_selective_generators(seed, dims, norm):
     idx = np.arange(len(trans))
     leak[idx, idx] = 0
     half = eff.omega / 2
-    assert max_abs(half * leak.sum(axis=1) - ham.blocks(spec.bases, 0.25)[3]) \
+    assert max_abs(half * leak.sum(axis=1) - ham.blocks(eff.layout, 0.25)[2]) \
         <= 1e-12 * half * h_sq
     for p, v, heff in zip(spec.projectors, spec.bases, eff.heff):
         sel = effective_rankr(ham, p, 0.25, basis=v)
@@ -98,7 +98,8 @@ def test_semigroup_keeps_trace_and_blocks(seed, dims, norm):
     eff = build_generator(ham, spec, 0.25)
     h_norm = op_norm(ham.dimensionless())
     tol = 1e-12 * (eff.omega * h_norm ** 2 + eff.gamma * h_norm)
-    ident = np.broadcast_to(np.eye(eff.mask.shape[1]), eff.mask.shape)[eff.mask]
+    mask = eff.layout.mask
+    ident = np.broadcast_to(np.eye(mask.shape[1]), mask.shape)[mask]
     assert max_abs(ident @ eff.generator) <= tol
     assert max_abs(eff.generator @ ident) <= tol
     r = random_density(rng, dims[1])
@@ -106,7 +107,7 @@ def test_semigroup_keeps_trace_and_blocks(seed, dims, norm):
                         sum(p @ r @ p for p in spec.projectors))
     traj = semigroup_propagate(eff, init, [0.0, 0.5, 2.0])
     assert max_abs(traj.norms - 1.0) <= 1e-12
-    v = eff.bases
+    v = eff.layout.bases
     blocks = dag(v) @ traj.states[:, None] @ v
     assert max_abs((v @ blocks @ dag(v)).sum(axis=-3) - traj.states) <= 1e-12
 
@@ -167,13 +168,13 @@ def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
         u = random_unitary(rng, dims[1])
         groups = [list(u[:, k:k + rank].T) for k in range(0, dims[1], rank)]
     eff = build_generator(ham, family_spec(groups), 0.25)
-    v, gen = eff.bases, eff.generator
+    v, gen = eff.layout.bases, eff.generator
     rho0 = random_density(rng, dims[0] * dims[1])
-    y0 = eff.pack(dag(v) @ rho0 @ v)
+    y0 = eff.layout.pack(dag(v) @ rho0 @ v)
     times = random_grid(rng, 0.0, h, size)
     action = sample_runs(y0, times, partial(_action_run, gen))
     assert max_abs(action - sample_runs(y0, times, partial(_dense_run, gen))) <= 1e-13
-    states = (v @ eff.unpack(action) @ dag(v)).sum(axis=-3)
+    states = (v @ eff.layout.unpack(action) @ dag(v)).sum(axis=-3)
     assert max_abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) <= 1e-12
     assert max_abs(states - dag(states)) <= 1e-13
     assert np.linalg.eigvalsh(states).min() >= -1e-10
