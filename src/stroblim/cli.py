@@ -22,8 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .experiments import (Scenario, check_periods, compare_scenario,
-                          convergence_sweep, run_method)
+from .experiments import (Scenario, check_periods, check_scale,
+                          compare_scenario, convergence_sweep, run_method)
 from .model import (HamiltonianSpec, InitialState, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets,
                     swap_hamiltonian)
@@ -45,6 +45,14 @@ class ScenarioError(ValueError):
 
 def _fail(key: str, reason: str):
     raise ScenarioError(f"scenario key '{key}': {reason}")
+
+
+def _keyed(key: str, check, *args):
+    """check(*args), its ValueError reported under the scenario key `key`."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        _fail(key, str(err))
 
 
 def _parse_int(key: str, node) -> int:
@@ -105,10 +113,7 @@ def _parse_complex_matrix(key: str, node) -> np.ndarray:
 
 def _parse_ket(key: str, node) -> np.ndarray:
     if isinstance(node, str):
-        try:
-            return basis_ket(node)
-        except ValueError as err:
-            _fail(key, str(err))
+        return _keyed(key, basis_ket, node)
     try:
         arr = np.asarray(node, dtype=float)
     except (TypeError, ValueError):
@@ -143,10 +148,7 @@ def _parse_hamiltonian(node, gamma: float) -> HamiltonianSpec:
             return swap_hamiltonian(gamma)
         if builder == "heisenberg3":
             field = node.get("field", "local_xyz")
-            try:
-                return heisenberg3_hamiltonian(gamma, field)
-            except ValueError as err:
-                _fail("hamiltonian.field", str(err))
+            return _keyed("hamiltonian.field", heisenberg3_hamiltonian, gamma, field)
         _fail("hamiltonian.builder", f"unknown builder {builder!r}")
     if "terms" in node:
         if not isinstance(node["terms"], list):
@@ -208,6 +210,7 @@ def scenario_from_dict(doc) -> Scenario:
         _fail("name", "expected a non-empty file name without path separators")
     gamma, tau = _resolve_rates(doc)
     ham = _parse_hamiltonian(doc["hamiltonian"], gamma)
+    _keyed("hamiltonian", check_scale, ham, tau)
 
     projs = doc["projectors"]
     if not isinstance(projs, list) or not projs:
@@ -221,17 +224,11 @@ def scenario_from_dict(doc) -> Scenario:
     selected = doc.get("selected_index")
     if selected is not None:
         selected = _parse_int("selected_index", selected)
-    try:
-        meas = measurement_from_kets(groups, selected)
-    except ValueError as err:
-        _fail("projectors", str(err))
+    meas = _keyed("projectors", measurement_from_kets, groups, selected)
 
     rho_sys = _parse_state("initial_sys", doc["initial_sys"])
     rho_pr = _parse_state("initial_pr", doc["initial_pr"])
-    try:
-        init = InitialState(rho_sys, rho_pr)
-    except ValueError as err:
-        _fail("initial_sys/initial_pr", str(err))
+    init = _keyed("initial_sys/initial_pr", InitialState, rho_sys, rho_pr)
 
     outputs = doc.get("outputs", ["p_up"])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
@@ -246,10 +243,7 @@ def scenario_from_dict(doc) -> Scenario:
     if tolerance <= 0:
         _fail("tolerances.max_deviation", "expected a finite positive number")
     t_max = _parse_float("t_max", doc["t_max"])
-    try:
-        check_periods(t_max, tau)
-    except ValueError as err:
-        _fail("t_max", str(err))
+    _keyed("t_max", check_periods, t_max, tau)
     grid_points = _parse_int("grid_points", doc["grid_points"])
     methods = doc.get("methods")
     if methods is not None and (not isinstance(methods, list)

@@ -10,18 +10,16 @@ that ordering is what makes the closed-form checks exact at integer
 multiples of tau.
 
 After a measurement the state lives on the measured probe ranges, so the
-runners carry it compressed there, as blocks of `model.BlockLayout`.  With
-V_i = I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and
-U = exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+
-on range(C_i), where W_ij = V_i+ U V_j is the exact counterpart of the
-limits' T_ij.  A coincident-outcome selective run takes the states at all
-kept periods n from binary powers of W_ss in one batch that forms each
-shared prefix of the bits of n once, so its cost grows with the number of
-kept samples, not of periods; an explicit outcome sequence steps its block
-period by period, and the non-selective channel steps all blocks at once,
-b_i <- sum_j W_ij b_j W_ij+.  Only kept states are lifted back to the full
-space, all at once from one stack of compressed states, and a trailing
-fractional period is one full-space unitary step.
+runners carry it there, as blocks of `model.BlockLayout`.  With V_i =
+I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and U =
+exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+ on
+range(C_i), W_ij = V_i+ U V_j being the exact counterpart of the limits'
+T_ij.  A coincident-outcome selective run takes all kept periods n as binary
+powers of W_ss in one batch, so its cost grows with the kept samples, not
+the periods; an outcome sequence steps its block period by period, and the
+non-selective channel all blocks at once, b_i <- sum_j W_ij b_j W_ij+.  A
+run yields the system marginals of its kept blocks; the initial state and a
+trailing fractional period, one unitary step, are the full-space samples.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PROB_FLOOR, as_matrix, conj_powers, conj_stack, dag, expm,
-                     real_trace, step_powers)
+from .linalg import (PROB_FLOOR, as_matrix, conj_powers, dag, expm,
+                     partial_trace, real_trace, step_powers)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -121,16 +119,15 @@ def _check_probability(step: int, r) -> None:
             f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
 
 
-def _interrupted(plan: EvolutionPlan, h, rho0, compressed, lift,
+def _interrupted(plan: EvolutionPlan, h, rho0, layout: BlockLayout, blocks,
                  every: int) -> Trajectory:
     """Sample one run: rho0 at t = 0, then the post-measurement state after
-    every `every`-th period n.  compressed(ns) gives the stack of compressed
-    states after the periods ns, in one call; period n_steps is also taken
-    when it is not sampled, so the whole run is checked.  lift(ns, stack,
-    out) writes the full-space states at periods ns into out, all at once,
-    and returns their traces; out is a view of the run's one state array, so
-    no lifted stack is copied.  A fractional period left at total_time is
-    one more unitary step from period n_steps, recorded pre-measurement.
+    every `every`-th period n, from blocks(ns), the (len(ns), k, m, m) stack
+    in `layout` after the periods ns; period n_steps is taken too, so the
+    whole run is checked.  A fractional period left at total_time is one
+    unitary step from period n_steps, recorded pre-measurement.  The system
+    states are `layout.marginal` of the blocks and partial traces of the
+    full-space samples; joint states are lifted only for `Trajectory.states`.
     """
     if every < 1:
         raise ValueError(f"every must be a positive integer, got {every}")
@@ -138,21 +135,25 @@ def _interrupted(plan: EvolutionPlan, h, rho0, compressed, lift,
     kept = len(ns)
     if plan.n_steps % every:
         ns = np.append(ns, plan.n_steps)
-    states = np.empty((len(ns) + 1 + (plan.residual > 0),) + rho0.shape, dtype=complex)
-    states[0] = rho0
-    lifted_norms = lift(ns, compressed(ns), states[1:len(ns) + 1])
+    stack = blocks(ns)
+    full = [rho0]
     times = [[0.0], ns[:kept] * plan.tau]
-    norms = [[real_trace(rho0)], lifted_norms[:kept]]
-    end = kept + 1
     if plan.residual > 0:
         # from period n_steps, or from rho0 when no period has passed
-        states[end] = unitary_step(states[len(ns)], h, plan.residual)
+        start = layout.lift(stack[-1:])[0] if len(ns) else rho0
+        full.append(unitary_step(start, h, plan.residual))
         times.append([plan.total_time])
-        norms.append([real_trace(states[end])])
-        end += 1
-    states, norms = states[:end], np.concatenate(norms)
+    stack, full = stack[:kept], np.array(full)
+    marginals = partial_trace(full, plan.hamiltonian.dims, "sys")
+    states = np.concatenate((marginals[:1], layout.marginal(stack), marginals[1:]))
+    norms = real_trace(states)
     states /= norms[:, None, None]
-    return Trajectory(np.concatenate(times), states, norms, plan.hamiltonian.dims)
+
+    def joint():
+        states = np.concatenate((full[:1], layout.lift(stack), full[1:]))
+        return states / norms[:, None, None]
+
+    return Trajectory(np.concatenate(times), states, norms, joint)
 
 
 def run_selective(plan: EvolutionPlan, init: InitialState,
@@ -162,20 +163,18 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     fractional period remains.
 
     The state is carried unnormalized on the selected range; `norms` is the
-    cumulative probability p_Phi of the observed outcome string.  With the
-    coincident-outcome shortcut (no outcome_sequence) the state after period
-    n is W^n r0 W^n+ with W = W_ss and r0 = V_s+ rho0 V_s, from binary powers
-    of W formed for all samples at once (`conj_powers`), so it depends on n
-    alone and every stride keeps the same bits.  An explicit outcome sequence
-    starts its first period from the full initial state and then steps
-    r <- W_ij r W_ij+ for consecutive outcomes j, i.
+    cumulative probability p_Phi of the observed outcome string.  Without an
+    outcome_sequence the state after period n is W^n r0 W^n+, W = W_ss and
+    r0 = V_s+ rho0 V_s, from binary powers of W for all samples at once
+    (`conj_powers`), so it depends on n alone, whatever the stride.  An
+    outcome sequence steps r <- W_ij r W_ij+ for consecutive outcomes j, i,
+    its first period from the full initial state.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
-    p_Phi is below PROB_FLOOR, sampled or not.  A stepped sequence checks
-    every period.  The shortcut checks its samples and period n_steps: since
-    ||W|| <= 1, p_Phi never increases, so when a sample fails, the first
-    failing period is found by bisecting the periods since the last passing
-    one, in O(log every) powers.
+    p_Phi is below PROB_FLOOR, sampled or not.  A sequence checks every
+    period.  The powers check the samples and period n_steps, and since
+    p_Phi never increases (||W|| <= 1), a failing sample bisects the periods
+    since the last passing one, in O(log every) powers.
     """
     meas = plan.measurement
     if init.dims != plan.hamiltonian.dims:
@@ -191,6 +190,11 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     h, u, w = _period_maps(plan, layout)
     rho0 = init.joint()
 
+    def on_outcomes(r, outcomes):      # block t at outcomes[t], zero elsewhere
+        out = np.zeros((len(r),) + w.shape[1:], dtype=complex)
+        out[np.arange(len(r)), outcomes] = r
+        return out
+
     if seq is not None:
         maps = [dag(bases[seq[0]]) @ u] if seq else []
         maps += [w[i, j] for j, i in zip(seq, seq[1:])]
@@ -202,21 +206,17 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             _check_probability(k + 1, r)
             return r
 
-        def lift(ns, blocks, out):
-            v = bases[np.array(seq, dtype=np.int64)[ns - 1]]
-            out[...] = v @ blocks @ dag(v)
-            return real_trace(blocks)
+        def stepped(ns):
+            r = step_powers(step, rho0, ns, w.shape[2:])
+            return on_outcomes(r, np.array(seq, dtype=np.int64)[ns - 1])
 
-        shape = (bases.shape[2],) * 2
-        return _interrupted(plan, h, rho0,
-                            lambda ns: step_powers(step, rho0, ns, shape), lift, every)
+        return _interrupted(plan, h, rho0, layout, stepped, every)
     s = meas.selected_index
-    v, v_dag = bases[s], dag(bases[s])
-    w_ss, r0 = w[s, s], v_dag @ rho0 @ v
+    w_ss, r0 = w[s, s], dag(bases[s]) @ rho0 @ bases[s]
 
-    def lift(ns, blocks, out):
-        norms = real_trace(blocks)
-        failed = np.flatnonzero(norms < PROB_FLOOR)
+    def powers(ns):
+        r = conj_powers(w_ss, r0, ns)
+        failed = np.flatnonzero(real_trace(r) < PROB_FLOOR)
         if failed.size:
             k = failed[0]
             lo, hi = (int(ns[k - 1]) if k else 0), int(ns[k])   # lo passes, hi fails
@@ -227,11 +227,9 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                 else:
                     lo = mid
             _check_probability(hi, conj_powers(w_ss, r0, [hi])[0])
-        conj_stack(v, blocks, v_dag, out=out)
-        return norms
+        return on_outcomes(r, s)
 
-    return _interrupted(plan, h, rho0, lambda ns: conj_powers(w_ss, r0, ns),
-                        lift, every)
+    return _interrupted(plan, h, rho0, layout, powers, every)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
@@ -239,14 +237,12 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     """Propagate under repeated channel applications, sampling at t = 0, at
     t = n*every*tau and at total_time when a fractional period remains.
 
-    The channel is applied once at t = 0, which realizes the convention of
-    starting the clock at the first measurement when the initial state is not
-    already a channel fixed point.  That channel output is the set of blocks
-    b_i = V_i+ rho0 V_i; each period maps them to b_i <- sum_j W_ij b_j W_ij+,
-    and a kept state is sum_i V_i b_i V_i+.  Samples at integer multiples of
-    tau are therefore block-diagonal in the measurement eigenbasis; a
-    trailing fractional-period sample (present only when total_time is not a
-    multiple of tau) is pre-measurement.
+    The channel is applied once at t = 0, which starts the clock at the
+    first measurement when the initial state is not a channel fixed point.
+    Its output is the blocks b_i = V_i+ rho0 V_i, which each period maps to
+    b_i <- sum_j W_ij b_j W_ij+, so the joint states at integer multiples of
+    tau are block-diagonal in the measurement eigenbasis; a trailing
+    fractional-period sample is pre-measurement.
     """
     meas = plan.measurement
     if meas.selected_index is not None:
@@ -262,8 +258,5 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
         return (w @ blocks[None] @ w_dag).sum(axis=1)
 
     blocks = layout.compress(init.joint())
-    channel = layout.lift(blocks[None])[0]
-    return _interrupted(plan, h, channel,
-                        lambda ns: step_powers(step, blocks, ns, blocks.shape),
-                        lambda ns, stack, out: real_trace(layout.lift(stack, out=out)),
-                        every)
+    return _interrupted(plan, h, layout.lift(blocks[None])[0], layout,
+                        lambda ns: step_powers(step, blocks, ns, blocks.shape), every)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import (EvolutionPlan, period_slack, run_nonselective,
                     run_selective, steps_in)
-from .linalg import TensorDims, trace_distance
+from .linalg import trace_distance
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .nonselective_limit import (build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
@@ -78,6 +78,7 @@ class Scenario:
             raise ValueError("measurement and Hamiltonian probe dimensions differ")
         if self.initial.dims != self.hamiltonian.dims:
             raise ValueError("initial state does not match Hamiltonian dimensions")
+        check_scale(self.hamiltonian, self.tau)
         if self.mode in ("selective",) and not self.measurement.selective:
             raise ValueError("selective mode needs a selected_index")
         if self.mode in ("nonselective",) and self.measurement.selective:
@@ -125,6 +126,18 @@ def check_periods(t_max: float, tau: float) -> None:
     if t_max / tau >= 2 ** 53:
         raise ValueError(f"t_max/tau = {t_max / tau:.3g} periods, expected "
                          "fewer than 2**53")
+
+
+def check_scale(ham: HamiltonianSpec, tau: float) -> None:
+    """ValueError unless gamma h and Omega h^2 are finite, Omega = gamma^2 tau:
+    the exact step and both limits scale the dimensionless h so."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = ham.dimensionless()
+        for name, x in (("gamma * h", ham.gamma * h),
+                        ("Omega * h^2", ham.gamma * ham.gamma * tau * (h @ h))):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} overflows to non-finite entries at "
+                                 f"gamma = {ham.gamma:g}, tau = {tau:g}")
 
 
 def closed_form_applicable(sc: Scenario) -> bool:
@@ -175,8 +188,7 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
             raise ValueError("closed form does not apply to this scenario")
         times = sc.times
         states = swap_nonselective_closed_form(ham.gamma, sc.omega, init.rho_sys, times)
-        return Trajectory(times, states, np.ones(len(times)),
-                          TensorDims(ham.dim_sys, 1))
+        return Trajectory(times, states, np.ones(len(times)))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -159,7 +159,8 @@ class BlockLayout:
     probe bases v_i (e.g. a MeasurementSpec's), which map onto the ranges of
     C_i = I_sys (x) P_i, padded to the widest range m with zero columns;
     `sizes` holds the block sides dim_sys * r_i.  A state rho is carried as
-    its (k, m, m) blocks V+ rho V (`compress`), each top left inside `mask`.
+    its (k, m, m) blocks V+ rho V (`compress`), each top left inside `mask`,
+    and read through its system marginal (`marginal`).
     Hermitian blocks pack block by block, row-major, into the real
     coordinates Re x + Im x of their masked entries x (`pack`), an isometry
     onto R^N, N = sum_i sizes_i^2; `transpose` maps each packed index to
@@ -167,6 +168,7 @@ class BlockLayout:
     """
 
     def __init__(self, dim_sys: int, probe_bases) -> None:
+        self.dim_sys = dim_sys
         iso = [kron(np.eye(dim_sys), v) for v in probe_bases]
         self.sizes = np.array([v.shape[1] for v in iso])
         self.bases = np.zeros((len(iso), iso[0].shape[0], self.sizes.max()),
@@ -206,17 +208,26 @@ class BlockLayout:
         out[..., self.mask] = x
         return out
 
-    def lift(self, blocks, out=None) -> np.ndarray:
+    def marginal(self, blocks) -> np.ndarray:
+        """The (..., dim_sys, dim_sys) system marginals sum_i Tr_{r_i} b_i of
+        a (..., k, m, m) block stack: the probe traced out of sum_i V_i b_i
+        V_i+, whatever the probe bases.  Each block is cut to its side
+        sizes[i] before it splits as dim_sys x r_i; the padded side may not."""
+        b, ds = np.asarray(blocks), self.dim_sys
+        return sum(np.einsum("...apbp->...ab", b[..., i, :n, :n].reshape(
+            b.shape[:-3] + (ds, n // ds) * 2)) for i, n in enumerate(self.sizes))
+
+    def lift(self, blocks) -> np.ndarray:
         """The (T, d, d) states sum_i V_i b_i V_i+ of a (T, k, m, m) Hermitian
-        block stack, into `out` when given: each block b as y + y+ by one
-        `linalg.conj_stack`, y = V t V+ for t the lower triangle of b with half
-        its diagonal, so the states are Hermitian bit for bit."""
+        block stack: each block b as y + y+ by one `linalg.conj_stack`, y =
+        V t V+ for t the lower triangle of b with half its diagonal, so the
+        states are Hermitian bit for bit."""
         lower = np.tril(blocks)
         diag = np.arange(lower.shape[-1])
         lower[..., diag, diag] /= 2
         half = sum(conj_stack(v, lower[:, i], dag(v))
                    for i, v in enumerate(self.bases))
-        return np.add(half, dag(half), out=out)
+        return half + dag(half)
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,14 @@ an orthonormal basis V_i of range(C_i), obeys
 
     d b_i = -i (Heff_i b_i - b_i Heff_i+) + Omega sum_{j != i} T_ij b_j T_ji,
 
-with T_ij = V_i+ h V_j.  The blocks are carried in the padded block format
-of `model.BlockLayout`, the format of the exact oracle too, which compresses
-a state to its blocks, packs them into N = sum_i n_i^2 <= d^2 real
-coordinates and lifts them back.  The blocks are Hermitian and the semigroup
-keeps them so, so it is a real-linear map on those coordinates.
-`build_generator` writes the block equations as one real N x N matrix on
-them, and that matrix is the only generator in the package: the semigroup
-propagator and the block right-hand side both use it.  The propagator needs
-only its action on the coordinates: a few samples of a large generator are
-taken by real products with that vector, with no N x N exponential
-(`linalg.expm_vec_run`).
+with T_ij = V_i+ h V_j.  The blocks are carried in the format of
+`model.BlockLayout`, the exact oracle's too, packed into N = sum_i n_i^2
+<= d^2 real coordinates; the semigroup keeps them Hermitian, so it is a
+real-linear map on those coordinates.  `build_generator` writes it as one
+real N x N matrix, the only generator in the package, which both the
+propagator and `block_rhs` use.  The propagator takes a few samples of a
+large generator by its action on the coordinates (`linalg.expm_vec_run`),
+and yields the system marginals of the blocks, lifting no joint state.
 """
 
 from __future__ import annotations
@@ -64,24 +61,18 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
                     tau: float) -> NonselectiveEffective:
     """Assemble the non-selective semigroup generator on the packed blocks.
 
-    T_ij, H1_i = gamma T_ii and H2_i = (Omega / 2) (V_i+ h^2 V_i - T_ii^2)
-    come from `HamiltonianSpec.blocks`, and Heff_i = H1_i - i H2_i is the
-    selective branch generator of outcome i (see `effective_rankr`).  On the
-    packed blocks x, row (a, b) of block i and column (c, d) of block j of
-    the complex generator hold B[ab, cd] = Omega T_ij[a, c] T_ji[d, b] for
-    i != j (the kron Omega T_ij (x) T_ji^T) and
-    -i (Heff_i[a, c] delta_bd - delta_ac conj(Heff_i[b, d])) for i = j.  On
-    the real coordinates r = Re x + Im x the generator is
-    R[ab, cd] = Re B[ab, cd] + Im B[ab, dc], that is Re(B x) + Im(B x) with
-    x = ((1 + i) r + (1 - i) r[S]) / 2.  Each block is written into the real
-    N x N matrix in place: off the diagonal from one complex outer product
-    of the rank-sized slices, on it as the four real delta terms
-    Im Heff[a, c] delta_bd + delta_ac Im Heff[b, d] - delta_bc Re Heff[a, d]
-    + delta_ad Re Heff[b, c].  No complex N x N matrix is formed.  Only
-    the arguments' fit is checked here (ValueError): the generator has GKSL
-    form for any Hermitian h and complete orthogonal family, which
-    `HamiltonianSpec` and `MeasurementSpec` have validated, so it preserves
-    trace and fixes the maximally mixed state by construction.
+    T_ij and Heff_i = H1_i - i H2_i, the selective branch generator of
+    outcome i, come from `HamiltonianSpec.blocks`.  On the packed blocks x
+    the complex generator holds B[ab, cd] = Omega T_ij[a, c] T_ji[d, b]
+    between row (a, b) of block i and column (c, d) of block j != i, and
+    -i (Heff_i[a, c] delta_bd - delta_ac conj(Heff_i[b, d])) within block i.
+    On the real coordinates r = Re x + Im x it is R[ab, cd] = Re B[ab, cd] +
+    Im B[ab, dc].  Each block of the real N x N matrix is written in place,
+    off the diagonal from one complex outer product of the rank-sized
+    slices, on it as four real delta terms, so no complex N x N matrix is
+    formed.  Only the arguments' fit is checked (ValueError): the GKSL form
+    preserves trace and fixes the maximally mixed state for any Hermitian h
+    and complete family, which the specs have validated.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -122,19 +113,17 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     """rho(T) = exp(L_eff T) rho(0), evolved on the real coordinates of the
     packed blocks.
 
-    The coordinates are stepped along the grid by `linalg.sample_runs`:
-    each run of equal gaps h by the action of exp(L h) on the vector or by
-    one dense exp(L h), whichever the cost rule of `linalg.expm_vec_run` on
-    N, the run's step count and ||L h||_1 finds cheaper.  All samples are
-    then unpacked and lifted back at once (`BlockLayout.lift`), so the
-    states are Hermitian bit for bit.  Times must be finite, non-negative
-    and non-decreasing.  As in `run_nonselective`, the measurement channel
-    is applied at t = 0: the evolution starts from the blocks V+ rho0 V of
-    the joint initial state, so the t = 0 sample is rho0 itself when rho0 is
-    block-diagonal and its channel image otherwise.  The semigroup preserves
-    trace and block structure; the states are divided by their traces, as in
-    the other propagators, and the norms report the rounding drift, such as
-    that of the squarings of one exponential over a huge gap.
+    The coordinates are stepped along the grid by `linalg.sample_runs`, each
+    run of equal gaps h by the action of exp(L h) or by one dense exp(L h),
+    whichever the cost rule of `linalg.expm_vec_run` finds cheaper.  Times
+    must be finite, non-negative and non-decreasing.  As in
+    `run_nonselective`, the measurement channel is applied at t = 0: the run
+    starts from the blocks V+ rho0 V of the joint initial state.  The system
+    states are the marginals of the unpacked blocks (`BlockLayout.marginal`),
+    divided by their traces as in the other propagators; the norms report
+    the rounding drift, such as that of the squarings of one exponential
+    over a huge gap.  The joint states, Hermitian bit for bit, are lifted
+    from the kept coordinates only for `Trajectory.states`.
     """
     rho0 = init.joint()
     if rho0.shape[0] != eff.dims.total:
@@ -143,10 +132,11 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     times = np.asarray(times, dtype=float)
     coords = sample_runs(layout.pack(layout.compress(rho0)), times,
                          partial(expm_vec_run, eff.generator))
-    states = layout.lift(layout.unpack(coords))
+    states = layout.marginal(layout.unpack(coords))
     norms = real_trace(states)
     states /= norms[:, None, None]
-    return Trajectory(times.copy(), states, norms, eff.dims)
+    return Trajectory(times.copy(), states, norms, lambda: (
+        layout.lift(layout.unpack(coords)) / norms[:, None, None]))
 
 
 def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:

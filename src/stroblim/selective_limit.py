@@ -17,8 +17,8 @@ from functools import partial
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import (PROB_FLOOR, TensorDims, dag, kraus_run, kron, real_trace,
-                     sample_runs)
+from .linalg import (PROB_FLOOR, TensorDims, dag, kraus_run, kron,
+                     partial_trace, real_trace, sample_runs)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -94,16 +94,15 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
                     times) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
 
-    The grid is cut into runs of equal gaps (`linalg.sample_runs`), and each
-    run builds one Kraus exponential and takes its states as binary powers of
-    that step from the run's start (`linalg.kraus_run`), into one (T, n, n)
-    stack; times must be finite, non-negative and non-decreasing.  The
-    initial probe state must be supported in range(P), by the rule of
+    The grid is cut into runs of equal gaps (`linalg.sample_runs`), each
+    taking its states as binary powers of one Kraus step (`linalg.kraus_run`);
+    times must be finite, non-negative and non-decreasing.  The initial probe
+    state must be supported in range(P), by the rule of
     `InitialState.probe_block` that `exact.run_selective` applies too.  The
-    reported norms are the branch probabilities tr[K rho K+], which are
-    non-increasing in T.  As in `exact.run_selective`, a sample whose
-    probability is below PROB_FLOOR raises VanishingProbabilityError: the
-    conditional state is undefined on a zero-probability branch.
+    norms are the branch probabilities tr[K rho K+], non-increasing in T; as
+    in `exact.run_selective`, one below PROB_FLOOR raises
+    VanishingProbabilityError.  The system states are the normalized states
+    traced over range(P), which are kept for `Trajectory.states`.
     """
     times = np.asarray(times, dtype=float)
     v = eff.probe_basis
@@ -119,5 +118,6 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
             f"branch probability vanished at T = {times[cut]:g} "
             f"(p = {norms[cut]:.3e} < {PROB_FLOOR:.1e})")
     states /= norms[:, None, None]
-    return Trajectory(times.copy(), states, norms, eff.dims)
+    return Trajectory(times.copy(), partial_trace(states, eff.dims, "sys"), norms,
+                      lambda: states)
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .linalg import TensorDims, as_matrix, partial_trace, real_trace
+from .linalg import as_matrix, real_trace
 from .model import pauli
 
 _PAULI_XYZ = (pauli(1), pauli(2), pauli(3))
@@ -15,27 +16,26 @@ _PAULI_XYZ = (pauli(1), pauli(2), pauli(3))
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: normalized states plus per-sample bookkeeping.
+    """Sampled evolution: normalized system states plus per-sample bookkeeping.
 
-    `states` is one complex (T, n, n) stack, a state per sample time, on the
-    propagation space of the producer, split as `dims`: system (x) probe for
-    the exact runners and the semigroup, system (x) range(P) for the
-    selective limit, and the system alone (a probe factor of dimension 1) for
-    closed forms.  `sys_states`, the normalized reduced system states, are
-    derived from them once, on first use, by one batched partial trace.
-    `norms` is the trace of the unnormalized state before renormalization,
-    i.e. the cumulative success probability of a conditional run
-    (identically 1 for trace-preserving runs).
+    `sys_states`, the complex (T, dim_sys, dim_sys) stack of normalized
+    reduced system states, is the one product of every runner; with `norms`,
+    the traces before renormalization (the cumulative success probability of
+    a conditional run, 1 for trace-preserving runs), it is all that the
+    outputs read.  `states`, a view for checks, holds the normalized states
+    on the producer's propagation space, built by `joint` on first use (the
+    exact runners and the semigroup lift them from their blocks by
+    `BlockLayout.lift`), or the system states when `joint` is None.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    sys_states: np.ndarray
     norms: np.ndarray
-    dims: TensorDims
+    joint: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @cached_property
-    def sys_states(self) -> np.ndarray:
-        return partial_trace(self.states, self.dims, "sys")
+    def states(self) -> np.ndarray:
+        return self.sys_states if self.joint is None else self.joint()
 
     def __len__(self) -> int:
         return len(self.times)
@@ -64,4 +64,3 @@ def bloch_vector(rho) -> np.ndarray:
     if m.shape[-1] != 2:
         raise ValueError("Bloch vector needs a 2x2 state")
     return np.stack([real_trace(m @ sig) for sig in _PAULI_XYZ], axis=-1)
-

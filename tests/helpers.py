@@ -16,7 +16,7 @@ from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
 from stroblim.experiments import ComparisonReport, compare_case
 from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
-                             is_hermitian, is_projector, max_abs)
+                             is_hermitian, is_projector, max_abs, partial_trace)
 from stroblim.nonselective_limit import block_rhs
 
 
@@ -319,14 +319,17 @@ def _reference_loop(plan, rho, measure, every):
             record((k + 1) * plan.tau, rho)
     if plan.residual > 0:
         record(plan.total_time, unitary_step(rho, h, plan.residual))
-    return Trajectory(np.array(times), np.array(states), np.array(norms),
-                      plan.hamiltonian.dims)
+    states = np.array(states)
+    return Trajectory(np.array(times), partial_trace(states, plan.hamiltonian.dims),
+                      np.array(norms), lambda: states)
 
 
 def assert_same_run(got, want, tol=1e-12):
-    """Same times; norms and states within tol (norms relative)."""
+    """Same times; norms, system states and states within tol (norms
+    relative)."""
     assert np.array_equal(got.times, want.times)
     assert max_abs((got.norms - want.norms) / want.norms) < tol
+    assert max_abs(got.sys_states - want.sys_states) < tol
     assert len(got.states) == len(want.states)
     for a, b in zip(got.states, want.states):
         assert max_abs(a - b) < tol

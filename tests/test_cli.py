@@ -14,7 +14,6 @@ from stroblim.cli import (ScenarioError, load_scenario, main, read_csv,
                           render_chart, scenario_from_dict,
                           trajectory_columns, write_trajectory_csv)
 from stroblim.experiments import run_method
-from stroblim.linalg import TensorDims
 from stroblim.trajectory import Trajectory
 
 
@@ -118,8 +117,7 @@ class TestCsv:
     def test_bytes_match_per_value_formatting(self, tmp_path):
         values = [-0.0, 5e-324, 1e300, 0.1, math.inf, math.nan]
         norms = np.array(values[::-1])
-        traj = Trajectory(np.array(values), np.ones((6, 1, 1), dtype=complex),
-                          norms, TensorDims(1, 1))
+        traj = Trajectory(np.array(values), np.ones((6, 1, 1), dtype=complex), norms)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(str(path), traj, ("trace", "p_err"), "limit")
         want = "t,trace_unnormalized,p_err,method\n" + "".join(
@@ -319,6 +317,42 @@ class TestCommands:
         assert ("scenario key 'hamiltonian.terms': assembled Hamiltonian "
                 "overflows to non-finite entries") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_scaled_hamiltonian_exits_2(self, tmp_path, capsys):
+        # a = b = diag(1e150, 1e150) assemble to a finite h = 1e300, but at
+        # gamma = 1e10 and tau = 1e-10 neither gamma h nor Omega h^2 is finite;
+        # the keyed message names the overflow, and no numpy warning escapes
+        big = complex_pairs(np.diag([1e150, 1e150]))
+        doc = bundled_doc("swap_selective")
+        doc = {k: v for k, v in doc.items() if k not in ("gamma", "tau", "omega")}
+        doc.update(hamiltonian={"terms": [{"a": big, "b": big}]}, gamma=1e10,
+                   tau=1e-10, mode="limit-only")
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["run", str(path), "--out-dir", str(out)])
+        assert rc == 2
+        assert [w.category for w in seen] == [UserWarning]    # the factor norm
+        assert ("scenario key 'hamiltonian': gamma * h overflows to non-finite "
+                "entries at gamma = 1e+10, tau = 1e-10") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    @pytest.mark.parametrize("name", ["swap_selective", "heisenberg_local_fields",
+                                      "swap_nonselective"])
+    def test_no_command_builds_joint_states(self, tmp_path, monkeypatch, name,
+                                            command):
+        # the outputs read the system states alone; the joint states are a
+        # view for the tests
+        def refuse(self):
+            raise AssertionError("a command built the joint states")
+
+        monkeypatch.setattr(Trajectory, "states", property(refuse))
+        args = ["--tau", "0.04,0.02"] if command == "sweep" else []
+        sc = bundled_path(name)
+        assert main([command, str(sc), "--out-dir", str(tmp_path), *args]) in (0, 1)
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_bloch_output_of_a_qutrit_exits_2_before_any_run(self, tmp_path, capsys,

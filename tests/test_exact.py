@@ -7,8 +7,8 @@ import pytest
 from helpers import (apply_instrument, assert_same_run, family_spec, load_bundled,
                      nonselective_channel, random_density,
                      random_hamiltonian_spec, random_ket,
-                     random_projector_family, reference_nonselective,
-                     reference_selective)
+                     random_projector_family, random_unitary,
+                     reference_nonselective, reference_selective)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       basis_ket, kron, measurement_from_kets, pauli,
                       run_nonselective, run_selective, swap_hamiltonian,
@@ -174,6 +174,34 @@ class TestRunSelective:
             except VanishingProbabilityError:
                 pass
         assert abs(total - 1.0) < 1e-10
+        # the Born rule on the states: summed over every outcome string, the
+        # unnormalized system marginals (sys_states x norms) of the selective
+        # runs are the non-selective run's, for families of up to three
+        # outcomes of unequal ranks in random probe frames; the sample at
+        # period m is a prefix shared by k^(n - m) strings.  The probe state is
+        # channel-invariant, block-diagonal in the measured basis, since the
+        # non-selective run applies the channel at t = 0 and a sequence does
+        # not.  The bound is the rounding of a sum of k^n terms of order 1
+        for dim_sys, ranks, n in [(2, (1, 2), 5), (2, (1, 1, 1), 5), (3, (2, 1, 1), 4)]:
+            cols = iter(random_unitary(rng, sum(ranks)).T)
+            spec = family_spec([[next(cols) for _ in range(r)] for r in ranks])
+            ham = random_hamiltonian_spec(rng, dim_sys, sum(ranks))
+            sigma = random_density(rng, sum(ranks))
+            init = InitialState(random_density(rng, dim_sys),
+                                sum(p @ sigma @ p for p in spec.projectors))
+            k = len(ranks)
+            for every in (1, 2):
+                plan = EvolutionPlan(ham, spec, 0.3, n * 0.3)
+                want = run_nonselective(plan, init, every)
+                total = 0
+                for seq in itertools.product(range(k), repeat=n):
+                    plan = EvolutionPlan(ham, spec, 0.3, n * 0.3, outcome_sequence=seq)
+                    traj = run_selective(plan, init, every)
+                    total = total + traj.sys_states * traj.norms[:, None, None]
+                shared = float(k) ** (n - np.arange(0, n + 1, every))
+                assert max_abs(total / shared[:, None, None]
+                               - want.sys_states * want.norms[:, None, None]
+                               ) <= k ** n * np.finfo(float).eps
 
     def test_zeno_probe_infidelity_shrinks_with_tau(self):
         # pre-measurement probe state approaches the measured vector as tau -> 0

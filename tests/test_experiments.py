@@ -41,6 +41,16 @@ class TestScenario:
         with pytest.raises(ValueError):
             replace(sc, outputs=("qubits",))
 
+    def test_scaled_hamiltonian_must_be_finite(self):
+        # every Scenario checks gamma h and Omega h^2 = gamma^2 tau h^2, so the
+        # scaled scenarios of a sweep do too; numpy warnings are errors here
+        sc = load_bundled("swap_selective")
+        with pytest.raises(ValueError, match=r"^gamma \* h overflows"):
+            replace(sc, hamiltonian=sc.hamiltonian.with_gamma(np.inf))
+        with pytest.raises(ValueError,
+                           match=r"^Omega \* h\^2 overflows .* gamma = 1e\+200"):
+            replace(sc, hamiltonian=sc.hamiltonian.with_gamma(1e200))
+
     def test_methods_spec_validated(self):
         from dataclasses import replace
         sc = load_bundled("swap_selective")
@@ -114,11 +124,12 @@ def test_states_are_one_stack(name, method):
     # semigroup and closed form
     sc = load_bundled(name, t_max=1.0, grid_points=5)
     traj = run_method(sc, method)
-    n, t = traj.dims.total, len(sc.times)
-    assert isinstance(traj.states, np.ndarray)
-    assert traj.states.shape == (t, n, n)
+    n, t = sc.hamiltonian.dim_sys, len(sc.times)
+    assert isinstance(traj.sys_states, np.ndarray)
+    assert traj.sys_states.shape == (t, n, n)
     assert traj.times.shape == traj.norms.shape == (t,)
-    assert traj.sys_states.shape == (t, traj.dims.dim_sys, traj.dims.dim_sys)
+    assert isinstance(traj.states, np.ndarray)
+    assert len(traj.states) == t
 
 
 class TestSweep:

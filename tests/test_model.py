@@ -9,7 +9,7 @@ from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       basis_ket, heisenberg3_hamiltonian, kron,
                       measurement_from_kets, pauli, projector_from_kets,
                       swap_hamiltonian)
-from stroblim.linalg import dag, is_projector, max_abs
+from stroblim.linalg import TensorDims, dag, is_projector, max_abs, partial_trace
 from stroblim.model import BlockLayout
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -246,8 +246,7 @@ class TestBlockLayout:
         blocks = layout.compress(states)
         assert blocks.shape == (3, 2, 6, 6)
         assert not blocks[:, ~layout.mask].any()
-        out = np.empty_like(states)
-        assert layout.lift(blocks, out=out) is out
+        out = layout.lift(blocks)
         assert max_abs(out - states) <= 1e-14
         assert np.array_equal(out, dag(out))
 
@@ -262,6 +261,24 @@ class TestBlockLayout:
         got = layout.lift(x)
         assert np.array_equal(got, dag(got))
         assert np.array_equal(got, layout.lift(hermitian))
+
+    @pytest.mark.parametrize("dim_sys, ranks", [(2, (1, 3)), (3, (1, 3, 1)),
+                                                (2, (2, 1, 2)), (1, (2, 1))])
+    def test_marginal_is_the_partial_trace_of_the_lift(self, rng, dim_sys, ranks):
+        # unequal ranks on a random probe frame, so the blocks are padded and
+        # the probe bases are not computational
+        layout, _ = unequal_layout(rng, dim_sys, ranks)
+        x = random_complex(rng, (5,) + layout.mask.shape)
+        blocks = np.where(layout.mask, x + dag(x), 0)
+        got = layout.marginal(blocks)
+        want = partial_trace(layout.lift(blocks),
+                             TensorDims(dim_sys, sum(ranks)), "sys")
+        assert got.shape == (5, dim_sys, dim_sys)
+        assert max_abs(got - want) <= 1e-14 * max_abs(want)
+        # one state and a stack of stacks take the same map
+        assert np.array_equal(layout.marginal(blocks[0]), got[0])
+        nested = blocks.reshape((5, 1) + blocks.shape[1:])
+        assert np.array_equal(layout.marginal(nested)[:, 0], got)
 
     def test_pairs_hold_the_compressions_on_the_diagonal(self, rng):
         layout, _ = unequal_layout(rng)
