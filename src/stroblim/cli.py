@@ -229,6 +229,8 @@ def scenario_from_dict(doc) -> Scenario:
     rho_sys = _parse_state("initial_sys", doc["initial_sys"])
     rho_pr = _parse_state("initial_pr", doc["initial_pr"])
     init = _keyed("initial_sys/initial_pr", InitialState, rho_sys, rho_pr)
+    if meas.selective and init.rho_pr.shape[0] == meas.dim_pr:   # else Scenario names the mismatch
+        _keyed("initial_pr", init.probe_block, meas.bases[meas.selected_index])
 
     outputs = doc.get("outputs", ["p_up"])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):

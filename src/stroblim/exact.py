@@ -14,7 +14,8 @@ runners carry it there, as blocks of `model.BlockLayout`.  With V_i =
 I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and U =
 exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+ on
 range(C_i), W_ij = V_i+ U V_j being the exact counterpart of the limits'
-T_ij.  A coincident-outcome selective run takes all kept periods n as binary
+T_ij.  A coincident-outcome selective run lays out the selected range
+alone, forms W_ss and no other map, and takes all kept periods n as binary
 powers of W_ss in one batch, so its cost grows with the kept samples, not
 the periods; an outcome sequence steps its block period by period, and the
 non-selective channel all blocks at once, b_i <- sum_j W_ij b_j W_ij+.  A
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PROB_FLOOR, as_matrix, conj_powers, dag, expm,
-                     partial_trace, real_trace, step_powers)
+from .linalg import (PROB_FLOOR, as_matrix, conj_powers, dag, partial_trace,
+                     real_trace, step_powers)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -91,13 +92,21 @@ class EvolutionPlan:
         return res if res > 1e-9 * self.tau else 0.0
 
 
+def _propagator(h, t: float) -> np.ndarray:
+    """exp(-i t h) for a Hermitian h, from one eigendecomposition of t h."""
+    w, v = np.linalg.eigh(t * h)
+    return (v * np.exp(-1j * w)) @ dag(v)
+
+
 def unitary_step(rho, h, t: float) -> np.ndarray:
-    """Conjugate rho by exp(-i h t).  Works for unnormalized states too."""
+    """Conjugate rho by exp(-i h t) for a Hermitian h, of which only the
+    lower triangle is read (`numpy.linalg.eigh`).  Works for unnormalized
+    states too."""
     rho = as_matrix(rho)
     h = as_matrix(h)
     if rho.shape != h.shape:
         raise ValueError("state and Hamiltonian dimensions differ")
-    u = expm(-1j * t * h)
+    u = _propagator(h, t)
     return u @ rho @ dag(u)
 
 
@@ -107,7 +116,7 @@ def _period_maps(plan: EvolutionPlan, layout: BlockLayout):
     keeps the zero padding zero, so that one batched product steps all blocks.
     """
     h = plan.hamiltonian.assemble()
-    u = expm(-1j * plan.tau * h)
+    u = _propagator(h, plan.tau)
     return h, u, layout.pairs(u)
 
 
@@ -179,24 +188,19 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     meas = plan.measurement
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    seq = plan.outcome_sequence
+    seq, s = plan.outcome_sequence, meas.selected_index
     if seq is None:
-        if meas.selected_index is None:
+        if s is None:
             raise ValueError("selective run needs a selected outcome or an "
                              "explicit outcome sequence")
-        init.probe_block(meas.bases[meas.selected_index])
-    layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
-    bases = layout.bases
+        init.probe_block(meas.bases[s])
+    # a coincident run stays on the selected range
+    layout = BlockLayout(plan.hamiltonian.dim_sys,
+                         meas.bases if seq is not None else meas.bases[s:s + 1])
     h, u, w = _period_maps(plan, layout)
     rho0 = init.joint()
-
-    def on_outcomes(r, outcomes):      # block t at outcomes[t], zero elsewhere
-        out = np.zeros((len(r),) + w.shape[1:], dtype=complex)
-        out[np.arange(len(r)), outcomes] = r
-        return out
-
     if seq is not None:
-        maps = [dag(bases[seq[0]]) @ u] if seq else []
+        maps = [dag(layout.bases[seq[0]]) @ u] if seq else []
         maps += [w[i, j] for j, i in zip(seq, seq[1:])]
         maps = [(m, dag(m)) for m in maps]
 
@@ -206,13 +210,14 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
             _check_probability(k + 1, r)
             return r
 
-        def stepped(ns):
+        def stepped(ns):            # block t at outcome seq[ns[t] - 1], zero elsewhere
             r = step_powers(step, rho0, ns, w.shape[2:])
-            return on_outcomes(r, np.array(seq, dtype=np.int64)[ns - 1])
+            out = np.zeros((len(r),) + w.shape[1:], dtype=complex)
+            out[np.arange(len(r)), np.array(seq, dtype=np.int64)[ns - 1]] = r
+            return out
 
         return _interrupted(plan, h, rho0, layout, stepped, every)
-    s = meas.selected_index
-    w_ss, r0 = w[s, s], dag(bases[s]) @ rho0 @ bases[s]
+    w_ss, r0 = w[0, 0], layout.compress(rho0)[0]
 
     def powers(ns):
         r = conj_powers(w_ss, r0, ns)
@@ -227,7 +232,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                 else:
                     lo = mid
             _check_probability(hi, conj_powers(w_ss, r0, [hi])[0])
-        return on_outcomes(r, s)
+        return r[:, None]
 
     return _interrupted(plan, h, rho0, layout, powers, every)
 

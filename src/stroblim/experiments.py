@@ -37,8 +37,10 @@ class Scenario:
 
     Omega is implied by gamma (in the Hamiltonian) and tau.  When an exact
     method participates, the requested grid must hit integer multiples of tau,
-    where exact and limit dynamics are directly comparable.  `tolerance` is
-    the largest max deviation a comparison passes with.
+    where exact and limit dynamics are directly comparable.  A selective
+    measurement needs the initial probe state supported in the selected
+    range, by the rule of `InitialState.probe_block`.  `tolerance`, finite
+    and positive, is the largest max deviation a comparison passes with.
     """
 
     name: str
@@ -78,11 +80,17 @@ class Scenario:
             raise ValueError("measurement and Hamiltonian probe dimensions differ")
         if self.initial.dims != self.hamiltonian.dims:
             raise ValueError("initial state does not match Hamiltonian dimensions")
+        if not 0 < self.tolerance < math.inf:     # NaN compares false
+            raise ValueError(f"tolerance must be a finite positive number, "
+                             f"got {self.tolerance!r}")
         check_scale(self.hamiltonian, self.tau)
         if self.mode in ("selective",) and not self.measurement.selective:
             raise ValueError("selective mode needs a selected_index")
         if self.mode in ("nonselective",) and self.measurement.selective:
             raise ValueError("nonselective mode must not set selected_index")
+        if self.selective:
+            self.initial.probe_block(
+                self.measurement.bases[self.measurement.selected_index])
         if "exact" in self.methods:
             stride = self.grid_stride
             off = abs(stride - round(stride)) > period_slack(stride)

@@ -5,9 +5,12 @@ scenarios, and the N x N non-selective generator is a real one, acting on
 the real coordinates of packed Hermitian blocks (N = sum_i n_i^2 <= d^2;
 256 x 256 for four rank-2 probe blocks at d = 32).  The exponential and its
 action keep a real input real, so the semigroup runs in real arithmetic.
-Storage is dense and every routine is deterministic: a scaling-and-squaring
-Pade exponential with an eigendecomposition fast path for (anti-)Hermitian
-generators, the action exp(a t) y of the exponential on a vector by a
+Storage is dense and every routine is deterministic at a fixed BLAS thread
+count: a degree-13 Pade exponential with scaling and squaring for any
+input (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), whose linear solve
+alone rounds differently between thread counts (OpenBLAS 0.3.31, N = 256:
+up to 3.3e-16 between one and two threads, where its products agree bit
+for bit), the action exp(a t) y of the exponential on a vector by a
 truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011), binary powers m^n r0 m^n+ for a whole stack of n at
 once, and one grid sampler `sample_runs` through which both limit
@@ -156,11 +159,22 @@ def _pade_squarings(norm1: float) -> int:
     return int(math.ceil(math.log2(norm1 / _PADE13_THETA)))
 
 
-def _expm_pade(m: np.ndarray) -> np.ndarray:
+def expm(a) -> np.ndarray:
+    """Matrix exponential by degree-13 Pade with scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), whatever the structure
+    of the input.  A real input stays in real arithmetic and gives a real
+    result; the zero matrix gives the identity exactly.  Raises ValueError
+    on non-finite input or when scaling cannot tame the norm.
+    """
+    m = as_matrix(a, dtype=float if np.isrealobj(a) else complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix exponential requires finite entries")
+    eye = np.eye(m.shape[0], dtype=m.dtype)
+    if not m.any():
+        return eye
     s = _pade_squarings(float(np.linalg.norm(m, 1)))
     m = m / (2.0 ** s) if s else m
     b = _PADE13_B
-    eye = np.eye(m.shape[0], dtype=m.dtype)
     m2 = m @ m
     m4 = m2 @ m2
     m6 = m2 @ m4
@@ -172,35 +186,6 @@ def _expm_pade(m: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
-
-
-def expm(a) -> np.ndarray:
-    """Matrix exponential.
-
-    (Anti-)Hermitian inputs go through an exact eigendecomposition; everything
-    else uses degree-13 Pade with scaling and squaring.  A real input gives a
-    real result on every branch: Pade and the symmetric eigendecomposition
-    stay in real arithmetic, and the antisymmetric branch, whose eigenvectors
-    are complex, drops the rounding-level imaginary part of its orthogonal
-    result.  The (anti-)Hermitian tests are relative to the largest entry,
-    so a small generator is not rounded to its (anti-)Hermitian part.
-    Raises ValueError on non-finite input or when scaling cannot tame the
-    norm.
-    """
-    real = np.isrealobj(a)
-    m = as_matrix(a, dtype=float if real else complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix exponential requires finite entries")
-    scale = max_abs(m)
-    if max_abs(m - dag(m)) <= 1e-12 * scale:
-        w, v = np.linalg.eigh((m + dag(m)) / 2)
-        return (v * np.exp(w)) @ dag(v)
-    if max_abs(m + dag(m)) <= 1e-12 * scale:
-        # m = -i h with h Hermitian, so expm(m) = V e^{-i w} V+
-        w, v = np.linalg.eigh(1j * m)
-        e = (v * np.exp(-1j * w)) @ dag(v)
-        return e.real if real else e
-    return _expm_pade(m)
 
 
 # theta_m of the degree-m truncated Taylor series at unit roundoff 2^-53: the
@@ -263,19 +248,13 @@ def _norm2(y) -> float:
 
 def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
     """Trace out one tensor factor of a system (x) probe operator, or of each
-    operator in a (..., n, n) stack.
-
-    A traced factor of dimension 1 leaves the operator unchanged, so the input
-    itself is returned.
-    """
+    operator in a (..., n, n) stack."""
     m = as_matrix(rho, stack=True)
     if m.shape[-1] != dims.total:
         raise ValueError(f"operator dim {m.shape[-1]} does not match "
                          f"{dims.dim_sys}x{dims.dim_pr} split")
     if keep not in ("sys", "pr"):
         raise ValueError(f"keep must be 'sys' or 'pr', got {keep!r}")
-    if (dims.dim_pr if keep == "sys" else dims.dim_sys) == 1:
-        return m
     r = m.reshape(m.shape[:-2] + (dims.dim_sys, dims.dim_pr, dims.dim_sys, dims.dim_pr))
     if keep == "sys":
         return np.einsum("...ipjp->...ij", r)

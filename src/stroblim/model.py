@@ -155,8 +155,8 @@ class HamiltonianSpec:
 class BlockLayout:
     """The one format of block-diagonal states on the measured ranges.
 
-    `bases` is the (k, d, m) stack of V_i = I_sys (x) v_i for orthonormal
-    probe bases v_i (e.g. a MeasurementSpec's), which map onto the ranges of
+    `bases` is the (k, d, m) stack of V_i = I_sys (x) v_i for the orthonormal
+    `probe_bases` v_i (e.g. a MeasurementSpec's), which map onto the ranges of
     C_i = I_sys (x) P_i, padded to the widest range m with zero columns;
     `sizes` holds the block sides dim_sys * r_i.  A state rho is carried as
     its (k, m, m) blocks V+ rho V (`compress`), each top left inside `mask`,
@@ -169,6 +169,7 @@ class BlockLayout:
 
     def __init__(self, dim_sys: int, probe_bases) -> None:
         self.dim_sys = dim_sys
+        self.probe_bases = tuple(probe_bases)
         iso = [kron(np.eye(dim_sys), v) for v in probe_bases]
         self.sizes = np.array([v.shape[1] for v in iso])
         self.bases = np.zeros((len(iso), iso[0].shape[0], self.sizes.max()),
@@ -212,10 +213,14 @@ class BlockLayout:
         """The (..., dim_sys, dim_sys) system marginals sum_i Tr_{r_i} b_i of
         a (..., k, m, m) block stack: the probe traced out of sum_i V_i b_i
         V_i+, whatever the probe bases.  Each block is cut to its side
-        sizes[i] before it splits as dim_sys x r_i; the padded side may not."""
+        sizes[i] before it splits as dim_sys x r_i; the padded side may not.
+        A block of rank 1 is its own marginal, so a layout of one such block
+        returns a view of the stack."""
         b, ds = np.asarray(blocks), self.dim_sys
-        return sum(np.einsum("...apbp->...ab", b[..., i, :n, :n].reshape(
-            b.shape[:-3] + (ds, n // ds) * 2)) for i, n in enumerate(self.sizes))
+        parts = [b[..., i, :n, :n] for i, n in enumerate(self.sizes)]
+        parts = [x if n == ds else np.einsum("...apbp->...ab", x.reshape(
+            b.shape[:-3] + (ds, n // ds) * 2)) for x, n in zip(parts, self.sizes)]
+        return sum(parts[1:], parts[0])
 
     def lift(self, blocks) -> np.ndarray:
         """The (T, d, d) states sum_i V_i b_i V_i+ of a (T, k, m, m) Hermitian

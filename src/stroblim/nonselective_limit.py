@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import TensorDims, as_matrix, expm_vec_run, real_trace, sample_runs
+from .linalg import as_matrix, expm_vec_run, real_trace, sample_runs
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -50,7 +50,6 @@ class NonselectiveEffective:
     trans: np.ndarray
     heff: np.ndarray
     generator: np.ndarray
-    dims: TensorDims
 
     @property
     def omega(self) -> float:
@@ -105,7 +104,7 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
                 g[k, :, :, k] += h.real                 # delta_ad
     return NonselectiveEffective(
         gamma=gamma, tau=tau, layout=layout, trans=trans, heff=heff,
-        generator=gen, dims=ham.dims)
+        generator=gen)
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
@@ -125,10 +124,9 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     over a huge gap.  The joint states, Hermitian bit for bit, are lifted
     from the kept coordinates only for `Trajectory.states`.
     """
-    rho0 = init.joint()
-    if rho0.shape[0] != eff.dims.total:
+    rho0, layout = init.joint(), eff.layout
+    if rho0.shape[0] != layout.bases.shape[1]:
         raise ValueError("initial state does not match the generator dimensions")
-    layout = eff.layout
     times = np.asarray(times, dtype=float)
     coords = sample_runs(layout.pack(layout.compress(rho0)), times,
                          partial(expm_vec_run, eff.generator))

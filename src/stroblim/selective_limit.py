@@ -17,8 +17,7 @@ from functools import partial
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import (PROB_FLOOR, TensorDims, dag, kraus_run, kron,
-                     partial_trace, real_trace, sample_runs)
+from .linalg import PROB_FLOOR, dag, kraus_run, real_trace, sample_runs
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -27,19 +26,18 @@ from .trajectory import Trajectory
 class SelectiveEffective:
     """Effective generator H1 - i H2 of the post-selected branch.
 
-    Operators act on system (x) range(P), compressed through the isometry
-    `probe_basis` whose columns are an orthonormal basis of range(P); `dims`
-    is the compressed split (dim_sys, rank of P).  For a rank-1 projector
-    |phi><phi| the probe factor is one-dimensional (`probe_basis` is phi as a
-    column), so the operators act on the system alone.
+    Operators act on system (x) range(P), compressed by the one-block
+    `layout` whose probe basis, layout.probe_bases[0], is an orthonormal
+    basis of range(P).  For a rank-1 projector |phi><phi| the probe factor
+    is one-dimensional (the basis is phi as a column), so the operators act
+    on the system alone.
     """
 
     h1: np.ndarray
     h2: np.ndarray
     gamma: float
     tau: float
-    probe_basis: np.ndarray
-    dims: TensorDims
+    layout: BlockLayout
 
     @property
     def omega(self) -> float:
@@ -72,10 +70,11 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     With V = I_sys (x) v for an orthonormal basis v of range(P) (`basis`, or
     eigenvectors of P) and h the dimensionless Hamiltonian,
     H1 = gamma V+ h V and H2 = (Omega/2) (V+ h^2 V - (V+ h V)^2), built by
-    `HamiltonianSpec.blocks`.  H1 - i H2 is the diagonal block Heff of the
-    non-selective generator for the same projector in a complete family.
-    P and basis are validated as a one-projector MeasurementSpec; tau and the
-    probe dimension are checked here.  H1 is Hermitian and H2 =
+    `HamiltonianSpec.blocks` on the one-block layout of v, which the result
+    keeps.  H1 - i H2 is the diagonal block Heff of the non-selective
+    generator for the same projector in a complete family.  P and basis are
+    validated as a one-projector MeasurementSpec; tau and the probe
+    dimension are checked here.  H1 is Hermitian and H2 =
     (Omega/2) V+ h (1 - P) h V >= 0 by construction once `HamiltonianSpec`
     has accepted a Hermitian h, so neither is re-checked.
     """
@@ -84,10 +83,10 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
     spec = MeasurementSpec((proj,), 0, None if basis is None else (basis,))
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("projector dimension does not match the Hamiltonian")
-    _, h1, h2 = ham.blocks(BlockLayout(ham.dim_sys, spec.bases), tau)
+    layout = BlockLayout(ham.dim_sys, spec.bases)
+    _, h1, h2 = ham.blocks(layout, tau)
     return SelectiveEffective(h1=h1[0], h2=h2[0], gamma=ham.gamma, tau=tau,
-                              probe_basis=spec.bases[0],
-                              dims=TensorDims(ham.dim_sys, spec.ranks[0]))
+                              layout=layout)
 
 
 def propagate_kraus(eff: SelectiveEffective, init: InitialState,
@@ -98,18 +97,22 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     taking its states as binary powers of one Kraus step (`linalg.kraus_run`);
     times must be finite, non-negative and non-decreasing.  The initial probe
     state must be supported in range(P), by the rule of
-    `InitialState.probe_block` that `exact.run_selective` applies too.  The
-    norms are the branch probabilities tr[K rho K+], non-increasing in T; as
-    in `exact.run_selective`, one below PROB_FLOOR raises
-    VanishingProbabilityError.  The system states are the normalized states
-    traced over range(P), which are kept for `Trajectory.states`.
+    `InitialState.probe_block` that `exact.run_selective` applies too, and
+    the run starts from the block V+ rho0 V of the joint initial state, as
+    that runner does.  The norms are the branch probabilities tr[K rho K+],
+    non-increasing in T; as in `exact.run_selective`, one below PROB_FLOOR
+    raises VanishingProbabilityError.  The system states are the marginals
+    (`BlockLayout.marginal`) of the normalized blocks, which are kept for
+    `Trajectory.states`.
     """
     times = np.asarray(times, dtype=float)
-    v = eff.probe_basis
+    layout = eff.layout
+    v = layout.probe_bases[0]
     if init.rho_pr.shape[0] != v.shape[0]:
         raise ValueError("initial probe dimension does not match the generator")
-    rho0 = kron(init.rho_sys, init.probe_block(v))
-    states = sample_runs(rho0, times, partial(kraus_run, -1j * eff.h_eff))
+    init.probe_block(v)
+    r0 = layout.compress(init.joint())[0]
+    states = sample_runs(r0, times, partial(kraus_run, -1j * eff.h_eff))
     norms = real_trace(states)
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:
@@ -118,6 +121,5 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
             f"branch probability vanished at T = {times[cut]:g} "
             f"(p = {norms[cut]:.3e} < {PROB_FLOOR:.1e})")
     states /= norms[:, None, None]
-    return Trajectory(times.copy(), partial_trace(states, eff.dims, "sys"), norms,
+    return Trajectory(times.copy(), layout.marginal(states[:, None]), norms,
                       lambda: states)
-

@@ -143,7 +143,7 @@ def test_nonlinear_dynamics_consistency():
             rho0 = np.outer(psi0, psi0.conj())
             dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, times)
             stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
-            phi = eff.probe_basis[:, 0]
+            phi = eff.layout.probe_bases[0][:, 0]
             init = InitialState(rho0, np.outer(phi, phi.conj()))
             kraus = propagate_kraus(eff, init, times)
             for k in range(len(times)):
@@ -154,7 +154,7 @@ def test_nonlinear_dynamics_consistency():
                 assert abs(np.trace(dens[k] @ dens[k]).real - 1.0) <= 1e-6
         # finite-difference purity derivative on the flagship case
         eff, psi0 = cases[0]
-        phi = eff.probe_basis[:, 0]
+        phi = eff.layout.probe_bases[0][:, 0]
         init = InitialState(np.outer(psi0, psi0.conj()), np.outer(phi, phi.conj()))
         h = 1e-3
         for t in (0.5, 2.0, 5.0):
@@ -176,7 +176,7 @@ def test_nonselective_generator_properties():
             spec = family_spec(random_projector_family(rng, dp))
             eff = build_generator(ham, spec, 0.25)
             ref = full_space_reference(ham, spec, 0.25)
-            d = eff.dims.total
+            d = eff.layout.bases.shape[1]
             lam = channel_superop(ref.c_ops)
             sandwich = ref.sandwich()
             assert max_abs(sandwich - lam @ ref.lindblad @ lam) <= 1e-10

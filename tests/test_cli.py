@@ -239,6 +239,8 @@ class TestCommands:
            "hamiltonian.terms") for x in (math.inf, math.nan)],
         ({"initial_sys": {"matrix": [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
          "initial_sys.matrix"),
+        # outside range(P) of the selected projector |u><u|
+        ({"initial_pr": {"ket": [[0.6, 0.0], [0.8, 0.0]]}}, "initial_pr"),
         # The derived rates must be finite, a derived tau positive; the
         # squares must not overflow first.  A None value drops the key.
         ({"gamma": 1e200}, "omega"),
@@ -251,7 +253,7 @@ class TestCommands:
             "overflowing_t_max", "parent_dir_name", "backslash_name",
             "dot_dot_name", "empty_name", "list_name", "non_list_terms",
             "inf_term", "nan_term",
-            "ragged_state_matrix", "huge_gamma_with_tau",
+            "ragged_state_matrix", "unsupported_initial_pr", "huge_gamma_with_tau",
             "huge_gamma_with_omega", "tiny_gamma_with_omega", "huge_omega_over_tau"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, changes, reported):
         doc = bundled_doc("swap_selective")

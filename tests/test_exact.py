@@ -459,6 +459,29 @@ def test_vanishing_step_matches_the_reference_loop(every):
         run_selective(plan, init, every=every)
 
 
+def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
+    # the coincident run's layout holds the selected block alone, so a
+    # period forms W_ss and no other map; an outcome sequence forms all k^2
+    import stroblim.exact as exact
+    shapes, period_maps = [], exact._period_maps
+
+    def recording(plan, layout):
+        maps = period_maps(plan, layout)
+        shapes.append(maps[2].shape)
+        return maps
+
+    monkeypatch.setattr(exact, "_period_maps", recording)
+    ham = random_hamiltonian_spec(rng, 2, 3)
+    e = np.eye(3)
+    groups = [[e[0], e[1]], [e[2]]]
+    init = InitialState(random_density(rng, 2), np.diag([0.0, 0.0, 1.0]))
+    run_selective(EvolutionPlan(ham, family_spec(groups, selected_index=1),
+                                0.1, 1.0), init)
+    run_selective(EvolutionPlan(ham, family_spec(groups), 0.1, 0.3,
+                                outcome_sequence=(1, 0, 1)), init)
+    assert shapes == [(1, 1, 2, 2), (2, 2, 4, 4)]
+
+
 def test_binary_powers_depend_on_the_period_alone(rng):
     w = random_density(rng, 4) * 1.5      # a contraction, ||w|| < 1.5 tr w = 1.5
     r0 = random_density(rng, 4)

@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import bloch_ball_images, load_bundled
-from stroblim import HamiltonianSpec
+from stroblim import HamiltonianSpec, InitialState, basis_ket
 from stroblim.exact import steps_in
 from stroblim.experiments import (ComparisonReport, closed_form_applicable,
                                   compare_case, compare_scenario,
@@ -50,6 +51,20 @@ class TestScenario:
         with pytest.raises(ValueError,
                            match=r"^Omega \* h\^2 overflows .* gamma = 1e\+200"):
             replace(sc, hamiltonian=sc.hamiltonian.with_gamma(1e200))
+
+    def test_unsupported_initial_probe_is_rejected_on_construction(self):
+        # the support rule of the selective runners, InitialState.probe_block,
+        # applies before anything runs; a non-selective scenario takes any
+        # probe state
+        tilted = InitialState.from_kets(basis_ket("u"), [0.6, 0.8])
+        with pytest.raises(ValueError, match=r"supported in range\(P\)"):
+            replace(load_bundled("swap_selective"), initial=tilted)
+        replace(load_bundled("swap_nonselective"), initial=tilted)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be a finite positive"):
+            replace(load_bundled("swap_selective"), tolerance=tolerance)
 
     def test_methods_spec_validated(self):
         from dataclasses import replace

@@ -100,7 +100,7 @@ class TestExpm:
 
     @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "general"])
     def test_real_input_gives_a_real_result(self, rng, kind):
-        # one case per branch: symmetric eigh, antisymmetric eigh, Pade
+        # Pade keeps real arithmetic whatever the structure of the input
         m = rng.standard_normal((6, 6))
         m = {"symmetric": m + m.T, "antisymmetric": m - m.T, "general": m}[kind]
         m = 2.0 * m / np.linalg.norm(m, 2)
@@ -112,7 +112,7 @@ class TestExpm:
     @pytest.mark.parametrize("real", [True, False])
     def test_small_input_keeps_its_non_hermitian_part(self, rng, real):
         # entries near 1e-13 are within 1e-12 of Hermitian in absolute terms;
-        # rounding m to its Hermitian part would err by about |m|
+        # any rounding of m to its Hermitian part would err by about |m|
         m = random_complex(rng, (4, 4))
         m = (m.real if real else m) * 1e-13
         assert max_abs(expm(m) - (np.eye(4) + m)) <= 1e-15

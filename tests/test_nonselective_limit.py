@@ -118,7 +118,7 @@ class TestBuildGenerator:
 
     def test_fixes_maximally_mixed_and_trace(self, rng):
         eff, ref = random_generator(rng, 2, 3)
-        d = eff.dims.total
+        d = eff.layout.bases.shape[1]
         assert max_abs(block_apply(eff, np.eye(d) / d)) < 1e-10
         assert max_abs(ref.apply(np.eye(d) / d)) < 1e-10
         x = random_hermitian(rng, d)
@@ -173,9 +173,9 @@ class TestBuildGenerator:
             assert max_abs(eff.generator - want) <= 1e-12
 
     def test_bare_commutator_runs_through_the_dense_exponential(self, rng):
-        # [h, C_i] = 0: the real generator is antisymmetric, so expm takes
-        # its eigendecomposition branch; the run stays real and raises no
-        # ComplexWarning, which the test settings turn into an error
+        # [h, C_i] = 0: the real generator is antisymmetric, an orthogonal
+        # exponential; the run stays real and raises no ComplexWarning,
+        # which the test settings turn into an error
         a = random_hermitian(rng, 2, norm=1.0)
         eff = build_generator(HamiltonianSpec(1.5, ((a, pauli(3)),)),
                               zbasis_meas(), 0.1)

@@ -7,14 +7,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import (assert_same_run, family_spec, random_density,
+from helpers import (assert_same_run, channel_superop, choi_matrix, family_spec,
+                     full_space_reference, random_density,
                      random_hamiltonian_spec, random_projector_family,
-                     random_unitary, reference_sample_runs, reference_selective)
+                     random_unitary, reference_sample_runs, reference_selective,
+                     unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       build_generator, effective_rankr, run_selective,
                       semigroup_propagate)
-from stroblim.linalg import (_action_run, _dense_run, dag, max_abs, op_norm,
-                             sample_runs)
+from stroblim.linalg import (_action_run, _dense_run, dag, expm, max_abs,
+                             op_norm, sample_runs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -110,6 +112,30 @@ def test_semigroup_keeps_trace_and_blocks(seed, dims, norm):
     v = eff.layout.bases
     blocks = dag(v) @ traj.states[:, None] @ v
     assert max_abs((v @ blocks @ dag(v)).sum(axis=-3) - traj.states) <= 1e-12
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), dims=UNEQUAL_DIMS,
+                  norm=FACTOR_NORMS)
+def test_semigroup_after_the_channel_is_completely_positive(seed, dims, norm):
+    # exp(L t) of the real generator on the packed blocks, after the
+    # measurement channel (the compression to the blocks), extended complex-
+    # linearly from Hermitian inputs: its Choi matrix is positive, and it is
+    # the full-space Lindblad reference after the channel
+    _, ham, spec = random_family_model(seed, dims, norm)
+    eff = build_generator(ham, spec, 0.25)
+    ref = full_space_reference(ham, spec, 0.25)
+    layout, d = eff.layout, ham.dims.total
+    units = np.array([unvec(e) for e in np.eye(d * d)])       # vec(units[c]) = e_c
+    parts = np.concatenate(((units + dag(units)) / 2, (units - dag(units)) / 2j))
+    coords = layout.pack(layout.compress(parts))
+    for t in (0.5, 4.0):
+        images = layout.lift(layout.unpack(coords @ expm(eff.generator * t).T))
+        images = images[:d * d] + 1j * images[d * d:]
+        superop = np.column_stack([vec(x) for x in images])
+        assert max_abs(superop - expm(ref.lindblad * t) @ channel_superop(ref.c_ops)) \
+            <= 1e-10
+        assert np.linalg.eigvalsh(choi_matrix(superop)).min() >= -1e-8
 
 
 def random_grid(rng, start, h, size):

@@ -27,7 +27,8 @@ def swap_eff():
 
 def embed_rankr(eff):
     """Lift compressed joint-space operators back to the full product space."""
-    v = kron(np.eye(eff.h1.shape[0] // eff.probe_basis.shape[1]), eff.probe_basis)
+    p = eff.layout.probe_bases[0]
+    v = kron(np.eye(eff.h1.shape[0] // p.shape[1]), p)
     return v @ eff.h1 @ dag(v), v @ eff.h2 @ dag(v)
 
 
@@ -269,6 +270,12 @@ class TestPropagateKraus:
         with pytest.raises(ValueError, match=r"range\(P\)"):
             propagate_kraus(eff, init, [0.0])
 
+    def test_a_rank1_block_is_its_own_marginal(self):
+        # the system states are the normalized blocks themselves, not a copy
+        init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
+        traj = propagate_kraus(swap_eff(), init, np.linspace(0.0, 1.0, 5))
+        assert np.shares_memory(traj.sys_states, traj.states)
+
     def test_limit_and_oracle_share_the_support_rule(self):
         # a weight of 1e-9 outside range(P) misses a unit probe-block trace by
         # less than 1e-8, but leaves P rho P - rho above 1e-10: both reject it
@@ -369,7 +376,7 @@ class TestConsistency:
             rho0 = np.outer(psi0, psi0.conj())
             dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, times)
             stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
-            phi = eff.probe_basis[:, 0]
+            phi = eff.layout.probe_bases[0][:, 0]
             init = InitialState(rho0, np.outer(phi, phi.conj()))
             kraus = propagate_kraus(eff, init, times)
             for k in range(len(times)):
