@@ -3,6 +3,9 @@
 Commands: run, compare, sweep, plot.  Exit codes are a stable contract for
 scripting: 0 success (and PASS verdicts), 1 FAIL verdicts, 2 usage or schema
 errors, 3 runtime failures (vanishing outcome probability, out of memory).
+Every schema error names the scenario key it concerns: "scenario key
+'<key>': <reason>".  The CLI checks JSON types and shapes; `Scenario` checks
+every other rule, once, and keys its own errors.
 
 Scenario files are JSON with complex numbers as [re, im] pairs and kets given
 either as amplitude lists or as 'u'/'d' label strings.  Exactly two of
@@ -22,8 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .experiments import (Scenario, check_periods, check_scale,
-                          compare_scenario, convergence_sweep, run_method)
+from .experiments import (Scenario, ScenarioError, compare_scenario,
+                          convergence_sweep, run_method)
 from .model import (HamiltonianSpec, InitialState, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets,
                     swap_hamiltonian)
@@ -35,16 +38,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-class ScenarioError(ValueError):
-    """Scenario file violates the schema."""
-
-
 # ---------------------------------------------------------------------------
 # Scenario file parsing.
-
-
-def _fail(key: str, reason: str):
-    raise ScenarioError(f"scenario key '{key}': {reason}")
 
 
 def _keyed(key: str, check, *args):
@@ -52,7 +47,7 @@ def _keyed(key: str, check, *args):
     try:
         return check(*args)
     except ValueError as err:
-        _fail(key, str(err))
+        raise ScenarioError(key, str(err)) from None
 
 
 def _parse_int(key: str, node) -> int:
@@ -60,7 +55,7 @@ def _parse_int(key: str, node) -> int:
     if isinstance(node, float) and node.is_integer():
         return int(node)
     if isinstance(node, bool) or not isinstance(node, int):
-        _fail(key, "expected an integer")
+        raise ScenarioError(key, "expected an integer")
     return node
 
 
@@ -68,7 +63,7 @@ def _parse_float(key: str, node) -> float:
     """A finite number; booleans, strings, NaN and infinities are rejected."""
     if (isinstance(node, bool) or not isinstance(node, (int, float))
             or not abs(node) <= sys.float_info.max):   # NaN compares false
-        _fail(key, "expected a finite number")
+        raise ScenarioError(key, "expected a finite number")
     return float(node)
 
 
@@ -105,9 +100,9 @@ def _parse_complex_matrix(key: str, node) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
     except (TypeError, ValueError):
-        _fail(key, "expected a matrix of [re, im] pairs")
+        raise ScenarioError(key, "expected a matrix of [re, im] pairs")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        _fail(key, "expected a square matrix of [re, im] pairs")
+        raise ScenarioError(key, "expected a square matrix of [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -117,31 +112,31 @@ def _parse_ket(key: str, node) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
     except (TypeError, ValueError):
-        _fail(key, "expected a label string or a list of [re, im] pairs")
+        raise ScenarioError(key, "expected a label string or a list of [re, im] pairs")
     if arr.ndim != 2 or arr.shape[1] != 2:
-        _fail(key, "expected a label string or a list of [re, im] pairs")
+        raise ScenarioError(key, "expected a label string or a list of [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _parse_state(key: str, node) -> np.ndarray:
     """Density matrix from {'ket': ...} or {'matrix': ...}."""
     if not isinstance(node, dict):
-        _fail(key, "expected an object with a 'ket' or 'matrix' entry")
+        raise ScenarioError(key, "expected an object with a 'ket' or 'matrix' entry")
     if "ket" in node:
         psi = _parse_ket(f"{key}.ket", node["ket"])
         n = np.linalg.norm(psi)
         if n <= 0:
-            _fail(key, "ket must be non-zero")
+            raise ScenarioError(key, "ket must be non-zero")
         psi = psi / n
         return np.outer(psi, psi.conj())
     if "matrix" in node:
         return _parse_complex_matrix(f"{key}.matrix", node["matrix"])
-    _fail(key, "expected a 'ket' or 'matrix' entry")
+    raise ScenarioError(key, "expected a 'ket' or 'matrix' entry")
 
 
 def _parse_hamiltonian(node, gamma: float) -> HamiltonianSpec:
     if not isinstance(node, dict):
-        _fail("hamiltonian", "expected an object")
+        raise ScenarioError("hamiltonian", "expected an object")
     if "builder" in node:
         builder = node["builder"]
         if builder == "swap":
@@ -149,21 +144,20 @@ def _parse_hamiltonian(node, gamma: float) -> HamiltonianSpec:
         if builder == "heisenberg3":
             field = node.get("field", "local_xyz")
             return _keyed("hamiltonian.field", heisenberg3_hamiltonian, gamma, field)
-        _fail("hamiltonian.builder", f"unknown builder {builder!r}")
+        raise ScenarioError("hamiltonian.builder", f"unknown builder {builder!r}")
     if "terms" in node:
         if not isinstance(node["terms"], list):
-            _fail("hamiltonian.terms", "expected a list of {'a': ..., 'b': ...}")
+            raise ScenarioError("hamiltonian.terms",
+                                "expected a list of {'a': ..., 'b': ...}")
         terms = []
         for k, term in enumerate(node["terms"]):
             if not isinstance(term, dict) or "a" not in term or "b" not in term:
-                _fail(f"hamiltonian.terms[{k}]", "expected {'a': ..., 'b': ...}")
+                raise ScenarioError(f"hamiltonian.terms[{k}]",
+                                    "expected {'a': ..., 'b': ...}")
             terms.append((_parse_complex_matrix(f"hamiltonian.terms[{k}].a", term["a"]),
                           _parse_complex_matrix(f"hamiltonian.terms[{k}].b", term["b"])))
-        try:
-            return HamiltonianSpec(gamma, tuple(terms))
-        except ValueError as err:
-            _fail("hamiltonian.terms", str(err))
-    _fail("hamiltonian", "expected a 'builder' or 'terms' entry")
+        return _keyed("hamiltonian.terms", HamiltonianSpec, gamma, tuple(terms))
+    raise ScenarioError("hamiltonian", "expected a 'builder' or 'terms' entry")
 
 
 def _resolve_rates(doc) -> tuple[float, float]:
@@ -171,54 +165,56 @@ def _resolve_rates(doc) -> tuple[float, float]:
     derived gamma, tau and omega = gamma^2 tau must be finite, tau positive."""
     have = {k: _parse_float(k, doc[k]) for k in ("gamma", "tau", "omega") if k in doc}
     if "tau" in have and have["tau"] <= 0:
-        _fail("tau", "must be positive")
+        raise ScenarioError("tau", "must be positive")
     if "omega" in have and have["omega"] < 0:
-        _fail("omega", "must be non-negative")
+        raise ScenarioError("omega", "must be non-negative")
     if len(have) < 2:
-        _fail("gamma/tau/omega", "exactly two of the three are required")
+        raise ScenarioError("gamma/tau/omega", "exactly two of the three are required")
     gamma, tau = have.get("gamma"), have.get("tau")
     if len(have) == 3:
         omega = have["omega"]
         if abs(gamma * gamma * tau - omega) > 1e-12 * max(1.0, abs(omega)):
-            _fail("omega", "inconsistent with gamma^2 * tau")
+            raise ScenarioError("omega", "inconsistent with gamma^2 * tau")
     elif gamma is None:
         gamma = math.sqrt(have["omega"] / tau)
     elif tau is None:
         if gamma == 0:
-            _fail("gamma", "cannot derive tau from omega when gamma is zero")
+            raise ScenarioError("gamma",
+                                "cannot derive tau from omega when gamma is zero")
         if have["omega"] == 0:
-            _fail("omega", "must be positive when tau is derived from it")
+            raise ScenarioError("omega", "must be positive when tau is derived from it")
         tau = have["omega"] / (gamma * gamma) if gamma * gamma else math.inf
     for key, value in (("gamma", gamma), ("tau", tau), ("omega", gamma * gamma * tau)):
         if not (math.isfinite(value) and (key != "tau" or value > 0)):
-            _fail(key, f"comes out as {value:g} from the given rates, expected a "
-                       f"finite {'positive ' if key == 'tau' else ''}number")
+            raise ScenarioError(key, f"comes out as {value:g} from the given rates, "
+                                f"expected a finite {'positive ' if key == 'tau' else ''}"
+                                "number")
     return gamma, tau
 
 
 def scenario_from_dict(doc) -> Scenario:
     if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+        raise ScenarioError(None, "scenario document must be a JSON object")
     for key in ("name", "mode", "hamiltonian", "projectors", "initial_sys",
                 "initial_pr", "t_max", "grid_points"):
         if key not in doc:
-            _fail(key, "missing required key")
+            raise ScenarioError(key, "missing required key")
     name = doc["name"]
     # The name is the stem of every output file.
     if (not isinstance(name, str) or name in ("", ".", "..")
             or set(name) & set("/\\\0")):
-        _fail("name", "expected a non-empty file name without path separators")
+        raise ScenarioError("name",
+                            "expected a non-empty file name without path separators")
     gamma, tau = _resolve_rates(doc)
     ham = _parse_hamiltonian(doc["hamiltonian"], gamma)
-    _keyed("hamiltonian", check_scale, ham, tau)
 
     projs = doc["projectors"]
     if not isinstance(projs, list) or not projs:
-        _fail("projectors", "expected a non-empty list of ket lists")
+        raise ScenarioError("projectors", "expected a non-empty list of ket lists")
     groups = []
     for i, group in enumerate(projs):
         if not isinstance(group, list) or not group:
-            _fail(f"projectors[{i}]", "expected a non-empty ket list")
+            raise ScenarioError(f"projectors[{i}]", "expected a non-empty ket list")
         groups.append([_parse_ket(f"projectors[{i}][{j}]", k)
                        for j, k in enumerate(group)])
     selected = doc.get("selected_index")
@@ -229,44 +225,27 @@ def scenario_from_dict(doc) -> Scenario:
     rho_sys = _parse_state("initial_sys", doc["initial_sys"])
     rho_pr = _parse_state("initial_pr", doc["initial_pr"])
     init = _keyed("initial_sys/initial_pr", InitialState, rho_sys, rho_pr)
-    if meas.selective and init.rho_pr.shape[0] == meas.dim_pr:   # else Scenario names the mismatch
-        _keyed("initial_pr", init.probe_block, meas.bases[meas.selected_index])
 
     outputs = doc.get("outputs", ["p_up"])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        _fail("outputs", "expected a list of output names")
+        raise ScenarioError("outputs", "expected a list of output names")
     tolerances = doc.get("tolerances")
     if tolerances is None:
         tolerances = {}
     elif not isinstance(tolerances, dict):
-        _fail("tolerances", "expected an object")
+        raise ScenarioError("tolerances", "expected an object")
     tolerance = _parse_float("tolerances.max_deviation",
                              tolerances.get("max_deviation", Scenario.tolerance))
-    if tolerance <= 0:
-        _fail("tolerances.max_deviation", "expected a finite positive number")
     t_max = _parse_float("t_max", doc["t_max"])
-    _keyed("t_max", check_periods, t_max, tau)
     grid_points = _parse_int("grid_points", doc["grid_points"])
     methods = doc.get("methods")
     if methods is not None and (not isinstance(methods, list)
                                 or not all(isinstance(m, str) for m in methods)):
-        _fail("methods", "expected a list of method names")
-    try:
-        return Scenario(
-            name=name,
-            hamiltonian=ham,
-            measurement=meas,
-            initial=init,
-            tau=tau,
-            t_max=t_max,
-            grid_points=grid_points,
-            mode=str(doc["mode"]),
-            outputs=tuple(outputs),
-            tolerance=tolerance,
-            methods_spec=tuple(methods) if methods is not None else None,
-        )
-    except ValueError as err:
-        raise ScenarioError(f"scenario invalid: {err}")
+        raise ScenarioError("methods", "expected a list of method names")
+    return Scenario(name=name, hamiltonian=ham, measurement=meas, initial=init,
+                    tau=tau, t_max=t_max, grid_points=grid_points, mode=str(doc["mode"]),
+                    outputs=tuple(outputs), tolerance=tolerance,
+                    methods_spec=tuple(methods) if methods is not None else None)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -274,9 +253,9 @@ def load_scenario(path: str) -> Scenario:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as err:
-        raise ScenarioError(f"cannot read scenario file: {err}")
+        raise ScenarioError(None, f"cannot read scenario file: {err}")
     except json.JSONDecodeError as err:
-        raise ScenarioError(f"scenario file is not valid JSON "
+        raise ScenarioError(None, f"scenario file is not valid JSON "
                             f"(line {err.lineno}, column {err.colno}): {err.msg}")
     return scenario_from_dict(doc)
 
@@ -416,8 +395,8 @@ def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) ->
     if grid_points is not None:
         try:
             sc = replace(sc, grid_points=grid_points)
-        except ValueError as err:
-            raise ValueError(f"argument --grid-points: {err}") from None
+        except ScenarioError as err:
+            raise ValueError(f"argument --grid-points: {err.reason}") from None
     os.makedirs(out_dir, exist_ok=True)
     for method in sc.methods:
         traj = run_method(sc, method)

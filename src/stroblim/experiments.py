@@ -31,6 +31,15 @@ OUTPUT_KEYS = ("p_up", "bloch", "purity", "trace", "p_err", "matrix")
 MODES = ("selective", "nonselective", "limit-only", "compare")
 
 
+class ScenarioError(ValueError):
+    """A scenario violates the schema: `reason`, reported under the scenario
+    file key `key` it concerns (None for the file as a whole)."""
+
+    def __init__(self, key: str | None, reason: str) -> None:
+        super().__init__(reason if key is None else f"scenario key '{key}': {reason}")
+        self.key, self.reason = key, reason
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible run configuration.
@@ -41,6 +50,8 @@ class Scenario:
     measurement needs the initial probe state supported in the selected
     range, by the rule of `InitialState.probe_block`.  `tolerance`, finite
     and positive, is the largest max deviation a comparison passes with.
+    Construction checks every rule, once, and raises a `ScenarioError` under
+    the scenario file key that a violated rule concerns.
     """
 
     name: str
@@ -57,46 +68,53 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ScenarioError("mode", f"expected one of {MODES}, got {self.mode!r}")
+        if self.mode == "selective" and not self.selective:
+            raise ScenarioError("mode", "selective mode needs a selected_index")
+        if self.mode == "nonselective" and self.selective:
+            raise ScenarioError("mode", "nonselective mode must not set selected_index")
+        for key, name, value in (("tau", "tau", self.tau),
+                                 ("t_max", "t_max", self.t_max),
+                                 ("tolerances.max_deviation", "tolerance", self.tolerance)):
+            if not 0 < value < math.inf:     # NaN compares false
+                raise ScenarioError(key, f"{name} must be a finite positive number, "
+                                         f"got {value!r}")
+        check_periods(self.t_max, self.tau)
+        check_scale(self.hamiltonian, self.tau)     # before anything scales h
+        unknown = set(self.outputs) - set(OUTPUT_KEYS)
+        if unknown:
+            raise ScenarioError("outputs", f"unknown outputs: {sorted(unknown)}")
+        if "bloch" in self.outputs and self.hamiltonian.dim_sys != 2:
+            raise ScenarioError("outputs", "output 'bloch' needs a qubit system, got "
+                                f"dim_sys = {self.hamiltonian.dim_sys}")
+        if self.measurement.dim_pr != self.hamiltonian.dim_pr:
+            raise ScenarioError("projectors", "measurement and Hamiltonian probe "
+                                "dimensions differ")
+        if self.initial.dims != self.hamiltonian.dims:
+            raise ScenarioError("initial_sys/initial_pr", "initial state does not match "
+                                "Hamiltonian dimensions")
         if self.methods_spec is not None:
             bad = set(self.methods_spec) - {"exact", "limit", "closed_form"}
             if bad:
-                raise ValueError(f"unknown methods: {sorted(bad)}")
+                raise ScenarioError("methods", f"unknown methods: {sorted(bad)}")
             if "closed_form" in self.methods_spec and not closed_form_applicable(self):
-                raise ValueError("closed_form requested but the scenario does not "
-                                 "match its preconditions")
-        if self.tau <= 0 or self.t_max <= 0:
-            raise ValueError("tau and t_max must be positive")
-        check_periods(self.t_max, self.tau)
+                raise ScenarioError("methods", "closed_form requested but the scenario "
+                                    "does not match its preconditions")
         if self.grid_points < 1:
-            raise ValueError("grid_points must be at least 1")
-        unknown = set(self.outputs) - set(OUTPUT_KEYS)
-        if unknown:
-            raise ValueError(f"unknown outputs: {sorted(unknown)}")
-        if "bloch" in self.outputs and self.hamiltonian.dim_sys != 2:
-            raise ValueError("output 'bloch' needs a qubit system, got dim_sys = "
-                             f"{self.hamiltonian.dim_sys}")
-        if self.measurement.dim_pr != self.hamiltonian.dim_pr:
-            raise ValueError("measurement and Hamiltonian probe dimensions differ")
-        if self.initial.dims != self.hamiltonian.dims:
-            raise ValueError("initial state does not match Hamiltonian dimensions")
-        if not 0 < self.tolerance < math.inf:     # NaN compares false
-            raise ValueError(f"tolerance must be a finite positive number, "
-                             f"got {self.tolerance!r}")
-        check_scale(self.hamiltonian, self.tau)
-        if self.mode in ("selective",) and not self.measurement.selective:
-            raise ValueError("selective mode needs a selected_index")
-        if self.mode in ("nonselective",) and self.measurement.selective:
-            raise ValueError("nonselective mode must not set selected_index")
+            raise ScenarioError("grid_points", "expected at least one grid point, got "
+                                f"{self.grid_points!r}")
         if self.selective:
-            self.initial.probe_block(
-                self.measurement.bases[self.measurement.selected_index])
+            try:
+                self.initial.probe_block(
+                    self.measurement.bases[self.measurement.selected_index])
+            except ValueError as err:
+                raise ScenarioError("initial_pr", str(err)) from None
         if "exact" in self.methods:
             stride = self.grid_stride
             off = abs(stride - round(stride)) > period_slack(stride)
             if off or round(stride) < 1:
-                raise ValueError("grid times must fall on integer multiples of tau "
-                                 "when an exact method runs")
+                raise ScenarioError("grid_points", "grid times must fall on integer "
+                                    "multiples of tau when an exact method runs")
 
     @property
     def omega(self) -> float:
@@ -129,23 +147,23 @@ class Scenario:
 
 
 def check_periods(t_max: float, tau: float) -> None:
-    """ValueError unless t_max spans fewer than 2**53 periods tau: beyond that
-    neither the period count nor the tau lattice is exact in a float."""
+    """ScenarioError under 't_max' unless t_max spans fewer than 2**53 periods
+    tau, beyond which neither their count nor the tau lattice is exact."""
     if t_max / tau >= 2 ** 53:
-        raise ValueError(f"t_max/tau = {t_max / tau:.3g} periods, expected "
-                         "fewer than 2**53")
+        raise ScenarioError("t_max", f"t_max/tau = {t_max / tau:.3g} periods, "
+                            "expected fewer than 2**53")
 
 
 def check_scale(ham: HamiltonianSpec, tau: float) -> None:
-    """ValueError unless gamma h and Omega h^2 are finite, Omega = gamma^2 tau:
-    the exact step and both limits scale the dimensionless h so."""
+    """ScenarioError under 'hamiltonian' unless gamma h and Omega h^2 are finite,
+    Omega = gamma^2 tau, as the exact step and both limits scale h."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = ham.dimensionless()
         for name, x in (("gamma * h", ham.gamma * h),
                         ("Omega * h^2", ham.gamma * ham.gamma * tau * (h @ h))):
             if not np.all(np.isfinite(x)):
-                raise ValueError(f"{name} overflows to non-finite entries at "
-                                 f"gamma = {ham.gamma:g}, tau = {tau:g}")
+                raise ScenarioError("hamiltonian", f"{name} overflows to non-finite "
+                                    f"entries at gamma = {ham.gamma:g}, tau = {tau:g}")
 
 
 def closed_form_applicable(sc: Scenario) -> bool:
@@ -162,10 +180,7 @@ def closed_form_applicable(sc: Scenario) -> bool:
                     dtype=complex)
     if np.max(np.abs(ham.assemble() - gamma * swap)) > 1e-10:
         return False
-    up = np.zeros((2, 2), dtype=complex)
-    up[0, 0] = 1.0
-    down = np.zeros((2, 2), dtype=complex)
-    down[1, 1] = 1.0
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     projs = sc.measurement.projectors
     if len(projs) != 2:
         return False
@@ -315,15 +330,16 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
     # Every scaled scenario is validated before any case runs.
     for tau in taus:
         try:
-            check_periods(sc.t_max, tau)        # before steps_in can overflow
-            scaled.append(replace(
-                sc,
-                hamiltonian=sc.hamiltonian.with_gamma(float(np.sqrt(omega / tau))),
-                tau=tau,
-                grid_points=steps_in(sc.t_max, tau),
-            ))
-        except ValueError as err:
-            raise ValueError(f"tau={tau:g}: {err}") from None
+            # before tau scales gamma and steps_in counts the periods
+            if not 0 < tau < math.inf:
+                raise ScenarioError("tau", "tau must be a finite positive number, "
+                                           f"got {tau!r}")
+            check_periods(sc.t_max, tau)
+            gamma = float(np.sqrt(omega / tau))
+            scaled.append(replace(sc, hamiltonian=sc.hamiltonian.with_gamma(gamma),
+                                  tau=tau, grid_points=steps_in(sc.t_max, tau)))
+        except ScenarioError as err:
+            raise ValueError(f"tau={tau:g}: {err.reason}") from None
     table = tuple((s.tau, compare_case(s).max_deviation) for s in scaled)
     return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), (),
                             max(d for _, d in table), convergence=table)

@@ -69,7 +69,8 @@ class HamiltonianSpec:
     """Coupling strength gamma with tensor-factor term pairs (A_j, B_j).
 
     The factors must have finite entries, and their assembly sum_j A_j (x) B_j
-    must not overflow and must be Hermitian.  Factor norms above 1 break the
+    must not overflow and must be Hermitian; it is made once, here, and kept
+    read-only (`dimensionless`).  Factor norms above 1 break the
     dimensionless normalization that makes gamma the characteristic
     frequency; that is only warned about, never rejected.
     """
@@ -97,11 +98,13 @@ class HamiltonianSpec:
             raise ValueError("all terms must share system and probe dimensions")
         object.__setattr__(self, "terms", tuple(clean))
         with np.errstate(over="ignore", invalid="ignore"):
-            h = self.dimensionless()
+            h = sum(kron(a, b) for a, b in clean)
         if not np.all(np.isfinite(h)):
             raise ValueError("assembled Hamiltonian overflows to non-finite entries")
         if max_abs(h - dag(h)) > DEFAULT_TOL:
             raise ValueError("assembled Hamiltonian is not Hermitian within 1e-10")
+        h.flags.writeable = False
+        object.__setattr__(self, "_h", h)
 
     @property
     def dim_sys(self) -> int:
@@ -116,18 +119,17 @@ class HamiltonianSpec:
         return TensorDims(self.dim_sys, self.dim_pr)
 
     def dimensionless(self) -> np.ndarray:
-        """sum_j A_j (x) B_j without the gamma prefactor."""
-        out = np.zeros((self.dim_sys * self.dim_pr,) * 2, dtype=complex)
-        for a, b in self.terms:
-            out += kron(a, b)
-        return out
+        """sum_j A_j (x) B_j without the gamma prefactor: the read-only array
+        assembled when the spec was made."""
+        return self._h
 
     def assemble(self) -> np.ndarray:
         return self.gamma * self.dimensionless()
 
     def with_gamma(self, gamma: float) -> HamiltonianSpec:
-        """The same terms at coupling strength gamma, sharing the terms this
-        spec has validated: no check runs again and no warning repeats."""
+        """The same terms at coupling strength gamma, sharing the terms and the
+        assembly this spec has validated: no check runs again and no warning
+        repeats."""
         out = copy.copy(self)
         object.__setattr__(out, "gamma", gamma)
         return out

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -91,6 +92,30 @@ class TestScenarioParsing:
         doc["t_max"] = doc["tau"] * 2 ** 53
         with pytest.raises(ScenarioError, match="scenario key 't_max'"):
             scenario_from_dict(doc)
+
+    def test_one_load_validates_once(self, monkeypatch):
+        # Scenario makes every check, and the CLI none of them again; h is
+        # assembled once, by the Hamiltonian's four kron terms
+        import stroblim.cli as cli
+        import stroblim.experiments as experiments
+        import stroblim.model as model
+        calls = collections.Counter()
+
+        def counted(name, original, *owners):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            for owner in owners:
+                monkeypatch.setattr(owner, name, wrapper, raising=False)
+
+        for name in ("check_scale", "check_periods"):
+            counted(name, getattr(experiments, name), experiments, cli)
+        counted("probe_block", model.InitialState.probe_block, model.InitialState)
+        counted("kron", model.kron, model)
+        sc = load_scenario(bundled_path("swap_selective"))
+        assert len(sc.hamiltonian.terms) == 4
+        assert calls == {"check_scale": 1, "check_periods": 1, "probe_block": 1,
+                         "kron": 4}
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -247,6 +272,20 @@ class TestCommands:
         ({"gamma": 1e160, "omega": 1.0, "tau": None}, "tau"),
         ({"gamma": 1e-200, "omega": 1.0, "tau": None}, "tau"),
         ({"omega": 1e300, "tau": 1e-10, "gamma": None}, "gamma"),
+        # Scenario's own rules, each under the key it concerns
+        ({"mode": "stochastic"}, "mode"),
+        ({"mode": "nonselective"}, "mode"),     # with a selected_index
+        ({"outputs": ["p_up", "spin"]}, "outputs"),
+        ({"hamiltonian": {"terms": [{"a": complex_pairs(np.eye(4)),
+                                     "b": complex_pairs(np.diag([1.0, -1.0]))}]},
+          "initial_sys": {"ket": "uu"}, "outputs": ["bloch"]}, "outputs"),
+        ({"grid_points": 7}, "grid_points"),
+        ({"grid_points": 0}, "grid_points"),
+        ({"methods": ["exact", "magic"]}, "methods"),
+        ({"methods": ["exact", "closed_form"]}, "methods"),
+        ({"projectors": [["uu"]]}, "projectors"),
+        ({"initial_sys": {"ket": "uu"}}, "initial_sys/initial_pr"),
+        ({"t_max": -1.0}, "t_max"),
     ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
             "nan_tolerance", "inf_tolerance", "zero_tolerance", "inf_t_max",
             "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma",
@@ -254,7 +293,11 @@ class TestCommands:
             "dot_dot_name", "empty_name", "list_name", "non_list_terms",
             "inf_term", "nan_term",
             "ragged_state_matrix", "unsupported_initial_pr", "huge_gamma_with_tau",
-            "huge_gamma_with_omega", "tiny_gamma_with_omega", "huge_omega_over_tau"])
+            "huge_gamma_with_omega", "tiny_gamma_with_omega", "huge_omega_over_tau",
+            "unknown_mode", "mode_against_selected_index", "unknown_output",
+            "bloch_of_a_four_level_system", "off_lattice_grid", "zero_grid_points",
+            "unknown_method", "inapplicable_closed_form", "probe_dimension_mismatch",
+            "initial_dimension_mismatch", "negative_t_max"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, changes, reported):
         doc = bundled_doc("swap_selective")
         doc.update(changes)

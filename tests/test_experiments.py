@@ -7,9 +7,10 @@ import pytest
 from helpers import bloch_ball_images, load_bundled
 from stroblim import HamiltonianSpec, InitialState, basis_ket
 from stroblim.exact import steps_in
-from stroblim.experiments import (ComparisonReport, closed_form_applicable,
-                                  compare_case, compare_scenario,
-                                  convergence_sweep, run_method)
+from stroblim.experiments import (ComparisonReport, ScenarioError,
+                                  closed_form_applicable, compare_case,
+                                  compare_scenario, convergence_sweep,
+                                  run_method)
 
 
 class TestScenario:
@@ -46,11 +47,34 @@ class TestScenario:
         # every Scenario checks gamma h and Omega h^2 = gamma^2 tau h^2, so the
         # scaled scenarios of a sweep do too; numpy warnings are errors here
         sc = load_bundled("swap_selective")
-        with pytest.raises(ValueError, match=r"^gamma \* h overflows"):
+        with pytest.raises(ScenarioError,
+                           match=r"^scenario key 'hamiltonian': gamma \* h overflows"):
             replace(sc, hamiltonian=sc.hamiltonian.with_gamma(np.inf))
-        with pytest.raises(ValueError,
-                           match=r"^Omega \* h\^2 overflows .* gamma = 1e\+200"):
+        with pytest.raises(ScenarioError, match=r"^scenario key 'hamiltonian': "
+                                                r"Omega \* h\^2 overflows .* gamma = 1e\+200"):
             replace(sc, hamiltonian=sc.hamiltonian.with_gamma(1e200))
+
+    def test_closed_form_check_follows_the_scale_check(self):
+        # closed_form_applicable scales h; an overflowing gamma h is named
+        # first, and no numpy warning escapes
+        sc = load_bundled("swap_nonselective")
+        with pytest.raises(ScenarioError, match=r"gamma \* h overflows") as err:
+            replace(sc, hamiltonian=sc.hamiltonian.with_gamma(np.inf),
+                    methods_spec=("exact", "closed_form"))
+        assert err.value.key == "hamiltonian"
+
+    @pytest.mark.parametrize("mode", ["limit-only", "compare"])
+    @pytest.mark.parametrize("key", ["tau", "t_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_and_t_max_must_be_finite_and_positive(self, mode, key, value):
+        # refused under its own key on construction: a NaN must neither wait
+        # for a method to fail nor read as an overflow of Omega h^2
+        sc = load_bundled("swap_selective")
+        with pytest.raises(ScenarioError, match=f"^scenario key '{key}': {key} must be "
+                                                "a finite positive number") as err:
+            replace(sc, mode=mode, **{key: value})
+        assert err.value.key == key
+        assert err.value.reason == f"{key} must be a finite positive number, got {value!r}"
 
     def test_unsupported_initial_probe_is_rejected_on_construction(self):
         # the support rule of the selective runners, InitialState.probe_block,
@@ -200,6 +224,14 @@ class TestSweep:
                              tau=tau, grid_points=steps_in(sc.t_max, tau))
             assert dev == compare_case(scaled).max_deviation
         assert report.max_deviation == max(d for _, d in report.convergence)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.01, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tau_refused(self, tau):
+        # named with its tau, before gamma is scaled: no numpy warning escapes
+        # the square root, and no division by zero
+        with pytest.raises(ValueError, match=rf"^tau={tau:g}: tau must be a finite "
+                                             "positive number"):
+            convergence_sweep(load_bundled("swap_selective"), [0.04, tau])
 
     def test_bad_tau_refused_before_any_case_runs(self, monkeypatch):
         import stroblim.experiments as experiments

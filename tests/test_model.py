@@ -161,6 +161,23 @@ class TestSpecs:
         assert scaled.terms is ham.terms
         assert np.array_equal(scaled.assemble(), 2.5 * ham.dimensionless())
 
+    def test_assembly_is_made_once_and_read_only(self, monkeypatch):
+        # h is assembled when the spec is made; every later read, also of a
+        # with_gamma copy, returns that array
+        import stroblim.model as model
+        ham = swap_hamiltonian(1.0)
+
+        def no_kron(*args):
+            raise AssertionError("h assembled again")
+
+        monkeypatch.setattr(model, "kron", no_kron)
+        h = ham.dimensionless()
+        assert ham.dimensionless() is h
+        assert ham.with_gamma(2.5).dimensionless() is h
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 2.0
+        assert np.array_equal(ham.with_gamma(2.5).assemble(), 2.5 * h)
+
     def test_assembly_identity(self, rng):
         from helpers import random_hamiltonian_spec
         ham = random_hamiltonian_spec(rng, 2, 3, n_terms=3, gamma=1.7)
