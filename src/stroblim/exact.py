@@ -67,10 +67,14 @@ class EvolutionPlan:
     outcome_sequence: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.total_time < 0:
-            raise ValueError("total_time must be non-negative")
+        if not 0 < self.tau < math.inf:             # NaN compares false
+            raise ValueError(f"tau must be a finite positive number, got {self.tau!r}")
+        if not 0 <= self.total_time < math.inf:
+            raise ValueError("total_time must be a finite non-negative number, "
+                             f"got {self.total_time!r}")
+        if self.total_time / self.tau >= 2 ** 53:
+            raise ValueError(f"total_time/tau = {self.total_time / self.tau:.3g} "
+                             "periods, expected fewer than 2**53")
         if self.measurement.dim_pr != self.hamiltonian.dim_pr:
             raise ValueError("measurement and Hamiltonian probe dimensions differ")
         if self.outcome_sequence is not None:

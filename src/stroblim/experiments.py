@@ -125,12 +125,16 @@ class Scenario:
         return self.measurement.selective
 
     @property
+    def step(self) -> float:
+        return self.t_max / self.grid_points
+
+    @property
     def grid_stride(self) -> float:
-        return self.t_max / self.grid_points / self.tau
+        return self.step / self.tau
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.grid_points + 1) * (self.t_max / self.grid_points)
+        return np.arange(self.grid_points + 1) * self.step
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -203,9 +207,9 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
         if sc.selective:
             sel = meas.selected_index
             eff = effective_rankr(ham, meas.projectors[sel], sc.tau, meas.bases[sel])
-            return propagate_kraus(eff, init, sc.times)
+            return propagate_kraus(eff, init, sc.step, sc.grid_points)
         eff = build_generator(ham, meas, sc.tau)
-        return semigroup_propagate(eff, init, sc.times)
+        return semigroup_propagate(eff, init, sc.step, sc.grid_points)
     if method == "closed_form":
         if not closed_form_applicable(sc):
             raise ValueError("closed form does not apply to this scenario")
@@ -335,9 +339,13 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
                 raise ScenarioError("tau", "tau must be a finite positive number, "
                                            f"got {tau!r}")
             check_periods(sc.t_max, tau)
+            periods = steps_in(sc.t_max, tau)
+            if periods < 1:
+                raise ScenarioError("tau", f"t_max = {sc.t_max:g} spans no whole "
+                                           "period, expected tau <= t_max")
             gamma = float(np.sqrt(omega / tau))
             scaled.append(replace(sc, hamiltonian=sc.hamiltonian.with_gamma(gamma),
-                                  tau=tau, grid_points=steps_in(sc.t_max, tau)))
+                                  tau=tau, grid_points=periods))
         except ScenarioError as err:
             raise ValueError(f"tau={tau:g}: {err.reason}") from None
     table = tuple((s.tau, compare_case(s).max_deviation) for s in scaled)

@@ -13,13 +13,10 @@ up to 3.3e-16 between one and two threads, where its products agree bit
 for bit), the action exp(a t) y of the exponential on a vector by a
 truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011), binary powers m^n r0 m^n+ for a whole stack of n at
-once, and one grid sampler `sample_runs` through which both limit
-propagators take their samples.  The grid sampler cuts the samples into
-runs of equal steps h and hands each run to an advance: `kraus_run` takes
-one exp(a h) per run and its binary powers, and `expm_vec_run` steps a
-vector by the action or by that exponential, whichever a cost rule finds
-cheaper.  All functions are pure; nothing mutates its inputs, and
-`conj_stack` writes only into an `out` array it is given.
+once, and `expm_vec_run`, which steps a vector by the action or by one
+exp(a h), whichever a cost rule finds cheaper, along the uniform grid that
+`uniform_counts` checks.  All functions are pure; nothing mutates its
+inputs, and `conj_stack` writes only into an `out` array it is given.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
@@ -30,8 +27,7 @@ n from 0 or 1 to n_max as an every-period run asks, as one table a level at
 a time: the states whose lowest set bit is b come from the states 2^b below
 them in one strided `conj_stack` written into the table (at n_max = 16000
 and k = 2, 1.1 ms against 3.9 ms for the prefix walk that other sets of n
-take).  `sample_runs` finds its runs of equal gaps with array passes over
-the grid: a few Python iterations per run, not one per sample.
+take).
 
 Traces and short-axis sums over a sample stack go through `einsum`
 (`real_trace`), not `np.trace` or `sum(axis=-1)`: on a 2-vCPU Xeon VM with
@@ -350,88 +346,6 @@ def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,
     return out
 
 
-def _gap_runs(times: np.ndarray):
-    """Per-sample step counts, first samples and step sizes of the runs of
-    `sample_runs`, for finite non-decreasing times.
-
-    The rule is sequential, since a gap is measured from the time base + n h
-    of the state so far, so it runs a window at a time: a step is guessed
-    wherever the grid advances by more than the tolerance, the guesses are
-    checked with the rule's own float arithmetic, and the verified prefix is
-    kept.  The first sample of a run and a sample that fails its guess are
-    decided alone.  The window doubles while the guesses hold, so the cost
-    is linear in the samples plus a constant per run.
-    """
-    tol = np.where(times > 1.0, 1e-12 * times, 1e-12)
-    counts = np.zeros(len(times), dtype=np.int64)
-    starts, sizes = [0], [0.0]      # first sample and step size h of each run
-    h = base = 0.0                  # base: time of the state when the run started
-    n = i = 0
-    fresh, width = True, 64         # fresh: no step of the current h checked yet
-    while i < len(times):
-        if not fresh:
-            stop = min(i + width, len(times))
-            t, tl = times[i:stop], tol[i:stop]
-            guess = n + np.cumsum(np.diff(t, prepend=base + n * h) > tl)
-            prev = np.concatenate(([n], guess[:-1]))
-            gap = t - (base + prev * h)
-            ok = np.where(gap <= tl, guess == prev,
-                          (np.abs(gap - h) <= tl) & (guess == prev + 1))
-            failed = np.flatnonzero(~ok)
-            k = int(failed[0]) if failed.size else len(t)
-            counts[i:i + k] = guess[:k]
-            n = int(guess[k - 1]) if k else n
-            i += k
-            if i == stop:
-                width *= 2
-                continue
-        t, tl = float(times[i]), float(tol[i])
-        now = base + n * h
-        gap = t - now
-        fresh = False
-        if gap > tl:
-            if abs(gap - h) > tl:       # h = 0 before the first step
-                h, base, n = gap, now, 0
-                starts.append(i)
-                sizes.append(h)
-                fresh, width = True, 64
-            n += 1
-        counts[i] = n
-        i += 1
-    return counts, starts, sizes
-
-
-def sample_runs(y0, times, advance: Callable) -> np.ndarray:
-    """Stack of the values y(t) for each t in times, stepped from y0 (the
-    value at t = 0) along the grid in runs of equal gaps.
-
-    From the state y that starts a run of gaps h, advance(h, y, counts)
-    returns the stack of values after counts[i] steps of size h for the
-    run's samples, and the last one starts the next run.  A new run starts
-    only when a gap differs from the current step h by more than
-    1e-12 * max(1, t).  Gaps are measured from the time the state actually
-    represents, so rounding in the grid cannot accumulate.  A gap within
-    that tolerance of zero (repeated times, t = 0) adds no step; samples
-    before the first step are y0.  Times must be finite, non-negative and
-    non-decreasing (ValueError).
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("sample times must be non-negative")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be finite")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
-    counts, starts, sizes = _gap_runs(times)
-    starts.append(len(times))
-    y = np.asarray(y0)
-    out = [np.broadcast_to(y, (starts[1],) + y.shape)]
-    for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
-        out.append(advance(h, y, counts[i:j]))
-        y = out[-1][-1]
-    return np.concatenate(out)
-
-
 # Fixed cost of one term of `expm_action`, in multiply-adds of a @ y, for the
 # real generator of the semigroup: about 6.5 us of numpy calls per term
 # (the product's call, the scaling, the sum and two norms) on a 2-vCPU Xeon
@@ -468,18 +382,23 @@ def _action_run(a, h: float, y, counts, norm1: float | None = None) -> np.ndarra
                        y.shape)
 
 
-def kraus_run(a, h: float, r, counts) -> np.ndarray:
-    """`sample_runs` advance for r -> exp(a h) r exp(a h)+: one exponential
-    per run, its binary powers by `conj_powers`."""
-    return conj_powers(expm(a * h), r, counts)
+def uniform_counts(h: float, n: int) -> np.ndarray:
+    """The counts 0, 1, ..., n of the grid k h that both limit propagators
+    sample; ValueError unless h > 0 is finite and n >= 0 an integer, not a bool."""
+    if not 0 < h < math.inf:        # NaN compares false
+        raise ValueError(f"step h must be a finite positive number, got {h!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"step count n must be a non-negative integer, got {n!r}")
+    return np.arange(n + 1)
 
 
 def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
-    """`sample_runs` advance for a vector y -> exp(a h) y: whichever path one
-    cost rule on the side of a, the run's step count and ||a h||_1 finds
-    cheaper, `expm_action` once per step, which makes no N x N temporary, or
-    exp(a h) once by Pade and one product per step.  Raises the Pade
-    exponential's ValueError when ||a h||_1 cannot be scaled."""
+    """(len(counts),) + y.shape stack of exp(a h)^n y for the non-decreasing
+    counts n, by whichever path one cost rule on the side of a, the largest
+    count and ||a h||_1 finds cheaper: `expm_action` once per step, which
+    makes no N x N temporary, or exp(a h) once by Pade and one product per
+    step.  Raises the Pade exponential's ValueError when ||a h||_1 cannot be
+    scaled."""
     norm1 = h * float(np.linalg.norm(a, 1))
     if _action_is_cheaper(len(a), int(counts[-1]), norm1):
         return _action_run(a, h, y, counts, norm1)

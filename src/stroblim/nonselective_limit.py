@@ -22,11 +22,10 @@ and yields the system marginals of the blocks, lifting no joint state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .linalg import as_matrix, expm_vec_run, real_trace, sample_runs
+from .linalg import as_matrix, expm_vec_run, real_trace, uniform_counts
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -108,32 +107,30 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
 
 
 def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
-                        times) -> Trajectory:
-    """rho(T) = exp(L_eff T) rho(0), evolved on the real coordinates of the
-    packed blocks.
+                        h: float, n: int) -> Trajectory:
+    """rho(T) = exp(L_eff T) rho(0) at T = k h, k = 0, ..., n
+    (`linalg.uniform_counts`), on the real coordinates of the packed blocks.
 
-    The coordinates are stepped along the grid by `linalg.sample_runs`, each
-    run of equal gaps h by the action of exp(L h) or by one dense exp(L h),
-    whichever the cost rule of `linalg.expm_vec_run` finds cheaper.  Times
-    must be finite, non-negative and non-decreasing.  As in
+    Each step is the action of exp(L h) or one dense exp(L h), whichever the
+    cost rule of `linalg.expm_vec_run` finds cheaper.  As in
     `run_nonselective`, the measurement channel is applied at t = 0: the run
     starts from the blocks V+ rho0 V of the joint initial state.  The system
     states are the marginals of the unpacked blocks (`BlockLayout.marginal`),
     divided by their traces as in the other propagators; the norms report
     the rounding drift, such as that of the squarings of one exponential
-    over a huge gap.  The joint states, Hermitian bit for bit, are lifted
+    over a huge step.  The joint states, Hermitian bit for bit, are lifted
     from the kept coordinates only for `Trajectory.states`.
     """
+    counts = uniform_counts(h, n)
     rho0, layout = init.joint(), eff.layout
     if rho0.shape[0] != layout.bases.shape[1]:
         raise ValueError("initial state does not match the generator dimensions")
-    times = np.asarray(times, dtype=float)
-    coords = sample_runs(layout.pack(layout.compress(rho0)), times,
-                         partial(expm_vec_run, eff.generator))
+    coords = expm_vec_run(eff.generator, h, layout.pack(layout.compress(rho0)),
+                          counts)
     states = layout.marginal(layout.unpack(coords))
     norms = real_trace(states)
     states /= norms[:, None, None]
-    return Trajectory(times.copy(), states, norms, lambda: (
+    return Trajectory(counts * h, states, norms, lambda: (
         layout.lift(layout.unpack(coords)) / norms[:, None, None]))
 
 

@@ -12,12 +12,12 @@ and the dynamics closes on the system alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import PROB_FLOOR, dag, kraus_run, real_trace, sample_runs
+from .linalg import (PROB_FLOOR, conj_powers, dag, expm, real_trace,
+                     uniform_counts)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -89,14 +89,13 @@ def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
                               layout=layout)
 
 
-def propagate_kraus(eff: SelectiveEffective, init: InitialState,
-                    times) -> Trajectory:
-    """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T).
+def propagate_kraus(eff: SelectiveEffective, init: InitialState, h: float,
+                    n: int) -> Trajectory:
+    """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T) at
+    T = k h, k = 0, ..., n (`linalg.uniform_counts`), by binary powers of one
+    Kraus step (`linalg.conj_powers`).
 
-    The grid is cut into runs of equal gaps (`linalg.sample_runs`), each
-    taking its states as binary powers of one Kraus step (`linalg.kraus_run`);
-    times must be finite, non-negative and non-decreasing.  The initial probe
-    state must be supported in range(P), by the rule of
+    The initial probe state must be supported in range(P), by the rule of
     `InitialState.probe_block` that `exact.run_selective` applies too, and
     the run starts from the block V+ rho0 V of the joint initial state, as
     that runner does.  The norms are the branch probabilities tr[K rho K+],
@@ -105,21 +104,21 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState,
     (`BlockLayout.marginal`) of the normalized blocks, which are kept for
     `Trajectory.states`.
     """
-    times = np.asarray(times, dtype=float)
+    counts = uniform_counts(h, n)
     layout = eff.layout
     v = layout.probe_bases[0]
     if init.rho_pr.shape[0] != v.shape[0]:
         raise ValueError("initial probe dimension does not match the generator")
     init.probe_block(v)
     r0 = layout.compress(init.joint())[0]
-    states = sample_runs(r0, times, partial(kraus_run, -1j * eff.h_eff))
+    states = conj_powers(expm(-1j * eff.h_eff * h), r0, counts)
     norms = real_trace(states)
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:
         cut = vanished[0]
         raise VanishingProbabilityError(
-            f"branch probability vanished at T = {times[cut]:g} "
+            f"branch probability vanished at T = {cut * h:g} "
             f"(p = {norms[cut]:.3e} < {PROB_FLOOR:.1e})")
     states /= norms[:, None, None]
-    return Trajectory(times.copy(), layout.marginal(states[:, None]), norms,
+    return Trajectory(counts * h, layout.marginal(states[:, None]), norms,
                       lambda: states)

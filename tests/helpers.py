@@ -2,6 +2,7 @@
 loader and the acceptance drivers shared across the test modules."""
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -63,14 +64,9 @@ def is_unitary(a, tol=DEFAULT_TOL):
     return max_abs(dag(m) @ m - np.eye(m.shape[0])) <= tol
 
 
-# A sample grid with a first time above 0, repeated times and runs of equal
-# gaps: 0.3, then 0.2 (x4), 1.5 (x3) and 0.25 (x2), so four exponentials.
-IRREGULAR_GRID = [0.3, 0.3, 0.5, 0.7, 0.9, 0.9, 1.1, 2.6, 4.1, 5.6, 5.6, 5.85, 6.1]
-IRREGULAR_GAPS = 4
-
-
 def counting_expm(monkeypatch):
-    """Patch stroblim.linalg.expm with a wrapper; return its list of arguments."""
+    """Patch stroblim.linalg.expm, and each stroblim module's import of it,
+    with a wrapper; return its list of arguments."""
     calls = []
     real = stroblim.linalg.expm
 
@@ -78,38 +74,10 @@ def counting_expm(monkeypatch):
         calls.append(a)
         return real(a)
 
-    monkeypatch.setattr(stroblim.linalg, "expm", wrapper)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stroblim" and getattr(module, "expm", None) is real:
+            monkeypatch.setattr(module, "expm", wrapper)
     return calls
-
-
-def reference_sample_runs(y0, times, advance):
-    """stroblim.linalg.sample_runs by its rule, one sample at a time: a step
-    is taken when the gap from the state's time base + n h exceeds
-    1e-12 * max(1, t), and a new run of step size h = gap starts when that
-    gap differs from h by more than the same tolerance."""
-    times = np.asarray(times, dtype=float)
-    counts = np.zeros(len(times), dtype=np.int64)
-    starts, sizes = [0], [0.0]
-    h = base = 0.0
-    n = 0
-    for i, t in enumerate(times.tolist()):
-        tol = 1e-12 * t if t > 1.0 else 1e-12
-        now = base + n * h
-        gap = t - now
-        if gap > tol:
-            if abs(gap - h) > tol:
-                h, base, n = gap, now, 0
-                starts.append(i)
-                sizes.append(h)
-            n += 1
-        counts[i] = n
-    starts.append(len(times))
-    y = np.asarray(y0)
-    out = [np.broadcast_to(y, (starts[1],) + y.shape)]
-    for h, i, j in zip(sizes[1:], starts[1:], starts[2:]):
-        out.append(advance(h, y, counts[i:j]))
-        y = out[-1][-1]
-    return np.concatenate(out)
 
 
 def random_hamiltonian_spec(rng, dim_sys, dim_pr, n_terms=2, gamma=2.0, norm=1.0):

@@ -8,15 +8,16 @@ linear block equation dr/dT = L r on the real coordinates of the blocks
 (`NonselectiveEffective.generator`; `stroblim.block_rhs` on the blocks), or
 for a rank-1 family the classical rate equation on the populations;
 `semigroup_propagate` takes it by exp(L T).
-`rk4_sample` integrates any of them by fixed-step classical RK4, sampled
-through `stroblim.linalg.sample_runs`, so it takes a grid by the propagators'
-rules.  The right-hand sides trust their arguments: a state of the
-generator's dimension, in a complex dtype where the derivative is complex.
+`rk4_sample` integrates any of them by fixed-step classical RK4 on the
+uniform grid k h, k = 0, ..., n, that the propagators sample, with their
+argument rule (`stroblim.linalg.uniform_counts`).  The right-hand sides
+trust their arguments: a state of the generator's dimension, in a complex
+dtype where the derivative is complex.
 """
 
 import numpy as np
 
-from stroblim.linalg import sample_runs, step_powers
+from stroblim.linalg import step_powers, uniform_counts
 
 
 def rk4_step(rhs, y, dt, m=1):
@@ -30,18 +31,15 @@ def rk4_step(rhs, y, dt, m=1):
     return y
 
 
-def rk4_sample(rhs, y0, times, n_steps=2000):
+def rk4_sample(rhs, y0, h, n, n_steps=2000):
     """Fixed-step RK4 solution of dy/dt = rhs(y) from y0 at t = 0, one value
-    per sample time, stepped along the grid by `sample_runs`.  About n_steps
-    steps cover [0, times[-1]]: each grid step h is cut into
-    max(1, round(h / (times[-1] / n_steps))) equal RK4 steps."""
-    target = float(np.max(times, initial=0.0)) / n_steps
-
-    def advance(h, y, counts):
-        m = max(1, round(h / target))
-        return step_powers(lambda k, x: rk4_step(rhs, x, h / m, m), y, counts, y.shape)
-
-    return sample_runs(np.asarray(y0), times, advance)
+    at each time k h, k = 0, ..., n, stepped through `step_powers`.  About
+    n_steps steps cover [0, n h]: each grid step h is cut into
+    max(1, round(n_steps / n)) equal RK4 steps."""
+    counts = uniform_counts(h, n)
+    m = max(1, round(n_steps / max(n, 1)))
+    y0 = np.asarray(y0)
+    return step_powers(lambda k, x: rk4_step(rhs, x, h / m, m), y0, counts, y0.shape)
 
 
 def nonlinear_density_rhs(eff, rho):

@@ -139,14 +139,14 @@ def test_nonlinear_dynamics_consistency():
                           random_ket(rng, ds)))
         for eff, psi0 in cases:
             t_end = 10.0 / eff.omega
-            times = np.linspace(0.0, t_end, 11)
+            h, n = t_end / 10, 10
             rho0 = np.outer(psi0, psi0.conj())
-            dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, times)
-            stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
+            dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, h, n)
+            stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, h, n)
             phi = eff.layout.probe_bases[0][:, 0]
             init = InitialState(rho0, np.outer(phi, phi.conj()))
-            kraus = propagate_kraus(eff, init, times)
-            for k in range(len(times)):
+            kraus = propagate_kraus(eff, init, h, n)
+            for k in range(n + 1):
                 rho_s = np.outer(stat[k], stat[k].conj())
                 assert trace_distance(dens[k], rho_s) <= 1e-6
                 assert trace_distance(dens[k], kraus.states[k]) <= 1e-6
@@ -158,10 +158,11 @@ def test_nonlinear_dynamics_consistency():
         init = InitialState(np.outer(psi0, psi0.conj()), np.outer(phi, phi.conj()))
         h = 1e-3
         for t in (0.5, 2.0, 5.0):
-            traj = propagate_kraus(eff, init, [t - h, t, t + h])
-            fd = (np.trace(traj.states[2] @ traj.states[2]).real
-                  - np.trace(traj.states[0] @ traj.states[0]).real) / (2 * h)
-            assert abs(purity_derivative(eff, traj.states[1]) - fd) <= 1e-4
+            # the states at t - h, t and t + h
+            states = propagate_kraus(eff, init, h, round(t / h) + 1).states[-3:]
+            fd = (np.trace(states[2] @ states[2]).real
+                  - np.trace(states[0] @ states[0]).real) / (2 * h)
+            assert abs(purity_derivative(eff, states[1]) - fd) <= 1e-4
 
 
 def test_nonselective_generator_properties():
@@ -218,14 +219,13 @@ def test_nonselective_closed_form_triple_agreement():
         eff = build_generator(swap_hamiltonian(gamma), meas, omega / gamma ** 2)
         rho_sys = np.array([[0.62, 0.18 - 0.1j], [0.18 + 0.1j, 0.38]])
         init = InitialState(rho_sys, np.diag([1.0, 0.0]).astype(complex))
-        times = np.linspace(0.0, 40.0, 17)
-        semi = semigroup_propagate(eff, init, times)
+        semi = semigroup_propagate(eff, init, 2.5, 16)
         layout = eff.layout
         # the block equations dr/dT = L r on the real coordinates
         blocks = layout.unpack(rk4_sample(eff.generator.dot,
                                           layout.pack(layout.compress(init.joint())),
-                                          times, 8000))
-        for k, t in enumerate(times):
+                                          2.5, 16, 8000))
+        for k, t in enumerate(semi.times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) <= 1e-8
             reduced = blocks[k].sum(axis=0)
@@ -271,10 +271,9 @@ def test_pauli_reduction():
             bases = eff.layout.bases[:, :, 0]
             rho0 = sum(p * np.outer(b, b.conj()) for p, b in zip(p0, bases))
             init = InitialState(np.eye(1, dtype=complex), rho0)
-            times = np.linspace(0.0, 5.0, 11)
-            traj = semigroup_propagate(eff, init, times)
-            rates = rk4_sample(partial(pauli_rhs, w), p0, times, 4000)
-            for k in range(len(times)):
+            traj = semigroup_propagate(eff, init, 0.5, 10)
+            rates = rk4_sample(partial(pauli_rhs, w), p0, 0.5, 10, 4000)
+            for k in range(len(traj)):
                 populations = np.array([np.vdot(b, traj.states[k] @ b).real
                                         for b in bases])
                 assert max_abs(populations - rates[k]) <= 1e-8

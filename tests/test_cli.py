@@ -491,6 +491,17 @@ class TestCommands:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_refuses_a_tau_above_t_max_before_running(self, tmp_path, capsys):
+        # t_max = 10 spans no whole period of tau = 20; the reason says so
+        out = tmp_path / "out"
+        rc = main(["sweep", bundled_path("swap_selective"), "--out-dir", str(out),
+                   "--tau", "0.04,20"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "tau=20: t_max = 10 spans no whole period, expected tau <= t_max" in err
+        assert "grid point" not in err
+        assert not out.exists()
+
     def test_sweep_single_tau_exits_2(self, tmp_path):
         rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.04"])

@@ -492,3 +492,31 @@ def test_binary_powers_depend_on_the_period_alone(rng):
         power = conj_powers(w, r0, [n])[0]
         assert max_abs(power - q @ r0 @ dag(q)) < 1e-12
         assert np.array_equal(power, batch[n])
+
+
+@pytest.mark.parametrize("tau, total_time, message", [
+    pytest.param(np.nan, 1.0, "tau must be a finite positive number", id="tau=nan"),
+    pytest.param(np.inf, 1.0, "tau must be a finite positive number", id="tau=inf"),
+    pytest.param(0.0, 1.0, "tau must be a finite positive number", id="tau=0"),
+    pytest.param(-0.1, 1.0, "tau must be a finite positive number", id="tau<0"),
+    pytest.param(1.0, np.nan, "total_time must be a finite non-negative number",
+                 id="total_time=nan"),
+    pytest.param(1.0, np.inf, "total_time must be a finite non-negative number",
+                 id="total_time=inf"),
+    pytest.param(1.0, -1.0, "total_time must be a finite non-negative number",
+                 id="total_time<0"),
+    pytest.param(1e-300, 1.0, r"total_time/tau = 1e\+300 periods, expected fewer "
+                 r"than 2\*\*53", id="periods=1e300"),
+    pytest.param(1.0, 2.0 ** 53, r"total_time/tau = 9\.01e\+15 periods",
+                 id="periods=2**53"),
+])
+def test_plan_refuses_timing_it_cannot_step(tau, total_time, message):
+    # each field is named, before a run meets the value in eigh or the
+    # period count
+    with pytest.raises(ValueError, match=f"^{message}"):
+        EvolutionPlan(swap_hamiltonian(1.0), up_meas(), tau, total_time)
+
+
+def test_plan_takes_timing_just_inside_the_bounds():
+    EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 1.0, 2.0 ** 53 - 2)
+    assert EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 0.1, 0.0).n_steps == 0

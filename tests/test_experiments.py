@@ -171,6 +171,25 @@ def test_states_are_one_stack(name, method):
     assert len(traj.states) == t
 
 
+GRIDS = {"file": {}, "stride5": {"t_max": 2.0, "grid_points": 10}}
+
+
+@pytest.mark.parametrize("name, method, grid", [
+    ("swap_selective", "exact", "file"), ("swap_selective", "limit", "file"),
+    ("swap_nonselective", "exact", "file"), ("swap_nonselective", "limit", "file"),
+    ("swap_nonselective", "closed_form", "file"),
+    ("swap_selective", "limit", "stride5"), ("swap_nonselective", "limit", "stride5"),
+    ("swap_nonselective", "closed_form", "stride5"),
+])
+def test_trajectory_times_are_the_scenario_grid(name, method, grid):
+    # every method samples k * sc.step, bit for bit.  The exact runner samples
+    # n * tau, the same numbers on the files' grids, where the sample stride
+    # is one period; at other strides they may differ in the last ulp.
+    sc = load_bundled(name, **GRIDS[grid])
+    assert np.array_equal(run_method(sc, method).times, sc.times)
+    assert np.array_equal(sc.times, np.arange(sc.grid_points + 1) * sc.step)
+
+
 class TestSweep:
     def test_requires_two_taus(self):
         with pytest.raises(ValueError):

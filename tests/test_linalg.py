@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,8 @@ from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
                       is_psd, kron, partial_trace, pauli)
 from stroblim.linalg import (_action_is_cheaper, _dense_run, conj_powers,
                              conj_stack, dag, expm_action, max_abs, op_norm,
-                             real_trace, sample_runs, step_powers,
-                             taylor_degree, trace_distance)
+                             real_trace, step_powers, taylor_degree,
+                             trace_distance)
 
 
 def kron_oracle(a, b):
@@ -278,60 +277,28 @@ class TestRK4:
 
 
 class TestExpmSample:
-    """The grid sampler `sample_runs`, with the advance `_dense_run`: one
-    exponential per run, then one product per step."""
+    """The dense path `_dense_run` of `expm_vec_run`: one exponential, then
+    one product per step."""
 
-    @pytest.mark.parametrize("times", [
-        pytest.param(np.arange(16001) * 0.000625, id="arange"),
-        pytest.param(np.linspace(0.0, 10.0, 251), id="linspace"),
+    @pytest.mark.parametrize("h, n", [
+        pytest.param(0.000625, 16000, id="arange"),
+        pytest.param(0.04, 250, id="linspace"),
     ])
-    def test_uniform_grid_needs_one_exponential(self, monkeypatch, rng, times):
-        # arange grids jitter by one ulp of t; the step must still be reused
+    def test_uniform_grid_needs_one_exponential(self, monkeypatch, rng, h, n):
         calls = counting_expm(monkeypatch)
         a = -1j * random_hermitian(rng, 3, norm=1.0) - 0.1 * np.eye(3)
-        out = list(sample_runs(np.eye(3, dtype=complex), times,
-                               partial(_dense_run, a)))
+        out = _dense_run(a, h, np.eye(3, dtype=complex), np.arange(n + 1))
         assert len(calls) == 1
-        assert len(out) == len(times)
-        assert max_abs(out[-1] - expm(a * times[-1])) <= 1e-10
+        assert len(out) == n + 1
+        assert max_abs(out[-1] - expm(a * (n * h))) <= 1e-10
 
-    def test_zero_gaps_apply_nothing(self, monkeypatch, rng):
-        calls = counting_expm(monkeypatch)
+    def test_zero_gaps_apply_nothing(self, rng):
+        # a count of 0 takes no step: y0 comes back bit for bit
+        a = random_complex(rng, (3, 3))
         y0 = random_complex(rng, (3, 3))
-
-        def advance(*args):
-            raise AssertionError("advance called without a step")
-
-        out = sample_runs(y0, [0.0, 0.0, 0.0], advance)
-        assert calls == []
+        out = _dense_run(a, 0.5, y0, np.zeros(3, dtype=np.int64))
         assert out.shape == (3, 3, 3)
         assert all(np.array_equal(y, y0) for y in out)
-
-    def test_new_exponential_only_when_the_gap_changes(self, monkeypatch, rng):
-        calls = counting_expm(monkeypatch)
-        a = random_complex(rng, (2, 2))
-        times = [0.25, 0.5, 0.75, 1.75, 2.75, 3.0]
-        list(sample_runs(np.eye(2, dtype=complex), times, partial(_dense_run, a)))
-        assert len(calls) == 3     # gaps 0.25 (x3), 1.0 (x2), 0.25 again
-
-    def test_apply_runs_once_per_run_of_equal_gaps(self, rng):
-        a = random_complex(rng, (2, 2))
-        y0 = random_complex(rng, (2, 2))
-        runs = []
-
-        def advance(h, y, counts):
-            out = _dense_run(a, h, y, counts)
-            runs.append((y, list(counts), out[-1]))
-            return out
-
-        out = sample_runs(y0, [0.0, 0.25, 0.5, 0.5, 0.75, 1.75, 2.75, 3.0, 3.0],
-                          advance)
-        assert [c for _, c, _ in runs] == [[1, 2, 2, 3], [1, 2], [1, 1]]
-        assert runs[0][0] is y0
-        # each run starts from the last value of the run before it
-        assert all(np.array_equal(y, end)
-                   for (y, _, _), (_, _, end) in zip(runs[1:], runs))
-        assert out.shape == (9, 2, 2)
 
 
 class TestExpmAction:

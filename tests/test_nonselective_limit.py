@@ -5,20 +5,20 @@ import pytest
 
 from functools import partial
 
-from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, block_apply, block_evolve,
-                     channel_superop, choi_matrix, counting_expm, family_spec,
+from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
+                     counting_expm, family_spec,
                      full_space_reference, liouville_commutator, load_bundled,
                      random_density, random_hamiltonian_spec, random_hermitian,
                      random_projector_family, random_unitary, unvec, vec)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs, pauli_rates,
-                 pauli_rhs, rk4_sample)
+                 pauli_rhs, rk4_sample, rk4_step)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
                       block_rhs, build_generator, effective_rank1, kron,
                       measurement_from_kets, pauli, propagate_kraus,
                       run_nonselective, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
 from stroblim.linalg import (_action_is_cheaper, _action_run, _dense_run, dag,
-                             max_abs, op_norm, sample_runs, taylor_degree)
+                             max_abs, op_norm, step_powers, taylor_degree)
 
 TAU = 0.04
 GAMMA = 5.0
@@ -183,10 +183,9 @@ class TestBuildGenerator:
         assert max_abs(gen) > 1.0
         assert max_abs(gen + gen.T) <= 1e-12 * max_abs(gen)
         y0 = eff.layout.pack(eff.layout.compress(random_density(rng, 4)))
-        times = np.linspace(0.0, 2.0, 5)
-        dense = sample_runs(y0, times, partial(_dense_run, gen))
+        dense = _dense_run(gen, 0.5, y0, np.arange(5))
         assert dense.dtype == np.float64
-        action = sample_runs(y0, times, partial(_action_run, gen))
+        action = _action_run(gen, 0.5, y0, np.arange(5))
         assert max_abs(dense - action) <= 1e-14
 
     def test_rejects_selective_spec(self):
@@ -201,13 +200,13 @@ class TestSemigroupPropagate:
         eff = swap_gen()
         init = InitialState(random_density(rng, 2),
                             np.diag([1.0, 0.0]).astype(complex))
-        traj = semigroup_propagate(eff, init, [0.0])
+        traj = semigroup_propagate(eff, init, 1.0, 0)
         assert max_abs(traj.states[0] - init.joint()) < 1e-12
 
     def test_maximally_mixed_constant(self):
         eff = swap_gen()
         init = InitialState(np.eye(2) / 2, np.eye(2) / 2)
-        traj = semigroup_propagate(eff, init, [0.0, 1.0, 5.0])
+        traj = semigroup_propagate(eff, init, 1.0, 5)
         for s in traj.states:
             assert max_abs(s - np.eye(4) / 4) < 1e-12
 
@@ -225,23 +224,18 @@ class TestSemigroupPropagate:
         eff = swap_gen()
         init = InitialState(random_density(rng, 2),
                             np.diag([1.0, 0.0]).astype(complex))
-        traj = semigroup_propagate(eff, init, np.linspace(0, 10, 21))
+        traj = semigroup_propagate(eff, init, 0.5, 20)
         assert max_abs(traj.norms - 1.0) < 1e-10
         ref = swap_ref()
         for s in traj.states:
             assert max_abs(s - ref.channel(s)) < 1e-10
-
-    def test_empty_grid_gives_an_empty_trajectory(self):
-        traj = semigroup_propagate(swap_gen(), swap_init(), [])
-        assert traj.states.shape == (0, 4, 4)
-        assert traj.norms.shape == (0,)
 
     def test_non_fixed_point_starts_from_the_channel_image(self):
         # the channel is applied at t = 0, as in run_nonselective
         ham, meas = swap_hamiltonian(GAMMA), zbasis_meas()
         plus = (basis_ket("u") + basis_ket("d")) / np.sqrt(2)
         init = InitialState.from_kets(basis_ket("u"), plus)
-        traj = semigroup_propagate(build_generator(ham, meas, TAU), init, [0.0])
+        traj = semigroup_propagate(build_generator(ham, meas, TAU), init, TAU, 0)
         exact = run_nonselective(EvolutionPlan(ham, meas, TAU, TAU), init)
         assert max_abs(traj.states[0] - exact.states[0]) <= 1e-14
         assert max_abs(traj.states[0] - swap_ref().channel(init.joint())) <= 1e-14
@@ -305,11 +299,10 @@ class TestBlocks:
     def test_block_integration_matches_semigroup(self, rng):
         eff, ref = random_generator(rng, 2, 2, gamma=1.0, tau=0.25)
         rho = random_block_diagonal(rng, ref)
-        times = np.linspace(0.0, 4.0, 9)
         layout = eff.layout
         blocks = layout.unpack(rk4_sample(eff.generator.dot,
-                                          layout.pack(layout.compress(rho)), times, 4000))
-        for t, state in zip(times, layout.lift(blocks)):
+                                          layout.pack(layout.compress(rho)), 0.5, 8, 4000))
+        for t, state in zip(np.arange(9) * 0.5, layout.lift(blocks)):
             assert max_abs(state - ref.evolve(rho, t)) < 1e-7
 
 
@@ -322,9 +315,9 @@ def swap_init():
 
 
 PROPAGATORS = [
-    pytest.param(lambda t: propagate_kraus(swap_selective_eff(), swap_init(), t),
+    pytest.param(lambda h, n: propagate_kraus(swap_selective_eff(), swap_init(), h, n),
                  id="kraus"),
-    pytest.param(lambda t: semigroup_propagate(swap_gen(), swap_init(), t),
+    pytest.param(lambda h, n: semigroup_propagate(swap_gen(), swap_init(), h, n),
                  id="semigroup"),
 ]
 
@@ -334,7 +327,7 @@ BLOCKS0 = np.array([[[0.3, 0.1], [0.1, 0.2]], [[0.25, -0.05], [-0.05, 0.25]]])
 
 FLIP_RATES = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-# The RK4 references of tests/ode.py as functions of the sample times.
+# The RK4 references of tests/ode.py as functions of the grid step and count.
 INTEGRATORS = [pytest.param(partial(rk4_sample, rhs, y0), id=name) for name, rhs, y0 in [
     ("density", partial(nonlinear_density_rhs, swap_selective_eff()),
      np.eye(2, dtype=complex) / 2),
@@ -344,32 +337,42 @@ INTEGRATORS = [pytest.param(partial(rk4_sample, rhs, y0), id=name) for name, rhs
     ("pauli", partial(pauli_rhs, FLIP_RATES), np.array([1.0, 0.0])),
 ]]
 
+BAD_STEP = "step h must be a finite positive number"
+BAD_COUNT = "step count n must be a non-negative integer"
+
 
 @pytest.mark.parametrize("integrate", [*INTEGRATORS, *PROPAGATORS])
 def test_integrators_reject_decreasing_times(integrate):
-    with pytest.raises(ValueError, match="non-decreasing"):
-        integrate([0.0, 1.0, 0.5])
+    # a negative step would make the grid k h decrease
+    with pytest.raises(ValueError, match=BAD_STEP):
+        integrate(-0.5, 2)
 
 
 @pytest.mark.parametrize("integrate", INTEGRATORS)
-@pytest.mark.parametrize("times", [
-    pytest.param([0.0, np.nan], id="nan"),
-    pytest.param([0.0, np.inf], id="inf"),
+@pytest.mark.parametrize("h", [
+    pytest.param(np.nan, id="nan"),
+    pytest.param(np.inf, id="inf"),
 ])
-def test_integrators_reject_non_finite_times(integrate, times):
-    with pytest.raises(ValueError, match="sample times must be finite"):
-        integrate(times)
+def test_integrators_reject_non_finite_times(integrate, h):
+    with pytest.raises(ValueError, match=BAD_STEP):
+        integrate(h, 1)
 
 
 @pytest.mark.parametrize("integrate", INTEGRATORS)
 def test_integrators_return_nothing_on_an_empty_grid(integrate):
-    assert len(integrate([])) == 0
+    # the RK4 steps of rk4_sample, taken through step_powers on no counts
+    rhs, y0 = integrate.args
+    out = step_powers(lambda k, x: rk4_step(rhs, x, 0.5), y0, [], y0.shape)
+    assert out.shape == (0, *y0.shape)
+    assert out.dtype == y0.dtype
 
 
 @pytest.mark.parametrize("integrate", INTEGRATORS)
 def test_integrators_start_at_time_zero(integrate):
-    # y0 is the value at t = 0, wherever the grid starts
-    np.testing.assert_array_equal(integrate([1.0, 2.0]), integrate([0.0, 1.0, 2.0])[1:])
+    # y0 is the value at t = 0, and a count of 0 gives it alone
+    y0 = integrate.args[1]
+    np.testing.assert_array_equal(integrate(0.5, 0), [y0])
+    np.testing.assert_array_equal(integrate(0.5, 3)[0], y0)
 
 
 def test_block_rhs_takes_a_real_start():
@@ -381,46 +384,50 @@ def test_block_rhs_takes_a_real_start():
 
 
 def test_rate_integration_stays_real():
-    p = rk4_sample(partial(pauli_rhs, FLIP_RATES), np.array([1.0, 0.0]),
-                   np.linspace(0.0, 2.0, 5))
+    p = rk4_sample(partial(pauli_rhs, FLIP_RATES), np.array([1.0, 0.0]), 0.5, 4)
     assert p.dtype == np.float64
     assert max_abs(p.sum(axis=1) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("propagate", [*INTEGRATORS, *PROPAGATORS])
-@pytest.mark.parametrize("times, message", [
-    pytest.param([-3.0], "non-negative", id="negative"),
-    pytest.param([0.0, -1.0, 2.0], "non-negative", id="negative-inside"),
-    pytest.param([0.0, np.nan], "sample times must be finite", id="nan"),
-    pytest.param([0.0, np.inf], "sample times must be finite", id="inf"),
+@pytest.mark.parametrize("h, n, message", [
+    # grids k h that would hold a negative or a non-finite time
+    pytest.param(-3.0, 0, BAD_STEP, id="negative"),
+    pytest.param(-1.0, 2, BAD_STEP, id="negative-inside"),
+    pytest.param(np.nan, 1, BAD_STEP, id="nan"),
+    pytest.param(np.inf, 1, BAD_STEP, id="inf"),
+    # a grid that does not advance, and counts that are not counts
+    pytest.param(0.0, 1, BAD_STEP, id="zero-step"),
+    pytest.param(0.5, -1, BAD_COUNT, id="n=-1"),
+    pytest.param(0.5, 1.5, BAD_COUNT, id="n=1.5"),
+    pytest.param(0.5, True, BAD_COUNT, id="n=True"),
 ])
-def test_propagators_reject_bad_times(propagate, times, message):
+def test_propagators_reject_bad_times(propagate, h, n, message):
     with pytest.raises(ValueError, match=message):
-        propagate(times)
+        propagate(h, n)
 
 
-@pytest.mark.parametrize("times", [
-    pytest.param(np.arange(251) * 0.04, id="uniform"),
-    pytest.param([0.3, 0.3, 0.5, 1.25, 1.25, 1.25, 2.0, 7.1], id="nonuniform"),
-])
-def test_semigroup_matches_per_time_exponentials(times):
+@pytest.mark.parametrize("propagate", PROPAGATORS)
+def test_count_zero_gives_the_start_alone(propagate):
+    traj = propagate(0.5, 0)
+    assert traj.times.tolist() == [0.0]
+    assert len(traj.norms) == len(traj.sys_states) == len(traj.states) == 1
+    assert max_abs(traj.sys_states[0] - swap_init().rho_sys) <= 1e-15
+    # numpy scalars are a step and a count too
+    longer = propagate(np.float64(0.5), np.int64(3))
+    np.testing.assert_array_equal(longer.times, np.arange(4) * 0.5)
+    np.testing.assert_array_equal(traj.states[0], longer.states[0])
+
+
+@pytest.mark.parametrize("h, n", [pytest.param(0.04, 250, id="uniform")])
+def test_semigroup_matches_per_time_exponentials(h, n):
     ref = swap_ref()
     init = swap_init()
-    traj = semigroup_propagate(swap_gen(), init, times)
-    assert len(traj) == len(times)
-    for t, got in zip(times, traj.states):
+    traj = semigroup_propagate(swap_gen(), init, h, n)
+    assert len(traj) == n + 1
+    for t, got in zip(traj.times, traj.states):
         want = ref.evolve(init.joint(), t)
         assert max_abs(got - want) <= 1e-12
-
-
-def test_semigroup_on_an_irregular_grid(monkeypatch):
-    eff, ref, init = swap_gen(), swap_ref(), swap_init()
-    calls = counting_expm(monkeypatch)
-    traj = semigroup_propagate(eff, init, IRREGULAR_GRID)
-    assert len(calls) == IRREGULAR_GAPS
-    assert len(traj) == len(IRREGULAR_GRID)
-    for t, got in zip(IRREGULAR_GRID, traj.states):
-        assert max_abs(got - ref.evolve(init.joint(), t)) <= 1e-12
 
 
 def d32_model(rng):
@@ -439,26 +446,25 @@ def packed_start(eff, init):
 
 
 class TestSemigroupPaths:
-    """semigroup_propagate takes each run of equal gaps by the action of the
-    generator or by one dense exponential, whichever its cost rule prefers."""
+    """semigroup_propagate takes its steps by the action of the generator or
+    by one dense exponential, whichever its cost rule prefers."""
 
-    def test_paths_agree_on_an_irregular_grid(self, rng):
+    def test_paths_agree_on_a_uniform_grid(self, rng):
         eff, init = d32_model(rng)
         y0, gen = packed_start(eff, init), eff.generator
-        action = sample_runs(y0, IRREGULAR_GRID, partial(_action_run, gen))
-        dense = sample_runs(y0, IRREGULAR_GRID, partial(_dense_run, gen))
-        assert action.shape == dense.shape == (len(IRREGULAR_GRID), 256)
+        action = _action_run(gen, 0.3, y0, np.arange(21))
+        dense = _dense_run(gen, 0.3, y0, np.arange(21))
+        assert action.shape == dense.shape == (21, 256)
         assert max_abs(action - dense) <= 1e-14
 
     def test_benchmark_grid_takes_the_action(self, monkeypatch, rng):
         eff, init = d32_model(rng)
         calls = counting_expm(monkeypatch)
-        times = np.linspace(0.0, 10.0, 11)
         assert _action_is_cheaper(256, 10, 1.0 * np.linalg.norm(eff.generator, 1))
-        traj = semigroup_propagate(eff, init, times)
+        traj = semigroup_propagate(eff, init, 1.0, 10)
         assert calls == []
         rho0 = traj.states[0]
-        for t, got in zip(times, traj.states):
+        for t, got in zip(traj.times, traj.states):
             assert max_abs(got - block_evolve(eff, rho0, t)) <= 1e-13
 
     def test_substeps_match_the_dense_exponential(self, monkeypatch, rng):
@@ -467,7 +473,7 @@ class TestSemigroupPaths:
         h = 200.0 / np.linalg.norm(eff.generator, 1)
         assert taylor_degree(h * np.linalg.norm(eff.generator, 1))[1] > 1
         calls = counting_expm(monkeypatch)
-        traj = semigroup_propagate(eff, init, [0.0, h])
+        traj = semigroup_propagate(eff, init, h, 1)
         assert calls == []
         assert max_abs(traj.states[1] - block_evolve(eff, traj.states[0], h)) <= 1e-13
 
@@ -485,7 +491,7 @@ class TestSemigroupPaths:
 
         calls = counting_expm(monkeypatch)
         counted = replace(eff, generator=eff.generator.view(Counting))
-        traj = semigroup_propagate(counted, init, np.arange(11) * 1e9)
+        traj = semigroup_propagate(counted, init, 1e9, 10)
         assert len(products) == 0
         assert len(calls) == 1
         assert np.all(np.isfinite(traj.states))
@@ -498,20 +504,20 @@ class TestSemigroupPaths:
         assert np.array_equal(traj.states, dag(traj.states))
         assert max_abs(traj.norms - 1.0) > 1e-12
 
-    @pytest.mark.parametrize("grid", [
-        pytest.param(IRREGULAR_GRID, id="irregular"),
-        pytest.param(np.linspace(0.0, 10.0, 11), id="benchmark"),
+    @pytest.mark.parametrize("h, n", [
+        pytest.param(0.01, 1000, id="dense"),
+        pytest.param(1.0, 10, id="benchmark"),
     ])
-    def test_states_are_hermitian_bit_for_bit(self, rng, grid):
+    def test_states_are_hermitian_bit_for_bit(self, rng, h, n):
         eff, init = d32_model(rng)
-        traj = semigroup_propagate(eff, init, grid)
+        traj = semigroup_propagate(eff, init, h, n)
         assert np.array_equal(traj.states, dag(traj.states))
 
 
 @pytest.mark.parametrize("tau", [0.04, 0.01, 0.0025, 0.000625])
 def test_swap_file_takes_one_pade_exponential(monkeypatch, tau):
     # the bundled N = 8 generator, at the file's tau and the sweep's: one
-    # dense exponential per run, then one product per step
+    # dense exponential, then one product per step
     sc = load_bundled("swap_nonselective")
     ham = sc.hamiltonian.with_gamma(float(np.sqrt(sc.omega / tau)))
     eff = build_generator(ham, sc.measurement, tau)
@@ -519,7 +525,7 @@ def test_swap_file_takes_one_pade_exponential(monkeypatch, tau):
     assert eff.generator.shape == (8, 8)
     assert not _action_is_cheaper(8, steps, tau * np.linalg.norm(eff.generator, 1))
     calls = counting_expm(monkeypatch)
-    traj = semigroup_propagate(eff, sc.initial, np.arange(steps + 1) * tau)
+    traj = semigroup_propagate(eff, sc.initial, tau, steps)
     assert len(calls) == 1
     assert np.array_equal(traj.states, dag(traj.states))
 
@@ -616,10 +622,9 @@ class TestPauliReduction:
         eff = build_generator(ham, family_spec(groups), 0.25)
         p0 = np.array([0.4, 0.3, 0.2, 0.1])
         init = InitialState(np.eye(1, dtype=complex), np.diag(p0).astype(complex))
-        times = np.linspace(0.0, 5.0, 11)
-        traj = semigroup_propagate(eff, init, times)
-        pauli_p = rk4_sample(partial(pauli_rhs, pauli_rates(eff)), p0, times, 4000)
-        for k in range(len(times)):
+        traj = semigroup_propagate(eff, init, 0.5, 10)
+        pauli_p = rk4_sample(partial(pauli_rhs, pauli_rates(eff)), p0, 0.5, 10, 4000)
+        for k in range(len(traj)):
             diag = np.diag(traj.states[k]).real
             assert max_abs(diag - pauli_p[k]) < 1e-8
 
@@ -693,13 +698,12 @@ class TestClosedForm:
         eff = build_generator(swap_hamiltonian(gamma), zbasis_meas(), tau)
         rho_sys = np.array([[0.62, 0.18 - 0.1j], [0.18 + 0.1j, 0.38]])
         init = InitialState(rho_sys, np.diag([1.0, 0.0]).astype(complex))
-        times = np.linspace(0.0, 40.0, 17)
-        semi = semigroup_propagate(eff, init, times)
+        semi = semigroup_propagate(eff, init, 2.5, 16)
         layout = eff.layout
         blocks = layout.unpack(rk4_sample(eff.generator.dot,
                                           layout.pack(layout.compress(init.joint())),
-                                          times, 8000))
-        for k, t in enumerate(times):
+                                          2.5, 16, 8000))
+        for k, t in enumerate(semi.times):
             cf = swap_nonselective_closed_form(gamma, omega, rho_sys, t)
             assert trace_distance(semi.sys_states[k], cf) < 1e-8
             # compressed blocks are the per-outcome system matrices directly

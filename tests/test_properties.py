@@ -2,7 +2,6 @@
 the same examples."""
 
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,13 +9,11 @@ import pytest
 from helpers import (assert_same_run, channel_superop, choi_matrix, family_spec,
                      full_space_reference, random_density,
                      random_hamiltonian_spec, random_projector_family,
-                     random_unitary, reference_sample_runs, reference_selective,
-                     unvec, vec)
+                     random_unitary, reference_selective, unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       build_generator, effective_rankr, run_selective,
                       semigroup_propagate)
-from stroblim.linalg import (_action_run, _dense_run, dag, expm, max_abs,
-                             op_norm, sample_runs)
+from stroblim.linalg import _action_run, _dense_run, dag, expm, max_abs, op_norm
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -107,7 +104,7 @@ def test_semigroup_keeps_trace_and_blocks(seed, dims, norm):
     r = random_density(rng, dims[1])
     init = InitialState(random_density(rng, dims[0]),
                         sum(p @ r @ p for p in spec.projectors))
-    traj = semigroup_propagate(eff, init, [0.0, 0.5, 2.0])
+    traj = semigroup_propagate(eff, init, 0.5, 4)
     assert max_abs(traj.norms - 1.0) <= 1e-12
     v = eff.layout.bases
     blocks = dag(v) @ traj.states[:, None] @ v
@@ -138,47 +135,6 @@ def test_semigroup_after_the_channel_is_completely_positive(seed, dims, norm):
         assert np.linalg.eigvalsh(choi_matrix(superop)).min() >= -1e-8
 
 
-def random_grid(rng, start, h, size):
-    """Non-decreasing times from start: repeats, jitter on either side of the
-    tolerance 1e-12 * max(1, t), steps of h with and without such jitter,
-    changes of h and double steps."""
-    times = [start]
-    for kind in rng.integers(0, 6, size):
-        t = times[-1]
-        jitter = rng.uniform(-1.5, 1.5) * 1e-12 * max(1.0, t)
-        if kind == 4:
-            h *= rng.choice([0.5, 2.0, 3.0])
-        # jitter beyond a tiny h would step back in time
-        gap = (0.0, abs(jitter), h, max(0.0, h + jitter), h, 2.0 * h)[kind]
-        times.append(t + gap)
-    return np.array(times)
-
-
-@DETERMINISTIC
-@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
-                  start=st.sampled_from([0.0, 3e-13, 0.5, 3.0, 1e4]),
-                  h=st.sampled_from([3e-12, 1e-3, 0.01, 0.3, 2.0]),
-                  size=st.integers(0, 200))
-def test_expm_sample_runs_equal_the_loop(seed, start, h, size):
-    # sample_runs against its per-sample loop: the recorded advance calls
-    # give the run splits, the step sizes and the per-sample counts of each
-    # run
-    times = random_grid(np.random.default_rng(seed), start, h, size)
-
-    def record(calls):
-        def advance(h, y, counts):
-            calls.append((h, y[0, 0], counts.tolist()))
-            return y + counts[:, None, None] * h
-        return advance
-
-    got, want = [], []
-    y0 = np.zeros((1, 1))
-    out = sample_runs(y0, times, record(got))
-    ref = reference_sample_runs(y0, times, record(want))
-    assert got == want
-    assert np.array_equal(out, ref)
-
-
 @DETERMINISTIC
 @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
                   dims=st.sampled_from([(1, 4), (2, 4), (3, 2), (2, 6)]),
@@ -197,9 +153,9 @@ def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
     v, gen = eff.layout.bases, eff.generator
     rho0 = random_density(rng, dims[0] * dims[1])
     y0 = eff.layout.pack(dag(v) @ rho0 @ v)
-    times = random_grid(rng, 0.0, h, size)
-    action = sample_runs(y0, times, partial(_action_run, gen))
-    assert max_abs(action - sample_runs(y0, times, partial(_dense_run, gen))) <= 1e-13
+    counts = np.arange(size + 1)
+    action = _action_run(gen, h, y0, counts)
+    assert max_abs(action - _dense_run(gen, h, y0, counts)) <= 1e-13
     states = (v @ eff.layout.unpack(action) @ dag(v)).sum(axis=-3)
     assert max_abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) <= 1e-12
     assert max_abs(states - dag(states)) <= 1e-13

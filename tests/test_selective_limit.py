@@ -3,9 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import (IRREGULAR_GAPS, IRREGULAR_GRID, counting_expm, family_spec,
-                     random_density, random_hamiltonian_spec, random_ket,
-                     random_projector_family)
+from helpers import (counting_expm, family_spec, random_density,
+                     random_hamiltonian_spec, random_ket, random_projector_family)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
                  purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
@@ -153,7 +152,8 @@ class TestPropagateKraus:
     def test_time_zero_identity(self, rng):
         eff = swap_eff()
         init = InitialState.from_kets(random_ket(rng, 2), basis_ket("u"))
-        traj = propagate_kraus(eff, init, [0.0])
+        traj = propagate_kraus(eff, init, 1.0, 0)
+        assert traj.times.tolist() == [0.0]
         assert max_abs(traj.states[0] - init.rho_sys) < 1e-13
         assert traj.norms[0] == pytest.approx(1.0)
 
@@ -161,9 +161,8 @@ class TestPropagateKraus:
         a2 = 0.2
         eff = swap_eff()
         init = InitialState.from_kets([np.sqrt(a2), np.sqrt(1 - a2)], basis_ket("u"))
-        times = np.linspace(0.0, 10.0, 101)
-        traj = propagate_kraus(eff, init, times)
-        want = a2 / (a2 + np.exp(-OMEGA * times) * (1 - a2))
+        traj = propagate_kraus(eff, init, 0.1, 100)
+        want = a2 / (a2 + np.exp(-OMEGA * traj.times) * (1 - a2))
         assert max_abs(traj.p_up() - want) < 1e-12
 
     def test_zero_h2_is_unitary(self, rng):
@@ -172,62 +171,47 @@ class TestPropagateKraus:
         ham = HamiltonianSpec(2.0, ((a, np.eye(2)),))
         eff = effective_rank1(ham, basis_ket("u"), 0.1)
         init = InitialState.from_kets(random_ket(rng, 2), basis_ket("u"))
-        traj = propagate_kraus(eff, init, np.linspace(0, 5, 21))
+        traj = propagate_kraus(eff, init, 0.25, 20)
         assert max_abs(traj.norms - 1.0) < 1e-12
 
     def test_norm_non_increasing(self, rng):
         eff = swap_eff()
         init = InitialState.from_kets(random_ket(rng, 2), basis_ket("u"))
-        traj = propagate_kraus(eff, init, np.linspace(0, 8, 33))
+        traj = propagate_kraus(eff, init, 0.25, 32)
         assert np.all(np.diff(traj.norms) <= 1e-12)
 
-    @pytest.mark.parametrize("times", [
-        pytest.param(np.arange(251) * 0.04, id="uniform"),
-        pytest.param([0.3, 0.3, 0.5, 1.25, 1.25, 1.25, 2.0, 7.1], id="nonuniform"),
+    @pytest.mark.parametrize("h, n", [
+        pytest.param(0.04, 250, id="uniform"),
     ])
-    def test_matches_per_time_exponentials(self, times):
+    def test_matches_per_time_exponentials(self, h, n):
         eff = swap_eff()
         init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
-        traj = propagate_kraus(eff, init, times)
-        assert len(traj) == len(times)
-        for t, got, norm in zip(times, traj.states, traj.norms):
+        traj = propagate_kraus(eff, init, h, n)
+        assert len(traj) == n + 1
+        for t, got, norm in zip(traj.times, traj.states, traj.norms):
             k = expm(-1j * t * eff.h_eff)
             rho = k @ init.rho_sys @ dag(k)
             assert abs(norm - np.trace(rho).real) <= 1e-12
             assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
 
-    def test_irregular_grid_matches_per_time_exponentials(self, monkeypatch):
+    def test_one_exponential_per_call(self, monkeypatch):
+        # one Kraus step exp(-i Heff h) per call, whatever h and n; the
+        # samples are its powers
+        eff = swap_eff()
+        init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
         calls = counting_expm(monkeypatch)
-        eff = swap_eff()
-        init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
-        traj = propagate_kraus(eff, init, IRREGULAR_GRID)
-        assert len(calls) == IRREGULAR_GAPS
-        assert len(traj) == len(IRREGULAR_GRID)
-        for t, got, norm in zip(IRREGULAR_GRID, traj.states, traj.norms):
-            k = expm(-1j * t * eff.h_eff)
-            rho = k @ init.rho_sys @ dag(k)
-            assert abs(norm - np.trace(rho).real) <= 1e-12
-            assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
-
-    def test_irregular_grid_raises_at_the_probability_floor(self):
-        # exp(-32) = 1.3e-14 is kept and exp(-33) = 4.7e-15 is not, as on the
-        # uniform grid; here T = 32 is repeated and T = 33 ends a run of gaps
-        times = [0.5, 0.5, 4.0, 7.5, 11.0, 20.0, 29.0, 32.0, 32.0, 33.0, 34.0, 35.0,
-                 60.0]
-        eff = swap_eff()
-        init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
-        with pytest.raises(VanishingProbabilityError, match="at T = 33 "):
-            propagate_kraus(eff, init, times)
-        traj = propagate_kraus(eff, init, times[:9])
-        assert len(traj) == 9
-        assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
-        assert traj.norms[-1] >= PROB_FLOOR
+        for h, n in ((0.04, 250), (0.000625, 16000), (1.0, 1), (2.5, 0)):
+            del calls[:]
+            traj = propagate_kraus(eff, init, h, n)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], -1j * eff.h_eff * h)
+            assert len(traj) == n + 1
 
     def test_raises_on_vanishing_branch(self):
         eff = swap_eff()
         init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
         with pytest.raises(VanishingProbabilityError, match="at T = 50 "):
-            propagate_kraus(eff, init, [0.0, 1.0, 50.0])
+            propagate_kraus(eff, init, 25.0, 2)
 
     def test_raises_at_the_probability_floor(self):
         # branch probability exp(-Omega T) with Omega = 1: exp(-32) = 1.3e-14
@@ -235,8 +219,8 @@ class TestPropagateKraus:
         eff = swap_eff()
         init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
         with pytest.raises(VanishingProbabilityError, match="at T = 33 "):
-            propagate_kraus(eff, init, np.linspace(0.0, 60.0, 61))
-        traj = propagate_kraus(eff, init, np.linspace(0.0, 32.0, 33))
+            propagate_kraus(eff, init, 1.0, 60)
+        traj = propagate_kraus(eff, init, 1.0, 32)
         assert len(traj) == 33
         assert np.allclose(traj.norms, np.exp(-OMEGA * traj.times), rtol=1e-12, atol=0)
         assert traj.norms[-1] >= PROB_FLOOR
@@ -244,7 +228,7 @@ class TestPropagateKraus:
     def test_full_stack_matches_times(self):
         eff = swap_eff()
         init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
-        traj = propagate_kraus(eff, init, np.linspace(0.0, 32.0, 33))
+        traj = propagate_kraus(eff, init, 1.0, 32)
         assert isinstance(traj.states, np.ndarray)
         assert traj.states.shape == (33, 2, 2)
         assert traj.times.shape == traj.norms.shape == (33,)
@@ -254,7 +238,7 @@ class TestPropagateKraus:
         eff = swap_eff()
         init = InitialState.from_kets([1.0, 0.0], basis_ket("d"))
         with pytest.raises(ValueError):
-            propagate_kraus(eff, init, [0.0])
+            propagate_kraus(eff, init, 1.0, 0)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rejects_probe_outside_range(self, rank):
@@ -268,12 +252,12 @@ class TestPropagateKraus:
             eff = effective_rankr(heisenberg3_hamiltonian(GAMMA, "local_xyz"), p, TAU)
         init = InitialState.from_kets([1.0, 0.0], inside + outside)
         with pytest.raises(ValueError, match=r"range\(P\)"):
-            propagate_kraus(eff, init, [0.0])
+            propagate_kraus(eff, init, 1.0, 0)
 
     def test_a_rank1_block_is_its_own_marginal(self):
         # the system states are the normalized blocks themselves, not a copy
         init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
-        traj = propagate_kraus(swap_eff(), init, np.linspace(0.0, 1.0, 5))
+        traj = propagate_kraus(swap_eff(), init, 0.25, 4)
         assert np.shares_memory(traj.sys_states, traj.states)
 
     def test_limit_and_oracle_share_the_support_rule(self):
@@ -283,7 +267,7 @@ class TestPropagateKraus:
         meas = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]], 0)
         plan = EvolutionPlan(swap_hamiltonian(GAMMA), meas, TAU, 1.0)
         with pytest.raises(ValueError, match=r"supported in range\(P\)"):
-            propagate_kraus(swap_eff(), init, [0.0])
+            propagate_kraus(swap_eff(), init, 1.0, 0)
         with pytest.raises(ValueError, match=r"supported in range\(P\)"):
             run_selective(plan, init)
 
@@ -354,10 +338,11 @@ class TestPurityDerivative:
         init = InitialState.from_kets([np.sqrt(a2), np.sqrt(1 - a2)], basis_ket("u"))
         h = 1e-3
         for t in (0.5, 2.0, 5.0):
-            traj = propagate_kraus(eff, init, [t - h, t, t + h])
-            fd = (np.trace(traj.states[2] @ traj.states[2]).real
-                  - np.trace(traj.states[0] @ traj.states[0]).real) / (2 * h)
-            got = purity_derivative(eff, traj.states[1])
+            # the states at t - h, t and t + h
+            states = propagate_kraus(eff, init, h, round(t / h) + 1).states[-3:]
+            fd = (np.trace(states[2] @ states[2]).real
+                  - np.trace(states[0] @ states[0]).real) / (2 * h)
+            got = purity_derivative(eff, states[1])
             assert abs(got - fd) < 1e-4
 
 
@@ -372,14 +357,13 @@ class TestConsistency:
         cases.append((effective_rank1(ham, random_ket(rng, 3), 0.25),
                       random_ket(rng, 2)))
         for eff, psi0 in cases:
-            times = np.linspace(0.0, 5.0, 11)
             rho0 = np.outer(psi0, psi0.conj())
-            dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, times)
-            stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
+            dens = rk4_sample(partial(nonlinear_density_rhs, eff), rho0, 0.5, 10)
+            stat = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, 0.5, 10)
             phi = eff.layout.probe_bases[0][:, 0]
             init = InitialState(rho0, np.outer(phi, phi.conj()))
-            kraus = propagate_kraus(eff, init, times)
-            for k in range(len(times)):
+            kraus = propagate_kraus(eff, init, 0.5, 10)
+            for k in range(len(kraus)):
                 rho_s = np.outer(stat[k], stat[k].conj())
                 assert trace_distance(dens[k], rho_s) < 1e-6
                 assert trace_distance(dens[k], kraus.states[k]) < 1e-6
@@ -390,9 +374,8 @@ class TestConsistency:
         a2 = 0.2
         eff = swap_eff()
         psi0 = np.array([np.sqrt(a2), np.sqrt(1 - a2)], dtype=complex)
-        times = np.linspace(0.0, 4.0, 9)
-        psis = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, times)
-        want = a2 / (a2 + np.exp(-OMEGA * times) * (1 - a2))
+        psis = rk4_sample(partial(nonlinear_state_rhs, eff), psi0, 0.5, 8)
+        want = a2 / (a2 + np.exp(-OMEGA * np.arange(9) * 0.5) * (1 - a2))
         got = np.array([abs(p[0]) ** 2 / np.linalg.norm(p) ** 2 for p in psis])
         assert max_abs(got - want) < 1e-6
 
@@ -401,7 +384,8 @@ class TestConsistency:
         init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
         h = 1e-3
         for t in (1.0, 3.0):
-            traj = propagate_kraus(eff, init, [t - h, t, t + h])
-            fd = (traj.states[2] - traj.states[0]) / (2 * h)
-            rhs = nonlinear_density_rhs(eff, traj.states[1])
+            # the states at t - h, t and t + h
+            states = propagate_kraus(eff, init, h, round(t / h) + 1).states[-3:]
+            fd = (states[2] - states[0]) / (2 * h)
+            rhs = nonlinear_density_rhs(eff, states[1])
             assert max_abs(fd - rhs) < 1e-4
