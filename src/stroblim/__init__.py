@@ -10,11 +10,11 @@ monitoring.
 
 from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
                     run_selective, unitary_step)
-from .linalg import (TensorDims, expm, is_density, is_hermitian, is_projector,
-                     is_psd, kron, partial_trace, trace_distance)
+from .linalg import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
+                     partial_trace, trace_distance)
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets, pauli,
-                    projector_from_kets, swap_hamiltonian)
+                    swap_hamiltonian)
 from .nonselective_limit import (NonselectiveEffective, block_rhs,
                                  build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
@@ -30,9 +30,8 @@ __all__ = [
     "Trajectory", "VanishingProbabilityError", "basis_ket",
     "bloch_vector", "block_rhs", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
-    "is_hermitian", "is_projector", "is_psd", "kron", "measurement_from_kets",
-    "partial_trace", "pauli", "projector_from_kets", "propagate_kraus",
-    "run_nonselective", "run_selective", "semigroup_propagate",
-    "swap_hamiltonian",
+    "is_hermitian", "is_psd", "kron", "measurement_from_kets",
+    "partial_trace", "pauli", "propagate_kraus", "run_nonselective",
+    "run_selective", "semigroup_propagate", "swap_hamiltonian",
     "swap_nonselective_closed_form", "trace_distance", "unitary_step",
 ]

@@ -42,8 +42,10 @@ class VanishingProbabilityError(RuntimeError):
 
 def period_slack(periods: float) -> float:
     """Rounding slack of a period count t / tau: 1e-9, or a few ulps of the
-    count once those are larger (from about 5.6e5 periods on)."""
-    return max(1e-9, 8 * np.finfo(float).eps * periods)
+    count once those are larger (from about 5.6e5 periods on), but at most a
+    quarter period, so that it never adds a whole one (from about 1.4e14
+    periods on, where a few ulps of the count exceed a period)."""
+    return min(max(1e-9, 8 * np.finfo(float).eps * periods), 0.25)
 
 
 def steps_in(total_time: float, tau: float) -> int:
@@ -82,7 +84,7 @@ class EvolutionPlan:
             if len(seq) != self.n_steps:
                 raise ValueError(f"outcome sequence length {len(seq)} does not match "
                                  f"floor(T/tau) = {self.n_steps}")
-            if any(not 0 <= i < len(self.measurement.projectors) for i in seq):
+            if any(not 0 <= i < len(self.measurement.bases) for i in seq):
                 raise ValueError("outcome index out of range")
             object.__setattr__(self, "outcome_sequence", seq)
 

@@ -200,13 +200,12 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
         # End on the last grid point's measurement, so no fractional period
         # adds a sample beyond the grid.
         plan = EvolutionPlan(ham, meas, sc.tau, every * sc.grid_points * sc.tau)
-        if sc.selective:
-            return run_selective(plan, init, every=every)
-        return run_nonselective(plan, init, every=every)
+        run = run_selective if sc.selective else run_nonselective
+        # sampled at the periods n = every * k, reported at the grid's k * step
+        return replace(run(plan, init, every=every), times=sc.times)
     if method == "limit":
         if sc.selective:
-            sel = meas.selected_index
-            eff = effective_rankr(ham, meas.projectors[sel], sc.tau, meas.bases[sel])
+            eff = effective_rankr(ham, meas, sc.tau)
             return propagate_kraus(eff, init, sc.step, sc.grid_points)
         eff = build_generator(ham, meas, sc.tau)
         return semigroup_propagate(eff, init, sc.step, sc.grid_points)

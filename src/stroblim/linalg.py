@@ -113,12 +113,6 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     return bool(w.min() >= -tol)
 
 
-def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
-    """X is Hermitian and idempotent within tol."""
-    m = as_matrix(a)
-    return is_hermitian(m, tol) and max_abs(m @ m - m) <= tol
-
-
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     """Hermitian, positive semidefinite, unit trace."""
     m = as_matrix(a)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, conj_stack, dag,
-                     is_density, is_projector, kron, max_abs, op_norm)
+                     is_density, kron, max_abs, op_norm)
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -47,21 +47,6 @@ def basis_ket(labels: str) -> np.ndarray:
         else:
             raise ValueError(f"basis labels use 'u'/'d' only, got {ch!r}")
     return out
-
-
-def projector_from_kets(kets) -> np.ndarray:
-    """Orthogonal projector sum |k><k| over an orthonormal list of kets."""
-    vecs = [np.asarray(k, dtype=complex).reshape(-1) for k in kets]
-    if not vecs:
-        raise ValueError("projector needs at least one ket")
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs):
-        raise ValueError("kets must share one dimension")
-    v = np.column_stack(vecs)
-    gram = dag(v) @ v
-    if max_abs(gram - np.eye(len(vecs))) > DEFAULT_TOL:
-        raise ValueError("kets must be orthonormal within 1e-10")
-    return v @ dag(v)
 
 
 @dataclass(frozen=True)
@@ -239,70 +224,59 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Family of orthogonal probe projectors, optionally with a selected outcome.
+    """Orthogonal probe measurement, given by the ranges of its outcomes,
+    optionally with a selected outcome.
 
+    `bases` holds one column-orthonormal (dim_pr, r_i) isometry v_i per
+    outcome, onto the range of its projector P_i = v_i v_i+ (`projectors`);
+    its column order fixes the intra-block ordering used everywhere
+    downstream.  One Gram matrix of the concatenated bases checks that each
+    is orthonormal and that the outcomes are orthogonal, within 1e-10.
     selected_index present means selective mode (only that outcome branch is
-    followed); absent means non-selective mode, which additionally requires the
-    family to be complete.  `bases` holds one column-orthonormal isometry per
-    projector (built from its eigenvectors when not supplied) and fixes the
-    intra-block ordering used everywhere downstream.
+    followed); absent means non-selective mode, which additionally requires
+    the family to be complete, sum_i P_i = I within 1e-10.
     """
 
-    projectors: tuple[np.ndarray, ...]
+    bases: tuple[np.ndarray, ...]
     selected_index: int | None = None
-    bases: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.projectors:
-            raise ValueError("measurement needs at least one projector")
-        projs = tuple(as_matrix(p) for p in self.projectors)
-        dim = projs[0].shape[0]
-        for k, p in enumerate(projs):
-            if p.shape[0] != dim:
-                raise ValueError("projectors must share one dimension")
-            if not is_projector(p, DEFAULT_TOL):
-                raise ValueError(f"projector {k} is not a projector within 1e-10")
-            if round(float(np.trace(p).real)) < 1:
-                raise ValueError(f"projector {k} has rank 0")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if max_abs(projs[i] @ projs[j]) > DEFAULT_TOL:
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
+        bases = tuple(np.asarray(v, dtype=complex) for v in self.bases)
+        if not bases:
+            raise ValueError("measurement needs at least one outcome")
+        for k, v in enumerate(bases):
+            if v.ndim != 2 or v.shape[1] < 1 or v.shape[0] != bases[0].shape[0]:
+                raise ValueError(f"basis {k} has shape {v.shape}, expected (dim_pr, r) "
+                                 "with r >= 1 and the dim_pr of basis 0")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"basis {k} has non-finite entries")
+        stacked = np.concatenate(bases, axis=1)
+        gram = dag(stacked) @ stacked
+        bad = np.abs(gram - np.eye(len(gram))) > DEFAULT_TOL
+        if bad.any():      # the outcomes of the first faulty column pair
+            outcome = np.repeat(np.arange(len(bases)), [v.shape[1] for v in bases])
+            i, j = outcome[np.argwhere(bad)[0]]
+            raise ValueError(f"basis {i} is not orthonormal within 1e-10" if i == j
+                             else f"outcomes {i} and {j} overlap: their bases are "
+                             "not orthogonal within 1e-10")
         if self.selected_index is not None:
-            if not 0 <= self.selected_index < len(projs):
+            if not 0 <= self.selected_index < len(bases):
                 raise ValueError(f"selected_index {self.selected_index} out of range")
-        else:
-            total = sum(projs)
-            if max_abs(total - np.eye(dim)) > DEFAULT_TOL:
-                raise ValueError("non-selective mode requires a complete projector family")
-        if self.bases is None:
-            built = []
-            for p in projs:
-                w, v = np.linalg.eigh(p)
-                built.append(np.ascontiguousarray(v[:, w > 0.5]))
-            bases = tuple(built)
-        else:
-            bases = tuple(np.asarray(b, dtype=complex) for b in self.bases)
-            if len(bases) != len(projs):
-                raise ValueError("need one basis per projector")
-        for k, (p, v) in enumerate(zip(projs, bases)):
-            r = round(float(np.trace(p).real))
-            if v.shape != (dim, r):
-                raise ValueError(f"basis {k} must be {dim}x{r}")
-            if max_abs(dag(v) @ v - np.eye(r)) > DEFAULT_TOL:
-                raise ValueError(f"basis {k} is not orthonormal")
-            if max_abs(v @ dag(v) - p) > DEFAULT_TOL:
-                raise ValueError(f"basis {k} does not span projector {k}")
-        object.__setattr__(self, "projectors", projs)
+        elif max_abs(stacked @ dag(stacked) - np.eye(len(stacked))) > DEFAULT_TOL:
+            raise ValueError("non-selective mode requires a complete projector family")
         object.__setattr__(self, "bases", bases)
 
     @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(v @ dag(v) for v in self.bases)
+
+    @property
     def dim_pr(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.bases[0].shape[0]
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(round(float(np.trace(p).real)) for p in self.projectors)
+        return tuple(v.shape[1] for v in self.bases)
 
     @property
     def selective(self) -> bool:
@@ -310,14 +284,15 @@ class MeasurementSpec:
 
 
 def measurement_from_kets(ket_groups, selected_index: int | None = None) -> MeasurementSpec:
-    """Build a MeasurementSpec from per-outcome ket lists, preserving ket order."""
-    projs = []
+    """Build a MeasurementSpec from per-outcome ket lists, each outcome's kets
+    the columns of its basis, in order."""
     bases = []
-    for group in ket_groups:
+    for i, group in enumerate(ket_groups):
         vecs = [np.asarray(k, dtype=complex).reshape(-1) for k in group]
-        projs.append(projector_from_kets(vecs))
+        if len({v.size for v in vecs}) > 1:
+            raise ValueError(f"the kets of outcome {i} differ in dimension")
         bases.append(np.column_stack(vecs))
-    return MeasurementSpec(tuple(projs), selected_index, tuple(bases))
+    return MeasurementSpec(tuple(bases), selected_index)
 
 
 @dataclass(frozen=True)

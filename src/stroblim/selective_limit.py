@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import (PROB_FLOOR, conj_powers, dag, expm, real_trace,
-                     uniform_counts)
+from .linalg import PROB_FLOOR, conj_powers, expm, real_trace, uniform_counts
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -60,30 +59,32 @@ def effective_rank1(ham: HamiltonianSpec, phi, tau: float) -> SelectiveEffective
     of h in |phi> as an operator on the system.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1, 1)
-    return effective_rankr(ham, phi @ dag(phi), tau, basis=phi)
+    return effective_rankr(ham, MeasurementSpec((phi,), 0), tau)
 
 
-def effective_rankr(ham: HamiltonianSpec, proj, tau: float,
-                    basis: np.ndarray | None = None) -> SelectiveEffective:
-    """Effective generator on system (x) range(P) for a rank-r probe projector.
+def effective_rankr(ham: HamiltonianSpec, spec: MeasurementSpec,
+                    tau: float) -> SelectiveEffective:
+    """Effective generator on system (x) range(P) for the selected outcome of
+    a selective measurement, P its rank-r projector.
 
-    With V = I_sys (x) v for an orthonormal basis v of range(P) (`basis`, or
-    eigenvectors of P) and h the dimensionless Hamiltonian,
-    H1 = gamma V+ h V and H2 = (Omega/2) (V+ h^2 V - (V+ h V)^2), built by
-    `HamiltonianSpec.blocks` on the one-block layout of v, which the result
-    keeps.  H1 - i H2 is the diagonal block Heff of the non-selective
-    generator for the same projector in a complete family.  P and basis are
-    validated as a one-projector MeasurementSpec; tau and the probe
-    dimension are checked here.  H1 is Hermitian and H2 =
+    With V = I_sys (x) v for the orthonormal basis v of range(P) that the
+    spec holds and h the dimensionless Hamiltonian, H1 = gamma V+ h V and
+    H2 = (Omega/2) (V+ h^2 V - (V+ h V)^2), built by `HamiltonianSpec.blocks`
+    on the one-block layout of v, which the result keeps.  H1 - i H2 is the
+    diagonal block Heff of the non-selective generator for the same
+    projector in a complete family.  Only the arguments' fit is checked
+    (ValueError), as in `build_generator`: H1 is Hermitian and H2 =
     (Omega/2) V+ h (1 - P) h V >= 0 by construction once `HamiltonianSpec`
     has accepted a Hermitian h, so neither is re-checked.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    spec = MeasurementSpec((proj,), 0, None if basis is None else (basis,))
+    s = spec.selected_index
+    if s is None:
+        raise ValueError("selective generator requires a selected outcome")
     if spec.dim_pr != ham.dim_pr:
-        raise ValueError("projector dimension does not match the Hamiltonian")
-    layout = BlockLayout(ham.dim_sys, spec.bases)
+        raise ValueError("measurement and Hamiltonian probe dimensions differ")
+    layout = BlockLayout(ham.dim_sys, spec.bases[s:s + 1])
     _, h1, h2 = ham.blocks(layout, tau)
     return SelectiveEffective(h1=h1[0], h2=h2[0], gamma=ham.gamma, tau=tau,
                               layout=layout)

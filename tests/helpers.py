@@ -17,7 +17,7 @@ from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
 from stroblim.experiments import ComparisonReport, compare_case
 from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
-                             is_hermitian, is_projector, max_abs, partial_trace)
+                             is_hermitian, max_abs, partial_trace)
 from stroblim.nonselective_limit import block_rhs
 
 
@@ -106,13 +106,28 @@ def random_projector_family(rng, dim, n_blocks=None):
 
 
 def family_spec(groups, selected_index=None):
-    projs = []
-    bases = []
-    for g in groups:
-        v = np.column_stack(g)
-        projs.append(v @ v.conj().T)
-        bases.append(v)
-    return MeasurementSpec(tuple(projs), selected_index, tuple(bases))
+    return MeasurementSpec(tuple(np.column_stack(g) for g in groups), selected_index)
+
+
+def is_projector(a, tol=DEFAULT_TOL):
+    """X is Hermitian and idempotent within tol."""
+    m = as_matrix(a)
+    return is_hermitian(m, tol) and max_abs(m @ m - m) <= tol
+
+
+def projector_from_kets(kets):
+    """Orthogonal projector sum |k><k| over an orthonormal list of kets."""
+    vecs = [np.asarray(k, dtype=complex).reshape(-1) for k in kets]
+    if not vecs:
+        raise ValueError("projector needs at least one ket")
+    dim = vecs[0].size
+    if any(v.size != dim for v in vecs):
+        raise ValueError("kets must share one dimension")
+    v = np.column_stack(vecs)
+    gram = dag(v) @ v
+    if max_abs(gram - np.eye(len(vecs))) > DEFAULT_TOL:
+        raise ValueError("kets must be orthonormal within 1e-10")
+    return v @ dag(v)
 
 
 # ---------------------------------------------------------------------------

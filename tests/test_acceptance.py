@@ -18,8 +18,8 @@ from helpers import (block_apply, block_evolve, bloch_ball_images,
                      unvec, vec)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs, pauli_rates,
                  pauli_rhs, purity_derivative, rk4_sample)
-from stroblim import (EvolutionPlan, InitialState, basis_ket, build_generator,
-                      effective_rank1, effective_rankr, kron,
+from stroblim import (EvolutionPlan, InitialState, MeasurementSpec, basis_ket,
+                      build_generator, effective_rank1, effective_rankr, kron,
                       measurement_from_kets, propagate_kraus, run_selective,
                       semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
@@ -102,25 +102,23 @@ def test_effective_hamiltonian_identities():
                     terms.append((a, b / np.linalg.norm(b, 2)))
                 from stroblim import HamiltonianSpec
                 ham = HamiltonianSpec(2.0, tuple(terms))
-                p = np.diag([1.0] * r + [0.0] * (dp - r)).astype(complex)
+                v = np.eye(dp, dtype=complex)[:, :r]
             else:
                 r = int(rng.integers(1, dp + 1))
-                u = random_unitary(rng, dp)
-                p = u[:, :r] @ dag(u[:, :r])
-            eff = effective_rankr(ham, p, tau)
+                v = random_unitary(rng, dp)[:, :r]
+            p = v @ dag(v)
+            eff = effective_rankr(ham, MeasurementSpec((v,), 0), tau)
             assert max_abs(eff.h2 - dag(eff.h2)) <= 1e-10
             assert np.linalg.eigvalsh(eff.h2).min() >= -1e-10
             h = ham.assemble()
             c = kron(np.eye(ds), p)
             leak = max_abs((np.eye(ds * dp) - c) @ h @ c)
             assert (max_abs(eff.h2) <= 1e-12) == (leak <= 1e-12)
-            if round(np.trace(p).real) == 1:
-                w, v = np.linalg.eigh(p)
-                phi = v[:, -1]
-                e1 = effective_rank1(ham, phi, tau)
-                er = effective_rankr(ham, p, tau, basis=phi.reshape(-1, 1))
-                assert max_abs(er.h1 - e1.h1) <= 1e-12
-                assert max_abs(er.h2 - e1.h2) <= 1e-12
+            if r == 1:
+                # the rank-1 form of the same ket, at another phase
+                e1 = effective_rank1(ham, np.exp(0.3j) * v[:, 0], tau)
+                assert max_abs(eff.h1 - e1.h1) <= 1e-12
+                assert max_abs(eff.h2 - e1.h2) <= 1e-12
 
 
 def test_nonlinear_dynamics_consistency():

@@ -238,7 +238,8 @@ class TestCommands:
         fb = (b / "swap_selective_exact.csv").read_bytes()
         assert fa == fb
 
-    @pytest.mark.parametrize("changes, reported", [
+    @pytest.mark.parametrize("base, changes, reported, fault", [
+        ("swap_selective", changes, reported, None) for changes, reported in [
         ({"omega": 3.0}, "omega"),
         ({"selected_index": True}, "selected_index"),
         ({"grid_points": 250.7}, "grid_points"),
@@ -286,6 +287,16 @@ class TestCommands:
         ({"projectors": [["uu"]]}, "projectors"),
         ({"initial_sys": {"ket": "uu"}}, "initial_sys/initial_pr"),
         ({"t_max": -1.0}, "t_max"),
+    ]] + [
+        # the measurement's own rules, each naming its fault
+        ("swap_nonselective", {"projectors": [["u", "uu"], ["d"]]}, "projectors",
+         "the kets of outcome 0 differ in dimension"),
+        ("swap_nonselective", {"projectors": [["u"], [[[0.0, 0.0], [2.0, 0.0]]]]},
+         "projectors", "basis 1 is not orthonormal"),
+        ("swap_nonselective", {"projectors": [["u"], ["u"]]}, "projectors",
+         "outcomes 0 and 1 overlap"),
+        ("swap_nonselective", {"projectors": [["u"]]}, "projectors",
+         "requires a complete projector family"),
     ], ids=["inconsistent_omega", "bool_selected_index", "fractional_grid_points",
             "nan_tolerance", "inf_tolerance", "zero_tolerance", "inf_t_max",
             "nan_t_max", "nan_gamma", "nan_tau", "string_gamma", "bool_gamma",
@@ -297,9 +308,11 @@ class TestCommands:
             "unknown_mode", "mode_against_selected_index", "unknown_output",
             "bloch_of_a_four_level_system", "off_lattice_grid", "zero_grid_points",
             "unknown_method", "inapplicable_closed_form", "probe_dimension_mismatch",
-            "initial_dimension_mismatch", "negative_t_max"])
-    def test_malformed_scenario_exits_2(self, tmp_path, capsys, changes, reported):
-        doc = bundled_doc("swap_selective")
+            "initial_dimension_mismatch", "negative_t_max", "ragged_kets",
+            "unnormalized_ket", "overlapping_outcomes", "incomplete_family"])
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, base, changes,
+                                        reported, fault):
+        doc = bundled_doc(base)
         doc.update(changes)
         doc = {k: v for k, v in doc.items() if v is not None}
         path = tmp_path / "bad.json"
@@ -309,6 +322,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"scenario key '{reported}'" in err
         assert err.count("scenario key") == 1     # the key is named once
+        assert fault is None or fault in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_vanishing_probability_exits_3(self, tmp_path):
@@ -443,7 +457,8 @@ class TestCommands:
 
     def test_compare_takes_a_trillion_periods_per_sample(self, tmp_path):
         # t_max / grid_points / tau is 999999999999.9999 in floats: a stride
-        # a few ulps off the integer 1e12
+        # a few ulps off the integer 1e12.  The exact run ends at period 1e12,
+        # 1e12 * tau = 1000.0000000000001, and reports the grid time t_max.
         doc = bundled_doc("swap_selective")
         del doc["gamma"]
         doc.update(tau=1e-9, omega=1.0, t_max=1000.0, grid_points=1)
@@ -451,7 +466,7 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "swap_selective_compare.csv")
-        assert [row["t"] for row in rows] == [0.0, 1000.0000000000001]
+        assert [row["t"] for row in rows] == [0.0, 1000.0]
 
     @pytest.mark.parametrize("command", [["compare"], ["sweep", "--tau", "0.04,0.02"]])
     def test_one_method_scenario_exits_2(self, tmp_path, capsys, command):

@@ -13,6 +13,7 @@ from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       basis_ket, kron, measurement_from_kets, pauli,
                       run_nonselective, run_selective, swap_hamiltonian,
                       unitary_step)
+from stroblim.exact import steps_in
 from stroblim.linalg import TensorDims, conj_powers, dag, max_abs, partial_trace
 
 
@@ -518,5 +519,11 @@ def test_plan_refuses_timing_it_cannot_step(tau, total_time, message):
 
 
 def test_plan_takes_timing_just_inside_the_bounds():
-    EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 1.0, 2.0 ** 53 - 2)
+    # the period count's slack stays below half a period, so it adds none
+    # where a count's ulp reaches a whole period
+    plan = EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 1.0, 2.0 ** 53 - 2)
+    assert plan.n_steps == 2 ** 53 - 2
+    assert plan.residual == 0.0
+    for k in range(40, 53):
+        assert steps_in(2.0 ** k, 1.0) == 2 ** k
     assert EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 0.1, 0.0).n_steps == 0

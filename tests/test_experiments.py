@@ -171,7 +171,8 @@ def test_states_are_one_stack(name, method):
     assert len(traj.states) == t
 
 
-GRIDS = {"file": {}, "stride5": {"t_max": 2.0, "grid_points": 10}}
+GRIDS = {"file": {}, "stride5": {"t_max": 2.0, "grid_points": 10},
+         "stride500": {"tau": 2e-4, "t_max": 2.0, "grid_points": 20}}
 
 
 @pytest.mark.parametrize("name, method, grid", [
@@ -180,11 +181,14 @@ GRIDS = {"file": {}, "stride5": {"t_max": 2.0, "grid_points": 10}}
     ("swap_nonselective", "closed_form", "file"),
     ("swap_selective", "limit", "stride5"), ("swap_nonselective", "limit", "stride5"),
     ("swap_nonselective", "closed_form", "stride5"),
+    ("swap_selective", "exact", "stride5"), ("swap_nonselective", "exact", "stride5"),
+    ("swap_selective", "exact", "stride500"), ("swap_nonselective", "exact", "stride500"),
 ])
 def test_trajectory_times_are_the_scenario_grid(name, method, grid):
-    # every method samples k * sc.step, bit for bit.  The exact runner samples
-    # n * tau, the same numbers on the files' grids, where the sample stride
-    # is one period; at other strides they may differ in the last ulp.
+    # every method samples k * sc.step, bit for bit.  The exact runner steps
+    # to the periods n = k * stride and reports the grid's times, not n * tau,
+    # which differ from them in the last ulp at some strides (here 500 k * 2e-4
+    # and k * 0.1, for k = 3, 6 and 12).
     sc = load_bundled(name, **GRIDS[grid])
     assert np.array_equal(run_method(sc, method).times, sc.times)
     assert np.array_equal(sc.times, np.arange(sc.grid_points + 1) * sc.step)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (bundled_path, counting_expm, hermitian_eig, is_unitary,
-                     random_complex, random_hermitian)
+from helpers import (bundled_path, counting_expm, hermitian_eig, is_projector,
+                     is_unitary, random_complex, random_hermitian)
 from ode import rk4_step
-from stroblim import (TensorDims, expm, is_density, is_hermitian, is_projector,
-                      is_psd, kron, partial_trace, pauli)
+from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
+                      partial_trace, pauli)
 from stroblim.linalg import (_action_is_cheaper, _dense_run, conj_powers,
                              conj_stack, dag, expm_action, max_abs, op_norm,
                              real_trace, step_powers, taylor_degree,

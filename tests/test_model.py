@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (family_spec, hermitian_eig, random_complex, random_density,
+from helpers import (family_spec, hermitian_eig, is_projector,
+                     projector_from_kets, random_complex, random_density,
                      random_ket, random_unitary)
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       basis_ket, heisenberg3_hamiltonian, kron,
-                      measurement_from_kets, pauli, projector_from_kets,
-                      swap_hamiltonian)
-from stroblim.linalg import TensorDims, dag, is_projector, max_abs, partial_trace
+                      measurement_from_kets, pauli, swap_hamiltonian)
+from stroblim.linalg import TensorDims, dag, max_abs, partial_trace
 from stroblim.model import BlockLayout
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -185,15 +185,41 @@ class TestSpecs:
         assert max_abs(ham.assemble() - direct) < 1e-13
 
     def test_measurement_requires_orthogonality(self):
-        p = np.array([[1, 0], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            MeasurementSpec((p, p), None)
+        up = np.array([[1], [0]], dtype=complex)
+        with pytest.raises(ValueError, match="outcomes 0 and 1 overlap"):
+            MeasurementSpec((up, up), None)
 
     def test_nonselective_requires_completeness(self):
-        p = np.array([[1, 0], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            MeasurementSpec((p,), None)
-        MeasurementSpec((p,), 0)  # selective single projector is fine
+        up = np.array([[1], [0]], dtype=complex)
+        with pytest.raises(ValueError, match="requires a complete projector family"):
+            MeasurementSpec((up,), None)
+        MeasurementSpec((up,), 0)  # selective single projector is fine
+
+    @pytest.mark.parametrize("bases, message", [
+        ((), "needs at least one outcome"),
+        ((np.eye(2)[:, :0], np.eye(2)), r"basis 0 has shape \(2, 0\)"),
+        ((np.eye(2)[:, 0],), r"basis 0 has shape \(2,\)"),
+        ((np.eye(2)[:, :1], np.eye(4)[:, :1]), r"basis 1 has shape \(4, 1\)"),
+        ((np.eye(3)[:, :1], np.array([[0, 0], [1, 0], [0, 2]])),
+         "basis 1 is not orthonormal"),
+        ((np.eye(3)[:, :1], np.eye(3)[:, 1:], np.array([[0], [0], [np.nan]])),
+         "basis 2 has non-finite entries"),
+        ((np.eye(3)[:, :2], np.eye(3)[:, 1:]), "outcomes 0 and 1 overlap"),
+        ((np.eye(3)[:, 2:], np.eye(3)[:, :2] + 1e-9), "outcomes 0 and 1 overlap"),
+    ], ids=["no_outcome", "empty_basis", "ket_not_matrix", "dimensions_differ",
+            "unnormalized", "nan", "shared_column", "near_overlap"])
+    def test_measurement_names_the_fault_and_the_outcome(self, bases, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementSpec(bases, 0)
+
+    def test_projectors_and_ranks_read_the_bases(self, rng):
+        u = random_unitary(rng, 5)
+        spec = MeasurementSpec((u[:, :3], u[:, 3:]))
+        assert spec.ranks == (3, 2)
+        assert spec.dim_pr == 5
+        for v, p in zip(spec.bases, spec.projectors):
+            assert np.array_equal(p, v @ dag(v))
+            assert is_projector(p)
 
     def test_nonselective_ranks_cover_probe(self):
         spec = measurement_from_kets([[basis_ket("uu"), basis_ket("dd")],

@@ -607,10 +607,8 @@ class TestPauliReduction:
 
     def test_rejects_rank2_family(self):
         # rank-2 blocks: reduction undefined
-        from stroblim import MeasurementSpec, projector_from_kets
-        p12 = projector_from_kets([basis_ket("uu"), basis_ket("dd")])
-        p34 = projector_from_kets([basis_ket("ud"), basis_ket("du")])
-        spec = MeasurementSpec((p12, p34), None)
+        spec = measurement_from_kets([[basis_ket("uu"), basis_ket("dd")],
+                                      [basis_ket("ud"), basis_ket("du")]])
         ham4 = HamiltonianSpec(1.0, ((np.eye(1), swap_hamiltonian(1.0).dimensionless()),))
         eff = build_generator(ham4, spec, 0.1)
         with pytest.raises(ValueError):

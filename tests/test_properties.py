@@ -10,9 +10,9 @@ from helpers import (assert_same_run, channel_superop, choi_matrix, family_spec,
                      full_space_reference, random_density,
                      random_hamiltonian_spec, random_projector_family,
                      random_unitary, reference_selective, unvec, vec)
-from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
-                      build_generator, effective_rankr, run_selective,
-                      semigroup_propagate)
+from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
+                      VanishingProbabilityError, build_generator, effective_rankr,
+                      run_selective, semigroup_propagate)
 from stroblim.linalg import _action_run, _dense_run, dag, expm, max_abs, op_norm
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -57,6 +57,23 @@ UNEQUAL_DIMS = st.sampled_from([(1, 3), (2, 3), (1, 4), (2, 4), (1, 5)])
 FACTOR_NORMS = st.sampled_from([1.0, 1e2, 1e4])
 
 
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), dims=UNEQUAL_DIMS)
+def test_measurement_takes_complete_families_and_refuses_overlaps(seed, dims):
+    # the bases of a random complete family are accepted, and their
+    # projectors resolve the identity; one column turned by 1e-6 towards a
+    # column of another outcome makes the two outcomes overlap
+    rng = np.random.default_rng(seed)
+    groups = random_projector_family(rng, dims[1])
+    spec = family_spec(groups)
+    assert max_abs(sum(spec.projectors) - np.eye(dims[1])) <= 1e-12
+    i, j = (int(k) for k in rng.choice(len(groups), size=2, replace=False))
+    a, b = groups[i][0], groups[j][-1]
+    groups[i][0] = np.cos(1e-6) * a + np.sin(1e-6) * b
+    with pytest.raises(ValueError, match=f"outcomes {min(i, j)} and {max(i, j)} overlap"):
+        family_spec(groups)
+
+
 def random_family_model(seed, dims, norm):
     rng = np.random.default_rng(seed)
     ham = random_hamiltonian_spec(rng, *dims, gamma=2.0 / norm ** 2, norm=norm)
@@ -81,8 +98,8 @@ def test_generator_blocks_are_the_selective_generators(seed, dims, norm):
     half = eff.omega / 2
     assert max_abs(half * leak.sum(axis=1) - ham.blocks(eff.layout, 0.25)[2]) \
         <= 1e-12 * half * h_sq
-    for p, v, heff in zip(spec.projectors, spec.bases, eff.heff):
-        sel = effective_rankr(ham, p, 0.25, basis=v)
+    for i, heff in enumerate(eff.heff):
+        sel = effective_rankr(ham, MeasurementSpec(spec.bases, i), 0.25)
         n = sel.dim
         assert max_abs(heff[:n, :n] - sel.h_eff) <= 1e-12
         assert np.linalg.eigvalsh(sel.h2).min() >= -1e-12 * eff.omega * h_sq

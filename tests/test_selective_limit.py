@@ -8,10 +8,10 @@ from helpers import (counting_expm, family_spec, random_density,
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
                  purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
-                      VanishingProbabilityError, basis_ket, build_generator,
-                      effective_rank1, effective_rankr, heisenberg3_hamiltonian,
-                      kron, measurement_from_kets, pauli, projector_from_kets,
-                      propagate_kraus, run_selective, swap_hamiltonian,
+                      MeasurementSpec, VanishingProbabilityError, basis_ket,
+                      build_generator, effective_rank1, effective_rankr,
+                      heisenberg3_hamiltonian, kron, measurement_from_kets,
+                      pauli, propagate_kraus, run_selective, swap_hamiltonian,
                       trace_distance)
 from stroblim.linalg import PROB_FLOOR, dag, expm, is_psd, max_abs
 
@@ -84,22 +84,23 @@ class TestEffectiveRankr:
             phi = random_ket(rng, dp)
             tau = 0.3
             e1 = effective_rank1(ham, phi, tau)
-            er = effective_rankr(ham, np.outer(phi, phi.conj()), tau,
-                                 basis=phi.reshape(-1, 1))
+            # the rank-r form of the same ket, at another phase
+            er = effective_rankr(ham, family_spec([[np.exp(0.7j) * phi]], 0), tau)
             assert max_abs(er.h1 - e1.h1) < 1e-12
             assert max_abs(er.h2 - e1.h2) < 1e-12
 
     def test_full_projector_is_uninformative(self, rng):
         ham = random_hamiltonian_spec(rng, 2, 3, n_terms=2, gamma=2.0)
-        eff = effective_rankr(ham, np.eye(3), 0.1, basis=np.eye(3))
+        eff = effective_rankr(ham, MeasurementSpec((np.eye(3),), 0), 0.1)
         assert max_abs(eff.h1 - ham.assemble()) < 1e-12
         assert max_abs(eff.h2) < 1e-13
 
     def test_heisenberg_rank2_h2_positive(self):
         # 8x8 construction oracle: H2 = (tau/2) C H (I - C) H C in range(C)
         ham = heisenberg3_hamiltonian(GAMMA, "local_xyz")
-        p = projector_from_kets([basis_ket("ud"), basis_ket("du")])
-        eff = effective_rankr(ham, p, TAU)
+        spec = measurement_from_kets([[basis_ket("ud"), basis_ket("du")]], 0)
+        eff = effective_rankr(ham, spec, TAU)
+        p = spec.projectors[0]
         h1_full, h2_full = embed_rankr(eff)
         h = ham.assemble()
         c = kron(np.eye(2), p)
@@ -111,7 +112,8 @@ class TestEffectiveRankr:
 
     def test_h2_zero_iff_no_outward_transitions(self, rng):
         # block-diagonal probe factors commute with P: no leakage, H2 = 0
-        p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        spec = MeasurementSpec((np.eye(3)[:, :2],), 0)
+        p = spec.projectors[0]
         terms = []
         for _ in range(2):
             from helpers import random_hermitian
@@ -121,7 +123,7 @@ class TestEffectiveRankr:
             b /= np.linalg.norm(b, 2)
             terms.append((random_hermitian(rng, 2, norm=1.0), b))
         ham = HamiltonianSpec(2.0, tuple(terms))
-        eff = effective_rankr(ham, p, 0.2)
+        eff = effective_rankr(ham, spec, 0.2)
         h = ham.assemble()
         c = kron(np.eye(2), p)
         assert max_abs((np.eye(6) - c) @ h @ c) < 1e-12
@@ -129,8 +131,19 @@ class TestEffectiveRankr:
 
     def test_rejects_non_projector(self, rng):
         ham = random_hamiltonian_spec(rng, 2, 3)
-        with pytest.raises(ValueError):
-            effective_rankr(ham, 0.7 * np.eye(3), 0.1)
+        # sqrt(0.7) I, the basis that 0.7 I would have, is not orthonormal
+        with pytest.raises(ValueError, match="basis 0 is not orthonormal"):
+            effective_rankr(ham, MeasurementSpec((np.sqrt(0.7) * np.eye(3),), 0), 0.1)
+
+    def test_needs_a_selected_outcome_of_the_probe_dimension(self, rng):
+        ham = random_hamiltonian_spec(rng, 2, 3)
+        spec = family_spec([[e] for e in np.eye(3)])
+        with pytest.raises(ValueError, match="requires a selected outcome"):
+            effective_rankr(ham, spec, 0.1)
+        with pytest.raises(ValueError, match="probe dimensions differ"):
+            effective_rankr(ham, family_spec([[basis_ket("u")]], 0), 0.1)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            effective_rankr(ham, MeasurementSpec(spec.bases, 1), 0.0)
 
     def test_is_the_nonselective_diagonal_block(self, rng):
         # H1 - i H2 for outcome i is Heff_i of the GKSL generator of the family
@@ -141,8 +154,8 @@ class TestEffectiveRankr:
             spec = family_spec(random_projector_family(rng, dp))
             tau = float(rng.uniform(0.01, 0.5))
             gen = build_generator(ham, spec, tau)
-            for p, v, heff in zip(spec.projectors, spec.bases, gen.heff):
-                eff = effective_rankr(ham, p, tau, basis=v)
+            for i, heff in enumerate(gen.heff):
+                eff = effective_rankr(ham, MeasurementSpec(spec.bases, i), tau)
                 n = eff.dim
                 assert max_abs(eff.h_eff - heff[:n, :n]) < 1e-12
                 assert not heff[n:].any() and not heff[:, n:].any()
@@ -248,8 +261,8 @@ class TestPropagateKraus:
             inside, outside = basis_ket("u"), basis_ket("d")
         else:
             inside, outside = basis_ket("ud"), basis_ket("uu")
-            p = projector_from_kets([inside, basis_ket("du")])
-            eff = effective_rankr(heisenberg3_hamiltonian(GAMMA, "local_xyz"), p, TAU)
+            spec = measurement_from_kets([[inside, basis_ket("du")]], 0)
+            eff = effective_rankr(heisenberg3_hamiltonian(GAMMA, "local_xyz"), spec, TAU)
         init = InitialState.from_kets([1.0, 0.0], inside + outside)
         with pytest.raises(ValueError, match=r"range\(P\)"):
             propagate_kraus(eff, init, 1.0, 0)
