@@ -15,8 +15,8 @@ from .linalg import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets, pauli,
                     swap_hamiltonian)
-from .nonselective_limit import (NonselectiveEffective, block_rhs,
-                                 build_generator, semigroup_propagate,
+from .nonselective_limit import (NonselectiveEffective, build_generator,
+                                 semigroup_propagate,
                                  swap_nonselective_closed_form)
 from .selective_limit import (SelectiveEffective, effective_rank1,
                               effective_rankr, propagate_kraus)
@@ -28,7 +28,7 @@ __all__ = [
     "EvolutionPlan", "HamiltonianSpec", "InitialState", "MeasurementSpec",
     "NonselectiveEffective", "SelectiveEffective", "TensorDims",
     "Trajectory", "VanishingProbabilityError", "basis_ket",
-    "bloch_vector", "block_rhs", "build_generator", "effective_rank1",
+    "bloch_vector", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
     "is_hermitian", "is_psd", "kron", "measurement_from_kets",
     "partial_trace", "pauli", "propagate_kraus", "run_nonselective",

@@ -314,8 +314,9 @@ def write_trajectory_csv(path: str, traj: Trajectory, outputs, method: str) -> N
                [_NUM] * len(names) + [method.replace("%", "%%")])
 
 
-def read_csv(path: str) -> tuple[list[str], list[dict]]:
-    """Parse a trajectory CSV back into float columns plus the method tag."""
+def read_csv(path: str, columns=None) -> tuple[list[str], list[dict]]:
+    """Parse a trajectory CSV back into float columns plus the method tag:
+    every column of the header, or those named in `columns`."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -326,10 +327,9 @@ def read_csv(path: str) -> tuple[list[str], list[dict]]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ValueError("CSV row width does not match header")
-        row = {}
-        for name, value in zip(header, parts):
-            row[name] = value if name == "method" else float(value)
-        rows.append(row)
+        rows.append({name: value if name == "method" else float(value)
+                     for name, value in zip(header, parts)
+                     if columns is None or name in columns or name == "method"})
     return header, rows
 
 
@@ -442,9 +442,12 @@ def cmd_sweep(scenario_path: str, taus, out_dir: str) -> int:
     return EXIT_OK if decreasing else EXIT_FAIL
 
 
+_CHARTS = (("t", "p_up"), ("r1", "r3"), ("t", "deviation"))
+
+
 def cmd_plot(csv_path: str, out_svg: str) -> int:
     try:
-        header, rows = read_csv(csv_path)
+        header, rows = read_csv(csv_path, {name for xy in _CHARTS for name in xy})
     except (OSError, ValueError) as err:
         print(f"cannot plot {csv_path}: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -461,16 +464,12 @@ def cmd_plot(csv_path: str, out_svg: str) -> int:
             out.append((m, xs, ys))
         return out
 
-    if "t" in header and "p_up" in header:
-        svg = render_chart(series_for("t", "p_up"), "t", "p_up")
-    elif "r1" in header and "r3" in header:
-        svg = render_chart(series_for("r1", "r3"), "r1", "r3")
-    elif "t" in header and "deviation" in header:
-        svg = render_chart(series_for("t", "deviation"), "t", "deviation")
-    else:
+    chart = next((xy for xy in _CHARTS if set(xy) <= set(header)), None)
+    if chart is None:
         print("CSV has no plottable columns (need p_up, bloch components, "
               "or deviation)", file=sys.stderr)
         return EXIT_USAGE
+    svg = render_chart(series_for(*chart), *chart)
     with open(out_svg, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     print(f"wrote {out_svg}")

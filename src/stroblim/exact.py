@@ -14,13 +14,14 @@ runners carry it there, as blocks of `model.BlockLayout`.  With V_i =
 I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and U =
 exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+ on
 range(C_i), W_ij = V_i+ U V_j being the exact counterpart of the limits'
-T_ij.  A coincident-outcome selective run lays out the selected range
-alone, forms W_ss and no other map, and takes all kept periods n as binary
-powers of W_ss in one batch, so its cost grows with the kept samples, not
-the periods; an outcome sequence steps its block period by period, and the
-non-selective channel all blocks at once, b_i <- sum_j W_ij b_j W_ij+.  A
-run yields the system marginals of its kept blocks; the initial state and a
-trailing fractional period, one unitary step, are the full-space samples.
+T_ij.  The selective run is the coincident-outcome branch, the one whose
+limit is the H1 - i H2 dynamics: it lays out the selected range alone,
+forms W_ss and no other map, and takes all kept periods n as binary powers
+of W_ss in one batch, so its cost grows with the kept samples, not the
+periods.  The non-selective channel steps all blocks at once, b_i <- sum_j
+W_ij b_j W_ij+.  A run yields the system marginals of its kept blocks; the
+initial state and a trailing fractional period, one unitary step, are the
+full-space samples.
 """
 
 from __future__ import annotations
@@ -56,17 +57,15 @@ def steps_in(total_time: float, tau: float) -> int:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """One interrupted-evolution run: Hamiltonian, measurement, timing, outcomes.
+    """One interrupted-evolution run: Hamiltonian, measurement and timing.
 
-    Without an explicit outcome_sequence, a selective run repeats the
-    measurement's selected outcome (the coincident-outcome shortcut).
+    A selective run repeats the measurement's selected outcome every period.
     """
 
     hamiltonian: HamiltonianSpec
     measurement: MeasurementSpec
     tau: float
     total_time: float
-    outcome_sequence: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < math.inf:             # NaN compares false
@@ -79,14 +78,6 @@ class EvolutionPlan:
                              "periods, expected fewer than 2**53")
         if self.measurement.dim_pr != self.hamiltonian.dim_pr:
             raise ValueError("measurement and Hamiltonian probe dimensions differ")
-        if self.outcome_sequence is not None:
-            seq = tuple(int(i) for i in self.outcome_sequence)
-            if len(seq) != self.n_steps:
-                raise ValueError(f"outcome sequence length {len(seq)} does not match "
-                                 f"floor(T/tau) = {self.n_steps}")
-            if any(not 0 <= i < len(self.measurement.bases) for i in seq):
-                raise ValueError("outcome index out of range")
-            object.__setattr__(self, "outcome_sequence", seq)
 
     @property
     def n_steps(self) -> int:
@@ -117,21 +108,12 @@ def unitary_step(rho, h, t: float) -> np.ndarray:
 
 
 def _period_maps(plan: EvolutionPlan, layout: BlockLayout):
-    """(h, U, W): the assembled Hamiltonian, U = exp(-i tau h) and the block
-    maps W[i, j] = V_i+ U V_j of one period, `layout.pairs(U)`.  Every map
-    keeps the zero padding zero, so that one batched product steps all blocks.
+    """(h, W): the assembled Hamiltonian and the block maps W[i, j] = V_i+ U
+    V_j of one period, U = exp(-i tau h), `layout.pairs(U)`.  Every map keeps
+    the zero padding zero, so that one batched product steps all blocks.
     """
     h = plan.hamiltonian.assemble()
-    u = _propagator(h, plan.tau)
-    return h, u, layout.pairs(u)
-
-
-def _check_probability(step: int, r) -> None:
-    norm = real_trace(r)
-    if norm < PROB_FLOOR:
-        raise VanishingProbabilityError(
-            f"outcome sequence has vanishing probability at step {step} "
-            f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
+    return h, layout.pairs(_propagator(h, plan.tau))
 
 
 def _interrupted(plan: EvolutionPlan, h, rho0, layout: BlockLayout, blocks,
@@ -178,51 +160,27 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     fractional period remains.
 
     The state is carried unnormalized on the selected range; `norms` is the
-    cumulative probability p_Phi of the observed outcome string.  Without an
-    outcome_sequence the state after period n is W^n r0 W^n+, W = W_ss and
-    r0 = V_s+ rho0 V_s, from binary powers of W for all samples at once
-    (`conj_powers`), so it depends on n alone, whatever the stride.  An
-    outcome sequence steps r <- W_ij r W_ij+ for consecutive outcomes j, i,
-    its first period from the full initial state.
+    cumulative probability p_Phi of observing the selected outcome every
+    period.  The state after period n is W^n r0 W^n+, W = W_ss and r0 = V_s+
+    rho0 V_s, from binary powers of W for all samples at once
+    (`conj_powers`), so it depends on n alone, whatever the stride.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
-    p_Phi is below PROB_FLOOR, sampled or not.  A sequence checks every
-    period.  The powers check the samples and period n_steps, and since
-    p_Phi never increases (||W|| <= 1), a failing sample bisects the periods
-    since the last passing one, in O(log every) powers.
+    p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples
+    and period n_steps, and since p_Phi never increases (||W|| <= 1), a
+    failing sample bisects the periods since the last passing one, in
+    O(log every) powers.
     """
     meas = plan.measurement
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    seq, s = plan.outcome_sequence, meas.selected_index
-    if seq is None:
-        if s is None:
-            raise ValueError("selective run needs a selected outcome or an "
-                             "explicit outcome sequence")
-        init.probe_block(meas.bases[s])
-    # a coincident run stays on the selected range
-    layout = BlockLayout(plan.hamiltonian.dim_sys,
-                         meas.bases if seq is not None else meas.bases[s:s + 1])
-    h, u, w = _period_maps(plan, layout)
+    s = meas.selected_index
+    if s is None:
+        raise ValueError("selective run needs a selected outcome")
+    init.probe_block(meas.bases[s])
+    layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases[s:s + 1])
+    h, w = _period_maps(plan, layout)
     rho0 = init.joint()
-    if seq is not None:
-        maps = [dag(layout.bases[seq[0]]) @ u] if seq else []
-        maps += [w[i, j] for j, i in zip(seq, seq[1:])]
-        maps = [(m, dag(m)) for m in maps]
-
-        def step(k, r):
-            m, m_dag = maps[k]
-            r = m @ r @ m_dag
-            _check_probability(k + 1, r)
-            return r
-
-        def stepped(ns):            # block t at outcome seq[ns[t] - 1], zero elsewhere
-            r = step_powers(step, rho0, ns, w.shape[2:])
-            out = np.zeros((len(r),) + w.shape[1:], dtype=complex)
-            out[np.arange(len(r)), np.array(seq, dtype=np.int64)[ns - 1]] = r
-            return out
-
-        return _interrupted(plan, h, rho0, layout, stepped, every)
     w_ss, r0 = w[0, 0], layout.compress(rho0)[0]
 
     def powers(ns):
@@ -237,7 +195,10 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                     hi = mid
                 else:
                     lo = mid
-            _check_probability(hi, conj_powers(w_ss, r0, [hi])[0])
+            norm = real_trace(conj_powers(w_ss, r0, [hi])[0])
+            raise VanishingProbabilityError(
+                f"branch probability vanished at step {hi} "
+                f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
         return r[:, None]
 
     return _interrupted(plan, h, rho0, layout, powers, every)
@@ -262,7 +223,7 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
     layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
-    h, _, w = _period_maps(plan, layout)
+    h, w = _period_maps(plan, layout)
     w_dag = dag(w)
 
     def step(k, blocks):

@@ -13,10 +13,10 @@ with T_ij = V_i+ h V_j.  The blocks are carried in the format of
 `model.BlockLayout`, the exact oracle's too, packed into N = sum_i n_i^2
 <= d^2 real coordinates; the semigroup keeps them Hermitian, so it is a
 real-linear map on those coordinates.  `build_generator` writes it as one
-real N x N matrix, the only generator in the package, which both the
-propagator and `block_rhs` use.  The propagator takes a few samples of a
-large generator by its action on the coordinates (`linalg.expm_vec_run`),
-and yields the system marginals of the blocks, lifting no joint state.
+real N x N matrix, the only generator in the package, which the propagator
+uses.  The propagator takes a few samples of a large generator by its
+action on the coordinates (`linalg.expm_vec_run`), and yields the system
+marginals of the blocks, lifting no joint state.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ class NonselectiveEffective:
     layout is the `BlockLayout` of the measured ranges, which compresses a
     state to its (k, m, m) blocks and packs them into real coordinates.
     generator is the real N x N matrix of the coupled block equations on
-    those coordinates (see `block_rhs`).  trans[i, j] is T_ij = V_i+ h V_j
-    for the dimensionless Hamiltonian h (H = gamma h), and heff[i] the
-    effective non-Hermitian block Hamiltonian Heff_i = H1_i - i H2_i of
+    those coordinates (see `build_generator`).  trans[i, j] is T_ij = V_i+
+    h V_j for the dimensionless Hamiltonian h (H = gamma h), and heff[i]
+    the effective non-Hermitian block Hamiltonian Heff_i = H1_i - i H2_i of
     `HamiltonianSpec.blocks`, the selective branch generator of outcome i.
     """
 
@@ -132,14 +132,6 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     states /= norms[:, None, None]
     return Trajectory(counts * h, states, norms, lambda: (
         layout.lift(layout.unpack(coords)) / norms[:, None, None]))
-
-
-def block_rhs(eff: NonselectiveEffective, blocks) -> np.ndarray:
-    """Coupled block equations on a Hermitian (k, m, m) block stack, by the
-    generator on its real coordinates: each block evolves under its
-    effective non-Hermitian Hamiltonian while feeding the others through
-    the transition operators.  Total trace is conserved."""
-    return eff.layout.unpack(eff.generator @ eff.layout.pack(blocks))
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

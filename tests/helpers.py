@@ -9,6 +9,7 @@ from importlib import resources
 
 import numpy as np
 
+from ode import block_rhs
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       Trajectory, VanishingProbabilityError, bloch_vector, kron,
                       pauli, swap_nonselective_closed_form, unitary_step)
@@ -18,7 +19,6 @@ from stroblim.exact import steps_in
 from stroblim.experiments import ComparisonReport, compare_case
 from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
                              is_hermitian, max_abs, partial_trace)
-from stroblim.nonselective_limit import block_rhs
 
 
 def random_complex(rng, shape):
@@ -318,11 +318,14 @@ def assert_same_run(got, want, tol=1e-12):
         assert max_abs(a - b) < tol
 
 
-def reference_selective(plan, init, every=1):
-    """Post-selected branch by the full-space loop: C_s after every period,
-    the probability floor checked at every period."""
+def reference_selective(plan, init, every=1, outcomes=None):
+    """Post-selected branch by the full-space loop: C_i after period k + 1
+    for i = outcomes[k], by default the selected outcome s every period, the
+    probability floor checked at every period."""
     meas = plan.measurement
-    seq = plan.outcome_sequence or (meas.selected_index,) * plan.n_steps
+    seq = (meas.selected_index,) * plan.n_steps if outcomes is None else outcomes
+    if len(seq) != plan.n_steps:
+        raise ValueError(f"{len(seq)} outcomes for {plan.n_steps} periods")
     eye_sys = np.eye(plan.hamiltonian.dim_sys, dtype=complex)
     c_ops = [kron(eye_sys, p) for p in meas.projectors]
 
@@ -331,7 +334,7 @@ def reference_selective(plan, init, every=1):
         norm = float(np.trace(rho).real)
         if norm < PROB_FLOOR:
             raise VanishingProbabilityError(
-                f"outcome sequence has vanishing probability at step {k + 1} "
+                f"branch probability vanished at step {k + 1} "
                 f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
         return rho
 

@@ -5,7 +5,7 @@ The selective branch is the nonlinear density equation (or, for pure
 states, the state-vector equation) of H1 - i H2; `propagate_kraus` takes it
 in closed form by the Kraus exponential.  The non-selective semigroup is the
 linear block equation dr/dT = L r on the real coordinates of the blocks
-(`NonselectiveEffective.generator`; `stroblim.block_rhs` on the blocks), or
+(`NonselectiveEffective.generator`; `block_rhs` on the blocks), or
 for a rank-1 family the classical rate equation on the populations;
 `semigroup_propagate` takes it by exp(L T).
 `rk4_sample` integrates any of them by fixed-step classical RK4 on the
@@ -63,6 +63,14 @@ def purity_derivative(eff, rho):
     rho2 = rho @ rho
     h2 = eff.h2
     return 4.0 * float((np.trace(rho2) * np.trace(h2 @ rho) - np.trace(h2 @ rho2)).real)
+
+
+def block_rhs(eff, blocks):
+    """Coupled block equations on a Hermitian (k, m, m) block stack, by the
+    generator on its real coordinates: each block evolves under its
+    effective non-Hermitian Hamiltonian while feeding the others through
+    the transition operators.  Total trace is conserved."""
+    return eff.layout.unpack(eff.generator @ eff.layout.pack(blocks))
 
 
 def pauli_rates(eff):

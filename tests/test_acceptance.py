@@ -37,6 +37,11 @@ def criterion(name):
     print(f"[acceptance] {name}: PASS")
 
 
+# The deviation from a limit is O(tau): each 4x smaller tau divides it by
+# about 4.  Ratios in [3.6, 4.4] put the fitted order within 0.08 of 1.
+FIRST_ORDER = (3.6, 4.4)
+
+
 def test_selective_exact_closed_form():
     """Simulated branch probability equals the exact closed form to 1e-10."""
     with criterion("selective exact closed form (1e-10)"):
@@ -53,7 +58,7 @@ def test_selective_exact_closed_form():
 
 
 def test_selective_limit_agreement_and_convergence():
-    """Exact vs limit within 0.02 at tau=0.04, shrinking with ratio >= 1.4."""
+    """Exact vs limit within 0.02 at tau=0.04, shrinking at first order."""
     with criterion("selective limit agreement 0.02 + tau convergence"):
         for a2 in (0.01, 0.2, 0.6):
             report = convergence_sweep(load_bundled("swap_selective", a2),
@@ -61,7 +66,8 @@ def test_selective_limit_agreement_and_convergence():
             devs = [d for _, d in report.convergence]
             assert devs[0] <= 0.02
             assert report.strictly_decreasing
-            assert all(r >= 1.4 for r in report.convergence_ratios)
+            assert all(FIRST_ORDER[0] <= r <= FIRST_ORDER[1]
+                       for r in report.convergence_ratios)
         # fully excited initial state: probability pinned at 1 for both methods
         full = run_alpha_family("swap_selective", (0.01, 0.2, 0.6, 1.0))
         case = {c.label: c for c in full.cases}["alpha_sq=1"]
@@ -210,7 +216,8 @@ def test_nonselective_generator_properties():
 
 
 def test_nonselective_closed_form_triple_agreement():
-    """Closed form = block ODE = semigroup marginal; exact within 0.03."""
+    """Closed form = block ODE = semigroup marginal; exact within 0.03,
+    shrinking at first order."""
     with criterion("non-selective triple agreement (1e-8) + exact 0.03"):
         gamma, omega = 1.0, 0.1
         meas = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]])
@@ -235,6 +242,8 @@ def test_nonselective_closed_form_triple_agreement():
             devs = [d for _, d in report.convergence]
             assert devs[0] <= 0.03
             assert report.strictly_decreasing
+            assert all(FIRST_ORDER[0] <= r <= FIRST_ORDER[1]
+                       for r in report.convergence_ratios)
         full = run_alpha_family("swap_nonselective", (0.01, 0.3, 0.6, 1.0))
         case = {c.label: c for c in full.cases}["alpha_sq=1"]
         for method in ("exact", "limit", "closed_form"):

@@ -608,6 +608,18 @@ class TestCommands:
         path.write_text("a,b,method\n1,2,x\n")
         assert main(["plot", str(path), str(tmp_path / "out.svg")]) == 2
 
+    def test_plot_refuses_a_sweep_csv(self, tmp_path, capsys):
+        # a sweep CSV has no chart columns; its empty first ratio_to_previous
+        # cell is left unparsed
+        out = tmp_path / "o"
+        main(["sweep", bundled_path("swap_selective"), "--tau", "0.04,0.01",
+              "--out-dir", str(out)])
+        capsys.readouterr()
+        svg = out / "s.svg"
+        assert main(["plot", str(out / "swap_selective_sweep.csv"), str(svg)]) == 2
+        assert capsys.readouterr().err.startswith("CSV has no plottable columns")
+        assert not svg.exists()
+
     def test_plot_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("t,p_up,method\n")

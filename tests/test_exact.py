@@ -167,22 +167,23 @@ class TestRunSelective:
         meas = zbasis_meas()
         init = InitialState.from_kets(random_ket(rng, 2), random_ket(rng, 2))
         total = 0.0
+        plan = EvolutionPlan(ham, meas, 0.3, 0.9)
         for seq in itertools.product((0, 1), repeat=3):
-            plan = EvolutionPlan(ham, meas, 0.3, 0.9, outcome_sequence=seq)
             try:
-                traj = run_selective(plan, init)
+                traj = reference_selective(plan, init, outcomes=seq)
                 total += traj.norms[-1]
             except VanishingProbabilityError:
                 pass
         assert abs(total - 1.0) < 1e-10
         # the Born rule on the states: summed over every outcome string, the
         # unnormalized system marginals (sys_states x norms) of the selective
-        # runs are the non-selective run's, for families of up to three
-        # outcomes of unequal ranks in random probe frames; the sample at
-        # period m is a prefix shared by k^(n - m) strings.  The probe state is
-        # channel-invariant, block-diagonal in the measured basis, since the
-        # non-selective run applies the channel at t = 0 and a sequence does
-        # not.  The bound is the rounding of a sum of k^n terms of order 1
+        # reference loops are the non-selective run's, for families of up to
+        # three outcomes of unequal ranks in random probe frames; the sample
+        # at period m is a prefix shared by k^(n - m) strings.  The probe
+        # state is channel-invariant, block-diagonal in the measured basis,
+        # since the non-selective run applies the channel at t = 0 and an
+        # outcome string does not.  The bound is the rounding of a sum of k^n
+        # terms of order 1
         for dim_sys, ranks, n in [(2, (1, 2), 5), (2, (1, 1, 1), 5), (3, (2, 1, 1), 4)]:
             cols = iter(random_unitary(rng, sum(ranks)).T)
             spec = family_spec([[next(cols) for _ in range(r)] for r in ranks])
@@ -196,8 +197,7 @@ class TestRunSelective:
                 want = run_nonselective(plan, init, every)
                 total = 0
                 for seq in itertools.product(range(k), repeat=n):
-                    plan = EvolutionPlan(ham, spec, 0.3, n * 0.3, outcome_sequence=seq)
-                    traj = run_selective(plan, init, every)
+                    traj = reference_selective(plan, init, every, outcomes=seq)
                     total = total + traj.sys_states * traj.norms[:, None, None]
                 shared = float(k) ** (n - np.arange(0, n + 1, every))
                 assert max_abs(total / shared[:, None, None]
@@ -260,18 +260,6 @@ def test_every_must_be_positive(run, meas, every):
     plan = EvolutionPlan(swap_hamiltonian(5.0), meas(), 0.04, 0.4)
     with pytest.raises(ValueError, match="every"):
         run(plan, init, every=every)
-
-
-@pytest.mark.parametrize("every", [1, 2, 4])
-def test_outcome_sequence_states_are_one_stack(every):
-    plan = EvolutionPlan(swap_hamiltonian(1.0), zbasis_meas(), 0.3, 3 * 0.3 + 0.1,
-                         outcome_sequence=(0, 1, 0))
-    init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
-    traj = run_selective(plan, init, every=every)
-    t = 2 + 3 // every      # t = 0, the kept periods and the fractional period
-    assert isinstance(traj.states, np.ndarray)
-    assert traj.states.shape == (t, 4, 4)
-    assert traj.times.shape == traj.norms.shape == (t,)
 
 
 @pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
@@ -377,27 +365,6 @@ def test_coincident_outcomes_match_the_reference_loop(rng, dims, every):
 
 
 @pytest.mark.parametrize("every", STRIDES)
-def test_outcome_sequences_match_the_reference_loop(rng, every):
-    followed = 0
-    for _ in range(6):
-        ham, groups = random_case(rng, 2, 4)
-        spec = family_spec(groups)
-        init = InitialState(random_density(rng, 2), random_density(rng, 4))
-        seq = tuple(int(i) for i in rng.integers(len(groups), size=15))
-        plan = EvolutionPlan(ham, spec, 0.5, 15 * 0.5 + 0.2, outcome_sequence=seq)
-        try:
-            want = reference_selective(plan, init, every=every)
-        except VanishingProbabilityError as err:
-            step = re.search(r"at step \d+ ", str(err)).group(0)
-            with pytest.raises(VanishingProbabilityError, match=step):
-                run_selective(plan, init, every=every)
-            continue
-        assert_same_run(run_selective(plan, init, every=every), want)
-        followed += 1
-    assert followed >= 3
-
-
-@pytest.mark.parametrize("every", STRIDES)
 @pytest.mark.parametrize("dims", [(2, 3), (3, 4), (2, 5)])
 def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
     for _ in range(4):
@@ -462,13 +429,13 @@ def test_vanishing_step_matches_the_reference_loop(every):
 
 def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
     # the coincident run's layout holds the selected block alone, so a
-    # period forms W_ss and no other map; an outcome sequence forms all k^2
+    # period forms W_ss and no other map
     import stroblim.exact as exact
     shapes, period_maps = [], exact._period_maps
 
     def recording(plan, layout):
         maps = period_maps(plan, layout)
-        shapes.append(maps[2].shape)
+        shapes.append(maps[1].shape)
         return maps
 
     monkeypatch.setattr(exact, "_period_maps", recording)
@@ -478,9 +445,7 @@ def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
     init = InitialState(random_density(rng, 2), np.diag([0.0, 0.0, 1.0]))
     run_selective(EvolutionPlan(ham, family_spec(groups, selected_index=1),
                                 0.1, 1.0), init)
-    run_selective(EvolutionPlan(ham, family_spec(groups), 0.1, 0.3,
-                                outcome_sequence=(1, 0, 1)), init)
-    assert shapes == [(1, 1, 2, 2), (2, 2, 4, 4)]
+    assert shapes == [(1, 1, 2, 2)]
 
 
 def test_binary_powers_depend_on_the_period_alone(rng):

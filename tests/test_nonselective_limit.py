@@ -10,10 +10,10 @@ from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
                      full_space_reference, liouville_commutator, load_bundled,
                      random_density, random_hamiltonian_spec, random_hermitian,
                      random_projector_family, random_unitary, unvec, vec)
-from ode import (nonlinear_density_rhs, nonlinear_state_rhs, pauli_rates,
-                 pauli_rhs, rk4_sample, rk4_step)
+from ode import (block_rhs, nonlinear_density_rhs, nonlinear_state_rhs,
+                 pauli_rates, pauli_rhs, rk4_sample, rk4_step)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
-                      block_rhs, build_generator, effective_rank1, kron,
+                      build_generator, effective_rank1, kron,
                       measurement_from_kets, pauli, propagate_kraus,
                       run_nonselective, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
