@@ -9,7 +9,7 @@ monitoring.
 """
 
 from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
-                    run_selective, unitary_step)
+                    run_selective)
 from .linalg import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                      partial_trace, trace_distance)
 from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
@@ -33,5 +33,5 @@ __all__ = [
     "is_hermitian", "is_psd", "kron", "measurement_from_kets",
     "partial_trace", "pauli", "propagate_kraus", "run_nonselective",
     "run_selective", "semigroup_propagate", "swap_hamiltonian",
-    "swap_nonselective_closed_form", "trace_distance", "unitary_step",
+    "swap_nonselective_closed_form", "trace_distance",
 ]

@@ -19,9 +19,9 @@ limit is the H1 - i H2 dynamics: it lays out the selected range alone,
 forms W_ss and no other map, and takes all kept periods n as binary powers
 of W_ss in one batch, so its cost grows with the kept samples, not the
 periods.  The non-selective channel steps all blocks at once, b_i <- sum_j
-W_ij b_j W_ij+.  A run yields the system marginals of its kept blocks; the
-initial state and a trailing fractional period, one unitary step, are the
-full-space samples.
+W_ij b_j W_ij+.  A run takes a whole number of periods and samples every
+`every`-th one from its blocks, period 0 being the start blocks; it yields
+their system marginals and lifts joint states only on demand.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PROB_FLOOR, as_matrix, conj_powers, dag, partial_trace,
-                     real_trace, step_powers)
+from .linalg import PROB_FLOOR, conj_powers, dag, real_trace, step_powers
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -57,7 +56,8 @@ def steps_in(total_time: float, tau: float) -> int:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """One interrupted-evolution run: Hamiltonian, measurement and timing.
+    """One interrupted-evolution run: Hamiltonian, measurement, the period
+    tau and the number of periods n_steps.
 
     A selective run repeats the measurement's selected outcome every period.
     """
@@ -65,99 +65,55 @@ class EvolutionPlan:
     hamiltonian: HamiltonianSpec
     measurement: MeasurementSpec
     tau: float
-    total_time: float
+    n_steps: int
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < math.inf:             # NaN compares false
             raise ValueError(f"tau must be a finite positive number, got {self.tau!r}")
-        if not 0 <= self.total_time < math.inf:
-            raise ValueError("total_time must be a finite non-negative number, "
-                             f"got {self.total_time!r}")
-        if self.total_time / self.tau >= 2 ** 53:
-            raise ValueError(f"total_time/tau = {self.total_time / self.tau:.3g} "
-                             "periods, expected fewer than 2**53")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                or not 0 <= n < 2 ** 53:
+            raise ValueError(f"n_steps must be an integer in [0, 2**53), got {n!r}")
         if self.measurement.dim_pr != self.hamiltonian.dim_pr:
             raise ValueError("measurement and Hamiltonian probe dimensions differ")
 
-    @property
-    def n_steps(self) -> int:
-        return steps_in(self.total_time, self.tau)
 
-    @property
-    def residual(self) -> float:
-        res = self.total_time - self.n_steps * self.tau
-        return res if res > 1e-9 * self.tau else 0.0
-
-
-def _propagator(h, t: float) -> np.ndarray:
-    """exp(-i t h) for a Hermitian h, from one eigendecomposition of t h."""
-    w, v = np.linalg.eigh(t * h)
-    return (v * np.exp(-1j * w)) @ dag(v)
-
-
-def unitary_step(rho, h, t: float) -> np.ndarray:
-    """Conjugate rho by exp(-i h t) for a Hermitian h, of which only the
-    lower triangle is read (`numpy.linalg.eigh`).  Works for unnormalized
-    states too."""
-    rho = as_matrix(rho)
-    h = as_matrix(h)
-    if rho.shape != h.shape:
-        raise ValueError("state and Hamiltonian dimensions differ")
-    u = _propagator(h, t)
-    return u @ rho @ dag(u)
-
-
-def _period_maps(plan: EvolutionPlan, layout: BlockLayout):
-    """(h, W): the assembled Hamiltonian and the block maps W[i, j] = V_i+ U
-    V_j of one period, U = exp(-i tau h), `layout.pairs(U)`.  Every map keeps
-    the zero padding zero, so that one batched product steps all blocks.
+def _period_maps(plan: EvolutionPlan, layout: BlockLayout) -> np.ndarray:
+    """The block maps W[i, j] = V_i+ U V_j of one period, `layout.pairs(U)`,
+    with U = exp(-i tau h) from one eigendecomposition of tau h.  Every map
+    keeps the zero padding zero, so that one batched product steps all
+    blocks.
     """
-    h = plan.hamiltonian.assemble()
-    return h, layout.pairs(_propagator(h, plan.tau))
+    w, v = np.linalg.eigh(plan.tau * plan.hamiltonian.assemble())
+    return layout.pairs((v * np.exp(-1j * w)) @ dag(v))
 
 
-def _interrupted(plan: EvolutionPlan, h, rho0, layout: BlockLayout, blocks,
+def _interrupted(plan: EvolutionPlan, layout: BlockLayout, blocks,
                  every: int) -> Trajectory:
-    """Sample one run: rho0 at t = 0, then the post-measurement state after
-    every `every`-th period n, from blocks(ns), the (len(ns), k, m, m) stack
-    in `layout` after the periods ns; period n_steps is taken too, so the
-    whole run is checked.  A fractional period left at total_time is one
-    unitary step from period n_steps, recorded pre-measurement.  The system
-    states are `layout.marginal` of the blocks and partial traces of the
-    full-space samples; joint states are lifted only for `Trajectory.states`.
+    """Sample one run at the periods n = 0, every, ..., n_steps from
+    blocks(ns), the (len(ns), k, m, m) stack in `layout` after the periods
+    ns, period 0 being the start blocks.  ValueError unless every is a
+    positive integer, not a bool, that divides n_steps.  The system states
+    are `layout.marginal` of the blocks; joint states are lifted only for
+    `Trajectory.states`.
     """
-    if every < 1:
-        raise ValueError(f"every must be a positive integer, got {every}")
-    ns = np.arange(every, plan.n_steps + 1, every)
-    kept = len(ns)
-    if plan.n_steps % every:
-        ns = np.append(ns, plan.n_steps)
+    if isinstance(every, bool) or not isinstance(every, (int, np.integer)) \
+            or every < 1 or plan.n_steps % every:
+        raise ValueError(f"every = {every} must be a positive divisor of "
+                         f"n_steps = {plan.n_steps}")
+    ns = np.arange(0, plan.n_steps + 1, every)
     stack = blocks(ns)
-    full = [rho0]
-    times = [[0.0], ns[:kept] * plan.tau]
-    if plan.residual > 0:
-        # from period n_steps, or from rho0 when no period has passed
-        start = layout.lift(stack[-1:])[0] if len(ns) else rho0
-        full.append(unitary_step(start, h, plan.residual))
-        times.append([plan.total_time])
-    stack, full = stack[:kept], np.array(full)
-    marginals = partial_trace(full, plan.hamiltonian.dims, "sys")
-    states = np.concatenate((marginals[:1], layout.marginal(stack), marginals[1:]))
-    norms = real_trace(states)
-    states /= norms[:, None, None]
-
-    def joint():
-        states = np.concatenate((full[:1], layout.lift(stack), full[1:]))
-        return states / norms[:, None, None]
-
-    return Trajectory(np.concatenate(times), states, norms, joint)
+    marginals = layout.marginal(stack)      # a view of the stack for one rank-1 block
+    norms = real_trace(marginals)
+    return Trajectory(ns * plan.tau, marginals / norms[:, None, None], norms,
+                      lambda: layout.lift(stack) / norms[:, None, None])
 
 
 def run_selective(plan: EvolutionPlan, init: InitialState,
                   every: int = 1) -> Trajectory:
-    """Propagate the post-selected branch, sampling at t = 0, at every
-    `every`-th measurement instant (t = n*every*tau) and at total_time when a
-    fractional period remains.
+    """Propagate the post-selected branch, sampling at t = 0 and at every
+    `every`-th measurement instant, t = n*tau for n = every, 2*every, ...,
+    n_steps.
 
     The state is carried unnormalized on the selected range; `norms` is the
     cumulative probability p_Phi of observing the selected outcome every
@@ -166,9 +122,9 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     (`conj_powers`), so it depends on n alone, whatever the stride.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
-    p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples
-    and period n_steps, and since p_Phi never increases (||W|| <= 1), a
-    failing sample bisects the periods since the last passing one, in
+    p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples,
+    period n_steps among them, and since p_Phi never increases (||W|| <= 1),
+    a failing sample bisects the periods since the last passing one, in
     O(log every) powers.
     """
     meas = plan.measurement
@@ -179,9 +135,8 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
         raise ValueError("selective run needs a selected outcome")
     init.probe_block(meas.bases[s])
     layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases[s:s + 1])
-    h, w = _period_maps(plan, layout)
-    rho0 = init.joint()
-    w_ss, r0 = w[0, 0], layout.compress(rho0)[0]
+    w_ss = _period_maps(plan, layout)[0, 0]
+    r0 = layout.compress(init.joint())[0]
 
     def powers(ns):
         r = conj_powers(w_ss, r0, ns)
@@ -201,20 +156,19 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                 f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
         return r[:, None]
 
-    return _interrupted(plan, h, rho0, layout, powers, every)
+    return _interrupted(plan, layout, powers, every)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
                      every: int = 1) -> Trajectory:
-    """Propagate under repeated channel applications, sampling at t = 0, at
-    t = n*every*tau and at total_time when a fractional period remains.
+    """Propagate under repeated channel applications, sampling at t = 0 and
+    at t = n*tau for n = every, 2*every, ..., n_steps.
 
     The channel is applied once at t = 0, which starts the clock at the
     first measurement when the initial state is not a channel fixed point.
     Its output is the blocks b_i = V_i+ rho0 V_i, which each period maps to
     b_i <- sum_j W_ij b_j W_ij+, so the joint states at integer multiples of
-    tau are block-diagonal in the measurement eigenbasis; a trailing
-    fractional-period sample is pre-measurement.
+    tau are block-diagonal in the measurement eigenbasis.
     """
     meas = plan.measurement
     if meas.selected_index is not None:
@@ -223,12 +177,12 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
     layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
-    h, w = _period_maps(plan, layout)
+    w = _period_maps(plan, layout)
     w_dag = dag(w)
 
     def step(k, blocks):
         return (w @ blocks[None] @ w_dag).sum(axis=1)
 
     blocks = layout.compress(init.joint())
-    return _interrupted(plan, h, layout.lift(blocks[None])[0], layout,
+    return _interrupted(plan, layout,
                         lambda ns: step_powers(step, blocks, ns, blocks.shape), every)

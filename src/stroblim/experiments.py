@@ -197,9 +197,7 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
     ham, meas, init = sc.hamiltonian, sc.measurement, sc.initial
     if method == "exact":
         every = round(sc.grid_stride)
-        # End on the last grid point's measurement, so no fractional period
-        # adds a sample beyond the grid.
-        plan = EvolutionPlan(ham, meas, sc.tau, every * sc.grid_points * sc.tau)
+        plan = EvolutionPlan(ham, meas, sc.tau, every * sc.grid_points)
         run = run_selective if sc.selective else run_nonselective
         # sampled at the periods n = every * k, reported at the grid's k * step
         return replace(run(plan, init, every=every), times=sc.times)

@@ -169,6 +169,11 @@ class BlockLayout:
         position[self.mask] = np.arange(np.count_nonzero(self.mask))
         self.transpose = position.swapaxes(1, 2)[self.mask]
 
+    @property
+    def dims(self) -> TensorDims:
+        """The system (x) probe split of the states the layout compresses."""
+        return TensorDims(self.dim_sys, self.probe_bases[0].shape[0])
+
     def compress(self, x) -> np.ndarray:
         """The (..., k, m, m) blocks V_i+ x V_i of a (..., d, d) operator stack."""
         return dag(self.bases) @ np.asarray(x)[..., None, :, :] @ self.bases

@@ -122,11 +122,11 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     from the kept coordinates only for `Trajectory.states`.
     """
     counts = uniform_counts(h, n)
-    rho0, layout = init.joint(), eff.layout
-    if rho0.shape[0] != layout.bases.shape[1]:
-        raise ValueError("initial state does not match the generator dimensions")
-    coords = expm_vec_run(eff.generator, h, layout.pack(layout.compress(rho0)),
-                          counts)
+    layout = eff.layout
+    if init.dims != layout.dims:
+        raise ValueError("initial state does not match Hamiltonian dimensions")
+    r0 = layout.pack(layout.compress(init.joint()))
+    coords = expm_vec_run(eff.generator, h, r0, counts)
     states = layout.marginal(layout.unpack(coords))
     norms = real_trace(states)
     states /= norms[:, None, None]

@@ -107,10 +107,9 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState, h: float,
     """
     counts = uniform_counts(h, n)
     layout = eff.layout
-    v = layout.probe_bases[0]
-    if init.rho_pr.shape[0] != v.shape[0]:
-        raise ValueError("initial probe dimension does not match the generator")
-    init.probe_block(v)
+    if init.dims != layout.dims:
+        raise ValueError("initial state does not match Hamiltonian dimensions")
+    init.probe_block(layout.probe_bases[0])
     r0 = layout.compress(init.joint())[0]
     states = conj_powers(expm(-1j * eff.h_eff * h), r0, counts)
     norms = real_trace(states)

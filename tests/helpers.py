@@ -12,7 +12,7 @@ import numpy as np
 from ode import block_rhs
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
                       Trajectory, VanishingProbabilityError, bloch_vector, kron,
-                      pauli, swap_nonselective_closed_form, unitary_step)
+                      pauli, swap_nonselective_closed_form)
 import stroblim.linalg
 from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
@@ -253,6 +253,19 @@ def block_evolve(eff, rho, t):
 # evolution, one d x d unitary step and one measurement per period.
 
 
+def unitary_step(rho, h, t):
+    """Conjugate rho by exp(-i h t) for a Hermitian h, of which only the
+    lower triangle is read (`numpy.linalg.eigh`).  Works for unnormalized
+    states too."""
+    rho = as_matrix(rho)
+    h = as_matrix(h)
+    if rho.shape != h.shape:
+        raise ValueError("state and Hamiltonian dimensions differ")
+    w, v = np.linalg.eigh(t * h)
+    u = (v * np.exp(-1j * w)) @ dag(v)
+    return u @ rho @ dag(u)
+
+
 def apply_instrument(rho, c, tol=DEFAULT_TOL):
     """Single-Kraus projective instrument rho -> C rho C (trace-decreasing)."""
     rho = as_matrix(rho)
@@ -284,9 +297,8 @@ def nonselective_channel(rho, spec):
 
 def _reference_loop(plan, rho, measure, every):
     """Record rho at t = 0, then per period U rho U+ and measure(k, rho),
-    keeping every `every`-th state; a residual period is one unitary step."""
-    h = plan.hamiltonian.assemble()
-    u = expm(-1j * plan.tau * h)
+    keeping every `every`-th state."""
+    u = expm(-1j * plan.tau * plan.hamiltonian.assemble())
     times, states, norms = [], [], []
 
     def record(t, r):
@@ -300,8 +312,6 @@ def _reference_loop(plan, rho, measure, every):
         rho = measure(k, u @ rho @ dag(u))
         if (k + 1) % every == 0:
             record((k + 1) * plan.tau, rho)
-    if plan.residual > 0:
-        record(plan.total_time, unitary_step(rho, h, plan.residual))
     states = np.array(states)
     return Trajectory(np.array(times), partial_trace(states, plan.hamiltonian.dims),
                       np.array(norms), lambda: states)

@@ -51,7 +51,7 @@ def test_selective_exact_closed_form():
         for a2 in (0.01, 0.2, 0.6):
             init = InitialState.from_kets([np.sqrt(a2), np.sqrt(1 - a2)],
                                           basis_ket("u"))
-            traj = run_selective(EvolutionPlan(ham, meas, tau, 250 * tau), init)
+            traj = run_selective(EvolutionPlan(ham, meas, tau, 250), init)
             n = np.arange(251)
             closed = a2 / (a2 + np.cos(gamma * tau) ** (2 * n) * (1 - a2))
             assert max_abs(traj.p_up() - closed) <= 1e-10
@@ -348,7 +348,7 @@ def test_structural_suites(tmp_path):
         traj = run_selective(
             EvolutionPlan(swap_hamiltonian(5.0),
                           measurement_from_kets([[basis_ket("u")]], 0),
-                          0.04, 10.0),
+                          0.04, 250),
             InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u")))
         assert np.all(np.diff(traj.norms) <= 1e-12)
 

@@ -8,11 +8,10 @@ from helpers import (apply_instrument, assert_same_run, family_spec, load_bundle
                      nonselective_channel, random_density,
                      random_hamiltonian_spec, random_ket,
                      random_projector_family, random_unitary,
-                     reference_nonselective, reference_selective)
+                     reference_nonselective, reference_selective, unitary_step)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       basis_ket, kron, measurement_from_kets, pauli,
-                      run_nonselective, run_selective, swap_hamiltonian,
-                      unitary_step)
+                      run_nonselective, run_selective, swap_hamiltonian)
 from stroblim.exact import steps_in
 from stroblim.linalg import TensorDims, conj_powers, dag, max_abs, partial_trace
 
@@ -88,7 +87,7 @@ class TestRunSelective:
         gamma, tau, a2 = 5.0, 0.04, 0.2
         ham = swap_hamiltonian(gamma)
         init = InitialState.from_kets([np.sqrt(a2), np.sqrt(1 - a2)], basis_ket("u"))
-        plan = EvolutionPlan(ham, up_meas(), tau, 2.0)
+        plan = EvolutionPlan(ham, up_meas(), tau, 50)
         traj = run_selective(plan, init)
         n_vals = np.arange(len(traj))
         closed = a2 / (a2 + np.cos(gamma * tau) ** (2 * n_vals) * (1 - a2))
@@ -100,7 +99,7 @@ class TestRunSelective:
         ham = swap_hamiltonian(gamma)
         psi = np.array([np.sqrt(a2), np.sqrt(1 - a2)], dtype=complex)
         init = InitialState.from_kets(psi, basis_ket("u"))
-        plan = EvolutionPlan(ham, up_meas(), tau, n * tau)
+        plan = EvolutionPlan(ham, up_meas(), tau, n)
         traj = run_selective(plan, init)
 
         import scipy.linalg
@@ -120,7 +119,7 @@ class TestRunSelective:
         from stroblim import HamiltonianSpec
         ham = HamiltonianSpec(1.5, ((a, pauli(3)),))
         init = InitialState.from_kets(random_ket(rng, 2), basis_ket("u"))
-        plan = EvolutionPlan(ham, up_meas(), 0.1, 1.0)
+        plan = EvolutionPlan(ham, up_meas(), 0.1, 10)
         traj = run_selective(plan, init)
         assert max_abs(traj.norms - 1.0) < 1e-12
         # effective system Hamiltonian: gamma * A * <u|sz|u> = 1.5 A
@@ -131,27 +130,19 @@ class TestRunSelective:
     def test_trace_monotone(self):
         ham = swap_hamiltonian(5.0)
         init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
-        traj = run_selective(EvolutionPlan(ham, up_meas(), 0.04, 4.0), init)
+        traj = run_selective(EvolutionPlan(ham, up_meas(), 0.04, 100), init)
         assert np.all(np.diff(traj.norms) <= 1e-12)
         assert np.all(np.diff(traj.p_err) >= -1e-12)
 
-    def test_residual_partial_step(self):
-        ham = swap_hamiltonian(2.0)
-        init = InitialState.from_kets([1.0, 0.0], basis_ket("u"))
-        traj = run_selective(EvolutionPlan(ham, up_meas(), 0.1, 0.25), init)
-        assert np.allclose(traj.times, [0.0, 0.1, 0.2, 0.25])
-
     def test_period_count_allows_a_few_ulps(self):
         # 1000 / 1e-9 is 999999999999.9999 in floats, 1.2e-4 below 1e12
-        plan = EvolutionPlan(swap_hamiltonian(2.0), up_meas(), 1e-9, 1000.0)
-        assert plan.n_steps == 10 ** 12
-        assert plan.residual == 0.0
-        assert EvolutionPlan(swap_hamiltonian(2.0), up_meas(), 0.1, 0.25).n_steps == 2
+        assert steps_in(1000.0, 1e-9) == 10 ** 12
+        assert steps_in(0.25, 0.1) == 2
 
     def test_vanishing_probability_raises(self):
         ham = swap_hamiltonian(5.0)
         init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
-        plan = EvolutionPlan(ham, up_meas(), 0.04, 40.0)
+        plan = EvolutionPlan(ham, up_meas(), 0.04, 1000)
         with pytest.raises(VanishingProbabilityError):
             run_selective(plan, init)
 
@@ -159,7 +150,7 @@ class TestRunSelective:
         ham = swap_hamiltonian(5.0)
         init = InitialState.from_kets([1.0, 0.0], basis_ket("d"))
         with pytest.raises(ValueError):
-            run_selective(EvolutionPlan(ham, up_meas(), 0.04, 1.0), init)
+            run_selective(EvolutionPlan(ham, up_meas(), 0.04, 25), init)
 
     def test_outcome_sequences_sum_to_one(self, rng):
         # completeness over all length-3 outcome strings of a complete family
@@ -167,7 +158,7 @@ class TestRunSelective:
         meas = zbasis_meas()
         init = InitialState.from_kets(random_ket(rng, 2), random_ket(rng, 2))
         total = 0.0
-        plan = EvolutionPlan(ham, meas, 0.3, 0.9)
+        plan = EvolutionPlan(ham, meas, 0.3, 3)
         for seq in itertools.product((0, 1), repeat=3):
             try:
                 traj = reference_selective(plan, init, outcomes=seq)
@@ -193,16 +184,17 @@ class TestRunSelective:
                                 sum(p @ sigma @ p for p in spec.projectors))
             k = len(ranks)
             for every in (1, 2):
-                plan = EvolutionPlan(ham, spec, 0.3, n * 0.3)
+                periods = n - n % every         # a count that the stride divides
+                plan = EvolutionPlan(ham, spec, 0.3, periods)
                 want = run_nonselective(plan, init, every)
                 total = 0
-                for seq in itertools.product(range(k), repeat=n):
+                for seq in itertools.product(range(k), repeat=periods):
                     traj = reference_selective(plan, init, every, outcomes=seq)
                     total = total + traj.sys_states * traj.norms[:, None, None]
-                shared = float(k) ** (n - np.arange(0, n + 1, every))
+                shared = float(k) ** (periods - np.arange(0, periods + 1, every))
                 assert max_abs(total / shared[:, None, None]
                                - want.sys_states * want.norms[:, None, None]
-                               ) <= k ** n * np.finfo(float).eps
+                               ) <= k ** periods * np.finfo(float).eps
 
     def test_zeno_probe_infidelity_shrinks_with_tau(self):
         # pre-measurement probe state approaches the measured vector as tau -> 0
@@ -213,7 +205,8 @@ class TestRunSelective:
             gamma = np.sqrt(omega / tau)
             ham = swap_hamiltonian(gamma)
             init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
-            traj = run_selective(EvolutionPlan(ham, up_meas(), tau, t_fix), init)
+            traj = run_selective(EvolutionPlan(ham, up_meas(), tau, round(t_fix / tau)),
+                                 init)
             pre_meas = unitary_step(traj.states[-1], ham.assemble(), tau)
             rho_pr = partial_trace(pre_meas, TensorDims(2, 2), "pr")
             infidelities.append(1.0 - rho_pr[0, 0].real)
@@ -227,11 +220,12 @@ class TestRunSelective:
 def test_every_records_the_kept_states_bit_for_bit(run, meas, every):
     ham = swap_hamiltonian(5.0)
     init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
-    plan = EvolutionPlan(ham, meas(), 0.04, 0.83)   # 20 periods and 0.03 left over
+    n_steps = every * -(-20 // every)     # at least 20 periods, a multiple of every
+    plan = EvolutionPlan(ham, meas(), 0.04, n_steps)
     full = run(plan, init)
     part = run(plan, init, every=every)
-    assert len(full) == plan.n_steps + 2
-    idx = list(range(0, plan.n_steps + 1, every)) + [plan.n_steps + 1]
+    assert len(full) == n_steps + 1
+    idx = list(range(0, n_steps + 1, every))
     assert np.array_equal(part.times, full.times[idx])
     assert np.array_equal(part.norms, full.norms[idx])
     assert len(part.states) == len(idx)
@@ -242,11 +236,13 @@ def test_every_records_the_kept_states_bit_for_bit(run, meas, every):
 def test_every_checks_the_probability_at_unsampled_steps():
     ham = swap_hamiltonian(5.0)
     init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
-    plan = EvolutionPlan(ham, up_meas(), 0.04, 40.0)
     with pytest.raises(VanishingProbabilityError) as full:
-        run_selective(plan, init)
+        run_selective(EvolutionPlan(ham, up_meas(), 0.04, 1000), init)
     step = int(re.search(r"at step (\d+) ", str(full.value)).group(1))
+    # the first sample passes at one stride and fails at the other; both
+    # bisect to the failing step within a run of two strides
     for every in (step - 1, step + 1):
+        plan = EvolutionPlan(ham, up_meas(), 0.04, 2 * every)
         with pytest.raises(VanishingProbabilityError, match=f"at step {step} "):
             run_selective(plan, init, every=every)
 
@@ -257,22 +253,36 @@ def test_every_checks_the_probability_at_unsampled_steps():
 @pytest.mark.parametrize("every", [0, -2])
 def test_every_must_be_positive(run, meas, every):
     init = InitialState.from_kets([1.0, 0.0], basis_ket("u"))
-    plan = EvolutionPlan(swap_hamiltonian(5.0), meas(), 0.04, 0.4)
+    plan = EvolutionPlan(swap_hamiltonian(5.0), meas(), 0.04, 10)
     with pytest.raises(ValueError, match="every"):
+        run(plan, init, every=every)
+
+
+@pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
+                                       (run_nonselective, zbasis_meas)],
+                         ids=["selective", "nonselective"])
+@pytest.mark.parametrize("every", [3, 2.5, True])
+def test_every_must_divide_the_period_count(run, meas, every):
+    # a float stride would sample period 2 as t = 2.5 tau
+    init = InitialState.from_kets([1.0, 0.0], basis_ket("u"))
+    plan = EvolutionPlan(swap_hamiltonian(5.0), meas(), 0.04, 10)
+    with pytest.raises(ValueError, match=f"^every = {every} must be a positive "
+                                         "divisor of n_steps = 10$"):
         run(plan, init, every=every)
 
 
 @pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
                                        (run_nonselective, zbasis_meas)])
 def test_a_run_shorter_than_one_period_is_a_stack(run, meas):
-    # no period is stepped, so the stack of compressed states is empty
-    plan = EvolutionPlan(swap_hamiltonian(1.0), meas(), 0.3, 0.1)
+    # no period is stepped, so the stack holds the start blocks alone,
+    # lifted to the initial state, which the channel leaves unchanged
+    plan = EvolutionPlan(swap_hamiltonian(1.0), meas(), 0.3, 0)
     init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
     traj = run(plan, init)
-    assert traj.states.shape == (2, 4, 4)
-    assert np.array_equal(traj.times, [0.0, 0.1])
-    want = unitary_step(traj.states[0], plan.hamiltonian.assemble(), 0.1)
-    assert max_abs(traj.states[1] - want) < 1e-12
+    assert traj.states.shape == (1, 4, 4)
+    assert np.array_equal(traj.times, [0.0])
+    assert max_abs(traj.states[0] - init.joint()) < 1e-15
+    assert max_abs(traj.sys_states[0] - init.rho_sys) < 1e-15
 
 
 class TestNonselectiveChannel:
@@ -304,7 +314,7 @@ class TestRunNonselective:
         from stroblim import HamiltonianSpec
         ham = HamiltonianSpec(0.0, ((pauli(3), pauli(3)),))
         init = InitialState(random_density(rng, 2), np.diag([1.0, 0.0]).astype(complex))
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.1, 1.0), init)
+        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.1, 10), init)
         for s in traj.states:
             assert max_abs(s - traj.states[0]) < 1e-12
 
@@ -312,7 +322,7 @@ class TestRunNonselective:
         gamma, tau = 5.0, 0.04
         ham = swap_hamiltonian(gamma)
         init = InitialState(random_density(rng, 2), np.diag([1.0, 0.0]).astype(complex))
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), tau, tau), init)
+        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), tau, 1), init)
         import scipy.linalg
         u = scipy.linalg.expm(-1j * tau * ham.assemble())
         want = nonselective_channel(u @ init.joint() @ u.conj().T, zbasis_meas())
@@ -321,14 +331,14 @@ class TestRunNonselective:
     def test_maximally_mixed_fixed_point(self):
         ham = swap_hamiltonian(3.0)
         init = InitialState(np.eye(2) / 2, np.eye(2) / 2)
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.05, 1.0), init)
+        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.05, 20), init)
         for s in traj.states:
             assert max_abs(s - np.eye(4) / 4) < 1e-12
 
     def test_trace_and_block_structure(self, rng):
         ham = swap_hamiltonian(5.0)
         init = InitialState(random_density(rng, 2), np.diag([1.0, 0.0]).astype(complex))
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.04, 2.0), init)
+        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.04, 50), init)
         assert max_abs(traj.norms - 1.0) < 1e-10
         for s in traj.states:
             # off-block entries vanish: probe indices differ
@@ -339,7 +349,8 @@ class TestRunNonselective:
 
 
 # ---------------------------------------------------------------------------
-# The compressed runners against the full-space reference loop.
+# The compressed runners against the full-space reference loop, over period
+# counts that every stride divides.
 
 STRIDES = [1, 3, 7]
 
@@ -359,7 +370,7 @@ def test_coincident_outcomes_match_the_reference_loop(rng, dims, every):
         v = spec.bases[sel]
         rho_pr = v @ random_density(rng, v.shape[1]) @ dag(v)
         init = InitialState(random_density(rng, dims[0]), rho_pr)
-        plan = EvolutionPlan(ham, spec, 0.05, 23 * 0.05 + 0.02)
+        plan = EvolutionPlan(ham, spec, 0.05, 21)
         assert_same_run(run_selective(plan, init, every=every),
                         reference_selective(plan, init, every=every))
 
@@ -372,14 +383,11 @@ def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
         spec = family_spec(groups)
         init = InitialState(random_density(rng, dims[0]),
                             random_density(rng, dims[1]))
-        plan = EvolutionPlan(ham, spec, 0.05, 23 * 0.05 + 0.02)
+        plan = EvolutionPlan(ham, spec, 0.05, 21)
         got = run_nonselective(plan, init, every=every)
         assert_same_run(got, reference_nonselective(plan, init, every=every))
-        # the states at measurement instants are lifted from blocks, which
-        # makes them Hermitian bit for bit; the last sample, a fractional
-        # period later, is one unitary step from them
-        kept = got.states[:-1]
-        assert np.array_equal(kept, dag(kept))
+        # every state is lifted from blocks, which makes it Hermitian bit for bit
+        assert np.array_equal(got.states, dag(got.states))
 
 
 @pytest.mark.parametrize("every", STRIDES)
@@ -387,7 +395,7 @@ def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
                                   "heisenberg_global_field", "swap_nonselective"])
 def test_bundled_scenarios_match_the_reference_loop(name, every):
     sc = load_bundled(name)
-    plan = EvolutionPlan(sc.hamiltonian, sc.measurement, sc.tau, 40.5 * sc.tau)
+    plan = EvolutionPlan(sc.hamiltonian, sc.measurement, sc.tau, 42)
     if sc.selective:
         got = run_selective(plan, sc.initial, every=every)
         want = reference_selective(plan, sc.initial, every=every)
@@ -402,7 +410,7 @@ def test_million_periods_match_the_closed_form(tau):
     # (C U C)^n on |psi>|u> keeps |u u> and scales |d u> by cos(gamma tau)^n
     gamma, a2, n_steps, every = 5.0, 0.2, 10 ** 6, 10 ** 5
     init = InitialState.from_kets([np.sqrt(a2), np.sqrt(1 - a2)], basis_ket("u"))
-    plan = EvolutionPlan(swap_hamiltonian(gamma), up_meas(), tau, n_steps * tau)
+    plan = EvolutionPlan(swap_hamiltonian(gamma), up_meas(), tau, n_steps)
     traj = run_selective(plan, init, every=every)
     n_vals = np.arange(0, n_steps + 1, every)
     # cos^(2n) as exp(2n log1p(-2 sin^2(x/2))), free of the n-fold rounding
@@ -419,7 +427,7 @@ def test_million_periods_match_the_closed_form(tau):
 def test_vanishing_step_matches_the_reference_loop(every):
     ham = swap_hamiltonian(5.0)
     init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
-    plan = EvolutionPlan(ham, up_meas(), 0.04, 40.0)
+    plan = EvolutionPlan(ham, up_meas(), 0.04, every * -(-1000 // every))
     with pytest.raises(VanishingProbabilityError) as want:
         reference_selective(plan, init)
     step = re.search(r"at step \d+ ", str(want.value)).group(0)
@@ -435,7 +443,7 @@ def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
 
     def recording(plan, layout):
         maps = period_maps(plan, layout)
-        shapes.append(maps[1].shape)
+        shapes.append(maps.shape)
         return maps
 
     monkeypatch.setattr(exact, "_period_maps", recording)
@@ -444,7 +452,7 @@ def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
     groups = [[e[0], e[1]], [e[2]]]
     init = InitialState(random_density(rng, 2), np.diag([0.0, 0.0, 1.0]))
     run_selective(EvolutionPlan(ham, family_spec(groups, selected_index=1),
-                                0.1, 1.0), init)
+                                0.1, 10), init)
     assert shapes == [(1, 1, 2, 2)]
 
 
@@ -460,35 +468,37 @@ def test_binary_powers_depend_on_the_period_alone(rng):
         assert np.array_equal(power, batch[n])
 
 
-@pytest.mark.parametrize("tau, total_time, message", [
-    pytest.param(np.nan, 1.0, "tau must be a finite positive number", id="tau=nan"),
-    pytest.param(np.inf, 1.0, "tau must be a finite positive number", id="tau=inf"),
-    pytest.param(0.0, 1.0, "tau must be a finite positive number", id="tau=0"),
-    pytest.param(-0.1, 1.0, "tau must be a finite positive number", id="tau<0"),
-    pytest.param(1.0, np.nan, "total_time must be a finite non-negative number",
-                 id="total_time=nan"),
-    pytest.param(1.0, np.inf, "total_time must be a finite non-negative number",
-                 id="total_time=inf"),
-    pytest.param(1.0, -1.0, "total_time must be a finite non-negative number",
-                 id="total_time<0"),
-    pytest.param(1e-300, 1.0, r"total_time/tau = 1e\+300 periods, expected fewer "
-                 r"than 2\*\*53", id="periods=1e300"),
-    pytest.param(1.0, 2.0 ** 53, r"total_time/tau = 9\.01e\+15 periods",
-                 id="periods=2**53"),
+BAD_PERIODS = r"n_steps must be an integer in \[0, 2\*\*53\), got "
+
+
+@pytest.mark.parametrize("tau, n_steps, message", [
+    pytest.param(np.nan, 1, "tau must be a finite positive number", id="tau=nan"),
+    pytest.param(np.inf, 1, "tau must be a finite positive number", id="tau=inf"),
+    pytest.param(0.0, 1, "tau must be a finite positive number", id="tau=0"),
+    pytest.param(-0.1, 1, "tau must be a finite positive number", id="tau<0"),
+    pytest.param(1.0, True, BAD_PERIODS + "True$", id="periods=True"),
+    pytest.param(1.0, -1, BAD_PERIODS + "-1$", id="periods<0"),
+    pytest.param(1.0, 2.0, BAD_PERIODS + r"2\.0$", id="periods=2.0"),
+    pytest.param(1.0, np.nan, BAD_PERIODS + "nan$", id="periods=nan"),
+    pytest.param(1.0, np.inf, BAD_PERIODS + "inf$", id="periods=inf"),
+    pytest.param(1.0, 10 ** 300, BAD_PERIODS + "10{300}$", id="periods=1e300"),
+    pytest.param(1.0, 2 ** 53, BAD_PERIODS + "9007199254740992$", id="periods=2**53"),
 ])
-def test_plan_refuses_timing_it_cannot_step(tau, total_time, message):
+def test_plan_refuses_timing_it_cannot_step(tau, n_steps, message):
     # each field is named, before a run meets the value in eigh or the
     # period count
     with pytest.raises(ValueError, match=f"^{message}"):
-        EvolutionPlan(swap_hamiltonian(1.0), up_meas(), tau, total_time)
+        EvolutionPlan(swap_hamiltonian(1.0), up_meas(), tau, n_steps)
 
 
 def test_plan_takes_timing_just_inside_the_bounds():
+    # the largest period count, a numpy integer and an empty run are taken
+    plan = EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 1.0, 2 ** 53 - 1)
+    assert plan.n_steps == 2 ** 53 - 1
+    assert EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 0.1, np.int64(7)).n_steps == 7
+    assert EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 0.1, 0).n_steps == 0
     # the period count's slack stays below half a period, so it adds none
     # where a count's ulp reaches a whole period
-    plan = EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 1.0, 2.0 ** 53 - 2)
-    assert plan.n_steps == 2 ** 53 - 2
-    assert plan.residual == 0.0
+    assert steps_in(2.0 ** 53 - 2, 1.0) == 2 ** 53 - 2
     for k in range(40, 53):
         assert steps_in(2.0 ** k, 1.0) == 2 ** k
-    assert EvolutionPlan(swap_hamiltonian(1.0), up_meas(), 0.1, 0.0).n_steps == 0

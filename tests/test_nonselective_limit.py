@@ -236,7 +236,7 @@ class TestSemigroupPropagate:
         plus = (basis_ket("u") + basis_ket("d")) / np.sqrt(2)
         init = InitialState.from_kets(basis_ket("u"), plus)
         traj = semigroup_propagate(build_generator(ham, meas, TAU), init, TAU, 0)
-        exact = run_nonselective(EvolutionPlan(ham, meas, TAU, TAU), init)
+        exact = run_nonselective(EvolutionPlan(ham, meas, TAU, 1), init)
         assert max_abs(traj.states[0] - exact.states[0]) <= 1e-14
         assert max_abs(traj.states[0] - swap_ref().channel(init.joint())) <= 1e-14
 
@@ -417,6 +417,23 @@ def test_count_zero_gives_the_start_alone(propagate):
     longer = propagate(np.float64(0.5), np.int64(3))
     np.testing.assert_array_equal(longer.times, np.arange(4) * 0.5)
     np.testing.assert_array_equal(traj.states[0], longer.states[0])
+
+
+@pytest.mark.parametrize("propagate, eff", [
+    pytest.param(propagate_kraus, swap_selective_eff, id="kraus"),
+    pytest.param(semigroup_propagate, swap_gen, id="semigroup"),
+])
+@pytest.mark.parametrize("init", [
+    pytest.param(InitialState(np.eye(4) / 4, np.eye(1)), id="4x1"),
+    pytest.param(InitialState(np.eye(3) / 3, np.diag([1.0, 0.0])), id="3x2"),
+    pytest.param(InitialState(np.eye(2) / 2, np.diag([1.0, 0.0, 0.0])), id="2x3"),
+])
+def test_limits_refuse_an_initial_state_of_another_split(propagate, eff, init):
+    # the exact runners' rule and message against the generators' 2 x 2
+    # split; the 4 x 1 split has the same joint dimension
+    with pytest.raises(ValueError, match="^initial state does not match "
+                                         "Hamiltonian dimensions$"):
+        propagate(eff(), init, 0.5, 2)
 
 
 @pytest.mark.parametrize("h, n", [pytest.param(0.04, 250, id="uniform")])
@@ -666,7 +683,7 @@ class TestClosedForm:
         # populations (3/4, 1/4); cross-checked against the stepwise run
         ham = swap_hamiltonian(5.0)
         init = InitialState(np.eye(2) / 2, np.diag([1.0, 0.0]).astype(complex))
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.04, 10.0), init)
+        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.04, 250), init)
         cf = swap_nonselective_closed_form(5.0, 1.0, np.eye(2) / 2, 10.0)
         assert abs(cf[0, 0].real - 0.75) < 1e-8
         assert abs(traj.p_up()[-1] - cf[0, 0].real) < 0.01

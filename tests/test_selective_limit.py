@@ -278,7 +278,7 @@ class TestPropagateKraus:
         # less than 1e-8, but leaves P rho P - rho above 1e-10: both reject it
         init = InitialState(np.diag([1.0, 0.0]), np.diag([1.0 - 1e-9, 1e-9]))
         meas = measurement_from_kets([[basis_ket("u")], [basis_ket("d")]], 0)
-        plan = EvolutionPlan(swap_hamiltonian(GAMMA), meas, TAU, 1.0)
+        plan = EvolutionPlan(swap_hamiltonian(GAMMA), meas, TAU, 25)
         with pytest.raises(ValueError, match=r"supported in range\(P\)"):
             propagate_kraus(swap_eff(), init, 1.0, 0)
         with pytest.raises(ValueError, match=r"supported in range\(P\)"):
