@@ -15,13 +15,18 @@ I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and U =
 exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+ on
 range(C_i), W_ij = V_i+ U V_j being the exact counterpart of the limits'
 T_ij.  The selective run is the coincident-outcome branch, the one whose
-limit is the H1 - i H2 dynamics: it lays out the selected range alone,
-forms W_ss and no other map, and takes all kept periods n as binary powers
-of W_ss in one batch, so its cost grows with the kept samples, not the
-periods.  The non-selective channel steps all blocks at once, b_i <- sum_j
-W_ij b_j W_ij+.  A run takes a whole number of periods and samples every
-`every`-th one from its blocks, period 0 being the start blocks; it yields
-their system marginals and lifts joint states only on demand.
+limit is the H1 - i H2 dynamics: it lays out the selected range alone and
+forms W_ss and no other map.  Its one Kraus map per period, r -> W r W+,
+acts on a factor alone: with the start block r0 = F F+, the block after
+period n is G G+ for G = W^n F, positive semidefinite by construction, its
+trace, the branch probability, is the squared norm ||G||_F^2, and its
+system marginal is X X+ for G reshaped to X of shape (dim_sys, r_P r).
+All kept periods n are one-sided binary powers W^n F of one batch, so the
+cost grows with the kept samples, not the periods.  The non-selective
+channel steps all blocks at once, b_i <- sum_j W_ij b_j W_ij+.  A run takes
+a whole number of periods and samples every `every`-th one, period 0 being
+the start; it yields the system marginals and lifts joint states only on
+demand.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROB_FLOOR, conj_powers, dag, real_trace, step_powers
+from .linalg import (PROB_FLOOR, dag, factor_powers, psd_factor, real_trace,
+                     sq_norms, step_powers)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -88,25 +94,15 @@ def _period_maps(plan: EvolutionPlan, layout: BlockLayout) -> np.ndarray:
     return layout.pairs((v * np.exp(-1j * w)) @ dag(v))
 
 
-def _interrupted(plan: EvolutionPlan, layout: BlockLayout, blocks,
-                 every: int) -> Trajectory:
-    """Sample one run at the periods n = 0, every, ..., n_steps from
-    blocks(ns), the (len(ns), k, m, m) stack in `layout` after the periods
-    ns, period 0 being the start blocks.  ValueError unless every is a
-    positive integer, not a bool, that divides n_steps.  The system states
-    are `layout.marginal` of the blocks; joint states are lifted only for
-    `Trajectory.states`.
-    """
+def _periods(plan: EvolutionPlan, every: int) -> np.ndarray:
+    """The sampled periods n = 0, every, ..., n_steps, period 0 being the
+    start; ValueError unless every is a positive integer, not a bool, that
+    divides n_steps."""
     if isinstance(every, bool) or not isinstance(every, (int, np.integer)) \
             or every < 1 or plan.n_steps % every:
         raise ValueError(f"every = {every} must be a positive divisor of "
                          f"n_steps = {plan.n_steps}")
-    ns = np.arange(0, plan.n_steps + 1, every)
-    stack = blocks(ns)
-    marginals = layout.marginal(stack)      # a view of the stack for one rank-1 block
-    norms = real_trace(marginals)
-    return Trajectory(ns * plan.tau, marginals / norms[:, None, None], norms,
-                      lambda: layout.lift(stack) / norms[:, None, None])
+    return np.arange(0, plan.n_steps + 1, every)
 
 
 def run_selective(plan: EvolutionPlan, init: InitialState,
@@ -115,11 +111,16 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     `every`-th measurement instant, t = n*tau for n = every, 2*every, ...,
     n_steps.
 
-    The state is carried unnormalized on the selected range; `norms` is the
-    cumulative probability p_Phi of observing the selected outcome every
-    period.  The state after period n is W^n r0 W^n+, W = W_ss and r0 = V_s+
-    rho0 V_s, from binary powers of W for all samples at once
-    (`conj_powers`), so it depends on n alone, whatever the stride.
+    The state is carried unnormalized on the selected range, as a factor:
+    with r0 = V_s+ rho0 V_s = F F+ (`linalg.psd_factor`), the state after
+    period n is G G+ for G = W^n F, W = W_ss, so it stays positive
+    semidefinite by construction.  G comes from binary powers of W for all
+    samples at once (`linalg.factor_powers`), so it depends on n alone,
+    whatever the stride.  `norms`, the cumulative probability p_Phi of
+    observing the selected outcome every period, are the squared norms
+    ||G||_F^2 = tr G G+.  The system states are the marginals of the
+    normalized factors (`Trajectory.from_factors`); joint states are lifted
+    from their blocks only for `Trajectory.states`.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
     p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples,
@@ -134,29 +135,28 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     if s is None:
         raise ValueError("selective run needs a selected outcome")
     init.probe_block(meas.bases[s])
+    ns = _periods(plan, every)
     layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases[s:s + 1])
     w_ss = _period_maps(plan, layout)[0, 0]
-    r0 = layout.compress(init.joint())[0]
+    f = psd_factor(layout.compress(init.joint())[0])
 
-    def powers(ns):
-        r = conj_powers(w_ss, r0, ns)
-        failed = np.flatnonzero(real_trace(r) < PROB_FLOOR)
-        if failed.size:
-            k = failed[0]
-            lo, hi = (int(ns[k - 1]) if k else 0), int(ns[k])   # lo passes, hi fails
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if real_trace(conj_powers(w_ss, r0, [mid])[0]) < PROB_FLOOR:
-                    hi = mid
-                else:
-                    lo = mid
-            norm = real_trace(conj_powers(w_ss, r0, [hi])[0])
-            raise VanishingProbabilityError(
-                f"branch probability vanished at step {hi} "
-                f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
-        return r[:, None]
+    def p_phi(n):
+        return sq_norms(factor_powers(w_ss, f, [n]))[0]
 
-    return _interrupted(plan, layout, powers, every)
+    g = factor_powers(w_ss, f, ns)
+    norms = sq_norms(g)
+    failed = np.flatnonzero(norms < PROB_FLOOR)
+    if failed.size:
+        k = failed[0]
+        lo, hi = (int(ns[k - 1]) if k else 0), int(ns[k])     # lo passes, hi fails
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if p_phi(mid) < PROB_FLOOR else (mid, hi)
+        raise VanishingProbabilityError(
+            f"branch probability vanished at step {hi} "
+            f"(p_Phi = {p_phi(hi):.3e} < {PROB_FLOOR:.1e})")
+    return Trajectory.from_factors(ns * plan.tau, g, norms, layout.dim_sys,
+                                   lambda b: layout.lift(b[:, None]))
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,
@@ -176,6 +176,7 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
                          "(no selected outcome)")
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
+    ns = _periods(plan, every)
     layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
     w = _period_maps(plan, layout)
     w_dag = dag(w)
@@ -184,5 +185,8 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
         return (w @ blocks[None] @ w_dag).sum(axis=1)
 
     blocks = layout.compress(init.joint())
-    return _interrupted(plan, layout,
-                        lambda ns: step_powers(step, blocks, ns, blocks.shape), every)
+    stack = step_powers(step, blocks, ns, blocks.shape)
+    marginals = layout.marginal(stack)
+    norms = real_trace(marginals)
+    return Trajectory(ns * plan.tau, marginals / norms[:, None, None], norms,
+                      lambda: layout.lift(stack) / norms[:, None, None])

@@ -12,22 +12,24 @@ alone rounds differently between thread counts (OpenBLAS 0.3.31, N = 256:
 up to 3.3e-16 between one and two threads, where its products agree bit
 for bit), the action exp(a t) y of the exponential on a vector by a
 truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 2011), binary powers m^n r0 m^n+ for a whole stack of n at
-once, and `expm_vec_run`, which steps a vector by the action or by one
-exp(a h), whichever a cost rule finds cheaper, along the uniform grid that
-`uniform_counts` checks.  All functions are pure; nothing mutates its
-inputs, and `conj_stack` writes only into an `out` array it is given.
+Comput. 33, 2011), one-sided binary powers m^n f of a factor f for a
+whole stack of n at once, and `expm_vec_run`, which steps a vector by the
+action or by one exp(a h), whichever a cost rule finds cheaper, along the
+uniform grid that `uniform_counts` checks.  All functions are pure; nothing
+mutates its inputs, and `conj_stack` writes only into an `out` array it is
+given.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 `conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
 with the stack along the rows, where a broadcast `a @ s @ b` would make one
 small BLAS call per matrix; each slice comes out bit for bit as it does when
-it is conjugated alone.  `conj_powers` fills a dense range of powers, every
-n from 0 or 1 to n_max as an every-period run asks, as one table a level at
-a time: the states whose lowest set bit is b come from the states 2^b below
-them in one strided `conj_stack` written into the table (at n_max = 16000
-and k = 2, 1.1 ms against 3.9 ms for the prefix walk that other sets of n
-take).
+it is conjugated alone.  A state m^n r0 m^n+ is carried as its factor
+m^n f, f f+ = r0 (`psd_factor`): `factor_powers` fills a dense range of
+powers, every n from 0 to n_max as an every-period run asks, as one table
+a level at a time, the powers 2^b .. 2^(b+1) - 1 from the powers below 2^b
+in one contiguous GEMM written into the table (at n_max = 16000 and k = 2,
+with r = 1, 0.44 ms against 2.9 ms for the two-sided table of m^n r0 m^n+
+that it replaced).
 
 Traces and short-axis sums over a sample stack go through `einsum`
 (`real_trace`), not `np.trace` or `sum(axis=-1)`: on a 2-vCPU Xeon VM with
@@ -251,12 +253,12 @@ def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
     return np.einsum("...ipiq->...pq", r)
 
 
-# Rows x inner x columns of one GEMM call in conj_stack.  OpenBLAS 0.3
-# hands a complex GEMM to more threads from about 65536 on; the idle worker
-# then spins for a while and takes CPU from the Python code that follows.
-# On a 2-CPU machine with two BLAS threads, unchunked, the exact oracle of
-# a 101-sample run at d = 16 took 15 ms instead of 3 ms.  Chunks of this
-# size stay single-threaded.
+# Rows x inner x columns of one GEMM call in conj_stack and factor_powers.
+# OpenBLAS 0.3 hands a complex GEMM to more threads from about 65536 on; the
+# idle worker then spins for a while and takes CPU from the Python code
+# that follows.  On a 2-CPU machine with two BLAS threads, unchunked, the
+# exact oracle of a 101-sample run at d = 16 took 15 ms instead of 3 ms.
+# Chunks of this size stay single-threaded.
 _GEMM_BUDGET = 32768
 
 
@@ -285,46 +287,82 @@ def conj_stack(a, s, b, out=None) -> np.ndarray:
     return out
 
 
-def conj_powers(m, r0, ns) -> np.ndarray:
-    """(len(ns), k, k) stack of m^n r0 m^n+ for the non-decreasing integers ns.
+def psd_factor(r0) -> np.ndarray:
+    """(m, r) factor F with F F+ = r0 for a Hermitian positive semidefinite
+    m x m matrix r0, from one `eigh`: F = v sqrt(w) over the eigenpairs whose
+    eigenvalue is above rounding, m eps times the largest, so that a pure r0
+    gives r = 1.  The eigenvalues left out, negative ones among them, are
+    clipped: F F+ is positive semidefinite by construction and differs from
+    r0 by at most the largest of them in operator norm (a density matrix
+    accepted at 1e-10 with a -1e-12 eigenvalue moves by 1e-12)."""
+    w, v = np.linalg.eigh(as_matrix(r0))
+    keep = w > len(w) * np.finfo(float).eps * w[-1]
+    return v[:, keep] * np.sqrt(w[keep])
 
-    With Q_b = m^(2^b) by squaring, the bits of n are applied high to low,
-    r <- Q_b r Q_b+ for each set bit b, so the state at n is Q_b (state at
-    n - 2^b) Q_b+ for the lowest set bit b of n.  A dense range, whose
-    distinct ns are every integer from ns[0] <= 1 to n = ns[-1], fills one
-    (n + 1, k, k) table from table[0] = r0 a level at a time, top bit first:
-    at level b the states table[2^b :: 2^(b+1)] come from table[0 :: 2^(b+1)]
-    in one `conj_stack` written into the table.  Any other ns advance all
-    samples together: at bit b every distinct prefix n >> b is formed once
-    from its parent n >> (b+1), and the odd prefixes are conjugated by Q_b
-    in one `conj_stack`.  Both orders form the same products, so each state
-    depends on (m, r0, n) alone, bit for bit, and the stack costs
-    O(log max(ns)) pairs of GEMMs.
+
+def _rows_times(x, a, out) -> np.ndarray:
+    """x @ a for an (R, k) matrix x, written into the (R, k) array `out` and
+    returned, in row chunks whose products stay under `_GEMM_BUDGET`.  Each
+    row comes out bit for bit as in any other chunk: numpy hands a single
+    row to GEMV, which rounds otherwise, so a one-row chunk goes as two."""
+    step = max(2, _GEMM_BUDGET // a.size)
+    for i in range(0, len(x), step):
+        c = x[i:i + step]
+        if len(c) == 1:
+            out[i] = (c[[0, 0]] @ a)[0]
+        else:
+            np.matmul(c, a, out=out[i:i + step])
+    return out
+
+
+def factor_powers(m, f, ns) -> np.ndarray:
+    """(len(ns), k, r) stack of m^n f for a k x k matrix m, a (k, r) factor f
+    and the non-negative, non-decreasing integers ns.
+
+    With Q_b = m^(2^b) by squaring, the bits of n are applied low to high,
+    g <- Q_b g for each set bit b, so the power at n is Q_b times the power
+    at n - 2^b for the highest set bit b of n.  Rows carry the transposed
+    powers, g^T <- g^T Q_b^T, so that a whole stack is one row-major matrix.
+    When ns are 0, 1, ..., n, a table fills from f a level at a time: the
+    powers 2^b .. 2^(b+1) - 1 come from the powers 0 .. 2^b - 1 in one
+    contiguous GEMM written into the table.  Any other ns walk the bits
+    over the samples, the samples with bit b set multiplied by Q_b^T in one
+    GEMM.  Both form the same products row by row (`_rows_times`), so each
+    power depends on (m, f, n) alone, bit for bit, and the stack costs
+    O(log max(ns)) GEMMs.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    s = as_matrix(r0)[None]
+    f = np.asarray(f, dtype=complex)
+    k, r = f.shape
     if np.any(ns < 0) or np.any(ns[1:] < ns[:-1]):
         raise ValueError("powers must be non-negative and non-decreasing")
-    if ns.size == 0:
-        return s[:0]
     q = [as_matrix(m)]
-    while len(q) < int(ns[-1]).bit_length():
+    while len(q) < int(ns.max(initial=0)).bit_length():
         q.append(q[-1] @ q[-1])
-    steps = np.diff(ns)
-    if ns[0] <= 1 and np.all(steps <= 1):
-        table = np.empty((int(ns[-1]) + 1,) + s.shape[1:], dtype=s.dtype)
-        table[0] = s[0]
-        for b in reversed(range(len(q))):
-            dst = table[2 ** b::2 ** (b + 1)]
-            conj_stack(q[b], table[:-2 ** b:2 ** (b + 1)], dag(q[b]), out=dst)
-        return table[ns[0]:] if np.all(steps) else table[ns]
-    for b in reversed(range(len(q))):
-        p = ns >> b
-        p = p[np.r_[True, p[1:] != p[:-1]]]     # distinct; np.unique loads numpy.ma
-        s = s[np.r_[0, np.cumsum(p[1:] >> 1 != p[:-1] >> 1)]]      # parents' states
-        odd = (p & 1).astype(bool)
-        s[odd] = conj_stack(q[b], s[odd], dag(q[b]))
-    return s[np.cumsum(np.r_[True, ns[1:] != ns[:-1]]) - 1]
+    q_t = [x.T for x in q]
+    if ns.size and np.array_equal(ns, np.arange(len(ns))):
+        table = np.empty((len(ns), r, k), dtype=complex)
+        table[0] = f.T
+        rows = table.reshape(-1, k)
+        for b, a in enumerate(q_t):
+            lo = 2 ** b
+            c = min(lo, len(ns) - lo) * r
+            _rows_times(rows[:c], a, out=rows[lo * r:lo * r + c])
+        return table.swapaxes(1, 2)
+    s = np.repeat(f.T[None], len(ns), axis=0)
+    for b, a in enumerate(q_t):
+        hit = np.flatnonzero(ns >> b & 1)
+        x = s[hit].reshape(-1, k)
+        s[hit] = _rows_times(x, a, out=np.empty_like(x)).reshape(-1, r, k)
+    return s.swapaxes(1, 2)
+
+
+def sq_norms(g) -> np.ndarray:
+    """Squared Frobenius norms ||g_t||_F^2 = tr g_t g_t+ of a complex
+    (T, k, r) stack, by one `einsum` over the real coordinates of each g_t^T,
+    which for a stack of `factor_powers` is a view of its rows."""
+    x = np.swapaxes(g, 1, 2).reshape(len(g), -1).view(float)
+    return np.einsum("ti,ti->t", x, x)
 
 
 def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,

@@ -21,6 +21,7 @@ marginals of the blocks, lifting no joint state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,8 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     preserves trace and fixes the maximally mixed state for any Hermitian h
     and complete family, which the specs have validated.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:          # NaN compares false
+        raise ValueError(f"tau must be a finite positive number, got {tau!r}")
     if spec.selected_index is not None:
         raise ValueError("semigroup generator requires the complete projector "
                          "family (no selected outcome)")

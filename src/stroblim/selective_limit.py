@@ -7,16 +7,24 @@ H2 >= 0 encodes the trace decay caused by transitions out of the measured
 subspace.  The pair lives on system (x) range(P) and the system state
 follows by partial trace; for a rank-1 projector range(P) is one-dimensional
 and the dynamics closes on the system alone.
+
+Propagation carries the state as a factor, as the exact oracle does: with
+the start block r0 = F F+ and one Kraus step K = exp(-i (H1 - i H2) h), the
+block at T = k h is G G+ for G = K^k F, positive semidefinite by
+construction, with trace ||G||_F^2; on a pure start it is the vector
+equation of the H1 - i H2 dynamics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import PROB_FLOOR, conj_powers, expm, real_trace, uniform_counts
+from .linalg import (PROB_FLOOR, expm, factor_powers, psd_factor, sq_norms,
+                     uniform_counts)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -77,8 +85,8 @@ def effective_rankr(ham: HamiltonianSpec, spec: MeasurementSpec,
     (Omega/2) V+ h (1 - P) h V >= 0 by construction once `HamiltonianSpec`
     has accepted a Hermitian h, so neither is re-checked.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:          # NaN compares false
+        raise ValueError(f"tau must be a finite positive number, got {tau!r}")
     s = spec.selected_index
     if s is None:
         raise ValueError("selective generator requires a selected outcome")
@@ -93,32 +101,31 @@ def effective_rankr(ham: HamiltonianSpec, spec: MeasurementSpec,
 def propagate_kraus(eff: SelectiveEffective, init: InitialState, h: float,
                     n: int) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T) at
-    T = k h, k = 0, ..., n (`linalg.uniform_counts`), by binary powers of one
-    Kraus step (`linalg.conj_powers`).
+    T = k h, k = 0, ..., n (`linalg.uniform_counts`), as the factors K^k F of
+    the start block F F+ (`linalg.psd_factor`), by one-sided binary powers of
+    one Kraus step (`linalg.factor_powers`).
 
     The initial probe state must be supported in range(P), by the rule of
     `InitialState.probe_block` that `exact.run_selective` applies too, and
     the run starts from the block V+ rho0 V of the joint initial state, as
-    that runner does.  The norms are the branch probabilities tr[K rho K+],
-    non-increasing in T; as in `exact.run_selective`, one below PROB_FLOOR
-    raises VanishingProbabilityError.  The system states are the marginals
-    (`BlockLayout.marginal`) of the normalized blocks, which are kept for
-    `Trajectory.states`.
+    that runner does.  The norms are the branch probabilities tr[K rho K+] =
+    ||K^k F||_F^2, non-increasing in T; as in `exact.run_selective`, one
+    below PROB_FLOOR raises VanishingProbabilityError.  The system states are
+    the marginals of the normalized factors (`Trajectory.from_factors`);
+    `Trajectory.states` forms the normalized blocks from them on first use.
     """
     counts = uniform_counts(h, n)
     layout = eff.layout
     if init.dims != layout.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
     init.probe_block(layout.probe_bases[0])
-    r0 = layout.compress(init.joint())[0]
-    states = conj_powers(expm(-1j * eff.h_eff * h), r0, counts)
-    norms = real_trace(states)
+    f = psd_factor(layout.compress(init.joint())[0])
+    g = factor_powers(expm(-1j * eff.h_eff * h), f, counts)
+    norms = sq_norms(g)
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:
         cut = vanished[0]
         raise VanishingProbabilityError(
             f"branch probability vanished at T = {cut * h:g} "
             f"(p = {norms[cut]:.3e} < {PROB_FLOOR:.1e})")
-    states /= norms[:, None, None]
-    return Trajectory(counts * h, layout.marginal(states[:, None]), norms,
-                      lambda: states)
+    return Trajectory.from_factors(counts * h, g, norms, layout.dim_sys)

@@ -40,8 +40,8 @@ def random_unitary(rng, dim):
     return q * ph
 
 
-def random_density(rng, dim):
-    m = random_complex(rng, (dim, dim))
+def random_density(rng, dim, rank=None):
+    m = random_complex(rng, (dim, dim if rank is None else rank))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
 

@@ -13,7 +13,9 @@ from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
                       basis_ket, kron, measurement_from_kets, pauli,
                       run_nonselective, run_selective, swap_hamiltonian)
 from stroblim.exact import steps_in
-from stroblim.linalg import TensorDims, conj_powers, dag, max_abs, partial_trace
+from stroblim.linalg import (TensorDims, dag, factor_powers, max_abs,
+                             partial_trace, psd_factor)
+from stroblim.model import BlockLayout
 
 
 def up_meas(selected=0):
@@ -375,6 +377,39 @@ def test_coincident_outcomes_match_the_reference_loop(rng, dims, every):
                         reference_selective(plan, init, every=every))
 
 
+@pytest.mark.parametrize("ranks", [(2, 1), (1, 2), (2, 2)])
+def test_mixed_starts_match_the_reference_loop(rng, ranks):
+    # a rank-2 system state, a rank-2 probe state inside the rank-2 selected
+    # range, or both: the start block factors with 2, 2 or 4 columns
+    rank_sys, rank_pr = ranks
+    ham = random_hamiltonian_spec(rng, 3, 4)
+    u = random_unitary(rng, 4)
+    spec = family_spec([[u[:, 0], u[:, 1]], [u[:, 2]], [u[:, 3]]], selected_index=0)
+    v = spec.bases[0]
+    init = InitialState(random_density(rng, 3, rank_sys),
+                        v @ random_density(rng, 2, rank_pr) @ dag(v))
+    layout = BlockLayout(3, spec.bases[:1])
+    assert psd_factor(layout.compress(init.joint())[0]).shape == (6, rank_sys * rank_pr)
+    plan = EvolutionPlan(ham, spec, 0.05, 24)
+    for every in (1, 2, 3, 4, 6, 8, 12, 24):
+        assert_same_run(run_selective(plan, init, every=every),
+                        reference_selective(plan, init, every=every))
+
+
+def test_a_start_with_a_negative_rounding_eigenvalue_stays_positive(rng):
+    # rho_sys with a -1e-12 eigenvalue passes is_density at 1e-10; the
+    # factor drops it, so every state is positive semidefinite and within
+    # 1e-11 of the states the unclipped start gives
+    w = random_unitary(rng, 3)
+    rho_sys = w @ np.diag([-1e-12, 0.4, 0.6 + 1e-12]) @ dag(w)
+    init = InitialState(rho_sys, np.diag([1.0, 0.0]))
+    plan = EvolutionPlan(random_hamiltonian_spec(rng, 3, 2), up_meas(), 0.05, 30)
+    got = run_selective(plan, init)
+    assert_same_run(got, reference_selective(plan, init), tol=1e-11)
+    assert np.linalg.eigvalsh(got.sys_states).min() >= -1e-14
+    assert np.linalg.eigvalsh(got.states).min() >= -1e-14
+
+
 @pytest.mark.parametrize("every", STRIDES)
 @pytest.mark.parametrize("dims", [(2, 3), (3, 4), (2, 5)])
 def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
@@ -459,12 +494,13 @@ def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
 def test_binary_powers_depend_on_the_period_alone(rng):
     w = random_density(rng, 4) * 1.5      # a contraction, ||w|| < 1.5 tr w = 1.5
     r0 = random_density(rng, 4)
+    f = psd_factor(r0)
     ns = [0, 1, 2, 3, 200, 7, 64, 63, 65, 128, 5, 199, 0]
-    batch = dict(zip(sorted(ns), conj_powers(w, r0, sorted(ns))))
+    batch = dict(zip(sorted(ns), factor_powers(w, f, sorted(ns))))
     for n in ns:
         q = np.linalg.matrix_power(w, n)
-        power = conj_powers(w, r0, [n])[0]
-        assert max_abs(power - q @ r0 @ dag(q)) < 1e-12
+        power = factor_powers(w, f, [n])[0]
+        assert max_abs(power @ dag(power) - q @ r0 @ dag(q)) < 1e-12
         assert np.array_equal(power, batch[n])
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -13,10 +14,10 @@ from helpers import (bundled_path, counting_expm, hermitian_eig, is_projector,
 from ode import rk4_step
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                       partial_trace, pauli)
-from stroblim.linalg import (_action_is_cheaper, _dense_run, conj_powers,
-                             conj_stack, dag, expm_action, max_abs, op_norm,
-                             real_trace, step_powers, taylor_degree,
-                             trace_distance)
+from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, _dense_run,
+                             conj_stack, dag, expm_action, factor_powers,
+                             max_abs, op_norm, psd_factor, real_trace,
+                             step_powers, taylor_degree, trace_distance)
 
 
 def kron_oracle(a, b):
@@ -384,7 +385,7 @@ class TestConjStack:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_each_slice_is_the_same_alone_and_in_the_batch(self, rng, n):
-        # conj_powers relies on it: a state must not depend on its batch
+        # BlockLayout.lift relies on it: a state must not depend on its batch
         a = random_complex(rng, (n, n))
         for t in (2, 3, 64, 5000):
             s = random_complex(rng, (t, n, n))
@@ -399,45 +400,83 @@ class TestConjStack:
 
 
 class TestConjPowers:
+    """The conjugation powers m^n r0 m^n+, carried as their factors m^n f
+    (`factor_powers`)."""
+
     @staticmethod
     def contraction(rng, k):
         p = random_complex(rng, (k, k))
         return expm(-1j * random_hermitian(rng, k, norm=1.0) - 0.01 * p @ dag(p))
 
     def test_matches_matrix_power(self, rng):
-        m, r0 = self.contraction(rng, 3), random_complex(rng, (3, 3))
+        m, f = self.contraction(rng, 3), random_complex(rng, (3, 2))
         ns = [0, 1, 2, 2, 3, 17, 64, 65, 1000]
-        out = conj_powers(m, r0, ns)
-        assert out.shape == (len(ns), 3, 3)
-        for n, r in zip(ns, out):
+        out = factor_powers(m, f, ns)
+        assert out.shape == (len(ns), 3, 2)
+        for n, g in zip(ns, out):
             q = np.linalg.matrix_power(m, n)
-            assert max_abs(r - q @ r0 @ dag(q)) < 1e-12
+            assert max_abs(g - q @ f) < 1e-12
 
     def test_each_state_depends_on_n_alone(self, rng):
-        # dense grids (every n from 0 or 1 on, repeats allowed) take the
-        # level-by-level table, the others the prefix walk; a single n >= 2
-        # takes the walk
+        # the counts 0..n take the table, any others the bit walk; a single
+        # n multiplies one row per level (numpy's GEMV, unless it goes as
+        # two rows).  The long table has a level of c r rows, split by
+        # _GEMM_BUDGET into chunks of `step` rows and a remainder of r rows:
+        # a one-row chunk for r = 1.
         grids = [[0, 0, 5, 5, 6, 1023, 1024], list(range(40)),
                  list(range(7, 2000, 7)), [1024, 1024, 3000],
-                 list(range(1026)), list(range(1, 1026)),
-                 sorted(list(range(1, 300)) + [150]), [1]]
-        for k in (2, 1, 3):
-            m, r0 = self.contraction(rng, k), random_complex(rng, (k, k))
-            alone = {}
+                 list(range(1, 1026)), sorted(list(range(1, 300)) + [150]),
+                 [1]]
+        for k, r in itertools.product((1, 2, 3, 5, 8), (1, 2)):
+            m, f = self.contraction(rng, k), random_complex(rng, (k, r))
+            step = max(2, _GEMM_BUDGET // k ** 2)
+            c = step // r + 1
+            lo = 1 << (c - 1).bit_length()
+            table = factor_powers(m, f, np.arange(max(lo + c, 3001)))
             for ns in grids:
-                for n, r in zip(ns, conj_powers(m, r0, ns)):
-                    single = alone.setdefault(n, conj_powers(m, r0, [n])[0])
-                    assert np.array_equal(r, single)
-            assert np.array_equal(alone[0], r0)
+                assert np.array_equal(factor_powers(m, f, ns), table[ns])
+            assert np.array_equal(factor_powers(m, f, np.r_[0, np.arange(len(table))]),
+                                  table[np.r_[0, np.arange(len(table))]])
+            singles = [*range(70), 1023, 1024, 1025, 3000, lo - 1, lo,
+                       lo + step // r - 1, lo + step // r, lo + c - 1]
+            for n in singles:
+                assert np.array_equal(factor_powers(m, f, [n])[0], table[n])
+            assert np.array_equal(table[0], f)
 
     def test_empty_ns_gives_an_empty_stack(self, rng):
-        out = conj_powers(np.eye(3), random_complex(rng, (3, 3)), [])
-        assert out.shape == (0, 3, 3)
+        out = factor_powers(np.eye(3), random_complex(rng, (3, 2)), [])
+        assert out.shape == (0, 3, 2)
 
     @pytest.mark.parametrize("ns", [[3, 2], [-1, 2]])
     def test_rejects_unsorted_or_negative_powers(self, ns):
         with pytest.raises(ValueError, match="non-negative and non-decreasing"):
-            conj_powers(np.eye(2), np.eye(2), ns)
+            factor_powers(np.eye(2), np.eye(2), ns)
+
+
+class TestPsdFactor:
+    def test_a_pure_state_has_one_column(self, rng):
+        psi = random_complex(rng, 6)
+        psi /= np.linalg.norm(psi)
+        f = psd_factor(np.outer(psi, psi.conj()))
+        assert f.shape == (6, 1)
+        assert max_abs(f @ dag(f) - np.outer(psi, psi.conj())) < 1e-15
+
+    def test_a_mixed_state_keeps_its_rank(self, rng):
+        v = np.linalg.qr(random_complex(rng, (5, 2)))[0]
+        r0 = v @ np.diag([0.3, 0.7]) @ dag(v)
+        f = psd_factor(r0)
+        assert f.shape == (5, 2)
+        assert max_abs(f @ dag(f) - r0) < 1e-15
+
+    def test_negative_rounding_is_clipped(self, rng):
+        # a density matrix accepted at 1e-10 whose least eigenvalue is
+        # -1e-12: the factor drops it and is off by that much, no more
+        v = np.linalg.qr(random_complex(rng, (3, 3)))[0]
+        r0 = v @ np.diag([-1e-12, 0.4, 0.6 + 1e-12]) @ dag(v)
+        assert is_density(r0)
+        f = psd_factor(r0)
+        assert f.shape == (3, 2)
+        assert max_abs(f @ dag(f) - r0) < 2e-12
 
 
 class TestRealTrace:

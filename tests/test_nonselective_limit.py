@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,15 @@ class TestBuildGenerator:
                                     selected_index=0)
         with pytest.raises(ValueError):
             build_generator(swap_hamiltonian(1.0), sel, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_a_tau_that_is_not_finite_and_positive(self, tau):
+        # as EvolutionPlan does: NaN would give a NaN generator and inf a
+        # numpy warning
+        with pytest.raises(ValueError, match="^tau must be a finite positive "
+                           f"number, got {re.escape(repr(tau))}$"):
+            build_generator(swap_hamiltonian(1.0), zbasis_meas(), tau)
 
 
 class TestSemigroupPropagate:

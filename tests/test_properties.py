@@ -12,7 +12,7 @@ from helpers import (assert_same_run, channel_superop, choi_matrix, family_spec,
                      random_unitary, reference_selective, unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
                       VanishingProbabilityError, build_generator, effective_rankr,
-                      run_selective, semigroup_propagate)
+                      propagate_kraus, run_selective, semigroup_propagate)
 from stroblim.linalg import _action_run, _dense_run, dag, expm, max_abs, op_norm
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -47,6 +47,35 @@ def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
             run_selective(plan, init, every=every)
         return
     assert_same_run(run_selective(plan, init, every=every), want)
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  dims=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)]),
+                  ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  periods=st.integers(0, 60))
+def test_selective_states_are_positive_semidefinite(seed, dims, ranks, periods):
+    # every selective state is G G+ for a factor G, in the exact run and in
+    # the limit, the system marginals and the lifted or block states alike
+    rng = np.random.default_rng(seed)
+    ham = random_hamiltonian_spec(rng, *dims)
+    groups = random_projector_family(rng, dims[1])
+    sel = int(rng.integers(len(groups)))
+    spec = family_spec(groups, selected_index=sel)
+    v = spec.bases[sel]
+    init = InitialState(random_density(rng, dims[0], min(ranks[0], dims[0])),
+                        v @ random_density(rng, v.shape[1], min(ranks[1], v.shape[1]))
+                        @ dag(v))
+    runs = (lambda: run_selective(EvolutionPlan(ham, spec, 0.05, periods), init),
+            lambda: propagate_kraus(effective_rankr(ham, spec, 0.05), init, 0.05,
+                                    periods))
+    for run in runs:
+        try:
+            traj = run()
+        except VanishingProbabilityError:
+            continue
+        for states in (traj.sys_states, traj.states):
+            assert np.linalg.eigvalsh(states).min() >= -1e-14
 
 
 # Random complete families have unequal ranks, so the block stacks are padded.

@@ -1,10 +1,12 @@
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
 from helpers import (counting_expm, family_spec, random_density,
-                     random_hamiltonian_spec, random_ket, random_projector_family)
+                     random_hamiltonian_spec, random_ket, random_projector_family,
+                     random_unitary)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
                  purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
@@ -142,8 +144,18 @@ class TestEffectiveRankr:
             effective_rankr(ham, spec, 0.1)
         with pytest.raises(ValueError, match="probe dimensions differ"):
             effective_rankr(ham, family_spec([[basis_ket("u")]], 0), 0.1)
-        with pytest.raises(ValueError, match="tau must be positive"):
+        with pytest.raises(ValueError, match="tau must be a finite positive number"):
             effective_rankr(ham, MeasurementSpec(spec.bases, 1), 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_a_tau_that_is_not_finite_and_positive(self, tau):
+        # as EvolutionPlan does: NaN would give NaN generators and inf a
+        # numpy warning
+        with pytest.raises(ValueError, match="^tau must be a finite positive "
+                           f"number, got {re.escape(repr(tau))}$"):
+            effective_rankr(swap_hamiltonian(1.0), measurement_from_kets(
+                [[basis_ket("u")]], 0), tau)
 
     def test_is_the_nonselective_diagonal_block(self, rng):
         # H1 - i H2 for outcome i is Heff_i of the GKSL generator of the family
@@ -162,6 +174,48 @@ class TestEffectiveRankr:
 
 
 class TestPropagateKraus:
+    @staticmethod
+    def conjugated(eff, init, h, n):
+        """The normalized blocks K^k r0 K^k+, their traces and their system
+        marginals for k = 0..n, by matrix powers of the unclipped start block."""
+        r0 = eff.layout.compress(init.joint())[0]
+        k = expm(-1j * eff.h_eff * h)
+        blocks = np.array([np.linalg.matrix_power(k, j) @ r0
+                           @ dag(np.linalg.matrix_power(k, j)) for j in range(n + 1)])
+        norms = np.trace(blocks, axis1=1, axis2=2).real
+        blocks /= norms[:, None, None]
+        return blocks, norms, eff.layout.marginal(blocks[:, None])
+
+    @pytest.mark.parametrize("ranks", [(2, 1), (1, 2), (2, 2)])
+    def test_mixed_starts_match_the_conjugated_block(self, rng, ranks):
+        # a rank-2 system state, a rank-2 probe state inside the rank-2
+        # selected range, or both
+        u = random_unitary(rng, 4)
+        spec = family_spec([[u[:, 0], u[:, 1]], [u[:, 2]], [u[:, 3]]], selected_index=0)
+        eff = effective_rankr(random_hamiltonian_spec(rng, 3, 4), spec, 0.05)
+        v = spec.bases[0]
+        init = InitialState(random_density(rng, 3, ranks[0]),
+                            v @ random_density(rng, 2, ranks[1]) @ dag(v))
+        traj = propagate_kraus(eff, init, 0.1, 20)
+        blocks, norms, marginals = self.conjugated(eff, init, 0.1, 20)
+        assert max_abs(traj.norms / norms - 1) <= 1e-12
+        assert max_abs(traj.states - blocks) <= 1e-12
+        assert max_abs(traj.sys_states - marginals) <= 1e-12
+
+    def test_a_start_with_a_negative_rounding_eigenvalue_stays_positive(self, rng):
+        # rho_sys with a -1e-12 eigenvalue passes is_density at 1e-10; the
+        # factor drops it, so every state is positive semidefinite and within
+        # 1e-11 of the states the unclipped start gives
+        w = random_unitary(rng, 3)
+        init = InitialState(w @ np.diag([-1e-12, 0.4, 0.6 + 1e-12]) @ dag(w),
+                            np.diag([1.0, 0.0]))
+        eff = effective_rank1(random_hamiltonian_spec(rng, 3, 2), basis_ket("u"), 0.05)
+        traj = propagate_kraus(eff, init, 0.1, 30)
+        blocks, norms, _ = self.conjugated(eff, init, 0.1, 30)
+        assert max_abs(traj.norms / norms - 1) <= 1e-11
+        assert max_abs(traj.states - blocks) <= 1e-11
+        assert np.linalg.eigvalsh(traj.sys_states).min() >= -1e-14
+
     def test_time_zero_identity(self, rng):
         eff = swap_eff()
         init = InitialState.from_kets(random_ket(rng, 2), basis_ket("u"))
