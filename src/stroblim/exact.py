@@ -25,8 +25,8 @@ All kept periods n are one-sided binary powers W^n F of one batch, so the
 cost grows with the kept samples, not the periods.  The non-selective
 channel steps all blocks at once, b_i <- sum_j W_ij b_j W_ij+.  A run takes
 a whole number of periods and samples every `every`-th one, period 0 being
-the start; it yields the system marginals and lifts joint states only on
-demand.
+the start; it yields the system marginals (the selective run forms them
+from its factors on first read) and lifts joint states only on demand.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PROB_FLOOR, dag, factor_powers, psd_factor, real_trace,
-                     sq_norms, step_powers)
+from .linalg import (PROB_FLOOR, dag, factor_powers, real_trace, sq_norms,
+                     step_powers)
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -112,15 +112,18 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     n_steps.
 
     The state is carried unnormalized on the selected range, as a factor:
-    with r0 = V_s+ rho0 V_s = F F+ (`linalg.psd_factor`), the state after
-    period n is G G+ for G = W^n F, W = W_ss, so it stays positive
-    semidefinite by construction.  G comes from binary powers of W for all
-    samples at once (`linalg.factor_powers`), so it depends on n alone,
-    whatever the stride.  `norms`, the cumulative probability p_Phi of
-    observing the selected outcome every period, are the squared norms
-    ||G||_F^2 = tr G G+.  The system states are the marginals of the
-    normalized factors (`Trajectory.from_factors`); joint states are lifted
-    from their blocks only for `Trajectory.states`.
+    with r0 = V_s+ rho0 V_s = F F+ (`InitialState.start_factor`), the state
+    after period n is G G+ for G = W^n F, W = W_ss, so it stays positive
+    semidefinite by construction.  The selected range's layout
+    (`MeasurementSpec.selected_layout`) and F are made once and shared with
+    the Kraus limit and every other tau of a sweep; only W depends on tau.
+    G comes from binary powers of W for all samples at once
+    (`linalg.factor_powers`), so it depends on n alone, whatever the stride.
+    `norms`, the cumulative probability p_Phi of observing the selected
+    outcome every period, are the squared norms ||G||_F^2 = tr G G+.  The
+    trajectory keeps the factors (`Trajectory.from_factors`): the system
+    states, their marginals, are formed where an output first reads them,
+    and joint states are lifted from the blocks only for `Trajectory.states`.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
     p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples,
@@ -128,17 +131,12 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     a failing sample bisects the periods since the last passing one, in
     O(log every) powers.
     """
-    meas = plan.measurement
     if init.dims != plan.hamiltonian.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    s = meas.selected_index
-    if s is None:
-        raise ValueError("selective run needs a selected outcome")
-    init.probe_block(meas.bases[s])
+    layout = plan.measurement.selected_layout(plan.hamiltonian.dim_sys)
+    f = init.start_factor(layout)
     ns = _periods(plan, every)
-    layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases[s:s + 1])
     w_ss = _period_maps(plan, layout)[0, 0]
-    f = psd_factor(layout.compress(init.joint())[0])
 
     def p_phi(n):
         return sq_norms(factor_powers(w_ss, f, [n]))[0]

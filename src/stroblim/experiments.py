@@ -199,8 +199,10 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
         every = round(sc.grid_stride)
         plan = EvolutionPlan(ham, meas, sc.tau, every * sc.grid_points)
         run = run_selective if sc.selective else run_nonselective
+        traj = run(plan, init, every=every)
         # sampled at the periods n = every * k, reported at the grid's k * step
-        return replace(run(plan, init, every=every), times=sc.times)
+        traj.times = sc.times
+        return traj
     if method == "limit":
         if sc.selective:
             eff = effective_rankr(ham, meas, sc.tau)
@@ -320,8 +322,13 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
 
     Only the table is computed: per tau, `compare_case`'s max deviation, with
     that tau's trajectories released before the next tau runs.  The report
-    carries no cases.  Every tau is checked before the first case runs, and
-    that case refuses a scenario with fewer than two methods (ValueError).
+    carries no cases.  The scaled scenarios share the measurement and the
+    initial state, so a selective sweep builds the selected layout and the
+    start factor once for every tau (`MeasurementSpec.selected_layout`,
+    `InitialState.start_factor`), and its p_up metric reads the selective
+    runs' factors without forming their system states.  Every tau is
+    checked before the first case runs, and that case refuses a scenario
+    with fewer than two methods (ValueError).
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, conj_stack, dag,
-                     is_density, kron, max_abs, op_norm)
+                     is_density, kron, max_abs, op_norm, psd_factor)
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -270,6 +270,21 @@ class MeasurementSpec:
         elif max_abs(stacked @ dag(stacked) - np.eye(len(stacked))) > DEFAULT_TOL:
             raise ValueError("non-selective mode requires a complete projector family")
         object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "_layouts", {})
+
+    def selected_layout(self, dim_sys: int) -> BlockLayout:
+        """The one-block `BlockLayout` of the selected range on a system of
+        dimension dim_sys, the one that both selective runners carry their
+        states on.  Made once per dim_sys and kept, so that every run of this
+        spec, each tau of a sweep among them, shares one layout and with it
+        the start factor `InitialState.start_factor`.  ValueError when no
+        outcome is selected."""
+        s = self.selected_index
+        if s is None:
+            raise ValueError("selective dynamics requires a selected outcome")
+        if dim_sys not in self._layouts:
+            self._layouts[dim_sys] = BlockLayout(dim_sys, self.bases[s:s + 1])
+        return self._layouts[dim_sys]
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -316,6 +331,7 @@ class InitialState:
             raise ValueError("rho_pr is not a density matrix within 1e-10")
         object.__setattr__(self, "rho_sys", rs)
         object.__setattr__(self, "rho_pr", rp)
+        object.__setattr__(self, "_factors", {})
 
     @classmethod
     def from_kets(cls, psi_sys, psi_pr) -> "InitialState":
@@ -347,6 +363,20 @@ class InitialState:
             raise ValueError("initial probe state must be supported in range(P) "
                              "of the selected projector")
         return rp
+
+    def start_factor(self, layout: BlockLayout) -> np.ndarray:
+        """The read-only (m, r) factor F, F F+ = V+ rho0 V (`linalg.psd_factor`),
+        of the start block of the one-block `layout`, whose probe basis must
+        pass the support rule of `probe_block`.  Made once per layout and
+        kept, so that the runs on a shared layout
+        (`MeasurementSpec.selected_layout`) share F."""
+        f = self._factors.get(layout)
+        if f is None:
+            self.probe_block(layout.probe_bases[0])
+            f = psd_factor(layout.compress(self.joint())[0])
+            f.flags.writeable = False
+            self._factors[layout] = f
+        return f
 
 
 def swap_hamiltonian(gamma: float) -> HamiltonianSpec:

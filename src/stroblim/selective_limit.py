@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import VanishingProbabilityError
-from .linalg import (PROB_FLOOR, expm, factor_powers, psd_factor, sq_norms,
-                     uniform_counts)
+from .linalg import PROB_FLOOR, expm, factor_powers, sq_norms, uniform_counts
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -78,7 +77,8 @@ def effective_rankr(ham: HamiltonianSpec, spec: MeasurementSpec,
     With V = I_sys (x) v for the orthonormal basis v of range(P) that the
     spec holds and h the dimensionless Hamiltonian, H1 = gamma V+ h V and
     H2 = (Omega/2) (V+ h^2 V - (V+ h V)^2), built by `HamiltonianSpec.blocks`
-    on the one-block layout of v, which the result keeps.  H1 - i H2 is the
+    on the one-block layout of v, `spec.selected_layout`, which the result
+    keeps; every tau and the exact oracle share it.  H1 - i H2 is the
     diagonal block Heff of the non-selective generator for the same
     projector in a complete family.  Only the arguments' fit is checked
     (ValueError), as in `build_generator`: H1 is Hermitian and H2 =
@@ -87,12 +87,9 @@ def effective_rankr(ham: HamiltonianSpec, spec: MeasurementSpec,
     """
     if not 0 < tau < math.inf:          # NaN compares false
         raise ValueError(f"tau must be a finite positive number, got {tau!r}")
-    s = spec.selected_index
-    if s is None:
-        raise ValueError("selective generator requires a selected outcome")
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("measurement and Hamiltonian probe dimensions differ")
-    layout = BlockLayout(ham.dim_sys, spec.bases[s:s + 1])
+    layout = spec.selected_layout(ham.dim_sys)
     _, h1, h2 = ham.blocks(layout, tau)
     return SelectiveEffective(h1=h1[0], h2=h2[0], gamma=ham.gamma, tau=tau,
                               layout=layout)
@@ -102,25 +99,26 @@ def propagate_kraus(eff: SelectiveEffective, init: InitialState, h: float,
                     n: int) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T) at
     T = k h, k = 0, ..., n (`linalg.uniform_counts`), as the factors K^k F of
-    the start block F F+ (`linalg.psd_factor`), by one-sided binary powers of
-    one Kraus step (`linalg.factor_powers`).
+    the start block F F+, by one-sided binary powers of one Kraus step
+    (`linalg.factor_powers`).
 
     The initial probe state must be supported in range(P), by the rule of
     `InitialState.probe_block` that `exact.run_selective` applies too, and
     the run starts from the block V+ rho0 V of the joint initial state, as
-    that runner does.  The norms are the branch probabilities tr[K rho K+] =
-    ||K^k F||_F^2, non-increasing in T; as in `exact.run_selective`, one
-    below PROB_FLOOR raises VanishingProbabilityError.  The system states are
-    the marginals of the normalized factors (`Trajectory.from_factors`);
-    `Trajectory.states` forms the normalized blocks from them on first use.
+    that runner does: F is `init.start_factor(eff.layout)`, made once per
+    layout, so the exact run and every tau of a sweep share it.  The norms
+    are the branch probabilities tr[K rho K+] = ||K^k F||_F^2, non-increasing
+    in T; as in `exact.run_selective`, one below PROB_FLOOR raises
+    VanishingProbabilityError.  The trajectory keeps the factors
+    (`Trajectory.from_factors`): the system states, the marginals of the
+    normalized factors, are formed where an output first reads them, and
+    `Trajectory.states` forms the normalized blocks on first use.
     """
     counts = uniform_counts(h, n)
     layout = eff.layout
     if init.dims != layout.dims:
         raise ValueError("initial state does not match Hamiltonian dimensions")
-    init.probe_block(layout.probe_bases[0])
-    f = psd_factor(layout.compress(init.joint())[0])
-    g = factor_powers(expm(-1j * eff.h_eff * h), f, counts)
+    g = factor_powers(expm(-1j * eff.h_eff * h), init.start_factor(layout), counts)
     norms = sq_norms(g)
     vanished = np.flatnonzero(norms < PROB_FLOOR)
     if vanished.size:

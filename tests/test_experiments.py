@@ -213,6 +213,48 @@ class TestSweep:
         monkeypatch.setattr(experiments, "trace_distance", no_trace_distance)
         convergence_sweep(load_bundled("swap_selective", t_max=2.0), [0.04, 0.02])
 
+    def test_a_p_up_sweep_sets_up_once_and_forms_no_state_stack(self, monkeypatch):
+        # the exact and Kraus runs of every tau share one selected-range
+        # layout and one start factor F, and the p_up metric reads the first
+        # population off the factors, so no (T, d, d) system stack is formed
+        import stroblim.exact as exact
+        import stroblim.selective_limit as selective_limit
+        from stroblim import Trajectory
+        from stroblim.model import BlockLayout
+
+        layouts, factors, runs = [], [], []
+        make_layout = BlockLayout.__init__
+        from_factors = Trajectory.from_factors.__func__
+
+        def counted_layout(self, *args):
+            layouts.append(self)
+            make_layout(self, *args)
+
+        def recorded(module):
+            powers = module.factor_powers
+
+            def factor_powers(m, f, ns):
+                factors.append(f)
+                return powers(m, f, ns)
+            monkeypatch.setattr(module, "factor_powers", factor_powers)
+
+        def kept(cls, *args, **kwargs):
+            runs.append(from_factors(cls, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(BlockLayout, "__init__", counted_layout)
+        monkeypatch.setattr(Trajectory, "from_factors", classmethod(kept))
+        recorded(exact)
+        recorded(selective_limit)
+        taus = [0.04, 0.02, 0.01]
+        report = convergence_sweep(load_bundled("swap_selective", t_max=2.0), taus)
+        assert report.metric == "p_up"
+        assert len(layouts) == 1
+        assert len(factors) == 2 * len(taus)
+        assert all(f is factors[0] for f in factors)
+        assert len(runs) == 2 * len(taus)
+        assert not any("sys_states" in vars(traj) for traj in runs)
+
     def test_sweep_table_monotone(self):
         sc = load_bundled("swap_selective", t_max=2.0)
         report = convergence_sweep(sc, [0.04, 0.02])

@@ -13,7 +13,9 @@ from helpers import (assert_same_run, channel_superop, choi_matrix, family_spec,
 from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
                       VanishingProbabilityError, build_generator, effective_rankr,
                       propagate_kraus, run_selective, semigroup_propagate)
-from stroblim.linalg import _action_run, _dense_run, dag, expm, max_abs, op_norm
+from stroblim import Trajectory
+from stroblim.linalg import (_action_run, _dense_run, dag, expm, factor_powers,
+                             max_abs, op_norm, sq_norms)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -47,6 +49,32 @@ def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
             run_selective(plan, init, every=every)
         return
     assert_same_run(run_selective(plan, init, every=every), want)
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), dim_sys=st.integers(1, 4),
+                  r_p=st.integers(1, 3), r=st.integers(1, 3),
+                  t=st.integers(1, 40), dense=st.booleans())
+def test_p_up_of_a_factor_run_is_the_formed_population(seed, dim_sys, r_p, r, t,
+                                                       dense):
+    # p_up reads the first population off the factors, with the products of
+    # the formed stack, before and after sys_states is first read; the stack
+    # is formed once, on that read.  The factors come from factor_powers, in
+    # the memory order of the table (counts 0..n) or of the bit walk.
+    rng = np.random.default_rng(seed)
+    k = dim_sys * r_p
+    m = 0.9 * random_unitary(rng, k)
+    f = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
+    ns = np.arange(t) if dense else np.cumsum(rng.integers(1, 5, size=t))
+    g = factor_powers(m, f, ns)
+    traj = Trajectory.from_factors(ns * 0.1, g, sq_norms(g), dim_sys)
+    before = traj.p_up()
+    assert "sys_states" not in vars(traj)
+    states = traj.sys_states
+    assert states.shape == (t, dim_sys, dim_sys)
+    assert traj.sys_states is states
+    assert np.array_equal(before, states[:, 0, 0].real)
+    assert np.array_equal(traj.p_up(), states[:, 0, 0].real)
 
 
 @DETERMINISTIC
