@@ -23,10 +23,11 @@ trace, the branch probability, is the squared norm ||G||_F^2, and its
 system marginal is X X+ for G reshaped to X of shape (dim_sys, r_P r).
 All kept periods n are one-sided binary powers W^n F of one batch, so the
 cost grows with the kept samples, not the periods.  The non-selective
-channel steps all blocks at once, b_i <- sum_j W_ij b_j W_ij+.  A run takes
-a whole number of periods and samples every `every`-th one, period 0 being
-the start; it yields the system marginals (the selective run forms them
-from its factors on first read) and lifts joint states only on demand.
+channel b_i <- sum_j W_ij b_j W_ij+ is one real N x N matrix Phi on the
+semigroup's packed coordinates (`BlockLayout.packed_map`), so a period is
+one product Phi @ r.  A run takes a whole number of periods and samples
+every `every`-th one, period 0 being the start; it yields the system
+marginals and lifts joint states only on demand.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PROB_FLOOR, dag, factor_powers, real_trace, sq_norms,
-                     step_powers)
+from .linalg import PROB_FLOOR, dag, factor_powers, sq_norms, step_powers
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -86,10 +86,7 @@ class EvolutionPlan:
 
 def _period_maps(plan: EvolutionPlan, layout: BlockLayout) -> np.ndarray:
     """The block maps W[i, j] = V_i+ U V_j of one period, `layout.pairs(U)`,
-    with U = exp(-i tau h) from one eigendecomposition of tau h.  Every map
-    keeps the zero padding zero, so that one batched product steps all
-    blocks.
-    """
+    with U = exp(-i tau h) from one eigendecomposition of tau h."""
     w, v = np.linalg.eigh(plan.tau * plan.hamiltonian.assemble())
     return layout.pairs((v * np.exp(-1j * w)) @ dag(v))
 
@@ -164,27 +161,14 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
 
     The channel is applied once at t = 0, which starts the clock at the
     first measurement when the initial state is not a channel fixed point.
-    Its output is the blocks b_i = V_i+ rho0 V_i, which each period maps to
-    b_i <- sum_j W_ij b_j W_ij+, so the joint states at integer multiples of
-    tau are block-diagonal in the measurement eigenbasis.
+    Its output, the blocks b_i = V_i+ rho0 V_i on `MeasurementSpec.full_layout`,
+    packed, takes one product with Phi = `BlockLayout.packed_map`(W, W+) per
+    period, b_i <- sum_j W_ij b_j W_ij+, read as the semigroup's are
+    (`Trajectory.from_packed`), block-diagonal in the measurement eigenbasis.
     """
-    meas = plan.measurement
-    if meas.selected_index is not None:
-        raise ValueError("non-selective run requires the complete projector family "
-                         "(no selected outcome)")
-    if init.dims != plan.hamiltonian.dims:
-        raise ValueError("initial state does not match Hamiltonian dimensions")
+    layout = plan.measurement.full_layout(plan.hamiltonian.dim_sys)
     ns = _periods(plan, every)
-    layout = BlockLayout(plan.hamiltonian.dim_sys, meas.bases)
     w = _period_maps(plan, layout)
-    w_dag = dag(w)
-
-    def step(k, blocks):
-        return (w @ blocks[None] @ w_dag).sum(axis=1)
-
-    blocks = layout.compress(init.joint())
-    stack = step_powers(step, blocks, ns, blocks.shape)
-    marginals = layout.marginal(stack)
-    norms = real_trace(marginals)
-    return Trajectory(ns * plan.tau, marginals / norms[:, None, None], norms,
-                      lambda: layout.lift(stack) / norms[:, None, None])
+    phi = layout.packed_map(w, dag(w).swapaxes(0, 1))
+    return Trajectory.from_packed(ns * plan.tau, layout, init, lambda r0: (
+        step_powers(lambda r: phi @ r, r0, ns)))

@@ -365,15 +365,14 @@ def sq_norms(g) -> np.ndarray:
     return np.einsum("ti,ti->t", x, x)
 
 
-def step_powers(step: Callable[[int, np.ndarray], np.ndarray], y0, ns,
-                shape: tuple) -> np.ndarray:
-    """(len(ns),) + shape stack, in the dtype of y0, of y after n steps
-    y <- step(k, y), k = 0, 1, ..., for the non-decreasing integers ns."""
-    out = np.empty((len(ns), *shape), dtype=np.asarray(y0).dtype)
-    y, done = y0, 0
+def step_powers(step: Callable[[np.ndarray], np.ndarray], y0, ns) -> np.ndarray:
+    """(len(ns),) + y0.shape stack, in the dtype of y0, of y after n steps
+    y <- step(y) from y0, for the non-decreasing integers ns."""
+    y = np.asarray(y0)
+    out, done = np.empty((len(ns), *y.shape), dtype=y.dtype), 0
     for i, n in enumerate(ns):
-        for k in range(done, n):
-            y = step(k, y)
+        for _ in range(done, n):
+            y = step(y)
         out[i], done = y, n
     return out
 
@@ -402,7 +401,7 @@ def _action_is_cheaper(n: int, steps: int, norm1: float) -> bool:
 
 def _dense_run(a, h: float, y, counts) -> np.ndarray:
     e = expm(a * h)
-    return step_powers(lambda k, x: e @ x, y, counts, y.shape)
+    return step_powers(lambda x: e @ x, y, counts)
 
 
 def _action_run(a, h: float, y, counts, norm1: float | None = None) -> np.ndarray:
@@ -410,8 +409,7 @@ def _action_run(a, h: float, y, counts, norm1: float | None = None) -> np.ndarra
     if norm1 is None:
         norm1 = h * float(np.linalg.norm(a, 1))
     degree = taylor_degree(norm1)
-    return step_powers(lambda k, x: expm_action(a, x, h, degree), y, counts,
-                       y.shape)
+    return step_powers(lambda x: expm_action(a, x, h, degree), y, counts)
 
 
 def uniform_counts(h: float, n: int) -> np.ndarray:

@@ -150,8 +150,8 @@ class BlockLayout:
     and read through its system marginal (`marginal`).
     Hermitian blocks pack block by block, row-major, into the real
     coordinates Re x + Im x of their masked entries x (`pack`), an isometry
-    onto R^N, N = sum_i sizes_i^2; `transpose` maps each packed index to
-    that of the transposed entry of its block.
+    onto R^N, N = sum_i sizes_i^2, block i at `spans[i]`; `transpose` maps
+    each packed index to that of the transposed entry of its block.
     """
 
     def __init__(self, dim_sys: int, probe_bases) -> None:
@@ -168,6 +168,8 @@ class BlockLayout:
         position = np.zeros(self.mask.shape, dtype=np.intp)   # packed index of each entry
         position[self.mask] = np.arange(np.count_nonzero(self.mask))
         self.transpose = position.swapaxes(1, 2)[self.mask]
+        ends = np.cumsum(self.sizes ** 2)
+        self.spans = [slice(e - n * n, e) for e, n in zip(ends, self.sizes)]
 
     @property
     def dims(self) -> TensorDims:
@@ -199,6 +201,23 @@ class BlockLayout:
         x.imag = (r - r_t) / 2
         out = np.zeros(r.shape[:-1] + self.mask.shape, dtype=complex)
         out[..., self.mask] = x
+        return out
+
+    def packed_map(self, x, y) -> np.ndarray:
+        """The real N x N matrix on `pack` coordinates of b_i -> sum_j x_ij
+        b_j y_ji, for (k, k, m, m) pair stacks x, y with y_ji a real multiple
+        of x_ij+: R[ab, cd] = Re B[ab, cd] + Im B[ab, dc] for the complex
+        B[ab, cd] = x_ij[a, c] y_ji[d, b] from column (c, d) of block j to row
+        (a, b) of block i, each block written in place from one outer product
+        of the rank-sized slices, so no complex N x N matrix is formed."""
+        n, spans = self.sizes, self.spans
+        out = np.empty((spans[-1].stop,) * 2)
+        for i, row in enumerate(spans):
+            for j, col in enumerate(spans):
+                b = np.einsum("ac,db->abcd", x[i, j, :n[i], :n[j]],
+                              y[j, i, :n[j], :n[i]])
+                np.add(b.real, b.imag.swapaxes(2, 3),
+                       out=out[row, col].reshape(n[i], n[i], n[j], n[j]))
         return out
 
     def marginal(self, blocks) -> np.ndarray:
@@ -284,6 +303,16 @@ class MeasurementSpec:
             raise ValueError("selective dynamics requires a selected outcome")
         if dim_sys not in self._layouts:
             self._layouts[dim_sys] = BlockLayout(dim_sys, self.bases[s:s + 1])
+        return self._layouts[dim_sys]
+
+    def full_layout(self, dim_sys: int) -> BlockLayout:
+        """The `BlockLayout` of all outcome ranges, which both non-selective
+        runners carry their blocks on, kept as `selected_layout` is;
+        ValueError when an outcome is selected."""
+        if self.selected_index is not None:
+            raise ValueError("non-selective dynamics requires no selected outcome")
+        if dim_sys not in self._layouts:
+            self._layouts[dim_sys] = BlockLayout(dim_sys, self.bases)
         return self._layouts[dim_sys]
 
     @property

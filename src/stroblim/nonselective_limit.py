@@ -11,12 +11,11 @@ an orthonormal basis V_i of range(C_i), obeys
 
 with T_ij = V_i+ h V_j.  The blocks are carried in the format of
 `model.BlockLayout`, the exact oracle's too, packed into N = sum_i n_i^2
-<= d^2 real coordinates; the semigroup keeps them Hermitian, so it is a
-real-linear map on those coordinates.  `build_generator` writes it as one
-real N x N matrix, the only generator in the package, which the propagator
-uses.  The propagator takes a few samples of a large generator by its
-action on the coordinates (`linalg.expm_vec_run`), and yields the system
-marginals of the blocks, lifting no joint state.
+<= d^2 real coordinates; the semigroup keeps them Hermitian, so it is one
+real N x N matrix L on them (`build_generator`), as the oracle's period is
+one matrix Phi, both from `BlockLayout.packed_map`.  The propagator takes
+a few samples of a large generator by its action on the coordinates
+(`linalg.expm_vec_run`), read as the oracle's are, lifting no joint state.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, expm_vec_run, real_trace, uniform_counts
+from .linalg import as_matrix, expm_vec_run, uniform_counts
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -61,47 +60,34 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
     """Assemble the non-selective semigroup generator on the packed blocks.
 
     T_ij and Heff_i = H1_i - i H2_i, the selective branch generator of
-    outcome i, come from `HamiltonianSpec.blocks`.  On the packed blocks x
-    the complex generator holds B[ab, cd] = Omega T_ij[a, c] T_ji[d, b]
-    between row (a, b) of block i and column (c, d) of block j != i, and
-    -i (Heff_i[a, c] delta_bd - delta_ac conj(Heff_i[b, d])) within block i.
-    On the real coordinates r = Re x + Im x it is R[ab, cd] = Re B[ab, cd] +
-    Im B[ab, dc].  Each block of the real N x N matrix is written in place,
-    off the diagonal from one complex outer product of the rank-sized
-    slices, on it as four real delta terms, so no complex N x N matrix is
-    formed.  Only the arguments' fit is checked (ValueError): the GKSL form
+    outcome i, come from `HamiltonianSpec.blocks` on the kept
+    `MeasurementSpec.full_layout`, the exact run's too.  The jump terms
+    Omega sum_{j != i} T_ij b_j T_ji are the off-diagonal blocks of
+    `BlockLayout.packed_map`(Omega T, T); each diagonal block is reset to
+    zero and holds the four real delta terms of -i (Heff_i[a, c] delta_bd -
+    delta_ac conj(Heff_i[b, d])), so no complex N x N matrix is formed.
+    Only the arguments' fit is checked (ValueError): the GKSL form
     preserves trace and fixes the maximally mixed state for any Hermitian h
     and complete family, which the specs have validated.
     """
     if not 0 < tau < math.inf:          # NaN compares false
         raise ValueError(f"tau must be a finite positive number, got {tau!r}")
-    if spec.selected_index is not None:
-        raise ValueError("semigroup generator requires the complete projector "
-                         "family (no selected outcome)")
     if spec.dim_pr != ham.dim_pr:
         raise ValueError("measurement and Hamiltonian probe dimensions differ")
     gamma = ham.gamma
     omega = gamma * gamma * tau
-    layout = BlockLayout(ham.dim_sys, spec.bases)
+    layout = spec.full_layout(ham.dim_sys)
     trans, h1, h2 = ham.blocks(layout, tau)
     heff = h1 - 1j * h2
-    n = layout.sizes
-    ends = np.cumsum(n * n)
-    rows = [slice(e - k * k, e) for e, k in zip(ends, n)]
-    gen = np.zeros((ends[-1], ends[-1]))
-    for i, row in enumerate(rows):
-        for j, col in enumerate(rows):
-            g = gen[row, col].reshape(n[i], n[i], n[j], n[j])    # a view [a, b, c, d]
-            if i != j:
-                b = np.einsum("ac,db->abcd", omega * trans[i, j, :n[i], :n[j]],
-                              trans[j, i, :n[j], :n[i]])
-                np.add(b.real, b.imag.swapaxes(2, 3), out=g)
-            else:
-                h, k = heff[i, :n[i], :n[i]], np.arange(n[i])
-                g[:, k, :, k] = h.imag                  # delta_bd
-                g[k, :, k, :] += h.imag                 # delta_ac
-                g[:, k, k, :] -= h.real[:, None, :]     # delta_bc
-                g[k, :, :, k] += h.real                 # delta_ad
+    gen = layout.packed_map(omega * trans, trans)
+    for i, (span, n) in enumerate(zip(layout.spans, layout.sizes)):
+        g = gen[span, span].reshape(n, n, n, n)         # a view [a, b, c, d]
+        h, k = heff[i, :n, :n], np.arange(n)
+        g[...] = 0
+        g[:, k, :, k] = h.imag                  # delta_bd
+        g[k, :, k, :] += h.imag                 # delta_ac
+        g[:, k, k, :] -= h.real[:, None, :]     # delta_bc
+        g[k, :, :, k] += h.real                 # delta_ad
     return NonselectiveEffective(
         gamma=gamma, tau=tau, layout=layout, trans=trans, heff=heff,
         generator=gen)
@@ -114,25 +100,14 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
 
     Each step is the action of exp(L h) or one dense exp(L h), whichever the
     cost rule of `linalg.expm_vec_run` finds cheaper.  As in
-    `run_nonselective`, the measurement channel is applied at t = 0: the run
-    starts from the blocks V+ rho0 V of the joint initial state.  The system
-    states are the marginals of the unpacked blocks (`BlockLayout.marginal`),
-    divided by their traces as in the other propagators; the norms report
-    the rounding drift, such as that of the squarings of one exponential
-    over a huge step.  The joint states, Hermitian bit for bit, are lifted
-    from the kept coordinates only for `Trajectory.states`.
+    `run_nonselective`, the measurement channel is applied at t = 0, and the
+    run starts from, and is read as, the exact one (`Trajectory.from_packed`);
+    the norms report the rounding drift, such as that of the squarings of
+    one exponential over a huge step.
     """
     counts = uniform_counts(h, n)
-    layout = eff.layout
-    if init.dims != layout.dims:
-        raise ValueError("initial state does not match Hamiltonian dimensions")
-    r0 = layout.pack(layout.compress(init.joint()))
-    coords = expm_vec_run(eff.generator, h, r0, counts)
-    states = layout.marginal(layout.unpack(coords))
-    norms = real_trace(states)
-    states /= norms[:, None, None]
-    return Trajectory(counts * h, states, norms, lambda: (
-        layout.lift(layout.unpack(coords)) / norms[:, None, None]))
+    return Trajectory.from_packed(counts * h, eff.layout, init, lambda r0: (
+        expm_vec_run(eff.generator, h, r0, counts)))
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, dag
+from .linalg import as_matrix, dag, real_trace
 from .model import pauli
 
 _PAULI_XYZ = np.stack([pauli(1), pauli(2), pauli(3)])
@@ -25,8 +25,8 @@ class Trajectory:
     n = dim_sys by default; `sys_states` is then formed on first read and
     kept, and `p_up` reads the corners of side 1 without forming it.
     `states`, a view for checks, holds the normalized states on the
-    producer's propagation space, built by `joint` on first use (the exact
-    runners and the semigroup lift them from their blocks by
+    producer's propagation space, built by `joint` on first use (the
+    non-selective runs lift them from their packed blocks by
     `BlockLayout.lift`, the selective runs after forming the blocks from
     their factors), or the system states when `joint` is None.
     """
@@ -37,6 +37,20 @@ class Trajectory:
         self._corners = sys_states if callable(sys_states) else None
         if self._corners is None:
             self.sys_states = sys_states
+
+    @classmethod
+    def from_packed(cls, times, layout, init, propagate) -> Trajectory:
+        """The run that `propagate` makes of the packed start blocks
+        pack(V+ rho0 V) of `init` on `layout` (ValueError unless init fits):
+        the system states are the marginals of its (T, N) coordinates over
+        their traces, the norms, and `states` lifts them on first use."""
+        if init.dims != layout.dims:
+            raise ValueError("initial state does not match Hamiltonian dimensions")
+        coords = propagate(layout.pack(layout.compress(init.joint())))
+        states = layout.marginal(layout.unpack(coords))
+        norms = real_trace(states)
+        return cls(times, states / norms[:, None, None], norms, lambda: (
+            layout.lift(layout.unpack(coords)) / norms[:, None, None]))
 
     @classmethod
     def from_factors(cls, times, g, norms, dim_sys: int,

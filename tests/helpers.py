@@ -19,6 +19,7 @@ from stroblim.exact import steps_in
 from stroblim.experiments import ComparisonReport, compare_case
 from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
                              is_hermitian, max_abs, partial_trace)
+from stroblim.model import BlockLayout
 
 
 def random_complex(rng, shape):
@@ -231,6 +232,35 @@ def full_space_reference(ham, spec, tau):
                                            + sandwich_superop(eye, jj)
                                            - 2.0 * sandwich_superop(jump, dag(jump)))
     return FullSpaceReference(h, c_ops, gamma, omega, gen)
+
+
+def assembled_generator(ham, spec, tau):
+    """The real N x N semigroup generator written in place block by block, as
+    `build_generator` wrote it before `BlockLayout.packed_map`: off the
+    diagonal from one complex outer product of the rank-sized slices, on it
+    as four real delta terms into a zero block."""
+    omega = ham.gamma * ham.gamma * tau
+    layout = BlockLayout(ham.dim_sys, spec.bases)
+    trans, h1, h2 = ham.blocks(layout, tau)
+    heff = h1 - 1j * h2
+    n = layout.sizes
+    ends = np.cumsum(n * n)
+    rows = [slice(e - k * k, e) for e, k in zip(ends, n)]
+    gen = np.zeros((ends[-1], ends[-1]))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(rows):
+            g = gen[row, col].reshape(n[i], n[i], n[j], n[j])    # a view [a, b, c, d]
+            if i != j:
+                b = np.einsum("ac,db->abcd", omega * trans[i, j, :n[i], :n[j]],
+                              trans[j, i, :n[j], :n[i]])
+                np.add(b.real, b.imag.swapaxes(2, 3), out=g)
+            else:
+                h, k = heff[i, :n[i], :n[i]], np.arange(n[i])
+                g[:, k, :, k] = h.imag                  # delta_bd
+                g[k, :, k, :] += h.imag                 # delta_ac
+                g[:, k, k, :] -= h.real[:, None, :]     # delta_bc
+                g[k, :, :, k] += h.real                 # delta_ad
+    return gen
 
 
 def block_apply(eff, rho):

@@ -38,8 +38,7 @@ def rk4_sample(rhs, y0, h, n, n_steps=2000):
     max(1, round(n_steps / n)) equal RK4 steps."""
     counts = uniform_counts(h, n)
     m = max(1, round(n_steps / max(n, 1)))
-    y0 = np.asarray(y0)
-    return step_powers(lambda k, x: rk4_step(rhs, x, h / m, m), y0, counts, y0.shape)
+    return step_powers(lambda x: rk4_step(rhs, x, h / m, m), y0, counts)
 
 
 def nonlinear_density_rhs(eff, rho):

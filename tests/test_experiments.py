@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bloch_ball_images, load_bundled
+from helpers import (bloch_ball_images, family_spec, load_bundled,
+                     random_density, random_hamiltonian_spec, random_unitary)
 from stroblim import HamiltonianSpec, InitialState, basis_ket
 from stroblim.exact import steps_in
-from stroblim.experiments import (ComparisonReport, ScenarioError,
+from stroblim.experiments import (ComparisonReport, Scenario, ScenarioError,
                                   closed_form_applicable, compare_case,
                                   compare_scenario, convergence_sweep,
                                   run_method)
@@ -143,6 +144,22 @@ class TestRunners:
         for x, y in zip(a.states, b.states):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("dims, ranks", [((4, 8), (2, 2, 2, 2)),
+                                             ((2, 5), (1, 3, 1)),
+                                             ((3, 4), (2, 1, 1))])
+    def test_nonselective_runs_agree_exactly_at_the_start(self, rng, dims, ranks):
+        # the exact run and the semigroup read their t = 0 states off the
+        # same packed start blocks, so both deviations are exactly 0 there
+        ham = random_hamiltonian_spec(rng, *dims, gamma=5.0)
+        cols = iter(random_unitary(rng, dims[1]).T)
+        spec = family_spec([[next(cols) for _ in range(r)] for r in ranks])
+        init = InitialState(random_density(rng, dims[0]),
+                            random_density(rng, dims[1]))
+        case = compare_case(Scenario("random", ham, spec, init, 0.04, 1.0, 5))
+        assert case.deviation[0] == 0.0
+        assert case.deviation_trace[0] == 0.0
+        assert case.deviation_trace[1:].min() > 0.0
+
     def test_rank2_scenarios_stay_in_bloch_ball(self):
         for sc in (load_bundled("heisenberg_local_fields", t_max=2.0),
                    load_bundled("heisenberg_global_field", t_max=2.0)):
@@ -254,6 +271,23 @@ class TestSweep:
         assert all(f is factors[0] for f in factors)
         assert len(runs) == 2 * len(taus)
         assert not any("sys_states" in vars(traj) for traj in runs)
+
+    def test_a_nonselective_sweep_keeps_one_layout(self, monkeypatch):
+        # the exact runs and the generators of every tau carry their blocks
+        # on the one full layout that the measurement keeps
+        from stroblim.model import BlockLayout
+
+        layouts = []
+        make_layout = BlockLayout.__init__
+
+        def counted_layout(self, *args):
+            layouts.append(self)
+            make_layout(self, *args)
+
+        monkeypatch.setattr(BlockLayout, "__init__", counted_layout)
+        convergence_sweep(load_bundled("swap_nonselective", t_max=2.0),
+                          [0.04, 0.02, 0.01])
+        assert len(layouts) == 1
 
     def test_sweep_table_monotone(self):
         sc = load_bundled("swap_selective", t_max=2.0)

@@ -372,7 +372,7 @@ def test_integrators_reject_non_finite_times(integrate, h):
 def test_integrators_return_nothing_on_an_empty_grid(integrate):
     # the RK4 steps of rk4_sample, taken through step_powers on no counts
     rhs, y0 = integrate.args
-    out = step_powers(lambda k, x: rk4_step(rhs, x, 0.5), y0, [], y0.shape)
+    out = step_powers(lambda x: rk4_step(rhs, x, 0.5), y0, [])
     assert out.shape == (0, *y0.shape)
     assert out.dtype == y0.dtype
 

@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (assert_same_run, channel_superop, choi_matrix, family_spec,
-                     full_space_reference, random_density,
-                     random_hamiltonian_spec, random_projector_family,
-                     random_unitary, reference_selective, unvec, vec)
+from helpers import (assembled_generator, assert_same_run, channel_superop,
+                     choi_matrix, family_spec, full_space_reference,
+                     random_complex, random_density, random_hamiltonian_spec,
+                     random_projector_family, random_unitary,
+                     reference_selective, unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
                       VanishingProbabilityError, build_generator, effective_rankr,
                       propagate_kraus, run_selective, semigroup_propagate)
@@ -159,6 +160,39 @@ def test_generator_blocks_are_the_selective_generators(seed, dims, norm):
         n = sel.dim
         assert max_abs(heff[:n, :n] - sel.h_eff) <= 1e-12
         assert np.linalg.eigvalsh(sel.h2).min() >= -1e-12 * eff.omega * h_sq
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), dims=UNEQUAL_DIMS)
+def test_packed_channel_map_is_the_block_step(seed, dims):
+    # Phi = packed_map(W, W+) of the blocks W_ij = V_i+ U V_j of a random
+    # unitary U is the channel step b_i <- sum_j W_ij b_j W_ij+ on packed
+    # coordinates of padded blocks; it preserves trace and, the channel
+    # being unital, fixes the maximally mixed state
+    rng = np.random.default_rng(seed)
+    spec = family_spec(random_projector_family(rng, dims[1]))
+    layout = spec.full_layout(dims[0])
+    w = layout.pairs(random_unitary(rng, dims[0] * dims[1]))
+    phi = layout.packed_map(w, dag(w).swapaxes(0, 1))
+    x = random_complex(rng, (5,) + layout.mask.shape)
+    blocks = np.where(layout.mask, (x + dag(x)) / 2, 0)
+    want = layout.pack((w @ blocks[:, None] @ dag(w)).sum(axis=2))
+    assert max_abs(layout.pack(blocks) @ phi.T - want) <= 1e-14
+    mask = layout.mask
+    ident = np.broadcast_to(np.eye(mask.shape[1]), mask.shape)[mask]
+    assert max_abs(ident @ phi - ident) <= 1e-14
+    assert max_abs(phi @ ident - ident) <= 1e-14
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), dims=UNEQUAL_DIMS,
+                  norm=FACTOR_NORMS, tau=st.sampled_from([1e-3, 0.25, 4.0]))
+def test_generator_is_the_in_place_block_assembly(seed, dims, norm, tau):
+    # the jump terms from packed_map and the diagonal blocks reset and
+    # rewritten give the bytes of the assembly that wrote every block in place
+    _, ham, spec = random_family_model(seed, dims, norm)
+    got = build_generator(ham, spec, tau).generator
+    assert got.tobytes() == assembled_generator(ham, spec, tau).tobytes()
 
 
 @DETERMINISTIC
