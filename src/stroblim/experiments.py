@@ -97,6 +97,11 @@ class Scenario:
             bad = set(self.methods_spec) - {"exact", "limit", "closed_form"}
             if bad:
                 raise ScenarioError("methods", f"unknown methods: {sorted(bad)}")
+            if not self.methods_spec:
+                raise ScenarioError("methods", "expected at least one method")
+            if len(set(self.methods_spec)) < len(self.methods_spec):
+                raise ScenarioError("methods", "each method may appear once, got "
+                                    f"{list(self.methods_spec)}")
             if "closed_form" in self.methods_spec and not closed_form_applicable(self):
                 raise ScenarioError("methods", "closed_form requested but the scenario "
                                     "does not match its preconditions")

@@ -15,7 +15,14 @@ truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011), one-sided binary powers m^n f of a factor f for a
 whole stack of n at once, and `expm_vec_run`, which steps a vector by the
 action or by one exp(a h), whichever a cost rule finds cheaper, along the
-uniform grid that `uniform_counts` checks.  All functions are pure; nothing
+uniform grid that `uniform_counts` checks.  The action is sized by the
+power norms ||(a h)^p||_1^(1/p), p = 2, 3, estimated from products with
+blocks of two vectors (Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21,
+2000), where ||a h||_1 alone would split a step: the d = 32 benchmark
+generator has ||a h||_1 = 13.5 but a spectral radius of 4.6, and takes one
+sub-step per sample instead of two.  The estimate is skipped where the
+1-norm already gives one sub-step, or where one exp(a h) wins even at
+|tr(a h)| / N, below every power norm.  All functions are pure; nothing
 mutates its inputs, and `conj_stack` writes only into an `out` array it is
 given.
 
@@ -208,17 +215,70 @@ def taylor_degree(norm1: float) -> tuple[int, int]:
     return m, s
 
 
+def _power_norm1(a, p: int) -> float:
+    """||a^p||_1 estimated from below by the first step of the block 1-norm
+    estimator (Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21, 2000,
+    Algorithm 2.4) with two columns: a^p on a fixed start block (all ones,
+    and alternating signs, each column of unit 1-norm), (a^p)^T on the signs
+    of the result, and a^p on the two unit vectors where that is largest.
+    Each estimate is the 1-norm of a^p on a vector of unit 1-norm, so it is
+    never above ||a^p||_1 but for rounding.  3 p products of a with (N, <= 2)
+    blocks, and no random state: the estimate depends on a and p alone."""
+    n = len(a)
+    x = np.full((n, 2), 1.0 / n)
+    x[1::2, 1] = -1.0 / n
+    y = _times(a, p, x)
+    z = _times(a.T, p, np.sign(y))
+    rows = np.argsort(-np.abs(z).max(axis=1), kind="stable")[:2]
+    e = np.zeros((n, len(rows)))
+    e[rows, np.arange(len(rows))] = 1.0
+    return float(max(np.abs(y).sum(axis=0).max(),
+                     np.abs(_times(a, p, e)).sum(axis=0).max()))
+
+
+def _times(a, p: int, x) -> np.ndarray:
+    """a^p x by p products a @ x."""
+    for _ in range(p):
+        x = a @ x
+    return x
+
+
+def _power_degree(a, h: float, norm1: float) -> tuple[int, int]:
+    """(m, s) of `expm_action` for exp(a h), ||a h||_1 = norm1: the fewest
+    m s products over `taylor_degree(norm1)` and the degrees that the power
+    norms d_p = ||(a h)^p||_1^(1/p) allow (Al-Mohy & Higham 2011, Section 3):
+    for m + 1 >= p (p - 1), s = ceil(alpha_p / theta_m) sub-steps with
+    alpha_p = max(d_p, d_(p+1)) <= d_1 reach the same roundoff, here for
+    p = 2 and 3.  The 1-norm's degree is kept without an estimate where it
+    takes one sub-step; otherwise d_2 and d_3 are estimated (`_power_norm1`,
+    15 products with blocks of two vectors) and d_4 is bounded by them, as
+    ||A^4||_1 <= min(||A^2||_1^2, ||A||_1 ||A^3||_1)."""
+    degree = taylor_degree(norm1)
+    if degree[1] == 1:
+        return degree
+    d2, d3 = (h * _power_norm1(a, p) ** (1 / p) for p in (2, 3))
+    alphas = ((2, max(d2, d3)), (3, max(d3, min(d2, (norm1 * d3 ** 3) ** 0.25))))
+    return min([degree] + [(m, max(1, math.ceil(alpha / theta)))
+                           for p, alpha in alphas for m, theta in _TAYLOR_THETA.items()
+                           if p * (p - 1) <= m + 1],
+               key=lambda d: (d[0] * d[1], d[0]))
+
+
 def expm_action(a, y, t: float, degree: tuple[int, int]) -> np.ndarray:
     """exp(a t) y without forming exp(a t) (Al-Mohy & Higham 2011).
 
-    With (m, s) = degree from `taylor_degree`, y is advanced s times by
-    t / s, each time by the Taylor series of degree m, one product a @ term
-    per term.  A sub-step stops early once two consecutive terms together
-    fall below 2^-53 times the partial sum, in 2-norms by one `np.vdot`
-    per vector: a single BLAS call, where the two max-abs norms of a term
-    took three numpy calls each, about 11 us against 15 us for the complex
-    product at N = 256.  The cost is at most m s products of a with a
-    vector: no N x N temporary is made.
+    With (m, s) = degree, y is advanced s times by t / s, each time by the
+    Taylor series of degree m, one product a @ term per term.  `taylor_degree`
+    sizes (m, s) by ||a t||_1, and `_power_degree`, which `expm_vec_run`
+    reads, by the power norms alpha_p of a t where they are sharper; their
+    estimate is skipped where ||a t||_1 already gives one sub-step, or where
+    one Pade exponential wins even at |tr(a t)| / N, below every alpha_p.  A
+    sub-step stops early once two consecutive terms together fall below
+    2^-53 times the partial sum, in 2-norms by one `np.vdot` per vector: a
+    single BLAS call, where the two max-abs norms of a term took three numpy
+    calls each, about 11 us against 15 us for the complex product at
+    N = 256.  The cost is at most m s products of a with a vector: no N x N
+    temporary is made.
     """
     m, s = degree
     dt = t / s
@@ -388,12 +448,13 @@ def step_powers(step: Callable[[np.ndarray], np.ndarray], y0, ns) -> np.ndarray:
 _ACTION_CALL_COST = 2 ** 15
 
 
-def _action_is_cheaper(n: int, steps: int, norm1: float) -> bool:
+def _action_is_cheaper(n: int, steps: int, norm1: float,
+                       degree: tuple[int, int]) -> bool:
     """The cost rule of `expm_vec_run` for a run of `steps` steps of
     exp(a h) on a vector, a of side n and ||a h||_1 = norm1: the m s
-    products of `expm_action` per step against Pade's (10 + squarings)
-    products of n^3 and one product per step."""
-    m, s = taylor_degree(norm1)
+    products of `expm_action` per step at degree = (m, s) against Pade's
+    (10 + squarings) products of n^3 and one product per step."""
+    m, s = degree
     product = n * n + _ACTION_CALL_COST
     pade = (10 + _pade_squarings(norm1)) * n ** 3
     return steps * m * s * product < pade + steps * product
@@ -404,11 +465,12 @@ def _dense_run(a, h: float, y, counts) -> np.ndarray:
     return step_powers(lambda x: e @ x, y, counts)
 
 
-def _action_run(a, h: float, y, counts, norm1: float | None = None) -> np.ndarray:
-    """`expm_action` once per step; norm1 is ||a h||_1 when the caller has it."""
-    if norm1 is None:
-        norm1 = h * float(np.linalg.norm(a, 1))
-    degree = taylor_degree(norm1)
+def _action_run(a, h: float, y, counts, degree: tuple[int, int] | None = None
+                ) -> np.ndarray:
+    """`expm_action` once per step at degree (m, s), by default the one that
+    `_power_degree` picks."""
+    if degree is None:
+        degree = _power_degree(a, h, h * float(np.linalg.norm(a, 1)))
     return step_powers(lambda x: expm_action(a, x, h, degree), y, counts)
 
 
@@ -425,13 +487,18 @@ def uniform_counts(h: float, n: int) -> np.ndarray:
 def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
     """(len(counts),) + y.shape stack of exp(a h)^n y for the non-decreasing
     counts n, by whichever path one cost rule on the side of a, the largest
-    count and ||a h||_1 finds cheaper: `expm_action` once per step, which
-    makes no N x N temporary, or exp(a h) once by Pade and one product per
-    step.  Raises the Pade exponential's ValueError when ||a h||_1 cannot be
-    scaled."""
+    count and the degree of `_power_degree` finds cheaper: `expm_action`
+    once per step, which makes no N x N temporary, or exp(a h) once by Pade
+    and one product per step.  Raises the Pade exponential's ValueError when
+    ||a h||_1 cannot be scaled."""
     norm1 = h * float(np.linalg.norm(a, 1))
-    if _action_is_cheaper(len(a), int(counts[-1]), norm1):
-        return _action_run(a, h, y, counts, norm1)
+    n, steps = len(a), int(counts[-1])
+    _pade_squarings(norm1)      # its error before a non-finite trace
+    # |tr(a h)| / n <= spectral radius <= alpha_p: no estimate where Pade wins even there
+    if _action_is_cheaper(n, steps, norm1, taylor_degree(h * abs(np.trace(a)) / n)):
+        degree = _power_degree(a, h, norm1)
+        if _action_is_cheaper(n, steps, norm1, degree):
+            return _action_run(a, h, y, counts, degree)
     return _dense_run(a, h, y, counts)
 
 

@@ -16,6 +16,8 @@ real N x N matrix L on them (`build_generator`), as the oracle's period is
 one matrix Phi, both from `BlockLayout.packed_map`.  The propagator takes
 a few samples of a large generator by its action on the coordinates
 (`linalg.expm_vec_run`), read as the oracle's are, lifting no joint state.
+At the paper's time scale T ~ (gamma^2 tau)^-1 those are long steps, whose
+Taylor series is sized by the generator's power norms, not its 1-norm.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     (`linalg.uniform_counts`), on the real coordinates of the packed blocks.
 
     Each step is the action of exp(L h) or one dense exp(L h), whichever the
-    cost rule of `linalg.expm_vec_run` finds cheaper.  As in
+    cost rule of `linalg.expm_vec_run` finds cheaper; the action's degree and
+    sub-steps come from the power norms ||(L h)^p||_1^(1/p), p = 2, 3, where
+    ||L h||_1 would take more than one sub-step (on the d = 32 benchmark
+    input, one sub-step per sample instead of two).  As in
     `run_nonselective`, the measurement channel is applied at t = 0, and the
     run starts from, and is read as, the exact one (`Trajectory.from_packed`);
     the norms report the rounding drift, such as that of the squarings of

@@ -284,6 +284,8 @@ class TestCommands:
         ({"grid_points": 0}, "grid_points"),
         ({"methods": ["exact", "magic"]}, "methods"),
         ({"methods": ["exact", "closed_form"]}, "methods"),
+        ({"methods": ["exact", "exact"]}, "methods"),
+        ({"methods": []}, "methods"),
         ({"projectors": [["uu"]]}, "projectors"),
         ({"initial_sys": {"ket": "uu"}}, "initial_sys/initial_pr"),
         ({"t_max": -1.0}, "t_max"),
@@ -307,7 +309,8 @@ class TestCommands:
             "huge_gamma_with_omega", "tiny_gamma_with_omega", "huge_omega_over_tau",
             "unknown_mode", "mode_against_selected_index", "unknown_output",
             "bloch_of_a_four_level_system", "off_lattice_grid", "zero_grid_points",
-            "unknown_method", "inapplicable_closed_form", "probe_dimension_mismatch",
+            "unknown_method", "inapplicable_closed_form", "repeated_method",
+            "no_methods", "probe_dimension_mismatch",
             "initial_dimension_mismatch", "negative_t_max", "ragged_kets",
             "unnormalized_ket", "overlapping_outcomes", "incomplete_family"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, base, changes,

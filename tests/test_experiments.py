@@ -98,6 +98,14 @@ class TestScenario:
             replace(sc, methods_spec=("exact", "magic"))
         with pytest.raises(ValueError):
             replace(sc, methods_spec=("closed_form",))
+        # a repeated method would compare a run with itself and pass at 0
+        for methods, reason in [(("exact", "exact"), "each method may appear once"),
+                                (("exact", "limit", "limit"), "each method may appear once"),
+                                ((), "expected at least one method")]:
+            with pytest.raises(ScenarioError,
+                               match=f"^scenario key 'methods': {reason}") as err:
+                replace(sc, methods_spec=methods)
+            assert err.value.key == "methods"
 
 
 class TestRunners:
@@ -129,12 +137,6 @@ class TestRunners:
         assert report.max_deviation <= 0.02
         assert case.p_err is not None
         assert np.all(np.diff(case.p_err) >= -1e-12)
-
-    def test_duplicate_method_zero_deviation(self):
-        sc = load_bundled("swap_selective", t_max=2.0,
-                          methods_spec=("exact", "exact"))
-        report = compare_scenario(sc)
-        assert report.max_deviation == 0.0
 
     def test_deterministic_rerun(self):
         sc = load_bundled("heisenberg_local_fields", t_max=2.0)

@@ -15,9 +15,10 @@ from ode import rk4_step
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                       partial_trace, pauli)
 from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, _dense_run,
-                             conj_stack, dag, expm_action, factor_powers,
-                             max_abs, op_norm, psd_factor, real_trace,
-                             step_powers, taylor_degree, trace_distance)
+                             conj_stack, dag, expm_action, expm_vec_run,
+                             factor_powers, max_abs, op_norm, psd_factor,
+                             real_trace, step_powers, taylor_degree,
+                             trace_distance)
 
 
 def kron_oracle(a, b):
@@ -317,6 +318,9 @@ class TestExpmAction:
         if np.isfinite(norm1):
             with pytest.raises(ValueError, match="ill-scaled input"):
                 expm(np.array([[norm1, 0.0], [0.0, 0.0]]) * (1 + 1j))
+        # the run's error too, before its trace of inf - inf warns
+        with pytest.raises(ValueError, match="ill-scaled input"):
+            expm_vec_run(np.diag([norm1, -norm1]), 1.0, np.ones(2), np.arange(3))
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 40.0])
     def test_matches_the_dense_exponential(self, rng, t):
@@ -346,7 +350,7 @@ class TestExpmAction:
         pytest.param(256, 10, 1.17e10, False, id="d32-huge-gaps"),
     ])
     def test_cost_rule(self, n, steps, norm1, action):
-        assert _action_is_cheaper(n, steps, norm1) is action
+        assert _action_is_cheaper(n, steps, norm1, taylor_degree(norm1)) is action
 
 
 class TestConjStack:

@@ -1,5 +1,7 @@
+import importlib
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
                       measurement_from_kets, pauli, propagate_kraus,
                       run_nonselective, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
-from stroblim.linalg import (_action_is_cheaper, _action_run, _dense_run, dag,
-                             max_abs, op_norm, step_powers, taylor_degree)
+from stroblim.cli import load_scenario
+from stroblim.linalg import (_action_is_cheaper, _action_run, _dense_run,
+                             _power_degree, dag, max_abs, op_norm, step_powers,
+                             taylor_degree)
 
 TAU = 0.04
 GAMMA = 5.0
@@ -487,7 +491,8 @@ class TestSemigroupPaths:
     def test_benchmark_grid_takes_the_action(self, monkeypatch, rng):
         eff, init = d32_model(rng)
         calls = counting_expm(monkeypatch)
-        assert _action_is_cheaper(256, 10, 1.0 * np.linalg.norm(eff.generator, 1))
+        norm1 = 1.0 * np.linalg.norm(eff.generator, 1)
+        assert _action_is_cheaper(256, 10, norm1, _power_degree(eff.generator, 1.0, norm1))
         traj = semigroup_propagate(eff, init, 1.0, 10)
         assert calls == []
         rho0 = traj.states[0]
@@ -503,6 +508,32 @@ class TestSemigroupPaths:
         traj = semigroup_propagate(eff, init, h, 1)
         assert calls == []
         assert max_abs(traj.states[1] - block_evolve(eff, traj.states[0], h)) <= 1e-13
+
+    def test_benchmark_input_takes_one_substep_per_sample(self, monkeypatch, tmp_path):
+        # the nonselective_d32 benchmark input (seed 1): ||L h||_1 = 13.49
+        # sizes each step as (45, 2) and 491 products with early stopping;
+        # the power norms d_2 = 7.93 and d_3 = 6.73, estimated from 15
+        # products with blocks of two vectors, size it as (50, 1)
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        scenarios = importlib.import_module("scenarios")
+        sc = load_scenario(scenarios.write_scenario("nonselective_d32", 1, str(tmp_path)))
+        assert (sc.step, sc.grid_points) == (1.0, 10)
+        eff = build_generator(sc.hamiltonian, sc.measurement, sc.tau)
+        norm1 = np.linalg.norm(eff.generator, 1)
+        assert taylor_degree(norm1) == (45, 2)
+        assert _power_degree(eff.generator, 1.0, norm1) == (50, 1)
+        products = []
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+
+        counted = replace(eff, generator=eff.generator.view(Counting))
+        traj = semigroup_propagate(counted, sc.initial, 1.0, 10)
+        assert len(products) <= 370
+        assert np.array_equal(traj.states,
+                              semigroup_propagate(eff, sc.initial, 1.0, 10).states)
 
     def test_huge_gaps_take_a_bounded_number_of_products(self, monkeypatch, rng):
         # gaps of 1e9 have ||L h||_1 ~ 1e10: stepping by the action would take
@@ -550,7 +581,10 @@ def test_swap_file_takes_one_pade_exponential(monkeypatch, tau):
     eff = build_generator(ham, sc.measurement, tau)
     steps = round(sc.t_max / tau)
     assert eff.generator.shape == (8, 8)
-    assert not _action_is_cheaper(8, steps, tau * np.linalg.norm(eff.generator, 1))
+    # Pade wins even at the degree for |tr(L tau)| / 8, below every power
+    # norm, so none is estimated
+    floor = taylor_degree(tau * abs(np.trace(eff.generator)) / 8)
+    assert not _action_is_cheaper(8, steps, tau * np.linalg.norm(eff.generator, 1), floor)
     calls = counting_expm(monkeypatch)
     traj = semigroup_propagate(eff, sc.initial, tau, steps)
     assert len(calls) == 1

@@ -15,8 +15,9 @@ from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
                       VanishingProbabilityError, build_generator, effective_rankr,
                       propagate_kraus, run_selective, semigroup_propagate)
 from stroblim import Trajectory
-from stroblim.linalg import (_action_run, _dense_run, dag, expm, factor_powers,
-                             max_abs, op_norm, sq_norms)
+from stroblim.linalg import (_action_run, _dense_run, _power_degree, _power_norm1,
+                             dag, expm, factor_powers, max_abs, op_norm, sq_norms,
+                             taylor_degree)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -267,3 +268,33 @@ def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
     assert max_abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) <= 1e-12
     assert max_abs(states - dag(states)) <= 1e-13
     assert np.linalg.eigvalsh(states).min() >= -1e-10
+
+
+@DETERMINISTIC
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                  dims=st.sampled_from([(1, 8), (2, 3), (2, 4), (3, 3), (4, 2)]),
+                  norm1=st.sampled_from([0.1, 1.0, 5.0, 12.0, 30.0, 80.0, 200.0]),
+                  size=st.integers(1, 4))
+def test_power_norm_sizing_matches_the_dense_exponential(seed, dims, norm1, size):
+    # a complete family of 2 or more blocks, often of unequal ranks, pads the
+    # block stack, N <= 50; ||L h||_1 runs from 0.1 to 200, and from 12 on,
+    # above theta_55 = 9.9, takes more than one sub-step by the 1-norm, so
+    # that the power norms are estimated
+    rng = np.random.default_rng(seed)
+    ham = random_hamiltonian_spec(rng, *dims)
+    eff = build_generator(ham, family_spec(random_projector_family(rng, dims[1])), 0.25)
+    gen, layout = eff.generator, eff.layout
+    h = norm1 / np.linalg.norm(gen, 1)
+    # the estimates are norms of products with vectors of unit 1-norm: never
+    # above the exact norm, up to the rounding of the two product orders
+    for p in (2, 3):
+        exact = np.linalg.norm(np.linalg.matrix_power(gen, p), 1)
+        assert _power_norm1(gen, p) <= exact * (1 + 1e-12)
+    degree = _power_degree(gen, h, norm1)
+    assert _power_degree(gen, h, norm1) == degree
+    m, s = degree
+    m1, s1 = taylor_degree(norm1)
+    assert m * s <= m1 * s1
+    y0 = layout.pack(layout.compress(random_density(rng, dims[0] * dims[1])))
+    counts = np.arange(size + 1)
+    assert max_abs(_action_run(gen, h, y0, counts) - _dense_run(gen, h, y0, counts)) <= 1e-13
