@@ -138,6 +138,16 @@ class TestRunners:
         assert case.p_err is not None
         assert np.all(np.diff(case.p_err) >= -1e-12)
 
+    def test_duplicate_method_zero_deviation(self):
+        # ("exact", "exact") used to compare the oracle with itself and report
+        # deviation 0; the scenario now refuses it before anything runs
+        with pytest.raises(ScenarioError, match="each method may appear once") as err:
+            load_bundled("swap_selective", t_max=2.0, methods_spec=("exact", "exact"))
+        assert err.value.key == "methods"
+        report = compare_scenario(load_bundled("swap_selective", t_max=2.0,
+                                               methods_spec=("exact", "limit")))
+        assert report.max_deviation > 0.0
+
     def test_deterministic_rerun(self):
         sc = load_bundled("heisenberg_local_fields", t_max=2.0)
         a = run_method(sc, "limit")
