@@ -27,7 +27,7 @@ channel b_i <- sum_j W_ij b_j W_ij+ is one real N x N matrix Phi on the
 semigroup's packed coordinates (`BlockLayout.packed_map`), so a period is
 one product Phi @ r.  A run takes a whole number of periods and samples
 every `every`-th one, period 0 being the start; it yields the system
-marginals and lifts joint states only on demand.
+marginals, and the blocks it carried only on demand.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
     outcome every period, are the squared norms ||G||_F^2 = tr G G+.  The
     trajectory keeps the factors (`Trajectory.from_factors`): the system
     states, their marginals, are formed where an output first reads them,
-    and joint states are lifted from the blocks only for `Trajectory.states`.
+    and the normalized blocks only for `Trajectory.states`.
 
     Raises VanishingProbabilityError at the first period n <= n_steps whose
     p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples,
@@ -150,8 +150,7 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
         raise VanishingProbabilityError(
             f"branch probability vanished at step {hi} "
             f"(p_Phi = {p_phi(hi):.3e} < {PROB_FLOOR:.1e})")
-    return Trajectory.from_factors(ns * plan.tau, g, norms, layout.dim_sys,
-                                   lambda b: layout.lift(b[:, None]))
+    return Trajectory.from_factors(ns * plan.tau, g, norms, layout.dim_sys)
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,

@@ -23,20 +23,15 @@ generator has ||a h||_1 = 13.5 but a spectral radius of 4.6, and takes one
 sub-step per sample instead of two.  The estimate is skipped where the
 1-norm already gives one sub-step, or where one exp(a h) wins even at
 |tr(a h)| / N, below every power norm.  All functions are pure; nothing
-mutates its inputs, and `conj_stack` writes only into an `out` array it is
-given.
+mutates its inputs.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
-`conj_stack` forms a @ s[t] @ b for a (T, n, m) stack as plain 2-D GEMMs
-with the stack along the rows, where a broadcast `a @ s @ b` would make one
-small BLAS call per matrix; each slice comes out bit for bit as it does when
-it is conjugated alone.  A state m^n r0 m^n+ is carried as its factor
-m^n f, f f+ = r0 (`psd_factor`): `factor_powers` fills a dense range of
-powers, every n from 0 to n_max as an every-period run asks, as one table
-a level at a time, the powers 2^b .. 2^(b+1) - 1 from the powers below 2^b
-in one contiguous GEMM written into the table (at n_max = 16000 and k = 2,
-with r = 1, 0.44 ms against 2.9 ms for the two-sided table of m^n r0 m^n+
-that it replaced).
+A state m^n r0 m^n+ is carried as its factor m^n f, f f+ = r0
+(`psd_factor`): `factor_powers` fills a dense range of powers, every n from
+0 to n_max as an every-period run asks, as one table a level at a time, the
+powers 2^b .. 2^(b+1) - 1 from the powers below 2^b in one contiguous GEMM
+written into the table (at n_max = 16000 and k = 2, with r = 1, 0.44 ms
+against 2.9 ms for the two-sided table of m^n r0 m^n+ that it replaced).
 
 Traces and short-axis sums over a sample stack go through `einsum`
 (`real_trace`), not `np.trace` or `sum(axis=-1)`: on a 2-vCPU Xeon VM with
@@ -313,38 +308,13 @@ def partial_trace(rho, dims: TensorDims, keep: str = "sys") -> np.ndarray:
     return np.einsum("...ipiq->...pq", r)
 
 
-# Rows x inner x columns of one GEMM call in conj_stack and factor_powers.
+# Rows x inner x columns of one GEMM call in factor_powers (`_rows_times`).
 # OpenBLAS 0.3 hands a complex GEMM to more threads from about 65536 on; the
 # idle worker then spins for a while and takes CPU from the Python code
 # that follows.  On a 2-CPU machine with two BLAS threads, unchunked, the
 # exact oracle of a 101-sample run at d = 16 took 15 ms instead of 3 ms.
 # Chunks of this size stay single-threaded.
 _GEMM_BUDGET = 32768
-
-
-def conj_stack(a, s, b, out=None) -> np.ndarray:
-    """(T, p, q) stack of a @ s[t] @ b for a (T, n, m) stack s, with a of
-    shape (p, n) and b of shape (m, q), written into `out` when given (a
-    (T, p, q) array or view, disjoint from s) and returned.
-
-    Two plain 2-D GEMMs per chunk of the stack, with the stack along the
-    rows: s as a (T n, m) matrix times b, then the transposed products
-    (s[t] b)^T as a (T q, n) matrix times a^T, where a broadcast a @ s @ b
-    makes one small BLAS call per matrix.  T enters only the row count of
-    each GEMM, so for p, q > 1 each slice comes out bit for bit as when it
-    is conjugated alone.  An empty stack gives an empty result.
-    """
-    s = np.asarray(s)
-    t, n, m = s.shape
-    p, q = a.shape[0], b.shape[1]
-    if out is None:
-        out = np.empty((t, p, q), dtype=np.result_type(a, s, b))
-    step = max(1, _GEMM_BUDGET // (n * q * max(m, p)))
-    for i in range(0, t, step):
-        c = min(step, t - i)
-        x = (s[i:i + c].reshape(c * n, m) @ b).reshape(c, n, q).swapaxes(1, 2)
-        out[i:i + c] = (x.reshape(c * q, n) @ a.T).reshape(c, q, p).swapaxes(1, 2)
-    return out
 
 
 def psd_factor(r0) -> np.ndarray:
@@ -489,11 +459,13 @@ def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
     counts n, by whichever path one cost rule on the side of a, the largest
     count and the degree of `_power_degree` finds cheaper: `expm_action`
     once per step, which makes no N x N temporary, or exp(a h) once by Pade
-    and one product per step.  Raises the Pade exponential's ValueError when
-    ||a h||_1 cannot be scaled."""
+    and one product per step.  A run of no step takes neither.  Raises the
+    Pade exponential's ValueError when ||a h||_1 cannot be scaled."""
     norm1 = h * float(np.linalg.norm(a, 1))
     n, steps = len(a), int(counts[-1])
     _pade_squarings(norm1)      # its error before a non-finite trace
+    if not steps:
+        return step_powers(None, y, counts)
     # |tr(a h)| / n <= spectral radius <= alpha_p: no estimate where Pade wins even there
     if _action_is_cheaper(n, steps, norm1, taylor_degree(h * abs(np.trace(a)) / n)):
         degree = _power_degree(a, h, norm1)

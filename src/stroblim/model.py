@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, conj_stack, dag,
-                     is_density, kron, max_abs, op_norm, psd_factor)
+from .linalg import (DEFAULT_TOL, TensorDims, as_matrix, dag, is_density,
+                     kron, max_abs, op_norm, psd_factor)
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -232,18 +232,6 @@ class BlockLayout:
         parts = [x if n == ds else np.einsum("...apbp->...ab", x.reshape(
             b.shape[:-3] + (ds, n // ds) * 2)) for x, n in zip(parts, self.sizes)]
         return sum(parts[1:], parts[0])
-
-    def lift(self, blocks) -> np.ndarray:
-        """The (T, d, d) states sum_i V_i b_i V_i+ of a (T, k, m, m) Hermitian
-        block stack: each block b as y + y+ by one `linalg.conj_stack`, y =
-        V t V+ for t the lower triangle of b with half its diagonal, so the
-        states are Hermitian bit for bit."""
-        lower = np.tril(blocks)
-        diag = np.arange(lower.shape[-1])
-        lower[..., diag, diag] /= 2
-        half = sum(conj_stack(v, lower[:, i], dag(v))
-                   for i, v in enumerate(self.bases))
-        return half + dag(half)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ with T_ij = V_i+ h V_j.  The blocks are carried in the format of
 real N x N matrix L on them (`build_generator`), as the oracle's period is
 one matrix Phi, both from `BlockLayout.packed_map`.  The propagator takes
 a few samples of a large generator by its action on the coordinates
-(`linalg.expm_vec_run`), read as the oracle's are, lifting no joint state.
+(`linalg.expm_vec_run`), read as the oracle's are.
 At the paper's time scale T ~ (gamma^2 tau)^-1 those are long steps, whose
 Taylor series is sized by the generator's power norms, not its 1-norm.
 """

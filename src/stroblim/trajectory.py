@@ -24,16 +24,14 @@ class Trajectory:
     function `corners(n)` of the (T, n, n) top-left corners of the states,
     n = dim_sys by default; `sys_states` is then formed on first read and
     kept, and `p_up` reads the corners of side 1 without forming it.
-    `states`, a view for checks, holds the normalized states on the
-    producer's propagation space, built by `joint` on first use (the
-    non-selective runs lift them from their packed blocks by
-    `BlockLayout.lift`, the selective runs after forming the blocks from
-    their factors), or the system states when `joint` is None.
+    `states`, a view for checks, holds the normalized states as the run
+    carried them, the blocks on its `model.BlockLayout`, built by `blocks`
+    on first use, or the system states when `blocks` is None.
     """
 
     def __init__(self, times, sys_states, norms,
-                 joint: Callable[[], np.ndarray] | None = None) -> None:
-        self.times, self.norms, self.joint = times, norms, joint
+                 blocks: Callable[[], np.ndarray] | None = None) -> None:
+        self.times, self.norms, self.blocks = times, norms, blocks
         self._corners = sys_states if callable(sys_states) else None
         if self._corners is None:
             self.sys_states = sys_states
@@ -43,19 +41,18 @@ class Trajectory:
         """The run that `propagate` makes of the packed start blocks
         pack(V+ rho0 V) of `init` on `layout` (ValueError unless init fits):
         the system states are the marginals of its (T, N) coordinates over
-        their traces, the norms, and `states` lifts them on first use."""
+        their traces, the norms, and `states` the (T, k, m, m) blocks they
+        unpack to over the norms, formed on first use."""
         if init.dims != layout.dims:
             raise ValueError("initial state does not match Hamiltonian dimensions")
         coords = propagate(layout.pack(layout.compress(init.joint())))
         states = layout.marginal(layout.unpack(coords))
         norms = real_trace(states)
         return cls(times, states / norms[:, None, None], norms, lambda: (
-            layout.lift(layout.unpack(coords)) / norms[:, None, None]))
+            layout.unpack(coords) / norms[:, None, None, None]))
 
     @classmethod
-    def from_factors(cls, times, g, norms, dim_sys: int,
-                     lift: Callable[[np.ndarray], np.ndarray] | None = None
-                     ) -> Trajectory:
+    def from_factors(cls, times, g, norms, dim_sys: int) -> Trajectory:
         """The run whose unnormalized states are the blocks g_t g_t+ of a
         (T, k, r) factor stack g on system (x) range(P), k = dim_sys r_P,
         with `norms` their traces ||g_t||_F^2.  It keeps g and forms nothing
@@ -73,8 +70,8 @@ class Trajectory:
         Each entry takes the same products whatever n, so `p_up`, the
         corner of side 1, equals `sys_states[:, 0, 0].real` bit for bit.
         `sys_states` is a transposed view of the corners of side dim_sys.
-        `states` are the normalized blocks g_t g_t+ / norm_t, or what `lift`
-        makes of them; for r_P = 1 the blocks are the system states.
+        `states` are the normalized (T, k, k) blocks g_t g_t+ / norm_t; for
+        r_P = 1 the blocks are the system states.
         """
         t = len(g)
         x = np.moveaxis(g.reshape(t, dim_sys, -1), 0, -1)
@@ -93,13 +90,11 @@ class Trajectory:
             floats *= np.repeat(1 / norms, 2)
             return marginals.transpose(2, 0, 1)
 
-        if g.shape[1] == dim_sys:      # r_P = 1: the blocks are the system states
-            blocks = None if lift is None else corners
-        else:
+        blocks = None                  # r_P = 1: the blocks are the system states
+        if g.shape[1] != dim_sys:
             def blocks():
                 return g @ dag(g) / norms[:, None, None]
-        return cls(times, corners, norms,
-                   blocks if lift is None else lambda: lift(blocks()))
+        return cls(times, corners, norms, blocks)
 
     @cached_property
     def sys_states(self) -> np.ndarray:
@@ -107,7 +102,7 @@ class Trajectory:
 
     @cached_property
     def states(self) -> np.ndarray:
-        return self.sys_states if self.joint is None else self.joint()
+        return self.sys_states if self.blocks is None else self.blocks()
 
     def __len__(self) -> int:
         return len(self.times)

@@ -17,8 +17,8 @@ import stroblim.linalg
 from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
 from stroblim.experiments import ComparisonReport, compare_case
-from stroblim.linalg import (DEFAULT_TOL, PROB_FLOOR, as_matrix, dag, expm,
-                             is_hermitian, max_abs, partial_trace)
+from stroblim.linalg import (_GEMM_BUDGET, DEFAULT_TOL, PROB_FLOOR, as_matrix,
+                             dag, expm, is_hermitian, max_abs, partial_trace)
 from stroblim.model import BlockLayout
 
 
@@ -347,15 +347,59 @@ def _reference_loop(plan, rho, measure, every):
                       np.array(norms), lambda: states)
 
 
-def assert_same_run(got, want, tol=1e-12):
+def conj_stack(a, s, b):
+    """(T, p, q) stack of a @ s[t] @ b for a (T, n, m) stack s, with a of
+    shape (p, n) and b of shape (m, q).
+
+    Two plain 2-D GEMMs per chunk of the stack, with the stack along the
+    rows: s as a (T n, m) matrix times b, then the transposed products
+    (s[t] b)^T as a (T q, n) matrix times a^T.  T enters only the row count
+    of each GEMM, so for p, q > 1 each slice comes out bit for bit as when
+    it is conjugated alone.  An empty stack gives an empty result.
+    """
+    s = np.asarray(s)
+    t, n, m = s.shape
+    p, q = a.shape[0], b.shape[1]
+    out = np.empty((t, p, q), dtype=np.result_type(a, s, b))
+    step = max(1, _GEMM_BUDGET // (n * q * max(m, p)))
+    for i in range(0, t, step):
+        c = min(step, t - i)
+        x = (s[i:i + c].reshape(c * n, m) @ b).reshape(c, n, q).swapaxes(1, 2)
+        out[i:i + c] = (x.reshape(c * q, n) @ a.T).reshape(c, q, p).swapaxes(1, 2)
+    return out
+
+
+def lift(layout, blocks):
+    """The (T, d, d) joint states sum_i V_i b_i V_i+ of a (T, k, m, m)
+    Hermitian block stack on `layout`, such as a run's `Trajectory.states`,
+    a (T, m, m) stack counting as one block: each block b as y + y+ by one
+    `conj_stack`, y = V t V+ for t the lower triangle of b with half its
+    diagonal, so the states are Hermitian bit for bit and each one is the
+    same whatever stack it is lifted in."""
+    b = np.asarray(blocks)
+    lower = np.tril(b[:, None] if b.ndim == 3 else b)
+    diag = np.arange(lower.shape[-1])
+    lower[..., diag, diag] /= 2
+    half = sum(conj_stack(v, lower[:, i], dag(v))
+               for i, v in enumerate(layout.bases))
+    return half + dag(half)
+
+
+def run_layout(plan):
+    """The `BlockLayout` that the exact runs of `plan` carry their blocks on."""
+    spec, dim_sys = plan.measurement, plan.hamiltonian.dim_sys
+    return spec.selected_layout(dim_sys) if spec.selective else spec.full_layout(dim_sys)
+
+
+def assert_same_run(got, want, plan, tol=1e-12):
     """Same times; norms, system states and states within tol (norms
-    relative)."""
+    relative), the blocks of got lifted on the layout of `plan`."""
     assert np.array_equal(got.times, want.times)
     assert max_abs((got.norms - want.norms) / want.norms) < tol
     assert max_abs(got.sys_states - want.sys_states) < tol
-    assert len(got.states) == len(want.states)
-    for a, b in zip(got.states, want.states):
-        assert max_abs(a - b) < tol
+    states = lift(run_layout(plan), got.states)
+    assert states.shape == want.states.shape
+    assert max_abs(states - want.states) < tol
 
 
 def reference_selective(plan, init, every=1, outcomes=None):

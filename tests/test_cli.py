@@ -406,10 +406,10 @@ class TestCommands:
                                       "swap_nonselective"])
     def test_no_command_builds_joint_states(self, tmp_path, monkeypatch, name,
                                             command):
-        # the outputs read the system states alone; the joint states are a
-        # view for the tests
+        # the outputs read the system states alone; the blocks of
+        # Trajectory.states are a view for the tests
         def refuse(self):
-            raise AssertionError("a command built the joint states")
+            raise AssertionError("a command built Trajectory.states")
 
         monkeypatch.setattr(Trajectory, "states", property(refuse))
         args = ["--tau", "0.04,0.02"] if command == "sweep" else []

@@ -4,17 +4,20 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (apply_instrument, assert_same_run, family_spec, load_bundled,
-                     nonselective_channel, random_density,
+from helpers import (apply_instrument, assert_same_run, family_spec, lift,
+                     load_bundled, nonselective_channel, random_density,
                      random_hamiltonian_spec, random_ket,
                      random_projector_family, random_unitary,
-                     reference_nonselective, reference_selective, unitary_step)
+                     reference_nonselective, reference_selective, run_layout,
+                     unitary_step)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
-                      basis_ket, kron, measurement_from_kets, pauli,
-                      run_nonselective, run_selective, swap_hamiltonian)
+                      basis_ket, build_generator, effective_rankr, kron,
+                      measurement_from_kets, pauli, propagate_kraus,
+                      run_nonselective, run_selective, semigroup_propagate,
+                      swap_hamiltonian)
 from stroblim.exact import steps_in
 from stroblim.linalg import (TensorDims, dag, factor_powers, max_abs,
-                             partial_trace, psd_factor)
+                             partial_trace, psd_factor, real_trace)
 from stroblim.model import BlockLayout
 
 
@@ -207,9 +210,10 @@ class TestRunSelective:
             gamma = np.sqrt(omega / tau)
             ham = swap_hamiltonian(gamma)
             init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
-            traj = run_selective(EvolutionPlan(ham, up_meas(), tau, round(t_fix / tau)),
-                                 init)
-            pre_meas = unitary_step(traj.states[-1], ham.assemble(), tau)
+            plan = EvolutionPlan(ham, up_meas(), tau, round(t_fix / tau))
+            traj = run_selective(plan, init)
+            pre_meas = unitary_step(lift(run_layout(plan), traj.states)[-1],
+                                    ham.assemble(), tau)
             rho_pr = partial_trace(pre_meas, TensorDims(2, 2), "pr")
             infidelities.append(1.0 - rho_pr[0, 0].real)
         assert infidelities[0] > infidelities[1] > infidelities[2] > 0
@@ -276,14 +280,15 @@ def test_every_must_divide_the_period_count(run, meas, every):
 @pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
                                        (run_nonselective, zbasis_meas)])
 def test_a_run_shorter_than_one_period_is_a_stack(run, meas):
-    # no period is stepped, so the stack holds the start blocks alone,
-    # lifted to the initial state, which the channel leaves unchanged
+    # no period is stepped, so the stack holds the start blocks alone, which
+    # lift to the initial state, which the channel leaves unchanged
     plan = EvolutionPlan(swap_hamiltonian(1.0), meas(), 0.3, 0)
     init = InitialState.from_kets([0.6, 0.8], basis_ket("u"))
     traj = run(plan, init)
-    assert traj.states.shape == (1, 4, 4)
+    joint = lift(run_layout(plan), traj.states)
+    assert joint.shape == (1, 4, 4)
     assert np.array_equal(traj.times, [0.0])
-    assert max_abs(traj.states[0] - init.joint()) < 1e-15
+    assert max_abs(joint[0] - init.joint()) < 1e-15
     assert max_abs(traj.sys_states[0] - init.rho_sys) < 1e-15
 
 
@@ -324,25 +329,28 @@ class TestRunNonselective:
         gamma, tau = 5.0, 0.04
         ham = swap_hamiltonian(gamma)
         init = InitialState(random_density(rng, 2), np.diag([1.0, 0.0]).astype(complex))
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), tau, 1), init)
+        plan = EvolutionPlan(ham, zbasis_meas(), tau, 1)
+        traj = run_nonselective(plan, init)
         import scipy.linalg
         u = scipy.linalg.expm(-1j * tau * ham.assemble())
         want = nonselective_channel(u @ init.joint() @ u.conj().T, zbasis_meas())
-        assert max_abs(traj.states[-1] - want) < 1e-12
+        assert max_abs(lift(run_layout(plan), traj.states)[-1] - want) < 1e-12
 
     def test_maximally_mixed_fixed_point(self):
         ham = swap_hamiltonian(3.0)
         init = InitialState(np.eye(2) / 2, np.eye(2) / 2)
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.05, 20), init)
-        for s in traj.states:
+        plan = EvolutionPlan(ham, zbasis_meas(), 0.05, 20)
+        traj = run_nonselective(plan, init)
+        for s in lift(run_layout(plan), traj.states):
             assert max_abs(s - np.eye(4) / 4) < 1e-12
 
     def test_trace_and_block_structure(self, rng):
         ham = swap_hamiltonian(5.0)
         init = InitialState(random_density(rng, 2), np.diag([1.0, 0.0]).astype(complex))
-        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), 0.04, 50), init)
+        plan = EvolutionPlan(ham, zbasis_meas(), 0.04, 50)
+        traj = run_nonselective(plan, init)
         assert max_abs(traj.norms - 1.0) < 1e-10
-        for s in traj.states:
+        for s in lift(run_layout(plan), traj.states):
             # off-block entries vanish: probe indices differ
             for i in range(2):
                 for j in range(2):
@@ -374,7 +382,7 @@ def test_coincident_outcomes_match_the_reference_loop(rng, dims, every):
         init = InitialState(random_density(rng, dims[0]), rho_pr)
         plan = EvolutionPlan(ham, spec, 0.05, 21)
         assert_same_run(run_selective(plan, init, every=every),
-                        reference_selective(plan, init, every=every))
+                        reference_selective(plan, init, every=every), plan)
 
 
 @pytest.mark.parametrize("ranks", [(2, 1), (1, 2), (2, 2)])
@@ -393,7 +401,7 @@ def test_mixed_starts_match_the_reference_loop(rng, ranks):
     plan = EvolutionPlan(ham, spec, 0.05, 24)
     for every in (1, 2, 3, 4, 6, 8, 12, 24):
         assert_same_run(run_selective(plan, init, every=every),
-                        reference_selective(plan, init, every=every))
+                        reference_selective(plan, init, every=every), plan)
 
 
 def test_a_start_with_a_negative_rounding_eigenvalue_stays_positive(rng):
@@ -405,7 +413,7 @@ def test_a_start_with_a_negative_rounding_eigenvalue_stays_positive(rng):
     init = InitialState(rho_sys, np.diag([1.0, 0.0]))
     plan = EvolutionPlan(random_hamiltonian_spec(rng, 3, 2), up_meas(), 0.05, 30)
     got = run_selective(plan, init)
-    assert_same_run(got, reference_selective(plan, init), tol=1e-11)
+    assert_same_run(got, reference_selective(plan, init), plan, tol=1e-11)
     assert np.linalg.eigvalsh(got.sys_states).min() >= -1e-14
     assert np.linalg.eigvalsh(got.states).min() >= -1e-14
 
@@ -420,8 +428,9 @@ def test_nonselective_runs_match_the_reference_loop(rng, dims, every):
                             random_density(rng, dims[1]))
         plan = EvolutionPlan(ham, spec, 0.05, 21)
         got = run_nonselective(plan, init, every=every)
-        assert_same_run(got, reference_nonselective(plan, init, every=every))
-        # every state is lifted from blocks, which makes it Hermitian bit for bit
+        assert_same_run(got, reference_nonselective(plan, init, every=every), plan)
+        # every block is unpacked from real coordinates, which makes it its
+        # own conjugate transpose bit for bit
         assert np.array_equal(got.states, dag(got.states))
 
 
@@ -437,7 +446,36 @@ def test_bundled_scenarios_match_the_reference_loop(name, every):
     else:
         got = run_nonselective(plan, sc.initial, every=every)
         want = reference_nonselective(plan, sc.initial, every=every)
-    assert_same_run(got, want)
+    assert_same_run(got, want, plan)
+
+
+@pytest.mark.parametrize("name", ["heisenberg_global_field", "swap_nonselective"])
+def test_exact_and_limit_states_are_the_same_blocks(name):
+    # states are the normalized blocks on the run's layout, exact or limit:
+    # (T, m, m) on the selected rank-2 range, (T, k, m, m) on all ranges;
+    # the exact ones lift to the reference loop's, and both runs start from
+    # the same blocks
+    sc = load_bundled(name)
+    plan = EvolutionPlan(sc.hamiltonian, sc.measurement, sc.tau, 42)
+    layout = run_layout(plan)
+    if sc.selective:
+        exact = run_selective(plan, sc.initial)
+        eff = effective_rankr(sc.hamiltonian, sc.measurement, sc.tau)
+        limit = propagate_kraus(eff, sc.initial, sc.tau, 42)
+        want = reference_selective(plan, sc.initial)
+        shape = (43, 4, 4)
+    else:
+        exact = run_nonselective(plan, sc.initial)
+        eff = build_generator(sc.hamiltonian, sc.measurement, sc.tau)
+        limit = semigroup_propagate(eff, sc.initial, sc.tau, 42)
+        want = reference_nonselective(plan, sc.initial)
+        shape = (43, 2, 2, 2)
+    for traj in (exact, limit):
+        assert traj.states.shape == shape
+        traces = real_trace(traj.states).reshape(43, -1).sum(axis=1)
+        assert max_abs(traces - 1.0) <= 1e-14
+    assert max_abs(lift(layout, exact.states) - want.states) < 1e-12
+    assert max_abs(limit.states[0] - exact.states[0]) < 1e-12
 
 
 @pytest.mark.parametrize("tau", [0.04, 2e-4])

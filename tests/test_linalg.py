@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (bundled_path, counting_expm, hermitian_eig, is_projector,
-                     is_unitary, random_complex, random_hermitian)
+from helpers import (bundled_path, conj_stack, counting_expm, hermitian_eig,
+                     is_projector, is_unitary, random_complex, random_hermitian)
 from ode import rk4_step
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                       partial_trace, pauli)
-from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, _dense_run,
-                             conj_stack, dag, expm_action, expm_vec_run,
-                             factor_powers, max_abs, op_norm, psd_factor,
-                             real_trace, step_powers, taylor_degree,
-                             trace_distance)
+from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, _dense_run, dag,
+                             expm_action, expm_vec_run, factor_powers, max_abs,
+                             op_norm, psd_factor, real_trace, step_powers,
+                             taylor_degree, trace_distance)
 
 
 def kron_oracle(a, b):
@@ -354,6 +353,8 @@ class TestExpmAction:
 
 
 class TestConjStack:
+    """The stacked conjugation that `helpers.lift` takes its states by."""
+
     @staticmethod
     def relative_error(got, want):
         return max_abs(got - want) / max_abs(want)
@@ -389,7 +390,7 @@ class TestConjStack:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_each_slice_is_the_same_alone_and_in_the_batch(self, rng, n):
-        # BlockLayout.lift relies on it: a state must not depend on its batch
+        # helpers.lift relies on it: a state must not depend on its batch
         a = random_complex(rng, (n, n))
         for t in (2, 3, 64, 5000):
             s = random_complex(rng, (t, n, n))

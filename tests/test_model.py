@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (family_spec, hermitian_eig, is_projector,
+from helpers import (family_spec, hermitian_eig, is_projector, lift,
                      projector_from_kets, random_complex, random_density,
                      random_ket, random_unitary)
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
@@ -289,7 +289,7 @@ class TestBlockLayout:
         blocks = layout.compress(states)
         assert blocks.shape == (3, 2, 6, 6)
         assert not blocks[:, ~layout.mask].any()
-        out = layout.lift(blocks)
+        out = lift(layout, blocks)
         assert max_abs(out - states) <= 1e-14
         assert np.array_equal(out, dag(out))
 
@@ -301,9 +301,9 @@ class TestBlockLayout:
         x = np.where(layout.mask, random_complex(rng, (4,) + layout.mask.shape), 0)
         x[..., np.arange(6), np.arange(6)] = x.diagonal(axis1=-2, axis2=-1).real
         hermitian = np.tril(x) + dag(np.tril(x, -1))
-        got = layout.lift(x)
+        got = lift(layout, x)
         assert np.array_equal(got, dag(got))
-        assert np.array_equal(got, layout.lift(hermitian))
+        assert np.array_equal(got, lift(layout, hermitian))
 
     @pytest.mark.parametrize("dim_sys, ranks", [(2, (1, 3)), (3, (1, 3, 1)),
                                                 (2, (2, 1, 2)), (1, (2, 1))])
@@ -314,7 +314,7 @@ class TestBlockLayout:
         x = random_complex(rng, (5,) + layout.mask.shape)
         blocks = np.where(layout.mask, x + dag(x), 0)
         got = layout.marginal(blocks)
-        want = partial_trace(layout.lift(blocks),
+        want = partial_trace(lift(layout, blocks),
                              TensorDims(dim_sys, sum(ranks)), "sys")
         assert got.shape == (5, dim_sys, dim_sys)
         assert max_abs(got - want) <= 1e-14 * max_abs(want)

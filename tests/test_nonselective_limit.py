@@ -9,8 +9,8 @@ import pytest
 from functools import partial
 
 from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
-                     counting_expm, family_spec,
-                     full_space_reference, liouville_commutator, load_bundled,
+                     counting_expm, family_spec, full_space_reference, lift,
+                     liouville_commutator, load_bundled,
                      random_density, random_hamiltonian_spec, random_hermitian,
                      random_projector_family, random_unitary, unvec, vec)
 from ode import (block_rhs, nonlinear_density_rhs, nonlinear_state_rhs,
@@ -215,13 +215,13 @@ class TestSemigroupPropagate:
         init = InitialState(random_density(rng, 2),
                             np.diag([1.0, 0.0]).astype(complex))
         traj = semigroup_propagate(eff, init, 1.0, 0)
-        assert max_abs(traj.states[0] - init.joint()) < 1e-12
+        assert max_abs(lift(eff.layout, traj.states)[0] - init.joint()) < 1e-12
 
     def test_maximally_mixed_constant(self):
         eff = swap_gen()
         init = InitialState(np.eye(2) / 2, np.eye(2) / 2)
         traj = semigroup_propagate(eff, init, 1.0, 5)
-        for s in traj.states:
+        for s in lift(eff.layout, traj.states):
             assert max_abs(s - np.eye(4) / 4) < 1e-12
 
     def test_semigroup_law(self, rng):
@@ -241,7 +241,7 @@ class TestSemigroupPropagate:
         traj = semigroup_propagate(eff, init, 0.5, 20)
         assert max_abs(traj.norms - 1.0) < 1e-10
         ref = swap_ref()
-        for s in traj.states:
+        for s in lift(eff.layout, traj.states):
             assert max_abs(s - ref.channel(s)) < 1e-10
 
     def test_non_fixed_point_starts_from_the_channel_image(self):
@@ -249,10 +249,12 @@ class TestSemigroupPropagate:
         ham, meas = swap_hamiltonian(GAMMA), zbasis_meas()
         plus = (basis_ket("u") + basis_ket("d")) / np.sqrt(2)
         init = InitialState.from_kets(basis_ket("u"), plus)
-        traj = semigroup_propagate(build_generator(ham, meas, TAU), init, TAU, 0)
+        eff = build_generator(ham, meas, TAU)
+        traj = semigroup_propagate(eff, init, TAU, 0)
         exact = run_nonselective(EvolutionPlan(ham, meas, TAU, 1), init)
         assert max_abs(traj.states[0] - exact.states[0]) <= 1e-14
-        assert max_abs(traj.states[0] - swap_ref().channel(init.joint())) <= 1e-14
+        start = lift(eff.layout, traj.states)[0]
+        assert max_abs(start - swap_ref().channel(init.joint())) <= 1e-14
 
 
 class TestBlocks:
@@ -316,7 +318,7 @@ class TestBlocks:
         layout = eff.layout
         blocks = layout.unpack(rk4_sample(eff.generator.dot,
                                           layout.pack(layout.compress(rho)), 0.5, 8, 4000))
-        for t, state in zip(np.arange(9) * 0.5, layout.lift(blocks)):
+        for t, state in zip(np.arange(9) * 0.5, lift(layout, blocks)):
             assert max_abs(state - ref.evolve(rho, t)) < 1e-7
 
 
@@ -454,9 +456,10 @@ def test_limits_refuse_an_initial_state_of_another_split(propagate, eff, init):
 def test_semigroup_matches_per_time_exponentials(h, n):
     ref = swap_ref()
     init = swap_init()
-    traj = semigroup_propagate(swap_gen(), init, h, n)
+    eff = swap_gen()
+    traj = semigroup_propagate(eff, init, h, n)
     assert len(traj) == n + 1
-    for t, got in zip(traj.times, traj.states):
+    for t, got in zip(traj.times, lift(eff.layout, traj.states)):
         want = ref.evolve(init.joint(), t)
         assert max_abs(got - want) <= 1e-12
 
@@ -474,6 +477,20 @@ def d32_model(rng):
 
 def packed_start(eff, init):
     return eff.layout.pack(eff.layout.compress(init.joint()))
+
+
+def counted(eff):
+    """eff with its generator viewed as an ndarray that records each of its
+    products generator @ x, at most 1000, in the list returned with it."""
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            assert len(products) <= 1000, "unbounded generator products"
+            return np.asarray(self) @ other
+
+    return replace(eff, generator=eff.generator.view(Counting)), products
 
 
 class TestSemigroupPaths:
@@ -495,9 +512,9 @@ class TestSemigroupPaths:
         assert _action_is_cheaper(256, 10, norm1, _power_degree(eff.generator, 1.0, norm1))
         traj = semigroup_propagate(eff, init, 1.0, 10)
         assert calls == []
-        rho0 = traj.states[0]
-        for t, got in zip(traj.times, traj.states):
-            assert max_abs(got - block_evolve(eff, rho0, t)) <= 1e-13
+        states = lift(eff.layout, traj.states)
+        for t, got in zip(traj.times, states):
+            assert max_abs(got - block_evolve(eff, states[0], t)) <= 1e-13
 
     def test_substeps_match_the_dense_exponential(self, monkeypatch, rng):
         # ||L h||_1 is about 20 theta_55, so the one step takes s > 1 sub-steps
@@ -507,7 +524,8 @@ class TestSemigroupPaths:
         calls = counting_expm(monkeypatch)
         traj = semigroup_propagate(eff, init, h, 1)
         assert calls == []
-        assert max_abs(traj.states[1] - block_evolve(eff, traj.states[0], h)) <= 1e-13
+        states = lift(eff.layout, traj.states)
+        assert max_abs(states[1] - block_evolve(eff, states[0], h)) <= 1e-13
 
     def test_benchmark_input_takes_one_substep_per_sample(self, monkeypatch, tmp_path):
         # the nonselective_d32 benchmark input (seed 1): ||L h||_1 = 13.49
@@ -522,41 +540,37 @@ class TestSemigroupPaths:
         norm1 = np.linalg.norm(eff.generator, 1)
         assert taylor_degree(norm1) == (45, 2)
         assert _power_degree(eff.generator, 1.0, norm1) == (50, 1)
-        products = []
-
-        class Counting(np.ndarray):
-            def __matmul__(self, other):
-                products.append(1)
-                return np.asarray(self) @ other
-
-        counted = replace(eff, generator=eff.generator.view(Counting))
-        traj = semigroup_propagate(counted, sc.initial, 1.0, 10)
+        counting, products = counted(eff)
+        traj = semigroup_propagate(counting, sc.initial, 1.0, 10)
         assert len(products) <= 370
         assert np.array_equal(traj.states,
                               semigroup_propagate(eff, sc.initial, 1.0, 10).states)
+
+    def test_a_run_of_no_step_takes_no_product(self, monkeypatch, rng):
+        # the start alone: no power norm is estimated and no exponential made,
+        # though ||L h||_1 would size a step of two sub-steps
+        eff, init = d32_model(rng)
+        assert taylor_degree(np.linalg.norm(eff.generator, 1))[1] > 1
+        calls = counting_expm(monkeypatch)
+        counting, products = counted(eff)
+        traj = semigroup_propagate(counting, init, 1.0, 0)
+        assert products == [] and calls == []
+        assert np.array_equal(traj.states, semigroup_propagate(eff, init, 1.0, 3).states[:1])
 
     def test_huge_gaps_take_a_bounded_number_of_products(self, monkeypatch, rng):
         # gaps of 1e9 have ||L h||_1 ~ 1e10: stepping by the action would take
         # about 1e11 products of the generator with a vector
         eff, init = d32_model(rng)
-        products = []
-
-        class Counting(np.ndarray):
-            def __matmul__(self, other):
-                products.append(1)
-                assert len(products) <= 1000, "unbounded generator products"
-                return np.asarray(self) @ other
-
         calls = counting_expm(monkeypatch)
-        counted = replace(eff, generator=eff.generator.view(Counting))
-        traj = semigroup_propagate(counted, init, 1e9, 10)
+        counting, products = counted(eff)
+        traj = semigroup_propagate(counting, init, 1e9, 10)
         assert len(products) == 0
         assert len(calls) == 1
         assert np.all(np.isfinite(traj.states))
-        # the 31 squarings drift the trace by about 5e-7; the states are
-        # Hermitian by construction and normalized, and the norms report
-        # the drift
-        trace = np.trace(traj.states, axis1=1, axis2=2)
+        # the 31 squarings drift the trace by about 5e-7; the blocks are
+        # Hermitian by construction (`unpack`) and normalized, their traces
+        # summing to 1, and the norms report the drift
+        trace = np.einsum("tkaa->t", traj.states)
         assert max_abs(trace - 1.0) <= 1e-12
         assert not trace.imag.any()
         assert np.array_equal(traj.states, dag(traj.states))
@@ -684,7 +698,7 @@ class TestPauliReduction:
         traj = semigroup_propagate(eff, init, 0.5, 10)
         pauli_p = rk4_sample(partial(pauli_rhs, pauli_rates(eff)), p0, 0.5, 10, 4000)
         for k in range(len(traj)):
-            diag = np.diag(traj.states[k]).real
+            diag = traj.states[k, :, 0, 0].real
             assert max_abs(diag - pauli_p[k]) < 1e-8
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (assembled_generator, assert_same_run, channel_superop,
-                     choi_matrix, family_spec, full_space_reference,
+                     choi_matrix, family_spec, full_space_reference, lift,
                      random_complex, random_density, random_hamiltonian_spec,
                      random_projector_family, random_unitary,
                      reference_selective, unvec, vec)
@@ -50,7 +50,7 @@ def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
         with pytest.raises(VanishingProbabilityError, match=step):
             run_selective(plan, init, every=every)
         return
-    assert_same_run(run_selective(plan, init, every=every), want)
+    assert_same_run(run_selective(plan, init, every=every), want, plan)
 
 
 @DETERMINISTIC
@@ -86,7 +86,7 @@ def test_p_up_of_a_factor_run_is_the_formed_population(seed, dim_sys, r_p, r, t,
                   periods=st.integers(0, 60))
 def test_selective_states_are_positive_semidefinite(seed, dims, ranks, periods):
     # every selective state is G G+ for a factor G, in the exact run and in
-    # the limit, the system marginals and the lifted or block states alike
+    # the limit, the system marginals and the blocks alike
     rng = np.random.default_rng(seed)
     ham = random_hamiltonian_spec(rng, *dims)
     groups = random_projector_family(rng, dims[1])
@@ -214,9 +214,9 @@ def test_semigroup_keeps_trace_and_blocks(seed, dims, norm):
                         sum(p @ r @ p for p in spec.projectors))
     traj = semigroup_propagate(eff, init, 0.5, 4)
     assert max_abs(traj.norms - 1.0) <= 1e-12
-    v = eff.layout.bases
-    blocks = dag(v) @ traj.states[:, None] @ v
-    assert max_abs((v @ blocks @ dag(v)).sum(axis=-3) - traj.states) <= 1e-12
+    # the blocks stay on their ranges: the padding stays zero
+    assert traj.states.shape == (5,) + mask.shape
+    assert not traj.states[:, ~mask].any()
 
 
 @DETERMINISTIC
@@ -235,7 +235,7 @@ def test_semigroup_after_the_channel_is_completely_positive(seed, dims, norm):
     parts = np.concatenate(((units + dag(units)) / 2, (units - dag(units)) / 2j))
     coords = layout.pack(layout.compress(parts))
     for t in (0.5, 4.0):
-        images = layout.lift(layout.unpack(coords @ expm(eff.generator * t).T))
+        images = lift(layout, layout.unpack(coords @ expm(eff.generator * t).T))
         images = images[:d * d] + 1j * images[d * d:]
         superop = np.column_stack([vec(x) for x in images])
         assert max_abs(superop - expm(ref.lindblad * t) @ channel_superop(ref.c_ops)) \
