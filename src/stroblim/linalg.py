@@ -6,16 +6,15 @@ the real coordinates of packed Hermitian blocks (N = sum_i n_i^2 <= d^2;
 256 x 256 for four rank-2 probe blocks at d = 32).  The exponential and its
 action keep a real input real, so the semigroup runs in real arithmetic.
 Storage is dense and every routine is deterministic at a fixed BLAS thread
-count: a degree-13 Pade exponential with scaling and squaring for any
-input (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), whose linear solve
-alone rounds differently between thread counts (OpenBLAS 0.3.31, N = 256:
-up to 3.3e-16 between one and two threads, where its products agree bit
-for bit), the action exp(a t) y of the exponential on a vector by a
-truncated Taylor series with sub-steps (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 2011), one-sided binary powers m^n f of a factor f for a
-whole stack of n at once, and `expm_vec_run`, which steps a vector by the
-action or by one exp(a h), whichever a cost rule finds cheaper, along the
-uniform grid that `uniform_counts` checks.  The action is sized by the
+count.  The two exponentials are so across thread counts as well: both are
+truncated Taylor series sized by one theta table and formed by products
+alone, with no linear solve, the matrix exponential at degree 18 with
+scaling and squaring, the action exp(a t) y on a vector with sub-steps
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Also here: one-sided
+binary powers m^n f of a factor f for a whole stack of n at once, and
+`expm_vec_run`, which steps a vector by the action or by one exp(a h),
+whichever a cost rule finds cheaper, along the uniform grid that
+`uniform_counts` checks.  The action is sized by the
 power norms ||(a h)^p||_1^(1/p), p = 2, 3, estimated from products with
 blocks of two vectors (Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21,
 2000), where ||a h||_1 alone would split a step: the d = 32 benchmark
@@ -133,59 +132,12 @@ def kron(*ops) -> np.ndarray:
     return out
 
 
-# Degree-13 diagonal Pade coefficients for the exponential.
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def _pade_squarings(norm1: float) -> int:
-    """Squarings that bring a 1-norm under the degree-13 Pade bound;
-    ValueError when more than 60 would be needed (or the norm is not finite)."""
-    if not norm1 <= _PADE13_THETA * 2.0 ** 60:
-        raise ValueError("matrix exponential did not converge: ill-scaled input "
-                         f"(1-norm {norm1:.3e})")
-    if norm1 <= _PADE13_THETA:
-        return 0
-    return int(math.ceil(math.log2(norm1 / _PADE13_THETA)))
-
-
-def expm(a) -> np.ndarray:
-    """Matrix exponential by degree-13 Pade with scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), whatever the structure
-    of the input.  A real input stays in real arithmetic and gives a real
-    result; the zero matrix gives the identity exactly.  Raises ValueError
-    on non-finite input or when scaling cannot tame the norm.
-    """
-    m = as_matrix(a, dtype=float if np.isrealobj(a) else complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix exponential requires finite entries")
-    eye = np.eye(m.shape[0], dtype=m.dtype)
-    if not m.any():
-        return eye
-    s = _pade_squarings(float(np.linalg.norm(m, 1)))
-    m = m / (2.0 ** s) if s else m
-    b = _PADE13_B
-    m2 = m @ m
-    m4 = m2 @ m2
-    m6 = m2 @ m4
-    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
-             + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
-    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
-         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye)
-    out = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 # theta_m of the degree-m truncated Taylor series at unit roundoff 2^-53: the
 # largest 1-norm of a t for which m terms give exp(a t) y to that roundoff.
-# m <= 30 from Higham, "Functions of Matrices" (2008), Table A.3; the rest
-# from Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1.
+# One table sizes both kernels: the action's (m, s) and, at m = 18, the
+# scaling of `expm`.  m <= 30 from Higham, "Functions of Matrices" (2008),
+# Table A.3; the rest from Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011),
+# Table 3.1.
 _TAYLOR_THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
     7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
@@ -195,14 +147,56 @@ _TAYLOR_THETA = {
     45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0 ** -53
+# 1/k!, k = 0..18: the series of `expm`.
+_EXPM_COEFFS = tuple(1.0 / math.factorial(k) for k in range(19))
+
+
+def _squarings(norm1: float) -> int:
+    """Squarings that bring a 1-norm under theta_18, the bound of `expm`;
+    ValueError when more than 63 would be needed (or the norm is not finite)."""
+    theta = _TAYLOR_THETA[18]
+    if not norm1 <= theta * 2.0 ** 63:
+        raise ValueError("matrix exponential did not converge: ill-scaled input "
+                         f"(1-norm {norm1:.3e})")
+    if norm1 <= theta:
+        return 0
+    return int(math.ceil(math.log2(norm1 / theta)))
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by the degree-18 Taylor series with scaling and
+    squaring, whatever the structure of the input.  The series is evaluated
+    by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973) as a polynomial in
+    a^4 with coefficients in a, a^2, a^3: 7 products and no linear solve, so
+    its bits do not depend on the BLAS thread count.  A real input stays in
+    real arithmetic and gives a real result; the zero matrix gives the
+    identity exactly.  Raises ValueError on non-finite input or when scaling
+    cannot tame the norm.
+    """
+    m = as_matrix(a, dtype=float if np.isrealobj(a) else complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix exponential requires finite entries")
+    eye = np.eye(m.shape[0], dtype=m.dtype)
+    if not m.any():
+        return eye
+    s = _squarings(float(np.linalg.norm(m, 1)))
+    m = m / (2.0 ** s) if s else m
+    c = _EXPM_COEFFS
+    m2 = m @ m
+    m3, m4 = m2 @ m, m2 @ m2
+    out = c[16] * eye + c[17] * m + c[18] * m2
+    for j in (12, 8, 4, 0):
+        out = out @ m4 + (c[j] * eye + c[j + 1] * m + c[j + 2] * m2 + c[j + 3] * m3)
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def taylor_degree(norm1: float) -> tuple[int, int]:
     """Degree m and sub-step count s of `expm_action` for ||a t||_1 = norm1:
     s = ceil(norm1 / theta_m), with m minimising the m s products.  The same
-    ValueError as the Pade exponential when its scaling could not tame
-    norm1."""
-    _pade_squarings(norm1)
+    ValueError as `expm` when its scaling could not tame norm1."""
+    _squarings(norm1)
     if norm1 == 0:
         return 0, 1
     _, m, s = min((m * math.ceil(norm1 / theta), m, math.ceil(norm1 / theta))
@@ -267,7 +261,7 @@ def expm_action(a, y, t: float, degree: tuple[int, int]) -> np.ndarray:
     sizes (m, s) by ||a t||_1, and `_power_degree`, which `expm_vec_run`
     reads, by the power norms alpha_p of a t where they are sharper; their
     estimate is skipped where ||a t||_1 already gives one sub-step, or where
-    one Pade exponential wins even at |tr(a t)| / N, below every alpha_p.  A
+    one `expm` wins even at |tr(a t)| / N, below every alpha_p.  A
     sub-step stops early once two consecutive terms together fall below
     2^-53 times the partial sum, in 2-norms by one `np.vdot` per vector: a
     single BLAS call, where the two max-abs norms of a term took three numpy
@@ -422,12 +416,12 @@ def _action_is_cheaper(n: int, steps: int, norm1: float,
                        degree: tuple[int, int]) -> bool:
     """The cost rule of `expm_vec_run` for a run of `steps` steps of
     exp(a h) on a vector, a of side n and ||a h||_1 = norm1: the m s
-    products of `expm_action` per step at degree = (m, s) against Pade's
-    (10 + squarings) products of n^3 and one product per step."""
+    products of `expm_action` per step at degree = (m, s) against the
+    (7 + squarings) products of n^3 of `expm` and one product per step."""
     m, s = degree
     product = n * n + _ACTION_CALL_COST
-    pade = (10 + _pade_squarings(norm1)) * n ** 3
-    return steps * m * s * product < pade + steps * product
+    dense = (7 + _squarings(norm1)) * n ** 3
+    return steps * m * s * product < dense + steps * product
 
 
 def _dense_run(a, h: float, y, counts) -> np.ndarray:
@@ -458,15 +452,15 @@ def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
     """(len(counts),) + y.shape stack of exp(a h)^n y for the non-decreasing
     counts n, by whichever path one cost rule on the side of a, the largest
     count and the degree of `_power_degree` finds cheaper: `expm_action`
-    once per step, which makes no N x N temporary, or exp(a h) once by Pade
-    and one product per step.  A run of no step takes neither.  Raises the
-    Pade exponential's ValueError when ||a h||_1 cannot be scaled."""
+    once per step, which makes no N x N temporary, or one `expm` of a h and
+    one product per step.  A run of no step takes neither.  Raises the
+    ValueError of `expm` when ||a h||_1 cannot be scaled."""
     norm1 = h * float(np.linalg.norm(a, 1))
     n, steps = len(a), int(counts[-1])
-    _pade_squarings(norm1)      # its error before a non-finite trace
+    _squarings(norm1)           # its error before a non-finite trace
     if not steps:
         return step_powers(None, y, counts)
-    # |tr(a h)| / n <= spectral radius <= alpha_p: no estimate where Pade wins even there
+    # |tr(a h)| / n <= spectral radius <= alpha_p: no estimate where expm wins even there
     if _action_is_cheaper(n, steps, norm1, taylor_degree(h * abs(np.trace(a)) / n)):
         degree = _power_degree(a, h, norm1)
         if _action_is_cheaper(n, steps, norm1, degree):

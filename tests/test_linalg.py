@@ -100,7 +100,7 @@ class TestExpm:
 
     @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "general"])
     def test_real_input_gives_a_real_result(self, rng, kind):
-        # Pade keeps real arithmetic whatever the structure of the input
+        # the Taylor kernel keeps real arithmetic whatever the structure of the input
         m = rng.standard_normal((6, 6))
         m = {"symmetric": m + m.T, "antisymmetric": m - m.T, "general": m}[kind]
         m = 2.0 * m / np.linalg.norm(m, 2)
@@ -121,6 +121,25 @@ class TestExpm:
         bad = np.full((2, 2), np.nan)
         with pytest.raises(ValueError):
             expm(bad)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a real 256 x 256 input at the d = 32 generator's 1-norm: products
+        # alone, with no linear solve, round alike at one and two threads
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import hashlib\n"
+                "import numpy as np\n"
+                "from stroblim import expm\n"
+                "a = np.random.default_rng(256).standard_normal((256, 256))\n"
+                "a *= 13.5 / np.linalg.norm(a, 1)\n"
+                "print(hashlib.sha256(expm(a).tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestPartialTrace:
@@ -320,6 +339,14 @@ class TestExpmAction:
         # the run's error too, before its trace of inf - inf warns
         with pytest.raises(ValueError, match="ill-scaled input"):
             expm_vec_run(np.diag([norm1, -norm1]), 1.0, np.ones(2), np.arange(3))
+
+    def test_norms_under_the_former_bound_are_accepted(self):
+        # just under theta_13 2^60 = 6.19e18, the bound of the degree-13 Pade
+        # kernel; at 63 squarings the zero entry's exp(0) = 1 stays exact
+        taylor_degree(6.1e18)
+        got = expm(np.diag([-6.1e18, 0.0]))
+        assert np.all(np.isfinite(got))
+        assert got[1, 1] == 1.0
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 40.0])
     def test_matches_the_dense_exponential(self, rng, t):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from functools import partial
 
@@ -16,7 +17,7 @@ from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
 from ode import (block_rhs, nonlinear_density_rhs, nonlinear_state_rhs,
                  pauli_rates, pauli_rhs, rk4_sample, rk4_step)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
-                      build_generator, effective_rank1, kron,
+                      build_generator, effective_rank1, expm, kron,
                       measurement_from_kets, pauli, propagate_kraus,
                       run_nonselective, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
@@ -567,7 +568,7 @@ class TestSemigroupPaths:
         assert len(products) == 0
         assert len(calls) == 1
         assert np.all(np.isfinite(traj.states))
-        # the 31 squarings drift the trace by about 5e-7; the blocks are
+        # the 34 squarings drift the trace by about 7e-8; the blocks are
         # Hermitian by construction (`unpack`) and normalized, their traces
         # summing to 1, and the norms report the drift
         trace = np.einsum("tkaa->t", traj.states)
@@ -575,6 +576,13 @@ class TestSemigroupPaths:
         assert not trace.imag.any()
         assert np.array_equal(traj.states, dag(traj.states))
         assert max_abs(traj.norms - 1.0) > 1e-12
+
+    @pytest.mark.parametrize("h", [0.01, 1.0, 10.0])
+    def test_dense_exponential_matches_scipy(self, rng, h):
+        # ||L h||_1 = 0.125, 12.5 and 125: 0, 4 and 7 squarings
+        eff, _ = d32_model(rng)
+        want = scipy.linalg.expm(eff.generator * h)
+        assert max_abs(expm(eff.generator * h) - want) <= 1e-13 * max_abs(want)
 
     @pytest.mark.parametrize("h, n", [
         pytest.param(0.01, 1000, id="dense"),
@@ -595,8 +603,8 @@ def test_swap_file_takes_one_pade_exponential(monkeypatch, tau):
     eff = build_generator(ham, sc.measurement, tau)
     steps = round(sc.t_max / tau)
     assert eff.generator.shape == (8, 8)
-    # Pade wins even at the degree for |tr(L tau)| / 8, below every power
-    # norm, so none is estimated
+    # the dense exponential wins even at the degree for |tr(L tau)| / 8,
+    # below every power norm, so none is estimated
     floor = taylor_degree(tau * abs(np.trace(eff.generator)) / 8)
     assert not _action_is_cheaper(8, steps, tau * np.linalg.norm(eff.generator, 1), floor)
     calls = counting_expm(monkeypatch)
