@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROB_FLOOR, dag, factor_powers, sq_norms, step_powers
+from .linalg import PROB_FLOOR, dag, expm, factor_powers, sq_norms, step_powers
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -86,9 +86,8 @@ class EvolutionPlan:
 
 def _period_maps(plan: EvolutionPlan, layout: BlockLayout) -> np.ndarray:
     """The block maps W[i, j] = V_i+ U V_j of one period, `layout.pairs(U)`,
-    with U = exp(-i tau h) from one eigendecomposition of tau h."""
-    w, v = np.linalg.eigh(plan.tau * plan.hamiltonian.assemble())
-    return layout.pairs((v * np.exp(-1j * w)) @ dag(v))
+    with U = exp(-i tau h) from `linalg.expm`, the limits' exponential."""
+    return layout.pairs(expm(-1j * plan.tau * plan.hamiltonian.assemble()))
 
 
 def _periods(plan: EvolutionPlan, every: int) -> np.ndarray:

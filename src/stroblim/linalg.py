@@ -6,10 +6,10 @@ the real coordinates of packed Hermitian blocks (N = sum_i n_i^2 <= d^2;
 256 x 256 for four rank-2 probe blocks at d = 32).  The exponential and its
 action keep a real input real, so the semigroup runs in real arithmetic.
 Storage is dense and every routine is deterministic at a fixed BLAS thread
-count.  The two exponentials are so across thread counts as well: both are
-truncated Taylor series sized by one theta table and formed by products
-alone, with no linear solve, the matrix exponential at degree 18 with
-scaling and squaring, the action exp(a t) y on a vector with sub-steps
+count.  The two exponentials, the exact oracle's U among them, are so across
+thread counts as well: truncated Taylor series sized by one theta table and
+formed by products alone, with no solve, the matrix exponential at degree 18
+with scaling and squaring, the action exp(a t) y on a vector with sub-steps
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Also here: one-sided
 binary powers m^n f of a factor f for a whole stack of n at once, and
 `expm_vec_run`, which steps a vector by the action or by one exp(a h),

@@ -2,10 +2,13 @@
 loader and the acceptance drivers shared across the test modules."""
 
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +66,20 @@ def hermitian_eig(a, tol=DEFAULT_TOL):
 def is_unitary(a, tol=DEFAULT_TOL):
     m = as_matrix(a)
     return max_abs(dag(m) @ m - np.eye(m.shape[0])) <= tol
+
+
+def outputs_at_one_and_two_threads(code):
+    """What `code` prints in a fresh interpreter on this checkout's package,
+    at OPENBLAS_NUM_THREADS=1 and at 2."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def counting_expm(monkeypatch):
@@ -283,16 +300,21 @@ def block_evolve(eff, rho, t):
 # evolution, one d x d unitary step and one measurement per period.
 
 
+def eigh_unitary(h, t):
+    """exp(-i h t) for a Hermitian h from one `numpy.linalg.eigh`, of which
+    only the lower triangle is read: the reference for `expm`'s products."""
+    w, v = np.linalg.eigh(t * as_matrix(h))
+    return (v * np.exp(-1j * w)) @ dag(v)
+
+
 def unitary_step(rho, h, t):
-    """Conjugate rho by exp(-i h t) for a Hermitian h, of which only the
-    lower triangle is read (`numpy.linalg.eigh`).  Works for unnormalized
-    states too."""
+    """Conjugate rho by `eigh_unitary(h, t)`.  Works for unnormalized states
+    too."""
     rho = as_matrix(rho)
     h = as_matrix(h)
     if rho.shape != h.shape:
         raise ValueError("state and Hamiltonian dimensions differ")
-    w, v = np.linalg.eigh(t * h)
-    u = (v * np.exp(-1j * w)) @ dag(v)
+    u = eigh_unitary(h, t)
     return u @ rho @ dag(u)
 
 

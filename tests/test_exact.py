@@ -1,21 +1,25 @@
+import importlib
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (apply_instrument, assert_same_run, family_spec, lift,
-                     load_bundled, nonselective_channel, random_density,
+from helpers import (apply_instrument, assert_same_run, eigh_unitary,
+                     family_spec, lift, load_bundled, nonselective_channel,
+                     outputs_at_one_and_two_threads, random_density,
                      random_hamiltonian_spec, random_ket,
                      random_projector_family, random_unitary,
                      reference_nonselective, reference_selective, run_layout,
                      unitary_step)
 from stroblim import (EvolutionPlan, InitialState, VanishingProbabilityError,
-                      basis_ket, build_generator, effective_rankr, kron,
+                      basis_ket, build_generator, effective_rankr, expm, kron,
                       measurement_from_kets, pauli, propagate_kraus,
                       run_nonselective, run_selective, semigroup_propagate,
                       swap_hamiltonian)
-from stroblim.exact import steps_in
+from stroblim.cli import load_scenario
+from stroblim.exact import _period_maps, steps_in
 from stroblim.linalg import (TensorDims, dag, factor_powers, max_abs,
                              partial_trace, psd_factor, real_trace)
 from stroblim.model import BlockLayout
@@ -529,6 +533,69 @@ def test_a_coincident_run_forms_only_the_selected_block_map(rng, monkeypatch):
     assert shapes == [(1, 1, 2, 2)]
 
 
+def period_plan(source, tau, monkeypatch, tmp_path):
+    """One-period plan at tau of the bundled swap file (d = 4), of the
+    d = 16 benchmark input (seed 1) or of a seeded d = 64 model; tau None
+    keeps the file's."""
+    if source == "d64":
+        rng = np.random.default_rng(64)
+        return EvolutionPlan(random_hamiltonian_spec(rng, 16, 4),
+                             family_spec(random_projector_family(rng, 4)), tau, 1)
+    if source == "swap":
+        sc = load_bundled("swap_selective")
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        scenarios = importlib.import_module("scenarios")
+        sc = load_scenario(scenarios.write_scenario("selective_long_d16", 1, str(tmp_path)))
+    return EvolutionPlan(sc.hamiltonian, sc.measurement, tau or sc.tau, 1)
+
+
+@pytest.mark.parametrize("source, tau", [("swap", None), ("d16", None),
+                                         ("d16", 0.04), ("d64", 0.5)])
+def test_period_maps_match_the_eigh_unitary(source, tau, monkeypatch, tmp_path):
+    # U = expm(-i tau H) against one eigh of tau H, at ||tau H||_1 from 0.04
+    # to 8.86 (the d = 16 input at tau = 0.04, four squarings): the block
+    # maps agree, and U is unitary, within 1e-14
+    plan = period_plan(source, tau, monkeypatch, tmp_path)
+    h, layout = plan.hamiltonian.assemble(), run_layout(plan)
+    want = layout.pairs(eigh_unitary(h, plan.tau))
+    assert max_abs(_period_maps(plan, layout) - want) <= 1e-14
+    u = expm(-1j * plan.tau * h)
+    assert max_abs(dag(u) @ u - np.eye(len(u))) <= 1e-14
+
+
+def test_period_maps_do_not_depend_on_the_blas_thread_count():
+    # a seeded 32 x 4 model (d = 128) at ||tau H||_1 = 1: U by products
+    # alone rounds alike at one and two threads, where one eigh did not
+    code = ("import hashlib\n"
+            "import numpy as np\n"
+            "from stroblim import EvolutionPlan, HamiltonianSpec, measurement_from_kets\n"
+            "from stroblim.exact import _period_maps\n"
+            "rng = np.random.default_rng(128)\n"
+            "def unit(n):\n"
+            "    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
+            "    return (m + m.conj().T) / np.linalg.norm(m + m.conj().T, 2)\n"
+            "ham = HamiltonianSpec(1.0, tuple((unit(32), unit(4)) for _ in range(2)))\n"
+            "e = np.eye(4)\n"
+            "spec = measurement_from_kets([[e[0], e[1]], [e[2], e[3]]])\n"
+            "plan = EvolutionPlan(ham, spec, 1 / np.linalg.norm(ham.assemble(), 1), 1)\n"
+            "w = _period_maps(plan, spec.full_layout(32))\n"
+            "print(hashlib.sha256(w.tobytes()).hexdigest())\n")
+    one, two = outputs_at_one_and_two_threads(code)
+    assert one == two
+
+
+@pytest.mark.parametrize("run, meas", [(run_selective, up_meas),
+                                       (run_nonselective, zbasis_meas)])
+def test_an_ill_scaled_period_is_refused(run, meas):
+    # ||tau H||_1 = 1e20, beyond the theta_18 2^63 = 1.0e19 that scaling can
+    # tame: expm refuses it, where one eigh gave phases with no correct digit
+    plan = EvolutionPlan(swap_hamiltonian(1e10), meas(), 1e10, 1)
+    init = InitialState.from_kets([np.sqrt(0.2), np.sqrt(0.8)], basis_ket("u"))
+    with pytest.raises(ValueError, match="ill-scaled input"):
+        run(plan, init)
+
+
 def test_binary_powers_depend_on_the_period_alone(rng):
     w = random_density(rng, 4) * 1.5      # a contraction, ||w|| < 1.5 tr w = 1.5
     r0 = random_density(rng, 4)
@@ -559,7 +626,7 @@ BAD_PERIODS = r"n_steps must be an integer in \[0, 2\*\*53\), got "
     pytest.param(1.0, 2 ** 53, BAD_PERIODS + "9007199254740992$", id="periods=2**53"),
 ])
 def test_plan_refuses_timing_it_cannot_step(tau, n_steps, message):
-    # each field is named, before a run meets the value in eigh or the
+    # each field is named, before a run meets the value in expm or the
     # period count
     with pytest.raises(ValueError, match=f"^{message}"):
         EvolutionPlan(swap_hamiltonian(1.0), up_meas(), tau, n_steps)

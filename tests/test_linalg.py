@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 
 from helpers import (bundled_path, conj_stack, counting_expm, hermitian_eig,
-                     is_projector, is_unitary, random_complex, random_hermitian)
+                     is_projector, is_unitary, outputs_at_one_and_two_threads,
+                     random_complex, random_hermitian)
 from ode import rk4_step
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                       partial_trace, pauli)
@@ -125,21 +126,14 @@ class TestExpm:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         # a real 256 x 256 input at the d = 32 generator's 1-norm: products
         # alone, with no linear solve, round alike at one and two threads
-        src = Path(__file__).resolve().parents[1] / "src"
         code = ("import hashlib\n"
                 "import numpy as np\n"
                 "from stroblim import expm\n"
                 "a = np.random.default_rng(256).standard_normal((256, 256))\n"
                 "a *= 13.5 / np.linalg.norm(a, 1)\n"
                 "print(hashlib.sha256(expm(a).tobytes()).hexdigest())\n")
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", code], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout)
-        assert digests[0] == digests[1]
+        one, two = outputs_at_one_and_two_threads(code)
+        assert one == two
 
 
 class TestPartialTrace:
