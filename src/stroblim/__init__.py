@@ -12,23 +12,20 @@ from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
                     run_selective)
 from .linalg import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                      partial_trace, trace_distance)
-from .model import (HamiltonianSpec, InitialState, MeasurementSpec, basis_ket,
-                    heisenberg3_hamiltonian, measurement_from_kets, pauli,
-                    swap_hamiltonian)
-from .nonselective_limit import (NonselectiveEffective, build_generator,
-                                 semigroup_propagate,
+from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
+                    MeasurementSpec, basis_ket, heisenberg3_hamiltonian,
+                    measurement_from_kets, pauli, swap_hamiltonian)
+from .nonselective_limit import (build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
-from .selective_limit import (SelectiveEffective, effective_rank1,
-                              effective_rankr, propagate_kraus)
+from .selective_limit import effective_rank1, effective_rankr, propagate_kraus
 from .trajectory import Trajectory, bloch_vector
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvolutionPlan", "HamiltonianSpec", "InitialState", "MeasurementSpec",
-    "NonselectiveEffective", "SelectiveEffective", "TensorDims",
-    "Trajectory", "VanishingProbabilityError", "basis_ket",
-    "bloch_vector", "build_generator", "effective_rank1",
+    "EffectiveGenerator", "EvolutionPlan", "HamiltonianSpec", "InitialState",
+    "MeasurementSpec", "TensorDims", "Trajectory", "VanishingProbabilityError",
+    "basis_ket", "bloch_vector", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
     "is_hermitian", "is_psd", "kron", "measurement_from_kets",
     "partial_trace", "pauli", "propagate_kraus", "run_nonselective",

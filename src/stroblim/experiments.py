@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import (EvolutionPlan, period_slack, run_nonselective,
                     run_selective, steps_in)
-from .linalg import trace_distance
+from .linalg import EXPM_MAX_NORM1, trace_distance
 from .model import HamiltonianSpec, InitialState, MeasurementSpec
 from .nonselective_limit import (build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
@@ -46,10 +46,11 @@ class Scenario:
 
     Omega is implied by gamma (in the Hamiltonian) and tau.  When an exact
     method participates, the requested grid must hit integer multiples of tau,
-    where exact and limit dynamics are directly comparable.  A selective
-    measurement needs the initial probe state supported in the selected
-    range, by the rule of `InitialState.probe_block`.  `tolerance`, finite
-    and positive, is the largest max deviation a comparison passes with.
+    where exact and limit dynamics are directly comparable, and the period's
+    exponential exp(-i tau H) needs ||tau H||_1 within `linalg.EXPM_MAX_NORM1`.
+    A selective measurement needs the initial probe state supported in the
+    selected range, by the rule of `InitialState.probe_block`.  `tolerance`,
+    finite and positive, is the largest max deviation a comparison passes with.
     Construction checks every rule, once, and raises a `ScenarioError` under
     the scenario file key that a violated rule concerns.
     """
@@ -120,6 +121,12 @@ class Scenario:
             if off or round(stride) < 1:
                 raise ScenarioError("grid_points", "grid times must fall on integer "
                                     "multiples of tau when an exact method runs")
+            with np.errstate(over="ignore"):        # an overflow reads inf
+                norm1 = float(np.linalg.norm(self.tau * self.hamiltonian.assemble(), 1))
+            if not norm1 <= EXPM_MAX_NORM1:
+                raise ScenarioError("hamiltonian", "the exact period tau * H is "
+                                    f"ill-scaled input (1-norm {norm1:.3e}), above "
+                                    f"the {EXPM_MAX_NORM1:.3e} that expm can scale")
 
     @property
     def omega(self) -> float:

@@ -147,6 +147,8 @@ _TAYLOR_THETA = {
     45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0 ** -53
+# The largest 1-norm that the scaling of `expm` tames, in 63 squarings.
+EXPM_MAX_NORM1 = _TAYLOR_THETA[18] * 2.0 ** 63
 # 1/k!, k = 0..18: the series of `expm`.
 _EXPM_COEFFS = tuple(1.0 / math.factorial(k) for k in range(19))
 
@@ -155,7 +157,7 @@ def _squarings(norm1: float) -> int:
     """Squarings that bring a 1-norm under theta_18, the bound of `expm`;
     ValueError when more than 63 would be needed (or the norm is not finite)."""
     theta = _TAYLOR_THETA[18]
-    if not norm1 <= theta * 2.0 ** 63:
+    if not norm1 <= EXPM_MAX_NORM1:
         raise ValueError("matrix exponential did not converge: ill-scaled input "
                          f"(1-norm {norm1:.3e})")
     if norm1 <= theta:

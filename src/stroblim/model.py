@@ -8,6 +8,7 @@ before qubit c; the computational basis is |up> = e0, |down> = e1.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -119,24 +120,30 @@ class HamiltonianSpec:
         object.__setattr__(out, "gamma", gamma)
         return out
 
-    def blocks(self, layout: BlockLayout, tau: float) -> tuple[np.ndarray, ...]:
-        """(T, H1, H2): h = dimensionless() compressed by layout, and the
-        effective generator of both stroboscopic limits.
+    def effective(self, layout: BlockLayout, tau: float) -> EffectiveGenerator:
+        """The `EffectiveGenerator` of both stroboscopic limits on layout, the
+        one builder of it and the one check of its arguments: ValueError
+        unless tau is finite and positive and the layout splits this
+        Hamiltonian's dimensions (`BlockLayout.dims`).
 
-        T = layout.pairs(h) is the (k, k, m, m) stack of T_ij = V_i+ h V_j.
-        H1_i = gamma T_ii and H2_i = (Omega/2) (V_i+ h^2 V_i - T_ii^2), with
-        Omega = gamma^2 tau, form (k, m, m) stacks, and Heff_i = H1_i - i H2_i
-        is the selective branch generator of outcome i and the diagonal block
-        of the non-selective generator, which couples the blocks through the
-        transitions T_ij.  Padding stays zero in all three.
+        h = dimensionless() compressed by layout gives the (k, k, m, m)
+        stack T of T_ij = V_i+ h V_j, and H1_i = gamma T_ii and H2_i =
+        (Omega/2) (V_i+ h^2 V_i - T_ii^2), with Omega = gamma^2 tau, form
+        (k, m, m) stacks; padding stays zero in all three.  H1 is Hermitian
+        and H2 = (Omega/2) V+ h (1 - P) h V >= 0 by construction once this
+        spec has accepted a Hermitian h, so neither is re-checked.
         """
+        if not 0 < tau < math.inf:          # NaN compares false
+            raise ValueError(f"tau must be a finite positive number, got {tau!r}")
+        if layout.dims != self.dims:
+            raise ValueError("measurement and Hamiltonian probe dimensions differ")
         h = self.dimensionless()
         trans = layout.pairs(h)
         i = np.arange(len(trans))
         diag = trans[i, i]
         disp = layout.compress(h @ h) - diag @ diag
-        return (trans, self.gamma * diag,
-                (self.gamma * self.gamma * tau / 2.0) * disp)
+        return EffectiveGenerator(self.gamma, tau, layout, trans, self.gamma * diag,
+                                  (self.gamma * self.gamma * tau / 2.0) * disp)
 
 
 class BlockLayout:
@@ -232,6 +239,37 @@ class BlockLayout:
         parts = [x if n == ds else np.einsum("...apbp->...ab", x.reshape(
             b.shape[:-3] + (ds, n // ds) * 2)) for x, n in zip(parts, self.sizes)]
         return sum(parts[1:], parts[0])
+
+
+@dataclass(frozen=True)
+class EffectiveGenerator:
+    """The effective generator of both stroboscopic limits on the blocks of
+    `layout`, made by `HamiltonianSpec.effective`.
+
+    trans[i, j] is T_ij = V_i+ h V_j for the dimensionless Hamiltonian h
+    (H = gamma h), and h1, h2 are the (k, m, m) stacks H1_i, H2_i.  Their
+    Heff_i = H1_i - i H2_i (`heff`) is the selective branch generator of
+    outcome i and the diagonal block of the non-selective generator, which
+    couples the blocks through the transitions T_ij.  A selective layout
+    holds the one block of the selected range; for a rank-1 projector its
+    probe factor is one-dimensional, so the operators act on the system
+    alone.
+    """
+
+    gamma: float
+    tau: float
+    layout: BlockLayout
+    trans: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+
+    @property
+    def omega(self) -> float:
+        return self.gamma * self.gamma * self.tau
+
+    @property
+    def heff(self) -> np.ndarray:
+        return self.h1 - 1j * self.h2
 
 
 @dataclass(frozen=True)

@@ -12,76 +12,51 @@ an orthonormal basis V_i of range(C_i), obeys
 with T_ij = V_i+ h V_j.  The blocks are carried in the format of
 `model.BlockLayout`, the exact oracle's too, packed into N = sum_i n_i^2
 <= d^2 real coordinates; the semigroup keeps them Hermitian, so it is one
-real N x N matrix L on them (`build_generator`), as the oracle's period is
-one matrix Phi, both from `BlockLayout.packed_map`.  The propagator takes
-a few samples of a large generator by its action on the coordinates
-(`linalg.expm_vec_run`), read as the oracle's are.
+real N x N matrix L on them (`packed_generator`), as the oracle's period is
+one matrix Phi, both from `BlockLayout.packed_map`.  L is formed from the
+`model.EffectiveGenerator` of all ranges, which `build_generator` takes
+from `HamiltonianSpec.effective`, the builder of the selective branch too.
+The propagator takes a few samples of a large generator by its action on
+the coordinates (`linalg.expm_vec_run`), read as the oracle's are.
 At the paper's time scale T ~ (gamma^2 tau)^-1 those are long steps, whose
 Taylor series is sized by the generator's power norms, not its 1-norm.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import as_matrix, expm_vec_run, uniform_counts
-from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
+from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
+                    MeasurementSpec)
 from .trajectory import Trajectory
 
 
-@dataclass(frozen=True)
-class NonselectiveEffective:
-    """Semigroup generator on the blocks of a channel-invariant state.
-
-    layout is the `BlockLayout` of the measured ranges, which compresses a
-    state to its (k, m, m) blocks and packs them into real coordinates.
-    generator is the real N x N matrix of the coupled block equations on
-    those coordinates (see `build_generator`).  trans[i, j] is T_ij = V_i+
-    h V_j for the dimensionless Hamiltonian h (H = gamma h), and heff[i]
-    the effective non-Hermitian block Hamiltonian Heff_i = H1_i - i H2_i of
-    `HamiltonianSpec.blocks`, the selective branch generator of outcome i.
-    """
-
-    gamma: float
-    tau: float
-    layout: BlockLayout
-    trans: np.ndarray
-    heff: np.ndarray
-    generator: np.ndarray
-
-    @property
-    def omega(self) -> float:
-        return self.gamma * self.gamma * self.tau
-
-
 def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
-                    tau: float) -> NonselectiveEffective:
-    """Assemble the non-selective semigroup generator on the packed blocks.
-
-    T_ij and Heff_i = H1_i - i H2_i, the selective branch generator of
-    outcome i, come from `HamiltonianSpec.blocks` on the kept
-    `MeasurementSpec.full_layout`, the exact run's too.  The jump terms
-    Omega sum_{j != i} T_ij b_j T_ji are the off-diagonal blocks of
-    `BlockLayout.packed_map`(Omega T, T); each diagonal block is reset to
-    zero and holds the four real delta terms of -i (Heff_i[a, c] delta_bd -
-    delta_ac conj(Heff_i[b, d])), so no complex N x N matrix is formed.
-    Only the arguments' fit is checked (ValueError): the GKSL form
-    preserves trace and fixes the maximally mixed state for any Hermitian h
-    and complete family, which the specs have validated.
+                    tau: float) -> EffectiveGenerator:
+    """The effective generator of the non-selective semigroup:
+    `HamiltonianSpec.effective` on the kept `MeasurementSpec.full_layout`,
+    the exact run's too.  Its diagonal blocks Heff_i = H1_i - i H2_i are
+    the selective branch generators of the outcomes.  ValueError for a
+    spec with a selected outcome, or from the checks of that builder; the
+    GKSL form preserves trace and fixes the maximally mixed state for any
+    Hermitian h and complete family, which the specs have validated.
     """
-    if not 0 < tau < math.inf:          # NaN compares false
-        raise ValueError(f"tau must be a finite positive number, got {tau!r}")
-    if spec.dim_pr != ham.dim_pr:
-        raise ValueError("measurement and Hamiltonian probe dimensions differ")
-    gamma = ham.gamma
-    omega = gamma * gamma * tau
-    layout = spec.full_layout(ham.dim_sys)
-    trans, h1, h2 = ham.blocks(layout, tau)
-    heff = h1 - 1j * h2
-    gen = layout.packed_map(omega * trans, trans)
+    return ham.effective(spec.full_layout(ham.dim_sys), tau)
+
+
+def packed_generator(eff: EffectiveGenerator) -> np.ndarray:
+    """The real N x N semigroup generator L on the packed blocks of
+    eff.layout, which `semigroup_propagate` steps.
+
+    The jump terms Omega sum_{j != i} T_ij b_j T_ji are the off-diagonal
+    blocks of `BlockLayout.packed_map`(Omega T, T); each diagonal block is
+    reset to zero and holds the four real delta terms of -i (Heff_i[a, c]
+    delta_bd - delta_ac conj(Heff_i[b, d])), so no complex N x N matrix is
+    formed.
+    """
+    layout, heff = eff.layout, eff.heff
+    gen = layout.packed_map(eff.omega * eff.trans, eff.trans)
     for i, (span, n) in enumerate(zip(layout.spans, layout.sizes)):
         g = gen[span, span].reshape(n, n, n, n)         # a view [a, b, c, d]
         h, k = heff[i, :n, :n], np.arange(n)
@@ -90,15 +65,14 @@ def build_generator(ham: HamiltonianSpec, spec: MeasurementSpec,
         g[k, :, k, :] += h.imag                 # delta_ac
         g[:, k, k, :] -= h.real[:, None, :]     # delta_bc
         g[k, :, :, k] += h.real                 # delta_ad
-    return NonselectiveEffective(
-        gamma=gamma, tau=tau, layout=layout, trans=trans, heff=heff,
-        generator=gen)
+    return gen
 
 
-def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
+def semigroup_propagate(eff: EffectiveGenerator, init: InitialState,
                         h: float, n: int) -> Trajectory:
     """rho(T) = exp(L_eff T) rho(0) at T = k h, k = 0, ..., n
-    (`linalg.uniform_counts`), on the real coordinates of the packed blocks.
+    (`linalg.uniform_counts`), on the real coordinates of the packed blocks,
+    with L = `packed_generator(eff)`, formed once the start state fits.
 
     Each step is the action of exp(L h) or one dense exp(L h), whichever the
     cost rule of `linalg.expm_vec_run` finds cheaper; the action's degree and
@@ -112,7 +86,7 @@ def semigroup_propagate(eff: NonselectiveEffective, init: InitialState,
     """
     counts = uniform_counts(h, n)
     return Trajectory.from_packed(counts * h, eff.layout, init, lambda r0: (
-        expm_vec_run(eff.generator, h, r0, counts)))
+        expm_vec_run(packed_generator(eff), h, r0, counts)))
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

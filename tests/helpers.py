@@ -23,6 +23,7 @@ from stroblim.experiments import ComparisonReport, compare_case
 from stroblim.linalg import (_GEMM_BUDGET, DEFAULT_TOL, PROB_FLOOR, as_matrix,
                              dag, expm, is_hermitian, max_abs, partial_trace)
 from stroblim.model import BlockLayout
+from stroblim.nonselective_limit import packed_generator
 
 
 def random_complex(rng, shape):
@@ -253,13 +254,13 @@ def full_space_reference(ham, spec, tau):
 
 def assembled_generator(ham, spec, tau):
     """The real N x N semigroup generator written in place block by block, as
-    `build_generator` wrote it before `BlockLayout.packed_map`: off the
-    diagonal from one complex outer product of the rank-sized slices, on it
-    as four real delta terms into a zero block."""
+    it was before `BlockLayout.packed_map`: off the diagonal from one complex
+    outer product of the rank-sized slices, on it as four real delta terms
+    into a zero block."""
     omega = ham.gamma * ham.gamma * tau
     layout = BlockLayout(ham.dim_sys, spec.bases)
-    trans, h1, h2 = ham.blocks(layout, tau)
-    heff = h1 - 1j * h2
+    eff = ham.effective(layout, tau)
+    trans, heff = eff.trans, eff.heff
     n = layout.sizes
     ends = np.cumsum(n * n)
     rows = [slice(e - k * k, e) for e, k in zip(ends, n)]
@@ -291,7 +292,7 @@ def block_evolve(eff, rho, t):
     """exp(generator t) acting on a block-diagonal full-space state, through
     the real coordinates of its blocks."""
     v = eff.layout.bases
-    packed = expm(eff.generator * t) @ eff.layout.pack(dag(v) @ rho @ v)
+    packed = expm(packed_generator(eff) * t) @ eff.layout.pack(dag(v) @ rho @ v)
     return (v @ eff.layout.unpack(packed) @ dag(v)).sum(axis=-3)
 
 

@@ -5,7 +5,7 @@ The selective branch is the nonlinear density equation (or, for pure
 states, the state-vector equation) of H1 - i H2; `propagate_kraus` takes it
 in closed form by the Kraus exponential.  The non-selective semigroup is the
 linear block equation dr/dT = L r on the real coordinates of the blocks
-(`NonselectiveEffective.generator`; `block_rhs` on the blocks), or
+(`nonselective_limit.packed_generator`; `block_rhs` on the blocks), or
 for a rank-1 family the classical rate equation on the populations;
 `semigroup_propagate` takes it by exp(L T).
 `rk4_sample` integrates any of them by fixed-step classical RK4 on the
@@ -18,6 +18,7 @@ dtype where the derivative is complex.
 import numpy as np
 
 from stroblim.linalg import step_powers, uniform_counts
+from stroblim.nonselective_limit import packed_generator
 
 
 def rk4_step(rhs, y, dt, m=1):
@@ -44,7 +45,7 @@ def rk4_sample(rhs, y0, h, n, n_steps=2000):
 def nonlinear_density_rhs(eff, rho):
     """Norm-preserving density equation of the selective branch,
     d rho / dT = -i [H1, rho] - {H2, rho} + 2 tr(H2 rho) rho."""
-    h1, h2 = eff.h1, eff.h2
+    h1, h2 = eff.h1[0], eff.h2[0]
     return (-1j * (h1 @ rho - rho @ h1) - (h2 @ rho + rho @ h2)
             + 2.0 * np.trace(h2 @ rho).real * rho)
 
@@ -52,15 +53,15 @@ def nonlinear_density_rhs(eff, rho):
 def nonlinear_state_rhs(eff, psi):
     """State-vector form for pure states,
     d psi / dT = -i H1 psi - H2 psi + <psi|H2|psi> psi."""
-    h2_psi = eff.h2 @ psi
-    return -1j * (eff.h1 @ psi) - h2_psi + np.vdot(psi, h2_psi).real * psi
+    h2_psi = eff.h2[0] @ psi
+    return -1j * (eff.h1[0] @ psi) - h2_psi + np.vdot(psi, h2_psi).real * psi
 
 
 def purity_derivative(eff, rho):
     """d tr[rho^2] / dT along the density equation:
     4 (tr[rho^2] tr[H2 rho] - tr[H2 rho^2])."""
     rho2 = rho @ rho
-    h2 = eff.h2
+    h2 = eff.h2[0]
     return 4.0 * float((np.trace(rho2) * np.trace(h2 @ rho) - np.trace(h2 @ rho2)).real)
 
 
@@ -69,7 +70,7 @@ def block_rhs(eff, blocks):
     generator on its real coordinates: each block evolves under its
     effective non-Hermitian Hamiltonian while feeding the others through
     the transition operators.  Total trace is conserved."""
-    return eff.layout.unpack(eff.generator @ eff.layout.pack(blocks))
+    return eff.layout.unpack(packed_generator(eff) @ eff.layout.pack(blocks))
 
 
 def pauli_rates(eff):

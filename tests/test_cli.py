@@ -403,16 +403,19 @@ class TestCommands:
 
     @pytest.mark.parametrize("mode", ["selective", "compare"])
     def test_ill_scaled_period_exits_2(self, tmp_path, capsys, mode):
-        # gamma = tau = 1e10 pass validation but give ||tau H||_1 = 1e20,
-        # beyond what the exponential's scaling can tame: the exact run
-        # refuses it before any CSV is written, alone or before the limit's
+        # gamma = tau = 1e10 give ||tau H||_1 = 1e20, beyond what the
+        # exponential's scaling can tame: the scenario is refused under its
+        # key before any output directory is made, alone or before the limit's
         doc = bundled_doc("swap_selective")
         doc.update(mode=mode, gamma=1e10, tau=1e10, t_max=1e10, grid_points=1)
         path = tmp_path / "ill_scaled.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out-dir", str(out)]) == 2
-        assert "ill-scaled input (1-norm 1.000e+20)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "scenario key 'hamiltonian'" in err
+        assert "ill-scaled input (1-norm 1.000e+20)" in err
+        assert not out.exists()
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["run", "compare", "sweep"])

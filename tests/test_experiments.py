@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,25 @@ class TestScenario:
             replace(sc, hamiltonian=sc.hamiltonian.with_gamma(np.inf),
                     methods_spec=("exact", "closed_form"))
         assert err.value.key == "hamiltonian"
+
+    @pytest.mark.parametrize("mode", ["selective", "compare"])
+    def test_an_ill_scaled_period_is_refused_when_an_exact_method_runs(self, mode):
+        # gamma = tau = 1e10 give ||tau H||_1 = 1e20 for the swap, beyond the
+        # linalg.EXPM_MAX_NORM1 = theta_18 2^63 = 1.0e19 that the exact
+        # step's expm can scale; 1e18 is within it, and a limit-only scenario
+        # takes no exact step
+        sc = load_bundled("swap_selective")
+
+        def scaled(x, mode):
+            return replace(sc, hamiltonian=sc.hamiltonian.with_gamma(x), tau=x,
+                           t_max=x, grid_points=1, mode=mode)
+
+        with pytest.raises(ScenarioError, match=r"^scenario key 'hamiltonian': .*"
+                           r"ill-scaled input \(1-norm 1\.000e\+20\)") as err:
+            scaled(1e10, mode)
+        assert err.value.key == "hamiltonian"
+        assert scaled(1e9, mode).methods[0] == "exact"
+        assert scaled(1e10, "limit-only").methods == ("limit",)
 
     @pytest.mark.parametrize("mode", ["limit-only", "compare"])
     @pytest.mark.parametrize("key", ["tau", "t_max"])
@@ -198,6 +221,55 @@ def test_states_are_one_stack(name, method):
     assert traj.times.shape == traj.norms.shape == (t,)
     assert isinstance(traj.states, np.ndarray)
     assert len(traj.states) == t
+
+
+def bench_tracer(monkeypatch):
+    """bench/tracer.py, whose per-layer timing patches stroblim functions by
+    the names in its tables."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    return importlib.import_module("tracer")
+
+
+def test_every_traced_name_is_a_function_of_its_module(monkeypatch):
+    # a rename would otherwise fail only in the benchmark's traced runs
+    layers = bench_tracer(monkeypatch).LAYERS
+    assert {"selective_limit", "nonselective_limit"} <= set(layers)
+    for layer, names in layers.items():
+        module = importlib.import_module(f"stroblim.{layer}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"{layer}.{name}"
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("swap_selective", "selective_limit.effective_rankr"),
+    ("swap_nonselective", "nonselective_limit.build_generator"),
+])
+def test_the_limit_calls_the_traced_builder(monkeypatch, name, builder):
+    # the spans that fill the tracer's selective_limit.build_s and
+    # nonselective_limit.build_s, patched in every module that binds them,
+    # as the tracer does; a limit run calls its mode's builder once
+    tracer = bench_tracer(monkeypatch)
+    spans = (tracer.TIME_METRICS["selective_limit.build_s"]
+             + tracer.TIME_METRICS["nonselective_limit.build_s"])
+    calls = []
+
+    def counting(span, real):
+        def wrapper(*args, **kwargs):
+            calls.append(span)
+            return real(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items()
+               if n.split(".")[0] == "stroblim" and m is not None]
+    for span in spans:
+        layer, fn = span.split(".")
+        real = getattr(importlib.import_module(f"stroblim.{layer}"), fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting(span, real))
+    run_method(load_bundled(name, t_max=1.0, grid_points=5), "limit")
+    assert calls == [builder]
 
 
 GRIDS = {"file": {}, "stride5": {"t_max": 2.0, "grid_points": 10},

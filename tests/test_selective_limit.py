@@ -29,15 +29,15 @@ def swap_eff():
 def embed_rankr(eff):
     """Lift compressed joint-space operators back to the full product space."""
     p = eff.layout.probe_bases[0]
-    v = kron(np.eye(eff.h1.shape[0] // p.shape[1]), p)
-    return v @ eff.h1 @ dag(v), v @ eff.h2 @ dag(v)
+    v = kron(np.eye(eff.layout.sizes[0] // p.shape[1]), p)
+    return v @ eff.h1[0] @ dag(v), v @ eff.h2[0] @ dag(v)
 
 
 class TestEffectiveRank1:
     def test_swap_structure(self):
         eff = swap_eff()
-        assert max_abs(eff.h1 - GAMMA * np.diag([1.0, 0.0])) < 1e-12
-        assert max_abs(eff.h2 - (OMEGA / 2) * np.diag([0.0, 1.0])) < 1e-12
+        assert max_abs(eff.h1[0] - GAMMA * np.diag([1.0, 0.0])) < 1e-12
+        assert max_abs(eff.h2[0] - (OMEGA / 2) * np.diag([0.0, 1.0])) < 1e-12
         assert eff.omega == pytest.approx(OMEGA)
 
     def test_probe_decoupled_gives_zero_h2(self, rng):
@@ -45,8 +45,8 @@ class TestEffectiveRank1:
         a = random_hermitian(rng, 3, norm=1.0)
         ham = HamiltonianSpec(2.0, ((a, np.eye(2)),))
         eff = effective_rank1(ham, random_ket(rng, 2), 0.1)
-        assert max_abs(eff.h1 - 2.0 * a) < 1e-12
-        assert max_abs(eff.h2) < 1e-14
+        assert max_abs(eff.h1[0] - 2.0 * a) < 1e-12
+        assert max_abs(eff.h2[0]) < 1e-14
 
     def test_probe_eigenvector_gives_zero_h2(self, rng):
         from helpers import random_hermitian
@@ -54,7 +54,7 @@ class TestEffectiveRank1:
                       for _ in range(2))
         ham = HamiltonianSpec(1.5, terms)
         eff = effective_rank1(ham, basis_ket("u"), 0.2)
-        assert max_abs(eff.h2) < 1e-14
+        assert max_abs(eff.h2[0]) < 1e-14
 
     def test_h2_equals_tau_half_dagd(self, rng):
         # H2 = (tau/2) D+ D with D = (I - C) H (I_sys (x) |phi>)
@@ -69,8 +69,8 @@ class TestEffectiveRank1:
             c = kron(np.eye(ds), np.outer(phi, phi.conj()))
             iso = kron(np.eye(ds), phi.reshape(-1, 1))
             d_op = (np.eye(ds * dp) - c) @ h @ iso
-            assert max_abs(eff.h2 - (tau / 2) * dag(d_op) @ d_op) < 1e-10
-            assert is_psd(eff.h2, 1e-10)
+            assert max_abs(eff.h2[0] - (tau / 2) * dag(d_op) @ d_op) < 1e-10
+            assert is_psd(eff.h2[0], 1e-10)
 
     def test_rejects_unnormalized_phi(self):
         with pytest.raises(ValueError):
@@ -88,14 +88,14 @@ class TestEffectiveRankr:
             e1 = effective_rank1(ham, phi, tau)
             # the rank-r form of the same ket, at another phase
             er = effective_rankr(ham, family_spec([[np.exp(0.7j) * phi]], 0), tau)
-            assert max_abs(er.h1 - e1.h1) < 1e-12
-            assert max_abs(er.h2 - e1.h2) < 1e-12
+            assert max_abs(er.h1[0] - e1.h1[0]) < 1e-12
+            assert max_abs(er.h2[0] - e1.h2[0]) < 1e-12
 
     def test_full_projector_is_uninformative(self, rng):
         ham = random_hamiltonian_spec(rng, 2, 3, n_terms=2, gamma=2.0)
         eff = effective_rankr(ham, MeasurementSpec((np.eye(3),), 0), 0.1)
-        assert max_abs(eff.h1 - ham.assemble()) < 1e-12
-        assert max_abs(eff.h2) < 1e-13
+        assert max_abs(eff.h1[0] - ham.assemble()) < 1e-12
+        assert max_abs(eff.h2[0]) < 1e-13
 
     def test_heisenberg_rank2_h2_positive(self):
         # 8x8 construction oracle: H2 = (tau/2) C H (I - C) H C in range(C)
@@ -108,7 +108,7 @@ class TestEffectiveRankr:
         c = kron(np.eye(2), p)
         oracle = (TAU / 2) * c @ h @ (np.eye(8) - c) @ h @ c
         assert max_abs(h2_full - oracle) < 1e-10
-        w = np.linalg.eigvalsh(eff.h2)
+        w = np.linalg.eigvalsh(eff.h2[0])
         assert w.min() > -1e-10
         assert w.max() > 1e-3
 
@@ -129,7 +129,7 @@ class TestEffectiveRankr:
         h = ham.assemble()
         c = kron(np.eye(2), p)
         assert max_abs((np.eye(6) - c) @ h @ c) < 1e-12
-        assert max_abs(eff.h2) < 1e-12
+        assert max_abs(eff.h2[0]) < 1e-12
 
     def test_rejects_non_projector(self, rng):
         ham = random_hamiltonian_spec(rng, 2, 3)
@@ -168,8 +168,8 @@ class TestEffectiveRankr:
             gen = build_generator(ham, spec, tau)
             for i, heff in enumerate(gen.heff):
                 eff = effective_rankr(ham, MeasurementSpec(spec.bases, i), tau)
-                n = eff.dim
-                assert max_abs(eff.h_eff - heff[:n, :n]) < 1e-12
+                n = eff.layout.sizes[0]
+                assert max_abs(eff.heff[0] - heff[:n, :n]) < 1e-12
                 assert not heff[n:].any() and not heff[:, n:].any()
 
 
@@ -179,7 +179,7 @@ class TestPropagateKraus:
         """The normalized blocks K^k r0 K^k+, their traces and their system
         marginals for k = 0..n, by matrix powers of the unclipped start block."""
         r0 = eff.layout.compress(init.joint())[0]
-        k = expm(-1j * eff.h_eff * h)
+        k = expm(-1j * eff.heff[0] * h)
         blocks = np.array([np.linalg.matrix_power(k, j) @ r0
                            @ dag(np.linalg.matrix_power(k, j)) for j in range(n + 1)])
         norms = np.trace(blocks, axis1=1, axis2=2).real
@@ -256,7 +256,7 @@ class TestPropagateKraus:
         traj = propagate_kraus(eff, init, h, n)
         assert len(traj) == n + 1
         for t, got, norm in zip(traj.times, traj.states, traj.norms):
-            k = expm(-1j * t * eff.h_eff)
+            k = expm(-1j * t * eff.heff[0])
             rho = k @ init.rho_sys @ dag(k)
             assert abs(norm - np.trace(rho).real) <= 1e-12
             assert max_abs(got - rho / np.trace(rho).real) <= 1e-12
@@ -271,7 +271,7 @@ class TestPropagateKraus:
             del calls[:]
             traj = propagate_kraus(eff, init, h, n)
             assert len(calls) == 1
-            assert np.array_equal(calls[0], -1j * eff.h_eff * h)
+            assert np.array_equal(calls[0], -1j * eff.heff[0] * h)
             assert len(traj) == n + 1
 
     def test_raises_on_vanishing_branch(self):
@@ -305,6 +305,16 @@ class TestPropagateKraus:
         eff = swap_eff()
         init = InitialState.from_kets([1.0, 0.0], basis_ket("d"))
         with pytest.raises(ValueError):
+            propagate_kraus(eff, init, 1.0, 0)
+
+    def test_refuses_the_generator_of_a_complete_family(self):
+        # heff[0] of a non-selective generator would be read as the branch
+        # generator of outcome 0 on a layout of two blocks
+        eff = build_generator(swap_hamiltonian(GAMMA), measurement_from_kets(
+            [[basis_ket("u")], [basis_ket("d")]]), TAU)
+        init = InitialState.from_kets([1.0, 0.0], basis_ket("u"))
+        with pytest.raises(ValueError, match="one-block generator of a selected "
+                           "outcome, got 2 blocks"):
             propagate_kraus(eff, init, 1.0, 0)
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -345,7 +355,7 @@ class TestNonlinearRhs:
         a = random_hermitian(rng, 2, norm=1.0)
         ham = HamiltonianSpec(1.0, ((a, np.eye(2)),))
         eff = effective_rank1(ham, basis_ket("u"), 0.1)  # H2 = 0
-        w, v = np.linalg.eigh(eff.h1)
+        w, v = np.linalg.eigh(eff.h1[0])
         rho = np.outer(v[:, 0], v[:, 0].conj())
         assert max_abs(nonlinear_density_rhs(eff, rho)) < 1e-12
 
@@ -369,7 +379,7 @@ class TestNonlinearRhs:
         ham = HamiltonianSpec(2.0, ((a, np.eye(2)),))
         eff = effective_rank1(ham, basis_ket("u"), 0.1)
         psi = random_ket(rng, 3)
-        assert max_abs(nonlinear_state_rhs(eff, psi) + 1j * eff.h1 @ psi) < 1e-12
+        assert max_abs(nonlinear_state_rhs(eff, psi) + 1j * eff.h1[0] @ psi) < 1e-12
 
     def test_state_rhs_pure_phase_on_joint_eigenvector(self):
         eff = swap_eff()  # H1, H2 both diagonal
