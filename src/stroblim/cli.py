@@ -1,8 +1,17 @@
 """Command-line front end: scenario files in, CSV datasets and SVG plots out.
 
-Commands: run, compare, sweep, plot.  Exit codes are a stable contract for
-scripting: 0 success (and PASS verdicts), 1 FAIL verdicts, 2 usage or schema
-errors, 3 runtime failures (vanishing outcome probability, out of memory).
+Commands: run, compare, sweep, plot, declared once in the table COMMANDS
+(positionals; each option's flag, dest, type, default and whether it
+appends).  `build_parser` builds the argparse tree from it, but `main` first
+reads argv straight from the table (`read_argv`), which accepts only
+canonical argv: exact flags, as `--flag value` or `--flag=value`, the exact
+positional count, every value passing its type.  Any other argv (help, `--`,
+abbreviations, unknown flags, usage errors) falls back to argparse, so
+messages and exit codes are argparse's, and a canonical command builds no
+parser.  `main` returns the exit code in every case, also for help and
+argparse's usage errors.  Exit codes are a stable contract for scripting: 0
+success (and PASS verdicts), 1 FAIL verdicts, 2 usage or schema errors, 3
+runtime failures (vanishing outcome probability, out of memory).
 Every schema error names the scenario key it concerns: "scenario key
 '<key>': <reason>".  The CLI checks JSON types and shapes; `Scenario` checks
 every other rule, once, and keys its own errors.
@@ -68,8 +77,8 @@ def _parse_float(key: str, node) -> float:
 
 
 def _positive_flag(text: str) -> float:
-    """argparse type of --tau and --tolerance: a finite positive number, the
-    rule the scenario keys tau and tolerances.max_deviation follow."""
+    """Type of --tau and --tolerance: a finite positive number, the rule the
+    scenario keys tau and tolerances.max_deviation follow."""
     try:
         value = float(text)
     except ValueError:
@@ -81,7 +90,7 @@ def _positive_flag(text: str) -> float:
 
 
 def _positive_int_flag(text: str) -> int:
-    """argparse type of --grid-points: a positive integer."""
+    """Type of --grid-points: a positive integer."""
     try:
         value = int(text)
     except ValueError:
@@ -476,38 +485,88 @@ def cmd_plot(csv_path: str, out_svg: str) -> int:
     return EXIT_OK
 
 
+# The command grammar, declared once: command -> (help, positionals,
+# options), each option (flag, dest, type, default, appends, help).
+_OUT_DIR = ("--out-dir", "out_dir", str, ".", False, None)
+COMMANDS = {
+    "run": ("run a scenario, write one CSV per method", ("scenario",), (
+        _OUT_DIR,
+        ("--grid-points", "grid_points", _positive_int_flag, None, False, None))),
+    "compare": ("run and compare methods, verdict PASS/FAIL", ("scenario",), (
+        _OUT_DIR,
+        ("--tolerance", "tolerance", _positive_flag, None, False, None))),
+    "sweep": ("tau-convergence sweep at fixed omega", ("scenario",), (
+        _OUT_DIR,
+        ("--tau", "tau", _positive_flags, [], True,
+         "tau value or comma-separated list; repeatable"))),
+    "plot": ("render a trajectory CSV as an SVG chart", ("csv", "out_svg"), ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stroblim",
         description="Simulate repeated-measurement dynamics and validate its "
                     "frequent-measurement closed forms.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a scenario, write one CSV per method")
-    p_run.add_argument("scenario")
-    p_run.add_argument("--out-dir", default=".")
-    p_run.add_argument("--grid-points", type=_positive_int_flag, default=None)
-
-    p_cmp = sub.add_parser("compare", help="run and compare methods, verdict PASS/FAIL")
-    p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--out-dir", default=".")
-    p_cmp.add_argument("--tolerance", type=_positive_flag, default=None)
-
-    p_sweep = sub.add_parser("sweep", help="tau-convergence sweep at fixed omega")
-    p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--out-dir", default=".")
-    p_sweep.add_argument("--tau", action="append", default=[],
-                         type=_positive_flags,
-                         help="tau value or comma-separated list; repeatable")
-
-    p_plot = sub.add_parser("plot", help="render a trajectory CSV as an SVG chart")
-    p_plot.add_argument("csv")
-    p_plot.add_argument("out_svg")
+    for command, (summary, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in positionals:
+            p.add_argument(name)
+        for flag, dest, kind, default, appends, text in options:
+            p.add_argument(flag, dest=dest, type=kind, help=text,
+                           action="append" if appends else "store",
+                           default=list(default) if appends else default)
     return parser
 
 
+def read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace of `build_parser().parse_args(argv)`, read straight from
+    COMMANDS, for canonical argv only: a command, its exact positional count,
+    and exact flags as `--flag value` or `--flag=value`, each value passing
+    its type and none starting with '-'.  None for any other argv (help,
+    `--`, abbreviations, unknown flags, usage errors), which argparse parses
+    and reports instead."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options = COMMANDS[argv[0]]
+    by_flag = {opt[0]: opt for opt in options}
+    values = {dest: list(default) if appends else default
+              for _, dest, _, default, appends, _ in options}
+    given = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            given.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if not eq:
+            value = next(rest, "-")     # a missing value is declined below
+        if flag not in by_flag or value.startswith("-"):
+            return None
+        _, dest, kind, _, appends, _ = by_flag[flag]
+        try:
+            value = kind(value)
+        except argparse.ArgumentTypeError:
+            return None
+        if appends:
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    return argparse.Namespace(command=argv[0], **dict(zip(positionals, given)),
+                              **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:   # help, or a usage error argparse reported
+            return exc.code
     try:
         if args.command == "run":
             return cmd_run(args.scenario, args.out_dir, args.grid_points)

@@ -14,8 +14,10 @@ import numpy as np
 
 from ode import block_rhs
 from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
-                      Trajectory, VanishingProbabilityError, bloch_vector, kron,
-                      pauli, swap_nonselective_closed_form)
+                      Trajectory, VanishingProbabilityError, bloch_vector,
+                      build_generator, effective_rankr, kron, pauli,
+                      propagate_kraus, semigroup_propagate,
+                      swap_nonselective_closed_form)
 import stroblim.linalg
 from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
@@ -489,6 +491,20 @@ def run_alpha_family(name, alpha_sqs):
                                label=f"alpha_sq={a:g}") for a in alpha_sqs)
     return ComparisonReport(name, "p_up", cases,
                             max(c.max_deviation for c in cases))
+
+
+def zeno_limit(sc):
+    """The Zeno-subspace dynamics on sc's limit run: its effective generator
+    with H2 zeroed and no jump terms (Omega = gamma^2 tau = 0 in the packed
+    generator), so each block evolves under H1 alone, through the limit's
+    own propagators on its grid."""
+    ham, meas = sc.hamiltonian, sc.measurement
+    if sc.selective:
+        eff, propagate = effective_rankr(ham, meas, sc.tau), propagate_kraus
+    else:
+        eff, propagate = build_generator(ham, meas, sc.tau), semigroup_propagate
+    zeno = replace(eff, h2=np.zeros_like(eff.h2), tau=0.0)
+    return propagate(zeno, sc.initial, sc.step, sc.grid_points)
 
 
 def bloch_to_density(r):

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import math
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from helpers import bundled_path, load_bundled, random_hermitian
-from stroblim.cli import (ScenarioError, load_scenario, main, read_csv,
-                          render_chart, scenario_from_dict,
-                          trajectory_columns, write_trajectory_csv)
+from stroblim.cli import (COMMANDS, ScenarioError, build_parser, load_scenario,
+                          main, read_argv, read_csv, render_chart,
+                          scenario_from_dict, trajectory_columns,
+                          write_trajectory_csv)
 from stroblim.experiments import run_method
 from stroblim.trajectory import Trajectory
 
@@ -577,11 +579,8 @@ class TestCommands:
             "zero_grid_points", "off_lattice_grid_points"])
     def test_non_positive_or_non_finite_flag_exits_2(self, tmp_path, capsys,
                                                      command, flag, value, reported):
-        try:
-            rc = main([command, bundled_path("swap_selective"), "--out-dir",
-                       str(tmp_path), flag, value])
-        except SystemExit as exc:
-            rc = exc.code
+        rc = main([command, bundled_path("swap_selective"), "--out-dir",
+                   str(tmp_path), flag, value])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: {reported}" in err
@@ -659,6 +658,117 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestArgv:
+    """The table reader `read_argv` against the argparse tree of the same
+    table: it reads canonical argv as argparse does, or declines."""
+
+    def test_reader_declines_or_parses_as_argparse(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        every_flag = sorted({opt[0] for _, _, options in COMMANDS.values()
+                             for opt in options})
+        # abbreviations, unknown flags, help and the end-of-options marker
+        odd = ["--out", "--tol", "--grid", "--ta", "--bogus", "-x", "-h",
+               "--help", "--"]
+        # values that pass each flag's type, and any value for any flag
+        passing = {"--out-dir": ["out", "", "a b", "run", "7"],
+                   "--grid-points": ["7", "50"], "--tolerance": ["0.04", "7"],
+                   "--tau": ["0.04,0.01", "0.04", "7", ""]}
+        value = st.sampled_from(["7", "0.04,0.01", "out", "", "0", "nan", "-1",
+                                 "1e400", "abc", "0.04,-1"])
+        any_flag = st.sampled_from(every_flag + odd)
+
+        def forms(pairs):
+            return pairs.map(list) | pairs.map(lambda fv: ["=".join(fv)])
+
+        def argv_of(command):
+            _, positionals, options = COMMANDS.get(command, ("", ("s",), ()))
+            # mostly the command's own flags with values that pass
+            valid = forms(st.sampled_from([opt[0] for opt in options]
+                                          or every_flag).flatmap(
+                lambda f: st.tuples(st.just(f), st.sampled_from(passing[f]))))
+            noise = forms(st.tuples(any_flag, value)) | any_flag.map(lambda f: [f])
+            name = st.sampled_from(["s.json", "plot", ""]).map(lambda n: [n])
+            names = (st.lists(name, min_size=len(positionals),
+                              max_size=len(positionals))
+                     | st.lists(name, max_size=3))
+            words = st.tuples(st.lists(valid | valid | valid | noise, max_size=4),
+                              names)
+            return words.flatmap(lambda ws: st.permutations(ws[0] + ws[1])).map(
+                lambda ws: [command] + [w for word in ws for w in word])
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=250)
+        @hypothesis.given(argv=st.just([]) | st.one_of(
+            [argv_of(command) for command in [*COMMANDS, "bogus"]]))
+        def check(argv):
+            got = read_argv(argv)
+            if got is not None:
+                assert vars(got) == vars(build_parser().parse_args(argv))
+                read.append(argv)
+
+        read = []
+        check()
+        assert len(read) >= 30      # the draws reach the reader's accepting path
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "s.json"],
+        ["run", "--grid-points=50", "s.json", "--out-dir", "o", "--out-dir=p"],
+        ["compare", "s.json", "--tolerance", "1e-3", "--out-dir="],
+        ["sweep", "s.json", "--tau", "0.04,0.01", "--tau=0.0025"],
+        ["sweep", "--out-dir", "o", "s.json"],
+        ["plot", "a.csv", "b.svg"],
+    ])
+    def test_canonical_argv_is_read_as_argparse_reads_it(self, argv):
+        assert vars(read_argv(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_canonical_commands_build_no_parser(self, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("argparse.ArgumentParser constructed")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        out = str(tmp_path)
+        assert main(["run", bundled_path("swap_selective"), "--out-dir", out,
+                     "--grid-points", "50"]) == 0
+        assert main(["compare", bundled_path("swap_nonselective"),
+                     f"--out-dir={out}", "--tolerance", "0.5"]) == 0
+        assert main(["sweep", bundled_path("swap_selective"), "--tau", "0.04",
+                     "--tau=0.01", "--out-dir", out]) == 0
+        assert main(["plot", str(tmp_path / "swap_selective_limit.csv"),
+                     str(tmp_path / "p_up.svg")]) == 0
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        ([], 2, "err", "the following arguments are required: command"),
+        (["--help"], 0, "out", "tau-convergence sweep at fixed omega"),
+        (["sweep", "--help"], 0, "out", "--tau TAU"),
+        (["run", "SCENARIO", "--bogus", "x"], 2, "err",
+         "unrecognized arguments: --bogus x"),
+        (["run", "SCENARIO", "--out-dir"], 2, "err",
+         "argument --out-dir: expected one argument"),
+        (["run", "SCENARIO", "--out-dir", "OUT", "--", "x"], 2, "err",
+         "unrecognized arguments:"),
+        (["plot", "a.csv"], 2, "err", "the following arguments are required: out_svg"),
+    ], ids=["no_argv", "help", "command_help", "unknown_flag", "missing_value",
+            "double_dash", "missing_positional"])
+    def test_argparse_fallback_returns_its_exit_code(self, tmp_path, capsys, argv,
+                                                     code, stream, text):
+        argv = [{"SCENARIO": bundled_path("swap_selective"),
+                 "OUT": str(tmp_path)}.get(a, a) for a in argv]
+        assert main(argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
+        assert not list(tmp_path.iterdir())
+
+    def test_abbreviated_flag_writes_what_the_full_flag_writes(self, tmp_path):
+        scenario = bundled_path("swap_selective")
+        assert main(["run", scenario, "--out", str(tmp_path / "a"),
+                     "--grid", "50"]) == 0
+        assert main(["run", scenario, "--out-dir", str(tmp_path / "b"),
+                     "--grid-points", "50"]) == 0
+        for name in ("swap_selective_exact.csv", "swap_selective_limit.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
 
 def test_compare_runs_without_scipy(tmp_path):
