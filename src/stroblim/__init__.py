@@ -8,8 +8,7 @@ post-selected (selective) branch and a GKSL semigroup for non-selective
 monitoring.
 """
 
-from .exact import (EvolutionPlan, VanishingProbabilityError, run_nonselective,
-                    run_selective)
+from .exact import EvolutionPlan, run_nonselective, run_selective
 from .linalg import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                      partial_trace, trace_distance)
 from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
@@ -18,7 +17,7 @@ from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
 from .nonselective_limit import (build_generator, semigroup_propagate,
                                  swap_nonselective_closed_form)
 from .selective_limit import effective_rank1, effective_rankr, propagate_kraus
-from .trajectory import Trajectory, bloch_vector
+from .trajectory import Trajectory, VanishingProbabilityError, bloch_vector
 
 __version__ = "0.1.0"
 

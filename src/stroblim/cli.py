@@ -33,13 +33,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .exact import VanishingProbabilityError
 from .experiments import (Scenario, ScenarioError, compare_scenario,
                           convergence_sweep, run_method)
 from .model import (HamiltonianSpec, InitialState, basis_ket,
                     heisenberg3_hamiltonian, measurement_from_kets,
                     swap_hamiltonian)
-from .trajectory import Trajectory
+from .trajectory import Trajectory, VanishingProbabilityError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -406,9 +405,9 @@ def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) ->
             sc = replace(sc, grid_points=grid_points)
         except ScenarioError as err:
             raise ValueError(f"argument --grid-points: {err.reason}") from None
-    os.makedirs(out_dir, exist_ok=True)
     for method in sc.methods:
         traj = run_method(sc, method)
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{sc.name}_{method}.csv")
         write_trajectory_csv(path, traj, sc.outputs, method)
         print(f"wrote {path}")

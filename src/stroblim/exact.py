@@ -15,15 +15,11 @@ I_sys (x) v_i the isometry onto the range of C_i = I_sys (x) P_i and U =
 exp(-i tau H), one period maps a block r on range(C_j) to W_ij r W_ij+ on
 range(C_i), W_ij = V_i+ U V_j being the exact counterpart of the limits'
 T_ij.  The selective run is the coincident-outcome branch, the one whose
-limit is the H1 - i H2 dynamics: it lays out the selected range alone and
-forms W_ss and no other map.  Its one Kraus map per period, r -> W r W+,
-acts on a factor alone: with the start block r0 = F F+, the block after
-period n is G G+ for G = W^n F, positive semidefinite by construction, its
-trace, the branch probability, is the squared norm ||G||_F^2, and its
-system marginal is X X+ for G reshaped to X of shape (dim_sys, r_P r).
-All kept periods n are one-sided binary powers W^n F of one batch, so the
-cost grows with the kept samples, not the periods.  The non-selective
-channel b_i <- sum_j W_ij b_j W_ij+ is one real N x N matrix Phi on the
+limit is the H1 - i H2 dynamics: it lays out the selected range alone,
+forms W_ss and no other map, and takes the powers of that one Kraus map
+per period on a factor of the start block, as the limit takes those of
+its Kraus step (`Trajectory.from_branch`).  The non-selective channel
+b_i <- sum_j W_ij b_j W_ij+ is one real N x N matrix Phi on the
 semigroup's packed coordinates (`BlockLayout.packed_map`), so a period is
 one product Phi @ r.  A run takes a whole number of periods and samples
 every `every`-th one, period 0 being the start; it yields the system
@@ -37,13 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PROB_FLOOR, dag, expm, factor_powers, sq_norms, step_powers
+from .linalg import dag, expm, step_powers
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
-
-
-class VanishingProbabilityError(RuntimeError):
-    """A conditional branch reached numerically zero probability."""
 
 
 def period_slack(periods: float) -> float:
@@ -105,51 +97,16 @@ def run_selective(plan: EvolutionPlan, init: InitialState,
                   every: int = 1) -> Trajectory:
     """Propagate the post-selected branch, sampling at t = 0 and at every
     `every`-th measurement instant, t = n*tau for n = every, 2*every, ...,
-    n_steps.
-
-    The state is carried unnormalized on the selected range, as a factor:
-    with r0 = V_s+ rho0 V_s = F F+ (`InitialState.start_factor`), the state
-    after period n is G G+ for G = W^n F, W = W_ss, so it stays positive
-    semidefinite by construction.  The selected range's layout
-    (`MeasurementSpec.selected_layout`) and F are made once and shared with
-    the Kraus limit and every other tau of a sweep; only W depends on tau.
-    G comes from binary powers of W for all samples at once
-    (`linalg.factor_powers`), so it depends on n alone, whatever the stride.
-    `norms`, the cumulative probability p_Phi of observing the selected
-    outcome every period, are the squared norms ||G||_F^2 = tr G G+.  The
-    trajectory keeps the factors (`Trajectory.from_factors`): the system
-    states, their marginals, are formed where an output first reads them,
-    and the normalized blocks only for `Trajectory.states`.
-
-    Raises VanishingProbabilityError at the first period n <= n_steps whose
-    p_Phi is below PROB_FLOOR, sampled or not.  The powers check the samples,
-    period n_steps among them, and since p_Phi never increases (||W|| <= 1),
-    a failing sample bisects the periods since the last passing one, in
-    O(log every) powers.
+    n_steps: the branch run of W_ss on the selected range's layout
+    (`MeasurementSpec.selected_layout`), whose start factor the Kraus limit
+    and every tau of a sweep share; only W_ss depends on tau.  `norms` are
+    the cumulative probabilities of observing the selected outcome every
+    period.  Raises VanishingProbabilityError at the first period
+    n <= n_steps whose probability is below PROB_FLOOR, sampled or not.
     """
-    if init.dims != plan.hamiltonian.dims:
-        raise ValueError("initial state does not match Hamiltonian dimensions")
     layout = plan.measurement.selected_layout(plan.hamiltonian.dim_sys)
-    f = init.start_factor(layout)
-    ns = _periods(plan, every)
     w_ss = _period_maps(plan, layout)[0, 0]
-
-    def p_phi(n):
-        return sq_norms(factor_powers(w_ss, f, [n]))[0]
-
-    g = factor_powers(w_ss, f, ns)
-    norms = sq_norms(g)
-    failed = np.flatnonzero(norms < PROB_FLOOR)
-    if failed.size:
-        k = failed[0]
-        lo, hi = (int(ns[k - 1]) if k else 0), int(ns[k])     # lo passes, hi fails
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if p_phi(mid) < PROB_FLOOR else (mid, hi)
-        raise VanishingProbabilityError(
-            f"branch probability vanished at step {hi} "
-            f"(p_Phi = {p_phi(hi):.3e} < {PROB_FLOOR:.1e})")
-    return Trajectory.from_factors(ns * plan.tau, g, norms, layout.dim_sys)
+    return Trajectory.from_branch(plan.tau, layout, init, w_ss, _periods(plan, every))
 
 
 def run_nonselective(plan: EvolutionPlan, init: InitialState,

@@ -10,10 +10,9 @@ and the dynamics closes on the system alone.  The pair is the one-block
 `model.EffectiveGenerator` of the selected range, from
 `HamiltonianSpec.effective`, the builder of the non-selective generator too.
 
-Propagation carries the state as a factor, as the exact oracle does: with
-the start block r0 = F F+ and one Kraus step K = exp(-i (H1 - i H2) h), the
-block at T = k h is G G+ for G = K^k F, positive semidefinite by
-construction, with trace ||G||_F^2; on a pure start it is the vector
+Propagation takes the powers K^k of one Kraus step K = exp(-i (H1 - i H2) h)
+on a factor of the start block, as the exact oracle takes those of its
+period map (`Trajectory.from_branch`); on a pure start it is the vector
 equation of the H1 - i H2 dynamics.
 """
 
@@ -21,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import VanishingProbabilityError
-from .linalg import PROB_FLOOR, expm, factor_powers, sq_norms, uniform_counts
+from .linalg import expm, uniform_counts
 from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
                     MeasurementSpec)
 from .trajectory import Trajectory
@@ -59,37 +57,17 @@ def effective_rankr(ham: HamiltonianSpec, spec: MeasurementSpec,
 def propagate_kraus(eff: EffectiveGenerator, init: InitialState, h: float,
                     n: int) -> Trajectory:
     """Propagate rho(T) = K rho(0) K+ with K = exp(-i (H1 - i H2) T) at
-    T = k h, k = 0, ..., n (`linalg.uniform_counts`), as the factors K^k F of
-    the start block F F+, by one-sided binary powers of one Kraus step
-    (`linalg.factor_powers`).
+    T = k h, k = 0, ..., n (`linalg.uniform_counts`): the branch run of one
+    Kraus step exp(-i heff[0] h) on `eff.layout` (`Trajectory.from_branch`),
+    from the start factor that the exact run and every tau of a sweep share.
 
     eff must be the one-block generator of a selected outcome
     (`effective_rankr`), else ValueError.  The initial probe state must be
     supported in range(P), by the rule of `InitialState.probe_block` that
-    `exact.run_selective` applies too, and the run starts from the block
-    V+ rho0 V of the joint initial state, as that runner does: F is
-    `init.start_factor(eff.layout)`, made once per layout, so the exact run
-    and every tau of a sweep share it.  The norms are the branch
-    probabilities tr[K rho K+] = ||K^k F||_F^2, non-increasing in T; as in
-    `exact.run_selective`, one below PROB_FLOOR raises
-    VanishingProbabilityError.  The trajectory keeps the factors
-    (`Trajectory.from_factors`): the system states, the marginals of the
-    normalized factors, are formed where an output first reads them, and
-    `Trajectory.states` forms the normalized blocks on first use.
+    `exact.run_selective` applies too.  The norms are the branch
+    probabilities tr[K rho K+], non-increasing in T; one below PROB_FLOOR
+    raises VanishingProbabilityError, as in `exact.run_selective`.
     """
     counts = uniform_counts(h, n)
-    layout = eff.layout
-    if len(layout.sizes) != 1:
-        raise ValueError("Kraus propagation takes the one-block generator of a "
-                         f"selected outcome, got {len(layout.sizes)} blocks")
-    if init.dims != layout.dims:
-        raise ValueError("initial state does not match Hamiltonian dimensions")
-    g = factor_powers(expm(-1j * eff.heff[0] * h), init.start_factor(layout), counts)
-    norms = sq_norms(g)
-    vanished = np.flatnonzero(norms < PROB_FLOOR)
-    if vanished.size:
-        cut = vanished[0]
-        raise VanishingProbabilityError(
-            f"branch probability vanished at T = {cut * h:g} "
-            f"(p = {norms[cut]:.3e} < {PROB_FLOOR:.1e})")
-    return Trajectory.from_factors(counts * h, g, norms, layout.dim_sys)
+    return Trajectory.from_branch(h, eff.layout, init,
+                                  expm(-1j * eff.heff[0] * h), counts)

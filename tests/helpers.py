@@ -443,8 +443,8 @@ def reference_selective(plan, init, every=1, outcomes=None):
         norm = float(np.trace(rho).real)
         if norm < PROB_FLOOR:
             raise VanishingProbabilityError(
-                f"branch probability vanished at step {k + 1} "
-                f"(p_Phi = {norm:.3e} < {PROB_FLOOR:.1e})")
+                f"branch probability vanished at T = {(k + 1) * plan.tau:g} "
+                f"(step {k + 1}, p = {norm:.3e} < {PROB_FLOOR:.1e})")
         return rho
 
     return _reference_loop(plan, init.joint(), measure, every)

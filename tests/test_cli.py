@@ -341,7 +341,8 @@ class TestCommands:
 
     def test_vanishing_limit_only_run_exits_3(self, tmp_path, capsys):
         # the branch probability exp(-T) falls below the floor of 1e-14 at
-        # T = 32.24, sample 807 of 2,501
+        # T = 32.24, sample 807 of 2,501; the output directory is made only
+        # after a method's run has returned, so none is made
         doc = bundled_doc("swap_selective")
         doc.update(mode="limit-only", t_max=100.0, grid_points=2500,
                    initial_sys={"ket": "d"})
@@ -349,8 +350,9 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out-dir", str(out)]) == 3
-        assert "branch probability vanished at T = 32.24 " in capsys.readouterr().err
-        assert not (out / "swap_selective_limit.csv").exists()
+        assert ("branch probability vanished at T = 32.24 (step 806, "
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_allocation_failure_exits_3(self, tmp_path, capsys):
         # 10**17 grid times need 711 PiB, more than any address space, so the
@@ -419,6 +421,19 @@ class TestCommands:
         assert "ill-scaled input (1-norm 1.000e+20)" in err
         assert not out.exists()
         assert not list(out.glob("*.csv"))
+
+    def test_ill_scaled_limit_only_run_makes_no_directory(self, tmp_path, capsys):
+        # the limit's step exponential at gamma = tau = 1e10 cannot be
+        # scaled; the run fails before any output directory is made
+        doc = bundled_doc("swap_selective")
+        doc.update(mode="limit-only", gamma=1e10, tau=1e10, t_max=1e10,
+                   grid_points=1)
+        path = tmp_path / "ill_scaled.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        assert "ill-scaled input" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
     @pytest.mark.parametrize("name", ["swap_selective", "heisenberg_local_fields",

@@ -248,12 +248,13 @@ def test_every_checks_the_probability_at_unsampled_steps():
     init = InitialState.from_kets([0.0, 1.0], basis_ket("u"))
     with pytest.raises(VanishingProbabilityError) as full:
         run_selective(EvolutionPlan(ham, up_meas(), 0.04, 1000), init)
-    step = int(re.search(r"at step (\d+) ", str(full.value)).group(1))
+    step = int(re.search(r"\(step (\d+), ", str(full.value)).group(1))
     # the first sample passes at one stride and fails at the other; both
     # bisect to the failing step within a run of two strides
+    want = re.escape(f"at T = {step * 0.04:g} (step {step}, ")
     for every in (step - 1, step + 1):
         plan = EvolutionPlan(ham, up_meas(), 0.04, 2 * every)
-        with pytest.raises(VanishingProbabilityError, match=f"at step {step} "):
+        with pytest.raises(VanishingProbabilityError, match=want):
             run_selective(plan, init, every=every)
 
 
@@ -507,8 +508,8 @@ def test_vanishing_step_matches_the_reference_loop(every):
     plan = EvolutionPlan(ham, up_meas(), 0.04, every * -(-1000 // every))
     with pytest.raises(VanishingProbabilityError) as want:
         reference_selective(plan, init)
-    step = re.search(r"at step \d+ ", str(want.value)).group(0)
-    with pytest.raises(VanishingProbabilityError, match=step):
+    step = re.search(r"at T = \S+ \(step \d+, ", str(want.value)).group(0)
+    with pytest.raises(VanishingProbabilityError, match=re.escape(step)):
         run_selective(plan, init, every=every)
 
 

@@ -317,36 +317,33 @@ class TestSweep:
     def test_a_p_up_sweep_sets_up_once_and_forms_no_state_stack(self, monkeypatch):
         # the exact and Kraus runs of every tau share one selected-range
         # layout and one start factor F, and the p_up metric reads the first
-        # population off the factors, so no (T, d, d) system stack is formed
-        import stroblim.exact as exact
-        import stroblim.selective_limit as selective_limit
+        # population off the factors, so no (T, d, d) system stack is formed;
+        # both runs take their powers through the one factor_powers binding
+        # of the branch run
+        import stroblim.trajectory as trajectory
         from stroblim import Trajectory
         from stroblim.model import BlockLayout
 
         layouts, factors, runs = [], [], []
         make_layout = BlockLayout.__init__
-        from_factors = Trajectory.from_factors.__func__
+        from_branch = Trajectory.from_branch.__func__
+        powers = trajectory.factor_powers
 
         def counted_layout(self, *args):
             layouts.append(self)
             make_layout(self, *args)
 
-        def recorded(module):
-            powers = module.factor_powers
-
-            def factor_powers(m, f, ns):
-                factors.append(f)
-                return powers(m, f, ns)
-            monkeypatch.setattr(module, "factor_powers", factor_powers)
+        def factor_powers(m, f, ns):
+            factors.append(f)
+            return powers(m, f, ns)
 
         def kept(cls, *args, **kwargs):
-            runs.append(from_factors(cls, *args, **kwargs))
+            runs.append(from_branch(cls, *args, **kwargs))
             return runs[-1]
 
         monkeypatch.setattr(BlockLayout, "__init__", counted_layout)
-        monkeypatch.setattr(Trajectory, "from_factors", classmethod(kept))
-        recorded(exact)
-        recorded(selective_limit)
+        monkeypatch.setattr(Trajectory, "from_branch", classmethod(kept))
+        monkeypatch.setattr(trajectory, "factor_powers", factor_powers)
         taus = [0.04, 0.02, 0.01]
         report = convergence_sweep(load_bundled("swap_selective", t_max=2.0), taus)
         assert report.metric == "p_up"

@@ -805,3 +805,41 @@ class TestClosedForm:
             # compressed blocks are the per-outcome system matrices directly
             reduced = blocks[k].sum(axis=0)
             assert trace_distance(reduced, cf) < 1e-8
+
+
+def channel_power_deviation(ham, spec, tau, t_max):
+    """max_n ||Phi^n - exp(tau L)^n||_2 over the periods n <= t_max / tau,
+    Phi the exact period's packed channel map and L the packed generator:
+    the limit's error on the dynamics itself, with no initial state."""
+    layout = spec.full_layout(ham.dim_sys)
+    w = layout.pairs(expm(-1j * tau * ham.assemble()))
+    phi = layout.packed_map(w, dag(w).swapaxes(0, 1))
+    e = expm(tau * packed_generator(build_generator(ham, spec, tau)))
+    eye, ns = np.eye(len(phi)), range(round(t_max / tau) + 1)
+    diffs = (step_powers(lambda p: phi @ p, eye, ns)
+             - step_powers(lambda q: e @ q, eye, ns))
+    return np.linalg.norm(diffs, 2, axis=(1, 2)).max()
+
+
+@pytest.mark.parametrize("model, ratios", [
+    ("swap", (3.8, 4.2)),
+    ("random_2x4", (1.9, 2.1)),
+])
+def test_channel_powers_converge_at_the_order_of_the_model(model, ratios):
+    # at Omega = 1 over t_max = 2, the state-free deviation of the channel
+    # powers falls 4x per 4x smaller tau for the swap (order 1) and only 2x
+    # for a generic model with two rank-2 blocks (order 1/2), the defect of
+    # the paper's generator that a third-order term would remove
+    taus = [0.04, 0.01, 0.0025, 0.000625]
+    if model == "swap":
+        spec, hams = zbasis_meas(), [swap_hamiltonian(np.sqrt(1 / t)) for t in taus]
+    else:
+        rng = np.random.default_rng(7)
+        terms = random_hamiltonian_spec(rng, 2, 4).terms
+        spec = family_spec(random_projector_family(rng, 4, 2))
+        assert spec.full_layout(2).sizes.tolist() == [4, 4]
+        hams = [HamiltonianSpec(np.sqrt(1 / t), terms) for t in taus]
+    devs = [channel_power_deviation(h, spec, t, 2.0) for h, t in zip(hams, taus)]
+    lo, hi = ratios
+    for a, b in zip(devs, devs[1:]):
+        assert lo <= a / b <= hi

@@ -16,8 +16,8 @@ from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
                       propagate_kraus, run_selective, semigroup_propagate)
 from stroblim import Trajectory
 from stroblim.linalg import (_action_run, _dense_run, _power_degree, _power_norm1,
-                             dag, expm, factor_powers, max_abs, op_norm, sq_norms,
-                             taylor_degree)
+                             dag, expm, max_abs, op_norm, taylor_degree)
+from stroblim.model import BlockLayout
 from stroblim.nonselective_limit import packed_generator
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -47,8 +47,8 @@ def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
     try:
         want = reference_selective(plan, init, every=every)
     except VanishingProbabilityError as err:
-        step = re.search(r"at step \d+ ", str(err)).group(0)
-        with pytest.raises(VanishingProbabilityError, match=step):
+        step = re.search(r"at T = \S+ \(step \d+, ", str(err)).group(0)
+        with pytest.raises(VanishingProbabilityError, match=re.escape(step)):
             run_selective(plan, init, every=every)
         return
     assert_same_run(run_selective(plan, init, every=every), want, plan)
@@ -60,17 +60,21 @@ def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
                   t=st.integers(1, 40), dense=st.booleans())
 def test_p_up_of_a_factor_run_is_the_formed_population(seed, dim_sys, r_p, r, t,
                                                        dense):
-    # p_up reads the first population off the factors, with the products of
-    # the formed stack, before and after sys_states is first read; the stack
-    # is formed once, on that read.  The factors come from factor_powers, in
-    # the memory order of the table (counts 0..n) or of the bit walk.
+    # p_up reads the first population off the factors of a branch run, with
+    # the products of the formed stack, before and after sys_states is first
+    # read; the stack is formed once, on that read.  The factors come from
+    # factor_powers, in the memory order of the table (counts 0..n) or of
+    # the bit walk.  The start factor has min(r, dim_sys) r_P columns, and
+    # the step 0.95 U keeps the probability above the floor: 0.95^320 = 7e-8
+    # at the largest count, 160
     rng = np.random.default_rng(seed)
-    k = dim_sys * r_p
-    m = 0.9 * random_unitary(rng, k)
-    f = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
+    m = 0.95 * random_unitary(rng, dim_sys * r_p)
+    layout = BlockLayout(dim_sys, [np.eye(r_p, dtype=complex)])
+    init = InitialState(random_density(rng, dim_sys, min(r, dim_sys)),
+                        random_density(rng, r_p))
     ns = np.arange(t) if dense else np.cumsum(rng.integers(1, 5, size=t))
-    g = factor_powers(m, f, ns)
-    traj = Trajectory.from_factors(ns * 0.1, g, sq_norms(g), dim_sys)
+    traj = Trajectory.from_branch(0.1, layout, init, m, ns)
+    assert np.array_equal(traj.times, ns * 0.1)
     before = traj.p_up()
     assert "sys_states" not in vars(traj)
     states = traj.sys_states

@@ -10,7 +10,7 @@ from helpers import (counting_expm, family_spec, random_density,
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
                  purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
-                      MeasurementSpec, VanishingProbabilityError, basis_ket,
+                      MeasurementSpec, Trajectory, VanishingProbabilityError, basis_ket,
                       build_generator, effective_rank1, effective_rankr,
                       heisenberg3_hamiltonian, kron, measurement_from_kets,
                       pauli, propagate_kraus, run_selective, swap_hamiltonian,
@@ -307,15 +307,23 @@ class TestPropagateKraus:
         with pytest.raises(ValueError):
             propagate_kraus(eff, init, 1.0, 0)
 
-    def test_refuses_the_generator_of_a_complete_family(self):
+    def test_refuses_the_generator_of_a_complete_family(self, monkeypatch):
         # heff[0] of a non-selective generator would be read as the branch
-        # generator of outcome 0 on a layout of two blocks
+        # generator of outcome 0 on a layout of two blocks; the branch run
+        # refuses that layout before it makes a start factor
         eff = build_generator(swap_hamiltonian(GAMMA), measurement_from_kets(
             [[basis_ket("u")], [basis_ket("d")]]), TAU)
         init = InitialState.from_kets([1.0, 0.0], basis_ket("u"))
-        with pytest.raises(ValueError, match="one-block generator of a selected "
-                           "outcome, got 2 blocks"):
+
+        def refuse(self, layout):
+            raise AssertionError("a start factor was made on a layout of two blocks")
+
+        monkeypatch.setattr(InitialState, "start_factor", refuse)
+        refusal = "one-block generator of a selected outcome, got 2 blocks"
+        with pytest.raises(ValueError, match=refusal):
             propagate_kraus(eff, init, 1.0, 0)
+        with pytest.raises(ValueError, match=refusal):
+            Trajectory.from_branch(1.0, eff.layout, init, np.eye(4), [0])
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rejects_probe_outside_range(self, rank):
@@ -347,6 +355,32 @@ class TestPropagateKraus:
             propagate_kraus(swap_eff(), init, 1.0, 0)
         with pytest.raises(ValueError, match=r"supported in range\(P\)"):
             run_selective(plan, init)
+
+
+@pytest.mark.parametrize("runner, every", [("exact", 1), ("exact", 7), ("kraus", 1)])
+def test_both_runners_raise_through_the_one_branch_rule(runner, every):
+    # the swap branch from the system ket d decays to the floor in both
+    # runners, as cos(gamma tau)^(2n) per period in the exact run and as
+    # exp(-Omega T) in the limit; each raises from Trajectory.from_branch at
+    # the first count below the floor, 801 periods (found by bisection
+    # between the samples at every = 7) and 33 steps of h = 1, with
+    # T = step * dt in the message
+    init = InitialState.from_kets(basis_ket("d"), basis_ket("u"))
+    if runner == "exact":
+        meas = measurement_from_kets([[basis_ket("u")]], selected_index=0)
+        plan = EvolutionPlan(swap_hamiltonian(GAMMA), meas, TAU, 7 * 143)
+        dt, run = TAU, partial(run_selective, plan, init, every)
+        decay = -2 * np.log(np.cos(GAMMA * TAU))
+    else:
+        dt, run = 1.0, partial(propagate_kraus, swap_eff(), init, 1.0, 60)
+        decay = OMEGA
+    with pytest.raises(VanishingProbabilityError) as err:
+        run()
+    assert err.traceback[-1].name == "from_branch"
+    t, step = re.search(r"at T = (\S+) \(step (\d+), p = ", str(err.value)).groups()
+    assert int(step) == np.ceil(-np.log(PROB_FLOOR) / decay) == (
+        801 if runner == "exact" else 33)
+    assert t == f"{int(step) * dt:g}"
 
 
 class TestNonlinearRhs:
