@@ -21,9 +21,10 @@ per period on a factor of the start block, as the limit takes those of
 its Kraus step (`Trajectory.from_branch`).  The non-selective channel
 b_i <- sum_j W_ij b_j W_ij+ is one real N x N matrix Phi on the
 semigroup's packed coordinates (`BlockLayout.packed_map`), so a period is
-one product Phi @ r.  A run takes a whole number of periods and samples
-every `every`-th one, period 0 being the start; it yields the system
-marginals, and the blocks it carried only on demand.
+one product Phi @ r, stepped as the semigroup's are (`Trajectory.from_packed`).
+A run takes a whole number of periods and samples every `every`-th one,
+period 0 being the start; it yields the system marginals, and the blocks it
+carried only on demand.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, expm, step_powers
+from .linalg import dag, expm
 from .model import BlockLayout, HamiltonianSpec, InitialState, MeasurementSpec
 from .trajectory import Trajectory
 
@@ -118,12 +119,12 @@ def run_nonselective(plan: EvolutionPlan, init: InitialState,
     first measurement when the initial state is not a channel fixed point.
     Its output, the blocks b_i = V_i+ rho0 V_i on `MeasurementSpec.full_layout`,
     packed, takes one product with Phi = `BlockLayout.packed_map`(W, W+) per
-    period, b_i <- sum_j W_ij b_j W_ij+, read as the semigroup's are
-    (`Trajectory.from_packed`), block-diagonal in the measurement eigenbasis.
+    period, b_i <- sum_j W_ij b_j W_ij+, stepped and read as the semigroup's
+    are (`Trajectory.from_packed`), block-diagonal in the measurement
+    eigenbasis.
     """
     layout = plan.measurement.full_layout(plan.hamiltonian.dim_sys)
     ns = _periods(plan, every)
     w = _period_maps(plan, layout)
     phi = layout.packed_map(w, dag(w).swapaxes(0, 1))
-    return Trajectory.from_packed(ns * plan.tau, layout, init, lambda r0: (
-        step_powers(lambda r: phi @ r, r0, ns)))
+    return Trajectory.from_packed(plan.tau, layout, init, lambda r: phi @ r, ns)

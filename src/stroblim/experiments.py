@@ -235,9 +235,7 @@ class CaseComparison:
     """Deviation series of every non-reference method against the reference,
     trajectories[reference]."""
 
-    label: str
     deviation: np.ndarray
-    p_err: np.ndarray | None
     trajectories: dict
     reference: str
 
@@ -307,7 +305,7 @@ def _deviation(metric: str, ref_name: str, trajs: dict) -> np.ndarray:
     return dev
 
 
-def compare_case(sc: Scenario, label: str | None = None) -> CaseComparison:
+def compare_case(sc: Scenario) -> CaseComparison:
     """Run every method of sc and compare it with the reference: the exact
     run when it takes part, else the first method.  ValueError for fewer
     than two methods."""
@@ -317,9 +315,7 @@ def compare_case(sc: Scenario, label: str | None = None) -> CaseComparison:
                          "(mode 'compare')")
     trajs = {m: run_method(sc, m) for m in methods}
     ref_name = "exact" if "exact" in trajs else methods[0]
-    dev = _deviation(_metric_for(sc), ref_name, trajs)
-    p_err = trajs[ref_name].p_err if sc.selective else None
-    return CaseComparison(label or sc.name, dev, p_err, trajs, ref_name)
+    return CaseComparison(_deviation(_metric_for(sc), ref_name, trajs), trajs, ref_name)
 
 
 def compare_scenario(sc: Scenario) -> ComparisonReport:

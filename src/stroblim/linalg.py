@@ -11,18 +11,18 @@ thread counts as well: truncated Taylor series sized by one theta table and
 formed by products alone, with no solve, the matrix exponential at degree 18
 with scaling and squaring, the action exp(a t) y on a vector with sub-steps
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Also here: one-sided
-binary powers m^n f of a factor f for a whole stack of n at once, and
-`expm_vec_run`, which steps a vector by the action or by one exp(a h),
-whichever a cost rule finds cheaper, along the uniform grid that
-`uniform_counts` checks.  The action is sized by the
-power norms ||(a h)^p||_1^(1/p), p = 2, 3, estimated from products with
-blocks of two vectors (Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21,
-2000), where ||a h||_1 alone would split a step: the d = 32 benchmark
-generator has ||a h||_1 = 13.5 but a spectral radius of 4.6, and takes one
-sub-step per sample instead of two.  The estimate is skipped where the
-1-norm already gives one sub-step, or where one exp(a h) wins even at
-|tr(a h)| / N, below every power norm.  All functions are pure; nothing
-mutates its inputs.
+binary powers m^n f of a factor f for a whole stack of n at once,
+`step_powers`, which samples any step y <- step(y) at a list of counts, and
+`expm_step`, the step y -> exp(a h) y by the action or by one exp(a h),
+whichever a cost rule finds cheaper over a run of a given length.  The
+action is sized by the power norms ||(a h)^p||_1^(1/p), p = 2, 3, estimated
+from products with blocks of two vectors (Higham & Tisseur, SIAM J. Matrix
+Anal. Appl. 21, 2000), where ||a h||_1 alone would split a step: the d = 32
+benchmark generator has ||a h||_1 = 13.5 but a spectral radius of 4.6, and
+takes one sub-step per sample instead of two.  The estimate is skipped
+where the 1-norm already gives one sub-step, or where one exp(a h) wins
+even at |tr(a h)| / N, below every power norm.  All functions are pure;
+nothing mutates its inputs.
 
 Work proportional to the number of samples runs as whole-stack numpy calls.
 A state m^n r0 m^n+ is carried as its factor m^n f, f f+ = r0
@@ -260,7 +260,7 @@ def expm_action(a, y, t: float, degree: tuple[int, int]) -> np.ndarray:
 
     With (m, s) = degree, y is advanced s times by t / s, each time by the
     Taylor series of degree m, one product a @ term per term.  `taylor_degree`
-    sizes (m, s) by ||a t||_1, and `_power_degree`, which `expm_vec_run`
+    sizes (m, s) by ||a t||_1, and `_power_degree`, which `expm_step`
     reads, by the power norms alpha_p of a t where they are sharper; their
     estimate is skipped where ||a t||_1 already gives one sub-step, or where
     one `expm` wins even at |tr(a t)| / N, below every alpha_p.  A
@@ -391,9 +391,11 @@ def sq_norms(g) -> np.ndarray:
     return np.einsum("ti,ti->t", x, x)
 
 
-def step_powers(step: Callable[[np.ndarray], np.ndarray], y0, ns) -> np.ndarray:
+def step_powers(step: Callable[[np.ndarray], np.ndarray] | None, y0,
+                ns) -> np.ndarray:
     """(len(ns),) + y0.shape stack, in the dtype of y0, of y after n steps
-    y <- step(y) from y0, for the non-decreasing integers ns."""
+    y <- step(y) from y0, for the non-decreasing integers ns; the step of a
+    run of no step, every n = 0, may be None."""
     y = np.asarray(y0)
     out, done = np.empty((len(ns), *y.shape), dtype=y.dtype), 0
     for i, n in enumerate(ns):
@@ -416,7 +418,7 @@ _ACTION_CALL_COST = 2 ** 15
 
 def _action_is_cheaper(n: int, steps: int, norm1: float,
                        degree: tuple[int, int]) -> bool:
-    """The cost rule of `expm_vec_run` for a run of `steps` steps of
+    """The cost rule of `expm_step` for a run of `steps` steps of
     exp(a h) on a vector, a of side n and ||a h||_1 = norm1: the m s
     products of `expm_action` per step at degree = (m, s) against the
     (7 + squarings) products of n^3 of `expm` and one product per step."""
@@ -424,20 +426,6 @@ def _action_is_cheaper(n: int, steps: int, norm1: float,
     product = n * n + _ACTION_CALL_COST
     dense = (7 + _squarings(norm1)) * n ** 3
     return steps * m * s * product < dense + steps * product
-
-
-def _dense_run(a, h: float, y, counts) -> np.ndarray:
-    e = expm(a * h)
-    return step_powers(lambda x: e @ x, y, counts)
-
-
-def _action_run(a, h: float, y, counts, degree: tuple[int, int] | None = None
-                ) -> np.ndarray:
-    """`expm_action` once per step at degree (m, s), by default the one that
-    `_power_degree` picks."""
-    if degree is None:
-        degree = _power_degree(a, h, h * float(np.linalg.norm(a, 1)))
-    return step_powers(lambda x: expm_action(a, x, h, degree), y, counts)
 
 
 def uniform_counts(h: float, n: int) -> np.ndarray:
@@ -450,24 +438,25 @@ def uniform_counts(h: float, n: int) -> np.ndarray:
     return np.arange(n + 1)
 
 
-def expm_vec_run(a, h: float, y, counts) -> np.ndarray:
-    """(len(counts),) + y.shape stack of exp(a h)^n y for the non-decreasing
-    counts n, by whichever path one cost rule on the side of a, the largest
-    count and the degree of `_power_degree` finds cheaper: `expm_action`
-    once per step, which makes no N x N temporary, or one `expm` of a h and
-    one product per step.  A run of no step takes neither.  Raises the
-    ValueError of `expm` when ||a h||_1 cannot be scaled."""
+def expm_step(a, h: float, steps: int) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The step y -> exp(a h) y of a run of `steps` steps, by whichever path
+    one cost rule on the side of a, `steps` and the degree of `_power_degree`
+    finds cheaper: `expm_action` at that degree, which makes no N x N
+    temporary, or a product with one `expm` of a h.  None for a run of no
+    step, which takes neither.  Raises the ValueError of `expm` when
+    ||a h||_1 cannot be scaled."""
     norm1 = h * float(np.linalg.norm(a, 1))
-    n, steps = len(a), int(counts[-1])
+    n = len(a)
     _squarings(norm1)           # its error before a non-finite trace
     if not steps:
-        return step_powers(None, y, counts)
+        return None
     # |tr(a h)| / n <= spectral radius <= alpha_p: no estimate where expm wins even there
     if _action_is_cheaper(n, steps, norm1, taylor_degree(h * abs(np.trace(a)) / n)):
         degree = _power_degree(a, h, norm1)
         if _action_is_cheaper(n, steps, norm1, degree):
-            return _action_run(a, h, y, counts, degree)
-    return _dense_run(a, h, y, counts)
+            return lambda y: expm_action(a, y, h, degree)
+    e = expm(a * h)
+    return lambda y: e @ y
 
 
 def trace_distance(a, b):

@@ -16,8 +16,9 @@ real N x N matrix L on them (`packed_generator`), as the oracle's period is
 one matrix Phi, both from `BlockLayout.packed_map`.  L is formed from the
 `model.EffectiveGenerator` of all ranges, which `build_generator` takes
 from `HamiltonianSpec.effective`, the builder of the selective branch too.
-The propagator takes a few samples of a large generator by its action on
-the coordinates (`linalg.expm_vec_run`), read as the oracle's are.
+Both runs step the coordinates by one linear map in
+`Trajectory.from_packed`: Phi per period, or exp(L h) per sample, by its
+action or one dense exponential (`linalg.expm_step`).
 At the paper's time scale T ~ (gamma^2 tau)^-1 those are long steps, whose
 Taylor series is sized by the generator's power norms, not its 1-norm.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, expm_vec_run, uniform_counts
+from .linalg import as_matrix, expm_step, uniform_counts
 from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
                     MeasurementSpec)
 from .trajectory import Trajectory
@@ -72,21 +73,21 @@ def semigroup_propagate(eff: EffectiveGenerator, init: InitialState,
                         h: float, n: int) -> Trajectory:
     """rho(T) = exp(L_eff T) rho(0) at T = k h, k = 0, ..., n
     (`linalg.uniform_counts`), on the real coordinates of the packed blocks,
-    with L = `packed_generator(eff)`, formed once the start state fits.
+    with L = `packed_generator(eff)`, formed before the start state is checked.
 
     Each step is the action of exp(L h) or one dense exp(L h), whichever the
-    cost rule of `linalg.expm_vec_run` finds cheaper; the action's degree and
+    cost rule of `linalg.expm_step` finds cheaper; the action's degree and
     sub-steps come from the power norms ||(L h)^p||_1^(1/p), p = 2, 3, where
     ||L h||_1 would take more than one sub-step (on the d = 32 benchmark
     input, one sub-step per sample instead of two).  As in
     `run_nonselective`, the measurement channel is applied at t = 0, and the
-    run starts from, and is read as, the exact one (`Trajectory.from_packed`);
+    run is stepped from, and read as, the exact one (`Trajectory.from_packed`);
     the norms report the rounding drift, such as that of the squarings of
     one exponential over a huge step.
     """
     counts = uniform_counts(h, n)
-    return Trajectory.from_packed(counts * h, eff.layout, init, lambda r0: (
-        expm_vec_run(packed_generator(eff), h, r0, counts)))
+    step = expm_step(packed_generator(eff), h, n)
+    return Trajectory.from_packed(h, eff.layout, init, step, counts)
 
 
 def swap_nonselective_closed_form(gamma: float, omega: float, rho0,

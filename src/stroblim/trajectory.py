@@ -1,7 +1,8 @@
 """Time-series carrier shared by the exact and stroboscopic-limit runners.
 
-Each runner ends in one of two constructors: a trace-preserving run steps
-packed block coordinates (`Trajectory.from_packed`), and a post-selected
+Each runner ends in one of two constructors of one signature,
+(dt, layout, init, step, ns): a trace-preserving run steps packed block
+coordinates by a linear map (`Trajectory.from_packed`), and a post-selected
 branch takes powers of one Kraus step on a factor of its start block
 (`Trajectory.from_branch`), which also holds the one rule for a branch
 whose probability vanishes.
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (PROB_FLOOR, as_matrix, dag, factor_powers, real_trace,
-                     sq_norms)
+                     sq_norms, step_powers)
 from .model import pauli
 
 _PAULI_XYZ = np.stack([pauli(1), pauli(2), pauli(3)])
@@ -49,18 +50,23 @@ class Trajectory:
             self.sys_states = sys_states
 
     @classmethod
-    def from_packed(cls, times, layout, init, propagate) -> Trajectory:
-        """The run that `propagate` makes of the packed start blocks
-        pack(V+ rho0 V) of `init` on `layout` (ValueError unless init fits):
-        the system states are the marginals of its (T, N) coordinates over
-        their traces, the norms, and `states` the (T, k, m, m) blocks they
-        unpack to over the norms, formed on first use."""
+    def from_packed(cls, dt, layout, init, step, ns) -> Trajectory:
+        """The trace-preserving run that the linear map `step` on packed
+        block coordinates makes of `init` on `layout`, sampled after each
+        count n of the non-decreasing ns, at times n dt.
+
+        ValueError for an init that does not fit the layout.  The packed
+        start blocks pack(V+ rho0 V) are stepped by `linalg.step_powers`, a
+        step of None taking none; the system states are the marginals of
+        the (T, N) coordinates over their traces, the norms, and `states`
+        the (T, k, m, m) blocks they unpack to over the norms, formed on
+        first use."""
         if init.dims != layout.dims:
             raise ValueError("initial state does not match Hamiltonian dimensions")
-        coords = propagate(layout.pack(layout.compress(init.joint())))
+        coords = step_powers(step, layout.pack(layout.compress(init.joint())), ns)
         states = layout.marginal(layout.unpack(coords))
         norms = real_trace(states)
-        return cls(times, states / norms[:, None, None], norms, lambda: (
+        return cls(np.asarray(ns) * dt, states / norms[:, None, None], norms, lambda: (
             layout.unpack(coords) / norms[:, None, None, None]))
 
     @classmethod

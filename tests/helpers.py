@@ -21,9 +21,10 @@ from stroblim import (HamiltonianSpec, InitialState, MeasurementSpec,
 import stroblim.linalg
 from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
-from stroblim.experiments import ComparisonReport, compare_case
-from stroblim.linalg import (_GEMM_BUDGET, DEFAULT_TOL, PROB_FLOOR, as_matrix,
-                             dag, expm, is_hermitian, max_abs, partial_trace)
+from stroblim.experiments import compare_case
+from stroblim.linalg import (_GEMM_BUDGET, DEFAULT_TOL, PROB_FLOOR, _power_degree,
+                             as_matrix, dag, expm, expm_action, is_hermitian,
+                             max_abs, partial_trace, step_powers)
 from stroblim.model import BlockLayout
 from stroblim.nonselective_limit import packed_generator
 
@@ -298,6 +299,16 @@ def block_evolve(eff, rho, t):
     return (v @ eff.layout.unpack(packed) @ dag(v)).sum(axis=-3)
 
 
+def expm_paths(a, h, y0, counts):
+    """The two runs that `linalg.expm_step` chooses between, each stepped
+    explicitly through `step_powers`: `expm_action` at the degree that
+    `_power_degree` picks, and products with one `expm(a h)`."""
+    degree = _power_degree(a, h, h * float(np.linalg.norm(a, 1)))
+    e = expm(a * h)
+    return (step_powers(lambda y: expm_action(a, y, h, degree), y0, counts),
+            step_powers(lambda y: e @ y, y0, counts))
+
+
 # ---------------------------------------------------------------------------
 # Full-space reference for the exact runners: the literal interrupted
 # evolution, one d x d unitary step and one measurement per period.
@@ -486,11 +497,9 @@ def load_bundled(name, alpha_sq=None, t_max=None, **changes):
 
 def run_alpha_family(name, alpha_sqs):
     """Exact vs limit (and closed form, where it applies) for one bundled
-    qubit-pair setup over a family of initial superpositions."""
-    cases = tuple(compare_case(load_bundled(name, alpha_sq=a),
-                               label=f"alpha_sq={a:g}") for a in alpha_sqs)
-    return ComparisonReport(name, "p_up", cases,
-                            max(c.max_deviation for c in cases))
+    qubit-pair setup over a family of initial superpositions: the
+    `compare_case` of each, keyed by its alpha^2."""
+    return {a: compare_case(load_bundled(name, alpha_sq=a)) for a in alpha_sqs}
 
 
 def zeno_limit(sc):

@@ -74,8 +74,7 @@ def test_selective_limit_agreement_and_convergence():
             assert all(FIRST_ORDER[0] <= r <= FIRST_ORDER[1]
                        for r in report.convergence_ratios)
         # fully excited initial state: probability pinned at 1 for both methods
-        full = run_alpha_family("swap_selective", (0.01, 0.2, 0.6, 1.0))
-        case = {c.label: c for c in full.cases}["alpha_sq=1"]
+        case = run_alpha_family("swap_selective", (0.01, 0.2, 0.6, 1.0))[1.0]
         for method in ("exact", "limit"):
             assert max_abs(case.trajectories[method].p_up() - 1.0) <= 1e-10
 
@@ -249,8 +248,7 @@ def test_nonselective_closed_form_triple_agreement():
             assert report.strictly_decreasing
             assert all(FIRST_ORDER[0] <= r <= FIRST_ORDER[1]
                        for r in report.convergence_ratios)
-        full = run_alpha_family("swap_nonselective", (0.01, 0.3, 0.6, 1.0))
-        case = {c.label: c for c in full.cases}["alpha_sq=1"]
+        case = run_alpha_family("swap_nonselective", (0.01, 0.3, 0.6, 1.0))[1.0]
         for method in ("exact", "limit", "closed_form"):
             assert max_abs(case.trajectories[method].p_up() - 1.0) <= 1e-10
         # Bloch-ball contraction at Omega = 0.1, snapshots every 5 up to 40

@@ -158,8 +158,8 @@ class TestRunners:
         assert np.all(case.deviation >= 0)
         assert np.all(np.isfinite(case.deviation))
         assert report.max_deviation <= 0.02
-        assert case.p_err is not None
-        assert np.all(np.diff(case.p_err) >= -1e-12)
+        p_err = case.trajectories["exact"].p_err
+        assert np.all(np.diff(p_err) >= -1e-12)
 
     def test_duplicate_method_zero_deviation(self):
         # ("exact", "exact") used to compare the oracle with itself and report

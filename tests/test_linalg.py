@@ -15,10 +15,10 @@ from helpers import (bundled_path, conj_stack, counting_expm, hermitian_eig,
 from ode import rk4_step
 from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
                       partial_trace, pauli)
-from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, _dense_run, dag,
-                             expm_action, expm_vec_run, factor_powers, max_abs,
-                             op_norm, psd_factor, real_trace, step_powers,
-                             taylor_degree, trace_distance)
+from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, dag, expm_action,
+                             expm_step, factor_powers, max_abs, op_norm,
+                             psd_factor, real_trace, step_powers, taylor_degree,
+                             trace_distance)
 
 
 def kron_oracle(a, b):
@@ -291,8 +291,8 @@ class TestRK4:
 
 
 class TestExpmSample:
-    """The dense path `_dense_run` of `expm_vec_run`: one exponential, then
-    one product per step."""
+    """The dense path of `expm_step`, which a small matrix over many steps
+    takes: one exponential, then one product per step."""
 
     @pytest.mark.parametrize("h, n", [
         pytest.param(0.000625, 16000, id="arange"),
@@ -301,16 +301,21 @@ class TestExpmSample:
     def test_uniform_grid_needs_one_exponential(self, monkeypatch, rng, h, n):
         calls = counting_expm(monkeypatch)
         a = -1j * random_hermitian(rng, 3, norm=1.0) - 0.1 * np.eye(3)
-        out = _dense_run(a, h, np.eye(3, dtype=complex), np.arange(n + 1))
+        out = step_powers(expm_step(a, h, n), np.eye(3, dtype=complex),
+                          np.arange(n + 1))
         assert len(calls) == 1
         assert len(out) == n + 1
         assert max_abs(out[-1] - expm(a * (n * h))) <= 1e-10
 
-    def test_zero_gaps_apply_nothing(self, rng):
-        # a count of 0 takes no step: y0 comes back bit for bit
+    def test_zero_gaps_apply_nothing(self, monkeypatch, rng):
+        # a run of no step has no step, and makes no exponential; a count of
+        # 0 takes no step: y0 comes back bit for bit
+        calls = counting_expm(monkeypatch)
         a = random_complex(rng, (3, 3))
         y0 = random_complex(rng, (3, 3))
-        out = _dense_run(a, 0.5, y0, np.zeros(3, dtype=np.int64))
+        step = expm_step(a, 0.5, 0)
+        assert step is None and calls == []
+        out = step_powers(step, y0, np.zeros(3, dtype=np.int64))
         assert out.shape == (3, 3, 3)
         assert all(np.array_equal(y, y0) for y in out)
 
@@ -330,9 +335,11 @@ class TestExpmAction:
         if np.isfinite(norm1):
             with pytest.raises(ValueError, match="ill-scaled input"):
                 expm(np.array([[norm1, 0.0], [0.0, 0.0]]) * (1 + 1j))
-        # the run's error too, before its trace of inf - inf warns
-        with pytest.raises(ValueError, match="ill-scaled input"):
-            expm_vec_run(np.diag([norm1, -norm1]), 1.0, np.ones(2), np.arange(3))
+        # the step's error too, before its trace of inf - inf warns, and
+        # for a run of no step as well
+        for steps in (2, 0):
+            with pytest.raises(ValueError, match="ill-scaled input"):
+                expm_step(np.diag([norm1, -norm1]), 1.0, steps)
 
     def test_norms_under_the_former_bound_are_accepted(self):
         # just under theta_13 2^60 = 6.19e18, the bound of the degree-13 Pade

@@ -9,8 +9,8 @@ import scipy.linalg
 from functools import partial
 
 from helpers import (block_apply, block_evolve, channel_superop, choi_matrix,
-                     counting_expm, family_spec, full_space_reference, lift,
-                     liouville_commutator, load_bundled,
+                     counting_expm, expm_paths, family_spec, full_space_reference,
+                     lift, liouville_commutator, load_bundled,
                      random_density, random_hamiltonian_spec, random_hermitian,
                      random_projector_family, random_unitary, unvec, vec)
 from ode import (block_rhs, nonlinear_density_rhs, nonlinear_state_rhs,
@@ -20,10 +20,10 @@ from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState, basis_ket,
                       measurement_from_kets, pauli, propagate_kraus,
                       run_nonselective, semigroup_propagate, swap_hamiltonian,
                       swap_nonselective_closed_form, trace_distance)
+from stroblim import Trajectory
 from stroblim.cli import load_scenario
-from stroblim.linalg import (_action_is_cheaper, _action_run, _dense_run,
-                             _power_degree, dag, max_abs, op_norm, step_powers,
-                             taylor_degree)
+from stroblim.linalg import (_action_is_cheaper, _power_degree, dag, max_abs,
+                             op_norm, step_powers, taylor_degree)
 from stroblim import nonselective_limit
 from stroblim.nonselective_limit import packed_generator
 
@@ -192,9 +192,8 @@ class TestBuildGenerator:
         assert max_abs(gen) > 1.0
         assert max_abs(gen + gen.T) <= 1e-12 * max_abs(gen)
         y0 = eff.layout.pack(eff.layout.compress(random_density(rng, 4)))
-        dense = _dense_run(gen, 0.5, y0, np.arange(5))
+        action, dense = expm_paths(gen, 0.5, y0, np.arange(5))
         assert dense.dtype == np.float64
-        action = _action_run(gen, 0.5, y0, np.arange(5))
         assert max_abs(dense - action) <= 1e-14
 
     def test_rejects_selective_spec(self):
@@ -457,6 +456,41 @@ def test_limits_refuse_an_initial_state_of_another_split(propagate, eff, init):
         propagate(eff(), init, 0.5, 2)
 
 
+@pytest.mark.parametrize("runner", ["exact", "semigroup"])
+def test_both_runners_step_through_the_one_packed_run(monkeypatch, rng, runner):
+    # each non-selective runner ends in one Trajectory.from_packed call with
+    # (dt, layout, init, step, ns): the period tau and the channel map Phi,
+    # or the sample step h and exp(L h), on the full layout of the 2 x 2
+    # split, over the sampled counts; the times are ns dt
+    calls = []
+    real = Trajectory.from_packed.__func__
+
+    def spy(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Trajectory, "from_packed", classmethod(spy))
+    init, ham = swap_init(), swap_hamiltonian(GAMMA)
+    if runner == "exact":
+        dt, ns = TAU, np.arange(0, 13, 3)
+        traj = run_nonselective(EvolutionPlan(ham, zbasis_meas(), TAU, 12), init, 3)
+        full = zbasis_meas().full_layout(2)
+        w = full.pairs(expm(-1j * TAU * ham.assemble()))
+        linear_map = full.packed_map(w, dag(w).swapaxes(0, 1))
+    else:
+        dt, ns = 0.5, np.arange(5)
+        traj = semigroup_propagate(swap_gen(), init, dt, 4)
+        linear_map = expm(packed_generator(swap_gen()) * dt)
+    (args,) = calls
+    got_dt, layout, got_init, step, got_ns = args
+    assert got_dt == dt and got_init is init
+    assert layout.sizes.tolist() == [2, 2] and layout.dims == init.dims
+    assert np.array_equal(got_ns, ns)
+    assert np.array_equal(traj.times, ns * dt)
+    y = rng.standard_normal(8)
+    assert max_abs(step(y) - linear_map @ y) <= 1e-14
+
+
 @pytest.mark.parametrize("h, n", [pytest.param(0.04, 250, id="uniform")])
 def test_semigroup_matches_per_time_exponentials(h, n):
     ref = swap_ref()
@@ -510,8 +544,7 @@ class TestSemigroupPaths:
     def test_paths_agree_on_a_uniform_grid(self, rng):
         eff, init = d32_model(rng)
         y0, gen = packed_start(eff, init), packed_generator(eff)
-        action = _action_run(gen, 0.3, y0, np.arange(21))
-        dense = _dense_run(gen, 0.3, y0, np.arange(21))
+        action, dense = expm_paths(gen, 0.3, y0, np.arange(21))
         assert action.shape == dense.shape == (21, 256)
         assert max_abs(action - dense) <= 1e-14
 

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import (assembled_generator, assert_same_run, channel_superop,
-                     choi_matrix, family_spec, full_space_reference, lift,
-                     random_complex, random_density, random_hamiltonian_spec,
+                     choi_matrix, expm_paths, family_spec, full_space_reference,
+                     lift, random_complex, random_density, random_hamiltonian_spec,
                      random_projector_family, random_unitary,
                      reference_selective, unvec, vec)
 from stroblim import (EvolutionPlan, InitialState, MeasurementSpec,
                       VanishingProbabilityError, build_generator, effective_rankr,
                       propagate_kraus, run_selective, semigroup_propagate)
 from stroblim import Trajectory
-from stroblim.linalg import (_action_run, _dense_run, _power_degree, _power_norm1,
-                             dag, expm, max_abs, op_norm, taylor_degree)
+from stroblim.linalg import (_power_degree, _power_norm1, dag, expm, max_abs,
+                             op_norm, taylor_degree)
 from stroblim.model import BlockLayout
 from stroblim.nonselective_limit import packed_generator
 
@@ -28,15 +28,24 @@ DETERMINISTIC = hypothesis.settings(derandomize=True, database=None, deadline=No
 
 
 @DETERMINISTIC
+@hypothesis.example(seed=7, dims=(2, 2), every=9, periods=60, gamma=40.0,
+                    vanishes_at=27)
+@hypothesis.example(seed=7, dims=(2, 2), every=6, periods=60, gamma=40.0,
+                    vanishes_at=27)
 @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
                   dims=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)]),
-                  every=st.integers(1, 12), periods=st.integers(0, 60))
-def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
+                  every=st.integers(1, 12), periods=st.integers(0, 60),
+                  gamma=st.sampled_from([2.0, 40.0]), vanishes_at=st.none())
+def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods, gamma,
+                                             vanishes_at):
     # run_selective takes period n as binary powers of the one-period map;
     # the reference applies the full-space instrument period by period, over
-    # a period count that the stride divides
+    # a period count that the stride divides.  At gamma = 40 (gamma tau = 2)
+    # the branch probability can fall below the floor within the run; the
+    # two examples reach it at period 27, sampled at every = 9 and between
+    # the samples 24 and 30 at every = 6, and assert that they raise there
     rng = np.random.default_rng(seed)
-    ham = random_hamiltonian_spec(rng, *dims)
+    ham = random_hamiltonian_spec(rng, *dims, gamma=gamma)
     groups = random_projector_family(rng, dims[1])
     sel = int(rng.integers(len(groups)))
     spec = family_spec(groups, selected_index=sel)
@@ -47,10 +56,12 @@ def test_power_oracle_equals_the_loop_oracle(seed, dims, every, periods):
     try:
         want = reference_selective(plan, init, every=every)
     except VanishingProbabilityError as err:
-        step = re.search(r"at T = \S+ \(step \d+, ", str(err)).group(0)
-        with pytest.raises(VanishingProbabilityError, match=re.escape(step)):
+        step = re.search(r"at T = \S+ \(step (\d+), ", str(err))
+        with pytest.raises(VanishingProbabilityError, match=re.escape(step.group(0))):
             run_selective(plan, init, every=every)
+        assert vanishes_at in (None, int(step.group(1)))
         return
+    assert vanishes_at is None
     assert_same_run(run_selective(plan, init, every=every), want, plan)
 
 
@@ -268,8 +279,8 @@ def test_action_path_states_are_density_matrices(seed, dims, rank, h, size):
     rho0 = random_density(rng, dims[0] * dims[1])
     y0 = eff.layout.pack(dag(v) @ rho0 @ v)
     counts = np.arange(size + 1)
-    action = _action_run(gen, h, y0, counts)
-    assert max_abs(action - _dense_run(gen, h, y0, counts)) <= 1e-13
+    action, dense = expm_paths(gen, h, y0, counts)
+    assert max_abs(action - dense) <= 1e-13
     states = (v @ eff.layout.unpack(action) @ dag(v)).sum(axis=-3)
     assert max_abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) <= 1e-12
     assert max_abs(states - dag(states)) <= 1e-13
@@ -303,4 +314,5 @@ def test_power_norm_sizing_matches_the_dense_exponential(seed, dims, norm1, size
     assert m * s <= m1 * s1
     y0 = layout.pack(layout.compress(random_density(rng, dims[0] * dims[1])))
     counts = np.arange(size + 1)
-    assert max_abs(_action_run(gen, h, y0, counts) - _dense_run(gen, h, y0, counts)) <= 1e-13
+    action, dense = expm_paths(gen, h, y0, counts)
+    assert max_abs(action - dense) <= 1e-13

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import (counting_expm, family_spec, random_density,
+from helpers import (counting_expm, family_spec, load_bundled, random_density,
                      random_hamiltonian_spec, random_ket, random_projector_family,
                      random_unitary)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
@@ -15,7 +15,7 @@ from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
                       heisenberg3_hamiltonian, kron, measurement_from_kets,
                       pauli, propagate_kraus, run_selective, swap_hamiltonian,
                       trace_distance)
-from stroblim.linalg import PROB_FLOOR, dag, expm, is_psd, max_abs
+from stroblim.linalg import PROB_FLOOR, dag, expm, factor_powers, is_psd, max_abs
 
 TAU = 0.04
 GAMMA = 5.0
@@ -500,3 +500,35 @@ class TestConsistency:
             fd = (states[2] - states[0]) / (2 * h)
             rhs = nonlinear_density_rhs(eff, states[1])
             assert max_abs(fd - rhs) < 1e-4
+
+
+def kraus_power_deviation(sc, tau, t_max):
+    """max_n ||W_ss^n - K^n||_2 over the periods n <= t_max / tau for the
+    bundled scenario sc at its own Omega: W_ss the exact period's Kraus map
+    on the selected layout and K = exp(-i tau Heff) the limit's step over one
+    period, the limit's error on the branch dynamics with no initial state."""
+    ham = sc.hamiltonian.with_gamma(np.sqrt(sc.omega / tau))
+    layout = sc.measurement.selected_layout(ham.dim_sys)
+    w_ss = layout.pairs(expm(-1j * tau * ham.assemble()))[0, 0]
+    k = expm(-1j * tau * effective_rankr(ham, sc.measurement, tau).heff[0])
+    eye, ns = np.eye(len(k)), np.arange(round(t_max / tau) + 1)
+    diffs = factor_powers(w_ss, eye, ns) - factor_powers(k, eye, ns)
+    return np.linalg.norm(diffs, 2, axis=(1, 2)).max()
+
+
+@pytest.mark.parametrize("name, ratios", [
+    ("swap_selective", (3.8, 4.2)),
+    ("heisenberg_global_field", (1.9, 2.1)),
+    ("heisenberg_local_fields", (1.9, 2.1)),
+])
+def test_kraus_powers_converge_at_the_order_of_the_model(name, ratios):
+    # at each bundled file's own Omega over t_max = 2, the state-free
+    # deviation of the branch's Kraus powers falls 4x per 4x smaller tau for
+    # the swap (order 1) and only 2x for the two Heisenberg files (order
+    # 1/2), the defect of the paper's generator, without any initial state
+    taus = [0.04, 0.01, 0.0025, 0.000625]
+    sc = load_bundled(name)
+    devs = [kraus_power_deviation(sc, t, 2.0) for t in taus]
+    lo, hi = ratios
+    for a, b in zip(devs, devs[1:]):
+        assert lo <= a / b <= hi
