@@ -1,17 +1,21 @@
 """Command-line front end: scenario files in, CSV datasets and SVG plots out.
 
-Commands: run, compare, sweep, plot, declared once in the table COMMANDS
-(positionals; each option's flag, dest, type, default and whether it
-appends).  `build_parser` builds the argparse tree from it, but `main` first
-reads argv straight from the table (`read_argv`), which accepts only
-canonical argv: exact flags, as `--flag value` or `--flag=value`, the exact
-positional count, every value passing its type.  Any other argv (help, `--`,
-abbreviations, unknown flags, usage errors) falls back to argparse, so
-messages and exit codes are argparse's, and a canonical command builds no
-parser.  `main` returns the exit code in every case, also for help and
-argparse's usage errors.  Exit codes are a stable contract for scripting: 0
-success (and PASS verdicts), 1 FAIL verdicts, 2 usage or schema errors, 3
-runtime failures (vanishing outcome probability, out of memory).
+Commands: run, compare, sweep, plot, declared once in the table COMMANDS,
+one row each: handler, help, positionals and options (flag, dest, type,
+default and whether it extends a list).  `build_parser` builds the argparse
+tree from it, but `main` first reads argv straight from the table
+(`read_argv`), which accepts only canonical argv: exact flags, as
+`--flag value` or `--flag=value`, the exact positional count, every value
+passing its type.  Any other argv (help, `--`, abbreviations, unknown flags,
+usage errors) falls back to argparse, so messages and exit codes are
+argparse's, and a canonical command builds no parser.  A parsed command is
+one call: its row's handler, given the parsed names as keywords (`--tau` as
+one flat list of floats).  `compare` judges the `CaseComparison` that
+`compare_scenario` returns, `sweep` the `Sweep` of `convergence_sweep`.
+`main` returns the exit code in every case, also for help and argparse's
+usage errors.  Exit codes are a stable contract for scripting: 0 success
+(and PASS verdicts), 1 FAIL verdicts, 2 usage or schema errors, 3 runtime
+failures (vanishing outcome probability, out of memory).
 Every schema error names the scenario key it concerns: "scenario key
 '<key>': <reason>".  The CLI checks JSON types and shapes; `Scenario` checks
 every other rule, once, and keys its own errors.
@@ -398,8 +402,8 @@ def render_chart(series, x_label: str, y_label: str) -> str:
 # Commands.
 
 
-def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) -> int:
-    sc = load_scenario(scenario_path)
+def cmd_run(scenario: str, out_dir: str, grid_points: int | None = None) -> int:
+    sc = load_scenario(scenario)
     if grid_points is not None:
         try:
             sc = replace(sc, grid_points=grid_points)
@@ -414,37 +418,35 @@ def cmd_run(scenario_path: str, out_dir: str, grid_points: int | None = None) ->
     return EXIT_OK
 
 
-def cmd_compare(scenario_path: str, out_dir: str,
-                tolerance: float | None = None) -> int:
-    sc = load_scenario(scenario_path)
-    report = compare_scenario(sc)
+def cmd_compare(scenario: str, out_dir: str, tolerance: float | None = None) -> int:
+    sc = load_scenario(scenario)
+    case = compare_scenario(sc)
     tol = tolerance if tolerance is not None else sc.tolerance
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_compare.csv")
-    case = report.cases[0]
     _write_csv(path, ["t", "deviation", "deviation_trace"],
                np.column_stack((case.times, case.deviation,
                                 case.deviation_trace)).tolist())
-    verdict = "PASS" if report.max_deviation <= tol else "FAIL"
-    print(f"{sc.name}: methods {'/'.join(sc.methods)}, metric {report.metric}")
-    print(f"max deviation {report.max_deviation:.6g} vs tolerance {tol:g}: {verdict}")
+    verdict = "PASS" if case.max_deviation <= tol else "FAIL"
+    print(f"{sc.name}: methods {'/'.join(sc.methods)}, metric {case.metric}")
+    print(f"max deviation {case.max_deviation:.6g} vs tolerance {tol:g}: {verdict}")
     print(f"wrote {path}")
     return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
 
-def cmd_sweep(scenario_path: str, taus, out_dir: str) -> int:
-    sc = load_scenario(scenario_path)
-    report = convergence_sweep(sc, taus)
+def cmd_sweep(scenario: str, out_dir: str, tau: list[float]) -> int:
+    sc = load_scenario(scenario)
+    sweep = convergence_sweep(sc, tau)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_sweep.csv")
-    ratios = ("",) + tuple(_NUM % r for r in report.convergence_ratios)
+    ratios = ("",) + tuple(_NUM % r for r in sweep.convergence_ratios)
     _write_csv(path, ["tau", "max_deviation", "ratio_to_previous"],
-               ((tau, dev, ratio) for (tau, dev), ratio
-                in zip(report.convergence, ratios)), [_NUM, _NUM, "%s"])
-    decreasing = report.strictly_decreasing
-    print(f"{sc.name}: sweep over tau = {', '.join(f'{t:g}' for t, _ in report.convergence)}")
-    for tau, dev in report.convergence:
-        print(f"  tau={tau:g}  max deviation {dev:.6g}")
+               ((t, dev, ratio) for (t, dev), ratio
+                in zip(sweep.convergence, ratios)), [_NUM, _NUM, "%s"])
+    decreasing = sweep.strictly_decreasing
+    print(f"{sc.name}: sweep over tau = {', '.join(f'{t:g}' for t, _ in sweep.convergence)}")
+    for t, dev in sweep.convergence:
+        print(f"  tau={t:g}  max deviation {dev:.6g}")
     print(f"strictly decreasing: {'yes' if decreasing else 'no'}")
     print(f"wrote {path}")
     return EXIT_OK if decreasing else EXIT_FAIL
@@ -453,11 +455,11 @@ def cmd_sweep(scenario_path: str, taus, out_dir: str) -> int:
 _CHARTS = (("t", "p_up"), ("r1", "r3"), ("t", "deviation"))
 
 
-def cmd_plot(csv_path: str, out_svg: str) -> int:
+def cmd_plot(csv: str, out_svg: str) -> int:
     try:
-        header, rows = read_csv(csv_path, {name for xy in _CHARTS for name in xy})
+        header, rows = read_csv(csv, {name for xy in _CHARTS for name in xy})
     except (OSError, ValueError) as err:
-        print(f"cannot plot {csv_path}: {err}", file=sys.stderr)
+        print(f"cannot plot {csv}: {err}", file=sys.stderr)
         return EXIT_USAGE
     if not rows:
         print("CSV has no data rows", file=sys.stderr)
@@ -484,21 +486,20 @@ def cmd_plot(csv_path: str, out_svg: str) -> int:
     return EXIT_OK
 
 
-# The command grammar, declared once: command -> (help, positionals,
-# options), each option (flag, dest, type, default, appends, help).
+# The command grammar, declared once: command -> (handler, help, positionals,
+# options), each option (flag, dest, type, default, extends, help).
 _OUT_DIR = ("--out-dir", "out_dir", str, ".", False, None)
 COMMANDS = {
-    "run": ("run a scenario, write one CSV per method", ("scenario",), (
+    "run": (cmd_run, "run a scenario, write one CSV per method", ("scenario",), (
         _OUT_DIR,
         ("--grid-points", "grid_points", _positive_int_flag, None, False, None))),
-    "compare": ("run and compare methods, verdict PASS/FAIL", ("scenario",), (
-        _OUT_DIR,
-        ("--tolerance", "tolerance", _positive_flag, None, False, None))),
-    "sweep": ("tau-convergence sweep at fixed omega", ("scenario",), (
+    "compare": (cmd_compare, "run and compare methods, verdict PASS/FAIL", ("scenario",), (
+        _OUT_DIR, ("--tolerance", "tolerance", _positive_flag, None, False, None))),
+    "sweep": (cmd_sweep, "tau-convergence sweep at fixed omega", ("scenario",), (
         _OUT_DIR,
         ("--tau", "tau", _positive_flags, [], True,
          "tau value or comma-separated list; repeatable"))),
-    "plot": ("render a trajectory CSV as an SVG chart", ("csv", "out_svg"), ()),
+    "plot": (cmd_plot, "render a trajectory CSV as an SVG chart", ("csv", "out_svg"), ()),
 }
 
 
@@ -508,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate repeated-measurement dynamics and validate its "
                     "frequent-measurement closed forms.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, positionals, options) in COMMANDS.items():
+    for command, (_, summary, positionals, options) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name in positionals:
             p.add_argument(name)
-        for flag, dest, kind, default, appends, text in options:
+        for flag, dest, kind, default, extends, text in options:
             p.add_argument(flag, dest=dest, type=kind, help=text,
-                           action="append" if appends else "store",
-                           default=list(default) if appends else default)
+                           action="extend" if extends else "store",
+                           default=list(default) if extends else default)
     return parser
 
 
@@ -528,10 +529,10 @@ def read_argv(argv) -> argparse.Namespace | None:
     and reports instead."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, positionals, options = COMMANDS[argv[0]]
+    _, _, positionals, options = COMMANDS[argv[0]]
     by_flag = {opt[0]: opt for opt in options}
-    values = {dest: list(default) if appends else default
-              for _, dest, _, default, appends, _ in options}
+    values = {dest: list(default) if extends else default
+              for _, dest, _, default, extends, _ in options}
     given = []
     rest = iter(argv[1:])
     for arg in rest:
@@ -543,13 +544,13 @@ def read_argv(argv) -> argparse.Namespace | None:
             value = next(rest, "-")     # a missing value is declined below
         if flag not in by_flag or value.startswith("-"):
             return None
-        _, dest, kind, _, appends, _ = by_flag[flag]
+        _, dest, kind, _, extends, _ = by_flag[flag]
         try:
             value = kind(value)
         except argparse.ArgumentTypeError:
             return None
-        if appends:
-            values[dest].append(value)
+        if extends:
+            values[dest].extend(value)
         else:
             values[dest] = value
     if len(given) != len(positionals):
@@ -566,17 +567,10 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:   # help, or a usage error argparse reported
             return exc.code
+    kwargs = vars(args)
+    handler = COMMANDS[kwargs.pop("command")][0]
     try:
-        if args.command == "run":
-            return cmd_run(args.scenario, args.out_dir, args.grid_points)
-        if args.command == "compare":
-            return cmd_compare(args.scenario, args.out_dir, args.tolerance)
-        if args.command == "sweep":
-            taus = [tau for chunk in args.tau for tau in chunk]
-            return cmd_sweep(args.scenario, taus, args.out_dir)
-        if args.command == "plot":
-            return cmd_plot(args.csv, args.out_svg)
-        return EXIT_USAGE
+        return handler(**kwargs)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE

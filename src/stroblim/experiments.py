@@ -4,10 +4,11 @@ A `Scenario` fixes one run: Hamiltonian, measurement, initial state, tau and
 the sample grid.  `run_method` produces its trajectory by the exact
 interrupted evolution, by the frequent-measurement limit (the selective
 `H1 - i H2` branch or the non-selective semigroup) or by the non-selective
-closed form; `compare_scenario` reports the deviation of the limits from the
-exact run, and `convergence_sweep` tabulates its max over tau at fixed
-Omega = gamma^2 tau, one tau at a time.  Everything is deterministic: fixed
-grids, fixed-step integration, no randomness.
+closed form; `compare_scenario` returns the `CaseComparison` of the limits
+with the exact run (its metric, deviation series and trajectories), and
+`convergence_sweep` returns a `Sweep`, the table of its max over tau at
+fixed Omega = gamma^2 tau, computed one tau at a time.  Everything is
+deterministic: fixed grids, fixed-step integration, no randomness.
 """
 
 from __future__ import annotations
@@ -106,9 +107,12 @@ class Scenario:
             if "closed_form" in self.methods_spec and not closed_form_applicable(self):
                 raise ScenarioError("methods", "closed_form requested but the scenario "
                                     "does not match its preconditions")
-        if self.grid_points < 1:
-            raise ScenarioError("grid_points", "expected at least one grid point, got "
-                                f"{self.grid_points!r}")
+        points = self.grid_points       # the rule of EvolutionPlan's n_steps
+        if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+            raise ScenarioError("grid_points", f"expected an integer, got {points!r}")
+        if points < 1:
+            raise ScenarioError("grid_points",
+                                f"expected at least one grid point, got {points!r}")
         if self.selective:
             try:
                 self.initial.probe_block(
@@ -232,12 +236,13 @@ def run_method(sc: Scenario, method: str) -> Trajectory:
 
 @dataclass
 class CaseComparison:
-    """Deviation series of every non-reference method against the reference,
-    trajectories[reference]."""
+    """Deviation series, in `metric`, of every non-reference method against
+    the reference, trajectories[reference]."""
 
     deviation: np.ndarray
     trajectories: dict
     reference: str
+    metric: str
 
     @property
     def times(self) -> np.ndarray:
@@ -253,28 +258,26 @@ class CaseComparison:
         return _deviation("trace_distance", self.reference, self.trajectories)
 
 
-@dataclass
-class ComparisonReport:
-    name: str
-    metric: str
-    cases: tuple[CaseComparison, ...]
-    max_deviation: float
-    convergence: tuple[tuple[float, float], ...] | None = None
+@dataclass(frozen=True)
+class Sweep:
+    """The table of a tau sweep: (tau, max deviation) per tau, in run order."""
+
+    convergence: tuple[tuple[float, float], ...]
 
     @property
-    def convergence_ratios(self) -> tuple[float, ...] | None:
+    def max_deviation(self) -> float:
+        return max(d for _, d in self.convergence)
+
+    @property
+    def convergence_ratios(self) -> tuple[float, ...]:
         """Each deviation over the next; over a zero deviation, inf, or nan
         when both are zero."""
-        if not self.convergence or len(self.convergence) < 2:
-            return None
         devs = [d for _, d in self.convergence]
         return tuple(a / b if b else (math.inf if a else math.nan)
                      for a, b in zip(devs[:-1], devs[1:]))
 
     @property
-    def strictly_decreasing(self) -> bool | None:
-        if not self.convergence or len(self.convergence) < 2:
-            return None
+    def strictly_decreasing(self) -> bool:
         devs = [d for _, d in self.convergence]
         return all(a > b for a, b in zip(devs[:-1], devs[1:]))
 
@@ -315,28 +318,29 @@ def compare_case(sc: Scenario) -> CaseComparison:
                          "(mode 'compare')")
     trajs = {m: run_method(sc, m) for m in methods}
     ref_name = "exact" if "exact" in trajs else methods[0]
-    return CaseComparison(_deviation(_metric_for(sc), ref_name, trajs), trajs, ref_name)
+    metric = _metric_for(sc)
+    return CaseComparison(_deviation(metric, ref_name, trajs), trajs, ref_name, metric)
 
 
-def compare_scenario(sc: Scenario) -> ComparisonReport:
-    case = compare_case(sc)
-    return ComparisonReport(sc.name, _metric_for(sc), (case,), case.max_deviation)
+def compare_scenario(sc: Scenario) -> CaseComparison:
+    """The comparison of `stroblim compare`: `compare_case(sc)`."""
+    return compare_case(sc)
 
 
-def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
+def convergence_sweep(sc: Scenario, taus) -> Sweep:
     """Re-run a comparison scenario over a tau list at fixed Omega = gamma^2 tau
     (gamma recomputed per tau, on the Hamiltonian terms validated once) and
     tabulate the max deviation per tau.
 
     Only the table is computed: per tau, `compare_case`'s max deviation, with
-    that tau's trajectories released before the next tau runs.  The report
-    carries no cases.  The scaled scenarios share the measurement and the
-    initial state, so a selective sweep builds the selected layout and the
-    start factor once for every tau (`MeasurementSpec.selected_layout`,
-    `InitialState.start_factor`), and its p_up metric reads the selective
-    runs' factors without forming their system states.  Every tau is
-    checked before the first case runs, and that case refuses a scenario
-    with fewer than two methods (ValueError).
+    that tau's trajectories released before the next tau runs.  Each scaled
+    scenario keeps the sign of sc's gamma.  The scaled scenarios share the
+    measurement and the initial state, so a selective sweep builds the
+    selected layout and the start factor once for every tau
+    (`MeasurementSpec.selected_layout`, `InitialState.start_factor`), and its
+    p_up metric reads the selective runs' factors without forming their
+    system states.  Every tau is checked before the first case runs, and
+    that case refuses a scenario with fewer than two methods (ValueError).
     """
     taus = [float(t) for t in taus]
     if len(taus) < 2:
@@ -355,11 +359,9 @@ def convergence_sweep(sc: Scenario, taus) -> ComparisonReport:
             if periods < 1:
                 raise ScenarioError("tau", f"t_max = {sc.t_max:g} spans no whole "
                                            "period, expected tau <= t_max")
-            gamma = float(np.sqrt(omega / tau))
+            gamma = math.copysign(math.sqrt(omega / tau), sc.hamiltonian.gamma)
             scaled.append(replace(sc, hamiltonian=sc.hamiltonian.with_gamma(gamma),
                                   tau=tau, grid_points=periods))
         except ScenarioError as err:
             raise ValueError(f"tau={tau:g}: {err.reason}") from None
-    table = tuple((s.tau, compare_case(s).max_deviation) for s in scaled)
-    return ComparisonReport(f"{sc.name}_sweep", _metric_for(sc), (),
-                            max(d for _, d in table), convergence=table)
+    return Sweep(tuple((s.tau, compare_case(s).max_deviation) for s in scaled))

@@ -302,13 +302,13 @@ def test_rank2_scenarios_qualitative():
         assert rep_global.max_deviation <= 0.1
         for rep in (rep_local, rep_global):
             for method in ("exact", "limit"):
-                bl = rep.cases[0].trajectories[method].bloch()
+                bl = rep.trajectories[method].bloch()
                 assert np.linalg.norm(bl, axis=1).max() <= 1.0 + 1e-8
-        purity = rep_global.cases[0].trajectories["exact"].purities()
+        purity = rep_global.trajectories["exact"].purities()
         assert purity[0] >= 1.0 - 1e-10
         assert purity.min() < 0.999
         # limit-cycle witness: a later point revisits an earlier one
-        lim = rep_local.cases[0].trajectories["limit"]
+        lim = rep_local.trajectories["limit"]
         bl = lim.bloch()
         times = lim.times
         idx = np.where(times >= 5.0)[0]

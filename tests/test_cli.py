@@ -475,15 +475,21 @@ class TestCommands:
         assert not out.exists()
 
     def test_compare_pass_and_fail(self, tmp_path, capsys):
+        # every printed line: the methods and metric, the verdict, the CSV
+        path = tmp_path / "swap_selective_compare.csv"
         rc = main(["compare", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path)])
         assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "swap_selective: methods exact/limit, metric p_up",
+            "max deviation 0.00315581 vs tolerance 0.02: PASS",
+            f"wrote {path}"]
         rc = main(["compare", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tolerance", "1e-6"])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-        assert (tmp_path / "swap_selective_compare.csv").exists()
+        assert capsys.readouterr().out.splitlines()[1] == \
+            "max deviation 0.00315581 vs tolerance 1e-06: FAIL"
+        assert path.exists()
 
     def test_compare_rejects_single_method(self, tmp_path):
         doc = bundled_doc("swap_selective")
@@ -518,12 +524,18 @@ class TestCommands:
         assert not out.exists()
 
     def test_sweep(self, tmp_path, capsys):
+        # every printed line: the tau list, one line per tau, the verdict, the CSV
+        path = tmp_path / "swap_selective_sweep.csv"
         rc = main(["sweep", bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), "--tau", "0.04,0.02"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "strictly decreasing: yes" in out
-        assert (tmp_path / "swap_selective_sweep.csv").exists()
+        assert capsys.readouterr().out.splitlines() == [
+            "swap_selective: sweep over tau = 0.04, 0.02",
+            "  tau=0.04  max deviation 0.00315581",
+            "  tau=0.02  max deviation 0.00157216",
+            "strictly decreasing: yes",
+            f"wrote {path}"]
+        assert path.exists()
 
     def test_sweep_refuses_a_tiny_tau_before_running(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -682,7 +694,7 @@ class TestArgv:
     def test_reader_declines_or_parses_as_argparse(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        every_flag = sorted({opt[0] for _, _, options in COMMANDS.values()
+        every_flag = sorted({opt[0] for _, _, _, options in COMMANDS.values()
                              for opt in options})
         # abbreviations, unknown flags, help and the end-of-options marker
         odd = ["--out", "--tol", "--grid", "--ta", "--bogus", "-x", "-h",
@@ -699,7 +711,7 @@ class TestArgv:
             return pairs.map(list) | pairs.map(lambda fv: ["=".join(fv)])
 
         def argv_of(command):
-            _, positionals, options = COMMANDS.get(command, ("", ("s",), ()))
+            _, _, positionals, options = COMMANDS.get(command, (None, "", ("s",), ()))
             # mostly the command's own flags with values that pass
             valid = forms(st.sampled_from([opt[0] for opt in options]
                                           or every_flag).flatmap(

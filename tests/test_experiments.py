@@ -12,7 +12,7 @@ from helpers import (bloch_ball_images, family_spec, load_bundled,
                      random_density, random_hamiltonian_spec, random_unitary)
 from stroblim import HamiltonianSpec, InitialState, basis_ket
 from stroblim.exact import steps_in
-from stroblim.experiments import (ComparisonReport, Scenario, ScenarioError,
+from stroblim.experiments import (Scenario, ScenarioError, Sweep,
                                   closed_form_applicable, compare_case,
                                   compare_scenario, convergence_sweep,
                                   run_method)
@@ -39,6 +39,20 @@ class TestScenario:
         sc = load_bundled("swap_selective")
         with pytest.raises(ValueError):
             replace(sc, grid_points=37)
+
+    @pytest.mark.parametrize("points, reason", [
+        (250.0, "expected an integer, got 250.0"),
+        (True, "expected an integer, got True"),
+        (0, "expected at least one grid point, got 0"),
+    ])
+    def test_grid_points_must_be_a_positive_integer(self, points, reason):
+        # the rule of EvolutionPlan's n_steps, keyed before any method runs;
+        # an integer of numpy's passes as the int it holds
+        sc = load_bundled("swap_selective")
+        with pytest.raises(ScenarioError) as err:
+            replace(sc, grid_points=points)
+        assert (err.value.key, err.value.reason) == ("grid_points", reason)
+        assert replace(sc, grid_points=np.int64(250)).methods == ("exact", "limit")
 
     def test_bad_mode_and_outputs(self):
         from dataclasses import replace
@@ -153,11 +167,11 @@ class TestRunners:
 
     def test_compare_report(self):
         sc = load_bundled("swap_selective", t_max=2.0)
-        report = compare_scenario(sc)
-        case = report.cases[0]
+        case = compare_scenario(sc)
+        assert case.metric == "p_up"
         assert np.all(case.deviation >= 0)
         assert np.all(np.isfinite(case.deviation))
-        assert report.max_deviation <= 0.02
+        assert case.max_deviation <= 0.02
         p_err = case.trajectories["exact"].p_err
         assert np.all(np.diff(p_err) >= -1e-12)
 
@@ -345,8 +359,7 @@ class TestSweep:
         monkeypatch.setattr(Trajectory, "from_branch", classmethod(kept))
         monkeypatch.setattr(trajectory, "factor_powers", factor_powers)
         taus = [0.04, 0.02, 0.01]
-        report = convergence_sweep(load_bundled("swap_selective", t_max=2.0), taus)
-        assert report.metric == "p_up"
+        convergence_sweep(load_bundled("swap_selective", t_max=2.0), taus)
         assert len(layouts) == 1
         assert len(factors) == 2 * len(taus)
         assert all(f is factors[0] for f in factors)
@@ -380,26 +393,32 @@ class TestSweep:
 
     def test_ratios_over_a_zero_deviation(self):
         table = ((0.04, 2e-3), (0.02, 1e-3), (0.01, 0.0), (0.005, 0.0))
-        report = ComparisonReport("x", "p_up", (), 2e-3, convergence=table)
+        report = Sweep(table)
         ratios = report.convergence_ratios
         assert ratios[:2] == (2.0, np.inf)
         assert np.isnan(ratios[2])
         assert not report.strictly_decreasing
 
-    @pytest.mark.parametrize("name, taus", [
-        ("swap_selective", [0.04, 0.02]),
-        ("swap_nonselective", [0.04, 0.02]),
-        ("heisenberg_local_fields", [0.04, 0.02]),
-    ])
-    def test_table_is_the_max_deviation_of_each_case(self, name, taus):
+    @pytest.mark.parametrize("name, taus, gamma", [
+        ("swap_selective", [0.04, 0.02], None),
+        ("swap_nonselective", [0.04, 0.02], None),
+        ("heisenberg_local_fields", [0.04, 0.02], None),
+        ("heisenberg_local_fields", [0.04, 0.02], -5.0),
+    ], ids=["swap_selective-taus0", "swap_nonselective-taus1",
+            "heisenberg_local_fields-taus2", "heisenberg_local_fields-negative_gamma"])
+    def test_table_is_the_max_deviation_of_each_case(self, name, taus, gamma):
         # the sweep computes only the metric's series; each entry must still
         # be compare_case's max deviation for the same scaled scenario, bit
-        # for bit (p_up for the swaps, bloch for the Heisenberg chain)
+        # for bit (p_up for the swaps, bloch for the Heisenberg chain), and
+        # a negative gamma keeps its sign, so the file's own tau reproduces
+        # the comparison of the file
         sc = load_bundled(name, t_max=2.0)
+        if gamma is not None:
+            sc = replace(sc, hamiltonian=sc.hamiltonian.with_gamma(gamma))
         report = convergence_sweep(sc, taus)
-        assert report.cases == ()
+        assert report.convergence[0][1] == compare_case(sc).max_deviation
         for tau, dev in report.convergence:
-            gamma = float(np.sqrt(sc.omega / tau))
+            gamma = math.copysign(math.sqrt(sc.omega / tau), sc.hamiltonian.gamma)
             scaled = replace(sc, hamiltonian=HamiltonianSpec(gamma, sc.hamiltonian.terms),
                              tau=tau, grid_points=steps_in(sc.t_max, tau))
             assert dev == compare_case(scaled).max_deviation
