@@ -9,8 +9,8 @@ monitoring.
 """
 
 from .exact import EvolutionPlan, run_nonselective, run_selective
-from .linalg import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
-                     partial_trace, trace_distance)
+from .linalg import (TensorDims, expm, is_density, kron, partial_trace,
+                     trace_distance)
 from .model import (EffectiveGenerator, HamiltonianSpec, InitialState,
                     MeasurementSpec, basis_ket, heisenberg3_hamiltonian,
                     measurement_from_kets, pauli, swap_hamiltonian)
@@ -26,8 +26,8 @@ __all__ = [
     "MeasurementSpec", "TensorDims", "Trajectory", "VanishingProbabilityError",
     "basis_ket", "bloch_vector", "build_generator", "effective_rank1",
     "effective_rankr", "expm", "heisenberg3_hamiltonian", "is_density",
-    "is_hermitian", "is_psd", "kron", "measurement_from_kets",
-    "partial_trace", "pauli", "propagate_kraus", "run_nonselective",
-    "run_selective", "semigroup_propagate", "swap_hamiltonian",
-    "swap_nonselective_closed_form", "trace_distance",
+    "kron", "measurement_from_kets", "partial_trace", "pauli",
+    "propagate_kraus", "run_nonselective", "run_selective",
+    "semigroup_propagate", "swap_hamiltonian", "swap_nonselective_closed_form",
+    "trace_distance",
 ]

@@ -6,12 +6,17 @@ default and whether it extends a list).  `build_parser` builds the argparse
 tree from it, but `main` first reads argv straight from the table
 (`read_argv`), which accepts only canonical argv: exact flags, as
 `--flag value` or `--flag=value`, the exact positional count, every value
-passing its type.  Any other argv (help, `--`, abbreviations, unknown flags,
+parsing as its type (an int, a float, or for `--tau` a comma-separated list
+of floats).  Any other argv (help, `--`, abbreviations, unknown flags,
 usage errors) falls back to argparse, so messages and exit codes are
 argparse's, and a canonical command builds no parser.  A parsed command is
 one call: its row's handler, given the parsed names as keywords (`--tau` as
-one flat list of floats).  `compare` judges the `CaseComparison` that
-`compare_scenario` returns, `sweep` the `Sweep` of `convergence_sweep`.
+one flat list of floats).  The CLI checks no flag value's range: `run` and
+`compare` put `--grid-points` and `--tolerance` into the `Scenario`, whose
+error is reported as "argument --flag: <reason>", and `sweep` hands `--tau`
+to `convergence_sweep`, whose error names its tau, "tau=<tau>: <reason>".
+`compare` judges the `CaseComparison` that `compare_scenario` returns,
+`sweep` the `Sweep` of `convergence_sweep`.
 `main` returns the exit code in every case, also for help and argparse's
 usage errors.  Exit codes are a stable contract for scripting: 0 success
 (and PASS verdicts), 1 FAIL verdicts, 2 usage or schema errors, 3 runtime
@@ -79,33 +84,9 @@ def _parse_float(key: str, node) -> float:
     return float(node)
 
 
-def _positive_flag(text: str) -> float:
-    """Type of --tau and --tolerance: a finite positive number, the rule the
-    scenario keys tau and tolerances.max_deviation follow."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value <= sys.float_info.max:     # NaN compares false
-        raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, got {text!r}")
-    return value
-
-
-def _positive_int_flag(text: str) -> int:
-    """Type of --grid-points: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _positive_flags(text: str) -> list[float]:
-    return [_positive_flag(v) for v in text.split(",") if v]
+def float_list(text: str) -> list[float]:
+    """Type of --tau: a comma-separated list of numbers."""
+    return [float(v) for v in text.split(",") if v]
 
 
 def _parse_complex_matrix(key: str, node) -> np.ndarray:
@@ -402,13 +383,21 @@ def render_chart(series, x_label: str, y_label: str) -> str:
 # Commands.
 
 
+def _with_flag(sc: Scenario, **field) -> Scenario:
+    """sc with the one field of a flag replaced, unless its value is None;
+    a ScenarioError that the value causes is named by the flag."""
+    (name, value), = field.items()
+    if value is None:
+        return sc
+    try:
+        return replace(sc, **field)
+    except ScenarioError as err:
+        flag = "--" + name.replace("_", "-")
+        raise ValueError(f"argument {flag}: {err.reason}") from None
+
+
 def cmd_run(scenario: str, out_dir: str, grid_points: int | None = None) -> int:
-    sc = load_scenario(scenario)
-    if grid_points is not None:
-        try:
-            sc = replace(sc, grid_points=grid_points)
-        except ScenarioError as err:
-            raise ValueError(f"argument --grid-points: {err.reason}") from None
+    sc = _with_flag(load_scenario(scenario), grid_points=grid_points)
     for method in sc.methods:
         traj = run_method(sc, method)
         os.makedirs(out_dir, exist_ok=True)
@@ -419,17 +408,16 @@ def cmd_run(scenario: str, out_dir: str, grid_points: int | None = None) -> int:
 
 
 def cmd_compare(scenario: str, out_dir: str, tolerance: float | None = None) -> int:
-    sc = load_scenario(scenario)
+    sc = _with_flag(load_scenario(scenario), tolerance=tolerance)
     case = compare_scenario(sc)
-    tol = tolerance if tolerance is not None else sc.tolerance
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sc.name}_compare.csv")
     _write_csv(path, ["t", "deviation", "deviation_trace"],
                np.column_stack((case.times, case.deviation,
                                 case.deviation_trace)).tolist())
-    verdict = "PASS" if case.max_deviation <= tol else "FAIL"
+    verdict = "PASS" if case.max_deviation <= sc.tolerance else "FAIL"
     print(f"{sc.name}: methods {'/'.join(sc.methods)}, metric {case.metric}")
-    print(f"max deviation {case.max_deviation:.6g} vs tolerance {tol:g}: {verdict}")
+    print(f"max deviation {case.max_deviation:.6g} vs tolerance {sc.tolerance:g}: {verdict}")
     print(f"wrote {path}")
     return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
@@ -492,12 +480,12 @@ _OUT_DIR = ("--out-dir", "out_dir", str, ".", False, None)
 COMMANDS = {
     "run": (cmd_run, "run a scenario, write one CSV per method", ("scenario",), (
         _OUT_DIR,
-        ("--grid-points", "grid_points", _positive_int_flag, None, False, None))),
+        ("--grid-points", "grid_points", int, None, False, None))),
     "compare": (cmd_compare, "run and compare methods, verdict PASS/FAIL", ("scenario",), (
-        _OUT_DIR, ("--tolerance", "tolerance", _positive_flag, None, False, None))),
+        _OUT_DIR, ("--tolerance", "tolerance", float, None, False, None))),
     "sweep": (cmd_sweep, "tau-convergence sweep at fixed omega", ("scenario",), (
         _OUT_DIR,
-        ("--tau", "tau", _positive_flags, [], True,
+        ("--tau", "tau", float_list, [], True,
          "tau value or comma-separated list; repeatable"))),
     "plot": (cmd_plot, "render a trajectory CSV as an SVG chart", ("csv", "out_svg"), ()),
 }
@@ -523,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
 def read_argv(argv) -> argparse.Namespace | None:
     """The Namespace of `build_parser().parse_args(argv)`, read straight from
     COMMANDS, for canonical argv only: a command, its exact positional count,
-    and exact flags as `--flag value` or `--flag=value`, each value passing
-    its type and none starting with '-'.  None for any other argv (help,
-    `--`, abbreviations, unknown flags, usage errors), which argparse parses
-    and reports instead."""
+    and exact flags as `--flag value` or `--flag=value`, each value parsing
+    as its type (no ValueError) and none starting with '-'.  None for any
+    other argv (help, `--`, abbreviations, unknown flags, usage errors),
+    which argparse parses and reports instead."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, _, positionals, options = COMMANDS[argv[0]]
@@ -547,7 +535,7 @@ def read_argv(argv) -> argparse.Namespace | None:
         _, dest, kind, _, extends, _ = by_flag[flag]
         try:
             value = kind(value)
-        except argparse.ArgumentTypeError:
+        except ValueError:
             return None
         if extends:
             values[dest].extend(value)

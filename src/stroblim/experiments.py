@@ -254,7 +254,10 @@ class CaseComparison:
 
     @cached_property
     def deviation_trace(self) -> np.ndarray:
-        """The deviation series in trace distance, computed on first use."""
+        """The deviation series in trace distance: `deviation` when that is
+        the metric, else computed on first use."""
+        if self.metric == "trace_distance":
+            return self.deviation
         return _deviation("trace_distance", self.reference, self.trajectories)
 
 
@@ -263,10 +266,6 @@ class Sweep:
     """The table of a tau sweep: (tau, max deviation) per tau, in run order."""
 
     convergence: tuple[tuple[float, float], ...]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(d for _, d in self.convergence)
 
     @property
     def convergence_ratios(self) -> tuple[float, ...]:

@@ -102,24 +102,12 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), 2))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    return max_abs(m - dag(m)) <= tol
-
-
-def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian with spectrum above -tol."""
-    m = as_matrix(a)
-    if not is_hermitian(m, tol):
-        return False
-    w = np.linalg.eigvalsh((m + dag(m)) / 2)
-    return bool(w.min() >= -tol)
-
-
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian, positive semidefinite, unit trace."""
+    """Hermitian, spectrum above -tol, unit trace, each within tol."""
     m = as_matrix(a)
-    return is_psd(m, tol) and abs(complex(np.trace(m)) - 1.0) <= tol
+    return (max_abs(m - dag(m)) <= tol
+            and bool(np.linalg.eigvalsh((m + dag(m)) / 2).min() >= -tol)
+            and abs(complex(np.trace(m)) - 1.0) <= tol)
 
 
 def kron(*ops) -> np.ndarray:

@@ -350,10 +350,6 @@ class MeasurementSpec:
         return self.bases[0].shape[0]
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(v.shape[1] for v in self.bases)
-
-    @property
     def selective(self) -> bool:
         return self.selected_index is not None
 

@@ -23,8 +23,8 @@ from stroblim.cli import load_scenario
 from stroblim.exact import steps_in
 from stroblim.experiments import compare_case
 from stroblim.linalg import (_GEMM_BUDGET, DEFAULT_TOL, PROB_FLOOR, _power_degree,
-                             as_matrix, dag, expm, expm_action, is_hermitian,
-                             max_abs, partial_trace, step_powers)
+                             as_matrix, dag, expm, expm_action, max_abs,
+                             partial_trace, step_powers)
 from stroblim.model import BlockLayout
 from stroblim.nonselective_limit import packed_generator
 
@@ -57,6 +57,24 @@ def random_density(rng, dim, rank=None):
 def random_ket(rng, dim):
     v = random_complex(rng, dim)
     return v / np.linalg.norm(v)
+
+
+def is_hermitian(a, tol=DEFAULT_TOL):
+    m = as_matrix(a)
+    return max_abs(m - dag(m)) <= tol
+
+
+def is_psd(a, tol=DEFAULT_TOL):
+    """Hermitian with spectrum above -tol."""
+    m = as_matrix(a)
+    if not is_hermitian(m, tol):
+        return False
+    return bool(np.linalg.eigvalsh((m + dag(m)) / 2).min() >= -tol)
+
+
+def ranks(spec):
+    """The rank of each outcome of a MeasurementSpec: its basis's columns."""
+    return tuple(v.shape[1] for v in spec.bases)
 
 
 def hermitian_eig(a, tol=DEFAULT_TOL):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import bundled_path, load_bundled, random_hermitian
+from helpers import bundled_path, load_bundled, random_hermitian, ranks
 from stroblim.cli import (COMMANDS, ScenarioError, build_parser, load_scenario,
                           main, read_argv, read_csv, render_chart,
                           scenario_from_dict, trajectory_columns,
@@ -84,7 +84,7 @@ class TestScenarioParsing:
         doc = bundled_doc("swap_selective")
         doc["projectors"] = [[[[1.0, 0.0], [0.0, 0.0]]]]
         sc = scenario_from_dict(doc)
-        assert sc.measurement.ranks == (1,)
+        assert ranks(sc.measurement) == (1,)
 
     def test_t_max_is_bounded_by_exact_period_counts(self):
         doc = bundled_doc("swap_selective")
@@ -594,23 +594,43 @@ class TestCommands:
         assert lines == ["tau,max_deviation,ratio_to_previous", "0.040000000000000001,0,",
                          "0.01,0,nan"]
 
-    @pytest.mark.parametrize("command, flag, value, reported", [
-        ("sweep", "--tau", "0.04,0", "expected a finite positive number"),
-        ("sweep", "--tau", "0.04,nan", "expected a finite positive number"),
-        ("sweep", "--tau", "0.04,1e400", "expected a finite positive number"),
-        ("compare", "--tolerance", "nan", "expected a finite positive number"),
-        ("compare", "--tolerance", "0", "expected a finite positive number"),
-        ("run", "--grid-points", "0", "expected a positive integer, got '0'"),
-        ("run", "--grid-points", "7", "grid times must fall on integer multiples"),
-    ], ids=["zero_tau", "nan_tau", "inf_tau", "nan_tolerance", "zero_tolerance",
-            "zero_grid_points", "off_lattice_grid_points"])
-    def test_non_positive_or_non_finite_flag_exits_2(self, tmp_path, capsys,
-                                                     command, flag, value, reported):
+    # A flag value is refused by the rule that owns it: --tolerance and
+    # --grid-points by the Scenario, named by the flag, or by argparse's type
+    # when it is no number; --tau by the sweep's per-tau check, named by tau.
+    # A value starting with '-' takes the argparse route.
+    @pytest.mark.parametrize("command, flag, value, named, reported", [
+        ("sweep", "--tau", "0.04,0", "tau=0",
+         "tau must be a finite positive number, got 0.0"),
+        ("sweep", "--tau", "0.04,nan", "tau=nan",
+         "tau must be a finite positive number, got nan"),
+        ("sweep", "--tau", "0.04,1e400", "tau=inf",
+         "tau must be a finite positive number, got inf"),
+        ("sweep", "--tau", "0.04,-1", "tau=-1",
+         "tau must be a finite positive number, got -1.0"),
+        ("compare", "--tolerance", "nan", "argument --tolerance",
+         "tolerance must be a finite positive number, got nan"),
+        ("compare", "--tolerance", "0", "argument --tolerance",
+         "tolerance must be a finite positive number, got 0.0"),
+        ("compare", "--tolerance", "-1", "argument --tolerance",
+         "tolerance must be a finite positive number, got -1.0"),
+        ("compare", "--tolerance", "inf", "argument --tolerance",
+         "tolerance must be a finite positive number, got inf"),
+        ("run", "--grid-points", "0", "argument --grid-points",
+         "expected at least one grid point, got 0"),
+        ("run", "--grid-points", "7", "argument --grid-points",
+         "grid times must fall on integer multiples"),
+        ("run", "--grid-points", "2.5", "argument --grid-points",
+         "invalid int value: '2.5'"),
+    ], ids=["zero_tau", "nan_tau", "inf_tau", "negative_tau", "nan_tolerance",
+            "zero_tolerance", "negative_tolerance", "inf_tolerance",
+            "zero_grid_points", "off_lattice_grid_points", "fractional_grid_points"])
+    def test_non_positive_or_non_finite_flag_exits_2(self, tmp_path, capsys, command,
+                                                     flag, value, named, reported):
         rc = main([command, bundled_path("swap_selective"), "--out-dir",
                    str(tmp_path), flag, value])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: {reported}" in err
+        assert f"{named}: {reported}" in err
         assert not list(tmp_path.iterdir())
 
     def test_limit_only_mode_allows_free_grid(self, tmp_path):

@@ -10,11 +10,11 @@ import pytest
 import scipy.linalg
 
 from helpers import (bundled_path, conj_stack, counting_expm, hermitian_eig,
-                     is_projector, is_unitary, outputs_at_one_and_two_threads,
-                     random_complex, random_hermitian)
+                     is_hermitian, is_projector, is_psd, is_unitary,
+                     outputs_at_one_and_two_threads, random_complex,
+                     random_hermitian)
 from ode import rk4_step
-from stroblim import (TensorDims, expm, is_density, is_hermitian, is_psd, kron,
-                      partial_trace, pauli)
+from stroblim import TensorDims, expm, is_density, kron, partial_trace, pauli
 from stroblim.linalg import (_GEMM_BUDGET, _action_is_cheaper, dag, expm_action,
                              expm_step, factor_powers, max_abs, op_norm,
                              psd_factor, real_trace, step_powers, taylor_degree,
@@ -565,6 +565,11 @@ class TestPredicates:
         assert not is_projector(0.5 * p)
         assert is_density(np.eye(3) / 3)
         assert not is_density(np.eye(3))
+        # each of is_density's three rules refuses on its own: unit trace
+        # with a non-Hermitian entry, then with a negative eigenvalue
+        assert not is_density(np.array([[0.5, 1e-6], [0.0, 0.5]]))
+        assert not is_density(np.diag([-1e-6, 1.0 + 1e-6]))
+        assert is_density(np.diag([-1e-12, 1.0 + 1e-12]))
         assert is_hermitian(random_hermitian(rng, 4))
         assert is_psd(np.diag([0.0, 1.0]))
         assert not is_psd(np.diag([-1e-6, 1.0]))

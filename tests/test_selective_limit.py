@@ -4,9 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import (counting_expm, family_spec, load_bundled, random_density,
-                     random_hamiltonian_spec, random_ket, random_projector_family,
-                     random_unitary)
+from helpers import (counting_expm, family_spec, is_psd, load_bundled,
+                     random_density, random_hamiltonian_spec, random_ket,
+                     random_projector_family, random_unitary)
 from ode import (nonlinear_density_rhs, nonlinear_state_rhs,
                  purity_derivative, rk4_sample)
 from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
@@ -15,7 +15,7 @@ from stroblim import (EvolutionPlan, HamiltonianSpec, InitialState,
                       heisenberg3_hamiltonian, kron, measurement_from_kets,
                       pauli, propagate_kraus, run_selective, swap_hamiltonian,
                       trace_distance)
-from stroblim.linalg import PROB_FLOOR, dag, expm, factor_powers, is_psd, max_abs
+from stroblim.linalg import PROB_FLOOR, dag, expm, factor_powers, max_abs
 
 TAU = 0.04
 GAMMA = 5.0
